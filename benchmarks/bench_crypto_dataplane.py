@@ -7,6 +7,11 @@ and the file-system shield built on them.  Results go to
 ``benchmark.extra_info`` and are persisted in ``BENCH.json`` so the
 repo's perf trajectory is tracked PR over PR.
 
+Both shields seal small units (64 KiB file chunks, TLS records), so the
+per-call floor matters as much as the large-message rate: the AEADs are
+also swept over message sizes, and the 256-byte row is reported as
+calls/s.  Each run keeps the section it replaces under ``previous``.
+
 Seed baseline for reference: AES-GCM ~0.2 MB/s (bigint GHASH, serial
 CTR), ChaCha20-Poly1305 ~22 MB/s (serial bigint Poly1305).
 """
@@ -14,7 +19,7 @@ CTR), ChaCha20-Poly1305 ~22 MB/s (serial bigint Poly1305).
 import os
 import time
 
-from harness import print_table, record, run_once, save_bench
+from harness import load_bench, print_table, record, run_once, save_bench
 
 from repro._sim import SimClock
 from repro.crypto.aead import get_aead
@@ -27,15 +32,28 @@ from repro.runtime.vfs import VirtualFileSystem
 MESSAGE_SIZE = 1 << 20
 REPEATS = 5
 CIPHERS = ("chacha20-poly1305", "aes-256-gcm", "aes-128-gcm")
+#: Sizes below MESSAGE_SIZE the AEADs are swept over (MESSAGE_SIZE keeps
+#: its unsuffixed keys): a TLS record, a gradient piece, a shield chunk.
+SWEEP_SIZES = {"256b": 256, "16k": 16 << 10, "64k": 64 << 10}
+#: Small calls are over in well under a millisecond: time them in runs
+#: and report them as calls/s too.
+SMALL_CALL_BYTES = 4096
+SMALL_CALLS_PER_REPEAT = 50
 
 
-def _mb_per_s(n_bytes: int, fn) -> float:
+def _best_seconds(fn, calls: int = 1) -> float:
+    """Best-of-``REPEATS`` seconds for one call of ``fn``."""
     best = float("inf")
     for _ in range(REPEATS):
         started = time.perf_counter()
-        fn()
+        for _ in range(calls):
+            fn()
         best = min(best, time.perf_counter() - started)
-    return n_bytes / best / 1e6
+    return best / calls
+
+
+def _mb_per_s(n_bytes: int, fn) -> float:
+    return n_bytes / _best_seconds(fn) / 1e6
 
 
 def _aead_throughputs() -> dict:
@@ -52,6 +70,27 @@ def _aead_throughputs() -> dict:
         results[f"{cipher}_decrypt_mb_s"] = _mb_per_s(
             MESSAGE_SIZE, lambda a=aead: a.decrypt(nonce, sealed)
         )
+    return results
+
+
+def _aead_size_sweep() -> dict:
+    results = {}
+    nonce = os.urandom(12)
+    for cipher in CIPHERS:
+        aead = get_aead(cipher, os.urandom(32 if cipher != "aes-128-gcm" else 16))
+        for label, size in SWEEP_SIZES.items():
+            payload = os.urandom(size)
+            sealed = aead.encrypt(nonce, payload)
+            small = size <= SMALL_CALL_BYTES
+            calls = SMALL_CALLS_PER_REPEAT if small else 1
+            for op, fn in (
+                ("encrypt", lambda: aead.encrypt(nonce, payload)),
+                ("decrypt", lambda: aead.decrypt(nonce, sealed)),
+            ):
+                seconds = _best_seconds(fn, calls)
+                results[f"{cipher}_{op}_{label}_mb_s"] = size / seconds / 1e6
+                if small:
+                    results[f"{cipher}_{op}_{label}_calls_s"] = 1.0 / seconds
     return results
 
 
@@ -92,6 +131,7 @@ def _shield_throughputs() -> dict:
 
 def _collect() -> dict:
     results = _aead_throughputs()
+    results.update(_aead_size_sweep())
     results.update(_shield_throughputs())
     return results
 
@@ -120,13 +160,39 @@ def test_crypto_dataplane_throughput(benchmark):
             "warm reads serve plaintext chunks from the freshness-bound cache",
         ],
     )
+    print_table(
+        "AEAD encrypt by message size (MB/s; 256 B also as calls/s)",
+        ("cipher", "256 B", "calls/s", "16 KiB", "64 KiB", "1 MiB"),
+        [
+            (
+                cipher,
+                f"{results[f'{cipher}_encrypt_256b_mb_s']:.2f}",
+                f"{results[f'{cipher}_encrypt_256b_calls_s']:.0f}",
+                f"{results[f'{cipher}_encrypt_16k_mb_s']:.1f}",
+                f"{results[f'{cipher}_encrypt_64k_mb_s']:.1f}",
+                f"{results[f'{cipher}_encrypt_mb_s']:.1f}",
+            )
+            for cipher in CIPHERS
+        ],
+        notes=["the 256 B row is the per-call floor: what a TLS record pays"],
+    )
     record(benchmark, **results)
-    save_bench("crypto_dataplane", {k: round(v, 2) for k, v in results.items()})
+    # No entry overwritten without its predecessor kept (ROADMAP).
+    previous = load_bench("crypto_dataplane")
+    previous.pop("previous", None)
+    save_bench(
+        "crypto_dataplane",
+        {**{k: round(v, 2) for k, v in results.items()}, "previous": previous},
+    )
 
     # Acceptance floors from the data-plane rework (conservative: CI
     # machines vary, but regressions to the seed's bigint paths are
     # orders of magnitude, not percent).
     assert results["chacha20-poly1305_encrypt_mb_s"] >= 45.0
+    # One keystream pass per call: a shield chunk and a TLS record must
+    # not fall back to the ~4 ms/call dispatch floor (16 MB/s, 400/s).
+    assert results["chacha20-poly1305_encrypt_64k_mb_s"] >= 25.0
+    assert results["chacha20-poly1305_encrypt_256b_calls_s"] >= 1000.0
     assert results["aes-256-gcm_encrypt_mb_s"] >= 10.0
     assert results["aes-128-gcm_encrypt_mb_s"] >= 10.0
     # The warm read path must beat the cold one — that's the cache.

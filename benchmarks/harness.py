@@ -81,18 +81,27 @@ def record(benchmark, **metrics: object) -> None:
             benchmark.extra_info[key] = value
 
 
+def _load_bench_json() -> Dict[str, object]:
+    if BENCH_JSON.exists():
+        try:
+            return json.loads(BENCH_JSON.read_text())
+        except (OSError, ValueError):
+            pass
+    return {}
+
+
+def load_bench(section: str) -> Dict[str, object]:
+    """What ``BENCH.json`` holds under ``section`` now (``{}`` if nothing)."""
+    return dict(_load_bench_json().get(section) or {})
+
+
 def save_bench(section: str, metrics: Dict[str, object]) -> None:
     """Merge ``metrics`` into ``BENCH.json`` under ``section``.
 
     Existing sections are replaced wholesale (a rerun supersedes its old
     numbers); other sections are left untouched.
     """
-    data: Dict[str, object] = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except (OSError, ValueError):
-            data = {}
+    data = _load_bench_json()
     data[section] = metrics
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 

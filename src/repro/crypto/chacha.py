@@ -1,16 +1,29 @@
 """ChaCha20-Poly1305 AEAD (RFC 8439), numpy-vectorized.
 
-This is the workhorse cipher of the file-system and network shields: the
-ChaCha20 keystream for all blocks of a message is generated in one
-vectorized pass over a ``uint32`` matrix, which makes pure-Python bulk
-encryption practical (tens of MB/s).
+This is the workhorse cipher of the file-system and network shields.
+Both seal small units — 64 KiB file chunks, TLS records — so what an
+AEAD call costs is set by the *number* of numpy calls it makes, not by
+the bytes they touch.  The keystream core is laid out to make few:
 
-Poly1305 is vectorized too for long messages: blocks are split into S
-interleaved stripes, each stripe runs Horner's rule with the shared
-multiplier r^S, and all S stripe accumulators advance in lockstep as
-radix-2^26 limb vectors (five ``uint64`` numpy arrays, products bounded
-below 2^58 by a carry chain each step).  A final serial Horner pass over
-the S stripe results with r itself recombines them — algebraically
+* The ChaCha state of all blocks of a message is held as four row
+  groups ``a, b, c, d`` of shape ``(4, n_blocks)`` (state words 0-3,
+  4-7, 8-11, 12-15).  A column round is then *one* quarter round over
+  whole groups, and a diagonal round is the same quarter round after
+  rotating the rows of ``b``, ``c``, ``d`` by 1, 2, 3.  Each group sits
+  in a buffer with spare rows, so a rotation copies one or two rows and
+  slides a view instead of moving the group.
+* Every add / xor / rotate works in place (one shared scratch group), so
+  a pass is ~470 numpy calls however long the message is.
+* :class:`ChaCha20Poly1305` generates block 0 (the Poly1305 one-time
+  key) and blocks 1..n (the stream) in the **same** pass.
+
+Poly1305 is vectorized too for long messages: the N full blocks become
+five radix-2^26 limb rows (cut from little-endian ``uint32`` words) and
+are folded in halves — the front half times r^h plus the back half,
+which leaves a vector of the same form at half the length — so all of
+Horner's rule runs in log2(N) numpy steps of one 5x5 limb-matrix
+product and two carry sweeps each (products stay below 2^58).  The last
+few values and the tail are recombined with bigints — algebraically
 identical to the straight serial evaluation, and asserted byte-identical
 to :func:`poly1305_mac_reference` by the property tests.  Short messages
 take the plain bigint loop, which wins below a few KB.
@@ -21,81 +34,102 @@ Verified against the RFC 8439 test vectors in the test suite.
 from __future__ import annotations
 
 import struct
+from typing import Tuple
 
 import numpy as np
 
 from repro.crypto._ct import ct_eq
 from repro.errors import IntegrityError
 
-_CONSTANTS = np.array(
-    [0x61707865, 0x3320646E, 0x79622D32, 0x6B206574], dtype=np.uint32
-)
+_SIGMA = b"expand 32-byte k"
+#: The block counter is one 32-bit state word: a (key, nonce) pair has
+#: 2^32 blocks of keystream and not one more.
+_MAX_BLOCKS = 1 << 32
 
 
-def _rotl(x: np.ndarray, n: int) -> np.ndarray:
-    return (x << np.uint32(n)) | (x >> np.uint32(32 - n))
+def _quarter_round(a, b, c, d, t) -> None:
+    """One ChaCha quarter round over whole row groups, in place.
 
-
-def _quarter_round(state: np.ndarray, a: int, b: int, c: int, d: int) -> None:
-    """One ChaCha quarter round applied across all blocks at once.
-
-    ``state`` has shape (16, n_blocks); rows are the ChaCha state words.
+    Each argument is a ``(4, n_blocks)`` uint32 group; row ``i`` of the
+    four groups is one column (or, with ``b, c, d`` rotated, one
+    diagonal) of every block's state.  ``t`` is scratch.
     """
-    state[a] += state[b]
-    state[d] = _rotl(state[d] ^ state[a], 16)
-    state[c] += state[d]
-    state[b] = _rotl(state[b] ^ state[c], 12)
-    state[a] += state[b]
-    state[d] = _rotl(state[d] ^ state[a], 8)
-    state[c] += state[d]
-    state[b] = _rotl(state[b] ^ state[c], 7)
+    a += b; d ^= a
+    np.left_shift(d, 16, out=t); d >>= 16; d |= t
+    c += d; b ^= c
+    np.left_shift(b, 12, out=t); b >>= 20; b |= t
+    a += b; d ^= a
+    np.left_shift(d, 8, out=t); d >>= 24; d |= t
+    c += d; b ^= c
+    np.left_shift(b, 7, out=t); b >>= 25; b |= t
 
 
-def chacha20_keystream(key: bytes, nonce: bytes, counter: int, n_bytes: int) -> bytes:
-    """Generate ``n_bytes`` of ChaCha20 keystream starting at ``counter``."""
+def _keystream(key: bytes, nonce: bytes, counter: int, n_blocks: int) -> np.ndarray:
+    """Keystream blocks ``counter .. counter + n_blocks - 1`` as uint8.
+
+    The one keystream core: every public function below is a view of or
+    an XOR against what this returns.
+    """
     if len(key) != 32:
         raise ValueError(f"ChaCha20 key must be 32 bytes, got {len(key)}")
     if len(nonce) != 12:
         raise ValueError(f"ChaCha20 nonce must be 12 bytes, got {len(nonce)}")
-    if n_bytes == 0:
-        return b""
-    n_blocks = -(-n_bytes // 64)
-    key_words = np.frombuffer(key, dtype="<u4").astype(np.uint32)
-    nonce_words = np.frombuffer(nonce, dtype="<u4").astype(np.uint32)
+    if counter < 0 or counter + n_blocks > _MAX_BLOCKS:
+        # Wrapping the counter would repeat keystream under one nonce.
+        raise ValueError(
+            f"ChaCha20 block counter exhausted: {n_blocks} blocks from "
+            f"counter {counter} pass 2^32"
+        )
+    init = np.frombuffer(_SIGMA + key + bytes(4) + nonce, dtype="<u4")
+    counters = np.arange(n_blocks, dtype=np.uint32)
+    counters += np.uint32(counter)
 
-    state = np.empty((16, n_blocks), dtype=np.uint32)
-    state[0:4] = _CONSTANTS[:, None]
-    state[4:12] = key_words[:, None]
-    state[12] = (np.arange(n_blocks, dtype=np.uint64) + np.uint64(counter)).astype(
-        np.uint32
-    )
-    state[13:16] = nonce_words[:, None]
+    # a | b + 1 spare row | c + 2 spare rows | 1 spare row + d | scratch.
+    rows = np.empty((24, n_blocks), dtype=np.uint32)
+    a, t = rows[0:4], rows[20:24]
+    b, b_diag = rows[4:8], rows[5:9]
+    c, c_diag = rows[9:13], rows[11:15]
+    d, d_diag = rows[16:20], rows[15:19]
+    a[...] = init[0:4, None]
+    b[...] = init[4:8, None]
+    c[...] = init[8:12, None]
+    d[...] = init[12:16, None]
+    d[0] = counters
+    # Rotating b left by 1 = copy row 0 below row 3, then look one row
+    # down; c left by 2 likewise with two rows; d left by 3 = right by 1.
+    b_head, b_spare = rows[4], rows[8]
+    c_head, c_spare = rows[9:11], rows[13:15]
+    d_spare, d_tail = rows[15], rows[19]
+    copyto = np.copyto
+    for _ in range(10):
+        _quarter_round(a, b, c, d, t)
+        copyto(b_spare, b_head); copyto(c_spare, c_head); copyto(d_spare, d_tail)
+        _quarter_round(a, b_diag, c_diag, d_diag, t)
+        copyto(b_head, b_spare); copyto(c_head, c_spare); copyto(d_tail, d_spare)
 
-    working = state.copy()
-    with np.errstate(over="ignore"):
-        for _ in range(10):
-            # Column rounds.
-            _quarter_round(working, 0, 4, 8, 12)
-            _quarter_round(working, 1, 5, 9, 13)
-            _quarter_round(working, 2, 6, 10, 14)
-            _quarter_round(working, 3, 7, 11, 15)
-            # Diagonal rounds.
-            _quarter_round(working, 0, 5, 10, 15)
-            _quarter_round(working, 1, 6, 11, 12)
-            _quarter_round(working, 2, 7, 8, 13)
-            _quarter_round(working, 3, 4, 9, 14)
-        working += state
-    # Serialize: per block, 16 little-endian words.
-    stream = working.T.astype("<u4").tobytes()
-    return stream[:n_bytes]
+    # Add the input state and serialize block-major in the same calls.
+    out = np.empty((n_blocks, 4, 4), dtype=np.uint32)
+    np.add(a.T, init[0:4], out=out[:, 0])
+    np.add(b.T, init[4:8], out=out[:, 1])
+    np.add(c.T, init[8:12], out=out[:, 2])
+    np.add(d.T, init[12:16], out=out[:, 3])
+    out[:, 3, 0] += counters
+    return out.astype("<u4", copy=False).reshape(-1).view(np.uint8)
+
+
+def chacha20_keystream(key: bytes, nonce: bytes, counter: int, n_bytes: int) -> bytes:
+    """Generate ``n_bytes`` of ChaCha20 keystream starting at ``counter``.
+
+    Raises :class:`ValueError` rather than wrap the 32-bit block counter.
+    """
+    return _keystream(key, nonce, counter, -(-n_bytes // 64))[:n_bytes].tobytes()
 
 
 def chacha20_xor(key: bytes, nonce: bytes, counter: int, data: bytes) -> bytes:
     """XOR ``data`` with the ChaCha20 keystream (encrypts and decrypts)."""
-    stream = chacha20_keystream(key, nonce, counter, len(data))
-    a = np.frombuffer(data, dtype=np.uint8)
-    b = np.frombuffer(stream, dtype=np.uint8)
-    return (a ^ b).tobytes()
+    stream = _keystream(key, nonce, counter, -(-len(data) // 64))[: len(data)]
+    stream ^= np.frombuffer(data, dtype=np.uint8)
+    return stream.tobytes()
 
 
 _P1305 = (1 << 130) - 5
@@ -104,6 +138,8 @@ _HI_BIT = 1 << 128
 # Below this many full blocks the serial bigint loop is faster than the
 # numpy setup cost.
 _BULK_MIN_BLOCKS = 512
+# The fold stops at this many values; bigints recombine them.
+_FOLD_STOP = 8
 
 
 def poly1305_mac_reference(key: bytes, message: bytes) -> bytes:
@@ -124,83 +160,75 @@ def poly1305_mac_reference(key: bytes, message: bytes) -> bytes:
     return acc.to_bytes(16, "little")
 
 
-def _limbs26(x: int) -> list:
-    return [(x >> (26 * i)) & ((1 << 26) - 1) for i in range(5)]
+# M[i][j] = limb[(i - j) % 5], times 5 where the product wrapped past
+# 2^130 (j > i): an index into ``limbs ++ 5 * limbs``.
+_MUL_INDEX = np.array(
+    [[(i - j) % 5 + (5 if j > i else 0) for j in range(5)] for i in range(5)]
+)
 
 
-def _poly1305_bulk(r: int, blocks: np.ndarray, stripes: int) -> int:
-    """Evaluate ``sum c_j * r^(N-j)`` over N = m*stripes full blocks.
+def _mul_matrix(x: int) -> np.ndarray:
+    """5x5 uint64 matrix M with ``M @ limbs(v) == limbs(v * x)`` mod p,
+    before carries."""
+    limbs = [(x >> shift) & 0x3FFFFFF for shift in (0, 26, 52, 78, 104)]
+    return np.array(limbs + [5 * v for v in limbs], dtype=np.uint64)[_MUL_INDEX]
 
-    ``blocks`` is (N, 16) uint8.  Block j goes to stripe j % stripes;
-    each stripe is a Horner chain with multiplier r^stripes, and all
-    stripes advance together as radix-2^26 limb vectors.  Limbs stay
-    below ~2^27 thanks to the carry chain (including the 5*carry
-    wrap-around fold), so every limb product fits uint64.
+
+def _poly1305_bulk(r: int, message: bytes, n: int) -> int:
+    """Evaluate ``sum c_j * r^(n-j)`` over the first ``n`` full blocks.
+
+    The blocks are the columns of a ``(5, n)`` radix-2^26 limb matrix.
+    One fold multiplies the front ``n - h`` columns by ``r^h`` and adds
+    the back ``h = n // 2`` onto the last ``h`` of them, which leaves a
+    sum of the same form over ``n - h`` columns.  Limbs stay below
+    2^27 + 2^12 after the two carry sweeps (including the 5*carry
+    wrap-around) and the add, and matrix entries below 5 * 2^26, so
+    every five-term limb product sum fits uint64 (< 2^58).
     """
-    n_blocks = blocks.shape[0]
-    m = n_blocks // stripes
-    b = blocks.astype(np.uint64)
+    words = np.frombuffer(message, dtype="<u4", count=4 * n).reshape(n, 4)
+    w0, w1, w2, w3 = (words[:, k].astype(np.uint64) for k in range(4))
+    acc = np.empty((5, n), dtype=np.uint64)
+    np.bitwise_and(w0, _M26, out=acc[0])
+    for limb, lo, hi, shift in (
+        (acc[1], w0, w1, 26), (acc[2], w1, w2, 20), (acc[3], w2, w3, 14)
+    ):
+        lo >>= np.uint64(shift)
+        np.left_shift(hi, np.uint64(32 - shift), out=limb)
+        limb |= lo
+        limb &= _M26
+    w3 >>= np.uint64(8)
+    np.bitwise_or(w3, np.uint64(1 << 24), out=acc[4])
 
-    def le32(k: int) -> np.ndarray:
-        return (
-            b[:, k]
-            | (b[:, k + 1] << np.uint64(8))
-            | (b[:, k + 2] << np.uint64(16))
-            | (b[:, k + 3] << np.uint64(24))
-        )
-
-    l0 = (le32(0) & _M26).reshape(m, stripes)
-    l1 = ((le32(3) >> np.uint64(2)) & _M26).reshape(m, stripes)
-    l2 = ((le32(6) >> np.uint64(4)) & _M26).reshape(m, stripes)
-    l3 = ((le32(9) >> np.uint64(6)) & _M26).reshape(m, stripes)
-    l4 = ((le32(12) >> np.uint64(8)) | np.uint64(1 << 24)).reshape(m, stripes)
-
-    r_s = pow(r, stripes, _P1305)
-    r0, r1, r2, r3, r4 = (np.uint64(v) for v in _limbs26(r_s))
-    f1, f2, f3, f4 = (np.uint64(5 * v) for v in _limbs26(r_s)[1:])
-
-    a0 = l0[0].copy()
-    a1 = l1[0].copy()
-    a2 = l2[0].copy()
-    a3 = l3[0].copy()
-    a4 = l4[0].copy()
-    s26 = np.uint64(26)
-    five = np.uint64(5)
-    for i in range(1, m):
-        t0 = a0 * r0 + a1 * f4 + a2 * f3 + a3 * f2 + a4 * f1
-        t1 = a0 * r1 + a1 * r0 + a2 * f4 + a3 * f3 + a4 * f2
-        t2 = a0 * r2 + a1 * r1 + a2 * r0 + a3 * f4 + a4 * f3
-        t3 = a0 * r3 + a1 * r2 + a2 * r1 + a3 * r0 + a4 * f4
-        t4 = a0 * r4 + a1 * r3 + a2 * r2 + a3 * r1 + a4 * r0
-        c = t0 >> s26; t0 &= _M26; t1 += c
-        c = t1 >> s26; t1 &= _M26; t2 += c
-        c = t2 >> s26; t2 &= _M26; t3 += c
-        c = t3 >> s26; t3 &= _M26; t4 += c
-        c = t4 >> s26; t4 &= _M26; t0 += five * c
-        c = t0 >> s26; t0 &= _M26; t1 += c
-        a0 = t0 + l0[i]
-        a1 = t1 + l1[i]
-        a2 = t2 + l2[i]
-        a3 = t3 + l3[i]
-        a4 = t4 + l4[i]
-    v0 = a0.tolist()
-    v1 = a1.tolist()
-    v2 = a2.tolist()
-    v3 = a3.tolist()
-    v4 = a4.tolist()
-    acc = 0
-    for s in range(stripes):
-        stripe = (
-            v0[s] + (v1[s] << 26) + (v2[s] << 52) + (v3[s] << 78) + (v4[s] << 104)
-        )
-        acc = (acc + stripe) * r % _P1305
-    return acc
+    spare = np.empty((5, n - n // 2), dtype=np.uint64)
+    carries = np.empty_like(spare)
+    s26, five = np.uint64(26), np.uint64(5)
+    while n > _FOLD_STOP:
+        half = n // 2
+        front = n - half
+        t, carry = spare[:, :front], carries[:, :front]
+        np.matmul(_mul_matrix(pow(r, half, _P1305)), acc[:, :front], out=t)
+        t_bottom, t_upper, t_back = t[0], t[1:], t[:, front - half:]
+        carry_lower, carry_top = carry[:4], carry[4]
+        for _ in range(2):
+            np.right_shift(t, s26, out=carry)
+            t &= _M26
+            t_upper += carry_lower
+            carry_top *= five
+            t_bottom += carry_top
+        t_back += acc[:, front:n]
+        acc, spare = spare, acc
+        n = front
+    total = 0
+    for v0, v1, v2, v3, v4 in acc[:, :n].T.tolist():
+        value = v0 + (v1 << 26) + (v2 << 52) + (v3 << 78) + (v4 << 104)
+        total = (total + value) * r % _P1305
+    return total
 
 
 def poly1305_mac(key: bytes, message: bytes, _min_blocks: int = _BULK_MIN_BLOCKS) -> bytes:
     """Poly1305 one-time authenticator (RFC 8439 §2.5).
 
-    Long messages run through the striped numpy evaluator; the tail and
+    Long messages run through the folding numpy evaluator; the tail and
     short messages through the serial loop.  ``_min_blocks`` exists so
     tests can force the bulk path on small inputs.
     """
@@ -212,18 +240,9 @@ def poly1305_mac(key: bytes, message: bytes, _min_blocks: int = _BULK_MIN_BLOCKS
     n_full = n // 16
     acc = 0
     offset = 0
-    if r != 0 and n_full >= _min_blocks:
-        # Stripe count: power of two scaled to message size so each
-        # stripe still has enough blocks to amortize the numpy setup.
-        stripes = 1 << max(2, min(11, (n_full // 8).bit_length() - 1))
-        while stripes > n_full:
-            stripes >>= 1
-        bulk_blocks = (n_full // stripes) * stripes
-        blocks = np.frombuffer(
-            message, dtype=np.uint8, count=bulk_blocks * 16
-        ).reshape(bulk_blocks, 16)
-        acc = _poly1305_bulk(r, blocks, stripes)
-        offset = bulk_blocks * 16
+    if n_full >= _min_blocks:
+        acc = _poly1305_bulk(r, message, n_full)
+        offset = n_full * 16
     fb = int.from_bytes
     full = n_full * 16
     while offset < full:
@@ -231,54 +250,70 @@ def poly1305_mac(key: bytes, message: bytes, _min_blocks: int = _BULK_MIN_BLOCKS
         offset += 16
     if offset < n:
         acc = (acc + fb(message[offset:] + b"\x01", "little")) * r % _P1305
-    acc %= _P1305
     acc = (acc + s) & ((1 << 128) - 1)
     return acc.to_bytes(16, "little")
 
 
-def _pad16(data: bytes) -> bytes:
-    if len(data) % 16 == 0:
-        return b""
-    return b"\x00" * (16 - len(data) % 16)
-
-
 class ChaCha20Poly1305:
-    """RFC 8439 AEAD construction."""
+    """RFC 8439 AEAD construction.
+
+    One keystream pass per call: block 0 yields the Poly1305 one-time
+    key, blocks 1.. the stream the payload is XORed against.
+    """
 
     NONCE_SIZE = 12
     TAG_SIZE = 16
+    #: Blocks 1 .. 2^32 - 1 of the 32-bit counter (block 0 keys Poly1305).
+    MAX_PAYLOAD = (_MAX_BLOCKS - 1) * 64
 
     def __init__(self, key: bytes) -> None:
         if len(key) != 32:
             raise ValueError(f"key must be 32 bytes, got {len(key)}")
         self._key = key
 
-    def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        otk = chacha20_keystream(self._key, nonce, 0, 32)
-        mac_data = (
-            aad
-            + _pad16(aad)
-            + ciphertext
-            + _pad16(ciphertext)
-            + struct.pack("<QQ", len(aad), len(ciphertext))
+    def _pass(self, nonce: bytes, n_bytes: int) -> Tuple[bytes, np.ndarray]:
+        """``(one-time key, uint8 stream for an n_bytes payload)``."""
+        blocks = _keystream(self._key, nonce, 0, 1 + -(-n_bytes // 64))
+        return blocks[:32].tobytes(), blocks[64: 64 + n_bytes]
+
+    @staticmethod
+    def _tag(otk: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+        mac_data = b"".join(
+            (
+                aad,
+                bytes(-len(aad) % 16),
+                ciphertext,
+                bytes(-len(ciphertext) % 16),
+                struct.pack("<QQ", len(aad), len(ciphertext)),
+            )
         )
         return poly1305_mac(otk, mac_data)
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Return ciphertext || tag."""
-        if len(nonce) != self.NONCE_SIZE:
-            raise ValueError(f"nonce must be 12 bytes, got {len(nonce)}")
-        ciphertext = chacha20_xor(self._key, nonce, 1, plaintext)
-        return ciphertext + self._tag(nonce, aad, ciphertext)
+        if len(plaintext) > self.MAX_PAYLOAD:
+            raise ValueError(
+                f"plaintext of {len(plaintext)} bytes exceeds the "
+                f"{self.MAX_PAYLOAD}-byte ChaCha20 counter space"
+            )
+        otk, stream = self._pass(nonce, len(plaintext))
+        stream ^= np.frombuffer(plaintext, dtype=np.uint8)
+        ciphertext = stream.tobytes()
+        return ciphertext + self._tag(otk, aad, ciphertext)
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt; raises IntegrityError on tampering."""
-        if len(nonce) != self.NONCE_SIZE:
-            raise ValueError(f"nonce must be 12 bytes, got {len(nonce)}")
         if len(data) < self.TAG_SIZE:
             raise IntegrityError("ciphertext shorter than the Poly1305 tag")
         ciphertext, tag = data[: -self.TAG_SIZE], data[-self.TAG_SIZE:]
-        expected = self._tag(nonce, aad, ciphertext)
-        if not ct_eq(expected, tag):
+        if len(ciphertext) > self.MAX_PAYLOAD:
+            raise IntegrityError(
+                f"ciphertext of {len(ciphertext)} bytes exceeds the "
+                f"{self.MAX_PAYLOAD}-byte ChaCha20 counter space"
+            )
+        otk, stream = self._pass(nonce, len(ciphertext))
+        if not ct_eq(self._tag(otk, aad, ciphertext), tag):
             raise IntegrityError("Poly1305 tag verification failed")
-        return chacha20_xor(self._key, nonce, 1, ciphertext)
+        # Only now does the stream touch the ciphertext.
+        stream ^= np.frombuffer(ciphertext, dtype=np.uint8)
+        return stream.tobytes()

@@ -121,9 +121,16 @@ class RecordLayer:
         if len(record) < 5:
             raise IntegrityError("TLS record shorter than its header")
         header, sealed = record[:5], record[5:]
-        kind, _length = struct.unpack(">BI", header)
+        kind, length = struct.unpack(">BI", header)
         if kind != 0x17:
             raise IntegrityError(f"unexpected TLS record type 0x{kind:02x}")
+        # The header is host-controlled: settle its length claim before
+        # spending a keystream pass on the body.
+        if length + self._recv_aead.TAG_SIZE != len(sealed):
+            raise IntegrityError(
+                f"TLS record header claims {length} payload bytes, "
+                f"body carries {len(sealed) - self._recv_aead.TAG_SIZE}"
+            )
         plaintext = self._recv_aead.decrypt(
             self._nonce(self._recv_iv, self._recv_seq), sealed, aad=header
         )

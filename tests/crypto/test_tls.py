@@ -138,6 +138,39 @@ def test_record_header_tamper_detected(ca, rng):
         srl.unprotect(bytes(record))
 
 
+class _NoDecrypt:
+    """Stands in for the receive AEAD; any keystream pass is a failure."""
+
+    TAG_SIZE = 16
+
+    def decrypt(self, nonce, data, aad=b""):
+        raise AssertionError("length mismatch must be rejected before decrypting")
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda record: record[:-1],  # truncated by the host
+        lambda record: record[:5],  # header only
+        lambda record: record + b"\x00",  # extended by the host
+    ],
+    ids=["truncated", "header-only", "extended"],
+)
+def test_record_length_mismatch_rejected_before_decrypt(ca, rng, mangle):
+    client, server = make_pair(ca, rng)
+    crl, srl = handshake_in_memory(client, server)
+    record = crl.protect(b"payload")
+    real_aead = srl._recv_aead
+    srl._recv_aead = _NoDecrypt()
+    with pytest.raises(IntegrityError, match="header claims"):
+        srl.unprotect(mangle(record))
+    # The rejection consumed no sequence number: the intact record opens.
+    assert srl.records_received == 0
+    srl._recv_aead = real_aead
+    assert srl.unprotect(record) == b"payload"
+    assert srl.records_received == 1
+
+
 def test_large_payload(ca, rng):
     client, server = make_pair(ca, rng)
     crl, srl = handshake_in_memory(client, server)
