@@ -3,13 +3,18 @@
 (a) asynchronous vs synchronous syscalls (SCONE's exit-less interface),
 (b) user-level vs OS threading on blocking events,
 (c) file-system shield chunk size,
-(d) EPC replacement policy (random vs LRU) under a slight overflow,
+(d) EPC replacement policy (random vs LRU) under a slight overflow, and
+    what the residency model itself costs the host per granule touched,
 (e) TLS record cipher choice.
 """
 
+import time
+
 import pytest
 
-from harness import fmt_ms, fmt_s, print_table, record, run_once
+from harness import (
+    fmt_ms, fmt_s, load_bench, print_table, record, run_once, save_bench,
+)
 
 from repro._sim import DeterministicRng, SimClock
 from repro.enclave.attestation import ProvisioningAuthority
@@ -155,6 +160,72 @@ def test_ablation_epc_replacement_policy(benchmark):
     record(benchmark, **results)
     assert results["lru"] > 0.95
     assert results["random"] < 0.5
+
+
+#: Working set over EPC capacity: resident, the `infer_epc` regime
+#: (slight overflow), and two thrashing ones (`train_sharded` faults on
+#: ~80 % of its touches, as the 2x scan does).
+EPC_SWEEP_RATIOS = (0.93, 1.1, 2.0, 5.0)
+#: Granules per ``access_range`` call; the execution engine's calls
+#: average ~30 on the e2e workloads.
+EPC_SWEEP_CHUNK = 32
+
+
+def epc_touches_per_s(ratio, repeats=7, min_touches=60_000):
+    """Host granule touches/s of a cyclic scan over ``ratio`` x capacity
+    (best of ``repeats``), and the fault rate the scan settles at."""
+    best, fault_rate = 0.0, 0.0
+    for _ in range(repeats):
+        cache = EpcCache(CM, SimClock())
+        granule = cache.granule_size
+        working_set = int(cache.capacity_granules * ratio)
+        chunks = [
+            (start * granule, min(EPC_SWEEP_CHUNK, working_set - start) * granule)
+            for start in range(0, working_set, EPC_SWEEP_CHUNK)
+        ]
+        for first_byte, n_bytes in chunks:  # warm: fill the EPC
+            cache.access_range(1, first_byte, n_bytes)
+        passes = -(-min_touches // working_set)
+        warm_faults = cache.stats.faults
+        started = time.perf_counter()
+        for _ in range(passes):
+            for first_byte, n_bytes in chunks:
+                cache.access_range(1, first_byte, n_bytes)
+        elapsed = time.perf_counter() - started
+        best = max(best, passes * working_set / elapsed)
+        fault_rate = (cache.stats.faults - warm_faults) / (passes * working_set)
+    return best, fault_rate
+
+
+def test_ablation_epc_host_cost(benchmark):
+    """(d, host side) Every simulated memory access goes through
+    ``EpcCache.access_range``; this is what one granule touch costs the
+    simulator in real time, from fully resident to thrashing."""
+
+    def scenario():
+        return {ratio: epc_touches_per_s(ratio) for ratio in EPC_SWEEP_RATIOS}
+
+    results = run_once(benchmark, scenario)
+    print_table(
+        "Ablation (d) — EPC model host cost, cyclic scan in "
+        f"{EPC_SWEEP_CHUNK}-granule calls (real wall time, best of 7)",
+        ("working set / capacity", "fault rate", "M touches/s"),
+        [
+            (f"{ratio:g}x", f"{fault_rate * 100:.1f}%", f"{rate / 1e6:.2f}")
+            for ratio, (rate, fault_rate) in results.items()
+        ],
+    )
+    metrics = {}
+    for ratio, (rate, fault_rate) in results.items():
+        tag = f"{ratio:g}".replace(".", "_")
+        metrics[f"touches_per_s_at_{tag}x"] = round(rate)
+        metrics[f"fault_rate_at_{tag}x"] = round(fault_rate, 4)
+    record(benchmark, **metrics)
+    previous = load_bench("epc_paging")
+    previous.pop("previous", None)
+    save_bench("epc_paging", {**metrics, "previous": previous})
+    rates = [fault_rate for _, fault_rate in results.values()]
+    assert rates[0] == 0.0 and rates == sorted(rates)
 
 
 def test_ablation_tls_cipher(benchmark):

@@ -23,6 +23,16 @@ Two modelling choices, both deliberate:
   over a sampled set) and the paper's graceful degradation across Figs
   5–8.  Random replacement yields the smooth ``1 - capacity/workingset``
   miss curve.  LRU remains available for ablations.
+
+Every simulated memory access of every workload funnels through
+:meth:`EpcCache.access_range`, so the random policy is built to cost no
+Python on a hit: residency is one ``bytearray`` per enclave (a byte per
+granule, 1 = resident) and a range is *scanned* with ``bytearray.find``,
+which skips a run of resident granules in C.  Only faults enter the
+interpreter loop, and each one still updates the stats, advances the
+clock and charges the tracer in that order before the next is looked at,
+because clock observers (the metrics sampler, the flight recorder) read
+the stats at every advance.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
@@ -38,10 +48,15 @@ from repro._sim.units import KiB
 from repro.enclave.cost_model import CostModel
 from repro.errors import ConfigurationError, EnclaveError
 
-GranuleKey = Tuple[int, int]  # (enclave id, granule index)
-
 #: Default residency-tracking granule (16 × 4 KiB pages).
 DEFAULT_GRANULE_SIZE = 64 * KiB
+
+#: A resident granule is named by one int, ``enclave_id << _GRANULE_BITS |
+#: granule_index``.  2**32 granules is 256 TiB of enclave address space
+#: at the default granule; an index past it is refused, not truncated.
+_GRANULE_BITS = 32
+_MAX_GRANULES = 1 << _GRANULE_BITS
+_GRANULE_MASK = _MAX_GRANULES - 1
 
 
 @dataclass
@@ -104,10 +119,12 @@ class EpcCache:
         self._granule_fault_cost = (
             cost_model.epc_page_fault_cost * self._pages_per_granule
         )
-        # LRU state: ordered dict.  Random state: dict -> slot + slot list.
-        self._lru: "OrderedDict[GranuleKey, None]" = OrderedDict()
-        self._slots: List[GranuleKey] = []
-        self._slot_of: Dict[GranuleKey, int] = {}
+        # LRU state: packed keys in recency order.  Random state: packed
+        # keys in slot order (the victim draw indexes it) plus, per
+        # enclave, one byte per granule that is 1 while it is resident.
+        self._lru: "OrderedDict[int, None]" = OrderedDict()
+        self._slots: List[int] = []
+        self._resident: Dict[int, bytearray] = {}
         self._rng = random.Random(seed)
         self._ever_loaded: set = set()
         self.stats = EpcStats()
@@ -121,6 +138,11 @@ class EpcCache:
         return self._capacity_granules * self.granule_size
 
     @property
+    def granule_fault_cost(self) -> float:
+        """Simulated seconds charged for one granule fault."""
+        return self._granule_fault_cost
+
+    @property
     def resident_granules(self) -> int:
         return len(self._lru) if self.policy == "lru" else len(self._slots)
 
@@ -129,82 +151,173 @@ class EpcCache:
 
     def access(self, enclave_id: int, granule_index: int) -> bool:
         """Touch one granule; returns True on a fault (cost charged)."""
-        key = (enclave_id, granule_index)
-        if self.policy == "lru":
-            if key in self._lru:
-                self._lru.move_to_end(key)
-                self.stats.hits += 1
-                return False
-            if len(self._lru) >= self._capacity_granules:
-                victim, _ = self._lru.popitem(last=False)
-                self._evicted(victim)
-            self._lru[key] = None
-        else:
-            if key in self._slot_of:
-                self.stats.hits += 1
-                return False
-            if len(self._slots) >= self._capacity_granules:
-                slot = self._rng.randrange(len(self._slots))
-                victim = self._slots[slot]
-                last = self._slots[-1]
-                self._slots[slot] = last
-                self._slot_of[last] = slot
-                self._slots.pop()
-                del self._slot_of[victim]
-                self._evicted(victim)
-            self._slot_of[key] = len(self._slots)
-            self._slots.append(key)
-
-        self._inc_resident(enclave_id)
-        self.stats.faults += 1
-        self.stats.fault_pages += self._pages_per_granule
-        if key not in self._ever_loaded:
-            self._ever_loaded.add(key)
-            self.stats.cold_loads += 1
-        cost = self._granule_fault_cost
-        self.stats.fault_time += cost
-        self._clock.advance(cost)
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.charge(
-                self._clock, "epc_faults", cost, histogram="epc.fault_service"
-            )
-        return True
+        return self._touch(enclave_id, granule_index, granule_index + 1) == 1
 
     def access_range(self, enclave_id: int, first_byte: int, n_bytes: int) -> int:
         """Touch a contiguous byte range; returns the number of granule faults."""
         if n_bytes < 0:
             raise EnclaveError(f"negative byte count: {n_bytes}")
+        if first_byte < 0:
+            raise EnclaveError(f"negative byte address: {first_byte}")
         if n_bytes == 0:
             return 0
         first = first_byte // self.granule_size
-        last = (first_byte + n_bytes - 1) // self.granule_size
+        stop = (first_byte + n_bytes - 1) // self.granule_size + 1
+        return self._touch(enclave_id, first, stop)
+
+    def _touch(self, enclave_id: int, first: int, stop: int) -> int:
+        """Touch granules ``[first, stop)`` of one enclave; returns faults."""
+        # A negative index would alias the tail of the residency map and
+        # one past the key width would alias another enclave's granule.
+        if first < 0 or stop > _MAX_GRANULES:
+            raise EnclaveError(
+                f"granule range [{first}, {stop}) outside [0, 2**{_GRANULE_BITS})"
+            )
+        if self.policy == "lru":
+            return self._touch_lru(enclave_id, first, stop)
+        return self._scan(enclave_id, first, stop)
+
+    def _scan(self, enclave_id: int, first: int, stop: int) -> int:
+        """Random policy: skip resident runs in C, fault the gaps inline."""
+        resident = self._resident.get(enclave_id)
+        if resident is None:
+            resident = self._resident[enclave_id] = bytearray()
+        if len(resident) < stop:
+            resident.extend(bytes(stop - len(resident)))
+        stats = self.stats
+        find = resident.find
+        cursor = find(0, first, stop)
+        if cursor < 0:
+            stats.hits += stop - first
+            return 0
+
+        maps = self._resident
+        slots = self._slots
+        capacity = self._capacity_granules
+        # ``Random.randrange(capacity)`` without its two Python frames:
+        # the same getrandbits draws, the same rejections.
+        getrandbits = self._rng.getrandbits
+        draw_bits = capacity.bit_length()
+        counts = stats.per_enclave_resident
+        own = counts.get(enclave_id, 0)
+        ever_loaded = self._ever_loaded
+        pages = self._pages_per_granule
+        cost = self._granule_fault_cost
+        clock = self._clock
+        advance = clock.advance
+        base = enclave_id << _GRANULE_BITS
         faults = 0
-        for granule in range(first, last + 1):
-            if self.access(enclave_id, granule):
-                faults += 1
+        run_start = first
+        while cursor >= 0:
+            if cursor > run_start:
+                stats.hits += cursor - run_start
+            key = base + cursor
+            if len(slots) >= capacity:
+                slot = getrandbits(draw_bits)
+                while slot >= capacity:
+                    slot = getrandbits(draw_bits)
+                victim = slots[slot]
+                # Swap-with-last, pop, append — when the list is full.
+                slots[slot] = slots[-1]
+                slots[-1] = key
+                stats.evictions += 1
+                owner = victim >> _GRANULE_BITS
+                if owner == enclave_id:
+                    resident[victim & _GRANULE_MASK] = 0
+                    if own == 1:
+                        # A count that passes through zero leaves the
+                        # dict and re-enters it last.
+                        del counts[enclave_id]
+                        counts[enclave_id] = 1
+                else:
+                    maps[owner][victim & _GRANULE_MASK] = 0
+                    left = counts[owner] - 1
+                    if left:
+                        counts[owner] = left
+                    else:
+                        del counts[owner]
+                    own += 1
+                    counts[enclave_id] = own
+            else:
+                slots.append(key)
+                own += 1
+                counts[enclave_id] = own
+            resident[cursor] = 1
+            stats.faults += 1
+            stats.fault_pages += pages
+            if key not in ever_loaded:
+                ever_loaded.add(key)
+                stats.cold_loads += 1
+            stats.fault_time += cost
+            advance(cost)
+            if probe.ACTIVE is not None:
+                probe.ACTIVE.charge(
+                    clock, "epc_faults", cost, histogram="epc.fault_service"
+                )
+            faults += 1
+            run_start = cursor + 1
+            cursor = find(0, run_start, stop)
+        stats.hits += stop - run_start
+        return faults
+
+    def _touch_lru(self, enclave_id: int, first: int, stop: int) -> int:
+        """LRU ablation: every hit reorders, so every granule is visited."""
+        lru = self._lru
+        stats = self.stats
+        base = enclave_id << _GRANULE_BITS
+        faults = 0
+        for key in range(base + first, base + stop):
+            if key in lru:
+                lru.move_to_end(key)
+                stats.hits += 1
+                continue
+            if len(lru) >= self._capacity_granules:
+                victim, _ = lru.popitem(last=False)
+                stats.evictions += 1
+                self._dec_resident(victim >> _GRANULE_BITS)
+            lru[key] = None
+            self._inc_resident(enclave_id)
+            self._charge_fault(key)
+            faults += 1
         return faults
 
     def evict_enclave(self, enclave_id: int) -> int:
         """Drop all granules of a destroyed enclave; returns granules freed."""
         if self.policy == "lru":
-            keys = [key for key in self._lru if key[0] == enclave_id]
+            keys = [key for key in self._lru if key >> _GRANULE_BITS == enclave_id]
             for key in keys:
                 del self._lru[key]
         else:
-            keys = [key for key in self._slots if key[0] == enclave_id]
-            for key in keys:
-                slot = self._slot_of[key]
-                last = self._slots[-1]
-                self._slots[slot] = last
-                self._slot_of[last] = slot
-                self._slots.pop()
-                del self._slot_of[key]
+            slots = self._slots
+            keys = [key for key in slots if key >> _GRANULE_BITS == enclave_id]
+            if keys:
+                # Swap-remove one by one: the surviving slot order feeds
+                # every later victim draw.
+                slot_of = {key: slot for slot, key in enumerate(slots)}
+                for key in keys:
+                    slot = slot_of[key]
+                    last = slots[-1]
+                    slots[slot] = last
+                    slot_of[last] = slot
+                    slots.pop()
+            self._resident.pop(enclave_id, None)
         self.stats.per_enclave_resident.pop(enclave_id, None)
         return len(keys)
 
-    def _evicted(self, victim: GranuleKey) -> None:
-        self.stats.evictions += 1
-        self._dec_resident(victim[0])
+    def _charge_fault(self, key: int) -> None:
+        stats = self.stats
+        stats.faults += 1
+        stats.fault_pages += self._pages_per_granule
+        if key not in self._ever_loaded:
+            self._ever_loaded.add(key)
+            stats.cold_loads += 1
+        cost = self._granule_fault_cost
+        stats.fault_time += cost
+        self._clock.advance(cost)
+        if probe.ACTIVE is not None:
+            probe.ACTIVE.charge(
+                self._clock, "epc_faults", cost, histogram="epc.fault_service"
+            )
 
     def _inc_resident(self, enclave_id: int) -> None:
         counts = self.stats.per_enclave_resident

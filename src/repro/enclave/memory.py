@@ -62,6 +62,12 @@ class EnclaveMemory:
         return self._epc is not None
 
     @property
+    def granule_fault_cost(self) -> float:
+        """Simulated seconds one EPC granule fault costs (0.0 when there
+        is no EPC, where nothing faults)."""
+        return self._epc.granule_fault_cost if self._epc is not None else 0.0
+
+    @property
     def regions(self) -> Dict[str, MemoryRegion]:
         return dict(self._regions)
 
@@ -114,7 +120,7 @@ class EnclaveMemory:
         region = self.region(name)
         if n_bytes is None:
             n_bytes = region.size - offset
-        if offset < 0 or offset + n_bytes > region.size:
+        if offset < 0 or n_bytes < 0 or offset + n_bytes > region.size:
             raise EnclaveError(
                 f"touch [{offset}, {offset + n_bytes}) outside region "
                 f"{name!r} of size {region.size}"

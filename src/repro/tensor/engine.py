@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro._sim.units import MiB
-from repro.enclave.epc import DEFAULT_GRANULE_SIZE
 from repro.errors import ConfigurationError
 from repro.runtime.scone import SconeRuntime
 
@@ -287,8 +286,7 @@ class ExecutionEngine:
                 )
                 faults += stream_faults
         if faults and self.profile.thrash_factor > 1.0:
-            pages_per_granule = DEFAULT_GRANULE_SIZE // runtime.cost_model.page_size
-            granule_cost = runtime.cost_model.epc_page_fault_cost * pages_per_granule
+            granule_cost = runtime.memory.granule_fault_cost
             clock.advance(faults * granule_cost * (self.profile.thrash_factor - 1.0))
         self.totals.memory_time += clock.now - before
         self.totals.epc_faults += faults

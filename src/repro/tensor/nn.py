@@ -38,7 +38,12 @@ def _extract_patches(x: np.ndarray, kh: int, kw: int, stride: int, padding: str)
     if padding == "SAME":
         ph = _same_padding(h, kh, stride)
         pw = _same_padding(w, kw, stride)
-        x = np.pad(x, ((0, 0), ph, pw, (0, 0)))
+        if ph != (0, 0) or pw != (0, 0):
+            # np.pad is a Python-level routine that costs more than the
+            # copy itself on maps this small.
+            padded = np.zeros((n, h + sum(ph), w + sum(pw), c), dtype=x.dtype)
+            padded[:, ph[0] : ph[0] + h, pw[0] : pw[0] + w] = x
+            x = padded
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     # windows: (N, H', W', C, kh, kw) -> strided and reordered
     windows = windows[:, ::stride, ::stride]

@@ -89,6 +89,17 @@ def test_touch_bounds_checked():
     assert memory.touch("a", offset=0, n_bytes=0) == 0
 
 
+@pytest.mark.parametrize("encrypted", [False, True])
+def test_touch_rejects_negative_length_before_any_clock_moves(encrypted):
+    memory, clock = make_memory(encrypted=encrypted)
+    memory.alloc("a", 100)
+    with pytest.raises(EnclaveError):
+        memory.touch("a", offset=50, n_bytes=-10)
+    with pytest.raises(EnclaveError):
+        memory.touch("a", offset=50, n_bytes=-10, bandwidth=False)
+    assert clock.now == 0.0 and memory.bytes_touched == 0
+
+
 def test_touch_window_wraps():
     memory, _ = make_memory(encrypted=True, capacity_bytes=1024 * 1024)
     memory.alloc("r", 3 * 64 * 1024)

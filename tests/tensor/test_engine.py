@@ -6,6 +6,7 @@ import pytest
 import repro.tensor as tf
 from repro._sim import DeterministicRng, SimClock
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
+from repro.enclave.epc import EpcCache
 from repro.enclave.sgx import SgxMode
 from repro.errors import ConfigurationError
 from repro.runtime.scone import RuntimeConfig, SconeRuntime
@@ -98,6 +99,35 @@ def test_resident_working_set_stops_faulting(cpu):
     cold = engine.totals.epc_faults
     engine.charge_run(SMALL)
     assert engine.totals.epc_faults == cold  # everything resident
+
+
+@pytest.mark.parametrize("granule_size", [16 * 1024, 64 * 1024])
+def test_thrash_surcharge_uses_the_caches_granule_cost(cpu, granule_size):
+    cpu.epc = EpcCache(CM, cpu.clock, granule_size=granule_size)
+    runtime, clock = make_runtime(SgxMode.HW, FULL_TF_PROFILE, cpu=cpu)
+    engine = ExecutionEngine(runtime, FULL_TF_PROFILE)
+    advances = []
+    clock.subscribe(lambda before, after: advances.append(after - before))
+    engine.charge_run(SMALL)
+    faults = engine.totals.epc_faults
+    assert faults > 0
+    # The surcharge is the run's last charge: (thrash_factor - 1) more
+    # fault services, each at what this cache charges for one.
+    assert advances[-1] == faults * cpu.epc.granule_fault_cost * (
+        FULL_TF_PROFILE.thrash_factor - 1.0
+    )
+    assert cpu.epc.stats.fault_time == pytest.approx(
+        faults * cpu.epc.granule_fault_cost
+    )
+    if granule_size == 64 * 1024:
+        # The float the engine derived from DEFAULT_GRANULE_SIZE before.
+        pages = granule_size // CM.page_size
+        assert runtime.memory.granule_fault_cost == CM.epc_page_fault_cost * pages
+
+
+def test_no_epc_no_granule_fault_cost():
+    runtime, _ = make_runtime(SgxMode.NATIVE, LITE_PROFILE)
+    assert runtime.memory.granule_fault_cost == 0.0
 
 
 def test_binary_size_mismatch_rejected():

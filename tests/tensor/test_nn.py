@@ -6,6 +6,7 @@ import pytest
 import repro.tensor as tf
 from repro.errors import ShapeError
 from repro.tensor.graph import Graph
+from repro.tensor.nn import _extract_patches, _same_padding
 
 RNG = np.random.default_rng(3)
 
@@ -54,6 +55,37 @@ def test_conv2d_matches_naive(stride, padding):
     np.testing.assert_allclose(
         out, naive_conv2d(x, filters, stride, padding), rtol=1e-4, atol=1e-4
     )
+
+
+def _extract_patches_np_pad(x, kh, kw, stride, padding):
+    """``_extract_patches`` as it was when it padded with ``np.pad``."""
+    n, h, w, c = x.shape
+    if padding == "SAME":
+        ph = _same_padding(h, kh, stride)
+        pw = _same_padding(w, kw, stride)
+        x = np.pad(x, ((0, 0), ph, pw, (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    windows = np.transpose(windows, (0, 1, 2, 4, 5, 3))
+    n, ho, wo = windows.shape[:3]
+    return np.ascontiguousarray(windows).reshape(n, ho, wo, kh * kw * c)
+
+
+@pytest.mark.parametrize("padding", ["SAME", "VALID"])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("size", [(7, 7), (8, 8), (9, 6)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_extract_patches_bit_identical_to_np_pad_form(
+    padding, kernel, stride, size, dtype
+):
+    h, w = size
+    x = np.random.default_rng(h * w + kernel).normal(size=(2, h, w, 3)).astype(dtype)
+    patches = _extract_patches(x, kernel, kernel, stride, padding)
+    expected = _extract_patches_np_pad(x, kernel, kernel, stride, padding)
+    assert patches.dtype == expected.dtype and patches.shape == expected.shape
+    assert patches.tobytes() == expected.tobytes()
+    assert patches.flags.c_contiguous
 
 
 def test_conv2d_gradients_numeric():
