@@ -11,7 +11,7 @@ the benchmark measures the *price* of that guarantee.
 import numpy as np
 import pytest
 
-from harness import fmt_s, print_table, record, run_once, save_bench
+from harness import fmt_s, load_bench, print_table, record, run_once, save_bench
 
 from repro.cluster.faults import CrashFault, FaultPlan, FaultSpec
 from repro.cluster.retry import RetryPolicy
@@ -25,7 +25,7 @@ STEPS = 16  # 8 rounds of 2 workers
 CHAOS_SEED = 71
 
 
-def _chaos_plan(session: str, crashes: bool) -> FaultPlan:
+def _chaos_plan(ps_address: str, crashes: bool) -> FaultPlan:
     return FaultPlan(
         CHAOS_SEED,
         FaultSpec(
@@ -33,7 +33,7 @@ def _chaos_plan(session: str, crashes: bool) -> FaultPlan:
             delay=0.1,
             delay_seconds=0.02,
             duplication=0.05,
-            targets=frozenset({f"{session}-ps"}),
+            targets=frozenset({ps_address}),
         ),
         crashes=[
             CrashFault("worker-1", at_round=2),
@@ -60,7 +60,7 @@ def _run(session: str, batches, chaos: bool = False, crashes: bool = False):
     job.start()
     plan = None
     if chaos:
-        plan = _chaos_plan(session, crashes)
+        plan = _chaos_plan(job.ps_service.shard(0).address, crashes)
         job.attach_chaos(plan)
     start = platform.time
     job.train(batches, steps=STEPS)
@@ -75,7 +75,7 @@ def _run(session: str, batches, chaos: bool = False, crashes: bool = False):
         "restarts": metrics.recovery.restarts,
         "backoff_time": metrics.recovery.backoff_time,
         "weights": job.weights(),
-        "updates": job.ps.updates_applied,
+        "updates": job.ps_service.shard(0).updates_applied,
     }
 
 
@@ -131,9 +131,12 @@ def test_fault_recovery(benchmark):
         chaos_goodput=chaos["goodput"],
         crash_goodput=crash["goodput"],
     )
+    previous = load_bench("fault_recovery")
+    previous.pop("previous", None)
     save_bench(
         "fault_recovery",
         {
+            "previous": previous,
             "steps": STEPS,
             "clean_makespan_s": round(clean["makespan"], 4),
             "chaos_makespan_s": round(chaos["makespan"], 4),

@@ -12,7 +12,7 @@ over plain federated averaging is recorded.
 import numpy as np
 import pytest
 
-from harness import fmt_s, print_table, record, run_once, save_bench
+from harness import fmt_s, load_bench, print_table, record, run_once, save_bench
 
 from repro.core import FederatedLearning, Hospital, SecureTFPlatform, TrainingJob
 from repro.core.monitoring import collect_metrics
@@ -105,8 +105,6 @@ def test_sharded_training_scaling(benchmark):
         ["shards", "sim wall", "steps/s", "gradient bytes", "bytes saved"],
         rows,
         notes=[
-            "quantization is a sharded-plane feature: the 1-shard row "
-            "rides the bit-compatible single-PS plane (float32 pushes)",
             f"float32 @4 shards: {float32['wire_bytes']} gradient bytes "
             f"({fmt_s(float32['wall_s'])})",
             f"secure aggregation: {fmt_s(secure_wall)} vs plain "
@@ -146,4 +144,6 @@ def test_sharded_training_scaling(benchmark):
         "secure_agg_overhead": round(overhead, 3),
     }
     record(benchmark, **metrics)
-    save_bench("sharded_training", metrics)
+    previous = load_bench("sharded_training")
+    previous.pop("previous", None)
+    save_bench("sharded_training", {**metrics, "previous": previous})

@@ -448,7 +448,9 @@ def _run_ps_restart(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     store = InMemoryCheckpointStore()
     epochs = EpochService() if fencing else None
     if epochs is not None:
-        store.guard = epochs.make_guard(PS_ROLE, name="ps-checkpoint-store")
+        store.guards["ps"] = epochs.make_guard(
+            PS_ROLE, name="ps-checkpoint-store"
+        )
 
     def install_ps(node, address: str) -> ParameterServer:
         ps = ParameterServer(

@@ -29,6 +29,7 @@ through it.
 from repro.cluster.network import FaultAction, Network, NetworkStats
 from repro.cluster.node import Node, make_cluster
 from repro.cluster.container import Container, ContainerState
+from repro.cluster.dedup import DedupWindow
 from repro.cluster.fleet import FleetStats, ReplicaFleet
 from repro.cluster.faults import (
     CrashFault,
@@ -52,7 +53,6 @@ from repro.cluster.parameter_server import (
     ParameterServer,
     PSCheckpoint,
     ShardedParameterService,
-    ShardedSyncTrainer,
     SyncTrainer,
 )
 from repro.cluster.sharding import (
@@ -64,6 +64,7 @@ from repro.cluster.sharding import (
 from repro.cluster.worker import TrainingWorker
 
 __all__ = [
+    "DedupWindow",
     "Network",
     "NetworkStats",
     "FaultAction",
@@ -94,7 +95,6 @@ __all__ = [
     "PSCheckpoint",
     "InMemoryCheckpointStore",
     "ShardedParameterService",
-    "ShardedSyncTrainer",
     "GradientQuantizer",
     "ShardMap",
     "ShardPiece",

@@ -1,4 +1,4 @@
-"""Parameter server + synchronous data-parallel training (Fig. 2, §5.4).
+"""Parameter servers + data-parallel training (Fig. 2, §5.4).
 
 The distributed TensorFlow architecture the paper preserves: parameter
 servers hold the model, workers pull weights, compute gradients on their
@@ -6,18 +6,22 @@ data shard, and push updates.  Both endpoints can run behind the network
 shield (secure mode) or in cleartext (the "without network shield" and
 native baselines of Fig. 8).
 
-Synchronous rounds with per-node clocks: each worker's pull→compute→push
-advances its own clock, the PS clock serializes the applies, and a
-barrier ends the round — so adding workers shortens the round wall-clock
-exactly as real synchronous data-parallelism does.
+The model lives on a :class:`ShardedParameterService` of N ≥ 1
+:class:`ParameterServer` shards — one PS is the N = 1 case, not a second
+system.  :class:`SyncTrainer` runs synchronous rounds with per-node
+clocks: each worker's pull→compute→push advances its own clock, every
+shard's clock serializes its applies, and a barrier ends the round — so
+adding workers shortens the round wall-clock exactly as real synchronous
+data-parallelism does.  :class:`AsyncTrainer` is the same loop without
+the barrier.
 
 Fault tolerance (paper challenge ❹): a :class:`ParameterServer` built
 with a checkpoint store snapshots weights *and* its RPC dedup window
-after every committed update, so a replacement PS resumes at the exact
-version the crashed one reached — a worker retrying a push against the
-replacement hits the restored dedup window instead of double-applying.
-:class:`SyncTrainer` accepts a retry policy (wired into every
-worker→PS session) and a recovery supervisor (duck-typed; see
+after every committed update, so a replacement shard resumes at the
+exact version the crashed one reached — a worker retrying a push against
+the replacement hits the restored dedup window instead of
+double-applying.  The trainer accepts a retry policy (wired into every
+worker→shard session) and a recovery supervisor (duck-typed; see
 ``TrainingJob``) that replaces crashed containers mid-run.
 """
 
@@ -83,17 +87,14 @@ class InMemoryCheckpointStore:
     def __init__(self) -> None:
         self._snapshots: Dict[str, PSCheckpoint] = {}
         self.saves = 0
-        #: Optional :class:`~repro.cluster.epoch.EpochGuard` over the
-        #: ``ps`` role.  The store is the durable volume *shared* between
-        #: a crashed PS and its replacement — the one place a zombie PS
-        #: partitioned away from its workers can still destroy acked
-        #: work by overwriting the replacement's checkpoints.  A fenced
-        #: store rejects saves stamped with a stale epoch.
-        self.guard = None
-        #: Per-store-key guards for the sharded plane: each shard role
-        #: (``ps-0`` … ``ps-{N-1}``) fences its own snapshot slot, so a
-        #: zombie shard cannot clobber its replacement while the other
-        #: shards' epochs are unaffected.  Falls back to :attr:`guard`.
+        #: :class:`~repro.cluster.epoch.EpochGuard` per store key.  The
+        #: store is the durable volume *shared* between a crashed shard
+        #: and its replacement — the one place a zombie partitioned away
+        #: from its workers can still destroy acked work by overwriting
+        #: the replacement's checkpoints.  Each shard role (``ps-0`` …
+        #: ``ps-{N-1}``) fences its own snapshot slot: saves stamped with
+        #: a stale epoch are rejected, and the other shards' epochs are
+        #: unaffected.
         self.guards: Dict[str, object] = {}
         #: Cross-shard commit barrier: an append-only sequence of
         #: version vectors (store key -> checkpointed version).  A
@@ -103,13 +104,10 @@ class InMemoryCheckpointStore:
         #: saves leaves the previous vector intact (atomicity).
         self._vectors: List[Dict[str, int]] = []
 
-    def _guard_for(self, address: str):
-        return self.guards.get(address, self.guard)
-
     def save(
         self, address: str, snapshot: PSCheckpoint, epoch: Optional[int] = None
     ) -> None:
-        guard = self._guard_for(address)
+        guard = self.guards.get(address)
         if guard is not None:
             guard.check(epoch)
         self._snapshots[address] = snapshot
@@ -131,7 +129,7 @@ class InMemoryCheckpointStore:
         Returns the barrier sequence number (1-based).
         """
         for key in sorted(vector):
-            guard = self._guard_for(key)
+            guard = self.guards.get(key)
             if guard is not None:
                 guard.check(epochs.get(key) if epochs else None)
         self._vectors.append(dict(vector))
@@ -219,7 +217,7 @@ class ParameterServer:
                 self._weights = {k: v.copy() for k, v in snapshot.weights.items()}
                 self._version = snapshot.version
                 self.updates_applied = snapshot.updates_applied
-                self._server.dedup_restore(snapshot.dedup)
+                self._server.dedup.restore(snapshot.dedup)
                 self._checkpointed_version = snapshot.version
             self._server.on_committed = self._maybe_checkpoint
 
@@ -314,7 +312,7 @@ class ParameterServer:
             weights={k: v.copy() for k, v in self._weights.items()},
             version=self._version,
             updates_applied=self.updates_applied,
-            dedup=self._server.dedup_snapshot(),
+            dedup=self._server.dedup.snapshot(),
         )
         # Persisting the snapshot is real file I/O: charge it through
         # the shared syscall plane (write + continuations + fsync-like
@@ -352,194 +350,6 @@ class TrainingResult:
     #: Scheduler events executed during this run (deliveries, replies,
     #: backoff timers, probes) — the event core's work metric.
     simulated_events: int = 0
-
-
-class SyncTrainer:
-    """Drives synchronous data-parallel rounds over PS + workers.
-
-    With ``retry`` set, every worker→PS session retries transport
-    faults with backoff (and reconnects dead secure sessions); with
-    ``recovery`` set (a duck-typed supervisor exposing ``tick``,
-    ``worker_ok``, ``replace_worker``, ``ps_ok``, ``recover_ps``),
-    crashed containers are replaced mid-run and the round continues.
-    """
-
-    #: PS-level recovery attempts per call (beyond in-connection retries).
-    MAX_RECOVERIES_PER_CALL = 3
-
-    def __init__(
-        self,
-        network: Network,
-        ps: ParameterServer,
-        workers: List[TrainingWorker],
-        retry: Optional[RetryPolicy] = None,
-        recovery: Optional[object] = None,
-    ) -> None:
-        if not workers:
-            raise ClusterError("training needs at least one worker")
-        self._network = network
-        self._ps = ps
-        self._workers = workers
-        self._retry = retry
-        self._recovery = recovery
-        self._connections: Dict[str, Union[SecureConnection, RpcClient]] = {}
-
-    def _connection(self, worker: TrainingWorker):
-        """A (possibly shielded) session from a worker to the PS."""
-        if worker.name in self._connections:
-            return self._connections[worker.name]
-        if worker.shield is not None:
-            client = SecureRpcClient(
-                self._network,
-                worker.address,
-                worker.node,
-                worker.shield,
-                retry=self._retry,
-            )
-            # The PS certificate subject is CAS-assigned
-            # ("session/name-index"); authenticity comes from the trusted
-            # root, so no exact-name pinning here.
-            conn: Union[SecureConnection, RpcClient] = client.connect(
-                self._ps.address, expected_server=None
-            )
-        else:
-            conn = _PlainConnection(
-                RpcClient(
-                    self._network, worker.address, worker.node, retry=self._retry
-                ),
-                self._ps.address,
-            )
-        self._connections[worker.name] = conn
-        return conn
-
-    # -- recovery hooks --------------------------------------------------
-
-    def _ensure_alive(self, slot: int) -> TrainingWorker:
-        """The worker for ``slot``, replacing it first if it crashed."""
-        worker = self._workers[slot]
-        if self._recovery is None or self._recovery.worker_ok(worker):
-            return worker
-        replacement = self._recovery.replace_worker(worker)
-        self._connections.pop(worker.name, None)
-        self._workers[slot] = replacement
-        return replacement
-
-    def _set_ps(self, ps: ParameterServer) -> None:
-        self._ps = ps
-        # The endpoint is back: stop shedding calls to it.
-        for conn in self._connections.values():
-            conn._client.reset_breaker(ps.address)
-
-    def _ps_call(self, worker: TrainingWorker, method: str, payload: bytes, **kw):
-        """One PS call, recovering a crashed PS between attempts."""
-        recoveries = 0
-        while True:
-            conn = self._connection(worker)
-            try:
-                return conn.call(method, payload, **kw)
-            except (RpcTransportError, StaleConnectionError, CircuitOpenError):
-                if self._recovery is None:
-                    raise
-                recoveries += 1
-                if recoveries > self.MAX_RECOVERIES_PER_CALL:
-                    raise
-                if not self._recovery.ps_ok():
-                    replacement = self._recovery.recover_ps()
-                    if replacement is None:
-                        raise
-                    self._set_ps(replacement)
-                # Either way the session state is suspect: rebuild the
-                # connection (full re-handshake in secure mode).
-                self._connections.pop(worker.name, None)
-
-    def train(self, batches: List, steps: Optional[int] = None) -> TrainingResult:
-        """Run synchronous rounds until batches (or ``steps``) run out.
-
-        Batches are dealt round-robin to workers; each round processes
-        ``len(workers)`` batches in parallel.
-        """
-        total_steps = min(steps, len(batches)) if steps is not None else len(batches)
-        clocks = [w.node.clock for w in self._workers] + [self._ps.node.clock]
-        start = max(clock.now for clock in clocks)
-        events_before = self._network.scheduler.events_processed
-        losses: List[float] = []
-
-        declared = self._workers[0].declared_model_bytes
-
-        index = 0
-        round_index = 0
-        while index < total_steps:
-            # Round boundary: scheduled container crashes fire here (and
-            # only here), so recovery traces are independent of how
-            # retries shifted the clock within the previous round.
-            if self._recovery is not None:
-                self._recovery.tick(round_index)
-            round_workers = []
-            for slot in range(len(self._workers)):
-                if index >= total_steps:
-                    break
-                round_workers.append((self._ensure_alive(slot), batches[index]))
-                index += 1
-            round_index += 1
-
-            # Phase 1: every worker pulls the current weights.  Pulls are
-            # grouped before any compute so that the (cheap) PS handler
-            # work does not artificially serialize the round — on a real
-            # cluster the pulls overlap the same way.
-            for worker, _ in round_workers:
-                with probe.span(
-                    worker.node.clock,
-                    "train.pull",
-                    category="training",
-                    attrs={"worker": worker.name, "round": round_index},
-                ):
-                    pulled = encoding.decode(
-                        self._ps_call(worker, "pull", b"", declared_response=declared)
-                    )
-                    worker.load_weights(decode_array_dict(pulled["weights"]))
-
-            # Phase 2: gradient computation, in parallel across nodes
-            # (each worker advances only its own node's clock).
-            round_grads = []
-            for worker, (images, labels) in round_workers:
-                with probe.span(
-                    worker.node.clock,
-                    "train.compute",
-                    category="training",
-                    attrs={"worker": worker.name, "round": round_index},
-                ):
-                    gradients, loss = worker.compute_gradients(images, labels)
-                losses.append(loss)
-                round_grads.append((worker, gradients))
-
-            # Phase 3: pushes; the PS serializes the applies (sequential
-            # in worker order, so float accumulation order — and hence
-            # the final weights — is identical run to run).
-            for worker, gradients in round_grads:
-                push_payload = encoding.encode(
-                    {
-                        "gradients": encode_array_dict(gradients),
-                        "declared_flops": 2 * declared // 4,
-                    }
-                )
-                with probe.span(
-                    worker.node.clock,
-                    "train.push",
-                    category="training",
-                    attrs={"worker": worker.name, "round": round_index},
-                ):
-                    self._ps_call(worker, "push", push_payload, declared_request=declared)
-            clocks = [w.node.clock for w in self._workers] + [self._ps.node.clock]
-            self._network.barrier(clocks)
-
-        wall = max(clock.now for clock in clocks) - start
-        return TrainingResult(
-            steps=total_steps,
-            final_loss=float(np.mean(losses[-len(self._workers):])) if losses else float("nan"),
-            wall_clock=wall,
-            per_worker_time={w.name: w.node.clock.now for w in self._workers},
-            simulated_events=self._network.scheduler.events_processed - events_before,
-        )
 
 
 class ShardedParameterService:
@@ -669,23 +479,29 @@ class ShardedParameterService:
             shard.stop()
 
 
-class ShardedSyncTrainer:
-    """Synchronous data-parallel rounds against N weight shards.
+class SyncTrainer:
+    """Synchronous data-parallel rounds against N ≥ 1 weight shards.
 
-    The round structure matches :class:`SyncTrainer` (pull, compute,
-    push, barrier), but every PS interaction **fans out per shard**:
-    the send halves of a worker's shard calls are issued back-to-back
-    on its clock via ``begin_call`` (overlapped transfers riding the
-    async syscall ring), then settled as heap events in shard order.
-    Pushes stay serialized *across workers* — worker *i*'s fan-out
-    settles before worker *i+1* issues — so each shard applies updates
-    in worker order and the final weights are byte-identical run to
-    run, chaos or not.  An optional :class:`GradientQuantizer`
-    compresses push payloads (and their declared wire sizes, which is
-    what the shield crypto and syscall ring charge for).
+    Each round is pull, compute, push, barrier, and every PS interaction
+    **fans out per shard**: the send halves of a worker's shard calls
+    are issued back-to-back on its clock via ``begin_call`` (overlapped
+    transfers riding the async syscall ring), then settled as heap
+    events in shard order.  Pushes stay serialized *across workers* —
+    worker *i*'s fan-out settles before worker *i+1* issues — so each
+    shard applies updates in worker order and the final weights are
+    byte-identical run to run, chaos or not.  An optional
+    :class:`GradientQuantizer` compresses push payloads (and their
+    declared wire sizes, which is what the shield crypto and syscall
+    ring charge for).
+
+    With ``retry`` set, every worker→shard session retries transport
+    faults with backoff (and reconnects dead secure sessions); with
+    ``recovery`` set (a duck-typed supervisor exposing ``tick``,
+    ``worker_ok``, ``replace_worker``, ``shard_ok``, ``recover_shard``),
+    crashed containers are replaced mid-run and the round continues.
     """
 
-    #: Shard-level recovery attempts per call (beyond in-connection retries).
+    #: Shard recoveries per call (each after one exhausted retry budget).
     MAX_RECOVERIES_PER_CALL = 3
 
     def __init__(
@@ -708,7 +524,7 @@ class ShardedSyncTrainer:
         # One session per (worker, shard address): secure record layers
         # are per-connection streams, so concurrent fan-out to distinct
         # shards never reorders a single session's records.
-        self._connections: Dict[tuple, Union[SecureConnection, RpcClient]] = {}
+        self._connections: Dict[tuple, Union[SecureConnection, "_PlainConnection"]] = {}
 
     # -- connections -----------------------------------------------------
 
@@ -724,7 +540,7 @@ class ShardedSyncTrainer:
                 worker.shield,
                 retry=self._retry,
             )
-            conn: Union[SecureConnection, RpcClient] = client.connect(
+            conn: Union[SecureConnection, "_PlainConnection"] = client.connect(
                 ps.address, expected_server=None
             )
         else:
@@ -758,9 +574,8 @@ class ShardedSyncTrainer:
         return replacement
 
     def _recover_shard(self, index: int) -> None:
-        """Replace a dead shard via the supervisor (fence-first)."""
-        if self._recovery is None:
-            raise ClusterError(f"shard {index} is down and no recovery is wired")
+        """Replace a dead shard via the supervisor (fence-first) and
+        drop every session to its old address."""
         old = self._service.shard(index)
         if not self._recovery.shard_ok(index):
             replacement = self._recovery.recover_shard(index)
@@ -772,35 +587,15 @@ class ShardedSyncTrainer:
                 conn._client.reset_breaker(replacement.address)
         self._drop_connections(address=old.address)
 
-    def _shard_call(
-        self,
-        worker: TrainingWorker,
-        index: int,
-        method: str,
-        payload: bytes,
-        declared_request: Optional[int] = None,
-        declared_response: Optional[int] = None,
-    ) -> bytes:
-        """One blocking shard call, recovering a crashed shard between
-        attempts (the sequential fallback under the fan-out)."""
-        recoveries = 0
-        while True:
-            ps = self._service.shard(index)
-            conn = self._connection(worker, ps)
-            try:
-                return conn.call(
-                    method,
-                    payload,
-                    declared_request=declared_request,
-                    declared_response=declared_response,
-                )
-            except (RpcTransportError, StaleConnectionError, CircuitOpenError):
-                if self._recovery is None:
-                    raise
-                recoveries += 1
-                if recoveries > self.MAX_RECOVERIES_PER_CALL:
-                    raise
-                self._recover_shard(index)
+    def _issue(self, worker: TrainingWorker, request: tuple) -> PendingRpc:
+        index, method, payload, declared_request, declared_response = request
+        conn = self._connection(worker, self._service.shard(index))
+        return conn.begin_call(
+            method,
+            payload,
+            declared_request=declared_request,
+            declared_response=declared_response,
+        )
 
     def _fanout(
         self,
@@ -812,36 +607,24 @@ class ShardedSyncTrainer:
         ``requests`` holds ``(shard_index, method, payload,
         declared_request, declared_response)``.  All send halves run at
         the worker's current clock (overlapped transfers); settling
-        drives the heap to each reply.  A shard whose optimistic
-        attempt *and* executor retries fail falls back to the blocking
-        recovery path.
+        drives the heap to each reply.  A call that fails to settle has
+        spent its whole retry budget against that shard, so the shard is
+        recovered (replaced if its container died, sessions rebuilt) and
+        the call issued afresh.
         """
-        pending: List[tuple] = []
-        for index, method, payload, dreq, dresp in requests:
-            ps = self._service.shard(index)
-            conn = self._connection(worker, ps)
-            handle: Optional[PendingRpc]
-            try:
-                handle = conn.begin_call(
-                    method, payload,
-                    declared_request=dreq, declared_response=dresp,
-                )
-            except (RpcTransportError, StaleConnectionError, CircuitOpenError):
-                handle = None
-            pending.append((index, method, payload, dreq, dresp, handle))
-
+        pending = [(request, self._issue(worker, request)) for request in requests]
         results: Dict[int, bytes] = {}
-        for index, method, payload, dreq, dresp, handle in pending:
-            if handle is not None:
+        for request, handle in pending:
+            index = request[0]
+            for recoveries_left in range(self.MAX_RECOVERIES_PER_CALL, -1, -1):
                 try:
                     results[index] = handle.settle()
-                    continue
+                    break
                 except (RpcTransportError, StaleConnectionError, CircuitOpenError):
-                    pass
-            results[index] = self._shard_call(
-                worker, index, method, payload,
-                declared_request=dreq, declared_response=dresp,
-            )
+                    if self._recovery is None or not recoveries_left:
+                        raise
+                    self._recover_shard(index)
+                    handle = self._issue(worker, request)
         return results
 
     # -- training --------------------------------------------------------
@@ -890,8 +673,18 @@ class ShardedSyncTrainer:
             }
         )
 
+    def _end_round(self, clocks: List) -> None:
+        """Commit the cross-shard checkpoint barrier, then the
+        synchronous-round clock barrier."""
+        self._service.commit_barrier()
+        self._network.barrier(clocks)
+
     def train(self, batches: List, steps: Optional[int] = None) -> TrainingResult:
-        """Run synchronous sharded rounds until batches run out."""
+        """Run rounds until batches (or ``steps``) run out.
+
+        Batches are dealt round-robin to workers; each round processes
+        ``len(workers)`` batches in parallel.
+        """
         if self._service.shard_map is None:
             raise ClusterError("service must be initialized before training")
         total_steps = min(steps, len(batches)) if steps is not None else len(batches)
@@ -985,12 +778,9 @@ class ShardedSyncTrainer:
                 ):
                     self._fanout(worker, requests)
 
-            # Round end: commit the cross-shard checkpoint barrier, then
-            # the synchronous-round clock barrier.
-            self._service.commit_barrier()
             shard_clocks = [s.node.clock for s in self._service.shards]
             clocks = [w.node.clock for w in self._workers] + shard_clocks
-            self._network.barrier(clocks)
+            self._end_round(clocks)
 
         wall = max(clock.now for clock in clocks) - start
         return TrainingResult(
@@ -1004,113 +794,34 @@ class ShardedSyncTrainer:
         )
 
 
-class AsyncTrainer:
+class AsyncTrainer(SyncTrainer):
     """Asynchronous (Hogwild-style) PS training: no round barrier.
 
-    Each worker loops pull → compute → push at its own pace; the PS
-    applies updates as they arrive, so fast workers are never blocked by
+    Each worker loops pull → compute → push at its own pace; the shards
+    apply updates as they arrive, so fast workers are never blocked by
     stragglers, at the cost of gradient staleness.  This is distributed
     TensorFlow's between-graph asynchronous mode, included here to show
     the stateful-computing substrate supports both disciplines.
+
+    With one clock per node, events must be processed in rough timestamp
+    order or the (sequential) Python loop serializes concurrent workers
+    through the shard clocks, so each cycle keeps :class:`SyncTrainer`'s
+    interleaving — all pulls, then all computes, then all pushes — and
+    only the end of the round differs.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        ps: ParameterServer,
-        workers: List[TrainingWorker],
-    ) -> None:
-        if not workers:
-            raise ClusterError("training needs at least one worker")
-        self._sync = SyncTrainer(network, ps, workers)
-        self._network = network
-        self._ps = ps
-        self._workers = workers
-
-    def train(self, batches: List, steps: Optional[int] = None) -> TrainingResult:
-        """Run until batches (or ``steps``) are exhausted, no barriers.
-
-        Implementation note: with one clock per node, events must be
-        processed in rough timestamp order or the (sequential) Python
-        loop serializes concurrent workers through the PS clock.  Each
-        cycle therefore issues all pulls, then all computes, then all
-        pushes — the same interleaving SyncTrainer uses — but *without*
-        the end-of-round barrier: a fast worker's clock runs ahead and it
-        simply trains on staler weights, which is async semantics.
-        """
-        total = min(steps, len(batches)) if steps is not None else len(batches)
-        declared = self._workers[0].declared_model_bytes
-        clocks = [w.node.clock for w in self._workers] + [self._ps.node.clock]
-        start = max(clock.now for clock in clocks)
-        events_before = self._network.scheduler.events_processed
-        losses: List[float] = []
-
-        index = 0
-        while index < total:
-            cycle = []
-            for worker in self._workers:
-                if index >= total:
-                    break
-                cycle.append((worker, batches[index]))
-                index += 1
-            for worker, _ in cycle:
-                conn = self._sync._connection(worker)
-                pulled = encoding.decode(
-                    conn.call("pull", b"", declared_response=declared)
-                )
-                worker.load_weights(decode_array_dict(pulled["weights"]))
-            grads = []
-            for worker, (images, labels) in cycle:
-                gradients, loss = worker.compute_gradients(images, labels)
-                losses.append(loss)
-                grads.append((worker, gradients))
-            for worker, gradients in grads:
-                conn = self._sync._connection(worker)
-                conn.call(
-                    "push",
-                    encoding.encode(
-                        {
-                            "gradients": encode_array_dict(gradients),
-                            "declared_flops": 2 * declared // 4,
-                        }
-                    ),
-                    declared_request=declared,
-                )
-            # No barrier: clocks drift apart exactly as async training's do.
-
-        wall = max(clock.now for clock in clocks) - start
-        return TrainingResult(
-            steps=total,
-            final_loss=float(np.mean(losses[-len(self._workers):]))
-            if losses
-            else float("nan"),
-            wall_clock=wall,
-            per_worker_time={w.name: w.node.clock.now for w in self._workers},
-            simulated_events=self._network.scheduler.events_processed - events_before,
-        )
+    def _end_round(self, clocks: List) -> None:
+        # No barrier: a fast worker's clock runs ahead and it simply
+        # trains on staler weights, which is async semantics.
+        pass
 
 
 class _PlainConnection:
-    """Adapter giving RpcClient the SecureConnection.call signature."""
+    """Adapter giving RpcClient the SecureConnection.begin_call signature."""
 
     def __init__(self, client: RpcClient, dst: str) -> None:
         self._client = client
         self._dst = dst
-
-    def call(
-        self,
-        method: str,
-        payload: bytes,
-        declared_request: Optional[int] = None,
-        declared_response: Optional[int] = None,
-    ) -> bytes:
-        return self._client.call(
-            self._dst,
-            method,
-            payload,
-            declared_request=declared_request,
-            declared_response=declared_response,
-        )
 
     def begin_call(
         self,

@@ -35,7 +35,7 @@ caller's clock to the exact same instant the inline advance reached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, TypeVar
+from typing import Callable, Dict, Generator, Optional, TypeVar
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
@@ -49,6 +49,7 @@ from repro.errors import (
     StaleConnectionError,
 )
 
+S = TypeVar("S")
 T = TypeVar("T")
 
 #: Failures worth retrying: the message may simply not have arrived.
@@ -266,6 +267,47 @@ class RetryingExecutor:
         propagated request deadline bounds the retry loop, so a doomed
         call is abandoned instead of backing off past the point anyone
         still cares about the answer."""
+        return self.begin(
+            endpoint, lambda: None, lambda _sent: attempt_fn(), deadline
+        )()
+
+    def begin(
+        self,
+        endpoint: str,
+        send: Callable[[], S],
+        receive: Callable[[S], T],
+        deadline: Optional[float] = None,
+    ) -> Callable[[], T]:
+        """Open one call whose attempts are ``receive(send())``.
+
+        The call is counted, its deadline fixed and attempt 1 admitted
+        by the breaker and **sent** before this returns; the returned
+        ``settle`` function runs the rest of the loop — ``receive`` on
+        that in-flight attempt, then a fresh ``send`` + ``receive`` per
+        retry.  A failed (or breaker-rejected) first send is not raised
+        here: it is attempt 1's outcome, handled when the call settles.
+        """
+        attempts = self._attempts(endpoint, send, receive, deadline)
+        next(attempts)  # runs to the park point after attempt 1's send
+
+        def settle() -> T:
+            try:
+                next(attempts)
+            except StopIteration as done:
+                return done.value
+            raise AssertionError("retry loop parked twice")
+
+        return settle
+
+    def _attempts(
+        self,
+        endpoint: str,
+        send: Callable[[], S],
+        receive: Callable[[S], T],
+        deadline: Optional[float],
+    ) -> Generator[None, None, T]:
+        """The retry loop, as a generator that parks exactly once:
+        between the send and the receive half of attempt 1."""
         policy = self.policy
         breaker = self.breakers.get(endpoint)
         if deadline is None:
@@ -277,29 +319,41 @@ class RetryingExecutor:
         self.stats.calls += 1
         retry_index = 0
         while True:
-            if not breaker.allow(self._clock.now):
+            sent = None
+            failure: Optional[Exception] = None
+            admitted = breaker.allow(self._clock.now)
+            if admitted:
+                self.stats.attempts += 1
+                try:
+                    sent = send()
+                except Exception as exc:
+                    failure = exc
+            else:
                 self.stats.breaker_rejections += 1
                 probe.flight(self._clock, "breaker", endpoint, "rejected: open")
-                failure: Exception = CircuitOpenError(
+                failure = CircuitOpenError(
                     f"circuit for endpoint {endpoint!r} is open"
                 )
-            else:
-                try:
-                    self.stats.attempts += 1
-                    result = attempt_fn()
-                    breaker.on_success()
-                    return result
-                except Exception as exc:
-                    if not is_retryable(exc):
-                        if isinstance(exc, FencingError):
-                            self.stats.fenced_calls += 1
-                            self._event(f"fenced {endpoint}")
-                            probe.flight(
-                                self._clock, "fenced", endpoint, type(exc).__name__
-                            )
-                        raise
-                    breaker.on_failure(self._clock.now)
-                    failure = exc
+            if retry_index == 0:
+                yield
+            if admitted:
+                if failure is None:
+                    try:
+                        result = receive(sent)
+                    except Exception as exc:
+                        failure = exc
+                    else:
+                        breaker.on_success()
+                        return result
+                if not is_retryable(failure):
+                    if isinstance(failure, FencingError):
+                        self.stats.fenced_calls += 1
+                        self._event(f"fenced {endpoint}")
+                        probe.flight(
+                            self._clock, "fenced", endpoint, type(failure).__name__
+                        )
+                    raise failure
+                breaker.on_failure(self._clock.now)
             retry_index += 1
             if retry_index >= policy.max_attempts:
                 self.stats.giveups += 1

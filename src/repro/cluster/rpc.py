@@ -8,6 +8,16 @@ shield's TLS session over the same transport: a two-step handshake
 records per call.  The paper's Fig. 8 contrast "with/without network
 shield" is exactly the choice between these two stacks.
 
+Every client call takes one path: ``begin_call`` builds the call envelope
+(:meth:`RpcClient._call_envelope`, the only place one is built), runs
+attempt 1's *send half* and returns a :class:`PendingRpc`; ``settle()``
+runs the *receive half* — and, for a retrying client, the rest of the
+executor's loop, a fresh send + receive per retry.  ``call`` is
+``begin_call(...).settle()`` under an ``rpc.call`` span, so a blocking
+call and a fanned-out one differ only in what the caller does between
+the two halves.  Each transport is those two halves: plain is socket
+write + wire / reply + socket read; secure wraps them in record crypto.
+
 Resilience (paper challenge ❹ — elastic clouds kill containers and lose
 messages) is layered on without changing the wire protocol's shape:
 
@@ -20,7 +30,8 @@ messages) is layered on without changing the wire protocol's shape:
   unique call ID; servers keep a bounded dedup window of (ID → reply),
   so a retried or duplicate-delivered mutation executes exactly once
   and the cached reply is returned.
-- **Retry/backoff + circuit breaking** on every client call, via
+- **Retry/backoff + circuit breaking** on every client call — attempt 1
+  included, so the breaker admits it and monitoring counts it — via
   :class:`~repro.cluster.retry.RetryingExecutor`.
 - **Epoch fencing**: a client holding an
   :class:`~repro.cluster.epoch.EpochLease` (``client.fence = lease``)
@@ -39,10 +50,12 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, TypeVar
 
 import repro.errors as _errors
 from repro._sim import probe
+from repro._sim.scheduler import Completion
+from repro.cluster.dedup import DedupWindow
 from repro.cluster.epoch import EpochGuard, EpochLease
 from repro.cluster.network import Network
 from repro.cluster.node import Node
@@ -70,6 +83,8 @@ from repro.runtime.net_shield import (
     protect_timed,
     unprotect_timed,
 )
+
+T = TypeVar("T")
 
 #: method handler: fn(payload_bytes, peer_subject) -> response_bytes
 MethodHandler = Callable[[bytes, Optional[str]], bytes]
@@ -116,20 +131,19 @@ def _open_envelope(data: bytes, expected: Optional[str] = None) -> dict:
 
 
 class PendingRpc:
-    """One in-flight call whose send half has already run.
+    """One call whose first attempt is already on the wire.
 
-    Returned by the ``begin_call`` methods: the optimistic first attempt
-    is parked on the event heap; :meth:`settle` drives the heap until
-    the reply lands (or falls back to the client's synchronous retry
-    path, resending the **same** envelope under the same call ID).
-    Settling is idempotent-unsafe by design — call it exactly once.
+    Returned by the ``begin_call`` methods.  :meth:`settle` drives the
+    event heap until the reply lands; with a retry policy it is the rest
+    of the executor's loop (see
+    :meth:`~repro.cluster.retry.RetryingExecutor.begin`), resending the
+    **same** envelope under the same call ID.  A send that failed is
+    that attempt's outcome and surfaces here, not from ``begin_call``.
+    Call it exactly once.
     """
 
-    def __init__(self, settle) -> None:
-        self._settle = settle
-
-    def settle(self) -> bytes:
-        return self._settle()
+    def __init__(self, settle: Callable[[], bytes]) -> None:
+        self.settle = settle
 
 
 class RpcServer:
@@ -155,7 +169,9 @@ class RpcServer:
         self._syscalls = syscalls if syscalls is not None else node.syscall_interface()
         self._methods: Dict[str, MethodHandler] = {}
         self._started = False
-        self._dedup: "OrderedDict[str, Tuple[float, bytes]]" = OrderedDict()
+        #: call ID → cached reply.  Public because a stateful service
+        #: checkpoints it together with its own state (``ParameterServer``).
+        self.dedup = DedupWindow(self.DEDUP_CAPACITY, self.DEDUP_TTL)
         #: Acceptor-side fencing guards, one per leader role this
         #: endpoint accepts writes from (see :meth:`add_guard`).
         self._guards: Dict[str, EpochGuard] = {}
@@ -198,24 +214,6 @@ class RpcServer:
         if self._started:
             self._network.unregister(self.address)
             self._started = False
-
-    # -- dedup window ----------------------------------------------------
-
-    def _expire_dedup(self, now: float) -> None:
-        while self._dedup:
-            call_id, (stamp, _) = next(iter(self._dedup.items()))
-            if now - stamp < self.DEDUP_TTL:
-                break
-            del self._dedup[call_id]
-
-    def dedup_snapshot(self) -> list:
-        """The dedup window as re-loadable state (for checkpoints)."""
-        return [(cid, stamp, reply) for cid, (stamp, reply) in self._dedup.items()]
-
-    def dedup_restore(self, entries: list) -> None:
-        self._dedup = OrderedDict(
-            (cid, (stamp, reply)) for cid, stamp, reply in entries
-        )
 
     def _dispatch(self, method: str, payload: bytes, peer: Optional[str]) -> bytes:
         handler = self._methods.get(method)
@@ -261,11 +259,10 @@ class RpcServer:
         call_id = msg.get("call_id")
         now = self._node.clock.now
         if call_id is not None:
-            self._expire_dedup(now)
-            hit = self._dedup.get(call_id)
+            hit = self.dedup.get(call_id, now)
             if hit is not None:
                 self.stats.dedup_hits += 1
-                return hit[1]
+                return hit
         # Fencing before deadline/dispatch (but after dedup replay: a
         # cached reply is work that already committed under a then-valid
         # epoch, and replaying it executes nothing).
@@ -283,9 +280,7 @@ class RpcServer:
             )
         response = self._dispatch(msg["method"], msg["payload"], peer)
         if call_id is not None:
-            self._dedup[call_id] = (now, response)
-            while len(self._dedup) > self.DEDUP_CAPACITY:
-                self._dedup.popitem(last=False)
+            self.dedup.put(call_id, now, response)
         if self.on_committed is not None:
             try:
                 self.on_committed()
@@ -295,7 +290,7 @@ class RpcServer:
                 # dedup window, or a duplicate delivery would replay an
                 # outcome that never committed.
                 if call_id is not None:
-                    self._dedup.pop(call_id, None)
+                    self.dedup.discard(call_id)
                 raise
         return response
 
@@ -363,20 +358,59 @@ class RpcClient:
         if self._executor is not None:
             self._executor.breakers.reset(dst)
 
-    def _roundtrip(
+    def _call_envelope(
+        self, method: str, payload: bytes, deadline: Optional[float]
+    ) -> bytes:
+        """The one ``call`` envelope: method + payload, stamped with a
+        dedup call ID (retrying clients only — every resend of this call
+        carries the same bytes), the caller's deadline, the open span's
+        trace context and the client's fencing epoch."""
+        fields: Dict[str, object] = {"method": method, "payload": payload}
+        if self._executor is not None:
+            fields["call_id"] = self.next_call_id()
+        if deadline is not None:
+            fields["deadline"] = deadline
+        fields.update(_trace_fields(probe.ACTIVE, self._node.clock))
+        if self.fence is not None:
+            fields["fence"] = self.fence.stamp()
+        return _envelope("call", **fields)
+
+    def _begin(
+        self,
+        dst: str,
+        send: Callable[[], Completion],
+        receive: Callable[[Completion], bytes],
+        deadline: Optional[float],
+    ) -> PendingRpc:
+        """Run attempt 1's ``send`` now; the rest is :class:`PendingRpc`."""
+        if self._executor is not None:
+            return PendingRpc(self._executor.begin(dst, send, receive, deadline))
+        try:
+            sent = send()
+        except (RpcTransportError, StaleConnectionError) as exc:
+            failure = exc
+
+            def settle() -> bytes:
+                raise failure
+        else:
+            def settle() -> bytes:
+                return receive(sent)
+        return PendingRpc(settle)
+
+    def _send(
         self,
         dst: str,
         request: bytes,
         declared_request: Optional[int],
         declared_response: Optional[int],
-    ) -> bytes:
-        # The caller's socket write goes through its own syscall plane
-        # (fire-and-forget submission); the read for the reply is charged
-        # after the response arrives.
+    ) -> Completion:
+        """Send half: the caller's socket write goes through its own
+        syscall plane (fire-and-forget submission), then the request is
+        on the wire and its reply event parked on the heap."""
         self._syscalls.socket_send(
             declared_request if declared_request is not None else len(request)
         )
-        raw = self._network.call(
+        return self._network.call_async(
             self.address,
             self._node.clock,
             dst,
@@ -384,10 +418,42 @@ class RpcClient:
             declared_request=declared_request,
             declared_response=declared_response,
         )
+
+    def _receive(self, sent: Completion, declared_response: Optional[int]) -> bytes:
+        """Receive half: park until the reply lands, charge its read."""
+        raw = self._network.scheduler.run_until(sent)
         self._syscalls.socket_recv(
             declared_response if declared_response is not None else len(raw)
         )
-        return _open_envelope(raw, "reply")["payload"]
+        return raw
+
+    def begin_call(
+        self,
+        dst: str,
+        method: str,
+        payload: bytes,
+        declared_request: Optional[int] = None,
+        declared_response: Optional[int] = None,
+        deadline: Optional[float] = None,
+    ) -> PendingRpc:
+        """Issue an RPC's send half now; settle the reply later.
+
+        ``deadline`` (absolute simulated seconds) is stamped into the
+        call envelope so the server can shed the request if it arrives
+        already expired, and bounds this client's retry loop to the same
+        budget.  Several pending calls issued back-to-back share the
+        caller's send timestamp, overlapping their transfers (this is
+        how training fans out per-shard traffic).
+        """
+        request = self._call_envelope(method, payload, deadline)
+        return self._begin(
+            dst,
+            lambda: self._send(dst, request, declared_request, declared_response),
+            lambda sent: _open_envelope(
+                self._receive(sent, declared_response), "reply"
+            )["payload"],
+            deadline,
+        )
 
     def call(
         self,
@@ -398,105 +464,16 @@ class RpcClient:
         declared_response: Optional[int] = None,
         deadline: Optional[float] = None,
     ) -> bytes:
-        """Issue an RPC.  ``deadline`` (absolute simulated seconds) is
-        stamped into the call envelope so the server can shed the request
-        if it arrives already expired, and bounds this client's retry
-        loop to the same budget."""
+        """A blocking RPC: :meth:`begin_call`, settled at once."""
         with probe.span(
             self._node.clock,
             "rpc.call",
             category="rpc",
             attrs={"dst": dst, "method": method},
         ):
-            trace = _trace_fields(probe.ACTIVE, self._node.clock)
-            budget = {"deadline": deadline} if deadline is not None else {}
-            stamp = {"fence": self.fence.stamp()} if self.fence is not None else {}
-            if self._executor is None:
-                request = _envelope(
-                    "call", method=method, payload=payload, **budget, **trace, **stamp
-                )
-                return self._roundtrip(dst, request, declared_request, declared_response)
-            request = _envelope(
-                "call",
-                method=method,
-                payload=payload,
-                call_id=self.next_call_id(),
-                **budget,
-                **trace,
-                **stamp,
-            )
-            return self._executor.run(
-                dst,
-                lambda: self._roundtrip(dst, request, declared_request, declared_response),
-                deadline=deadline,
-            )
-
-    def begin_call(
-        self,
-        dst: str,
-        method: str,
-        payload: bytes,
-        declared_request: Optional[int] = None,
-        declared_response: Optional[int] = None,
-    ) -> "PendingRpc":
-        """Issue the send half of a call now; settle the reply later.
-
-        The envelope (and its dedup call ID) is built exactly once: the
-        optimistic first attempt rides the event heap as an async
-        completion, and if that attempt fails in a retryable way,
-        :meth:`PendingRpc.settle` falls back to the executor's
-        synchronous retry loop **resending the same envelope** — so the
-        server's at-most-once window sees one call ID however the
-        attempt was carried.  Several pending calls issued back-to-back
-        share the caller's send timestamp, overlapping their transfers
-        (this is how sharded training fans out per-shard traffic).
-        """
-        trace = _trace_fields(probe.ACTIVE, self._node.clock)
-        stamp = {"fence": self.fence.stamp()} if self.fence is not None else {}
-        ids = {"call_id": self.next_call_id()} if self._executor is not None else {}
-        request = _envelope(
-            "call", method=method, payload=payload, **ids, **trace, **stamp
-        )
-        completion = None
-        first_error: Optional[Exception] = None
-        try:
-            self._syscalls.socket_send(
-                declared_request if declared_request is not None else len(request)
-            )
-            completion = self._network.call_async(
-                self.address,
-                self._node.clock,
-                dst,
-                request,
-                declared_request=declared_request,
-                declared_response=declared_response,
-            )
-        except (RpcTransportError, StaleConnectionError) as exc:
-            first_error = exc
-
-        def settle() -> bytes:
-            if completion is not None:
-                try:
-                    raw = self._network.scheduler.run_until(completion)
-                    self._syscalls.socket_recv(
-                        declared_response
-                        if declared_response is not None
-                        else len(raw)
-                    )
-                    return _open_envelope(raw, "reply")["payload"]
-                except (RpcTransportError, StaleConnectionError):
-                    if self._executor is None:
-                        raise
-            elif self._executor is None:
-                raise first_error  # type: ignore[misc]
-            return self._executor.run(
-                dst,
-                lambda: self._roundtrip(
-                    dst, request, declared_request, declared_response
-                ),
-            )
-
-        return PendingRpc(settle)
+            return self.begin_call(
+                dst, method, payload, declared_request, declared_response, deadline
+            ).settle()
 
 
 class SecureRpcServer(RpcServer):
@@ -651,12 +628,15 @@ class SecureConnection:
         self.peer_subject = subject
         self._client.stats.reconnects += 1
 
-    def _call_once(
+    def _send(
         self,
         inner: bytes,
         declared_request: Optional[int],
         declared_response: Optional[int],
-    ) -> bytes:
+    ) -> Completion:
+        """Send half: charge the record crypto, protect ``inner`` under
+        the session's current keys (consuming a send sequence number),
+        write it to the wire."""
         client = self._client
         charge_record_crypto(
             client._node.cost_model,
@@ -671,21 +651,12 @@ class SecureConnection:
             declared_request=declared_request,
             declared_response=declared_response,
         )
-        client._syscalls.socket_send(
-            declared_request if declared_request is not None else len(request)
-        )
-        raw = client._network.call(
-            client.address,
-            client._node.clock,
-            self._dst,
-            request,
-            declared_request=declared_request,
-            declared_response=declared_response,
-        )
-        client._syscalls.socket_recv(
-            declared_response if declared_response is not None else len(raw)
-        )
-        msg = _open_envelope(raw, "secure_reply")
+        return client._send(self._dst, request, declared_request, declared_response)
+
+    def _receive(self, sent: Completion, declared_response: Optional[int]) -> bytes:
+        """Receive half: park for the reply record, verify and open it."""
+        client = self._client
+        msg = _open_envelope(client._receive(sent, declared_response), "secure_reply")
         try:
             reply_raw = unprotect_timed(self._records, client._shield.stats, msg["record"])
         except IntegrityError:
@@ -699,70 +670,25 @@ class SecureConnection:
         )
         return _open_envelope(reply_raw, "reply")["payload"]
 
-    def call(
-        self,
-        method: str,
-        payload: bytes,
-        declared_request: Optional[int] = None,
-        declared_response: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> bytes:
-        client = self._client
-        with probe.span(
-            client._node.clock,
-            "rpc.call",
-            category="rpc",
-            attrs={"dst": self._dst, "method": method, "secure": True},
-        ):
-            return self._call_traced(
-                method, payload, declared_request, declared_response, deadline
-            )
-
-    def _call_traced(
-        self,
-        method: str,
-        payload: bytes,
-        declared_request: Optional[int],
-        declared_response: Optional[int],
-        deadline: Optional[float] = None,
-    ) -> bytes:
-        client = self._client
-        trace = _trace_fields(probe.ACTIVE, client._node.clock)
-        budget = {"deadline": deadline} if deadline is not None else {}
-        stamp = {"fence": client.fence.stamp()} if client.fence is not None else {}
-        if client._executor is None:
-            inner = _envelope(
-                "call", method=method, payload=payload, **budget, **trace, **stamp
-            )
-            return self._call_once(inner, declared_request, declared_response)
-
-        inner = _envelope(
-            "call",
-            method=method,
-            payload=payload,
-            call_id=client.next_call_id(),
-            **budget,
-            **trace,
-            **stamp,
-        )
-
-        def attempt() -> bytes:
-            try:
-                return self._call_once(inner, declared_request, declared_response)
-            except (RpcTransportError, StaleConnectionError, IntegrityError) as exc:
-                # The session may be dead (server restarted) or desynced
-                # (a record was lost or mangled in flight): TLS cannot
-                # resume a broken stream, so establish a fresh session
-                # before the next attempt resends under the same call ID.
-                self._try_reconnect()
-                if isinstance(exc, IntegrityError):
-                    raise StaleConnectionError(
-                        f"secure session to {self._dst!r} failed verification; "
-                        "re-established"
-                    ) from exc
-                raise
-
-        return client._executor.run(self._dst, attempt, deadline=deadline)
+    def _healing(self, half: Callable[..., T], *args: object) -> T:
+        """Run one half of an attempt.  If it fails under a retrying
+        client, the session may be dead (server restarted) or desynced (a
+        record was lost or mangled in flight, or a send sequence number
+        was spent on a write that never left): TLS cannot resume a
+        broken stream, so establish a fresh session before the retry
+        loop resends under the same call ID."""
+        try:
+            return half(*args)
+        except (RpcTransportError, StaleConnectionError, IntegrityError) as exc:
+            if self._client._executor is None:
+                raise  # no retry loop to heal the session for
+            self._try_reconnect()
+            if isinstance(exc, IntegrityError):
+                raise StaleConnectionError(
+                    f"secure session to {self._dst!r} failed verification; "
+                    "re-established"
+                ) from exc
+            raise
 
     def begin_call(
         self,
@@ -770,6 +696,7 @@ class SecureConnection:
         payload: bytes,
         declared_request: Optional[int] = None,
         declared_response: Optional[int] = None,
+        deadline: Optional[float] = None,
     ) -> PendingRpc:
         """Issue the send half of a secure call; settle the reply later.
 
@@ -778,101 +705,37 @@ class SecureConnection:
         different shards overlap their transfers.  Each secure session
         carries at most one record in flight here, which keeps the
         record layer's sequence numbers aligned however the replies
-        interleave on the heap.  On a retryable failure,
-        :meth:`PendingRpc.settle` re-handshakes and resends the same
-        inner envelope (same call ID) through the executor, exactly as
-        :meth:`call` would.
+        interleave on the heap.
         """
         client = self._client
-        trace = _trace_fields(probe.ACTIVE, client._node.clock)
-        stamp = {"fence": client.fence.stamp()} if client.fence is not None else {}
-        ids = (
-            {"call_id": client.next_call_id()}
-            if client._executor is not None
-            else {}
+        inner = client._call_envelope(method, payload, deadline)
+        return client._begin(
+            self._dst,
+            lambda: self._healing(
+                self._send, inner, declared_request, declared_response
+            ),
+            lambda sent: self._healing(self._receive, sent, declared_response),
+            deadline,
         )
-        inner = _envelope(
-            "call", method=method, payload=payload, **ids, **trace, **stamp
-        )
-        completion = None
-        first_error: Optional[Exception] = None
-        try:
-            charge_record_crypto(
-                client._node.cost_model,
-                client._node.clock,
-                client._shield.stats,
-                declared_request if declared_request is not None else len(inner),
-            )
-            request = _envelope(
-                "secure_call",
-                conn=self._conn,
-                record=protect_timed(self._records, client._shield.stats, inner),
-                declared_request=declared_request,
-                declared_response=declared_response,
-            )
-            client._syscalls.socket_send(
-                declared_request if declared_request is not None else len(request)
-            )
-            completion = client._network.call_async(
-                client.address,
-                client._node.clock,
-                self._dst,
-                request,
-                declared_request=declared_request,
-                declared_response=declared_response,
-            )
-        except (RpcTransportError, StaleConnectionError) as exc:
-            first_error = exc
 
-        def finish(raw: bytes) -> bytes:
-            client._syscalls.socket_recv(
-                declared_response if declared_response is not None else len(raw)
-            )
-            msg = _open_envelope(raw, "secure_reply")
-            try:
-                reply_raw = unprotect_timed(
-                    self._records, client._shield.stats, msg["record"]
-                )
-            except IntegrityError:
-                client._network.stats.tampered_detected += 1
-                raise
-            charge_record_crypto(
-                client._node.cost_model,
-                client._node.clock,
-                client._shield.stats,
-                declared_response
-                if declared_response is not None
-                else len(reply_raw),
-            )
-            return _open_envelope(reply_raw, "reply")["payload"]
-
-        def retry_attempt() -> bytes:
-            try:
-                return self._call_once(inner, declared_request, declared_response)
-            except (RpcTransportError, StaleConnectionError, IntegrityError) as exc:
-                self._try_reconnect()
-                if isinstance(exc, IntegrityError):
-                    raise StaleConnectionError(
-                        f"secure session to {self._dst!r} failed verification; "
-                        "re-established"
-                    ) from exc
-                raise
-
-        def settle() -> bytes:
-            if completion is not None:
-                try:
-                    return finish(client._network.scheduler.run_until(completion))
-                except (RpcTransportError, StaleConnectionError, IntegrityError):
-                    if client._executor is None:
-                        raise
-                    # The optimistic record may be lost or desynced:
-                    # re-handshake before the executor resends.
-                    self._try_reconnect()
-            elif client._executor is None:
-                raise first_error  # type: ignore[misc]
-            return client._executor.run(self._dst, retry_attempt)
-
-        return PendingRpc(settle)
+    def call(
+        self,
+        method: str,
+        payload: bytes,
+        declared_request: Optional[int] = None,
+        declared_response: Optional[int] = None,
+        deadline: Optional[float] = None,
+    ) -> bytes:
+        """A blocking secure RPC: :meth:`begin_call`, settled at once."""
+        with probe.span(
+            self._client._node.clock,
+            "rpc.call",
+            category="rpc",
+            attrs={"dst": self._dst, "method": method, "secure": True},
+        ):
+            return self.begin_call(
+                method, payload, declared_request, declared_response, deadline
+            ).settle()
 
     def _try_reconnect(self) -> None:
         try:

@@ -1,7 +1,7 @@
 """Distributed secure training (paper §3.3.4 training, §5.4 evaluation).
 
-A training job launches one parameter server and N workers as attested
-containers, provisions them through CAS, and runs synchronous
+A training job launches ``ps_shards`` parameter servers and N workers as
+attested containers, provisions them through CAS, and runs synchronous
 data-parallel rounds.  The Fig. 8 configurations map directly:
 
 - ``mode=NATIVE`` + ``network_shield=False`` → native TensorFlow,
@@ -15,8 +15,8 @@ recovery applies: with a ``retry_policy`` configured, the job doubles as
 the :class:`~repro.cluster.parameter_server.SyncTrainer`'s recovery
 supervisor — crashed workers are restarted (re-attested and
 re-provisioned by the orchestrator's ``on_start`` hooks) and rejoin
-their round, and a crashed PS is rebuilt from its checkpoint store at
-the same network address, resuming at the exact version it reached.
+their round, and a crashed PS shard is rebuilt from its checkpoint store
+at the same network address, resuming at the exact version it reached.
 Chaos plans (:class:`~repro.cluster.faults.FaultPlan`) attach via
 :meth:`TrainingJob.attach_chaos`; their scheduled container crashes
 fire at round boundaries through the trainer's ``tick``.
@@ -35,7 +35,6 @@ from repro.cluster.parameter_server import (
     InMemoryCheckpointStore,
     ParameterServer,
     ShardedParameterService,
-    ShardedSyncTrainer,
     SyncTrainer,
     TrainingResult,
 )
@@ -103,21 +102,18 @@ class TrainingJobConfig:
     #: (the paper's sync-vs-async / #handler-threads sweeps turn these).
     syscall_ring_depth: int = 64
     syscall_handlers: int = 2
-    #: Parameter-server enclaves the model is weight-sharded across.
-    #: 1 = the classic single-PS plane (exactly the pre-sharding
-    #: behaviour); N > 1 partitions variables with a deterministic
-    #: byte-balanced shard map and fans every pull/push out per shard.
+    #: Parameter-server enclaves the model is weight-sharded across:
+    #: variables are partitioned with a deterministic byte-balanced
+    #: shard map and every pull/push fans out per shard.
     ps_shards: int = 1
     #: Quantize gradient pushes to this many bits (None = float32).
     #: Cuts the bytes crossing the network shield per push at a bounded
     #: rounding error; deterministic, so seeded runs stay byte-identical.
-    #: A sharded-plane feature: ignored at ``ps_shards == 1`` (the
-    #: single-PS plane is kept bit-compatible with earlier releases).
     gradient_quantization_bits: Optional[int] = None
 
 
 class TrainingJob:
-    """A launched PS + workers deployment."""
+    """A launched PS shards + workers deployment."""
 
     def __init__(self, platform: SecureTFPlatform, config: TrainingJobConfig) -> None:
         if config.n_workers < 1:
@@ -132,8 +128,7 @@ class TrainingJob:
         self.platform = platform
         self.config = config
         self.workers: List[TrainingWorker] = []
-        self.ps: Optional[ParameterServer] = None
-        #: The sharded PS plane (None when ``ps_shards == 1``).
+        #: The PS plane: ``ps_shards`` servers behind one shard map.
         self.ps_service: Optional[ShardedParameterService] = None
         self.trainer: Optional[SyncTrainer] = None
         self.quantizer: Optional[GradientQuantizer] = (
@@ -142,11 +137,9 @@ class TrainingJob:
             else None
         )
         self._containers: List[Container] = []
-        self._ps_spec: Optional[ContainerSpec] = None
         self._worker_spec: Optional[ContainerSpec] = None
-        self._ps_container: Optional[Container] = None
         self._shard_specs: List[ContainerSpec] = []
-        self._shard_containers: List[Optional[Container]] = []
+        self._shard_containers: List[Container] = []
         self._worker_containers: List[Container] = []
         self._worker_slots: Dict[str, int] = {}
         self._identities: Dict[str, object] = {}
@@ -220,20 +213,6 @@ class TrainingJob:
             [Ed25519PublicKey(identity.trusted_root)],
         )
 
-    def _build_ps(self, container: Container) -> ParameterServer:
-        """The PS service for ``container`` — a replacement restores from
-        the checkpoint store (same address → same snapshot key)."""
-        return ParameterServer(
-            container.node,
-            f"{self.config.session}-ps",
-            self.platform.network,
-            learning_rate=self.config.learning_rate,
-            shield=self._shield_for(container),
-            checkpoint_store=self._ps_store,
-            # Checkpoint + socket I/O ride the PS enclave's syscall ring.
-            syscalls=container.runtime.syscalls,
-        )
-
     def _build_shard_ps(self, shard: int, container: Container) -> ParameterServer:
         """PS shard ``shard`` for ``container`` — the address doubles as
         the checkpoint-store key, so a replacement restores its own
@@ -277,66 +256,44 @@ class TrainingJob:
             self._ps_store = InMemoryCheckpointStore()
             orchestrator.restart_budget = cfg.recovery_budget
             if self.platform.epochs is not None:
-                if cfg.ps_shards == 1:
-                    # The checkpoint store is the durable acceptor shared
-                    # by a crashed PS and its replacement: fence it, so a
-                    # zombie PS cannot overwrite the successor's snapshots.
-                    self._ps_store.guard = self.platform.epochs.make_guard(
-                        "ps", name="ps-checkpoint-store"
+                # The checkpoint store is the durable acceptor shared by
+                # a crashed shard and its replacement: fence each shard's
+                # snapshot slot under its own role, so a zombie cannot
+                # overwrite its successor's snapshots and restarting
+                # shard k never disturbs the other shards' epochs.
+                for k in range(cfg.ps_shards):
+                    key = f"{cfg.session}-ps{k}"
+                    self._ps_store.guards[key] = self.platform.epochs.make_guard(
+                        f"ps-{k}", name=f"{key}-checkpoint-store"
                     )
-                else:
-                    # Sharded plane: one role (and one fence) per shard,
-                    # keyed by the shard's snapshot slot, so restarting
-                    # shard k never disturbs the other shards' epochs.
-                    for k in range(cfg.ps_shards):
-                        key = f"{cfg.session}-ps{k}"
-                        self._ps_store.guards[key] = (
-                            self.platform.epochs.make_guard(
-                                f"ps-{k}", name=f"{key}-checkpoint-store"
-                            )
-                        )
 
         self._worker_spec = ContainerSpec(
             f"{cfg.session}-worker", lambda node, index: self._worker_config()
         )
 
-        if cfg.ps_shards == 1:
-            self._ps_spec = ContainerSpec(
-                f"{cfg.session}-ps", lambda node, index: self._ps_config()
+        # Shard enclaves spread across nodes from the tail (the paper
+        # runs PS/workers on the same 3 machines; shard 0 on the last
+        # node matches Fig. 2).  Each shard gets its own spec so the
+        # orchestrator tracks restart lineage per shard.
+        shards: List[ParameterServer] = []
+        for k in range(cfg.ps_shards):
+            spec = ContainerSpec(
+                f"{cfg.session}-ps{k}", lambda node, index: self._ps_config()
             )
-            # Parameter server on the last node (paper runs PS/workers on
-            # the same 3 machines; placement matches Fig. 2).
-            self._ps_container = orchestrator.launch(self._ps_spec, node=nodes[-1])
-            self._containers.append(self._ps_container)
-            self.ps = self._build_ps(self._ps_container)
+            self._shard_specs.append(spec)
+            node = nodes[(len(nodes) - 1 - k) % len(nodes)]
+            container = orchestrator.launch(spec, node=node)
+            self._containers.append(container)
+            self._shard_containers.append(container)
+            ps = self._build_shard_ps(k, container)
             if self.platform.epochs is not None:
-                self.ps.lease = self.platform.epochs.grant(
-                    "ps", holder=self._ps_container.name
+                ps.lease = self.platform.epochs.grant(
+                    f"ps-{k}", holder=container.name
                 )
-        else:
-            # N shard enclaves, spread across nodes from the tail (the
-            # single-PS placement generalized: shard 0 lands where the
-            # lone PS would have).  Each shard gets its own spec so the
-            # orchestrator tracks restart lineage per shard.
-            shards: List[ParameterServer] = []
-            for k in range(cfg.ps_shards):
-                spec = ContainerSpec(
-                    f"{cfg.session}-ps{k}", lambda node, index: self._ps_config()
-                )
-                self._shard_specs.append(spec)
-                node = nodes[(len(nodes) - 1 - k) % len(nodes)]
-                container = orchestrator.launch(spec, node=node)
-                self._containers.append(container)
-                self._shard_containers.append(container)
-                ps = self._build_shard_ps(k, container)
-                if self.platform.epochs is not None:
-                    ps.lease = self.platform.epochs.grant(
-                        f"ps-{k}", holder=container.name
-                    )
-                shards.append(ps)
-            self.ps_service = ShardedParameterService(
-                shards, barrier_store=self._ps_store
-            )
+            shards.append(ps)
+        self.ps_service = ShardedParameterService(
+            shards, barrier_store=self._ps_store
+        )
 
         for index in range(cfg.n_workers):
             # One worker per node, wrapping (the paper's 3-machine cluster
@@ -347,25 +304,15 @@ class TrainingJob:
             self._worker_containers.append(container)
             self.workers.append(self._build_worker(index, container))
 
-        if cfg.ps_shards == 1:
-            self.ps.initialize(self.workers[0].initial_weights())
-            self.trainer = SyncTrainer(
-                self.platform.network,
-                self.ps,
-                self.workers,
-                retry=cfg.retry_policy,
-                recovery=self if cfg.retry_policy is not None else None,
-            )
-        else:
-            self.ps_service.initialize(self.workers[0].initial_weights())
-            self.trainer = ShardedSyncTrainer(
-                self.platform.network,
-                self.ps_service,
-                self.workers,
-                retry=cfg.retry_policy,
-                recovery=self if cfg.retry_policy is not None else None,
-                quantizer=self.quantizer,
-            )
+        self.ps_service.initialize(self.workers[0].initial_weights())
+        self.trainer = SyncTrainer(
+            self.platform.network,
+            self.ps_service,
+            self.workers,
+            retry=cfg.retry_policy,
+            recovery=self if cfg.retry_policy is not None else None,
+            quantizer=self.quantizer,
+        )
 
     def train(self, batches: List, steps: Optional[int] = None) -> TrainingResult:
         if self.trainer is None:
@@ -379,7 +326,8 @@ class TrainingJob:
 
     # ------------------------------------------------------------------
     # Chaos attachment + recovery supervision (SyncTrainer's ``recovery``
-    # protocol: tick / worker_ok / replace_worker / ps_ok / recover_ps).
+    # protocol: tick / worker_ok / replace_worker / shard_ok /
+    # recover_shard).
     # ------------------------------------------------------------------
 
     def attach_chaos(self, plan: FaultPlan) -> None:
@@ -404,22 +352,15 @@ class TrainingJob:
         if target == "ps" or (
             target.startswith("ps-") and target[3:].isdigit()
         ):
-            if self.ps_service is not None:
-                # Sharded plane: "ps" aliases shard 0 so single-PS chaos
-                # plans replay unchanged against a sharded job.
-                shard = 0 if target == "ps" else int(target[3:])
-                if shard >= len(self._shard_containers):
-                    raise ConfigurationError(f"no such PS shard {target!r}")
-                container = self._shard_containers[shard]
-                if container is not None and container.running:
-                    self.platform.orchestrator.fail_container(container)
-                    self.ps_service.shard(shard).crash()
-            elif target in ("ps", "ps-0"):
-                if self._ps_container is not None and self._ps_container.running:
-                    self.platform.orchestrator.fail_container(self._ps_container)
-                    self.ps.crash()
-            else:
-                raise ConfigurationError(f"unknown crash target {target!r}")
+            # "ps" aliases shard 0, so one chaos plan replays unchanged
+            # at any shard count.
+            shard = 0 if target == "ps" else int(target[3:])
+            if shard >= len(self._shard_containers):
+                raise ConfigurationError(f"no such PS shard {target!r}")
+            container = self._shard_containers[shard]
+            if container.running:
+                self.platform.orchestrator.fail_container(container)
+                self.ps_service.shard(shard).crash()
         elif target.startswith("worker-"):
             slot = int(target.rsplit("-", 1)[1])
             container = self._worker_containers[slot]
@@ -451,43 +392,8 @@ class TrainingJob:
         )
         return new_worker
 
-    def ps_ok(self) -> bool:
-        return self._ps_container is not None and self._ps_container.running
-
-    def recover_ps(self) -> Optional[ParameterServer]:
-        """Restart the PS container and resume from its checkpoint."""
-        if self.ps_ok():
-            return self.ps
-        replacement = self.platform.orchestrator.restart(
-            self._ps_spec, self._ps_container
-        )
-        if replacement is None:
-            return None
-        # Bump BEFORE the replacement serves: the fence round advances
-        # the checkpoint store's guard first, so even if the "crashed"
-        # PS turns out to be a partitioned zombie, nothing it commits
-        # from here on can land.
-        lease = (
-            self.platform.epochs.grant("ps", holder=replacement.name)
-            if self.platform.epochs is not None
-            else None
-        )
-        self._ps_container = replacement
-        self._containers.append(replacement)
-        self.ps = self._build_ps(replacement)
-        self.ps.lease = lease
-        self.record_recovery(
-            f"ps-restart container={replacement.name} version={self.ps.version}"
-        )
-        return self.ps
-
-    # -- sharded-PS supervision (ShardedSyncTrainer's ``recovery``
-    # protocol: tick / worker_ok / replace_worker / shard_ok /
-    # recover_shard) -- ------------------------------------------------
-
     def shard_ok(self, shard: int) -> bool:
-        container = self._shard_containers[shard]
-        return container is not None and container.running
+        return self._shard_containers[shard].running
 
     def recover_shard(self, shard: int) -> Optional[ParameterServer]:
         """Restart shard ``shard``'s container and resume it from its
@@ -520,11 +426,9 @@ class TrainingJob:
         return ps
 
     def weights(self) -> Dict:
-        if self.ps_service is not None:
-            return self.ps_service.weights
-        if self.ps is None:
+        if self.ps_service is None:
             raise ConfigurationError("job not started")
-        return self.ps.weights
+        return self.ps_service.weights
 
     # ------------------------------------------------------------------
     # Secure checkpointing (stateful computing, challenge ❺): the PS's
@@ -546,13 +450,9 @@ class TrainingJob:
             raise ConfigurationError(
                 "secure checkpoints need a CAS session; NATIVE mode has none"
             )
-        if self.ps is None and self.ps_service is None:
+        if self.ps_service is None:
             raise ConfigurationError("job not started")
-        node = (
-            self.ps.node
-            if self.ps is not None
-            else self.ps_service.shard(0).node
-        )
+        node = self.ps_service.shard(0).node
         syscalls = SyscallInterface(
             node.vfs, self.platform.cost_model, node.clock, mode=SgxMode.NATIVE
         )
@@ -577,16 +477,11 @@ class TrainingJob:
         """Persist the PS weights, encrypted + freshness-audited."""
         from repro.tensor.arrays import encode_array_dict
 
-        version = (
-            self.ps.version
-            if self.ps is not None
-            else max(s.version for s in self.ps_service.shards)
-        )
         path = self.checkpoint_path()
         payload = encoding.encode(
             {
                 "session": self.config.session,
-                "version": version,
+                "version": max(s.version for s in self.ps_service.shards),
                 "weights": encode_array_dict(self.weights()),
             }
         )
@@ -605,16 +500,10 @@ class TrainingJob:
             raise ConfigurationError(
                 f"checkpoint belongs to session {payload.get('session')!r}"
             )
-        restored = decode_array_dict(payload["weights"])
-        if self.ps_service is not None:
-            self.ps_service.initialize(restored)
-        else:
-            self.ps.initialize(restored)
+        self.ps_service.initialize(decode_array_dict(payload["weights"]))
         return int(payload["version"])
 
     def stop(self) -> None:
-        if self.ps is not None:
-            self.ps.stop()
         if self.ps_service is not None:
             self.ps_service.stop()
         for container in self._containers:

@@ -14,10 +14,8 @@ Cost structure per mode (§3.3.3 and the SCONE paper):
   sleep/wake, backpressure when the ring fills, and completion waits
   hidden by the user-level scheduler's runnable-thread occupancy.
 
-The sync-vs-async gap and the userspace-served share now *emerge* from
-the ring mechanics; the analytic constants that used to stand in for
-them (``USERSPACE_HANDLED_FRACTION``, ``ASYNC_KERNEL_OVERLAP``) are
-deprecated module attributes returning measured equivalents.
+The sync-vs-async gap and the userspace-served share *emerge* from the
+ring mechanics.
 
 All file operations verify the kernel's answers against Iago checks;
 tests install a ``hostile_hook`` to emulate a malicious kernel.  The
@@ -27,7 +25,6 @@ ring is rejected exactly like a hostile synchronous return value.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -340,30 +337,3 @@ class SyscallInterface:
     def nop_syscall(self, name: str = "nop") -> None:
         """A syscall with no semantic effect (cost-model microbenchmarks)."""
         self._charge(name)
-
-
-# ----------------------------------------------------------------------
-# Deprecated analytic constants (now measured from the plane)
-# ----------------------------------------------------------------------
-
-_DEPRECATED_CONSTANTS = {
-    "USERSPACE_HANDLED_FRACTION": "userspace_handled_fraction",
-    "ASYNC_KERNEL_OVERLAP": "kernel_overlap",
-}
-
-
-def __getattr__(name: str) -> float:
-    measured_key = _DEPRECATED_CONSTANTS.get(name)
-    if measured_key is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from repro.runtime.syscall_plane import measured_plane_fractions
-
-    warnings.warn(
-        f"{name} is deprecated: the syscall plane models the mechanism "
-        "directly; this value is now *measured* from a reference workload "
-        "on the default ring (see "
-        "repro.runtime.syscall_plane.measured_plane_fractions).",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return measured_plane_fractions()[measured_key]

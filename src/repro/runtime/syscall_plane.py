@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
-from repro.enclave.cost_model import CostModel, DEFAULT_COST_MODEL
+from repro.enclave.cost_model import CostModel
 from repro.enclave.sgx import Enclave
 from repro.errors import ConfigurationError
 
@@ -328,75 +328,3 @@ class SyscallPlane:
             self.stats.flushes_on_block += 1
         for name, cost in pending:
             self._submit_one(name, cost)
-
-
-# ----------------------------------------------------------------------
-# Measured equivalents of the retired analytic constants
-# ----------------------------------------------------------------------
-
-#: A representative syscall mix for TensorFlow under SCONE (rough shape
-#: of an strace of a training step: thread synchronization and clock
-#: reads dominate the userspace-served share; reads/writes dominate the
-#: kernel-bound share).
-_REFERENCE_MIX: Tuple[Tuple[str, bool], ...] = tuple(
-    [("futex", False)] * 14
-    + [("clock_gettime", False)] * 9
-    + [("mmap", False)] * 3
-    + [("munmap", False)] * 2
-    + [("brk", False)] * 2
-    + [("sched_yield", False)] * 3
-    + [("getpid", False)] * 1
-    + [("sigprocmask", False)] * 1
-    + [("read", False)] * 20
-    + [("write", True)] * 18
-    + [("open", False)] * 5
-    + [("close", True)] * 6
-    + [("stat", False)] * 4
-    + [("sendmsg", True)] * 6
-    + [("recvmsg", False)] * 6
-)
-
-_MEASURED_CACHE: Optional[Dict[str, float]] = None
-
-
-def measured_plane_fractions() -> Dict[str, float]:
-    """Run the reference mix through a default ring and report what the
-    two retired constants *measure as* under the mechanistic model:
-
-    - ``userspace_handled_fraction``: share of calls the per-name table
-      served without touching the ring;
-    - ``kernel_overlap``: share of completion-wait time the scheduler
-      hid behind other runnable application threads (at the default
-      occupancy of 4 runnable threads).
-
-    Deterministic and cached — callers of the deprecated module
-    constants get these numbers.
-    """
-    global _MEASURED_CACHE
-    if _MEASURED_CACHE is not None:
-        return _MEASURED_CACHE
-
-    from repro.runtime.syscall import SyscallStats
-    from repro.runtime.threading_ul import UserLevelScheduler
-
-    clock = SimClock()
-    stats = SyscallStats()
-    plane = SyscallPlane(DEFAULT_COST_MODEL, clock, stats)
-    scheduler = UserLevelScheduler(DEFAULT_COST_MODEL, clock)
-    scheduler.set_runnable(4)
-    plane.attach_scheduler(scheduler)
-    calls = 0
-    for name, posted in _REFERENCE_MIX * 4:
-        calls += 1
-        if posted:
-            plane.post(name)
-        else:
-            plane.call(name)
-    plane.flush()
-
-    waited = stats.overlap_hidden_time + stats.overlap_exposed_time
-    _MEASURED_CACHE = {
-        "userspace_handled_fraction": stats.userspace_handled / calls,
-        "kernel_overlap": (stats.overlap_hidden_time / waited) if waited else 0.0,
-    }
-    return _MEASURED_CACHE

@@ -24,11 +24,11 @@ show up QUARANTINED.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro._sim import probe as _probe
 from repro.cluster.container import Container
+from repro.cluster.dedup import DedupWindow
 from repro.cluster.orchestrator import ContainerSpec, Orchestrator
 from repro.core.inference import service_runtime_config
 from repro.core.platform import SecureTFPlatform
@@ -158,7 +158,7 @@ class ReplicaPool:
 
     def _make_handler(self, container: Container, backend: Backend):
         clock = container.node.clock
-        dedup: "OrderedDict[str, Tuple[float, bytes]]" = OrderedDict()
+        dedup = DedupWindow(REPLICA_DEDUP_CAPACITY, REPLICA_DEDUP_TTL)
         # Each replica is an acceptor for the routing epoch: requests
         # dispatched by a router that has since been superseded carry a
         # stale epoch and are rejected before the backend runs — a
@@ -177,17 +177,9 @@ class ReplicaPool:
             msg = messages.decode_request(raw)
             request_id = msg["id"]
             now = clock.now
-            while dedup:
-                key, (stamp, _) = next(iter(dedup.items()))
-                if (
-                    len(dedup) <= REPLICA_DEDUP_CAPACITY
-                    and now - stamp <= REPLICA_DEDUP_TTL
-                ):
-                    break
-                del dedup[key]
-            hit = dedup.get(request_id)
+            hit = dedup.get(request_id, now)
             if hit is not None:
-                return hit[1]  # duplicate delivery: replay, don't re-run
+                return hit  # duplicate delivery: replay, don't re-run
             if guard is not None:
                 fence = msg.get("fence")
                 epoch = fence.get("epoch") if isinstance(fence, dict) else None
@@ -204,7 +196,7 @@ class ReplicaPool:
             reply = messages.encode_ok(
                 request_id, backend(msg["payload"]), container.name
             )
-            dedup[request_id] = (clock.now, reply)
+            dedup.put(request_id, clock.now, reply)
             return reply
 
         return handler

@@ -35,12 +35,12 @@ every other endpoint's.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro._sim.clock import SimClock
 from repro._sim.scheduler import Completion, Event, Scheduler
+from repro.cluster.dedup import DedupWindow
 from repro.cluster.epoch import EpochLease
 from repro.cluster.network import Network
 from repro.cluster.node import Node
@@ -58,6 +58,13 @@ from repro.serving.admission import AdmissionController
 from repro.serving.scoreboard import ReplicaScoreboard
 
 
+#: Router-side at-most-once window (duplicate client *sends* of a
+#: settled request replay the recorded outcome; the per-replica window
+#: is ``REPLICA_DEDUP_*`` in :mod:`repro.serving.pool`).
+ROUTER_DEDUP_CAPACITY = 1024
+ROUTER_DEDUP_TTL = 60.0
+
+
 @dataclass(frozen=True)
 class RouterPolicy:
     """Routing, hedging, and retry knobs of the front end."""
@@ -73,10 +80,6 @@ class RouterPolicy:
     hedge_percentile: float = 99.0
     #: Sliding window feeding the hedge delay and the autoscaler's SLO.
     latency_window: int = 256
-    #: At-most-once reply cache (duplicate client sends replay the
-    #: recorded outcome instead of re-executing).
-    dedup_capacity: int = 1024
-    dedup_ttl: float = 60.0
 
 
 @dataclass
@@ -181,8 +184,10 @@ class FrontEndRouter:
         #: is exactly what lets the replica-side guards fence it.
         self.fence: Optional[EpochLease] = None
         self._pending: Dict[str, _PendingRequest] = {}
-        #: request id -> (settle time, ok?, reply bytes or error).
-        self._replied: "OrderedDict[str, Tuple[float, bool, object]]" = OrderedDict()
+        #: request id -> (ok?, reply bytes or typed error) of every
+        #: settled request: duplicate client sends replay the recorded
+        #: outcome instead of re-executing.
+        self._replied = DedupWindow(ROUTER_DEDUP_CAPACITY, ROUTER_DEDUP_TTL)
         #: Decision log; :meth:`trace_bytes` canonicalizes it for the
         #: two-seeded-runs byte-identity check.
         self.events: List[str] = []
@@ -220,11 +225,10 @@ class FrontEndRouter:
         # request replays the recorded outcome; a duplicate of a still-
         # pending one shares the pending completion (both deliveries get
         # their own reply leg when it settles).
-        self._expire_replied(now)
-        hit = self._replied.get(request_id)
+        hit = self._replied.get(request_id, now)
         if hit is not None:
             self.stats.dedup_replays += 1
-            _, ok, outcome = hit
+            ok, outcome = hit
             if ok:
                 return outcome
             raise outcome  # type: ignore[misc]  # the recorded typed error
@@ -414,7 +418,7 @@ class FrontEndRouter:
             return
         self._finish(info)
         self.stats.completed_ok += 1
-        self._replied[info.request_id] = (self.clock.now, True, reply)
+        self._replied.put(info.request_id, self.clock.now, (True, reply))
         self.record(f"ok {info.request_id} @{self.clock.now:.6f}")
         info.completion.resolve(reply)
 
@@ -428,7 +432,7 @@ class FrontEndRouter:
             self.stats.failed_transport += 1
         else:
             self.stats.failed_other += 1
-        self._replied[info.request_id] = (self.clock.now, False, error)
+        self._replied.put(info.request_id, self.clock.now, (False, error))
         self.record(
             f"fail {info.request_id} {type(error).__name__} "
             f"@{self.clock.now:.6f}"
@@ -444,15 +448,6 @@ class FrontEndRouter:
             info.deadline_event.cancel()
             info.deadline_event = None
         self._pending.pop(info.request_id, None)
-
-    def _expire_replied(self, now: float) -> None:
-        cap = self.policy.dedup_capacity
-        ttl = self.policy.dedup_ttl
-        while self._replied:
-            request_id, (stamp, _, _) = next(iter(self._replied.items()))
-            if len(self._replied) <= cap and now - stamp <= ttl:
-                break
-            del self._replied[request_id]
 
     # -- teardown --------------------------------------------------------
 

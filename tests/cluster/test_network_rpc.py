@@ -352,3 +352,217 @@ def test_secure_call_retries_through_partition_heal(secure_setup):
     # reconnects as needed and the call completes after the heal.
     assert conn.call("echo", b"persist") == b"persist"
     assert client.stats.retries >= 1
+
+
+# --- begin_call / settle: the one call path ---------------------------------------
+#
+# ``call`` is ``begin_call().settle()``; these drive the two halves apart,
+# over the plain and the shielded transport alike.
+
+
+class _Rig:
+    """A retrying client facing a counting server, plain or secure, built
+    from seeds alone so two rigs are twins."""
+
+    def __init__(self, kind, breakers=None, **policy_kw):
+        from repro.cluster.retry import RetryPolicy
+
+        self.kind = kind
+        self.rng = DeterministicRng(77, label="rig")
+        self.cluster = make_cluster(
+            2, CM, ProvisioningAuthority(self.rng.child("intel")), seed=5
+        )
+        self.network = Network(CM)
+        self.ca = CertificateAuthority(
+            "root", Ed25519PrivateKey(self.rng.random_bytes(32))
+        )
+        self.handled = []
+        self.server = self.start_server("server")
+        policy = RetryPolicy(jitter=0.0, **policy_kw)
+        if kind == "plain":
+            self.client = RpcClient(
+                self.network, "client", self.cluster[1], retry=policy,
+                breakers=breakers,
+            )
+            self.conn = None
+        else:
+            self.client = SecureRpcClient(
+                self.network, "client", self.cluster[1],
+                make_shield(self.ca, self.rng, self.cluster[1], "client"),
+                retry=policy, breakers=breakers,
+            )
+            self.conn = self.client.connect("svc")
+
+    def start_server(self, name):
+        node = self.cluster[0]
+        if self.kind == "plain":
+            server = RpcServer(self.network, "svc", node)
+        else:
+            server = SecureRpcServer(
+                self.network, "svc", node, make_shield(self.ca, self.rng, node, name)
+            )
+
+        def apply(payload, peer):
+            self.handled.append(payload)
+            return b"ok:" + payload
+
+        def deny(payload, peer):
+            self.handled.append(payload)
+            raise SecurityError("denied")
+
+        server.register("apply", apply)
+        server.register("deny", deny)
+        server.start()
+        return server
+
+    def begin(self, method, payload):
+        if self.conn is None:
+            return self.client.begin_call("svc", method, payload)
+        return self.conn.begin_call(method, payload)
+
+    def call(self, method, payload):
+        if self.conn is None:
+            return self.client.call("svc", method, payload)
+        return self.conn.call(method, payload)
+
+    def drop_next(self, src):
+        """Lose the next message ``src`` puts on the wire."""
+        from repro.cluster.network import FaultAction
+
+        state = {"armed": True}
+
+        def injector(sender, dst, n_bytes, now):
+            if state["armed"] and sender == src:
+                state["armed"] = False
+                return FaultAction(drop=True, reason="test drop")
+            return None
+
+        self.network.faults.append(injector)
+
+
+@pytest.fixture(params=["plain", "secure"])
+def kind(request):
+    return request.param
+
+
+def test_begin_call_request_leg_loss_is_retried_once(kind):
+    rig = _Rig(kind)
+    rig.drop_next("client")
+    messages = rig.network.stats.messages
+    pending = rig.begin("apply", b"g")  # the send fails; nothing is raised yet
+    assert rig.handled == []
+    assert pending.settle() == b"ok:g"
+    assert rig.handled == [b"g"]
+    assert rig.client.stats.retries == 1
+    # One resend sufficed: a secure client re-handshakes *before* it
+    # resends (the lost write spent a record sequence number), so the
+    # retry is not wasted on a desynced session — the wire carried the
+    # four handshake messages and one request/reply pair, nothing else.
+    assert rig.client.stats.reconnects == (1 if kind == "secure" else 0)
+    assert rig.network.stats.messages == messages + (6 if kind == "secure" else 2)
+
+
+def test_begin_call_reply_leg_loss_replays_from_dedup_window(kind):
+    rig = _Rig(kind)
+    rig.drop_next("svc")
+    assert rig.begin("apply", b"g").settle() == b"ok:g"
+    # The handler ran exactly once; the resend carried the same call ID
+    # and was answered from the server's dedup window.
+    assert rig.handled == [b"g"]
+    assert rig.server.stats.dedup_hits == 1
+    assert rig.client.stats.retries == 1
+
+
+def test_begin_call_survives_server_restart_before_settle(kind):
+    rig = _Rig(kind)
+    pending = rig.begin("apply", b"g")
+    rig.server.abort()  # the container dies with the request in flight
+    rig.server = rig.start_server("server2")
+    assert pending.settle() == b"ok:g"
+    assert rig.handled == [b"g"]
+    if kind == "secure":
+        # The replacement knows no sessions: re-handshake, then resend.
+        assert rig.client.stats.reconnects == 1
+        assert rig.conn.peer_subject == "server2"
+
+
+def test_begin_call_open_breaker_sends_nothing(kind):
+    from repro.cluster.retry import BreakerRegistry
+    from repro.errors import CircuitOpenError, RpcTransportError
+
+    breakers = BreakerRegistry(failure_threshold=2, reset_timeout=60.0)
+    rig = _Rig(kind, breakers=breakers, max_attempts=2)
+    rig.network.partition("svc")
+    with pytest.raises(RpcTransportError):
+        rig.begin("apply", b"trip").settle()
+    rig.network.heal("svc")
+    assert breakers.get("svc").state == "open"
+
+    messages = rig.network.stats.messages
+    rejections = rig.client.stats.breaker_rejections
+    pending = rig.begin("apply", b"shed")  # admitted by the breaker: refused
+    assert rig.network.stats.messages == messages
+    with pytest.raises(CircuitOpenError):
+        pending.settle()
+    assert rig.network.stats.messages == messages
+    assert rig.client.stats.breaker_rejections == rejections + 2
+    assert rig.handled == []
+
+
+def test_begin_call_remote_error_is_not_retried(kind):
+    rig = _Rig(kind)
+    attempts = rig.client.stats.attempts
+    with pytest.raises(SecurityError):
+        rig.begin("deny", b"x").settle()
+    assert rig.handled == [b"x"]
+    assert rig.client.stats.attempts == attempts + 1
+    assert rig.client.stats.retries == 0
+
+
+def test_begin_call_is_tried_at_most_max_attempts_times(kind):
+    from repro.errors import RpcTransportError
+
+    rig = _Rig(kind, max_attempts=3)
+    attempts = rig.client.stats.attempts
+    rig.network.partition("svc")
+    with pytest.raises(RpcTransportError):
+        rig.begin("apply", b"g").settle()
+    assert rig.client.stats.attempts == attempts + 3
+    assert rig.client.stats.giveups == 1
+
+
+def test_call_equals_begin_call_settle_under_the_same_fault_plan(kind):
+    """Twin seeded rigs, one driven through ``call`` and one through
+    ``begin_call().settle()``: same clocks, same recovery counters, same
+    wire traffic, same fault dice."""
+    from repro.cluster.faults import FaultPlan, FaultSpec
+    from repro.cluster.retry import BreakerRegistry
+
+    def drive(use_call):
+        # A lenient breaker: lossy re-handshakes must not open it.
+        rig = _Rig(
+            kind, breakers=BreakerRegistry(failure_threshold=50), max_attempts=12
+        )
+        plan = FaultPlan(
+            9, FaultSpec(loss=0.15, delay=0.2, delay_seconds=0.01, duplication=0.15)
+        )
+        rig.network.faults.append(plan.inject)
+        replies = []
+        for i in range(25):
+            payload = b"m%d" % i
+            if use_call:
+                replies.append(rig.call("apply", payload))
+            else:
+                replies.append(rig.begin("apply", payload).settle())
+        assert plan.counters.losses > 0 and plan.counters.duplicates > 0
+        return (
+            replies,
+            rig.handled,
+            [node.clock.now for node in rig.cluster],
+            rig.client.stats,
+            rig.server.stats,
+            rig.network.stats,
+            plan.trace_bytes(),
+        )
+
+    assert drive(use_call=True) == drive(use_call=False)

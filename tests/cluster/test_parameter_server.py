@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.cluster import Network, ParameterServer, SyncTrainer, TrainingWorker, make_cluster
+from repro.cluster import (
+    Network,
+    ParameterServer,
+    ShardedParameterService,
+    SyncTrainer,
+    TrainingWorker,
+    make_cluster,
+)
 from repro.cluster.container import Container
 from repro.crypto import encoding
 from repro.data import synthetic_mnist
@@ -39,12 +46,13 @@ def make_worker(node, name, threads=2):
 def test_pull_push_updates_weights(cluster, network):
     worker = make_worker(cluster[0], "w0")
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.1)
-    ps.initialize(worker.initial_weights())
+    service = ShardedParameterService([ps])
+    service.initialize(worker.initial_weights())
     v0 = ps.version
 
     train, _ = synthetic_mnist(n_train=100, n_test=10, seed=0)
     batches = list(train.batches(50))
-    trainer = SyncTrainer(network, ps, [worker])
+    trainer = SyncTrainer(network, service, [worker])
     result = trainer.train(batches, steps=2)
     assert result.steps == 2
     assert ps.version == v0 + 2
@@ -55,10 +63,11 @@ def test_pull_push_updates_weights(cluster, network):
 def test_training_reduces_loss(cluster, network):
     worker = make_worker(cluster[0], "w0")
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.1)
-    ps.initialize(worker.initial_weights())
+    service = ShardedParameterService([ps])
+    service.initialize(worker.initial_weights())
     train, _ = synthetic_mnist(n_train=800, n_test=10, seed=0)
     batches = list(train.batches(100))
-    trainer = SyncTrainer(network, ps, [worker])
+    trainer = SyncTrainer(network, service, [worker])
     images, labels = batches[0]
     worker.load_weights(ps.weights)
     before = worker.evaluate_loss(images, labels)
@@ -71,10 +80,11 @@ def test_training_reduces_loss(cluster, network):
 def test_two_workers_split_batches(cluster, network):
     workers = [make_worker(cluster[i], f"w{i}") for i in range(2)]
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.05)
-    ps.initialize(workers[0].initial_weights())
+    service = ShardedParameterService([ps])
+    service.initialize(workers[0].initial_weights())
     train, _ = synthetic_mnist(n_train=400, n_test=10, seed=0)
     batches = list(train.batches(100))
-    trainer = SyncTrainer(network, ps, workers)
+    trainer = SyncTrainer(network, service, workers)
     result = trainer.train(batches)
     assert result.steps == 4
     assert ps.updates_applied == 4
@@ -133,4 +143,4 @@ def test_invalid_learning_rate(cluster, network):
 def test_trainer_requires_workers(cluster, network):
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.1)
     with pytest.raises(ClusterError):
-        SyncTrainer(network, ps, [])
+        SyncTrainer(network, ShardedParameterService([ps]), [])

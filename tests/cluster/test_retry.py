@@ -257,8 +257,8 @@ def test_dedup_window_bounded(cluster, network):
     server = RpcServer(network, "svc", cluster[0])
     server.register("noop", lambda payload, peer: b"")
     server.start()
-    server.DEDUP_CAPACITY = 8
+    server.dedup.capacity = 8
     client = RpcClient(network, "client", cluster[1], retry=RetryPolicy())
     for i in range(40):
         client.call("svc", "noop", b"%d" % i)
-    assert len(server._dedup) <= 8
+    assert len(server.dedup) == 8

@@ -95,14 +95,15 @@ def test_sharded_service_requires_shards():
 def test_async_training_converges(cluster, network):
     workers = [make_worker(cluster[i], f"w{i}") for i in range(2)]
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.1)
-    ps.initialize(workers[0].initial_weights())
+    service = ShardedParameterService([ps])
+    service.initialize(workers[0].initial_weights())
     train, _ = synthetic_mnist(n_train=800, n_test=10, seed=41)
     batches = list(train.batches(100))
 
     images, labels = batches[0]
     workers[0].load_weights(ps.weights)
     before = workers[0].evaluate_loss(images, labels)
-    trainer = AsyncTrainer(network, ps, workers)
+    trainer = AsyncTrainer(network, service, workers)
     result = trainer.train(batches)
     workers[0].load_weights(ps.weights)
     after = workers[0].evaluate_loss(images, labels)
@@ -121,9 +122,11 @@ def test_async_no_slower_than_sync_wall_clock(cluster, network):
         nodes = make_cluster(3, CM, ProvisioningAuthorityLocal(), seed=43 + seed_offset)
         net = Network(CM)
         workers = [make_worker(nodes[i], f"w{i}") for i in range(2)]
-        ps = ParameterServer(nodes[2], "ps", net, learning_rate=0.05)
-        ps.initialize(workers[0].initial_weights())
-        return trainer_cls(net, ps, workers).train(batches).wall_clock
+        service = ShardedParameterService(
+            [ParameterServer(nodes[2], "ps", net, learning_rate=0.05)]
+        )
+        service.initialize(workers[0].initial_weights())
+        return trainer_cls(net, service, workers).train(batches).wall_clock
 
     from repro._sim import DeterministicRng
     from repro.enclave.attestation import ProvisioningAuthority

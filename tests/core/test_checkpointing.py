@@ -36,11 +36,11 @@ def test_checkpoint_roundtrip(batches):
     platform, job = make_job()
     job.train(batches, steps=2)
     trained = {k: v.copy() for k, v in job.weights().items()}
-    version = job.ps.version
+    version = job.ps_service.shard(0).version
     path = job.save_checkpoint()
 
     # Wipe and restore.
-    job.ps.initialize({k: np.zeros_like(v) for k, v in trained.items()})
+    job.ps_service.initialize({k: np.zeros_like(v) for k, v in trained.items()})
     restored_version = job.restore_checkpoint()
     assert restored_version == version
     for name, value in job.weights().items():
@@ -52,7 +52,7 @@ def test_checkpoint_is_encrypted_at_rest(batches):
     platform, job = make_job()
     job.train(batches, steps=1)
     path = job.save_checkpoint()
-    raw = job.ps.node.vfs.read(path).content
+    raw = job.ps_service.shard(0).node.vfs.read(path).content
     from repro.tensor.arrays import encode_array_dict
 
     assert encode_array_dict(job.weights())[:64] not in raw
@@ -63,7 +63,7 @@ def test_checkpoint_tamper_detected(batches):
     platform, job = make_job()
     job.train(batches, steps=1)
     path = job.save_checkpoint()
-    node = job.ps.node
+    node = job.ps_service.shard(0).node
     raw = bytearray(node.vfs.read(path).content)
     raw[len(raw) // 2] ^= 1
     node.vfs.tamper(path, bytes(raw))
@@ -76,7 +76,7 @@ def test_checkpoint_rollback_detected(batches):
     platform, job = make_job()
     job.train(batches, steps=1)
     path = job.save_checkpoint()
-    node = job.ps.node
+    node = job.ps_service.shard(0).node
     snapshot = copy.deepcopy(node.vfs.read(path))
     job.train(batches, steps=1)
     job.save_checkpoint()  # newer version committed to the audit log

@@ -25,7 +25,7 @@ def batches():
     return list(train.batches(50))
 
 
-def make_plan(session, seed=61):
+def make_plan(ps_address, seed=61):
     """Loss + latency + duplication on PS traffic, one worker crash and
     one PS crash at mid-training round boundaries."""
     return FaultPlan(
@@ -37,7 +37,7 @@ def make_plan(session, seed=61):
             duplication=0.05,
             # Scope to the PS endpoint: every worker<->PS leg has the PS
             # on one side; control-plane (CAS) traffic stays clean.
-            targets=frozenset({f"{session}-ps"}),
+            targets=frozenset({ps_address}),
         ),
         crashes=[
             CrashFault("worker-1", at_round=1),
@@ -46,7 +46,9 @@ def make_plan(session, seed=61):
     )
 
 
-def run_job(batches, session, plan=None, platform_seed=62):
+def run_job(batches, session, chaos=False, platform_seed=62):
+    """Run one job; with ``chaos`` the fault plan targets the PS shard's
+    own address and is returned in place of ``None``."""
     platform = SecureTFPlatform(PlatformConfig(n_nodes=3, seed=platform_seed))
     job = TrainingJob(
         platform,
@@ -60,19 +62,22 @@ def run_job(batches, session, plan=None, platform_seed=62):
         ),
     )
     job.start()
-    if plan is not None:
+    plan = None
+    if chaos:
+        plan = make_plan(job.ps_service.shard(0).address)
         job.attach_chaos(plan)
     result = job.train(batches, steps=STEPS)
-    return platform, job, result
+    return platform, job, result, plan
 
 
 def test_chaos_run_matches_fault_free_run(batches):
     """THE acceptance test: loss + latency + duplication + a PS crash +
     a worker crash, and training still converges to bit-identical
     weights with zero duplicate gradient applications."""
-    _, clean_job, clean_result = run_job(batches, "chaos-clean")
-    plan = make_plan("chaos-hit")
-    platform, chaos_job, chaos_result = run_job(batches, "chaos-hit", plan=plan)
+    _, clean_job, clean_result, _ = run_job(batches, "chaos-clean")
+    platform, chaos_job, chaos_result, plan = run_job(
+        batches, "chaos-hit", chaos=True
+    )
 
     # The chaos actually happened.
     assert plan.counters.crashes == 2
@@ -89,12 +94,16 @@ def test_chaos_run_matches_fault_free_run(batches):
 
     # At-most-once: despite retries and duplicate deliveries, exactly
     # one gradient application per step — same as the clean run.
-    assert clean_job.ps.updates_applied == STEPS
-    assert chaos_job.ps.updates_applied == STEPS
-    assert chaos_job.ps.version == clean_job.ps.version
+    clean_ps = clean_job.ps_service.shard(0)
+    chaos_ps = chaos_job.ps_service.shard(0)
+    assert clean_ps.updates_applied == STEPS
+    assert chaos_ps.updates_applied == STEPS
+    assert chaos_ps.version == clean_ps.version
 
     # The PS came back as a *different* container at the same address.
-    assert any(e.startswith("ps-restart") for e in chaos_job.recovery_events)
+    assert any(
+        e.startswith("ps-shard-restart shard=0") for e in chaos_job.recovery_events
+    )
     assert any(e.startswith("worker-restart") for e in chaos_job.recovery_events)
 
     # Monitoring surfaces the whole story.
@@ -107,10 +116,8 @@ def test_chaos_run_matches_fault_free_run(batches):
 
 
 def test_same_seed_reproduces_recovery_trace_byte_for_byte(batches):
-    plan_a = make_plan("chaos-rep")
-    _, job_a, _ = run_job(batches, "chaos-rep", plan=plan_a)
-    plan_b = make_plan("chaos-rep")
-    _, job_b, _ = run_job(batches, "chaos-rep", plan=plan_b)
+    _, job_a, _, plan_a = run_job(batches, "chaos-rep", chaos=True)
+    _, job_b, _, plan_b = run_job(batches, "chaos-rep", chaos=True)
     assert plan_a.trace_bytes() == plan_b.trace_bytes()
     assert job_a.recovery_events == job_b.recovery_events
     assert plan_a.counters == plan_b.counters
@@ -135,22 +142,23 @@ def test_partition_mid_round_heals_and_round_completes(batches):
     job.train(batches, steps=2)  # one clean round first
 
     # Partition the PS mid-round; heal while the first worker backs off.
+    ps = job.ps_service.shard(0)
     caller_clock = job.workers[0].node.clock
     heal_at = caller_clock.now + 1.0
     state = {"on": True}
 
     def observer(old, new):
         if state["on"] and new >= heal_at:
-            platform.network.heal(job.ps.address)
+            platform.network.heal(ps.address)
             state["on"] = False
 
     caller_clock.subscribe(observer)
-    platform.network.partition(job.ps.address)
+    platform.network.partition(ps.address)
 
     result = job.train(batches, steps=2)  # the partitioned round
     assert result.steps == 2
     assert not state["on"]  # the heal actually fired mid-round
-    assert job.ps.updates_applied == 4
+    assert ps.updates_applied == 4
     metrics = collect_metrics(platform)
     assert metrics.recovery.retries > 0
     job.stop()

@@ -50,6 +50,7 @@ def run_chaos_job(batches):
     # The partition window is anchored to post-startup simulated time so
     # it lands inside training; startup is seeded, so both runs compute
     # the identical window.
+    ps_address = job.ps_service.shard(0).address
     t0 = max(node.clock.now for node in platform.nodes)
     plan = FaultPlan(
         72,
@@ -58,9 +59,9 @@ def run_chaos_job(batches):
             delay=0.1,
             delay_seconds=0.02,
             duplication=0.05,
-            targets=frozenset({f"{session}-ps"}),
+            targets=frozenset({ps_address}),
         ),
-        partitions=[TransientPartition(f"{session}-ps", t0 + 0.01, t0 + 0.5)],
+        partitions=[TransientPartition(ps_address, t0 + 0.01, t0 + 0.5)],
         crashes=[
             CrashFault("worker-1", at_round=1),
             CrashFault("ps", at_round=2),

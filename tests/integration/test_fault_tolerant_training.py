@@ -33,12 +33,12 @@ def test_crash_and_recover_from_secure_checkpoint(batches):
     job = TrainingJob(platform, config)
     job.start()
     job.train(batches, steps=4)
-    version_at_checkpoint = job.ps.version
+    version_at_checkpoint = job.ps_service.shard(0).version
     weights_at_checkpoint = {k: v.copy() for k, v in job.weights().items()}
     path = job.save_checkpoint()
     for container in job._containers:
         container.fail()  # the adversary (or the cloud) kills the job
-    job.ps.stop()
+    job.ps_service.shard(0).stop()
 
     # Phase 2: a fresh deployment re-attests and resumes from the
     # checkpoint.  The PS address is free again; CAS still holds the
@@ -76,10 +76,11 @@ def test_worker_node_partition_fails_fast(batches):
     )
     job.start()
     job.train(batches, steps=1)
-    platform.network.partition(job.ps.address)
+    ps_address = job.ps_service.shard(0).address
+    platform.network.partition(ps_address)
     with pytest.raises(RpcError):
         job.train(batches, steps=1)
-    platform.network.heal(job.ps.address)
+    platform.network.heal(ps_address)
     result = job.train(batches, steps=1)
     assert result.steps == 1
     job.stop()

@@ -52,17 +52,54 @@ def run_job(batches, session, shards, plan=None, bits=None, fencing=False):
 
 def test_shard_count_does_not_change_weights(batches):
     """Row-wise SGD is value-identical to whole-tensor SGD: 1, 2 and 4
-    shards converge to byte-identical weights at the same seed."""
-    weights = {}
-    for shards in (1, 2, 4):
-        _, job, result = run_job(batches, f"eq{shards}", shards)
-        assert result.steps == STEPS
-        weights[shards] = job.weights()
-        job.stop()
+    shards converge to byte-identical weights at the same seed.  With
+    8-bit gradients the quantizer is live at every shard count — one
+    shard included — and each run lands within rounding error of the
+    float32 weights (scales are per shard *piece*, so quantized runs at
+    different shard counts are close, not byte-equal)."""
+    weights, wire_bytes = {}, {}
+    for bits in (None, 8):
+        for shards in (1, 2, 4):
+            platform, job, result = run_job(
+                batches, f"eq{shards}", shards, bits=bits
+            )
+            assert result.steps == STEPS
+            weights[bits, shards] = job.weights()
+            wire_bytes[bits, shards] = platform.network.stats.bytes_transferred
+            training = collect_metrics(platform).training
+            if bits is None:
+                assert training.quantized_pushes == 0
+                assert training.gradient_bytes_saved == 0
+            else:
+                assert training.quantized_pushes == training.pushes > 0
+                assert training.gradient_bytes_saved > 0
+            job.stop()
+    base = weights[None, 1]
     for shards in (2, 4):
-        assert set(weights[1]) == set(weights[shards])
-        for name in weights[1]:
-            np.testing.assert_array_equal(weights[1][name], weights[shards][name])
+        assert set(base) == set(weights[None, shards])
+        for name in base:
+            np.testing.assert_array_equal(base[name], weights[None, shards][name])
+    for shards in (1, 2, 4):
+        assert wire_bytes[8, shards] < 0.7 * wire_bytes[None, shards]
+        assert set(base) == set(weights[8, shards])
+        for name in base:
+            np.testing.assert_allclose(
+                weights[8, shards][name], base[name], rtol=0, atol=5e-3
+            )
+
+
+def test_every_shard_rpc_is_counted_and_tried_once_when_clean(batches):
+    """Attempt 1 of a fanned-out call runs inside the retry executor, so
+    monitoring sees every pull and push — not only the handshakes."""
+    for shards in (1, 2):
+        platform, job, _ = run_job(batches, f"seen{shards}", shards)
+        recovery = collect_metrics(platform).recovery
+        # Per worker and shard: one session handshake, then one pull and
+        # one push per step that worker ran.
+        assert recovery.calls == shards * (2 + 2 * STEPS)
+        assert recovery.attempts == recovery.calls  # clean: one try each
+        assert recovery.retries == recovery.giveups == 0
+        job.stop()
 
 
 def make_plan(session, seed=61):
@@ -135,14 +172,47 @@ def test_four_shard_chaos_matches_fault_free_run(batches):
     assert vector is not None
     assert len(set(vector.values())) == 1  # all shards at the same version
 
-    # Monitoring surfaces the sharded training plane.
+    # The crashed shard cost exactly one exhausted retry budget: the
+    # call that found it dead recovers it straight away (3.107 s and two
+    # give-ups when the fallback burned a second budget first).
     metrics = collect_metrics(platform)
+    assert metrics.recovery.giveups == 1
+    assert metrics.recovery.attempts <= 6 * metrics.recovery.calls
+    assert chaos_result.wall_clock < 2.6
+
+    # Monitoring surfaces the sharded training plane.
     assert metrics.training.pushes == 4 * STEPS
     assert metrics.training.quantized_pushes == 4 * STEPS
     assert metrics.training.restarts == 1
     assert metrics.training.gradient_bytes_saved > 0
     assert metrics.training.barrier_commits > 0
     assert "training:" in metrics.format()
+
+
+def test_one_shard_crash_costs_one_retry_budget(batches):
+    """The same recovery at one shard: a scheduled crash of the only PS
+    is absorbed with one give-up, byte-identical weights, and every
+    update applied exactly once."""
+    _, clean_job, clean_result = run_job(batches, "solo", 1)
+    plan = FaultPlan(61, FaultSpec(), crashes=[CrashFault("ps", at_round=2)])
+    platform, chaos_job, chaos_result = run_job(batches, "solo", 1, plan=plan)
+
+    assert plan.counters.crashes == 1
+    assert chaos_result.steps == clean_result.steps == STEPS
+    clean_weights, chaos_weights = clean_job.weights(), chaos_job.weights()
+    for name in clean_weights:
+        np.testing.assert_array_equal(clean_weights[name], chaos_weights[name])
+    assert chaos_job.ps_service.shard(0).updates_applied == STEPS
+    assert [e.split(" container=")[0] for e in chaos_job.recovery_events] == [
+        "ps-shard-restart shard=0"
+    ]
+
+    recovery = collect_metrics(platform).recovery
+    assert recovery.giveups == 1
+    # One budget of backoff (0.02 + 0.04 + 0.08 + 0.16 + 0.32 s, ±10 %
+    # jitter) on top of the clean run — not two.
+    assert recovery.backoff_time < 0.7
+    assert chaos_result.wall_clock - clean_result.wall_clock < 1.0
 
 
 def test_sharded_recovery_trace_replays_byte_for_byte(batches):

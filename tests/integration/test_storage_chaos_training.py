@@ -71,7 +71,7 @@ def test_training_survives_storage_chaos_and_cas_failover(batches):
 
     platform, job = make_job("storage-hit", backup=True)
     job.train(batches[:4], steps=4)
-    vfs = job.ps.node.vfs
+    vfs = job.ps_service.shard(0).node.vfs
 
     # 1. The checkpoint write tears mid-commit and the process dies.
     StorageFaultPlan(
@@ -130,11 +130,11 @@ def test_disk_image_rollback_of_checkpoints_rejected(batches):
     _, job = make_job("storage-rollback")
     job.train(batches[:2], steps=2)
     job.save_checkpoint()
-    snapshot = job.ps.node.vfs.capture_state()
+    snapshot = job.ps_service.shard(0).node.vfs.capture_state()
     job.train(batches[2:4], steps=2)
     job.save_checkpoint()
 
-    job.ps.node.vfs.restore_state(snapshot)
+    job.ps_service.shard(0).node.vfs.restore_state(snapshot)
     with pytest.raises(FreshnessError):
         job.restore_checkpoint()
     # The recovery scan refuses to bless the stale generation either.
@@ -150,7 +150,7 @@ def test_randomized_storage_chaos_sweep(batches, seed):
     cycles, and every recovered state is exactly a committed one."""
     _, job = make_job("storage-sweep-%d" % seed, seed=80 + seed)
     job.train(batches[:2], steps=2)
-    vfs = job.ps.node.vfs
+    vfs = job.ps_service.shard(0).node.vfs
     committed = None
     crashes = 0
     for cycle in range(8):
@@ -160,7 +160,7 @@ def test_randomized_storage_chaos_sweep(batches, seed):
         ).attach(vfs)
         try:
             job.save_checkpoint()
-            committed = job.ps.version
+            committed = job.ps_service.shard(0).version
         except StorageCrash:
             crashes += 1
             vfs.faults = None

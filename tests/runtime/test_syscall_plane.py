@@ -4,7 +4,7 @@ Covers the mechanistic behaviours that replaced the analytic constants:
 ring-full backpressure, batched submission flushing when the scheduler
 blocks, handler starvation falling back to synchronous transitions,
 futex-style handler wake-ups, occupancy-derived overlap, Iago checks on
-the async path, the deprecated-constant aliases, and the byte-identical
+the async path, and the byte-identical
 determinism the chaos/crash replay suites depend on.
 """
 
@@ -15,11 +15,7 @@ from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import EnclaveImage, Segment, SgxMode
 from repro.errors import ConfigurationError, IagoError
 from repro.runtime.syscall import SyscallInterface, SyscallStats
-from repro.runtime.syscall_plane import (
-    SyscallPlane,
-    SyscallPlaneConfig,
-    measured_plane_fractions,
-)
+from repro.runtime.syscall_plane import SyscallPlane, SyscallPlaneConfig
 from repro.runtime.threading_ul import UserLevelScheduler
 from repro.runtime.vfs import VirtualFile, VirtualFileSystem
 
@@ -241,32 +237,20 @@ def test_iago_hostile_write_count_rejected_on_async_path(cpu):
         syscalls.write_file("/f", b"data")
 
 
-# --- Deprecated analytic constants -------------------------------------------
-
-
-def test_legacy_userspace_fraction_warns_and_is_measured():
-    import repro.runtime.syscall as syscall_module
-
-    with pytest.warns(DeprecationWarning):
-        fraction = syscall_module.USERSPACE_HANDLED_FRACTION
-    assert fraction == measured_plane_fractions()["userspace_handled_fraction"]
-    assert 0.0 < fraction < 1.0
-
-
-def test_legacy_kernel_overlap_warns_and_is_measured():
-    import repro.runtime.syscall as syscall_module
-
-    with pytest.warns(DeprecationWarning):
-        overlap = syscall_module.ASYNC_KERNEL_OVERLAP
-    assert overlap == measured_plane_fractions()["kernel_overlap"]
-    assert 0.0 < overlap < 1.0
+# --- Retired analytic constants ----------------------------------------------
 
 
 def test_unknown_module_attribute_still_raises():
     import repro.runtime.syscall as syscall_module
 
-    with pytest.raises(AttributeError):
-        syscall_module.NO_SUCH_CONSTANT
+    # The two analytic constants are gone with their measured shim.
+    for name in (
+        "NO_SUCH_CONSTANT",
+        "USERSPACE_HANDLED_FRACTION",
+        "ASYNC_KERNEL_OVERLAP",
+    ):
+        with pytest.raises(AttributeError):
+            getattr(syscall_module, name)
 
 
 # --- Determinism regression --------------------------------------------------
