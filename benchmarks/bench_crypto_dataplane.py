@@ -10,7 +10,10 @@ repo's perf trajectory is tracked PR over PR.
 Both shields seal small units (64 KiB file chunks, TLS records), so the
 per-call floor matters as much as the large-message rate: the AEADs are
 also swept over message sizes, and the 256-byte row is reported as
-calls/s.  Each run keeps the section it replaces under ``previous``.
+calls/s.  The canonical codec under every envelope is priced the same
+way (``codec_*``): a fenced serving request and its ``ok`` reply in
+microseconds and calls/s, a 1 MiB blob in MB/s.  Each run keeps the
+section it replaces under ``previous``.
 
 Seed baseline for reference: AES-GCM ~0.2 MB/s (bigint GHASH, serial
 CTR), ChaCha20-Poly1305 ~22 MB/s (serial bigint Poly1305).
@@ -22,12 +25,14 @@ import time
 from harness import load_bench, print_table, record, run_once, save_bench
 
 from repro._sim import SimClock
+from repro.crypto import encoding
 from repro.crypto.aead import get_aead
 from repro.enclave.cost_model import DEFAULT_COST_MODEL
 from repro.enclave.sgx import SgxMode
 from repro.runtime.fs_shield import FileSystemShield, PathRule, ShieldPolicy
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.vfs import VirtualFileSystem
+from repro.serving import messages
 
 MESSAGE_SIZE = 1 << 20
 REPEATS = 5
@@ -39,6 +44,8 @@ SWEEP_SIZES = {"256b": 256, "16k": 16 << 10, "64k": 64 << 10}
 #: and report them as calls/s too.
 SMALL_CALL_BYTES = 4096
 SMALL_CALLS_PER_REPEAT = 50
+#: One envelope is a few microseconds.
+CODEC_CALLS_PER_REPEAT = 2000
 
 
 def _best_seconds(fn, calls: int = 1) -> float:
@@ -94,6 +101,31 @@ def _aead_size_sweep() -> dict:
     return results
 
 
+def _codec_rates() -> dict:
+    """What one router -> replica hop pays the codec, each way."""
+    envelopes = {
+        "request": messages.encode_request(
+            "client-12/345", bytes(64), deadline=2.0066, fence={"role": "router", "epoch": 3}
+        ),
+        "reply": messages.encode_ok("client-12/345", bytes(64), "replica-2"),
+    }
+    results = {}
+    for label, raw in envelopes.items():
+        value = encoding.decode(raw)
+        for op, fn in (
+            ("encode", lambda: encoding.encode(value)),
+            ("decode", lambda: encoding.decode(raw)),
+        ):
+            seconds = _best_seconds(fn, CODEC_CALLS_PER_REPEAT)
+            results[f"codec_{label}_{op}_us"] = seconds * 1e6
+            results[f"codec_{label}_{op}_calls_s"] = 1.0 / seconds
+    blob = os.urandom(MESSAGE_SIZE)
+    sealed = encoding.encode(blob)
+    results["codec_blob_encode_mb_s"] = _mb_per_s(MESSAGE_SIZE, lambda: encoding.encode(blob))
+    results["codec_blob_decode_mb_s"] = _mb_per_s(MESSAGE_SIZE, lambda: encoding.decode(sealed))
+    return results
+
+
 def _make_shield(cipher: str) -> FileSystemShield:
     vfs = VirtualFileSystem()
     clock = SimClock()
@@ -133,6 +165,7 @@ def _collect() -> dict:
     results = _aead_throughputs()
     results.update(_aead_size_sweep())
     results.update(_shield_throughputs())
+    results.update(_codec_rates())
     return results
 
 
@@ -176,6 +209,24 @@ def test_crypto_dataplane_throughput(benchmark):
         ],
         notes=["the 256 B row is the per-call floor: what a TLS record pays"],
     )
+    print_table(
+        "Canonical codec (fenced serving request, ok reply; 1 MiB blob)",
+        ("message", "encode us", "decode us", "encode calls/s", "decode calls/s"),
+        [
+            (
+                label,
+                f"{results[f'codec_{label}_encode_us']:.2f}",
+                f"{results[f'codec_{label}_decode_us']:.2f}",
+                f"{results[f'codec_{label}_encode_calls_s']:.0f}",
+                f"{results[f'codec_{label}_decode_calls_s']:.0f}",
+            )
+            for label in ("request", "reply")
+        ],
+        notes=[
+            f"1 MiB bytes: encode {results['codec_blob_encode_mb_s']:.0f} MB/s, "
+            f"decode {results['codec_blob_decode_mb_s']:.0f} MB/s",
+        ],
+    )
     record(benchmark, **results)
     # No entry overwritten without its predecessor kept (ROADMAP).
     previous = load_bench("crypto_dataplane")
@@ -195,6 +246,11 @@ def test_crypto_dataplane_throughput(benchmark):
     assert results["chacha20-poly1305_encrypt_256b_calls_s"] >= 1000.0
     assert results["aes-256-gcm_encrypt_mb_s"] >= 10.0
     assert results["aes-128-gcm_encrypt_mb_s"] >= 10.0
+    # Exact-type dispatch, not the nine-way isinstance ladder (~105k and
+    # ~90k calls/s here); tests/perf/test_codec_perf_smoke.py holds the
+    # tighter floors.
+    assert results["codec_request_encode_calls_s"] >= 130_000
+    assert results["codec_request_decode_calls_s"] >= 100_000
     # The warm read path must beat the cold one — that's the cache.
     for cipher in CIPHERS:
         assert (

@@ -12,10 +12,13 @@ seed is public in tests.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from typing import Optional
 
 import numpy as np
+
+_INF = math.inf
 
 
 class DeterministicRng:
@@ -61,7 +64,16 @@ class DeterministicRng:
         return DeterministicRng(self._derive_int(f"child|{label}"), label=label)
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return float(self._numpy.uniform(low, high))
+        """One draw from ``[low, high)``: the float ``Generator.uniform``
+        returns for the same state (it computes this expression in C
+        after some microseconds of array-argument handling), and its
+        errors for a range it refuses."""
+        span = high - low
+        if not 0.0 <= span < _INF:
+            if -_INF < span < 0.0:
+                raise ValueError("high - low < 0")
+            raise OverflowError("high - low range exceeds valid bounds")
+        return low + span * self._numpy.random()
 
     def randint(self, low: int, high: Optional[int] = None) -> int:
         return int(self._numpy.integers(low, high))

@@ -17,6 +17,7 @@ queries, fed by the tracer's charge/span hooks.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Dict, List, Optional, Tuple
 
 
@@ -110,8 +111,9 @@ class WindowedHistogram:
     lifetime p99: a cold-start spike an hour ago must not inflate hedge
     delays forever.  A ring buffer of the last ``window`` raw values
     gives a sliding-window estimate that adapts as the distribution
-    moves, at O(window log window) per percentile query — fine at the
-    scales the simulator runs.
+    moves.  The router asks for a percentile on every request it
+    routes, so the window is also kept in sorted order as values arrive
+    and leave: a query is an index, an observation two bisections.
     """
 
     def __init__(self, name: str, window: int = 256) -> None:
@@ -121,6 +123,7 @@ class WindowedHistogram:
         self.window = window
         self._values: List[float] = []
         self._head = 0  # next write slot once the window is full
+        self._ordered: List[float] = []  # the same values, ascending
         self.count = 0  # lifetime observations, not window occupancy
         self.sum = 0.0  # lifetime sum
 
@@ -128,8 +131,11 @@ class WindowedHistogram:
         if len(self._values) < self.window:
             self._values.append(value)
         else:
+            evicted = self._values[self._head]
+            del self._ordered[bisect_left(self._ordered, evicted)]
             self._values[self._head] = value
             self._head = (self._head + 1) % self.window
+        insort(self._ordered, value)
         self.count += 1
         self.sum += value
 
@@ -146,9 +152,9 @@ class WindowedHistogram:
         yet" and fall back to their configured floor)."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100]: {q}")
-        if not self._values:
+        ordered = self._ordered
+        if not ordered:
             return 0.0
-        ordered = sorted(self._values)
         rank = max(0, min(len(ordered) - 1, int(q / 100.0 * len(ordered) + 0.5) - 1))
         return ordered[rank]
 

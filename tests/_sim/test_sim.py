@@ -71,6 +71,39 @@ def test_rng_choice_and_validation():
         rng.random_bytes(-1)
 
 
+def test_rng_uniform_is_generator_uniform_bit_for_bit():
+    """``uniform`` computes ``Generator.uniform``'s expression itself;
+    the twin below still calls numpy, from the same derived seed, with
+    the other draw kinds interleaved so a shifted stream would show."""
+    rng = DeterministicRng(seed=9, label="uniform")
+    twin = DeterministicRng(seed=9, label="uniform").numpy
+    ranges = [(0.0, 1.0), (-1.0, 1.0), (0.0, 0.037), (2.5e-7, 1e9), (0, 3), (5.0, 5.0)]
+    for draw in range(100_000):
+        low, high = ranges[draw % len(ranges)]
+        got = rng.uniform(low, high)
+        assert type(got) is float
+        assert got == float(twin.uniform(low, high))
+        if draw % 7 == 0:
+            assert rng.randint(0, 1000) == int(twin.integers(0, 1000))
+        if draw % 11 == 0:
+            assert rng.choice("abcdef") == "abcdef"[int(twin.integers(0, 6))]
+    assert rng.uniform() == float(twin.uniform())
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(0.0, float("inf")), (-1e308, 1e308), (float("nan"), 1.0), (float("-inf"), 0.0),
+     (1.0, 0.0)],
+)
+def test_rng_uniform_refuses_what_generator_uniform_refuses(low, high):
+    with pytest.raises((OverflowError, ValueError)) as refused:
+        DeterministicRng(1).numpy.uniform(low, high)
+    rng = DeterministicRng(1)
+    with pytest.raises(refused.type, match=str(refused.value)):
+        rng.uniform(low, high)
+    assert rng.uniform() == DeterministicRng(1).uniform()  # no draw was spent
+
+
 def test_trace_spans_and_breakdown():
     clock = SimClock()
     trace = EventTrace(clock)

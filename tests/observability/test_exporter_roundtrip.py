@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import re
 
+import random
+
 import pytest
 
 from repro._sim import probe
@@ -182,6 +184,26 @@ class TestWindowedHistogramEdges:
             hist.percentile(-1)
         with pytest.raises(ValueError):
             hist.percentile(101)
+
+
+    @pytest.mark.parametrize("window", [1, 2, 7, 256])
+    def test_sorted_mirror_matches_a_sorted_window(self, window):
+        """The oracle is the rule the mirror replaced: sort the last
+        ``window`` observations and index.  Values come from a small
+        grid so most steps insert or evict a duplicate, and 10^4 steps
+        wrap every window many times."""
+        rng = random.Random(window)
+        hist = WindowedHistogram("h", window=window)
+        recent = []
+        for step in range(10_000):
+            value = rng.choice((0.0, -0.0, 0.125)) if step % 3 else rng.randrange(40) / 8.0
+            hist.observe(value)
+            recent = (recent + [value])[-window:]
+            ordered = sorted(recent)
+            q = rng.choice((0, 1, 50, 90, 99, 100, rng.uniform(0, 100)))
+            rank = max(0, min(len(ordered) - 1, int(q / 100.0 * len(ordered) + 0.5) - 1))
+            assert hist.percentile(q) == ordered[rank]
+            assert len(hist) == len(recent)
 
 
 class TestSamplerRealignment:
