@@ -12,8 +12,11 @@ per-call floor matters as much as the large-message rate: the AEADs are
 also swept over message sizes, and the 256-byte row is reported as
 calls/s.  The canonical codec under every envelope is priced the same
 way (``codec_*``): a fenced serving request and its ``ok`` reply in
-microseconds and calls/s, a 1 MiB blob in MB/s.  Each run keeps the
-section it replaces under ``previous``.
+microseconds and calls/s, a 1 MiB blob in MB/s.  What the fs shield
+actually issues — one ``seal_many`` / ``open_many`` over a file's
+chunks — is timed as a 9 x 64 KiB batch, and Poly1305 alone at a chunk
+and at 1 MiB.  Each run keeps the section it replaces under
+``previous``.
 
 Seed baseline for reference: AES-GCM ~0.2 MB/s (bigint GHASH, serial
 CTR), ChaCha20-Poly1305 ~22 MB/s (serial bigint Poly1305).
@@ -27,6 +30,7 @@ from harness import load_bench, print_table, record, run_once, save_bench
 from repro._sim import SimClock
 from repro.crypto import encoding
 from repro.crypto.aead import get_aead
+from repro.crypto.chacha import poly1305_mac
 from repro.enclave.cost_model import DEFAULT_COST_MODEL
 from repro.enclave.sgx import SgxMode
 from repro.runtime.fs_shield import FileSystemShield, PathRule, ShieldPolicy
@@ -46,6 +50,9 @@ SMALL_CALL_BYTES = 4096
 SMALL_CALLS_PER_REPEAT = 50
 #: One envelope is a few microseconds.
 CODEC_CALLS_PER_REPEAT = 2000
+#: A file as the fs shield seals it: one batch of 64 KiB chunks.
+BATCH_CHUNKS = 9
+CHUNK_SIZE = 64 << 10
 
 
 def _best_seconds(fn, calls: int = 1) -> float:
@@ -98,6 +105,30 @@ def _aead_size_sweep() -> dict:
                 results[f"{cipher}_{op}_{label}_mb_s"] = size / seconds / 1e6
                 if small:
                     results[f"{cipher}_{op}_{label}_calls_s"] = 1.0 / seconds
+    return results
+
+
+def _batch_and_mac_rates() -> dict:
+    """One file's chunks as one batch, and the authenticator by itself."""
+    aead = get_aead("chacha20-poly1305", os.urandom(32))
+    nonces = [bytes([index]) * 12 for index in range(BATCH_CHUNKS)]
+    chunks = [os.urandom(CHUNK_SIZE) for _ in range(BATCH_CHUNKS)]
+    aads = [b"chunk-%d" % index for index in range(BATCH_CHUNKS)]
+    sealed = aead.seal_many(nonces, chunks, aads)
+    n_bytes = BATCH_CHUNKS * CHUNK_SIZE
+    results = {
+        "chacha20-poly1305_seal_many_9x64k_mb_s": _mb_per_s(
+            n_bytes, lambda: aead.seal_many(nonces, chunks, aads)
+        ),
+        "chacha20-poly1305_open_many_9x64k_mb_s": _mb_per_s(
+            n_bytes, lambda: aead.open_many(nonces, sealed, aads)
+        ),
+    }
+    key = os.urandom(32)
+    for label, size, calls in (("64k", CHUNK_SIZE, 20), ("1m", MESSAGE_SIZE, 2)):
+        message = os.urandom(size)
+        seconds = _best_seconds(lambda: poly1305_mac(key, message), calls)
+        results[f"poly1305_{label}_mb_s"] = size / seconds / 1e6
     return results
 
 
@@ -164,6 +195,7 @@ def _shield_throughputs() -> dict:
 def _collect() -> dict:
     results = _aead_throughputs()
     results.update(_aead_size_sweep())
+    results.update(_batch_and_mac_rates())
     results.update(_shield_throughputs())
     results.update(_codec_rates())
     return results
@@ -210,6 +242,19 @@ def test_crypto_dataplane_throughput(benchmark):
         notes=["the 256 B row is the per-call floor: what a TLS record pays"],
     )
     print_table(
+        "What the fs shield issues: one batch per file (ChaCha20-Poly1305, MB/s)",
+        ("seal_many 9 x 64 KiB", "open_many 9 x 64 KiB", "Poly1305 64 KiB", "Poly1305 1 MiB"),
+        [
+            (
+                f"{results['chacha20-poly1305_seal_many_9x64k_mb_s']:.1f}",
+                f"{results['chacha20-poly1305_open_many_9x64k_mb_s']:.1f}",
+                f"{results['poly1305_64k_mb_s']:.0f}",
+                f"{results['poly1305_1m_mb_s']:.0f}",
+            )
+        ],
+        notes=["per-chunk passes (PR 15): ~70 MB/s batch, Poly1305 ~165 / ~300 MB/s"],
+    )
+    print_table(
         "Canonical codec (fenced serving request, ok reply; 1 MiB blob)",
         ("message", "encode us", "decode us", "encode calls/s", "decode calls/s"),
         [
@@ -244,6 +289,12 @@ def test_crypto_dataplane_throughput(benchmark):
     # not fall back to the ~4 ms/call dispatch floor (16 MB/s, 400/s).
     assert results["chacha20-poly1305_encrypt_64k_mb_s"] >= 25.0
     assert results["chacha20-poly1305_encrypt_256b_calls_s"] >= 1000.0
+    # One pass per file, not per chunk; tests/perf/test_crypto_perf_smoke.py
+    # holds the floors that separate the two.
+    assert (
+        results["chacha20-poly1305_seal_many_9x64k_mb_s"]
+        > results["chacha20-poly1305_encrypt_64k_mb_s"]
+    )
     assert results["aes-256-gcm_encrypt_mb_s"] >= 10.0
     assert results["aes-128-gcm_encrypt_mb_s"] >= 10.0
     # Exact-type dispatch, not the nine-way isinstance ladder (~105k and

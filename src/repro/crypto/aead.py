@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from typing import Dict, Protocol, Tuple, Type
+from typing import Dict, List, Protocol, Sequence, Tuple, Type
 
 from repro.crypto.chacha import ChaCha20Poly1305
 from repro.crypto.gcm import AesGcm
@@ -32,6 +32,19 @@ class Aead(Protocol):
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes: ...
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes: ...
+
+    def seal_many(
+        self, nonces: Sequence[bytes], plaintexts: Sequence[bytes], aads: Sequence[bytes]
+    ) -> List[bytes]:
+        """``[encrypt(n, p, a), ...]``; refuses a nonce repeated in the batch."""
+        ...
+
+    def open_many(
+        self, nonces: Sequence[bytes], sealed: Sequence[bytes], aads: Sequence[bytes]
+    ) -> List[bytes]:
+        """``[decrypt(n, s, a), ...]``, all verified before any is released;
+        an :class:`~repro.errors.IntegrityError` carries the ``position``."""
+        ...
 
 
 _CIPHERS: Dict[str, Type] = {

@@ -16,7 +16,7 @@ test suite checks the table paths against.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -236,3 +236,28 @@ class AesGcm:
         if not ct_eq(expected, tag):
             raise IntegrityError("GCM tag verification failed")
         return self._aes.encrypt_ctr(nonce, ciphertext, initial_counter=2)
+
+    def seal_many(
+        self, nonces: Sequence[bytes], plaintexts: Sequence[bytes], aads: Sequence[bytes]
+    ) -> List[bytes]:
+        """Per-item :meth:`encrypt`; a nonce repeated in the batch is refused."""
+        if not len(nonces) == len(plaintexts) == len(aads):
+            raise ValueError("seal_many needs one nonce and one aad per plaintext")
+        if len(set(nonces)) != len(nonces):
+            raise ValueError("nonce repeated within one seal_many batch")
+        return [self.encrypt(*item) for item in zip(nonces, plaintexts, aads)]
+
+    def open_many(
+        self, nonces: Sequence[bytes], sealed: Sequence[bytes], aads: Sequence[bytes]
+    ) -> List[bytes]:
+        """Per-item :meth:`decrypt`; a failure carries its ``position`` and
+        no plaintext of the batch is returned."""
+        if not len(nonces) == len(sealed) == len(aads):
+            raise ValueError("open_many needs one nonce and one aad per sealed message")
+        plaintexts = []
+        for position, item in enumerate(zip(nonces, sealed, aads)):
+            try:
+                plaintexts.append(self.decrypt(*item))
+            except IntegrityError as exc:
+                raise IntegrityError(*exc.args, position=position) from exc
+        return plaintexts

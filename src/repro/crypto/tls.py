@@ -98,16 +98,16 @@ class RecordLayer:
         #: Negotiated cipher name (for per-cipher accounting upstream).
         self.cipher = cipher
         self._send_aead = get_aead(cipher, send[0])
-        self._send_iv = send[1]
+        self._send_iv = int.from_bytes(send[1], "big")
         self._recv_aead = get_aead(cipher, recv[0])
-        self._recv_iv = recv[1]
+        self._recv_iv = int.from_bytes(recv[1], "big")
         self._send_seq = 0
         self._recv_seq = 0
 
     @staticmethod
-    def _nonce(iv: bytes, seq: int) -> bytes:
-        seq_bytes = struct.pack(">Q", seq).rjust(12, b"\x00")
-        return bytes(a ^ b for a, b in zip(iv, seq_bytes))
+    def _nonce(iv: int, seq: int) -> bytes:
+        """The 12-byte IV XOR the 64-bit sequence number, right-aligned."""
+        return (iv ^ seq).to_bytes(12, "big")
 
     def protect(self, plaintext: bytes) -> bytes:
         header = struct.pack(">BI", 0x17, len(plaintext))

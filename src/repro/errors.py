@@ -9,6 +9,8 @@ silently tolerated — tests assert these exact exception types.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for all errors raised by this library."""
@@ -23,7 +25,15 @@ class SecurityError(ReproError):
 
 
 class IntegrityError(SecurityError):
-    """Authenticated data failed verification (MAC/tag/measurement)."""
+    """Authenticated data failed verification (MAC/tag/measurement).
+
+    ``position`` names the failing message when a batch was verified as
+    one (``Aead.open_many``); it is ``None`` everywhere else.
+    """
+
+    def __init__(self, *args: object, position: Optional[int] = None) -> None:
+        super().__init__(*args)
+        self.position = position
 
 
 class AttestationError(SecurityError):

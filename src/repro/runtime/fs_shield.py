@@ -51,7 +51,7 @@ import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
@@ -59,7 +59,13 @@ from repro.crypto import encoding
 from repro.crypto.aead import get_aead
 from repro.crypto.kdf import hkdf
 from repro.enclave.cost_model import CostModel
-from repro.errors import FreshnessError, IntegrityError, ShieldError, SyscallError
+from repro.errors import (
+    FreshnessError,
+    IagoError,
+    IntegrityError,
+    ShieldError,
+    SyscallError,
+)
 from repro.runtime import stats_registry
 from repro.runtime.syscall import SyscallInterface
 
@@ -77,6 +83,9 @@ _MANIFEST_MAC_INFO = b"securetf-fs-manifest"
 # Decrypted chunks cached per shield, capped in bytes (not entries) so a
 # few huge model files can't pin unbounded plaintext.
 DEFAULT_CHUNK_CACHE_BYTES = 8 * 1024 * 1024
+
+#: File versions fill the 32-bit field of the chunk nonce.
+_VERSION_LIMIT = 1 << 32
 
 
 class ShieldPolicy(enum.Enum):
@@ -242,6 +251,9 @@ class FileSystemShield:
 
     @staticmethod
     def _chunk_nonce(version: int, index: int) -> bytes:
+        # 32 bits of version: write_file refuses to seal past them.  On
+        # a read a larger (host-supplied) version only picks a nonce that
+        # cannot verify, because the AAD binds the version in full.
         return struct.pack(">IQ", version & 0xFFFFFFFF, index)
 
     def _charge_crypto(self, simulated_bytes: int, n_chunks: int) -> None:
@@ -305,46 +317,88 @@ class FileSystemShield:
     def _protect_chunks(
         self, path: str, policy: ShieldPolicy, version: int, chunks: List[bytes]
     ) -> Tuple[List[bytes], str]:
-        protected: List[bytes] = []
+        aads = [
+            self._aad(path, policy, version, index, len(chunks))
+            for index in range(len(chunks))
+        ]
         if policy is ShieldPolicy.ENCRYPT:
             aead = get_aead(self._cipher, self._file_key(path))
-            for index, chunk in enumerate(chunks):
-                aad = self._aad(path, policy, version, index, len(chunks))
-                protected.append(
-                    aead.encrypt(self._chunk_nonce(version, index), chunk, aad)
-                )
-                self.stats.chunks_sealed += 1
-            return protected, self._cipher
-        # AUTHENTICATE: plaintext chunks, keyed digests alongside
-        key = self._file_key(path)
-        for index, chunk in enumerate(chunks):
-            aad = self._aad(path, policy, version, index, len(chunks))
-            mac = hashlib.sha256(key + aad + chunk).digest()
-            protected.append(mac + chunk)
-            self.stats.chunks_sealed += 1
-        return protected, "sha256-auth"
+            nonces = [self._chunk_nonce(version, index) for index in range(len(chunks))]
+            protected, crypto_label = aead.seal_many(nonces, chunks, aads), self._cipher
+        else:  # AUTHENTICATE: plaintext chunks, keyed digests alongside
+            key = self._file_key(path)
+            protected = [
+                hashlib.sha256(key + aad + chunk).digest() + chunk
+                for aad, chunk in zip(aads, chunks)
+            ]
+            crypto_label = "sha256-auth"
+        self.stats.chunks_sealed += len(chunks)
+        return protected, crypto_label
 
-    def _open_chunk(
+    def _open_chunks(
         self,
         path: str,
         policy: ShieldPolicy,
         version: int,
-        index: int,
+        digest: bytes,
         n_chunks: int,
-        protected: bytes,
         cipher: str,
-    ) -> bytes:
-        """Verify and open one protected chunk (raises IntegrityError)."""
-        aad = self._aad(path, policy, version, index, n_chunks)
+        load: Callable[[int], Tuple[bytes, List[int]]],
+    ) -> List[bytes]:
+        """Every chunk's plaintext, from the cache where it is there.
+
+        The rest are fetched with ``load(index) -> (protected chunk,
+        damaged replicas)`` and opened as **one** batch — every chunk
+        authenticates before any plaintext exists — and only then
+        self-healed, counted and cached.  Raises ShieldError naming the
+        first chunk that fails.
+        """
+        parts: List[Optional[bytes]] = []
+        pending: List[Tuple[int, bytes, List[int]]] = []
+        started = time.perf_counter()
+        for index in range(n_chunks):
+            cached = self._chunk_cache_get(path, version, digest, index)
+            parts.append(cached)
+            if cached is None:
+                pending.append((index, *load(index)))
+        if not pending:
+            return parts
+        aads = [self._aad(path, policy, version, index, n_chunks) for index, _, _ in pending]
+        blobs = [blob for _, blob, _ in pending]
         if policy is ShieldPolicy.ENCRYPT:
             aead = get_aead(cipher, self._file_key(path))
-            return aead.decrypt(self._chunk_nonce(version, index), protected, aad)
-        if len(protected) < 32:
-            raise IntegrityError(f"chunk {index} of {path!r} truncated")
-        mac, body = protected[:32], protected[32:]
-        if hashlib.sha256(self._file_key(path) + aad + body).digest() != mac:
-            raise IntegrityError(f"chunk {index} of {path!r} failed authentication")
-        return body
+            nonces = [self._chunk_nonce(version, index) for index, _, _ in pending]
+            try:
+                opened = aead.open_many(nonces, blobs, aads)
+            except IntegrityError as exc:
+                raise ShieldError(
+                    f"chunk {pending[exc.position][0]} of {path!r} failed authentication"
+                ) from exc
+            crypto_label = cipher
+        else:
+            key = self._file_key(path)
+            opened = []
+            for (index, blob, _), aad in zip(pending, aads):
+                if len(blob) < 32:
+                    raise ShieldError(f"chunk {index} of {path!r} truncated")
+                mac, body = blob[:32], blob[32:]
+                if hashlib.sha256(key + aad + body).digest() != mac:
+                    raise ShieldError(f"chunk {index} of {path!r} failed authentication")
+                opened.append(body)
+            crypto_label = "sha256-auth"
+        real_bytes = 0
+        for (index, blob, damaged), part in zip(pending, opened):
+            if damaged:  # self-heal: rewrite every damaged copy
+                self._repair_replicas(path, version, index, damaged, blob)
+            parts[index] = part
+            real_bytes += len(part)
+            self.stats.chunks_opened += 1
+            self._chunk_cache_put(path, version, digest, index, part)
+        if real_bytes:
+            self._account_real_crypto(
+                crypto_label, real_bytes, time.perf_counter() - started
+            )
+        return parts
 
     # ------------------------------------------------------------------
     # Write path
@@ -366,6 +420,14 @@ class FileSystemShield:
         version = max(
             self._syscalls.next_version(path), self._versions.get(path, -1) + 1
         )
+        if version >= _VERSION_LIMIT:
+            # The chunk nonce carries 32 bits of version: a kernel that
+            # answers v + 2^32 would have generation v's (key, nonce)
+            # pairs seal new plaintext.
+            raise IagoError(
+                f"file version {version} for {path!r} does not fit the "
+                f"32-bit nonce field"
+            )
         self._versions[path] = version
 
         if policy is ShieldPolicy.PASSTHROUGH:
@@ -432,7 +494,7 @@ class FileSystemShield:
             envelope = encoding.decode(file.content)
         except IntegrityError as exc:
             raise ShieldError(f"corrupt shield envelope for {path!r}") from exc
-        if isinstance(envelope, dict) and "mac" in envelope and "body" in envelope:
+        if self._is_manifest(envelope):
             return self._read_journaled(path, file, policy, envelope)
         for field in ("policy", "version", "cipher", "chunk_size", "plaintext_size", "chunks"):
             if field not in envelope:
@@ -452,56 +514,10 @@ class FileSystemShield:
         if self._freshness is not None:
             self._freshness.verify(path, version, digest)
 
-        plaintext_parts: List[bytes] = []
-        real_bytes = 0
-        started = time.perf_counter()
-        if policy is ShieldPolicy.ENCRYPT:
-            aead = None
-            for index, chunk in enumerate(chunks):
-                cached = self._chunk_cache_get(path, version, digest, index)
-                if cached is not None:
-                    plaintext_parts.append(cached)
-                    continue
-                if aead is None:
-                    aead = get_aead(envelope["cipher"], self._file_key(path))
-                aad = self._aad(path, policy, version, index, len(chunks))
-                try:
-                    part = aead.decrypt(self._chunk_nonce(version, index), chunk, aad)
-                except IntegrityError as exc:
-                    raise ShieldError(
-                        f"chunk {index} of {path!r} failed authentication"
-                    ) from exc
-                plaintext_parts.append(part)
-                real_bytes += len(part)
-                self.stats.chunks_opened += 1
-                self._chunk_cache_put(path, version, digest, index, part)
-            crypto_label = envelope["cipher"]
-        else:
-            key = None
-            for index, chunk in enumerate(chunks):
-                cached = self._chunk_cache_get(path, version, digest, index)
-                if cached is not None:
-                    plaintext_parts.append(cached)
-                    continue
-                if len(chunk) < 32:
-                    raise ShieldError(f"chunk {index} of {path!r} truncated")
-                mac, body = chunk[:32], chunk[32:]
-                if key is None:
-                    key = self._file_key(path)
-                aad = self._aad(path, policy, version, index, len(chunks))
-                if hashlib.sha256(key + aad + body).digest() != mac:
-                    raise ShieldError(
-                        f"chunk {index} of {path!r} failed authentication"
-                    )
-                plaintext_parts.append(body)
-                real_bytes += len(body)
-                self.stats.chunks_opened += 1
-                self._chunk_cache_put(path, version, digest, index, body)
-            crypto_label = "sha256-auth"
-        if real_bytes:
-            self._account_real_crypto(
-                crypto_label, real_bytes, time.perf_counter() - started
-            )
+        plaintext_parts = self._open_chunks(
+            path, policy, version, digest, len(chunks), envelope["cipher"],
+            lambda index: (chunks[index], []),
+        )
 
         plaintext = b"".join(plaintext_parts)
         if len(plaintext) != envelope["plaintext_size"]:
@@ -524,16 +540,13 @@ class FileSystemShield:
             self._file_key(path) + _MANIFEST_MAC_INFO + body_bytes
         ).digest()
 
-    def _decode_manifest(self, path: str, raw: bytes) -> Optional[dict]:
-        """Decode + authenticate a journal manifest; None when ``raw`` is
-        not a journal manifest at all; IntegrityError when it is one but
-        fails authentication or is malformed."""
-        try:
-            envelope = encoding.decode(raw)
-        except IntegrityError:
-            return None
-        if not isinstance(envelope, dict) or "mac" not in envelope or "body" not in envelope:
-            return None
+    @staticmethod
+    def _is_manifest(envelope: object) -> bool:
+        return isinstance(envelope, dict) and "mac" in envelope and "body" in envelope
+
+    def _manifest_body(self, path: str, envelope: dict) -> dict:
+        """Authenticate a decoded journal manifest and return its body;
+        IntegrityError when the MAC fails or the body is malformed."""
         body_bytes = envelope["body"]
         if envelope["mac"] != self._manifest_mac(path, body_bytes):
             raise IntegrityError(f"manifest of {path!r} failed authentication")
@@ -547,6 +560,18 @@ class FileSystemShield:
         if len(body["chunk_digests"]) != body["n_chunks"]:
             raise IntegrityError(f"manifest of {path!r} has inconsistent geometry")
         return body
+
+    def _decode_manifest(self, path: str, raw: bytes) -> Optional[dict]:
+        """Decode + authenticate a journal manifest; None when ``raw`` is
+        not a journal manifest at all; IntegrityError when it is one but
+        fails authentication or is malformed."""
+        try:
+            envelope = encoding.decode(raw)
+        except IntegrityError:
+            return None
+        if not self._is_manifest(envelope):
+            return None
+        return self._manifest_body(path, envelope)
 
     def _write_journaled(
         self,
@@ -655,11 +680,7 @@ class FileSystemShield:
     def _read_journaled(
         self, path: str, file, policy: ShieldPolicy, envelope: dict
     ) -> bytes:
-        body_bytes = envelope["body"]
-        if envelope["mac"] != self._manifest_mac(path, body_bytes):
-            raise IntegrityError(f"manifest of {path!r} failed authentication")
-        body = self._decode_manifest(path, file.content)
-        assert body is not None
+        body = self._manifest_body(path, envelope)
         if body["policy"] != policy.value:
             raise ShieldError(
                 f"policy mismatch for {path!r}: stored {body['policy']!r}, "
@@ -674,14 +695,7 @@ class FileSystemShield:
         if self._freshness is not None:
             self._freshness.verify(path, version, digest)
 
-        plaintext_parts: List[bytes] = []
-        real_bytes = 0
-        started = time.perf_counter()
-        for index in range(n_chunks):
-            cached = self._chunk_cache_get(path, version, digest, index)
-            if cached is not None:
-                plaintext_parts.append(cached)
-                continue
+        def load(index: int) -> Tuple[bytes, List[int]]:
             blob, damaged = self._load_chunk_replicas(
                 path, version, index, body["replicas"], body["chunk_digests"][index]
             )
@@ -689,21 +703,11 @@ class FileSystemShield:
                 raise IntegrityError(
                     f"chunk {index} of {path!r}: no intact replica remains"
                 )
-            part = self._open_chunk(
-                path, policy, version, index, n_chunks, blob, body["cipher"]
-            )
-            if damaged:  # self-heal: rewrite every damaged copy
-                self._repair_replicas(path, version, index, damaged, blob)
-            plaintext_parts.append(part)
-            real_bytes += len(part)
-            self.stats.chunks_opened += 1
-            self._chunk_cache_put(path, version, digest, index, part)
-        if real_bytes:
-            self._account_real_crypto(
-                body["cipher"] if policy is ShieldPolicy.ENCRYPT else "sha256-auth",
-                real_bytes,
-                time.perf_counter() - started,
-            )
+            return blob, damaged
+
+        plaintext_parts = self._open_chunks(
+            path, policy, version, digest, n_chunks, body["cipher"], load
+        )
 
         plaintext = b"".join(plaintext_parts)
         if len(plaintext) != body["plaintext_size"]:

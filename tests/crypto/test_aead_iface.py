@@ -121,3 +121,27 @@ def test_cached_ciphers_are_nonce_stateless():
     sealed = k1.seal(b"one")
     assert k2.open(sealed) == b"one"
     assert k2.messages_sealed == 0
+
+
+@pytest.mark.parametrize("cipher", ["chacha20-poly1305", "aes-256-gcm", "aes-128-gcm"])
+def test_batch_calls_equal_the_per_message_calls(cipher):
+    aead = get_aead(cipher, bytes(range(key_size(cipher))))
+    nonces = [bytes([i]) * 12 for i in range(4)]
+    plaintexts = [b"", b"x", b"chunk " * 40, bytes(range(256)) * 20]
+    aads = [b"", b"a", b"", b"index-3"]
+    sealed = aead.seal_many(nonces, plaintexts, aads)
+    assert sealed == [aead.encrypt(*item) for item in zip(nonces, plaintexts, aads)]
+    assert aead.open_many(nonces, sealed, aads) == plaintexts
+
+    broken = list(sealed)
+    broken[2] = broken[2][:-1] + bytes([broken[2][-1] ^ 1])
+    with pytest.raises(IntegrityError) as failure:
+        aead.open_many(nonces, broken, aads)
+    assert failure.value.position == 2
+
+    with pytest.raises(ValueError, match="nonce repeated"):
+        aead.seal_many([nonces[0], nonces[0]], [b"a", b"b"], [b"", b""])
+    with pytest.raises(ValueError, match="one nonce and one aad"):
+        aead.seal_many(nonces, plaintexts, aads[:-1])
+    with pytest.raises(ValueError, match="one nonce and one aad"):
+        aead.open_many(nonces[:-1], sealed, aads)

@@ -5,6 +5,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import chacha
 from repro.crypto.chacha import (
     ChaCha20Poly1305,
     chacha20_keystream,
@@ -242,7 +243,7 @@ def test_encrypt_equals_hand_composition(key, nonce, aad, plaintext):
 
 
 def test_encrypt_equals_hand_composition_on_a_shield_chunk():
-    # 64 KiB is what the fs shield seals; its tag takes the folding path.
+    # 64 KiB is what the fs shield seals; its tag takes the bulk path.
     key = bytes((i * 7 + 3) % 256 for i in range(32))
     plaintext = bytes((i * 13 + 5) % 256 for i in range(65536))
     sealed = ChaCha20Poly1305(key).encrypt(b"\x09" * 12, plaintext, b"chunk-3")
@@ -284,14 +285,14 @@ def test_poly1305_fast_matches_reference(length):
     key = bytes((i * 11 + 2) % 256 for i in range(32))
     message = bytes((i * 5 + 1) % 256 for i in range(length))
     assert poly1305_mac(key, message) == poly1305_mac_reference(key, message)
-    # Force the folding bulk path even on short inputs.
+    # Force the bulk path even on short inputs.
     assert poly1305_mac(key, message, _min_blocks=4) == (
         poly1305_mac_reference(key, message)
     )
 
 
 def test_poly1305_fast_degenerate_r_zero():
-    # r clamps to zero: every power the fold multiplies by is zero too.
+    # r clamps to zero: every power in the matrix is zero too.
     key = b"\x00" * 16 + bytes(range(16))
     message = b"\xaa" * 5000
     assert poly1305_mac(key, message, _min_blocks=4) == (
@@ -307,8 +308,8 @@ def test_poly1305_equivalence_property(message, key):
     )
 
 
-# Full-block counts where a fold changes shape: at and around the stop
-# width (8), odd counts at the first and at later folds, powers of two.
+# Full-block counts where the retired halving fold changed shape (its
+# stop width was 8); kept as plain equivalence points.
 _FOLD_EDGES = [1, 7, 8, 9, 10, 15, 16, 17, 18, 19, 31, 33, 37, 63, 64, 65, 100, 255, 257, 1001]
 
 
@@ -332,3 +333,56 @@ def test_poly1305_fold_with_saturated_r():
     assert poly1305_mac(key, message, _min_blocks=1) == (
         poly1305_mac_reference(key, message)
     )
+
+
+# ---------------------------------------------------------------------------
+# The matrix-product evaluator: where its shape changes
+# ---------------------------------------------------------------------------
+
+_B = chacha._GROUP_BLOCKS
+_SLAB = chacha._GROUP_BLOCKS * chacha._SLAB_GROUPS
+_BULK = chacha._BULK_MIN_BLOCKS
+# Around one group (fewer blocks than a group stay serial; more leave a
+# serial remainder behind the product), two groups, one slab of groups
+# (one more is a second product), two slabs, and the threshold below
+# which poly1305_mac stays serial.
+_GROUP_EDGES = sorted(
+    {1, 2}
+    | {edge + d for edge in (_B, 2 * _B, _SLAB, 2 * _SLAB, _BULK) for d in (-1, 0, 1)}
+    | {_SLAB + _B - 1, _SLAB + _B + 1}
+)
+
+#: The largest column sum one group can produce: 8 limb products per
+#: block land on a column, each below (2^16 - 1)^2.
+MAX_COLUMN_SUM = 8 * _B * 0xFFFF * 0xFFFF
+
+
+def test_poly1305_group_sums_stay_exact():
+    # Exact in float64 whatever order BLAS adds in ...
+    assert MAX_COLUMN_SUM < 2**42 < 2**53
+    # ... and two columns pair into one uint64 field without overflow.
+    assert MAX_COLUMN_SUM + (MAX_COLUMN_SUM << 16) < 2**64
+    assert (_B, chacha._SLAB_GROUPS, _BULK) == (64, 64, 128)
+
+
+@pytest.mark.parametrize("n_blocks", _GROUP_EDGES)
+@pytest.mark.parametrize("tail", [0, 1, 15])
+@pytest.mark.parametrize("saturated", [False, True], ids=["ramp", "all-ones"])
+def test_poly1305_group_edges(n_blocks, tail, saturated):
+    key = bytes((i * 29 + 7) % 256 for i in range(32))
+    length = n_blocks * 16 + tail
+    message = b"\xff" * length if saturated else bytes((i * 31 + 11) % 256 for i in range(length))
+    expected = poly1305_mac_reference(key, message)
+    assert poly1305_mac(key, message, _min_blocks=1) == expected
+    assert poly1305_mac(key, message) == expected  # serial below the threshold
+
+
+@pytest.mark.parametrize("n_blocks", [_B - 1, _B, 3 * _B + 5, _SLAB + 1])
+def test_poly1305_groups_with_extreme_r(n_blocks):
+    message = b"\xff" * (16 * n_blocks + 15)
+    # r clamped to zero, and the largest clamped r (every limb of every
+    # power as large as the clamp and the modulus allow).
+    for key in (b"\x00" * 16 + bytes(range(16)), b"\xff" * 32):
+        assert poly1305_mac(key, message, _min_blocks=1) == (
+            poly1305_mac_reference(key, message)
+        )

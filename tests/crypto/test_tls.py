@@ -1,11 +1,14 @@
 """The TLS-1.3-shaped channel: handshakes, auth, record protection."""
 
+import struct
+
 import pytest
 
 from repro._sim import DeterministicRng
 from repro.crypto.certs import CertificateAuthority
 from repro.crypto.ed25519 import Ed25519PrivateKey
 from repro.crypto.tls import (
+    RecordLayer,
     TlsClient,
     TlsIdentity,
     TlsServer,
@@ -193,3 +196,13 @@ def test_insufficient_randomness_rejected(ca, rng):
     identity = make_identity(ca, rng, "s")
     with pytest.raises(HandshakeError):
         TlsServer(identity, random_bytes=b"short")
+
+
+@pytest.mark.parametrize("seq", [0, 1, 2**64 - 1])
+def test_record_nonce_is_the_iv_xor_the_right_aligned_sequence(seq):
+    iv = bytes(range(0xF0, 0xFC))
+    seq_bytes = struct.pack(">Q", seq).rjust(12, b"\x00")
+    expected = bytes(a ^ b for a, b in zip(iv, seq_bytes))  # RFC 8446 §5.3
+    layer = RecordLayer("chacha20-poly1305", (bytes(32), iv), (bytes(32), iv))
+    assert RecordLayer._nonce(layer._send_iv, seq) == expected
+    assert RecordLayer._nonce(layer._recv_iv, seq) == expected

@@ -25,7 +25,7 @@ RULES = [
 ]
 
 
-def make_shield(freshness=None, chunk_size=1024, rules=RULES, key=None):
+def make_shield(freshness=None, chunk_size=1024, rules=RULES, key=None, **layout):
     vfs = VirtualFileSystem()
     clock = SimClock()
     syscalls = SyscallInterface(vfs, CM, clock, mode=SgxMode.NATIVE)
@@ -37,6 +37,7 @@ def make_shield(freshness=None, chunk_size=1024, rules=RULES, key=None):
         clock,
         chunk_size=chunk_size,
         freshness=freshness,
+        **layout,
     )
     return shield, vfs, clock
 
@@ -395,3 +396,79 @@ def test_journaled_last_chunk_truncation_detected():
     journaled.drop_caches()
     with pytest.raises(IntegrityError):
         journaled.read_file("/secure/j")
+
+
+# ---------------------------------------------------------------------------
+# Batched opens: every chunk verifies before any plaintext exists
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cipher", ["chacha20-poly1305", "aes-128-gcm"])
+@pytest.mark.parametrize("victim", [0, 2, 3])
+def test_failed_cold_read_releases_no_chunk(cipher, victim):
+    """One bad chunk fails the whole batch: the error names it, and no
+    chunk of the file — not even the ones before it — was opened, counted
+    or cached."""
+    from repro.crypto import encoding
+
+    shield, vfs, _ = make_shield(chunk_size=64, cipher=cipher)
+    shield.write_file("/secure/f", bytes(range(256)))  # 4 chunks
+    envelope = encoding.decode(vfs.read("/secure/f").content)
+    chunk = bytearray(envelope["chunks"][victim])
+    chunk[5] ^= 0x10
+    envelope["chunks"][victim] = bytes(chunk)
+    vfs.tamper("/secure/f", encoding.encode(envelope))
+    shield.drop_caches()
+    opened_before = shield.stats.chunks_opened
+    with pytest.raises(ShieldError, match=f"chunk {victim} of '/secure/f' failed authentication"):
+        shield.read_file("/secure/f")
+    assert shield.stats.chunks_opened == opened_before
+    assert not shield._chunk_cache
+    assert shield.stats.bytes_by_cipher == {cipher: 256}  # the write only
+
+
+def test_journaled_cold_read_with_a_lost_chunk_releases_no_chunk():
+    """Both replicas of one chunk rotted: the read fails naming it before
+    anything is opened — and before chunk 0's single damaged replica is
+    healed; recover() still heals it."""
+    from repro.errors import IntegrityError
+
+    shield, vfs, _ = make_shield(chunk_size=64, replicas=2)
+    shield.write_file("/secure/j", bytes(range(256)))
+    for replica_file in ("/secure/j.__chunk.0.0.0", "/secure/j.__chunk.0.2.0", "/secure/j.__chunk.0.2.1"):
+        vfs.tamper(replica_file, b"rot" + vfs.read(replica_file).content[3:])
+    shield.drop_caches()
+    with pytest.raises(IntegrityError, match="chunk 2 of '/secure/j': no intact replica"):
+        shield.read_file("/secure/j")
+    assert shield.stats.chunks_opened == 0
+    assert shield.stats.chunks_repaired == 0
+    assert not shield._chunk_cache
+    assert shield.recover()["/secure/j"] == "damaged"
+    assert shield.stats.chunks_repaired == 1  # chunk 0, from its intact copy
+
+
+def test_journaled_read_decodes_and_authenticates_the_manifest_once(monkeypatch):
+    from repro.runtime import fs_shield
+
+    shield, _, _ = make_shield(chunk_size=64, journal=True)
+    content = bytes(range(256))
+    shield.write_file("/secure/j", content)
+
+    calls = {"decode": 0, "mac": 0}
+    decode, mac = fs_shield.encoding.decode, shield._manifest_mac
+
+    def counting_decode(raw):
+        calls["decode"] += 1
+        return decode(raw)
+
+    def counting_mac(path, body_bytes):
+        calls["mac"] += 1
+        return mac(path, body_bytes)
+
+    monkeypatch.setattr(fs_shield.encoding, "decode", counting_decode)
+    monkeypatch.setattr(shield, "_manifest_mac", counting_mac)
+    assert shield.read_file("/secure/j") == content  # warm: nine cache hits in the bench
+    assert calls == {"decode": 2, "mac": 1}  # the envelope and its body, one MAC
+    shield.drop_caches()
+    assert shield.read_file("/secure/j") == content
+    assert calls == {"decode": 4, "mac": 2}

@@ -58,3 +58,35 @@ def test_stale_version_from_kernel_cannot_force_nonce_reuse():
     envelope = encoding.decode(vfs.read("/s/f").content)
     assert envelope["version"] == 1
     assert shield.read_file("/s/f") == b"content-v1"
+
+
+def test_version_wrapped_past_the_nonce_field_cannot_force_nonce_reuse():
+    """A kernel answering ``v + 2^32`` clears the floor and the
+    non-negativity check, and the chunk nonce keeps only 32 bits of the
+    version: generation ``v``'s (key, nonce) pairs would seal the new
+    plaintext, and the XOR of the two stored chunks would be the XOR of
+    the two plaintexts.  The shield must refuse before sealing a byte."""
+    shield, syscalls, vfs = make_shield()
+    first, second = b"A" * 64, b"secret-weights-" * 4 + b"!!!!"
+    shield.write_file("/s/f", first)
+    stored = vfs.read("/s/f").content
+
+    syscalls.hostile_hook = lambda name, res: res + 2**32 if name == "version" else res
+    with pytest.raises(IagoError, match="32-bit nonce field"):
+        shield.write_file("/s/f", second)
+    syscalls.hostile_hook = None
+
+    # Nothing was sealed under the reused nonces, nothing reached the host ...
+    assert vfs.read("/s/f").content == stored
+    assert shield.stats.chunks_sealed == 1
+    # ... and the lie did not poison the floor: the next write is version 1.
+    shield.write_file("/s/f", second)
+    from repro.crypto import encoding
+
+    envelope = encoding.decode(vfs.read("/s/f").content)
+    assert envelope["version"] == 1
+    sealed_first = encoding.decode(stored)["chunks"][0][: len(first)]
+    sealed_second = envelope["chunks"][0][: len(second)]
+    leaked = bytes(a ^ b for a, b in zip(sealed_first, sealed_second))
+    assert leaked != bytes(a ^ b for a, b in zip(first, second))
+    assert shield.read_file("/s/f") == second
