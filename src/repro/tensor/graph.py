@@ -25,6 +25,10 @@ class Graph:
         self._by_name: Dict[str, "Operation"] = {}
         self._name_counts: Dict[str, int] = {}
         self.collections: Dict[str, List[Any]] = {}
+        #: Bumped whenever the graph's structure changes (an op is
+        #: registered, a control edge is added); a ``Session`` drops its
+        #: compiled plans when it sees a new value.
+        self.version: int = 0
         #: Cost multipliers applied by the execution engine; the model zoo
         #: uses them to give small stand-in graphs the declared footprint
         #: of the paper's full-size models (see DESIGN.md).
@@ -50,6 +54,7 @@ class Graph:
             raise GraphError(f"duplicate operation name {op.name!r}")
         self._operations.append(op)
         self._by_name[op.name] = op
+        self.version += 1
 
     def get_operation(self, name: str) -> "Operation":
         if name not in self._by_name:
@@ -126,6 +131,7 @@ class Operation:
 
     def add_control_input(self, op: "Operation") -> None:
         self.control_inputs.append(op)
+        self.graph.version += 1
 
     def __repr__(self) -> str:
         return f"Operation(name={self.name!r}, type={self.op_type!r})"
@@ -139,14 +145,11 @@ class Tensor:
         self.index = index
         self.shape: Shape = tuple(shape)
         self.dtype = dtype
+        self.name = f"{op.name}:{index}"
 
     @property
     def graph(self) -> Graph:
         return self.op.graph
-
-    @property
-    def name(self) -> str:
-        return f"{self.op.name}:{self.index}"
 
     @property
     def rank(self) -> int:

@@ -5,6 +5,14 @@ inputs, ``invoke()``, read outputs.  Execution reuses the real numpy
 kernels through an internal :class:`Session`, but charges the simulated
 clock with :data:`~repro.tensor.engine.LITE_PROFILE` — the small-binary,
 low-dispatch-overhead interpreter the paper deploys in enclaves.
+
+Like the interpreter it mirrors, this one plans ahead of time:
+``allocate_tensors()`` has the session compile the plan that computes
+the declared outputs from the declared inputs, so a model whose outputs
+need a placeholder it does not declare fails at load, not at the first
+request, and every ``invoke`` is one pass over the plan's flat step list
+(the session keeps the run's work accounting and the convolution scratch
+with the plan; see :mod:`repro.tensor.session`).
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.errors import LiteConversionError
+from repro.errors import GraphError, LiteConversionError
 from repro.runtime.scone import SconeRuntime
 from repro.tensor.engine import ExecutionEngine, LITE_PROFILE
 from repro.tensor.lite.schema import LiteModel
@@ -39,7 +47,8 @@ class Interpreter:
         self._imported = None
 
     def allocate_tensors(self) -> None:
-        """Import the graph and build the execution session."""
+        """Import the graph, build the execution session and compile
+        its plan for the declared outputs."""
         imported = import_graph(self.model.graph_blob)
         if not imported.inputs:
             raise LiteConversionError(
@@ -49,10 +58,15 @@ class Interpreter:
         if self._runtime is not None:
             engine = ExecutionEngine(self._runtime, LITE_PROFILE, threads=self._threads)
             engine.arena_hint = self.model.arena_size
+        session = Session(graph=imported.graph, engine=engine, threads=self._threads)
+        try:
+            session.prepare(list(imported.outputs), imported.inputs)
+        except GraphError as exc:
+            raise LiteConversionError(
+                f"Lite model cannot run from its declared inputs: {exc}"
+            ) from exc
         self._imported = imported
-        self._session = Session(
-            graph=imported.graph, engine=engine, threads=self._threads
-        )
+        self._session = session
 
     @property
     def engine(self) -> Optional[ExecutionEngine]:

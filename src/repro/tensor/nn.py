@@ -8,7 +8,7 @@ simple and fast.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,24 +32,63 @@ def _same_padding(size: int, k: int, stride: int) -> Tuple[int, int]:
     return total // 2, total - total // 2
 
 
-def _extract_patches(x: np.ndarray, kh: int, kw: int, stride: int, padding: str) -> np.ndarray:
-    """Return patches of shape (N, Ho, Wo, kh*kw*C)."""
+def _extract_patches(
+    x: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int,
+    padding: str,
+    scratch: Optional[Dict[Any, Any]] = None,
+) -> np.ndarray:
+    """Return patches of shape (N, Ho, Wo, kh*kw*C).
+
+    The patches of a 1×1 stride-1 window over a contiguous input *are*
+    the input, which is returned as it is.  ``scratch`` is a dict the
+    caller owns and lends on every call: the padded copy (zero border
+    written once, interior overwritten per call) and the columns live in
+    buffers kept there, so the result is valid only until the next call
+    with the same dict and must not be handed on.  Without one the
+    result is a fresh array.
+    """
     n, h, w, c = x.shape
+    if kh == 1 and kw == 1 and stride == 1 and x.flags.c_contiguous:
+        return x
+    if scratch is None:
+        scratch = {}  # buffers made here then belong to the result
+    ph = pw = (0, 0)
     if padding == "SAME":
         ph = _same_padding(h, kh, stride)
         pw = _same_padding(w, kw, stride)
-        if ph != (0, 0) or pw != (0, 0):
-            # np.pad is a Python-level routine that costs more than the
-            # copy itself on maps this small.
-            padded = np.zeros((n, h + sum(ph), w + sum(pw), c), dtype=x.dtype)
-            padded[:, ph[0] : ph[0] + h, pw[0] : pw[0] + w] = x
-            x = padded
+    if ph != (0, 0) or pw != (0, 0):
+        # np.pad is a Python-level routine that costs more than the
+        # copy itself on maps this small.
+        key = (x.shape, x.dtype, kh, kw, stride)
+        held = scratch.get(key)
+        if held is None:
+            buffer = np.zeros((n, h + sum(ph), w + sum(pw), c), dtype=x.dtype)
+            held = scratch[key] = (
+                buffer[:, ph[0] : ph[0] + h, pw[0] : pw[0] + w],
+                _windows(buffer, kh, kw, stride),
+            )
+        interior, windows = held
+        np.copyto(interior, x)
+    else:
+        windows = _windows(x, kh, kw, stride)
+    key = ("columns", x.dtype)
+    buffer = scratch.get(key)
+    if buffer is None or buffer.size < windows.size:
+        buffer = scratch[key] = np.empty(windows.size, dtype=x.dtype)
+    columns = buffer[: windows.size].reshape(windows.shape)
+    np.copyto(columns, windows)
+    n, ho, wo = windows.shape[:3]
+    return columns.reshape(n, ho, wo, kh * kw * c)
+
+
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """A (N, Ho, Wo, kh, kw, C) view of every window of ``x``."""
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     # windows: (N, H', W', C, kh, kw) -> strided and reordered
-    windows = windows[:, ::stride, ::stride]
-    windows = np.transpose(windows, (0, 1, 2, 4, 5, 3))  # N,Ho,Wo,kh,kw,C
-    n, ho, wo = windows.shape[:3]
-    return np.ascontiguousarray(windows).reshape(n, ho, wo, kh * kw * c)
+    return np.transpose(windows[:, ::stride, ::stride], (0, 1, 2, 4, 5, 3))
 
 
 def conv2d(
@@ -74,11 +113,13 @@ def conv2d(
         co,
     )
 
-    def kernel(op: Operation, xv: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    def kernel(
+        op: Operation, xv: np.ndarray, fv: np.ndarray, scratch=None
+    ) -> np.ndarray:
         s = op.attrs["stride"]
         pad_mode = op.attrs["padding"]
         fkh, fkw, fci, fco = fv.shape
-        patches = _extract_patches(xv, fkh, fkw, s, pad_mode)
+        patches = _extract_patches(xv, fkh, fkw, s, pad_mode, scratch)
         n, ho, wo, _ = patches.shape
         out = patches.reshape(-1, fkh * fkw * fci) @ fv.reshape(-1, fco)
         return out.reshape(n, ho, wo, fco)
@@ -95,11 +136,13 @@ def conv2d(
 
 
 def _conv2d_grad_filters(grad: Tensor, op: Operation) -> Tensor:
-    def kernel(gop: Operation, g: np.ndarray, xv: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    def kernel(
+        gop: Operation, g: np.ndarray, xv: np.ndarray, fv: np.ndarray, scratch=None
+    ) -> np.ndarray:
         s = gop.attrs["stride"]
         pad_mode = gop.attrs["padding"]
         kh, kw, ci, co = fv.shape
-        patches = _extract_patches(xv, kh, kw, s, pad_mode)
+        patches = _extract_patches(xv, kh, kw, s, pad_mode, scratch)
         cols = patches.reshape(-1, kh * kw * ci)
         gcols = g.reshape(-1, co)
         return (cols.T @ gcols).reshape(kh, kw, ci, co)
@@ -128,6 +171,11 @@ def _conv2d_grad_input(grad: Tensor, op: Operation) -> Tensor:
             ph = pw = (0, 0)
         hp, wp = h + sum(ph), w + sum(pw)
         gcols = g.reshape(-1, co) @ fv.reshape(-1, co).T  # (N*Ho*Wo, kh*kw*ci)
+        if kh == 1 and kw == 1 and s == 1 and gcols.dtype == xv.dtype:
+            # col2im of a 1×1 window is the identity; the + 0 is what the
+            # scatter-add into zeros below does to a -0.0.
+            gcols += 0
+            return gcols.reshape(n, h, w, ci)
         ho, wo = g.shape[1], g.shape[2]
         gcols = gcols.reshape(n, ho, wo, kh, kw, ci)
         dx = np.zeros((n, hp, wp, ci), dtype=xv.dtype)

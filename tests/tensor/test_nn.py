@@ -88,6 +88,85 @@ def test_extract_patches_bit_identical_to_np_pad_form(
     assert patches.flags.c_contiguous
 
 
+@pytest.mark.parametrize("padding", ["SAME", "VALID"])
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("batch", [1, 50])
+def test_extract_patches_on_any_layout_with_or_without_scratch(
+    padding, kernel, stride, batch
+):
+    """A transposed or sliced activation must take the copying path (the
+    1x1 shortcut is for contiguous inputs only), and lending scratch —
+    one dict across inputs of different shapes, each used twice — changes
+    no byte of the result and never the input."""
+    base = np.random.default_rng(kernel + stride).normal(
+        size=(batch, 9, 8, 6)
+    ).astype(np.float32)
+    layouts = {
+        "contiguous": base,
+        "transposed": base.transpose(0, 2, 1, 3),
+        "sliced": base[..., ::2],
+    }
+    assert not layouts["transposed"].flags.c_contiguous
+    assert not layouts["sliced"].flags.c_contiguous
+    scratch = {}
+    for layout, x in layouts.items():
+        before = x.tobytes()
+        expected = _extract_patches_np_pad(x, kernel, kernel, stride, padding)
+        for lent in (None, scratch, scratch):
+            patches = _extract_patches(x, kernel, kernel, stride, padding, lent)
+            assert patches.shape == expected.shape and patches.flags.c_contiguous
+            assert patches.tobytes() == expected.tobytes(), (layout, lent is None)
+            assert x.tobytes() == before
+            if kernel == 1 and stride == 1 and layout == "contiguous":
+                assert patches is x
+            else:
+                assert not np.shares_memory(patches, x)
+            if lent is None:
+                assert not any(
+                    np.shares_memory(patches, part)
+                    for held in scratch.values()
+                    for part in (held if isinstance(held, tuple) else (held,))
+                )
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_pointwise_conv2d_kernels_match_the_general_form(contiguous):
+    """The 1x1 stride-1 shortcuts (input used as the patch matrix, col2im
+    as the identity) against im2col / scatter-add, bit for bit — with
+    zero gradients of both signs, which a scatter into +0.0 normalises."""
+    n, h, w, ci, co = 3, 5, 4, 6, 7
+    x = RNG.normal(size=(n, h, w, ci)).astype(np.float32)
+    if not contiguous:
+        x = RNG.normal(size=(n, w, h, ci)).astype(np.float32).transpose(0, 2, 1, 3)
+    f = RNG.normal(size=(1, 1, ci, co)).astype(np.float32)
+    g = RNG.normal(size=(n, h, w, co)).astype(np.float32)
+    g[0] = -0.0
+    g[1, 0] = 0.0
+
+    graph = Graph()
+    with graph.as_default():
+        xin = tf.placeholder("float32", (None, h, w, ci))
+        fin = tf.placeholder("float32", f.shape)
+        y = tf.nn.conv2d(xin, fin, stride=1, padding="SAME")
+        gin = tf.placeholder("float32", (None, h, w, co))
+        grad_x, grad_f = tf.gradients(y, [xin, fin], grad_ys=[gin])
+
+    out = y.op.compute(x, f)
+    patches = _extract_patches_np_pad(x, 1, 1, 1, "SAME").reshape(-1, ci)
+    assert out.tobytes() == (patches @ f.reshape(ci, co)).reshape(n, h, w, co).tobytes()
+    assert not np.shares_memory(out, x)
+
+    dx = np.zeros((n, h, w, ci), np.float32)
+    dx += (g.reshape(-1, co) @ f.reshape(ci, co).T).reshape(n, h, w, ci)
+    got = grad_x.op.compute(g, x, f)
+    assert got.tobytes() == dx.tobytes()
+    assert not np.shares_memory(got, g)
+
+    df = (patches.T @ g.reshape(-1, co)).reshape(1, 1, ci, co)
+    assert grad_f.op.compute(g, x, f).tobytes() == df.tobytes()
+
+
 def test_conv2d_gradients_numeric():
     x = RNG.normal(size=(1, 6, 6, 2)).astype(np.float32)
     filters = RNG.normal(size=(3, 3, 2, 3)).astype(np.float32) * 0.3
