@@ -15,8 +15,11 @@ way (``codec_*``): a fenced serving request and its ``ok`` reply in
 microseconds and calls/s, a 1 MiB blob in MB/s.  What the fs shield
 actually issues — one ``seal_many`` / ``open_many`` over a file's
 chunks — is timed as a 9 x 64 KiB batch, and Poly1305 alone at a chunk
-and at 1 MiB.  Each run keeps the section it replaces under
-``previous``.
+and at 1 MiB.  The public-key plane under attestation, certificates and
+handshakes is priced per operation (``pk_*``: Ed25519 keygen / sign /
+verify, X25519 public key / exchange, in microseconds and calls/s),
+with how many of each one ``ServingPlane`` build issues and what that
+build costs.  Each run keeps the section it replaces under ``previous``.
 
 Seed baseline for reference: AES-GCM ~0.2 MB/s (bigint GHASH, serial
 CTR), ChaCha20-Poly1305 ~22 MB/s (serial bigint Poly1305).
@@ -25,18 +28,21 @@ CTR), ChaCha20-Poly1305 ~22 MB/s (serial bigint Poly1305).
 import os
 import time
 
+import pytest
 from harness import load_bench, print_table, record, run_once, save_bench
 
 from repro._sim import SimClock
 from repro.crypto import encoding
 from repro.crypto.aead import get_aead
 from repro.crypto.chacha import poly1305_mac
+from repro.crypto.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from repro.crypto.x25519 import X25519PrivateKey
 from repro.enclave.cost_model import DEFAULT_COST_MODEL
 from repro.enclave.sgx import SgxMode
 from repro.runtime.fs_shield import FileSystemShield, PathRule, ShieldPolicy
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.vfs import VirtualFileSystem
-from repro.serving import messages
+from repro.serving import AutoscalerPolicy, RouterPolicy, ServingPlane, messages
 
 MESSAGE_SIZE = 1 << 20
 REPEATS = 5
@@ -53,6 +59,16 @@ CODEC_CALLS_PER_REPEAT = 2000
 #: A file as the fs shield seals it: one batch of 64 KiB chunks.
 BATCH_CHUNKS = 9
 CHUNK_SIZE = 64 << 10
+#: One curve operation is a fraction of a millisecond to a few.
+PK_CALLS_PER_REPEAT = 20
+#: The priced operations, and the method a plane build's calls are counted on.
+PK_OPERATIONS = {
+    "ed25519_keygen": (Ed25519PrivateKey, "__init__"),
+    "ed25519_sign": (Ed25519PrivateKey, "sign"),
+    "ed25519_verify": (Ed25519PublicKey, "verify"),
+    "x25519_public_key": (X25519PrivateKey, "public_key"),
+    "x25519_exchange": (X25519PrivateKey, "exchange"),
+}
 
 
 def _best_seconds(fn, calls: int = 1) -> float:
@@ -157,6 +173,61 @@ def _codec_rates() -> dict:
     return results
 
 
+def _build_plane() -> ServingPlane:
+    """The plane ``benchmarks/e2e``'s ``serve_chaos`` builds every lap."""
+    return ServingPlane(
+        seed=18,
+        n_nodes=4,
+        initial_replicas=5,
+        router_policy=RouterPolicy(max_attempts=5),
+        autoscaler_policy=AutoscalerPolicy(slo_p99=0.2, min_replicas=5, max_replicas=8),
+    )
+
+
+def _plane_build_counts() -> dict:
+    """Public-key operations one plane build issues (boot, attestation, handshakes)."""
+    counts = dict.fromkeys(PK_OPERATIONS, 0)
+
+    def counted(label, method):
+        def wrapper(*args, **kwargs):
+            counts[label] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for label, (owner, name) in PK_OPERATIONS.items():
+            patch.setattr(owner, name, counted(label, getattr(owner, name)))
+        _build_plane()
+    return counts
+
+
+def _public_key_rates() -> dict:
+    """Per-operation cost of the curve arithmetic, and of one plane build on it."""
+    seed = bytes(range(32))
+    signer = Ed25519PrivateKey(seed)
+    verifier = signer.public_key()
+    message = os.urandom(96)  # a quote body / certificate payload
+    signature = signer.sign(message)
+    ours = X25519PrivateKey(seed)
+    theirs = X25519PrivateKey(bytes(range(1, 33))).public_key()
+    calls = {
+        "ed25519_keygen": lambda: Ed25519PrivateKey(seed),
+        "ed25519_sign": lambda: signer.sign(message),
+        "ed25519_verify": lambda: verifier.verify(signature, message),
+        "x25519_public_key": ours.public_key,
+        "x25519_exchange": lambda: ours.exchange(theirs),
+    }
+    results = {}
+    for label, count in _plane_build_counts().items():
+        seconds = _best_seconds(calls[label], PK_CALLS_PER_REPEAT)
+        results[f"pk_{label}_us"] = seconds * 1e6
+        results[f"pk_{label}_calls_s"] = 1.0 / seconds
+        results[f"pk_{label}_per_plane_build"] = count
+    results["pk_plane_build_ms"] = _best_seconds(_build_plane) * 1e3
+    return results
+
+
 def _make_shield(cipher: str) -> FileSystemShield:
     vfs = VirtualFileSystem()
     clock = SimClock()
@@ -198,6 +269,7 @@ def _collect() -> dict:
     results.update(_batch_and_mac_rates())
     results.update(_shield_throughputs())
     results.update(_codec_rates())
+    results.update(_public_key_rates())
     return results
 
 
@@ -272,6 +344,23 @@ def test_crypto_dataplane_throughput(benchmark):
             f"decode {results['codec_blob_decode_mb_s']:.0f} MB/s",
         ],
     )
+    print_table(
+        "Public-key plane (Ed25519, X25519) and one ServingPlane build on it",
+        ("operation", "us", "calls/s", "per plane build"),
+        [
+            (
+                label,
+                f"{results[f'pk_{label}_us']:.0f}",
+                f"{results[f'pk_{label}_calls_s']:.0f}",
+                results[f"pk_{label}_per_plane_build"],
+            )
+            for label in PK_OPERATIONS
+        ],
+        notes=[
+            f"one plane build (4 nodes, 5 replicas): {results['pk_plane_build_ms']:.0f} ms",
+            "double-and-add (PR 17): keygen/sign ~2 200 us, verify ~4 600, public key ~1 500",
+        ],
+    )
     record(benchmark, **results)
     # No entry overwritten without its predecessor kept (ROADMAP).
     previous = load_bench("crypto_dataplane")
@@ -302,6 +391,10 @@ def test_crypto_dataplane_throughput(benchmark):
     # tighter floors.
     assert results["codec_request_encode_calls_s"] >= 130_000
     assert results["codec_request_decode_calls_s"] >= 100_000
+    # A fixed-base table, not ~380 generic additions per scalar (~450
+    # signs/s here); tests/perf/test_crypto_perf_smoke.py holds sign and
+    # verify to the retired double-and-add, as ratios, in tier 1.
+    assert results["pk_ed25519_sign_calls_s"] >= 1000.0
     # The warm read path must beat the cold one — that's the cache.
     for cipher in CIPHERS:
         assert (

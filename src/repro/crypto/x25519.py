@@ -1,15 +1,18 @@
 """X25519 Diffie-Hellman over Curve25519 (RFC 7748).
 
 Used by the TLS-like channel for ephemeral key agreement (the paper
-recommends replacing RSA with forward-secret ECDHE, §7.3).  Implemented
-with the standard Montgomery ladder; verified against RFC 7748 vectors.
+recommends replacing RSA with forward-secret ECDHE, §7.3).  Exchanges
+run the standard Montgomery ladder; a public key is the clamped scalar
+times the Edwards base point, read off Ed25519's fixed-base table and
+mapped to the Montgomery ``u`` (DESIGN §5b).  Verified against RFC 7748
+vectors.
 """
 
 from __future__ import annotations
 
+from repro.crypto.ed25519 import _P, _base_mult
 from repro.errors import SecurityError
 
-_P = 2**255 - 19
 _A24 = 121665
 
 
@@ -68,11 +71,9 @@ def x25519(scalar: bytes, u_point: bytes) -> bytes:
         x2, x3 = x3, x2
         z2, z3 = z3, z2
 
-    result = (x2 * pow(z2, _P - 2, _P)) % _P
+    # z2 == 0 is the point at infinity (a low-order input): u = 0.
+    result = (x2 * pow(z2, -1, _P)) % _P if z2 else 0
     return result.to_bytes(32, "little")
-
-
-_BASE_POINT = (9).to_bytes(32, "little")
 
 
 class X25519PrivateKey:
@@ -89,7 +90,12 @@ class X25519PrivateKey:
         return cls(random_bytes)
 
     def public_key(self) -> "X25519PublicKey":
-        return X25519PublicKey(x25519(self._private, _BASE_POINT))
+        # The birational map from the Edwards curve: u = (1 + y) / (1 - y).
+        # A clamped scalar is never a multiple of the group order, so
+        # Z != Y.
+        _, y, z, _ = _base_mult(_clamp(self._private))
+        u = ((z + y) * pow(z - y, -1, _P)) % _P
+        return X25519PublicKey(u.to_bytes(32, "little"))
 
     def exchange(self, peer: "X25519PublicKey") -> bytes:
         """Compute the shared secret with ``peer``; rejects low-order points."""

@@ -40,6 +40,42 @@ def test_base_point_iteration():
     )
 
 
+@pytest.mark.tier2
+@pytest.mark.slow
+def test_base_point_iteration_1000():
+    # RFC 7748 section 5.2, 1 000 steps (~2 s of ladder).
+    k = u = (9).to_bytes(32, "little")
+    for _ in range(1000):
+        k, u = x25519(k, u), k
+    assert k.hex() == (
+        "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
+    )
+
+
+def test_rfc7748_section_6_1_diffie_hellman():
+    # Public keys *from private keys*: the Edwards fixed-base path, not
+    # the ladder the other vectors exercise.
+    alice = X25519PrivateKey(
+        bytes.fromhex(
+            "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a"
+        )
+    )
+    bob = X25519PrivateKey(
+        bytes.fromhex(
+            "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb"
+        )
+    )
+    assert alice.public_key().public_bytes().hex() == (
+        "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a"
+    )
+    assert bob.public_key().public_bytes().hex() == (
+        "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f"
+    )
+    shared = "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742"
+    assert alice.exchange(bob.public_key()).hex() == shared
+    assert bob.exchange(alice.public_key()).hex() == shared
+
+
 @settings(max_examples=20)
 @given(
     st.binary(min_size=32, max_size=32),

@@ -16,6 +16,16 @@ one trips them.  A file's chunks sealed as one ``seal_many`` run at
 ~140 MB/s (9 x 64 KiB) against ~70 MB/s as nine per-chunk passes;
 Poly1305 as one float64 matrix product runs at ~450 MB/s on a 64 KiB
 chunk against ~170 MB/s for the halving fold it replaced.
+
+The public-key floors are different again, and run in **tier 1**: they
+are ratios against the retired double-and-add kept in
+``tests/crypto/_reference_curve25519.py``, timed in alternation in the
+same process, so the speed of the box cancels.  Signing off the
+fixed-base table is ~6.5x the reference (floor 2x, a 3x margin);
+verification is ~2.2x and can only ever be that — half of it is the
+253 doublings under ``k * A`` that no table removes — so its floor is
+1.4x, far enough from the 1.0x a return to bit-by-bit double-and-add
+would read.
 """
 
 import os
@@ -24,7 +34,9 @@ import time
 import pytest
 
 from repro.crypto.chacha import ChaCha20Poly1305, poly1305_mac
+from repro.crypto.ed25519 import Ed25519PrivateKey
 from repro.crypto.gcm import AesGcm
+from tests.crypto import _reference_curve25519 as reference_curve
 
 MESSAGE_SIZE = 1 << 20
 REPEATS = 3
@@ -45,6 +57,11 @@ CHACHA_BATCH_FLOOR = 90.0
 #: Between the halving fold and the matrix product, on one chunk.  Both
 #: sit within 1.5x of either side, so they take more repeats.
 POLY1305_CHUNK_FLOOR = 260.0
+#: Speed-ups over the reference double-and-add (see module docstring).
+PK_CALLS = 3
+PK_REPEATS = 7
+SIGN_SPEEDUP_FLOOR = 2.0
+VERIFY_SPEEDUP_FLOOR = 1.4
 
 
 def _best_seconds(fn, repeats: int = REPEATS) -> float:
@@ -128,3 +145,30 @@ def test_aes_gcm_throughput_floor():
     aead.encrypt(b"\x01" * 12, payload)  # build stride tables outside timing
     rate = _best_mb_s(lambda: aead.encrypt(b"\x01" * 12, payload))
     assert rate >= GCM_FLOOR, f"AES-GCM at {rate:.1f} MB/s"
+
+
+def _speedup(new, old) -> float:
+    """Best CPU seconds of ``old`` over ``new``, the two timed in alternation."""
+    best = {new: float("inf"), old: float("inf")}
+    for _ in range(PK_REPEATS):
+        for fn in (new, old):
+            started = time.process_time()
+            for _ in range(PK_CALLS):
+                fn()
+            best[fn] = min(best[fn], time.process_time() - started)
+    return best[old] / best[new]
+
+
+def test_ed25519_stays_off_the_double_and_add_floor():
+    seed, message = bytes(range(32)), b"quote body" * 10
+    key, reference_key = Ed25519PrivateKey(seed), reference_curve.Ed25519PrivateKey(seed)
+    signature = key.sign(message)  # also builds the base table, outside the timing
+    assert signature == reference_key.sign(message)
+    public, reference_public = key.public_key(), reference_key.public_key()
+    sign = _speedup(lambda: key.sign(message), lambda: reference_key.sign(message))
+    verify = _speedup(
+        lambda: public.verify(signature, message),
+        lambda: reference_public.verify(signature, message),
+    )
+    assert sign >= SIGN_SPEEDUP_FLOOR, f"sign at {sign:.2f}x double-and-add"
+    assert verify >= VERIFY_SPEEDUP_FLOOR, f"verify at {verify:.2f}x double-and-add"
