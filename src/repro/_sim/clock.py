@@ -21,7 +21,7 @@ class SimClock:
     """Monotonic simulated clock measured in seconds."""
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
+        if not start >= 0:  # also refuses NaN, which no comparison orders
             raise ValueError(f"clock cannot start in the past: {start}")
         self._now = float(start)
         self._observers: List[Callable[[float, float], None]] = []
@@ -31,18 +31,39 @@ class SimClock:
         """Current simulated time in seconds."""
         return self._now
 
+    @property
+    def observed(self) -> bool:
+        """True while some observer is subscribed to every advance."""
+        return bool(self._observers)
+
     def advance(self, seconds: float) -> float:
         """Advance the clock by ``seconds`` and return the new time.
 
-        Negative advances are rejected: simulated time is monotonic, and a
-        negative charge is always a cost-model bug.
+        Negative and NaN advances are rejected: simulated time is
+        monotonic, and such a charge is always a cost-model bug.
         """
-        if seconds < 0:
+        if not seconds >= 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
         before = self._now
         self._now += seconds
         for observer in self._observers:
             observer(before, self._now)
+        return self._now
+
+    def advance_each(self, seconds: float, times: int) -> float:
+        """``times`` successive ``advance(seconds)``, validated once: the
+        same additions in the same order (a float sum of *n* equal terms is
+        not *n* times the term), stored once when nobody is subscribed."""
+        if not seconds >= 0:
+            raise ValueError(f"cannot advance clock by negative time: {seconds}")
+        if self._observers:
+            for _ in range(times):
+                self.advance(seconds)
+        else:
+            now = self._now
+            for _ in range(times):
+                now += seconds
+            self._now = now
         return self._now
 
     def advance_to(self, timestamp: float) -> float:

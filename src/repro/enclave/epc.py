@@ -29,10 +29,12 @@ Every simulated memory access of every workload funnels through
 Python on a hit: residency is one ``bytearray`` per enclave (a byte per
 granule, 1 = resident) and a range is *scanned* with ``bytearray.find``,
 which skips a run of resident granules in C.  Only faults enter the
-interpreter loop, and each one still updates the stats, advances the
-clock and charges the tracer in that order before the next is looked at,
-because clock observers (the metrics sampler, the flight recorder) read
-the stats at every advance.
+interpreter loop.  Each adds its cost to the clock's sum in turn, but the
+sum and the counters are *stored* once per scan unless somebody is
+watching: with a clock observer (the metrics sampler, the flight
+recorder) or a tracer installed, every fault still updates the stats,
+advances the clock and charges the tracer, in that order, before the
+next is looked at.
 """
 
 from __future__ import annotations
@@ -119,6 +121,10 @@ class EpcCache:
         self._granule_fault_cost = (
             cost_model.epc_page_fault_cost * self._pages_per_granule
         )
+        if not self._granule_fault_cost >= 0:  # negative or NaN
+            raise EnclaveError(
+                f"EPC fault cost must be >= 0: {cost_model.epc_page_fault_cost}"
+            )
         # LRU state: packed keys in recency order.  Random state: packed
         # keys in slot order (the victim draw indexes it) plus, per
         # enclave, one byte per granule that is 1 while it is resident.
@@ -163,7 +169,11 @@ class EpcCache:
             return 0
         first = first_byte // self.granule_size
         stop = (first_byte + n_bytes - 1) // self.granule_size + 1
-        return self._touch(enclave_id, first, stop)
+        # ``first`` cannot be negative here, so the common case skips the
+        # frame that checks it; the rest is left to ``_touch``.
+        if stop > _MAX_GRANULES or self.policy == "lru":
+            return self._touch(enclave_id, first, stop)
+        return self._scan(enclave_id, first, stop)
 
     def _touch(self, enclave_id: int, first: int, stop: int) -> int:
         """Touch granules ``[first, stop)`` of one enclave; returns faults."""
@@ -204,15 +214,19 @@ class EpcCache:
         pages = self._pages_per_granule
         cost = self._granule_fault_cost
         clock = self._clock
-        advance = clock.advance
+        # Whoever reads the stats at an advance must find this fault in
+        # them; with nobody there the totals are stored once, below.
+        watched = clock.observed or probe.ACTIVE is not None
         base = enclave_id << _GRANULE_BITS
+        # Every granule of the range that does not fault is a hit.
+        hits = stats.hits + stop - first
+        evictions, cold_loads = stats.evictions, stats.cold_loads
+        fault_time = stats.fault_time
         faults = 0
-        run_start = first
+        full = len(slots) >= capacity  # stays true: a scan only adds
         while cursor >= 0:
-            if cursor > run_start:
-                stats.hits += cursor - run_start
             key = base + cursor
-            if len(slots) >= capacity:
+            if full:
                 slot = getrandbits(draw_bits)
                 while slot >= capacity:
                     slot = getrandbits(draw_bits)
@@ -220,7 +234,7 @@ class EpcCache:
                 # Swap-with-last, pop, append — when the list is full.
                 slots[slot] = slots[-1]
                 slots[-1] = key
-                stats.evictions += 1
+                evictions += 1
                 owner = victim >> _GRANULE_BITS
                 if owner == enclave_id:
                     resident[victim & _GRANULE_MASK] = 0
@@ -240,24 +254,34 @@ class EpcCache:
                     counts[enclave_id] = own
             else:
                 slots.append(key)
+                full = len(slots) >= capacity
                 own += 1
                 counts[enclave_id] = own
             resident[cursor] = 1
-            stats.faults += 1
-            stats.fault_pages += pages
             if key not in ever_loaded:
                 ever_loaded.add(key)
-                stats.cold_loads += 1
-            stats.fault_time += cost
-            advance(cost)
-            if probe.ACTIVE is not None:
-                probe.ACTIVE.charge(
-                    clock, "epc_faults", cost, histogram="epc.fault_service"
-                )
+                cold_loads += 1
             faults += 1
-            run_start = cursor + 1
-            cursor = find(0, run_start, stop)
-        stats.hits += stop - run_start
+            fault_time += cost
+            if watched:
+                stats.hits = hits - faults - (stop - cursor - 1)  # not yet seen
+                stats.evictions, stats.cold_loads = evictions, cold_loads
+                stats.faults += 1
+                stats.fault_pages += pages
+                stats.fault_time = fault_time
+                clock.advance(cost)
+                if probe.ACTIVE is not None:
+                    probe.ACTIVE.charge(
+                        clock, "epc_faults", cost, histogram="epc.fault_service"
+                    )
+            cursor = find(0, cursor + 1, stop)
+        stats.hits = hits - faults
+        if not watched:
+            stats.evictions, stats.cold_loads = evictions, cold_loads
+            stats.faults += faults
+            stats.fault_pages += faults * pages
+            stats.fault_time = fault_time
+            clock.advance_each(cost, faults)
         return faults
 
     def _touch_lru(self, enclave_id: int, first: int, stop: int) -> int:

@@ -47,10 +47,15 @@ class EnclaveMemory:
         granule_align: int = 64 * 1024,
     ) -> None:
         self._enclave_id = enclave_id
-        self._model = cost_model
         self._clock = clock
         self._epc = epc
         self._align = granule_align
+        #: Bytes/s of DRAM traffic: through the MEE when there is an EPC.
+        self._bandwidth = (
+            cost_model.enclave_memory_bandwidth
+            if epc is not None
+            else cost_model.native_memory_bandwidth
+        )
         self._regions: Dict[str, MemoryRegion] = {}
         self._next_base = 0
         self.bytes_touched = 0
@@ -127,21 +132,19 @@ class EnclaveMemory:
             )
         if n_bytes == 0:
             return 0
+        return self._charge(region.base + offset, n_bytes, bandwidth)
 
+    def _charge(self, first_byte: int, n_bytes: int, bandwidth: bool) -> int:
+        """Charge one in-bounds, non-empty access; returns its EPC faults."""
         if bandwidth:
-            rate = (
-                self._model.enclave_memory_bandwidth
-                if self.encrypted
-                else self._model.native_memory_bandwidth
-            )
-            duration = n_bytes / rate
+            duration = n_bytes / self._bandwidth
             self._clock.advance(duration)
             self.bandwidth_time += duration
         self.bytes_touched += n_bytes
 
         if self._epc is None:
             return 0
-        return self._epc.access_range(self._enclave_id, region.base + offset, n_bytes)
+        return self._epc.access_range(self._enclave_id, first_byte, n_bytes)
 
     def touch_window(
         self,
@@ -161,13 +164,14 @@ class EnclaveMemory:
         region = self.region(name)
         if n_bytes <= 0:
             return 0, cursor
+        base, size = region.base, region.size
         faults = 0
         remaining = n_bytes
-        cursor %= region.size
+        cursor %= size
         while remaining > 0:
-            chunk = min(remaining, region.size - cursor)
-            faults += self.touch(name, cursor, chunk, bandwidth=bandwidth)
-            cursor = (cursor + chunk) % region.size
+            chunk = min(remaining, size - cursor)
+            faults += self._charge(base + cursor, chunk, bandwidth)
+            cursor = (cursor + chunk) % size
             remaining -= chunk
         return faults, cursor
 
@@ -183,16 +187,7 @@ class EnclaveMemory:
         inference, hot code per op): full sequential passes plus a
         remainder.  Returns total EPC granule faults.
         """
-        region = self.region(name)
-        if traffic_bytes <= 0:
-            return 0
-        faults = 0
-        full_passes, remainder = divmod(traffic_bytes, region.size)
-        for _ in range(full_passes):
-            faults += self.touch(name, 0, region.size, bandwidth=bandwidth)
-        if remainder:
-            faults += self.touch(name, 0, remainder, bandwidth=bandwidth)
-        return faults
+        return self.touch_window(name, 0, traffic_bytes, bandwidth)[0]
 
     def charge_bytes(self, n_bytes: int) -> None:
         """Charge bandwidth for anonymous traffic (no specific region).
@@ -202,12 +197,7 @@ class EnclaveMemory:
         """
         if n_bytes <= 0:
             return
-        bandwidth = (
-            self._model.enclave_memory_bandwidth
-            if self.encrypted
-            else self._model.native_memory_bandwidth
-        )
-        duration = n_bytes / bandwidth
+        duration = n_bytes / self._bandwidth
         self._clock.advance(duration)
         self.bandwidth_time += duration
         self.bytes_touched += n_bytes

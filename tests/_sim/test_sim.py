@@ -21,6 +21,52 @@ def test_clock_rejects_negative_advance():
         SimClock(start=-1.0)
 
 
+def test_clock_rejects_nan():
+    """NaN fails every ordering test, ``seconds < 0`` included, and a
+    clock at NaN makes every later comparison on the heap false."""
+    clock = SimClock()
+    clock.advance(1.0)
+    with pytest.raises(ValueError):
+        clock.advance(float("nan"))
+    with pytest.raises(ValueError):
+        clock.advance_each(float("nan"), 3)
+    with pytest.raises(ValueError):
+        clock.advance_each(-0.1, 0)  # validated even when nothing would be added
+    assert clock.now == 1.0
+    with pytest.raises(ValueError):
+        SimClock(start=float("nan"))
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_advance_each_is_successive_advances(observed):
+    """Same additions in the same order, so the same bits — which one
+    multiplication does not give."""
+    step, times = 12e-6 * 16, 100_000
+    one_by_one, batched = SimClock(0.25), SimClock(0.25)
+    seen = []
+    if observed:
+        batched.subscribe(lambda old, new: seen.append((old, new)))
+    assert batched.observed is observed
+    expected = [(one_by_one.now, one_by_one.advance(step)) for _ in range(times)]
+    assert batched.advance_each(step, times) == one_by_one.now
+    assert batched.now == one_by_one.now != 0.25 + step * times
+    assert seen == (expected if observed else [])
+    assert batched.advance_each(step, 0) == one_by_one.now
+
+
+def test_observed_follows_subscriptions():
+    clock = SimClock()
+
+    def observer(old, new):
+        pass
+
+    assert clock.observed is False
+    clock.subscribe(observer)
+    assert clock.observed is True
+    clock.unsubscribe(observer)
+    assert clock.observed is False
+
+
 def test_advance_to_is_idempotent_backwards():
     clock = SimClock()
     clock.advance(5.0)

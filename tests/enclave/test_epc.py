@@ -200,6 +200,14 @@ def test_invalid_configuration_rejected():
         EpcCache(DEFAULT_COST_MODEL, SimClock(), capacity_bytes=0)
     with pytest.raises(EnclaveError):
         EpcCache(DEFAULT_COST_MODEL, SimClock(), granule_size=4096 + 1)
+    # A bad fault cost is refused here, not by the clock at the first
+    # fault: an unwatched scan validates nothing per fault.
+    for cost in (-1e-6, float("nan")):
+        model = DEFAULT_COST_MODEL.with_overrides(epc_page_fault_cost=cost)
+        with pytest.raises(EnclaveError):
+            EpcCache(model, SimClock())
+    free = DEFAULT_COST_MODEL.with_overrides(epc_page_fault_cost=0.0)
+    assert EpcCache(free, SimClock()).granule_fault_cost == 0.0
 
 
 @settings(max_examples=30)
@@ -380,8 +388,19 @@ _operations = st.one_of(
 )
 
 
+#: (observer subscribed, tracer installed).  With neither the scan stores
+#: a scan's faults once at its end; with either it publishes per fault.
+WATCH_MODES = [(False, False), (True, False), (False, True), (True, True)]
+
+_watch_switches = st.tuples(st.just("watch"), st.booleans(), st.booleans())
+
+
 def _drive(cache_type, clock, operations, capacity_granules, policy, seed):
-    """Run ``operations`` and return everything an outsider can observe."""
+    """Run ``operations`` and return everything an outsider can observe.
+
+    ``("watch", observe, trace)`` is not a cache call: it subscribes or
+    unsubscribes the clock observer and installs or clears the tracer.
+    """
     cache = cache_type(
         DEFAULT_COST_MODEL,
         clock,
@@ -391,15 +410,23 @@ def _drive(cache_type, clock, operations, capacity_granules, policy, seed):
         seed=seed,
     )
     advances = []
-    clock.subscribe(
-        lambda before, after: advances.append(
-            (before, after, _stats_snapshot(cache.stats))
-        )
-    )
+
+    def observer(before, after):
+        advances.append((before, after, _stats_snapshot(cache.stats)))
+
     tracer = _RecordingTracer()
-    previous = probe.set_active(tracer)
+    returned = []
+    previous = probe.set_active(None)
     try:
-        returned = [getattr(cache, name)(*args) for name, *args in operations]
+        for name, *args in operations:
+            if name == "watch":
+                observe, trace = args
+                clock.unsubscribe(observer)
+                if observe:
+                    clock.subscribe(observer)
+                probe.set_active(tracer if trace else None)
+            else:
+                returned.append(getattr(cache, name)(*args))
     finally:
         probe.set_active(previous)
     return cache, {
@@ -414,14 +441,7 @@ def _drive(cache_type, clock, operations, capacity_granules, policy, seed):
     }
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(_operations, min_size=1, max_size=60),
-    st.sampled_from([1, 2, 7]),
-    st.sampled_from(["random", "lru"]),
-    st.integers(0, 3),
-)
-def test_scan_matches_per_granule_reference(operations, capacity, policy, seed):
+def _assert_lockstep(operations, capacity, policy, seed):
     reference, expected = _drive(
         ReferenceEpcCache, SimClock(), operations, capacity, policy, seed
     )
@@ -434,3 +454,61 @@ def test_scan_matches_per_granule_reference(operations, capacity, policy, seed):
         assert unpacked == reference._slots
         assert sum(map(sum, cache._resident.values())) == len(unpacked)
         assert all(cache._resident[e][g] == 1 for e, g in unpacked)
+    return observed
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(_operations, min_size=1, max_size=60),
+    st.sampled_from([1, 2, 7]),
+    st.sampled_from(["random", "lru"]),
+    st.integers(0, 3),
+)
+def test_scan_matches_per_granule_reference(operations, capacity, policy, seed):
+    runs = {
+        watch: _assert_lockstep(
+            [("watch", *watch)] + operations, capacity, policy, seed
+        )
+        for watch in WATCH_MODES
+    }
+    logged = {
+        watch: (run.pop("advances"), run.pop("charges")) for watch, run in runs.items()
+    }
+    assert all(run == runs[False, False] for run in runs.values())
+    # Watching changes what is logged and nothing else; each watcher
+    # sees one entry per fault whoever else is there.
+    faults = runs[False, False]["stats"]["faults"]
+    assert [len(log) for log in logged[True, True]] == [faults, faults]
+    assert logged[True, False] == (logged[True, True][0], [])
+    assert logged[False, True] == ([], logged[True, True][1])
+    assert logged[False, False] == ([], [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(_operations, _watch_switches), min_size=1, max_size=60),
+    st.sampled_from([1, 2, 7]),
+    st.integers(0, 3),
+)
+def test_scan_matches_reference_across_watch_switches(operations, capacity, seed):
+    """Watchers come and go between operations (a metrics session starts,
+    a traced lap ends): every scan decides for itself."""
+    _assert_lockstep(operations, capacity, "random", seed)
+
+
+def test_deferred_publication_keeps_the_float_sum():
+    """10^5 faults stored once per scan leave the clock and the fault
+    time on the bits the per-fault loop produces."""
+    clocks = SimClock(), SimClock()
+    caches = [make_cache(capacity_granules=8, policy="random", clock=c) for c in clocks]
+    clocks[1].subscribe(lambda before, after: None)  # per-fault publication
+    for cache in caches:
+        while cache.stats.faults < 100_000:
+            cache.access_range(1, 0, 1000 * GRANULE)
+    deferred, per_fault = (cache.stats for cache in caches)
+    assert deferred == per_fault and deferred.faults >= 100_000
+    summed = 0.0
+    for _ in range(deferred.faults):
+        summed += caches[0].granule_fault_cost
+    assert clocks[0].now == clocks[1].now == deferred.fault_time == summed
+    assert summed != deferred.faults * caches[0].granule_fault_cost
