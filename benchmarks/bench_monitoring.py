@@ -25,7 +25,7 @@ from repro._sim.clock import SimClock
 from repro._sim.scheduler import Scheduler
 from repro.observability.flight import FlightRecorder
 from repro.observability.incident import IncidentPipeline
-from repro.observability.monitoring import SloMonitor, SloSpec
+from repro.observability.slo import SloMonitor, SloSpec
 from repro.serving.service import ServingPlane
 
 EVAL_SECONDS = 200.0  # simulated span the standalone monitor sweeps

@@ -172,7 +172,7 @@ class ParameterServer:
         self.shard_stats = ShardTrainingStats(
             shard=store_key if store_key is not None else address
         )
-        stats_registry.register_training_stats(self.shard_stats, node.clock)
+        stats_registry.register("training", self.shard_stats, node.clock)
         #: Logical service identity in the checkpoint store.  Defaults to
         #: the network address; a replacement PS launched at a *new* pod
         #: address passes the crashed one's key so it resumes the same

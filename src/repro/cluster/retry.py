@@ -48,6 +48,7 @@ from repro.errors import (
     SecurityError,
     StaleConnectionError,
 )
+from repro.runtime.stats_registry import gauge
 
 S = TypeVar("S")
 T = TypeVar("T")
@@ -116,9 +117,9 @@ class RecoveryStats:
     # each state.  Kept incrementally by every breaker transition so the
     # monitoring plane can show *which way* the fleet is leaning, not
     # just how often breakers tripped historically.
-    breakers_closed: int = 0
-    breakers_open: int = 0
-    breakers_half_open: int = 0
+    breakers_closed: int = gauge(0)
+    breakers_open: int = gauge(0)
+    breakers_half_open: int = gauge(0)
 
 
 #: RecoveryStats gauge field per public breaker state name.

@@ -176,7 +176,7 @@ class RpcServer:
         #: endpoint accepts writes from (see :meth:`add_guard`).
         self._guards: Dict[str, EpochGuard] = {}
         self.stats = RecoveryStats()
-        stats_registry.register_recovery_stats(self.stats, node.clock)
+        stats_registry.register("recovery", self.stats, node.clock)
         #: Called after a call commits (dispatched + dedup-recorded);
         #: lets stateful services checkpoint atomically with the dedup
         #: window (see ``ParameterServer``).
@@ -331,7 +331,7 @@ class RpcClient:
         self.fence: Optional[EpochLease] = None
         self._executor: Optional[RetryingExecutor] = None
         if retry is not None:
-            stats_registry.register_recovery_stats(self.stats, node.clock)
+            stats_registry.register("recovery", self.stats, node.clock)
             self._executor = RetryingExecutor(
                 retry,
                 node.clock,

@@ -7,84 +7,97 @@ for the simulated platform: one call collects the security- and
 performance-relevant counters from every layer into a flat, printable
 report — EPC pressure per node, shield traffic, attestation volume,
 network totals, audit-log health.
+
+A counter is declared once, on the ``*Stats`` dataclass its layer
+increments (:mod:`repro.runtime.stats_registry`); the snapshot groups,
+their published names, the fold across sources and ``diff`` are derived
+from those fields, and a group published whole from one class *is* that
+class (``syscalls``, ``monitoring``).  Only ``format()`` is hand-written.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Tuple
 
+from repro.cas.failover import CasPairStats
+from repro.cluster.epoch import FencingStats
+from repro.cluster.retry import RecoveryStats
+from repro.cluster.sharding import ShardTrainingStats
 from repro.core.platform import SecureTFPlatform
 from repro.crypto.aead import aead_cache_stats
 from repro.runtime import stats_registry
+from repro.runtime.fs_shield import FsShieldStats
+from repro.runtime.net_shield import NetShieldStats
+from repro.runtime.stats_registry import MonitoringStats, gauge, kind_of, peak
+from repro.runtime.syscall import SyscallStats
+
+#: Published names that are not ``prefix + field``: the cipher split is
+#: one dict shared by both shields, and the epoch service's two tallies
+#: say whose grants and bumps they are.
+_IRREGULAR = {
+    (FsShieldStats, "bytes_by_cipher"): "bytes_by_cipher",
+    (NetShieldStats, "bytes_by_cipher"): "bytes_by_cipher",
+    (FencingStats, "grants"): "epoch_grants",
+    (FencingStats, "bumps"): "epoch_bumps",
+}
+
+#: (field on the source class, published name, the source's field).
+Names = List[Tuple[str, str, dataclasses.Field]]
 
 
-def _is_max_field(name: str) -> bool:
-    """High-water-mark counters combine by max, not sum."""
-    return name.endswith("_peak") or name.startswith("max_")
+def published(source: type, prefix: str = "") -> Names:
+    """What a ``*Stats`` class publishes: its ``int`` / ``float`` /
+    ``Dict[str, int]`` fields, as ``prefix + field`` unless irregular."""
+    hints = typing.get_type_hints(source)
+    return [
+        (f.name, _IRREGULAR.get((source, f.name), prefix + f.name), f)
+        for f in dataclasses.fields(source)
+        if hints[f.name] in (int, float, Dict[str, int])
+    ]
 
 
-#: Snapshot fields that are levels, not cumulative counters: an
-#: interval ``diff`` keeps the later value instead of subtracting.
-_GAUGE_FIELDS = frozenset(
-    {
-        "epc_capacity_granules",
-        "epc_resident_granules",
-        "epc_fault_rate",
-        "cas_sessions",
-        "cas_secrets",
-        "breakers_closed",
-        "breakers_open",
-        "breakers_half_open",
-        "heap_size",
-        "activities_running",
-        "activities_parked",
+def derive_group(name: str, doc: str, names: Names, extras: Dict[str, type]) -> type:
+    """The snapshot dataclass holding ``names`` (one two sources share
+    appears once) plus ``extras``, which no stats object carries."""
+    fields = {
+        target: (
+            target,
+            f.type,
+            field(default=f.default, default_factory=f.default_factory, metadata=f.metadata),
+        )
+        for _, target, f in names
     }
-)
+    for extra, zero in extras.items():  # int → 0, dict → {}
+        fields[extra] = (extra, zero, field(default_factory=zero))
+    return dataclasses.make_dataclass(
+        name, fields.values(), namespace={"__doc__": doc, "__module__": __name__}
+    )
 
 
-def aggregate_into(target, source, prefixes: Sequence[str] = ("",)) -> None:
-    """Fold ``source``'s counters into the metrics dataclass ``target``.
-
-    Driven by ``dataclasses.fields(target)`` so a counter added to a
-    metrics dataclass is aggregated automatically (forgetting it is a
-    one-line test failure, not a silent zero): each target field is
-    matched to a source attribute by stripping the first applicable
-    prefix (``fs_crypto_bytes`` + prefix ``fs_`` → ``crypto_bytes``).
-    Ints and floats sum, ``*_peak``/``max_*`` fields take the max, and
-    dict fields merge additively per key.
-    """
-    for f in dataclasses.fields(target):
-        value = None
-        for prefix in prefixes:
-            if prefix and not f.name.startswith(prefix):
-                continue
-            attr = f.name[len(prefix):]
-            if hasattr(source, attr):
-                value = getattr(source, attr)
-                break
-        if value is None:
-            continue
-        current = getattr(target, f.name)
+def fold(group, stats, names: Names) -> None:
+    """Combine one source's values into ``group``: counters and gauges
+    sum, peaks take the max, dicts merge additively per key."""
+    for source, target, f in names:
+        value, current = getattr(stats, source), getattr(group, target)
         if isinstance(value, dict):
             for key, n in value.items():
                 current[key] = current.get(key, 0) + n
-        elif isinstance(value, bool):
-            continue  # no boolean counters; never sum truth values
-        elif isinstance(value, (int, float)):
-            if _is_max_field(f.name):
-                setattr(target, f.name, max(current, value))
-            else:
-                setattr(target, f.name, current + value)
+        elif kind_of(f) == stats_registry.PEAK:
+            setattr(group, target, max(current, value))
+        else:
+            setattr(group, target, current + value)
 
 
 def _diff_dataclass(later, earlier):
     """Field-wise interval delta between two metrics dataclasses.
 
     Cumulative counters subtract; gauges, high-water marks, booleans,
-    and strings keep the later snapshot's value; dicts subtract per
-    key; nested dataclasses recurse.
+    and strings keep the later snapshot's value; dicts subtract per key
+    (the later snapshot's keys in its order, then the keys only the
+    earlier one has); nested dataclasses recurse.
     """
     if type(later) is not type(earlier):
         raise TypeError(
@@ -94,36 +107,76 @@ def _diff_dataclass(later, earlier):
     for f in dataclasses.fields(later):
         a = getattr(later, f.name)
         b = getattr(earlier, f.name)
-        if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        if dataclasses.is_dataclass(a):
             changes[f.name] = _diff_dataclass(a, b)
         elif isinstance(a, dict):
             changes[f.name] = {
                 key: a.get(key, 0) - b.get(key, 0)
-                for key in set(a) | set(b)
+                for key in (*a, *(key for key in b if key not in a))
             }
-        elif isinstance(a, (bool, str)) or a is None:
-            changes[f.name] = a
-        elif isinstance(a, (int, float)):
-            if _is_max_field(f.name) or f.name in _GAUGE_FIELDS:
-                changes[f.name] = a
-            else:
-                changes[f.name] = a - b
+        elif isinstance(a, (int, float)) and not isinstance(a, bool):
+            changes[f.name] = a - b if kind_of(f) == stats_registry.COUNTER else a
         else:
             changes[f.name] = a
     return dataclasses.replace(later, **changes)
 
 
+_FS = published(FsShieldStats, "fs_")
+_NET = published(NetShieldStats, "net_")
+_RECOVERY = published(RecoveryStats)
+_FENCING = published(FencingStats)
+_CAS_PAIR = published(CasPairStats, "cas_")
+_TRAINING = published(ShardTrainingStats)
+
+ShieldMetrics = derive_group(
+    "ShieldMetrics",
+    "Data-plane counters aggregated over every shield on the platform, "
+    "and the process-wide AEAD object cache.",
+    _FS + _NET,
+    {"aead_cache_hits": int, "aead_cache_misses": int},
+)
+RecoveryMetrics = derive_group(
+    "RecoveryMetrics",
+    "Resilience counters aggregated across every RPC endpoint "
+    "(``fenced_calls``: authoritative rejections seen by callers), the "
+    "epoch service, the CAS pair and the orchestrator's supervision.",
+    _RECOVERY + _FENCING + _CAS_PAIR,
+    {"restarts": int, "quarantined": int},
+)
+#: Also broken down by the shard's checkpoint-store key, which survives
+#: restarts: a replacement shard folds into the same lineage entry.
+_BY_SHARD = ("pulls", "pushes", "restarts")
+TrainingMetrics = derive_group(
+    "TrainingMetrics",
+    "Sharded-training-plane counters, aggregated over every PS shard "
+    "(a single-PS job reports here too — it is the 1-shard case).",
+    _TRAINING,
+    {f"{counter}_by_shard": dict for counter in _BY_SHARD},
+)
+
+#: Registry layer → (snapshot group it folds into, its published names).
+_LAYERS = {
+    "fs": ("shields", _FS),
+    "net": ("shields", _NET),
+    "syscall": ("syscalls", published(SyscallStats)),
+    "recovery": ("recovery", _RECOVERY),
+    "training": ("training", _TRAINING),
+    "monitoring": ("monitoring", published(MonitoringStats)),
+}
+
+
 @dataclass
 class NodeMetrics:
-    """Per-node counters."""
+    """Per-node counters (hand-declared: the EPC's and the CPU's hot
+    counters are plain attributes, not a stats object)."""
 
     node_id: str
     simulated_time: float
-    epc_capacity_granules: int
-    epc_resident_granules: int
+    epc_capacity_granules: int = gauge()
+    epc_resident_granules: int = gauge()
     epc_faults: int
     epc_fault_time: float
-    epc_fault_rate: float
+    epc_fault_rate: float = gauge()
     enclave_transitions: int
 
     @property
@@ -134,147 +187,17 @@ class NodeMetrics:
 
 
 @dataclass
-class ShieldMetrics:
-    """Data-plane counters aggregated over every shield on the platform."""
-
-    fs_files_written: int = 0
-    fs_files_read: int = 0
-    fs_crypto_bytes: int = 0
-    fs_crypto_time: float = 0.0
-    fs_real_crypto_time: float = 0.0
-    fs_key_cache_hits: int = 0
-    fs_key_cache_misses: int = 0
-    fs_chunk_cache_hits: int = 0
-    fs_chunk_cache_misses: int = 0
-    # Storage-plane robustness (journaled shields).
-    fs_torn_writes_detected: int = 0
-    fs_chunks_repaired: int = 0
-    fs_recovery_scans: int = 0
-    fs_recoveries_rolled_back: int = 0
-    fs_recoveries_rolled_forward: int = 0
-    net_records_protected: int = 0
-    net_records_opened: int = 0
-    net_crypto_bytes: int = 0
-    net_crypto_time: float = 0.0
-    net_real_crypto_time: float = 0.0
-    aead_cache_hits: int = 0
-    aead_cache_misses: int = 0
-    bytes_by_cipher: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
-class SyscallMetrics:
-    """Exit-less syscall-plane counters aggregated over every interface."""
-
-    calls: int = 0
-    userspace_handled: int = 0
-    transitions: int = 0
-    ring_submissions: int = 0
-    ring_completions: int = 0
-    ring_occupancy_peak: int = 0
-    batches: int = 0
-    max_batch: int = 0
-    flushes_on_block: int = 0
-    backpressure_stalls: int = 0
-    backpressure_time: float = 0.0
-    handler_wakeups: int = 0
-    sync_fallbacks: int = 0
-    overlap_hidden_time: float = 0.0
-    overlap_exposed_time: float = 0.0
-    bytes_read: int = 0
-    bytes_written: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    time: float = 0.0
-
-    @property
-    def kernel_overlap(self) -> float:
-        total = self.overlap_hidden_time + self.overlap_exposed_time
-        return self.overlap_hidden_time / total if total else 0.0
-
-
-@dataclass
-class RecoveryMetrics:
-    """Resilience counters aggregated across every RPC endpoint, plus the
-    orchestrator's supervision tallies."""
-
-    calls: int = 0
-    attempts: int = 0
-    retries: int = 0
-    giveups: int = 0
-    backoff_time: float = 0.0
-    reconnects: int = 0
-    breaker_trips: int = 0
-    breaker_rejections: int = 0
-    # Live breaker census (gauges): how many per-endpoint breakers sit in
-    # each state right now, summed across every executor in the fleet.
-    breakers_closed: int = 0
-    breakers_open: int = 0
-    breakers_half_open: int = 0
-    dedup_hits: int = 0
-    handshakes_expired: int = 0
-    restarts: int = 0
-    quarantined: int = 0
-    # CAS high availability.
-    cas_failovers: int = 0
-    cas_ops_replicated: int = 0
-    cas_records_replicated: int = 0
-    # Epoch fencing.  ``fenced_calls`` folds in from every endpoint's
-    # RecoveryStats (authoritative rejections seen by callers); the
-    # epoch_* counters come from the platform's EpochService itself.
-    fenced_calls: int = 0
-    epoch_grants: int = 0
-    epoch_bumps: int = 0
-    fenced_rejections: int = 0
-    lease_expiries: int = 0
-
-
-@dataclass
-class TrainingMetrics:
-    """Sharded-training-plane counters, aggregated over every PS shard
-    (a single-PS job reports here too — it is the 1-shard case)."""
-
-    pulls: int = 0
-    pushes: int = 0
-    quantized_pushes: int = 0
-    gradient_bytes_in: int = 0
-    gradient_bytes_saved: int = 0
-    restarts: int = 0
-    barrier_commits: int = 0
-    # Per-shard breakdowns (keyed by the shard's checkpoint-store key,
-    # which survives container restarts).
-    pulls_by_shard: Dict[str, int] = field(default_factory=dict)
-    pushes_by_shard: Dict[str, int] = field(default_factory=dict)
-    restarts_by_shard: Dict[str, int] = field(default_factory=dict)
-
-
-@dataclass
 class SimCoreMetrics:
-    """Event-heap scheduler gauges: the pulse of the simulation core."""
+    """Event-heap scheduler gauges: the pulse of the simulation core
+    (hand-declared for the same reason as :class:`NodeMetrics`)."""
 
-    heap_size: int = 0  # gauge: pending events right now
-    heap_peak: int = 0  # high-water mark (combines by max)
+    heap_size: int = gauge(0)  # pending events right now
+    heap_peak: int = peak(0)
     events_scheduled: int = 0
     events_fired: int = 0
     events_cancelled: int = 0
-    activities_running: int = 0  # gauge
-    activities_parked: int = 0  # gauge: blocked on a Completion
-
-
-@dataclass
-class MonitoringMetrics:
-    """SLO-engine / flight-recorder / incident-pipeline counters,
-    aggregated over every :class:`~repro.observability.monitoring
-    .MonitoringSession` on the platform."""
-
-    slo_evaluations: int = 0
-    alerts_pending: int = 0
-    alerts_fired: int = 0
-    alerts_resolved: int = 0
-    flight_events: int = 0
-    incidents_triggered: int = 0
-    incidents_suppressed: int = 0
-    bundles_emitted: int = 0
+    activities_running: int = gauge(0)
+    activities_parked: int = gauge(0)  # blocked on a Completion
 
 
 @dataclass
@@ -285,18 +208,18 @@ class PlatformMetrics:
     network_messages: int
     network_bytes: int
     network_dropped: int
-    cas_sessions: int
-    cas_secrets: int
+    cas_sessions: int = gauge()
+    cas_secrets: int = gauge()
     audit_records: int
-    audit_chain_ok: bool
+    audit_chain_ok: bool = gauge()
     shields: ShieldMetrics = field(default_factory=ShieldMetrics)
     network_duplicated: int = 0
     network_delayed: int = 0
     recovery: RecoveryMetrics = field(default_factory=RecoveryMetrics)
-    syscalls: SyscallMetrics = field(default_factory=SyscallMetrics)
+    syscalls: SyscallStats = field(default_factory=SyscallStats)
     training: TrainingMetrics = field(default_factory=TrainingMetrics)
     sim_core: SimCoreMetrics = field(default_factory=SimCoreMetrics)
-    monitoring: MonitoringMetrics = field(default_factory=MonitoringMetrics)
+    monitoring: MonitoringStats = field(default_factory=MonitoringStats)
 
     def to_rows(self) -> List[List[str]]:
         rows = []
@@ -438,12 +361,9 @@ class PlatformMetrics:
     def from_json(cls, data: Dict[str, object]) -> "PlatformMetrics":
         payload = dict(data)
         payload["nodes"] = [NodeMetrics(**node) for node in payload["nodes"]]
-        payload["shields"] = ShieldMetrics(**payload["shields"])
-        payload["recovery"] = RecoveryMetrics(**payload["recovery"])
-        payload["syscalls"] = SyscallMetrics(**payload["syscalls"])
-        payload["training"] = TrainingMetrics(**payload["training"])
-        payload["sim_core"] = SimCoreMetrics(**payload["sim_core"])
-        payload["monitoring"] = MonitoringMetrics(**payload["monitoring"])
+        for f in dataclasses.fields(cls):
+            if dataclasses.is_dataclass(f.default_factory):  # a group
+                payload[f.name] = f.default_factory(**payload[f.name])
         return cls(**payload)
 
     def diff(self, earlier: "PlatformMetrics") -> "PlatformMetrics":
@@ -486,60 +406,8 @@ def collect_metrics(platform: SecureTFPlatform) -> PlatformMetrics:
         audit.verify_chain()
     except Exception:
         chain_ok = False
-    clocks = [node.clock for node in platform.nodes]
-    shields = ShieldMetrics()
-    for stats in stats_registry.fs_stats_for(clocks):
-        # fs_* fields match by stripped prefix; the shared
-        # ``bytes_by_cipher`` dict matches under the empty prefix.
-        aggregate_into(shields, stats, prefixes=("fs_", ""))
-    for stats in stats_registry.net_stats_for(clocks):
-        aggregate_into(shields, stats, prefixes=("net_", ""))
-    aead_counters = aead_cache_stats()
-    shields.aead_cache_hits = aead_counters["hits"]
-    shields.aead_cache_misses = aead_counters["misses"]
-    syscalls = SyscallMetrics()
-    for stats in stats_registry.syscall_stats_for(clocks):
-        aggregate_into(syscalls, stats)
-    training = TrainingMetrics()
-    for stats in stats_registry.training_stats_for(clocks):
-        aggregate_into(training, stats)
-        for dict_field, count in (
-            (training.pulls_by_shard, stats.pulls),
-            (training.pushes_by_shard, stats.pushes),
-            (training.restarts_by_shard, stats.restarts),
-        ):
-            # Keyed by store key: a restarted shard's replacement folds
-            # into the same lineage entry.
-            dict_field[stats.shard] = dict_field.get(stats.shard, 0) + count
     sched = platform.scheduler
-    sim_core = SimCoreMetrics(
-        heap_size=sched.heap_size,
-        heap_peak=sched.heap_peak,
-        events_scheduled=sched.events_scheduled,
-        events_fired=sched.events_processed,
-        events_cancelled=sched.events_cancelled,
-        activities_running=sched.activities_running,
-        activities_parked=sched.activities_parked,
-    )
-    monitoring = MonitoringMetrics()
-    for stats in stats_registry.monitoring_stats_for(clocks):
-        aggregate_into(monitoring, stats)
-    recovery = RecoveryMetrics()
-    for stats in stats_registry.recovery_stats_for(clocks):
-        aggregate_into(recovery, stats)
-    recovery.restarts = platform.orchestrator.restarts_total
-    recovery.quarantined = platform.orchestrator.quarantined_total
-    if platform.epochs is not None:
-        fencing = platform.epochs.stats
-        recovery.epoch_grants = fencing.grants
-        recovery.epoch_bumps = fencing.bumps
-        recovery.fenced_rejections = fencing.fenced_rejections
-        recovery.lease_expiries = fencing.lease_expiries
-    if platform.cas_pair is not None:
-        recovery.cas_failovers = platform.cas_pair.stats.failovers
-        recovery.cas_ops_replicated = platform.cas_pair.stats.ops_replicated
-        recovery.cas_records_replicated = platform.cas_pair.stats.records_replicated
-    return PlatformMetrics(
+    metrics = PlatformMetrics(
         nodes=nodes,
         network_messages=platform.network.stats.messages,
         network_bytes=platform.network.stats.bytes_transferred,
@@ -548,12 +416,34 @@ def collect_metrics(platform: SecureTFPlatform) -> PlatformMetrics:
         cas_secrets=len(platform.active_cas.db),
         audit_records=len(audit.log),
         audit_chain_ok=chain_ok,
-        shields=shields,
         network_duplicated=platform.network.stats.duplicated,
         network_delayed=platform.network.stats.delayed,
-        recovery=recovery,
-        syscalls=syscalls,
-        training=training,
-        sim_core=sim_core,
-        monitoring=monitoring,
+        sim_core=SimCoreMetrics(
+            heap_size=sched.heap_size,
+            heap_peak=sched.heap_peak,
+            events_scheduled=sched.events_scheduled,
+            events_fired=sched.events_processed,
+            events_cancelled=sched.events_cancelled,
+            activities_running=sched.activities_running,
+            activities_parked=sched.activities_parked,
+        ),
     )
+    clocks = [node.clock for node in platform.nodes]
+    for layer, (group, names) in _LAYERS.items():
+        for stats in stats_registry.stats_for(layer, clocks):
+            fold(getattr(metrics, group), stats, names)
+    # What no registered stats object carries.
+    aead_counters = aead_cache_stats()
+    metrics.shields.aead_cache_hits = aead_counters["hits"]
+    metrics.shields.aead_cache_misses = aead_counters["misses"]
+    for stats in stats_registry.stats_for("training", clocks):
+        for counter in _BY_SHARD:
+            by_shard = getattr(metrics.training, f"{counter}_by_shard")
+            by_shard[stats.shard] = by_shard.get(stats.shard, 0) + getattr(stats, counter)
+    metrics.recovery.restarts = platform.orchestrator.restarts_total
+    metrics.recovery.quarantined = platform.orchestrator.quarantined_total
+    if platform.epochs is not None:
+        fold(metrics.recovery, platform.epochs.stats, _FENCING)
+    if platform.cas_pair is not None:
+        fold(metrics.recovery, platform.cas_pair.stats, _CAS_PAIR)
+    return metrics

@@ -9,7 +9,7 @@ Coupled pieces (see DESIGN.md §5f and §5k):
 - :mod:`.profiler` / :mod:`.exporters` — exclusive per-layer profiles
   that sum to each node's elapsed simulated time, a text flame report,
   and Chrome trace_event / Prometheus / JSON exporters;
-- :mod:`.monitoring` — declarative SLOs with multi-window burn-rate
+- :mod:`.slo` — declarative SLOs with multi-window burn-rate
   alerting, evaluated as recurring event-heap activities;
 - :mod:`.flight` — the black-box flight recorder (bounded per-node
   event rings at near-zero cost);
@@ -42,7 +42,7 @@ from repro.observability.incident import (
     bundle_from_scenario,
     find_root_cause,
 )
-from repro.observability.monitoring import (
+from repro.observability.slo import (
     Alert,
     MonitoringSession,
     MonitoringStats,

@@ -19,6 +19,7 @@ integrity.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from typing import Dict, List, Optional
@@ -26,6 +27,7 @@ from typing import Dict, List, Optional
 from repro.observability.metrics import Histogram, flatten_metrics
 from repro.observability.profiler import profile
 from repro.observability.tracer import Tracer
+from repro.runtime.stats_registry import COUNTER, kind_of
 
 _US = 1e6  # trace_event timestamps are microseconds
 
@@ -138,6 +140,27 @@ def _prom_name(path: str) -> str:
     return "securetf_" + _PROM_NAME.sub("_", path)
 
 
+def _prom_types(metrics, prefix: str = "") -> Dict[str, str]:
+    """Prometheus type per flattened key of a metrics dataclass, from
+    the kind its field declares: cumulative counters are ``counter``,
+    gauges and high-water marks ``gauge``.  A dict's keys share their
+    field's kind; per-node fields are keyed ``nodes.<field>``."""
+    types: Dict[str, str] = {}
+    for f in dataclasses.fields(metrics):
+        value, path = getattr(metrics, f.name), prefix + f.name
+        kind = "counter" if kind_of(f) == COUNTER else "gauge"
+        if dataclasses.is_dataclass(value):
+            types.update(_prom_types(value, path + "."))
+        elif isinstance(value, list):
+            for node in value:
+                types.update(_prom_types(node, path + "."))
+        elif isinstance(value, dict):
+            types.update((f"{path}.{key}", kind) for key in value)
+        else:
+            types[path] = kind
+    return types
+
+
 def to_prometheus(
     metrics, histograms: Optional[Dict[str, Histogram]] = None
 ) -> str:
@@ -145,6 +168,7 @@ def to_prometheus(
     optional histograms) in Prometheus text exposition format."""
     lines: List[str] = []
     flat = flatten_metrics(metrics.to_json())
+    types = _prom_types(metrics)
     nodes: Dict[str, Dict[str, float]] = {}
     for path, value in sorted(flat.items()):
         if path.startswith("nodes."):
@@ -152,11 +176,11 @@ def to_prometheus(
             nodes.setdefault(field, {})[node_id] = value
             continue
         name = _prom_name(path)
-        lines.append(f"# TYPE {name} gauge")
+        lines.append(f"# TYPE {name} {types[path]}")
         lines.append(f"{name} {value:g}")
     for field in sorted(nodes):
         name = _prom_name(f"node.{field}")
-        lines.append(f"# TYPE {name} gauge")
+        lines.append(f"# TYPE {name} {types['nodes.' + field]}")
         for node_id in sorted(nodes[field]):
             lines.append(f'{name}{{node="{node_id}"}} {nodes[field][node_id]:g}')
     for hist_name in sorted(histograms or {}):

@@ -37,31 +37,13 @@ from repro._sim.clock import SimClock
 from repro._sim.scheduler import Scheduler
 from repro.observability.flight import FlightRecorder
 from repro.observability.incident import IncidentBundle, IncidentPipeline
-from repro.runtime import stats_registry
+from repro.runtime.stats_registry import MonitoringStats, register
 
 #: Alert states (the machine is ok -> pending -> firing -> ok; the
 #: firing -> ok edge records a "resolved" transition).
 STATE_OK = "ok"
 STATE_PENDING = "pending"
 STATE_FIRING = "firing"
-
-
-@dataclass
-class MonitoringStats:
-    """Monitoring-plane counters (surfaced through ``collect_metrics``).
-
-    Field names match :class:`repro.core.monitoring.MonitoringMetrics`
-    so the generic ``aggregate_into`` folds them without a prefix map.
-    """
-
-    slo_evaluations: int = 0
-    alerts_pending: int = 0
-    alerts_fired: int = 0
-    alerts_resolved: int = 0
-    flight_events: int = 0
-    incidents_triggered: int = 0
-    incidents_suppressed: int = 0
-    bundles_emitted: int = 0
 
 
 @dataclass(frozen=True)
@@ -458,7 +440,7 @@ class MonitoringSession:
     ) -> None:
         self._clock = clock
         self.stats = MonitoringStats()
-        stats_registry.register_monitoring_stats(self.stats, clock)
+        register("monitoring", self.stats, clock)
         self.recorder = FlightRecorder(capacity=ring_capacity, stats=self.stats)
         for node_clock, label in node_clocks:
             self.recorder.register_clock(node_clock, label)

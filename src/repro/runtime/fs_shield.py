@@ -215,7 +215,7 @@ class FileSystemShield:
         self._chunk_cache_capacity = max(0, chunk_cache_bytes)
         self._chunk_cache_used = 0
         self.stats = FsShieldStats()
-        stats_registry.register_fs_stats(self.stats, clock)
+        stats_registry.register("fs", self.stats, clock)
 
     # ------------------------------------------------------------------
     # Policy resolution

@@ -297,7 +297,7 @@ class NetworkShield:
         self.rng = rng
         self.syscalls = syscalls
         self.stats = NetShieldStats()
-        stats_registry.register_net_stats(self.stats, clock)
+        stats_registry.register("net", self.stats, clock)
 
     def charge_handshake(self) -> None:
         """Charge one handshake's cryptography (two signatures + ECDHE)."""

@@ -1,14 +1,21 @@
-"""Process-wide registry of shield statistics objects.
+"""Process-wide registry of the layers' statistics objects.
 
 The platform object doesn't own its shields — containers construct them
 inside :class:`~repro.runtime.scone.SconeRuntime`, handshakes mint
 :class:`~repro.runtime.net_shield.ShieldedChannel` pairs on the fly, and
 owner-side deploy helpers build throwaway shields — so monitoring has no
-object graph to walk to find shield counters.  Instead every shield
-registers its stats object here under the simulation clock of the node
-it runs on.  :func:`fs_stats_for`/:func:`net_stats_for` then filter by
-clock, which scopes aggregation to one platform even when several
+object graph to walk to find counters.  Instead every layer registers
+its plain ``*Stats`` dataclass here under its layer name and the
+simulation clock of the node it runs on.  :func:`stats_for` then filters
+by clock, which scopes a snapshot to one platform even when several
 platforms live in the same test process.
+
+A counter's *kind* is declared on its field and read from there by
+:mod:`repro.core.monitoring` and the exporters: an unmarked numeric
+field is a cumulative counter (sources sum, an interval diff subtracts),
+:func:`gauge` a level (sources sum, a diff keeps the later value),
+:func:`peak` a high-water mark (sources combine by max, likewise kept).
+The mark is class-level metadata; counting stays an attribute write.
 
 The registry is weakly keyed by *clock*: entries disappear when a
 platform (and its node clocks) is garbage-collected, but stats outlive
@@ -18,84 +25,57 @@ platform snapshot after the deploy helper returned.
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
-from typing import Iterator, List
+from dataclasses import dataclass
+from typing import Iterable, List
 
 from repro._sim.clock import SimClock
 
-_FS_STATS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_NET_STATS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_RECOVERY_STATS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_SYSCALL_STATS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_TRAINING_STATS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_MONITORING_STATS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+COUNTER, GAUGE, PEAK = "counter", "gauge", "peak"
+
+#: clock → {layer: [stats objects]}
+_REGISTRY: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def register_fs_stats(stats: object, clock: SimClock) -> None:
-    """Track a file-system shield's stats object under its node clock."""
-    _FS_STATS.setdefault(clock, []).append(stats)
+def register(layer: str, stats: object, clock: SimClock) -> None:
+    """Track ``stats`` as one of ``layer``'s sources on ``clock``'s node."""
+    _REGISTRY.setdefault(clock, {}).setdefault(layer, []).append(stats)
 
 
-def register_net_stats(stats: object, clock: SimClock) -> None:
-    """Track a network shield's stats object under its node clock."""
-    _NET_STATS.setdefault(clock, []).append(stats)
+def stats_for(layer: str, clocks: Iterable[SimClock]) -> List[object]:
+    """Every stats object registered for ``layer`` under one of ``clocks``."""
+    return [
+        stats for clock in clocks for stats in _REGISTRY.get(clock, {}).get(layer, ())
+    ]
 
 
-def register_recovery_stats(stats: object, clock: SimClock) -> None:
-    """Track an RPC endpoint's resilience counters under its node clock."""
-    _RECOVERY_STATS.setdefault(clock, []).append(stats)
+def gauge(default=dataclasses.MISSING):
+    """A dataclass field holding a level, not a cumulative count."""
+    return dataclasses.field(default=default, metadata={"kind": GAUGE})
 
 
-def register_syscall_stats(stats: object, clock: SimClock) -> None:
-    """Track a syscall interface's counters under its node clock."""
-    _SYSCALL_STATS.setdefault(clock, []).append(stats)
+def peak(default=dataclasses.MISSING):
+    """A dataclass field holding a high-water mark."""
+    return dataclasses.field(default=default, metadata={"kind": PEAK})
 
 
-def register_training_stats(stats: object, clock: SimClock) -> None:
-    """Track a parameter-server shard's training counters under its
-    node clock."""
-    _TRAINING_STATS.setdefault(clock, []).append(stats)
+def kind_of(field: dataclasses.Field) -> str:
+    return field.metadata.get("kind", COUNTER)
 
 
-def register_monitoring_stats(stats: object, clock: SimClock) -> None:
-    """Track a monitoring session's SLO/flight/incident counters under
-    the clock its evaluator runs on."""
-    _MONITORING_STATS.setdefault(clock, []).append(stats)
+@dataclass
+class MonitoringStats:
+    """SLO-engine / flight-recorder / incident-pipeline counters of one
+    :class:`~repro.observability.slo.MonitoringSession`.  Declared here,
+    not beside the session, so that :mod:`repro.core.monitoring` can
+    publish it without importing :mod:`repro.observability`."""
 
-
-def _collect(
-    registry: "weakref.WeakKeyDictionary", clocks: List[SimClock]
-) -> Iterator[object]:
-    for clock in clocks:
-        yield from registry.get(clock, [])
-
-
-def fs_stats_for(clocks: List[SimClock]) -> List[object]:
-    """All registered fs-shield stats whose clock is in ``clocks``."""
-    return list(_collect(_FS_STATS, clocks))
-
-
-def net_stats_for(clocks: List[SimClock]) -> List[object]:
-    """All registered net-shield stats whose clock is in ``clocks``."""
-    return list(_collect(_NET_STATS, clocks))
-
-
-def recovery_stats_for(clocks: List[SimClock]) -> List[object]:
-    """All registered recovery stats whose clock is in ``clocks``."""
-    return list(_collect(_RECOVERY_STATS, clocks))
-
-
-def syscall_stats_for(clocks: List[SimClock]) -> List[object]:
-    """All registered syscall stats whose clock is in ``clocks``."""
-    return list(_collect(_SYSCALL_STATS, clocks))
-
-
-def training_stats_for(clocks: List[SimClock]) -> List[object]:
-    """All registered per-shard training stats whose clock is in
-    ``clocks``."""
-    return list(_collect(_TRAINING_STATS, clocks))
-
-
-def monitoring_stats_for(clocks: List[SimClock]) -> List[object]:
-    """All registered monitoring stats whose clock is in ``clocks``."""
-    return list(_collect(_MONITORING_STATS, clocks))
+    slo_evaluations: int = 0
+    alerts_pending: int = 0
+    alerts_fired: int = 0
+    alerts_resolved: int = 0
+    flight_events: int = 0
+    incidents_triggered: int = 0
+    incidents_suppressed: int = 0
+    bundles_emitted: int = 0

@@ -60,9 +60,9 @@ class SyscallStats:
     # -- submission/completion ring --------------------------------------
     ring_submissions: int = 0
     ring_completions: int = 0
-    ring_occupancy_peak: int = 0
+    ring_occupancy_peak: int = stats_registry.peak(0)
     batches: int = 0
-    max_batch: int = 0
+    max_batch: int = stats_registry.peak(0)
     flushes_on_block: int = 0
     backpressure_stalls: int = 0
     backpressure_time: float = 0.0
@@ -72,6 +72,11 @@ class SyscallStats:
     overlap_hidden_time: float = 0.0
     overlap_exposed_time: float = 0.0
     by_name: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def kernel_overlap(self) -> float:
+        total = self.overlap_hidden_time + self.overlap_exposed_time
+        return self.overlap_hidden_time / total if total else 0.0
 
 
 HostileHook = Callable[[str, object], object]
@@ -99,7 +104,7 @@ class SyscallInterface:
         self._enclave = enclave
         self._asynchronous = asynchronous
         self.stats = SyscallStats()
-        stats_registry.register_syscall_stats(self.stats, clock)
+        stats_registry.register("syscall", self.stats, clock)
         #: The shared submission/completion ring (SIM and HW-async; the
         #: NATIVE and HW-sync paths never touch a ring).
         self.plane: Optional[SyscallPlane] = None

@@ -169,7 +169,7 @@ class FrontEndRouter:
         #: Per-replica breakers; census + trip counters flow into
         #: ``collect_metrics`` via the standard recovery-stats channel.
         self.recovery = RecoveryStats()
-        stats_registry.register_recovery_stats(self.recovery, node.clock)
+        stats_registry.register("recovery", self.recovery, node.clock)
         self.breakers = BreakerRegistry(
             failure_threshold=breaker_failure_threshold,
             reset_timeout=breaker_reset_timeout,

@@ -133,7 +133,7 @@ class ServingPlane:
         #: interpreters is the perf smoke's contract).
         self.monitoring = None
         if monitoring:
-            from repro.observability.monitoring import (
+            from repro.observability.slo import (
                 MonitoringSession,
                 serving_slos,
             )

@@ -23,7 +23,7 @@ from repro.observability.metrics import (
     WindowedHistogram,
     flatten_metrics,
 )
-from repro.observability.monitoring import MonitoringSession
+from repro.observability.slo import MonitoringSession
 
 pytestmark = pytest.mark.monitoring
 
@@ -130,6 +130,35 @@ class TestPrometheusRoundTrip:
                 key = (name, "")
             assert key in parsed, f"{path} missing from exposition"
             assert parsed[key] == pytest.approx(value, rel=1e-5)
+
+    def test_series_type_follows_the_kind_the_field_declares(
+        self, traced_platform
+    ):
+        platform = traced_platform
+        platform.network.stats.messages += 7
+        metrics = collect_metrics(platform)
+        text = to_prometheus(metrics)
+        types = dict(
+            line.split()[2:4] for line in text.splitlines() if line.startswith("# TYPE")
+        )
+        assert types["securetf_network_messages"] == "counter"
+        assert types["securetf_recovery_retries"] == "counter"
+        assert types["securetf_recovery_breakers_open"] == "gauge"
+        assert types["securetf_cas_sessions"] == "gauge"
+        assert types["securetf_syscalls_ring_occupancy_peak"] == "gauge"  # a peak
+        assert types["securetf_sim_core_heap_peak"] == "gauge"
+        # Per-node series: one TYPE line per field, shared by its nodes.
+        assert types["securetf_node_epc_faults"] == "counter"
+        assert types["securetf_node_epc_resident_granules"] == "gauge"
+        # One TYPE line per series name, and the typed values are still
+        # what flatten_metrics publishes.
+        assert text.count("# TYPE") == len(types)
+        parsed = parse_prometheus(text)
+        flat = flatten_metrics(metrics.to_json())
+        assert parsed[("securetf_network_messages", "")] == flat["network_messages"] == 7.0
+        assert parsed[("securetf_node_epc_faults", 'node="node-0"')] == (
+            flat["nodes.node-0.epc_faults"]
+        )
 
     def test_histogram_summary_quantiles_parse_back(self):
         hist = Histogram("rpc.latency")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from dataclasses import dataclass
+from typing import List
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.observability import (
     to_prometheus,
     validate_chrome_trace,
 )
+from repro.runtime.stats_registry import gauge
 
 
 def _traced_pair() -> Tracer:
@@ -106,14 +110,23 @@ def test_validate_chrome_trace_rejects(doc, message):
         validate_chrome_trace(doc)
 
 
-class _Snapshot:
-    """Minimal stand-in for PlatformMetrics: just the to_json surface."""
+@dataclass
+class _Node:
+    node_id: str
+    enclave_calls: int
 
-    def __init__(self, tree):
-        self._tree = tree
+
+@dataclass
+class _Snapshot:
+    """Minimal stand-in for PlatformMetrics: fields with a kind, and
+    the to_json surface."""
+
+    network_messages: int
+    queue_depth: int = gauge()
+    nodes: List[_Node] = dataclasses.field(default_factory=list)
 
     def to_json(self):
-        return self._tree
+        return dataclasses.asdict(self)
 
 
 def test_flatten_metrics_handles_bools_nesting_and_node_lists():
@@ -139,19 +152,17 @@ def test_flatten_metrics_handles_bools_nesting_and_node_lists():
 
 def test_prometheus_text_format():
     metrics = _Snapshot(
-        {
-            "network_messages": 12,
-            "nodes": [
-                {"node_id": "node-0", "enclave_calls": 5},
-                {"node_id": "node-1", "enclave_calls": 9},
-            ],
-        }
+        network_messages=12,
+        queue_depth=3,
+        nodes=[_Node("node-0", enclave_calls=5), _Node("node-1", enclave_calls=9)],
     )
     hist = Histogram("rpc.latency")
     hist.observe(0.002, count=10)
     text = to_prometheus(metrics, histograms={"rpc.latency": hist})
-    assert "# TYPE securetf_network_messages gauge" in text
+    assert "# TYPE securetf_network_messages counter" in text
     assert "securetf_network_messages 12" in text
+    assert "# TYPE securetf_queue_depth gauge\nsecuretf_queue_depth 3" in text
+    assert "# TYPE securetf_node_enclave_calls counter" in text
     assert 'securetf_node_enclave_calls{node="node-0"} 5' in text
     assert 'securetf_rpc_latency{quantile="0.5"} 0.002' in text
     assert "securetf_rpc_latency_count 10" in text

@@ -6,7 +6,7 @@ import pytest
 
 from repro._sim.clock import SimClock
 from repro._sim.scheduler import Scheduler
-from repro.observability.monitoring import (
+from repro.observability.slo import (
     STATE_FIRING,
     STATE_OK,
     STATE_PENDING,
@@ -240,8 +240,8 @@ class TestSessionWiring:
             assert session.stats.incidents_suppressed >= 1
 
     def test_session_counters_reach_collect_metrics(self):
-        from repro.core.monitoring import MonitoringMetrics, aggregate_into
-        from repro.runtime import stats_registry
+        from repro.core.monitoring import fold, published
+        from repro.runtime.stats_registry import MonitoringStats, stats_for
 
         scheduler = Scheduler()
         clock = SimClock()
@@ -249,10 +249,12 @@ class TestSessionWiring:
             scheduler, clock, specs=[make_spec(lambda: 5.0)], interval=0.25
         ) as session:
             scheduler.run(until=2.0)
-            registered = stats_registry.monitoring_stats_for([clock])
+            registered = stats_for("monitoring", [clock])
             assert session.stats in registered
-            target = MonitoringMetrics()
-            aggregate_into(target, session.stats)
+            assert stats_for("monitoring", [SimClock()]) == []
+            target = MonitoringStats()
+            for stats in registered:
+                fold(target, stats, published(MonitoringStats))
             assert target.slo_evaluations == session.stats.slo_evaluations > 0
             assert target.alerts_fired == 1
             assert target.bundles_emitted == 1
