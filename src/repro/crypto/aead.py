@@ -118,6 +118,13 @@ def key_size(cipher: str) -> int:
     return _KEY_SIZES[cipher]
 
 
+def tag_size(cipher: str) -> int:
+    """Bytes a named cipher's seal adds to its plaintext."""
+    if cipher not in _CIPHERS:
+        raise ConfigurationError(f"unknown AEAD cipher {cipher!r}")
+    return _CIPHERS[cipher].TAG_SIZE
+
+
 class AeadKey:
     """An AEAD key bound to a cipher with automatic nonce sequencing.
 

@@ -24,23 +24,29 @@ every OS write is — an assumption a hostile or crashing host does not
 honour.  The *journaled* layout (``journal=True``, implied by
 ``replicas > 1``) therefore commits like a database:
 
-1. every protected chunk is written to its own generation-named shadow
-   file (``{path}.__chunk.{version}.{index}.{replica}``), ``replicas``
-   copies each, never overwriting the live generation;
+1. the protected chunks, back to back, are written as one generation-
+   named shadow *extent* per replica (``{path}.__chunk.{version}.0.
+   {replica}``, offsets derived from the manifest's geometry) through
+   one ``write_files`` — the payload leaves the enclave once — never
+   overwriting the live generation;
 2. an authenticated manifest (chunk digests, version, geometry, MAC
    under the file key) is written to ``{path}.__commit``;
 3. one atomic ``rename`` flips the manifest over ``{path}`` — THE
    commit point;
 4. the version is committed to the freshness tracker, then stale
-   generations are garbage-collected.
+   generations are collected (one ``unlink`` per replica).
 
-A crash at *any* syscall boundary leaves the file at exactly the old or
-the new version; :meth:`FileSystemShield.recover` (the mount-time scan)
-rolls uncommitted flips back, rolls the freshness record forward across
-a crash between steps 3 and 4, collects strays, and re-replicates
-damaged chunk copies.  Reads self-heal: a torn/rotted replica is
-detected (manifest digest + AEAD), repaired from any intact copy, and
-counted — the shield fails closed only when no valid replica remains.
+A crash at *any* syscall boundary, or a tear at any byte of an extent,
+leaves the file at exactly the old or the new version;
+:meth:`FileSystemShield.recover` (the mount-time scan) rolls uncommitted
+flips back, rolls the freshness record forward across a crash between
+steps 3 and 4, collects strays, and re-replicates damaged chunk copies.
+Reads self-heal: every replica is fetched and checked slot by slot
+(manifest digest + AEAD), a torn/rotted chunk is repaired from any
+intact copy and counted — the shield fails closed only when some chunk
+has no valid copy left.  A repair never overwrites a replica in place
+(it may hold the only intact copy of *another* chunk): the healed extent
+is written to ``{extent}.__commit`` and renamed over the damaged one.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple
 from repro._sim import probe
 from repro._sim.clock import SimClock
 from repro.crypto import encoding
-from repro.crypto.aead import get_aead
+from repro.crypto.aead import get_aead, tag_size
 from repro.crypto.kdf import hkdf
 from repro.enclave.cost_model import CostModel
 from repro.errors import (
@@ -74,8 +80,12 @@ DEFAULT_CHUNK_SIZE = 64 * 1024
 #: Suffix of the pending (not yet flipped) manifest of a journaled commit.
 COMMIT_SUFFIX = ".__commit"
 
-#: Separator of generation-named shadow chunk files.
+#: Separator of generation-named shadow extents; with ``COMMIT_SUFFIX``
+#: appended, a repair of one that has not been renamed into place yet.
 CHUNK_MARKER = ".__chunk."
+
+#: Bytes the keyed digest adds in front of an AUTHENTICATE chunk.
+_AUTH_MAC_SIZE = 32
 
 #: Domain separator of the manifest MAC.
 _MANIFEST_MAC_INFO = b"securetf-fs-manifest"
@@ -165,7 +175,7 @@ class FsShieldStats:
     recovery_scans: int = 0           # mount-time recover() passes
     recoveries_rolled_back: int = 0   # uncommitted flips discarded
     recoveries_rolled_forward: int = 0  # freshness commits completed post-crash
-    replicas_written: int = 0         # chunk replica files written
+    replicas_written: int = 0         # chunk replicas written (in extents)
 
 
 class FileSystemShield:
@@ -343,53 +353,52 @@ class FileSystemShield:
         digest: bytes,
         n_chunks: int,
         cipher: str,
-        load: Callable[[int], Tuple[bytes, List[int]]],
+        load: Callable[[], Tuple[List[bytes], Optional[Callable[[], None]]]],
     ) -> List[bytes]:
         """Every chunk's plaintext, from the cache where it is there.
 
-        The rest are fetched with ``load(index) -> (protected chunk,
-        damaged replicas)`` and opened as **one** batch — every chunk
-        authenticates before any plaintext exists — and only then
-        self-healed, counted and cached.  Raises ShieldError naming the
-        first chunk that fails.
+        If any is not, ``load() -> (every protected chunk, self-heal or
+        None)`` fetches the stored file once and the missing chunks are
+        opened as **one** batch — every chunk authenticates before any
+        plaintext exists — and only then self-healed, counted and
+        cached.  Raises ShieldError naming the first chunk that fails.
         """
-        parts: List[Optional[bytes]] = []
-        pending: List[Tuple[int, bytes, List[int]]] = []
         started = time.perf_counter()
-        for index in range(n_chunks):
-            cached = self._chunk_cache_get(path, version, digest, index)
-            parts.append(cached)
-            if cached is None:
-                pending.append((index, *load(index)))
-        if not pending:
+        parts: List[Optional[bytes]] = [
+            self._chunk_cache_get(path, version, digest, index)
+            for index in range(n_chunks)
+        ]
+        if None not in parts:
             return parts
-        aads = [self._aad(path, policy, version, index, n_chunks) for index, _, _ in pending]
-        blobs = [blob for _, blob, _ in pending]
+        stored, heal = load()
+        missing = [index for index, part in enumerate(parts) if part is None]
+        aads = [self._aad(path, policy, version, index, n_chunks) for index in missing]
+        blobs = [stored[index] for index in missing]
         if policy is ShieldPolicy.ENCRYPT:
             aead = get_aead(cipher, self._file_key(path))
-            nonces = [self._chunk_nonce(version, index) for index, _, _ in pending]
+            nonces = [self._chunk_nonce(version, index) for index in missing]
             try:
                 opened = aead.open_many(nonces, blobs, aads)
             except IntegrityError as exc:
                 raise ShieldError(
-                    f"chunk {pending[exc.position][0]} of {path!r} failed authentication"
+                    f"chunk {missing[exc.position]} of {path!r} failed authentication"
                 ) from exc
             crypto_label = cipher
         else:
             key = self._file_key(path)
             opened = []
-            for (index, blob, _), aad in zip(pending, aads):
-                if len(blob) < 32:
+            for index, blob, aad in zip(missing, blobs, aads):
+                if len(blob) < _AUTH_MAC_SIZE:
                     raise ShieldError(f"chunk {index} of {path!r} truncated")
-                mac, body = blob[:32], blob[32:]
+                mac, body = blob[:_AUTH_MAC_SIZE], blob[_AUTH_MAC_SIZE:]
                 if hashlib.sha256(key + aad + body).digest() != mac:
                     raise ShieldError(f"chunk {index} of {path!r} failed authentication")
                 opened.append(body)
             crypto_label = "sha256-auth"
+        if heal is not None:  # rewrite every damaged replica
+            heal()
         real_bytes = 0
-        for (index, blob, damaged), part in zip(pending, opened):
-            if damaged:  # self-heal: rewrite every damaged copy
-                self._repair_replicas(path, version, index, damaged, blob)
+        for index, part in zip(missing, opened):
             parts[index] = part
             real_bytes += len(part)
             self.stats.chunks_opened += 1
@@ -444,17 +453,7 @@ class FileSystemShield:
         )
 
         if self._journal:
-            self._write_journaled(
-                path,
-                policy,
-                version,
-                chunks,
-                protected,
-                plaintext_size=len(plaintext),
-                simulated=simulated,
-                n_chunks=n_chunks,
-                declared_size=declared_size,
-            )
+            self._write_journaled(path, policy, version, chunks, protected, declared_size)
             return
 
         envelope = encoding.encode(
@@ -514,16 +513,18 @@ class FileSystemShield:
         if self._freshness is not None:
             self._freshness.verify(path, version, digest)
 
-        plaintext_parts = self._open_chunks(
+        return self._reassemble(path, envelope["plaintext_size"], self._open_chunks(
             path, policy, version, digest, len(chunks), envelope["cipher"],
-            lambda index: (chunks[index], []),
-        )
+            lambda: (chunks, None),
+        ))
 
-        plaintext = b"".join(plaintext_parts)
-        if len(plaintext) != envelope["plaintext_size"]:
+    @staticmethod
+    def _reassemble(path: str, recorded_size: int, parts: List[bytes]) -> bytes:
+        plaintext = b"".join(parts)
+        if len(plaintext) != recorded_size:
             raise ShieldError(
                 f"reassembled size {len(plaintext)} != recorded "
-                f"{envelope['plaintext_size']} for {path!r}"
+                f"{recorded_size} for {path!r}"
             )
         return plaintext
 
@@ -532,8 +533,21 @@ class FileSystemShield:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _chunk_path(path: str, version: int, index: int, replica: int) -> str:
-        return f"{path}{CHUNK_MARKER}{version}.{index}.{replica}"
+    def _extent_path(path: str, version: int, replica: int) -> str:
+        """One replica of a generation (middle field: its first chunk, 0)."""
+        return f"{path}{CHUNK_MARKER}{version}.0.{replica}"
+
+    @staticmethod
+    def _extent_slots(body: dict) -> List[Tuple[int, int]]:
+        """``(start, stop)`` of every protected chunk inside an extent,
+        derived from the manifest's geometry and stored nowhere."""
+        encrypted = body["policy"] == ShieldPolicy.ENCRYPT.value
+        overhead = tag_size(body["cipher"]) if encrypted else _AUTH_MAC_SIZE
+        stops = [
+            min(count * body["chunk_size"], body["plaintext_size"]) + count * overhead
+            for count in range(1, body["n_chunks"] + 1)
+        ]
+        return list(zip([0] + stops, stops))
 
     def _manifest_mac(self, path: str, body_bytes: bytes) -> bytes:
         return hashlib.sha256(
@@ -580,21 +594,18 @@ class FileSystemShield:
         version: int,
         chunks: List[bytes],
         protected: List[bytes],
-        *,
-        plaintext_size: int,
-        simulated: int,
-        n_chunks: int,
         declared_size: Optional[int],
     ) -> None:
-        """The crash-consistent commit: shadow chunks -> pending manifest
+        """The crash-consistent commit: shadow extents -> pending manifest
         -> atomic rename flip -> freshness commit -> GC."""
+        plaintext_size = sum(map(len, chunks))
+        simulated = declared_size if declared_size is not None else plaintext_size
         digests = [hashlib.sha256(blob).digest() for blob in protected]
-        for index, blob in enumerate(protected):
-            for replica in range(self._replicas):
-                self._syscalls.write_file(
-                    self._chunk_path(path, version, index, replica), blob
-                )
-                self.stats.replicas_written += 1
+        self._syscalls.write_files(
+            [self._extent_path(path, version, r) for r in range(self._replicas)],
+            b"".join(protected),
+        )
+        self.stats.replicas_written += self._replicas * len(protected)
         body_bytes = encoding.encode(
             {
                 "policy": policy.value,
@@ -611,71 +622,81 @@ class FileSystemShield:
         manifest = encoding.encode(
             {"body": body_bytes, "mac": self._manifest_mac(path, body_bytes)}
         )
-        self._charge_crypto(simulated, n_chunks)
+        self._charge_crypto(simulated, max(1, -(-simulated // self._chunk_size)))
         pending = path + COMMIT_SUFFIX
-        declared = (
-            declared_size
-            if declared_size is not None and declared_size >= len(manifest)
-            else None
-        )
+        # A caller's declared size is charged on the manifest write (the
+        # extents pay for their real bytes) — floored at the manifest's
+        # own length: those bytes cross whatever the caller declares.
+        declared = None if declared_size is None else max(declared_size, len(manifest))
         self._syscalls.write_file(pending, manifest, declared_size=declared)
         self._syscalls.rename(pending, path)  # THE commit point
         self.stats.files_written += 1
         digest = hashlib.sha256(manifest).digest()
         if self._freshness is not None:
             self._freshness.commit(path, version, digest)
-        self._gc_generations(path, keep_version=version)
+        self._gc_generations(path, version, self._syscalls.list_dir(path + CHUNK_MARKER))
         for index, chunk in enumerate(chunks):
             self._chunk_cache_put(path, version, digest, index, chunk)
 
-    def _gc_generations(self, path: str, keep_version: int) -> None:
-        """Unlink shadow chunks of every generation except ``keep_version``."""
+    def _gc_generations(self, path: str, keep_version: int, listing: List[str]) -> None:
+        """Unlink, of the listed extents of ``path``, every generation
+        except ``keep_version`` and any repair still pending."""
         marker = path + CHUNK_MARKER
-        for chunk_file in self._syscalls.list_dir(marker):
+        for extent in listing:
             try:
-                generation = int(chunk_file[len(marker):].split(".", 1)[0])
+                generation = int(extent[len(marker):].split(".", 1)[0])
             except ValueError:
                 continue
-            if generation != keep_version:
-                self._syscalls.unlink(chunk_file)
+            if generation != keep_version or extent.endswith(COMMIT_SUFFIX):
+                self._syscalls.unlink(extent)
 
-    def _load_chunk_replicas(
-        self,
-        path: str,
-        version: int,
-        index: int,
-        replicas: int,
-        expected_digest: bytes,
-    ) -> Tuple[Optional[bytes], List[int]]:
-        """Fetch one chunk's replicas; returns (first intact copy or
-        None, list of damaged/missing replica indices)."""
-        valid: Optional[bytes] = None
-        damaged: List[int] = []
-        for replica in range(replicas):
-            chunk_file = self._chunk_path(path, version, index, replica)
+    def _scrub_extents(
+        self, path: str, body: dict
+    ) -> Tuple[List[Optional[bytes]], Callable[[], None]]:
+        """Fetch every replica's extent once and check it slot by slot
+        against the manifest digests.  Returns (per chunk: the first
+        intact copy or None, ``heal``).
+
+        ``heal()`` re-replicates the intact copies into every damaged
+        replica — never in place: a damaged extent may hold the only
+        intact bytes of *another* chunk, so the reassembled extent is
+        written under a pending name and renamed over it, and a torn or
+        crashed repair leaves the old copy whole.  A chunk no replica
+        still has keeps the replica's own bytes in its slot."""
+        slots, digests = self._extent_slots(body), body["chunk_digests"]
+        blobs: List[Optional[bytes]] = [None] * len(slots)
+        damaged: Dict[str, Tuple[bytes, List[int]]] = {}  # by extent path
+        for replica in range(body["replicas"]):
+            target = self._extent_path(path, body["version"], replica)
             try:
-                content = self._syscalls.read_file(chunk_file).content
+                extent = self._syscalls.read_file(target).content
             except SyscallError:
-                damaged.append(replica)
-                self.stats.torn_writes_detected += 1
-                continue
-            if hashlib.sha256(content).digest() != expected_digest:
-                damaged.append(replica)
-                self.stats.torn_writes_detected += 1
-                continue
-            if valid is None:
-                valid = content
-        return valid, damaged
+                extent = b""  # a missing replica has lost every chunk
+            for index, (start, stop) in enumerate(slots):
+                blob = extent[start:stop]
+                if hashlib.sha256(blob).digest() != digests[index]:
+                    damaged.setdefault(target, (extent, []))[1].append(index)
+                    self.stats.torn_writes_detected += 1
+                elif blobs[index] is None:
+                    blobs[index] = blob
 
-    def _repair_replicas(
-        self, path: str, version: int, index: int, damaged: List[int], blob: bytes
-    ) -> None:
-        """Re-replicate an intact chunk copy over each damaged replica."""
-        for replica in damaged:
-            self._syscalls.write_file(
-                self._chunk_path(path, version, index, replica), blob
-            )
-            self.stats.chunks_repaired += 1
+        def heal() -> None:
+            for target, (extent, indices) in damaged.items():
+                healable = sum(blobs[index] is not None for index in indices)
+                if not healable:
+                    continue
+                self._syscalls.write_file(
+                    target + COMMIT_SUFFIX,
+                    b"".join(
+                        blob if blob is not None
+                        else extent[start:stop].ljust(stop - start, b"\0")
+                        for blob, (start, stop) in zip(blobs, slots)
+                    ),
+                )
+                self._syscalls.rename(target + COMMIT_SUFFIX, target)
+                self.stats.chunks_repaired += healable
+
+        return blobs, heal
 
     def _read_journaled(
         self, path: str, file, policy: ShieldPolicy, envelope: dict
@@ -686,36 +707,24 @@ class FileSystemShield:
                 f"policy mismatch for {path!r}: stored {body['policy']!r}, "
                 f"configured {policy.value!r}"
             )
-        version = body["version"]
-        n_chunks = body["n_chunks"]
-        simulated = body["declared_size"]
+        version, simulated = body["version"], body["declared_size"]
         self._charge_crypto(simulated, max(1, -(-simulated // self._chunk_size)))
 
         digest = hashlib.sha256(file.content).digest()
         if self._freshness is not None:
             self._freshness.verify(path, version, digest)
 
-        def load(index: int) -> Tuple[bytes, List[int]]:
-            blob, damaged = self._load_chunk_replicas(
-                path, version, index, body["replicas"], body["chunk_digests"][index]
-            )
-            if blob is None:
+        def load() -> Tuple[List[bytes], Callable[[], None]]:
+            blobs, heal = self._scrub_extents(path, body)
+            if None in blobs:
                 raise IntegrityError(
-                    f"chunk {index} of {path!r}: no intact replica remains"
+                    f"chunk {blobs.index(None)} of {path!r}: no intact replica remains"
                 )
-            return blob, damaged
+            return blobs, heal
 
-        plaintext_parts = self._open_chunks(
-            path, policy, version, digest, n_chunks, body["cipher"], load
-        )
-
-        plaintext = b"".join(plaintext_parts)
-        if len(plaintext) != body["plaintext_size"]:
-            raise ShieldError(
-                f"reassembled size {len(plaintext)} != recorded "
-                f"{body['plaintext_size']} for {path!r}"
-            )
-        return plaintext
+        return self._reassemble(path, body["plaintext_size"], self._open_chunks(
+            path, policy, version, digest, body["n_chunks"], body["cipher"], load
+        ))
 
     # ------------------------------------------------------------------
     # Mount-time recovery scan
@@ -729,8 +738,8 @@ class FileSystemShield:
         between the flip and the tracker (authenticated roll-forward —
         only the *next* version with a valid MAC qualifies; anything
         older is a rollback and stays rejected), garbage-collects stale
-        chunk generations, and (``heal=True``) re-replicates damaged
-        chunk copies.  Returns ``{path: outcome}`` with outcomes
+        generations and unfinished repairs, and (``heal=True``)
+        re-replicates damaged chunk copies.  Returns ``{path: outcome}`` with outcomes
         ``clean`` / ``rolled-back`` / ``rolled-forward`` / ``stale`` /
         ``damaged``.  Never raises on a damaged or stale file — those
         fail closed at read time.
@@ -742,15 +751,17 @@ class FileSystemShield:
         strays: Dict[str, List[str]] = {}
         bases: List[str] = []
         for p in paths:
-            if p.endswith(COMMIT_SUFFIX):
+            if CHUNK_MARKER in p:
+                # Extents — and pending repairs of one, which are only
+                # collected: an unfinished repair rolled nothing back.
+                strays.setdefault(p.split(CHUNK_MARKER, 1)[0], []).append(p)
+            elif p.endswith(COMMIT_SUFFIX):
                 base = p[: -len(COMMIT_SUFFIX)]
                 # An unflipped commit: the crash landed between the
                 # pending-manifest write and the rename.  Roll back.
                 self._syscalls.unlink(p)
                 self.stats.recoveries_rolled_back += 1
                 report[base] = "rolled-back"
-            elif CHUNK_MARKER in p:
-                strays.setdefault(p.split(CHUNK_MARKER, 1)[0], []).append(p)
             else:
                 bases.append(p)
 
@@ -758,7 +769,7 @@ class FileSystemShield:
             if self.policy_for(base) is ShieldPolicy.PASSTHROUGH:
                 continue
             if base not in bases:
-                # Shadow chunks without any manifest: the first commit of
+                # Shadow extents without any manifest: the first commit of
                 # a new file never flipped.  The file never existed.
                 for p in strays.get(base, []):
                     self._syscalls.unlink(p)
@@ -794,26 +805,14 @@ class FileSystemShield:
                         self.stats.recoveries_rolled_forward += 1
                     except FreshnessError:
                         outcome = "stale"
-            # GC stale generations (crash during a previous GC).
-            marker = base + CHUNK_MARKER
-            for p in strays.get(base, []):
-                try:
-                    generation = int(p[len(marker):].split(".", 1)[0])
-                except ValueError:
-                    continue
-                if generation != version:
-                    self._syscalls.unlink(p)
+            # GC stale generations (crash during a previous GC) and
+            # repairs that never reached their rename.
+            self._gc_generations(base, version, strays.get(base, []))
             if heal and outcome in ("clean", "rolled-forward"):
-                for index in range(body["n_chunks"]):
-                    blob, damaged = self._load_chunk_replicas(
-                        base, version, index, body["replicas"],
-                        body["chunk_digests"][index],
-                    )
-                    if blob is None:
-                        outcome = "damaged"
-                        break
-                    if damaged:
-                        self._repair_replicas(base, version, index, damaged, blob)
+                blobs, repair = self._scrub_extents(base, body)
+                if None in blobs:
+                    outcome = "damaged"
+                repair()
             report[base] = outcome
         return report
 

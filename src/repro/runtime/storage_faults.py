@@ -15,7 +15,8 @@ appended to a canonical event trace.
 Faults modelled:
 
 - **torn writes** — a write persists only a prefix of the payload and
-  the process dies (:class:`~repro.errors.StorageCrash`);
+  the process dies (:class:`~repro.errors.StorageCrash`), at a random
+  length or (``CrashPoint.keep``) at an exact byte;
 - **crash points** — kill the process immediately *before* or *after*
   mutating-storage operation #N, which lets tests sweep every syscall
   boundary of a multi-file commit exhaustively;
@@ -71,11 +72,14 @@ class CrashPoint:
     happened); ``after=True`` crashes immediately after it applied (the
     very next instruction never runs).  Sweeping ``at_op`` over a
     commit's operation count with both polarities visits every syscall
-    boundary exactly once.
+    boundary exactly once.  ``keep`` tears instead: when the operation is
+    a write, exactly its first ``keep`` bytes persist and the process
+    dies — the boundaries *inside* one large write.
     """
 
     at_op: int
     after: bool = False
+    keep: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -199,6 +203,12 @@ class StorageFaultPlan:
         for point in self.crash_points:
             if point.at_op == index and point not in self._fired:
                 self._fired.add(point)
+                if point.keep is not None and op == "write" and content is not None:
+                    self.counters.torn_writes += 1
+                    self.record(f"torn op={index} {path} kept={point.keep}/{len(content)}")
+                    action.content = content[: point.keep]
+                    action.crash_after = True
+                    return action
                 self.counters.crashes += 1
                 side = "after" if point.after else "before"
                 self.record(f"crash {side} op={index} {op} {path}")

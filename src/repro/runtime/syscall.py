@@ -26,7 +26,7 @@ ring is rejected exactly like a hostile synchronous return value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
@@ -260,17 +260,34 @@ class SyscallInterface:
         self, path: str, content: bytes, declared_size: Optional[int] = None
     ) -> VirtualFile:
         """Write a whole file (create or replace)."""
-        self._charge("open")
-        self._charge("write", posted=True)
+        return self.write_files([path], content, declared_size)[0]
+
+    def write_files(
+        self, paths: Sequence[str], content: bytes, declared_size: Optional[int] = None
+    ) -> List[VirtualFile]:
+        """Write one payload to every path (the replicas of a shield
+        extent).  The payload crosses the boundary **once**, with the
+        first destination; every destination pays its own ``open``,
+        posted ``write`` + continuations and posted ``close``, and has
+        its write count Iago-checked."""
         size = declared_size if declared_size is not None else len(content)
-        self._charge_io(size, write=True)
-        file = self._vfs.write(path, content, declared_size=declared_size)
-        written = self._maybe_hostile("write", size)
-        if not isinstance(written, int):
-            raise SyscallError("kernel returned a non-integer write count")
-        iago.check_write_result(size, written)
-        self._charge("close", posted=True)
-        return file
+        files: List[VirtualFile] = []
+        for path in paths:
+            self._charge("open")
+            self._charge("write", posted=True)
+            if not files:
+                self._charge_io(size, write=True)
+            else:  # the host already holds the buffer: calls, no copy
+                for _ in range(max(1, -(-size // IO_CHUNK)) - 1):
+                    self._charge("rw_continuation", posted=True)
+                self.stats.bytes_written += size
+            files.append(self._vfs.write(path, content, declared_size=declared_size))
+            written = self._maybe_hostile("write", size)
+            if not isinstance(written, int):
+                raise SyscallError("kernel returned a non-integer write count")
+            iago.check_write_result(size, written)
+            self._charge("close", posted=True)
+        return files
 
     def stat(self, path: str) -> int:
         """Size of a file (simulated size)."""

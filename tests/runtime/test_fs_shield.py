@@ -17,6 +17,7 @@ from repro.runtime.fs_shield import (
 )
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.vfs import VirtualFileSystem
+from tests.runtime._extents import damage_chunk
 
 RULES = [
     PathRule("/secure/", ShieldPolicy.ENCRYPT),
@@ -435,8 +436,8 @@ def test_journaled_cold_read_with_a_lost_chunk_releases_no_chunk():
 
     shield, vfs, _ = make_shield(chunk_size=64, replicas=2)
     shield.write_file("/secure/j", bytes(range(256)))
-    for replica_file in ("/secure/j.__chunk.0.0.0", "/secure/j.__chunk.0.2.0", "/secure/j.__chunk.0.2.1"):
-        vfs.tamper(replica_file, b"rot" + vfs.read(replica_file).content[3:])
+    for index, replica in ((0, 0), (2, 0), (2, 1)):
+        damage_chunk(vfs, "/secure/j", 0, index, replica)
     shield.drop_caches()
     with pytest.raises(IntegrityError, match="chunk 2 of '/secure/j': no intact replica"):
         shield.read_file("/secure/j")

@@ -26,6 +26,7 @@ from repro.runtime.fs_shield import (
 from repro.runtime.storage_faults import CrashPoint, StorageFaultPlan
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.vfs import VirtualFileSystem
+from tests.runtime._extents import chunk_slot, damage_chunk, extent_path
 
 RULES = [PathRule("/s/", ShieldPolicy.ENCRYPT)]
 OLD = bytes(range(256)) * 3   # 768 bytes -> 3 chunks at 256
@@ -62,10 +63,11 @@ def committed_write_op_count(replicas=2):
 
 
 def test_commit_is_multi_operation():
-    # 3 chunks x 2 replicas + pending write + rename + GC deletes: the
-    # sweep below only means something if the commit really spans many
-    # syscall boundaries.
-    assert committed_write_op_count() >= 8
+    # 2 replica extents + pending manifest + rename + 2 GC deletes: the
+    # sweep below only means something if the commit really spans
+    # several syscall boundaries (the boundaries *inside* an extent write
+    # are swept in test_fs_shield_extents.py).
+    assert committed_write_op_count() == 6
 
 
 @pytest.mark.parametrize("after", [False, True])
@@ -157,12 +159,12 @@ def test_recovery_rolls_back_unflipped_commit_and_collects_strays():
     tracker = LocalFreshnessTracker()
     shield = mount(vfs, tracker)
     shield.write_file(PATH, OLD)
-    # Crash right before the rename flip: pending manifest + both chunk
-    # generations on disk.  Commit op order: 3 chunks x 2 replicas of
-    # shadow writes (ops 0-5), the pending-manifest write (op 6), then
-    # the rename (op 7).
+    # Crash right before the rename flip: pending manifest + both
+    # generations on disk.  Commit op order: the 2 replica extents
+    # (ops 0-1), the pending-manifest write (op 2), then the rename
+    # (op 3).
     plan = StorageFaultPlan(
-        seed=0, crash_points=[CrashPoint(at_op=7)]
+        seed=0, crash_points=[CrashPoint(at_op=3)]
     ).attach(vfs)
     try:
         shield.write_file(PATH, NEW)
@@ -173,9 +175,9 @@ def test_recovery_rolls_back_unflipped_commit_and_collects_strays():
     remounted = mount(vfs, tracker)
     had_pending = any(p.endswith(COMMIT_SUFFIX) for p in vfs.listdir())
     report = remounted.recover()
-    if had_pending:
-        assert report[PATH] == "rolled-back"
-        assert remounted.stats.recoveries_rolled_back == 1
+    assert had_pending
+    assert report[PATH] == "rolled-back"
+    assert remounted.stats.recoveries_rolled_back == 1
     assert remounted.read_file(PATH) == OLD
     # No pending manifest and no stale-generation chunks remain.
     leftover = vfs.listdir()
@@ -185,7 +187,7 @@ def test_recovery_rolls_back_unflipped_commit_and_collects_strays():
         for p in leftover
         if CHUNK_MARKER in p
     }
-    assert len(generations) == 1  # only the live version's chunks
+    assert generations == {"0"}  # only the live version's extents
 
 
 def test_gc_removes_stale_generations_on_clean_commit():
@@ -206,23 +208,15 @@ def test_gc_removes_stale_generations_on_clean_commit():
 # ---------------------------------------------------------------------------
 
 
-def chunk_files(vfs, replica=None):
-    return [
-        p
-        for p in vfs.listdir()
-        if CHUNK_MARKER in p and (replica is None or p.endswith(f".{replica}"))
-    ]
-
-
 def test_read_heals_a_damaged_replica():
     vfs = VirtualFileSystem()
     shield = mount(vfs, LocalFreshnessTracker(), replicas=3)
     shield.write_file(PATH, OLD)
     shield.drop_caches()
 
-    victim = chunk_files(vfs, replica=1)[0]
-    good = vfs.read(victim).content
-    vfs.tamper(victim, b"\x00" * len(good))
+    good = vfs.read(extent_path(PATH, 0, 1)).content
+    victim = damage_chunk(vfs, PATH, 0, index=0, replica=1)
+    assert vfs.read(victim).content != good
 
     assert shield.read_file(PATH) == OLD  # healed transparently
     assert shield.stats.torn_writes_detected == 1
@@ -240,9 +234,9 @@ def test_read_survives_a_missing_replica():
     shield = mount(vfs, LocalFreshnessTracker(), replicas=2)
     shield.write_file(PATH, OLD)
     shield.drop_caches()
-    vfs.delete(chunk_files(vfs, replica=0)[0])
+    vfs.delete(extent_path(PATH, 0, 0))
     assert shield.read_file(PATH) == OLD
-    assert shield.stats.chunks_repaired == 1
+    assert shield.stats.chunks_repaired == 3  # every chunk the replica held
 
 
 def test_fails_closed_when_no_intact_replica_remains():
@@ -250,10 +244,8 @@ def test_fails_closed_when_no_intact_replica_remains():
     shield = mount(vfs, LocalFreshnessTracker(), replicas=2)
     shield.write_file(PATH, OLD)
     shield.drop_caches()
-    first_chunk = [p for p in chunk_files(vfs) if f"{CHUNK_MARKER}0.0." in p]
-    assert len(first_chunk) == 2
-    for p in first_chunk:
-        vfs.tamper(p, b"garbage")
+    for replica in range(2):
+        damage_chunk(vfs, PATH, 0, index=0, replica=replica)
     with pytest.raises(IntegrityError):
         shield.read_file(PATH)
 
@@ -263,9 +255,9 @@ def test_recover_heals_replicas_at_mount_time():
     tracker = LocalFreshnessTracker()
     shield = mount(vfs, tracker, replicas=2)
     shield.write_file(PATH, OLD)
-    victim = chunk_files(vfs, replica=1)[0]
+    victim = extent_path(PATH, 0, 1)
     good = vfs.read(victim).content
-    vfs.tamper(victim, good[:-5])
+    vfs.tamper(victim, good[:-5])  # the last chunk lost its tail
 
     remounted = mount(vfs, tracker, replicas=2)
     report = remounted.recover()
@@ -282,11 +274,12 @@ def test_replica_corruption_counted_not_conflated_with_forgery():
     shield = mount(vfs, LocalFreshnessTracker(), replicas=2)
     shield.write_file(PATH, OLD)
     shield.drop_caches()
-    a, b = [p for p in chunk_files(vfs) if f"{CHUNK_MARKER}0.0." in p]
-    # Copy replica contents of chunk 1 over chunk 0's replica: valid
+    # Copy chunk 1's stored bytes over chunk 0's slot of replica 0: valid
     # ciphertext, wrong chunk -> digest mismatch -> treated as damage.
-    other = [p for p in chunk_files(vfs) if f"{CHUNK_MARKER}0.1." in p][0]
-    vfs.tamper(a, vfs.read(other).content)
+    victim = extent_path(PATH, 0, 0)
+    raw = vfs.read(victim).content
+    (start0, stop0), (start1, stop1) = (chunk_slot(vfs, PATH, i) for i in (0, 1))
+    vfs.tamper(victim, raw[:start0] + raw[start1:stop1] + raw[stop0:])
     assert shield.read_file(PATH) == OLD
     assert shield.stats.torn_writes_detected == 1
 

@@ -50,6 +50,22 @@ def test_torn_write_keeps_prefix_and_kills_process():
     assert plan.counters.torn_writes == 1
 
 
+@pytest.mark.parametrize("keep", [0, 1, 199])
+def test_crash_point_tears_a_write_at_an_exact_byte(keep):
+    vfs = VirtualFileSystem()
+    plan = StorageFaultPlan(0, crash_points=[CrashPoint(at_op=1, keep=keep)]).attach(vfs)
+    payload = bytes(range(200))
+    vfs.write("/first", payload)  # op 0: untouched
+    with pytest.raises(StorageCrash):
+        vfs.write("/f", payload)
+    assert vfs.read("/first").content == payload
+    assert vfs._files["/f"].content == payload[:keep]
+    assert plan.counters.torn_writes == 1 and plan.counters.crashes == 0
+    assert plan.events == [f"torn op=1 /f kept={keep}/200"]
+    vfs.write("/f", payload)  # fires once
+    assert vfs.read("/f").content == payload
+
+
 def test_bit_rot_flips_one_stored_bit():
     vfs = VirtualFileSystem()
     plan = StorageFaultPlan(3, StorageFaultSpec(bit_rot=1.0)).attach(vfs)

@@ -170,6 +170,51 @@ def test_iago_write_overclaim_rejected(vfs):
         syscalls.write_file("/f", b"data")
 
 
+@pytest.mark.parametrize("lie", [-100, 100])
+@pytest.mark.parametrize("victim", [0, 1])
+def test_iago_write_count_checked_on_every_destination(vfs, lie, victim):
+    """``write_files`` checks each destination's count: a kernel honest
+    about the first replica and lying (a negative or an over-long count)
+    about the second is refused exactly like one lying about the first."""
+    syscalls, _ = make_syscalls(vfs)
+    writes = []
+
+    def hostile(name, result):
+        if name != "write":
+            return result
+        writes.append(result)
+        return result + lie if len(writes) == victim + 1 else result
+
+    syscalls.hostile_hook = hostile
+    with pytest.raises(IagoError):
+        syscalls.write_files(["/a", "/b"], b"data")
+    assert len(writes) == victim + 1
+
+
+def test_write_files_crosses_the_boundary_once(vfs, cpu):
+    """One payload, two destinations: the copy out of the enclave is
+    charged once, the calls and the bytes the OS wrote per destination;
+    one destination is exactly ``write_file``."""
+    syscalls, clock = make_syscalls(vfs, SgxMode.HW, cpu)
+    memory = syscalls._enclave.memory
+    payload = b"x" * (2 * IO_CHUNK + 5)
+
+    touched, calls, start = memory.bytes_touched, syscalls.stats.calls, clock.now
+    syscalls.write_file("/one", payload)
+    one_calls, one_time = syscalls.stats.calls - calls, clock.now - start
+    assert memory.bytes_touched - touched == len(payload)
+    assert syscalls.stats.bytes_written == len(payload)
+
+    touched, calls, start = memory.bytes_touched, syscalls.stats.calls, clock.now
+    files = syscalls.write_files(["/a", "/b"], payload)
+    assert [f.path for f in files] == ["/a", "/b"]
+    assert vfs.read("/a").content == vfs.read("/b").content == payload
+    assert memory.bytes_touched - touched == len(payload)       # one crossing
+    assert syscalls.stats.bytes_written == 3 * len(payload)     # every replica
+    assert syscalls.stats.calls - calls == 2 * one_calls        # open/write/2 cont/close each
+    assert clock.now - start < 2 * one_time
+
+
 def test_iago_listing_outside_prefix_rejected(vfs):
     syscalls, _ = make_syscalls(vfs)
     vfs.write("/dir/a", b"")
