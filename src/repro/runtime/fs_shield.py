@@ -16,7 +16,11 @@ version to a :class:`FreshnessTracker` and verifies against it on read.
 
 Cost model: the paper measures shield cryptography at AES-NI rates
 (~4 GB/s, §5.3 #2); real ChaCha20 here runs on the *real* bytes while
-time is charged for the *declared* size at that bandwidth.
+time is charged for the *declared* size at that bandwidth.  A read pays
+for the chunks it opens: every chunk carries its share of the declared
+size, a chunk served from the plaintext cache costs one in-enclave copy
+of its share instead of a decrypt, and the cache's capacity is counted
+in the same simulated bytes.
 
 Crash consistency (the storage-plane hardening): the legacy *inline*
 layout stores the whole envelope in one file, which is only atomic if
@@ -65,6 +69,7 @@ from repro.crypto import encoding
 from repro.crypto.aead import get_aead, tag_size
 from repro.crypto.kdf import hkdf
 from repro.enclave.cost_model import CostModel
+from repro.enclave.memory import EnclaveMemory
 from repro.errors import (
     FreshnessError,
     IagoError,
@@ -90,8 +95,10 @@ _AUTH_MAC_SIZE = 32
 #: Domain separator of the manifest MAC.
 _MANIFEST_MAC_INFO = b"securetf-fs-manifest"
 
-# Decrypted chunks cached per shield, capped in bytes (not entries) so a
-# few huge model files can't pin unbounded plaintext.
+# Decrypted chunks cached per shield, capped in *simulated* bytes (not
+# entries, not stand-in bytes) so a few huge model files can't pin
+# unbounded plaintext — and a model declared larger than the cache is
+# not re-read for the price of a hit because its stand-in happens to fit.
 DEFAULT_CHUNK_CACHE_BYTES = 8 * 1024 * 1024
 
 #: File versions fill the 32-bit field of the chunk nonce.
@@ -194,6 +201,7 @@ class FileSystemShield:
         chunk_cache_bytes: int = DEFAULT_CHUNK_CACHE_BYTES,
         journal: bool = False,
         replicas: int = 1,
+        memory: Optional[EnclaveMemory] = None,
     ) -> None:
         if len(master_key) != 32:
             raise ShieldError("file-system shield needs a 32-byte master key")
@@ -210,6 +218,9 @@ class FileSystemShield:
         self._rules = list(rules)
         self._model = cost_model
         self._clock = clock
+        #: Memory of the enclave the shield runs in (a cache hit is a copy
+        #: through it); None for an owner-side shield outside any enclave.
+        self._memory = memory
         self._chunk_size = chunk_size
         self._cipher = cipher
         self._freshness = freshness
@@ -219,9 +230,10 @@ class FileSystemShield:
         # digest, chunk index): any rewrite bumps the version and any
         # tampering changes the digest, so stale or forged content can
         # never be served — the cache fails closed to a decrypt+verify.
-        self._chunk_cache: "OrderedDict[Tuple[str, int, bytes, int], bytes]" = (
-            OrderedDict()
-        )
+        # An entry is (plaintext, its share of the file's simulated size).
+        self._chunk_cache: (
+            "OrderedDict[Tuple[str, int, bytes, int], Tuple[bytes, int]]"
+        ) = OrderedDict()
         self._chunk_cache_capacity = max(0, chunk_cache_bytes)
         self._chunk_cache_used = 0
         self.stats = FsShieldStats()
@@ -283,6 +295,28 @@ class FileSystemShield:
         self.stats.crypto_bytes += simulated_bytes
         self.stats.crypto_time += duration
 
+    def _charge_copy(self, simulated_bytes: int) -> None:
+        """A cache hit is not free: the cached bytes are copied to the
+        caller at the memory bandwidth of wherever the shield runs."""
+        if self._memory is not None:
+            self._memory.charge_bytes(simulated_bytes)
+        elif simulated_bytes > 0:
+            self._clock.advance(simulated_bytes / self._model.native_memory_bandwidth)
+
+    @staticmethod
+    def _simulated_shares(
+        simulated: int, plaintext_size: int, chunk_size: int, n_chunks: int
+    ) -> List[int]:
+        """Each chunk's share of the file's simulated size, proportional
+        to its plaintext bytes; the shares sum to ``simulated`` exactly."""
+        if plaintext_size == 0:  # the one empty chunk of an empty file
+            return [simulated]
+        stops = [
+            simulated * min(count * chunk_size, plaintext_size) // plaintext_size
+            for count in range(n_chunks + 1)
+        ]
+        return [stop - start for start, stop in zip(stops, stops[1:])]
+
     def _account_real_crypto(self, label: str, n_bytes: int, elapsed: float) -> None:
         self.stats.real_crypto_time += elapsed
         by_cipher = self.stats.bytes_by_cipher
@@ -301,24 +335,45 @@ class FileSystemShield:
             return None
         self._chunk_cache.move_to_end((path, version, digest, index))
         self.stats.chunk_cache_hits += 1
-        return entry
+        return entry[0]
 
     def _chunk_cache_put(
-        self, path: str, version: int, digest: bytes, index: int, plaintext: bytes
+        self,
+        path: str,
+        version: int,
+        digest: bytes,
+        index: int,
+        plaintext: bytes,
+        share: int,
     ) -> None:
+        """Hand a chunk to the cache (no copy, no charge).  It occupies
+        ``share`` — its simulated bytes, the currency a hit is charged in
+        — so what fits is decided by the modelled sizes, not by how small
+        the stand-in bytes are; eviction is LRU and free."""
         if self._chunk_cache_capacity <= 0:
             return
-        if len(plaintext) > self._chunk_cache_capacity:
+        if share > self._chunk_cache_capacity:
             return
         key = (path, version, digest, index)
         old = self._chunk_cache.pop(key, None)
         if old is not None:
-            self._chunk_cache_used -= len(old)
-        self._chunk_cache[key] = plaintext
-        self._chunk_cache_used += len(plaintext)
+            self._chunk_cache_used -= old[1]
+        self._chunk_cache[key] = (plaintext, share)
+        self._chunk_cache_used += share
         while self._chunk_cache_used > self._chunk_cache_capacity:
-            _, evicted = self._chunk_cache.popitem(last=False)
-            self._chunk_cache_used -= len(evicted)
+            _, (_, evicted) = self._chunk_cache.popitem(last=False)
+            self._chunk_cache_used -= evicted
+
+    def _warm_chunk_cache(
+        self, path: str, version: int, digest: bytes, chunks: List[bytes], simulated: int
+    ) -> None:
+        """Cache a file just written: an immediate read-back (model deploy
+        followed by service start) then skips the decrypt entirely."""
+        shares = self._simulated_shares(
+            simulated, sum(map(len, chunks)), self._chunk_size, len(chunks)
+        )
+        for index, (chunk, share) in enumerate(zip(chunks, shares)):
+            self._chunk_cache_put(path, version, digest, index, chunk, share)
 
     # ------------------------------------------------------------------
     # Chunk protection (shared by both layouts)
@@ -351,8 +406,8 @@ class FileSystemShield:
         policy: ShieldPolicy,
         version: int,
         digest: bytes,
-        n_chunks: int,
         cipher: str,
+        shares: List[int],
         load: Callable[[], Tuple[List[bytes], Optional[Callable[[], None]]]],
     ) -> List[bytes]:
         """Every chunk's plaintext, from the cache where it is there.
@@ -362,16 +417,26 @@ class FileSystemShield:
         opened as **one** batch — every chunk authenticates before any
         plaintext exists — and only then self-healed, counted and
         cached.  Raises ShieldError naming the first chunk that fails.
+
+        The caller has authenticated the manifest and checked policy and
+        freshness; this is the one place a read is charged, by ``shares``
+        (each chunk's simulated bytes): a cached chunk costs a copy of
+        its share, and crypto is paid for the chunks to open, before
+        they are fetched.
         """
         started = time.perf_counter()
+        n_chunks = len(shares)
         parts: List[Optional[bytes]] = [
             self._chunk_cache_get(path, version, digest, index)
             for index in range(n_chunks)
         ]
-        if None not in parts:
-            return parts
-        stored, heal = load()
         missing = [index for index, part in enumerate(parts) if part is None]
+        to_open = sum(shares[index] for index in missing)
+        self._charge_copy(sum(shares) - to_open)
+        if not missing:
+            return parts
+        self._charge_crypto(to_open, max(1, -(-to_open // self._chunk_size)))
+        stored, heal = load()
         aads = [self._aad(path, policy, version, index, n_chunks) for index in missing]
         blobs = [stored[index] for index in missing]
         if policy is ShieldPolicy.ENCRYPT:
@@ -402,7 +467,7 @@ class FileSystemShield:
             parts[index] = part
             real_bytes += len(part)
             self.stats.chunks_opened += 1
-            self._chunk_cache_put(path, version, digest, index, part)
+            self._chunk_cache_put(path, version, digest, index, part, shares[index])
         if real_bytes:
             self._account_real_crypto(
                 crypto_label, real_bytes, time.perf_counter() - started
@@ -472,10 +537,7 @@ class FileSystemShield:
         digest = hashlib.sha256(envelope).digest()
         if self._freshness is not None:
             self._freshness.commit(path, version, digest)
-        # Warm the chunk cache: an immediate read-back (model deploy
-        # followed by service start) then skips the decrypt entirely.
-        for index, chunk in enumerate(chunks):
-            self._chunk_cache_put(path, version, digest, index, chunk)
+        self._warm_chunk_cache(path, version, digest, chunks, simulated)
 
     # ------------------------------------------------------------------
     # Read path
@@ -505,16 +567,20 @@ class FileSystemShield:
             )
         version = envelope["version"]
         chunks: List[bytes] = envelope["chunks"]
-        simulated = file.size
-        n_chunks = max(1, -(-simulated // self._chunk_size))
-        self._charge_crypto(simulated, n_chunks)
+        chunk_size, plaintext_size = envelope["chunk_size"], envelope["plaintext_size"]
+        # The geometry is the host's word until the chunks authenticate
+        # (the AAD binds the count); it must at least be one a write
+        # could have produced before time is charged by it.
+        if chunk_size <= 0 or len(chunks) != max(1, -(-plaintext_size // chunk_size)):
+            raise ShieldError(f"shield envelope for {path!r} has inconsistent geometry")
 
         digest = hashlib.sha256(file.content).digest()
         if self._freshness is not None:
             self._freshness.verify(path, version, digest)
 
-        return self._reassemble(path, envelope["plaintext_size"], self._open_chunks(
-            path, policy, version, digest, len(chunks), envelope["cipher"],
+        return self._reassemble(path, plaintext_size, self._open_chunks(
+            path, policy, version, digest, envelope["cipher"],
+            self._simulated_shares(file.size, plaintext_size, chunk_size, len(chunks)),
             lambda: (chunks, None),
         ))
 
@@ -635,8 +701,7 @@ class FileSystemShield:
         if self._freshness is not None:
             self._freshness.commit(path, version, digest)
         self._gc_generations(path, version, self._syscalls.list_dir(path + CHUNK_MARKER))
-        for index, chunk in enumerate(chunks):
-            self._chunk_cache_put(path, version, digest, index, chunk)
+        self._warm_chunk_cache(path, version, digest, chunks, simulated)
 
     def _gc_generations(self, path: str, keep_version: int, listing: List[str]) -> None:
         """Unlink, of the listed extents of ``path``, every generation
@@ -707,9 +772,7 @@ class FileSystemShield:
                 f"policy mismatch for {path!r}: stored {body['policy']!r}, "
                 f"configured {policy.value!r}"
             )
-        version, simulated = body["version"], body["declared_size"]
-        self._charge_crypto(simulated, max(1, -(-simulated // self._chunk_size)))
-
+        version = body["version"]
         digest = hashlib.sha256(file.content).digest()
         if self._freshness is not None:
             self._freshness.verify(path, version, digest)
@@ -723,7 +786,12 @@ class FileSystemShield:
             return blobs, heal
 
         return self._reassemble(path, body["plaintext_size"], self._open_chunks(
-            path, policy, version, digest, body["n_chunks"], body["cipher"], load
+            path, policy, version, digest, body["cipher"],
+            self._simulated_shares(
+                body["declared_size"], body["plaintext_size"], body["chunk_size"],
+                body["n_chunks"],
+            ),
+            load,
         ))
 
     # ------------------------------------------------------------------

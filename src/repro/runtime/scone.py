@@ -232,6 +232,7 @@ class SconeRuntime:
             freshness=freshness if freshness is not None else self.config.freshness,
             journal=self.config.fs_journal,
             replicas=self.config.fs_replicas,
+            memory=self.memory,
         )
 
     def make_net_shield(self, identity, trusted_roots) -> NetworkShield:
