@@ -7,7 +7,8 @@ seeded chaos plan (message loss + latency spikes + duplicate delivery,
 one transient partition, one replica crash mid-spike).  Headline
 numbers — sustained requests/s, client p99 under chaos, and the
 cold-start → attested latency that makes elastic scaling practical
-(paper challenge ❹) — land in ``BENCH.json`` under ``serving``.
+(paper challenge ❹) — land in ``BENCH.json`` under ``serving``, the
+section they replace kept under ``previous``.
 
 The bench also *asserts* the plane's contract while measuring it:
 every admitted request terminates in exactly one reply or one typed
@@ -16,7 +17,15 @@ error, and the chaos run replays byte-for-byte from its seed.
 
 import pytest
 
-from harness import fmt_ms, fmt_s, print_table, record, run_once, save_bench
+from harness import (
+    fmt_ms,
+    fmt_s,
+    load_bench,
+    print_table,
+    record,
+    run_once,
+    save_bench,
+)
 
 from repro.cluster.faults import FaultPlan, FaultSpec, TransientPartition
 from repro.serving.autoscaler import AutoscalerPolicy
@@ -87,6 +96,7 @@ def test_serving_plane(benchmark):
         return {
             "req_per_s": stats.ok / elapsed,
             "p50": stats.latency.percentile(50),
+            "p95": stats.latency.percentile(95),
             "p99": stats.latency.percentile(99),
             "ok": stats.ok,
             "sent": stats.sent,
@@ -141,6 +151,8 @@ def test_serving_plane(benchmark):
         chaos_p99_s=m_chaos["p99"],
         cold_start_mean_s=cold_mean,
     )
+    previous = load_bench("serving")
+    previous.pop("previous", None)
     save_bench(
         "serving",
         {
@@ -148,8 +160,12 @@ def test_serving_plane(benchmark):
             "duration_s": DURATION,
             "deadline_budget_s": DEADLINE_BUDGET,
             "clean_requests_per_sec": round(m_clean["req_per_s"], 1),
+            "clean_p50_ms": round(m_clean["p50"] * 1e3, 3),
+            "clean_p95_ms": round(m_clean["p95"] * 1e3, 3),
             "clean_p99_ms": round(m_clean["p99"] * 1e3, 3),
             "chaos_requests_per_sec": round(m_chaos["req_per_s"], 1),
+            "chaos_p50_ms": round(m_chaos["p50"] * 1e3, 3),
+            "chaos_p95_ms": round(m_chaos["p95"] * 1e3, 3),
             "chaos_p99_ms": round(m_chaos["p99"] * 1e3, 3),
             "chaos_ok": m_chaos["ok"],
             "chaos_sent": m_chaos["sent"],
@@ -161,5 +177,6 @@ def test_serving_plane(benchmark):
             "cold_start_to_attested_ms_max": round(max(cold) * 1e3, 3),
             "replicas_attested_under_chaos": m_chaos["replicas_attested"],
             "replay_byte_identical": True,
+            "previous": previous,
         },
     )

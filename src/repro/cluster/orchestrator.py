@@ -26,6 +26,7 @@ drive loop having to iterate the fleet between its own steps.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -53,13 +54,12 @@ class ContainerSpec:
 
 
 class Orchestrator:
-    """Places containers on nodes round-robin; supports elastic scaling."""
+    """Places containers on the least-occupied node; supports elastic scaling."""
 
     def __init__(self, nodes: List[Node], restart_budget: int = 3) -> None:
         if not nodes:
             raise ClusterError("orchestrator needs at least one node")
         self._nodes = list(nodes)
-        self._next_placement = 0
         self._replicas: Dict[str, List[Container]] = {}
         self.on_start: List[StartHook] = []
         #: Max restarts per replica lineage before quarantine.
@@ -107,11 +107,16 @@ class Orchestrator:
     # ------------------------------------------------------------------
 
     def _place(self, node: Optional[Node]) -> Node:
+        """A pinned launch stays where the caller put it; an unpinned one
+        goes to the node with the fewest running containers — pinned
+        ones counted, ties in node order (so an empty cluster fills
+        ``node-0, node-1, ...`` and wraps)."""
         if node is not None:
             return node
-        chosen = self._nodes[self._next_placement % len(self._nodes)]
-        self._next_placement += 1
-        return chosen
+        occupancy = Counter(
+            id(c.node) for c in self.all_containers() if c.running
+        )
+        return min(self._nodes, key=lambda candidate: occupancy[id(candidate)])
 
     def launch(self, spec: ContainerSpec, node: Optional[Node] = None) -> Container:
         """Start one replica (attestation hooks run before it is visible)."""

@@ -1,7 +1,7 @@
 """The attested replica pool: orchestrated, provisioned, drainable.
 
 Every replica is launched through the
-:class:`~repro.cluster.orchestrator.Orchestrator` (round-robin
+:class:`~repro.cluster.orchestrator.Orchestrator` (least-occupied-node
 placement, restart budgets, quarantine) and becomes routable only after
 it has **attested to CAS and been provisioned** — the pool's
 ``on_start`` hook runs the same attestation path elastic scaling rides

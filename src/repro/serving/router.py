@@ -13,7 +13,8 @@ it.  The state machine per admitted request:
       │           └─ shed ──> OverloadError (raised, never queued)
       │                               ├── transport failure ──> retry
       ├─ deadline already past ──────>│    (different replica, while
-      │     DeadlineExceededError     │     budget and replicas remain)
+      │     DeadlineExceededError     │     budget and replicas remain;
+      │                               │     else settle(that failure))
       │                               ├── hedge timer (p99-derived) fires
       │                               │     second attempt, first reply
       │                               │     wins, loser counted late
@@ -275,8 +276,14 @@ class FrontEndRouter:
 
     # -- attempts --------------------------------------------------------
 
-    def _launch_attempt(self, info: _PendingRequest, hedge: bool) -> None:
-        """Dispatch one attempt to the best untried routable replica."""
+    def _launch_attempt(
+        self,
+        info: _PendingRequest,
+        hedge: bool,
+        after: Optional[RpcTransportError] = None,
+    ) -> None:
+        """Dispatch one attempt to the best untried routable replica
+        (``after``: the transport error this attempt is the retry of)."""
         if info.settled:
             return
         now = self.clock.now
@@ -295,10 +302,14 @@ class FrontEndRouter:
         if not candidates_left:
             # No replica to try: settle only if nothing is outstanding —
             # an earlier attempt may still come back with the answer.
+            # A retry that finds nobody left died of its last transport
+            # error; overload is a request that was never dispatched.
             if info.outstanding == 0 and not hedge:
                 self._settle_error(
                     info,
-                    OverloadError(
+                    after
+                    if after is not None
+                    else OverloadError(
                         f"no routable replica for {info.request_id!r} at "
                         f"t={now:.6f}"
                     ),
@@ -382,7 +393,7 @@ class FrontEndRouter:
         if len(info.tried) < self.policy.max_attempts and budget_left:
             self.stats.retries += 1
             self.record(f"retry {info.request_id} after {address} @{now:.6f}")
-            self._launch_attempt(info, hedge=False)
+            self._launch_attempt(info, hedge=False, after=error)
         elif info.outstanding == 0:
             self._settle_error(info, error)
         # else: another attempt is still in flight; let it decide.

@@ -2,13 +2,23 @@
 
 Each replica walks a lifecycle — ``COLD`` (container starting) →
 ``ATTESTING`` (proving itself to CAS) → ``HEALTHY`` — and may detour
-through ``DEGRADED`` (recent transport failure; still routable but
-deprioritized), ``DRAINING`` (scale-in: finishes in-flight work, takes
-no new), ``QUARANTINED`` (restart budget exhausted) or ``FAILED``.
-Only HEALTHY and DEGRADED replicas are routable, and among those the
-router picks **least-loaded with deterministic tie-breaking**: the
-ordering key is ``(state rank, in-flight, address)``, a pure function
-of scoreboard state, so seeded runs route identically.
+through ``DEGRADED`` (its last attempt died of a transport failure;
+fully routable, loses ties), ``DRAINING`` (scale-in: finishes in-flight
+work, takes no new), ``QUARANTINED`` (restart budget exhausted) or
+``FAILED``.  Only HEALTHY and DEGRADED replicas are routable, and among
+those the router picks **least-loaded with deterministic tie-breaking**:
+the ordering key is ``(in-flight, state rank, address)``, a pure
+function of scoreboard state, so seeded runs route identically.
+
+Load comes first because the request waits behind the queue, not
+behind the label.  DEGRADED is a tie-break and nothing else: a replica
+that lost one message takes its share again as soon as its peers are
+busier, and heals on its first reply.  *Excluding* a replica that is
+really gone is the router's per-replica circuit breaker (3 failures →
+open for 1 s), not this state: ranked ahead of the load it would keep a
+replica out until every healthy one held ``per_replica_limit``
+requests, and since only a reply heals, the replica would never come
+back.
 
 The scoreboard is fed from three directions: the pool's lifecycle hooks
 (launch / attest / drain / crash), the router's per-attempt outcomes
@@ -94,8 +104,8 @@ class ReplicaScoreboard:
             entry.transitions.append(state.value)
 
     def mark_degraded(self, address: str) -> None:
-        """A transport failure: deprioritize, but keep routable — one
-        lost message must not black-hole a healthy replica."""
+        """A transport failure: lose ties, but keep routable — one lost
+        message must not black-hole a healthy replica."""
         entry = self._entries.get(address)
         if entry is not None and entry.state is ReplicaState.HEALTHY:
             self.set_state(address, ReplicaState.DEGRADED)
@@ -147,17 +157,17 @@ class ReplicaScoreboard:
     ) -> Optional[ReplicaEntry]:
         """Least-loaded routable replica, deterministic tie-break.
 
-        Key = (state rank, in-flight, address): HEALTHY beats DEGRADED,
-        lighter beats heavier, and the address string settles exact
-        ties — a pure function of scoreboard state, no RNG, no identity
-        ordering.
+        Key = (in-flight, state rank, address): lighter beats heavier,
+        HEALTHY beats DEGRADED at equal load, and the address string
+        settles exact ties — a pure function of scoreboard state, no
+        RNG, no identity ordering.
         """
         candidates = self.routable(per_replica_limit, exclude)
         if not candidates:
             return None
         return min(
             candidates,
-            key=lambda e: (_ROUTABLE_RANK[e.state], e.in_flight, e.address),
+            key=lambda e: (e.in_flight, _ROUTABLE_RANK[e.state], e.address),
         )
 
     def has_capacity(self, per_replica_limit: int) -> bool:

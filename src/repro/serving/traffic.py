@@ -3,10 +3,14 @@
 Each simulated client is a coroutine activity on the global scheduler:
 think (an exponential draw scaled by the diurnal profile), send one
 request with a propagated deadline, park on the reply, classify the
-outcome, repeat.  All clients share the client node's clock — the event
-heap executes events in global time order, so the clock reads exactly
-the reply time at each resume and per-request latency is measured
-precisely even on a shared clock.
+outcome, repeat.  Clients are outside the cluster: they share one clock
+of their own (it joins the timeline at the time of the node they enter
+through), which nothing but their own timers and replies advances — the
+event heap executes events in global time order, so it reads exactly the
+reply time at each resume and per-request latency is measured precisely
+even on a shared clock.  (A cluster node's clock would not do: a replica
+placed on it advances it by a service time per request, and replies
+would land on a clock already past them.)
 
 Outcome accounting is total: every request a client sends terminates in
 exactly one of {ok, overload-shed, deadline-exceeded, transport error,
@@ -21,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+from repro._sim import probe
+from repro._sim.clock import SimClock
 from repro._sim.rng import DeterministicRng
 from repro._sim.scheduler import Completion
 from repro.cluster.network import Network
@@ -109,7 +115,10 @@ class TrafficGenerator:
         if duration <= 0:
             raise ConfigurationError(f"duration must be positive: {duration}")
         self.network = network
-        self.node = node
+        self.clock = SimClock(node.clock.now)
+        network.scheduler.register_clock(self.clock)
+        if probe.ACTIVE is not None:
+            probe.ACTIVE.register_clock(self.clock, "clients")
         self.router_address = router_address
         self.clients = clients
         self.duration = duration
@@ -125,7 +134,7 @@ class TrafficGenerator:
             self.network.scheduler.spawn(
                 self._client(index),
                 name=f"client-{index}",
-                clock=self.node.clock,
+                clock=self.clock,
             )
             for index in range(self.clients)
         ]
@@ -148,7 +157,7 @@ class TrafficGenerator:
 
     def _client(self, index: int):
         rng = self._rng.child(f"client-{index}")
-        clock = self.node.clock
+        clock = self.clock
         scheduler = self.network.scheduler
         stats = self.stats
         address = f"client-{index}"

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro._sim import probe
 from repro._sim.units import MiB
 from repro.errors import ConfigurationError
 from repro.runtime.scone import SconeRuntime
@@ -287,6 +288,11 @@ class ExecutionEngine:
                 faults += stream_faults
         if faults and self.profile.thrash_factor > 1.0:
             granule_cost = runtime.memory.granule_fault_cost
-            clock.advance(faults * granule_cost * (self.profile.thrash_factor - 1.0))
+            surcharge = faults * granule_cost * (self.profile.thrash_factor - 1.0)
+            clock.advance(surcharge)
+            if probe.ACTIVE is not None:
+                # Paging, not compute: the tracer files what nobody
+                # claims under compute.
+                probe.ACTIVE.charge(clock, "epc_faults", surcharge)
         self.totals.memory_time += clock.now - before
         self.totals.epc_faults += faults

@@ -60,12 +60,77 @@ def test_container_fail(cluster):
     assert not container.running
 
 
+def occupancy(orch):
+    """node id -> running containers, every node listed."""
+    counts = {node.node_id: 0 for node in orch.nodes}
+    for container in orch.all_containers():
+        if container.running:
+            counts[container.node.node_id] += 1
+    return counts
+
+
 def test_orchestrator_round_robin_placement(cluster):
+    """Fewest-containers-first with ties in node order *is* round-robin
+    on an empty cluster."""
     orch = Orchestrator(cluster)
     spec = ContainerSpec("svc", config_factory)
     containers = [orch.launch(spec) for _ in range(4)]
     nodes = [c.node.node_id for c in containers]
     assert nodes == ["node-0", "node-1", "node-2", "node-0"]
+
+
+def test_unpinned_launches_go_around_pinned_containers(cluster):
+    """Placement counts what is already running on a node, whoever put
+    it there: a pinned front end on node-0 sends node-0 its replica
+    last, not first."""
+    orch = Orchestrator(cluster)
+    orch.launch(ContainerSpec("front", config_factory), node=cluster[0])
+    spec = ContainerSpec("svc", config_factory)
+    nodes = [orch.launch(spec).node.node_id for _ in range(5)]
+    assert nodes == ["node-1", "node-2", "node-0", "node-1", "node-2"]
+
+
+@pytest.mark.parametrize("n_nodes", [1, 2, 3, 5])
+@pytest.mark.parametrize("pinned", [(), (0,), (0, 0, 2), (1, 1, 1, 1)])
+def test_unpinned_launches_level_the_nodes(provisioning, n_nodes, pinned):
+    """N unpinned launches over M nodes leave the nodes within one
+    container of each other once they have filled up to the pinned
+    ones, which are never moved and always counted."""
+    nodes = make_cluster(n_nodes, CM, provisioning, seed=2)
+    orch = Orchestrator(nodes)
+    front = ContainerSpec("front", config_factory)
+    for index in pinned:
+        orch.launch(front, node=nodes[index % n_nodes])
+    spec = ContainerSpec("svc", config_factory)
+    for launched in range(1, 3 * n_nodes + len(pinned) + 1):
+        before = occupancy(orch)
+        target = orch.launch(spec).node.node_id
+        assert before[target] == min(before.values())
+        # Ties go to the first such node.
+        assert target == next(n for n, c in before.items() if c == before[target])
+    counts = occupancy(orch).values()
+    assert max(counts) - min(counts) <= 1
+
+
+def test_scale_out_after_scale_in_refills_the_emptiest_node(cluster):
+    orch = Orchestrator(cluster)
+    spec = ContainerSpec("svc", config_factory)
+    containers = orch.scale_to(spec, 6)
+    assert occupancy(orch) == {"node-0": 2, "node-1": 2, "node-2": 2}
+    # Scale-in is not placement-aware: stop both of node-1's replicas.
+    for container in containers:
+        if container.node is cluster[1]:
+            container.stop()
+    assert occupancy(orch) == {"node-0": 2, "node-1": 0, "node-2": 2}
+    refill = [orch.launch(spec).node.node_id for _ in range(3)]
+    assert refill == ["node-1", "node-1", "node-0"]
+
+
+def test_scale_to_spreads_like_the_elastic_attestation_bench(cluster):
+    """``bench_elastic_attestation.py``: 8 replicas over 3 nodes."""
+    orch = Orchestrator(cluster)
+    orch.scale_to(ContainerSpec("elastic", config_factory), 8)
+    assert occupancy(orch) == {"node-0": 3, "node-1": 3, "node-2": 2}
 
 
 def test_elastic_scale_up_and_down(cluster):
@@ -101,6 +166,18 @@ def test_recover_replaces_failed_replicas(cluster):
     assert len(replaced) == 1
     assert replaced[0].node is victim.node  # restarted in place
     assert len(orch.replicas("svc")) == 2
+
+
+def test_restart_stays_on_its_node_even_when_another_is_emptier(cluster):
+    orch = Orchestrator(cluster)
+    spec = ContainerSpec("svc", config_factory)
+    containers = orch.scale_to(spec, 4)  # node-0 holds two
+    containers[2].stop()  # node-2 is now empty
+    victim = containers[3]
+    assert victim.node is cluster[0]
+    orch.fail_container(victim)
+    (replacement,) = orch.recover(spec)
+    assert replacement.node is cluster[0]
 
 
 def test_stop_all(cluster):

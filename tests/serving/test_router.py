@@ -7,13 +7,17 @@ transition of the request state machine is observable in isolation.
 
 import pytest
 
+from repro._sim.clock import SimClock
+from repro._sim.rng import DeterministicRng
 from repro.cluster import Network, make_cluster
+from repro.cluster.network import FaultAction
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.errors import DeadlineExceededError, OverloadError, RpcTransportError
 from repro.serving import messages
 from repro.serving.admission import AdmissionController, TokenBucket
 from repro.serving.router import FrontEndRouter, RouterPolicy
 from repro.serving.scoreboard import ReplicaScoreboard, ReplicaState
+from repro.serving.traffic import DiurnalProfile, TrafficGenerator
 
 pytestmark = pytest.mark.serving
 
@@ -29,13 +33,15 @@ def network():
 
 
 def make_router(network, node, per_replica_limit=2, max_attempts=3, hedge=False,
-                hedge_min_delay=0.05, rate=1000.0, burst=100.0):
+                hedge_min_delay=0.05, rate=1000.0, burst=100.0,
+                breaker_failure_threshold=3):
     return FrontEndRouter(
         network,
         node,
         "router",
         ReplicaScoreboard(),
         AdmissionController(TokenBucket(rate, burst)),
+        breaker_failure_threshold=breaker_failure_threshold,
         policy=RouterPolicy(
             per_replica_limit=per_replica_limit,
             max_attempts=max_attempts,
@@ -71,6 +77,28 @@ def send(network, clock, request_id, deadline=None, payload=b"p"):
         messages.encode_request(request_id, payload, deadline=deadline),
     )
     return messages.decode_reply(raw)
+
+
+def drop_first_message_to(network, address):
+    """Lose exactly one message addressed to ``address``."""
+    dropped = []
+
+    def fault(src, dst, n_bytes, now):
+        if dst == address and not dropped:
+            dropped.append(src)
+            return FaultAction(drop=True, reason="test drop")
+        return None
+
+    network.faults.append(fault)
+
+
+def dispatches(router):
+    """(request id, replica) of every attempt the router sent, in order."""
+    return [
+        (event.split()[1], event.split()[3])
+        for event in router.events
+        if event.startswith(("dispatch ", "hedge "))
+    ]
 
 
 def test_ok_roundtrip_stamps_replica(cluster, network):
@@ -162,17 +190,7 @@ def test_transport_failure_retries_on_another_replica(cluster, network):
     add_replica(network, router, cluster[1], "r-a")
     add_replica(network, router, cluster[2], "r-b")
 
-    dropped = []
-
-    def drop_first_to_a(src, dst, n_bytes, now):
-        from repro.cluster.network import FaultAction
-
-        if dst == "r-a" and not dropped:
-            dropped.append(src)
-            return FaultAction(drop=True, reason="test drop")
-        return None
-
-    network.faults.append(drop_first_to_a)
+    drop_first_message_to(network, "r-a")
     reply = send(network, cluster[2].clock, "q1")
     assert reply["replica"] == "r-b"
     assert router.stats.retries == 1
@@ -182,10 +200,97 @@ def test_transport_failure_retries_on_another_replica(cluster, network):
     assert router.recovery.breakers_closed == 2
 
 
+def test_one_lost_message_does_not_starve_a_replica(cluster, network):
+    """The starvation regression: r-a is DEGRADED by one lost message
+    and the healthy r-b holds a request — the next dispatch goes to the
+    lighter r-a, and its reply heals it.  (With state rank ahead of load
+    it went to r-b until r-b held ``per_replica_limit`` requests, and
+    r-a, never tried, never healed.)"""
+    router = make_router(network, cluster[0], per_replica_limit=4)
+    add_replica(network, router, cluster[1], "r-a", service_time=0.01)
+    add_replica(network, router, cluster[2], "r-b", service_time=1.0)
+    drop_first_message_to(network, "r-a")
+    clock = SimClock()
+    first = network.call_async(
+        "client", clock, "router", messages.encode_request("q1", b"p")
+    )
+    network.scheduler.run(until=0.1)
+    assert dispatches(router) == [("q1", "r-a"), ("q1", "r-b")]
+    assert router.scoreboard.get("r-a").state is ReplicaState.DEGRADED
+    assert router.scoreboard.in_flight("r-b") == 1
+
+    clock.advance_to(0.1)
+    reply = send(network, clock, "q2")
+    assert reply["replica"] == "r-a"
+    assert dispatches(router)[-1] == ("q2", "r-a")
+    assert router.scoreboard.get("r-a").state is ReplicaState.HEALTHY
+    assert messages.decode_reply(network.scheduler.run_until(first))["replica"] == "r-b"
+
+
+def test_partitioned_replica_is_cut_off_by_its_breaker(cluster, network):
+    """Load-first routing keeps offering a failing replica its share, so
+    exclusion is the breaker's job: three failures open it, and from
+    then on no attempt is sent to the partitioned replica."""
+    router = make_router(network, cluster[0], per_replica_limit=8)
+    add_replica(network, router, cluster[1], "r-a", service_time=0.2)
+    add_replica(network, router, cluster[2], "r-b")
+    network.partition("r-b")
+    clock = SimClock()
+    pending = [
+        network.call_async(
+            "client", clock, "router", messages.encode_request(f"q{i}", b"p")
+        )
+        for i in range(6)
+    ]
+    for completion in pending:
+        reply = messages.decode_reply(network.scheduler.run_until(completion))
+        assert reply["replica"] == "r-a"
+    # q0 ties and goes to r-a; q1..q3 find r-b lighter and fail on it.
+    assert [r for _, r in dispatches(router)].count("r-b") == 3
+    assert router.recovery.breaker_trips == 1
+    assert router.recovery.breakers_open == 1
+    assert router.recovery.breaker_rejections == 2  # q4, q5: not even tried
+    assert router.stats.completed_ok == 6 and router.stats.retries == 3
+
+
 def test_no_routable_replica_is_typed_overload(cluster, network):
     make_router(network, cluster[0])
     with pytest.raises(OverloadError):
         send(network, cluster[2].clock, "q1")
+
+
+def test_every_replica_lost_is_a_transport_error_not_overload(cluster, network):
+    """Both routable replicas lose the request and attempts remain: the
+    request died of transport, and both ledgers must say so — overload
+    means nothing was ever dispatched."""
+    # Breakers held shut: an open breaker is "never dispatched", which is
+    # overload, and this test is about requests that were.
+    router = make_router(
+        network, cluster[0], max_attempts=5, breaker_failure_threshold=1000
+    )
+    add_replica(network, router, cluster[1], "r-a")
+    add_replica(network, router, cluster[2], "r-b")
+    network.faults.append(
+        lambda src, dst, n_bytes, now: FaultAction(drop=True, reason="test drop")
+        if dst in ("r-a", "r-b")
+        else None
+    )
+    with pytest.raises(RpcTransportError):
+        send(network, SimClock(), "q1")
+    assert dispatches(router) == [("q1", "r-a"), ("q1", "r-b")]
+    assert router.stats.failed_transport == 1 and router.stats.failed_other == 0
+    assert router.admission.stats.admitted == router.stats.terminal == 1
+
+    # The client-side half of the ledger files it under transport too.
+    traffic = TrafficGenerator(
+        network, cluster[2], "router", clients=2, duration=2.0,
+        rng=DeterministicRng(7), profile=DiurnalProfile(base_think=0.2),
+    )
+    stats = traffic.run()
+    stats.assert_accounted()
+    assert stats.sent > 0 and stats.transport == stats.sent
+    assert stats.overload == 0
+    assert router.stats.failed_transport == 1 + stats.sent
 
 
 def test_hedge_second_attempt_first_reply_wins(cluster, network):

@@ -1,6 +1,8 @@
 """Scoreboard: lifecycle transitions, deterministic least-loaded picking."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ClusterError
 from repro.serving.scoreboard import ReplicaScoreboard, ReplicaState
@@ -37,12 +39,69 @@ def test_pick_least_loaded_with_address_tiebreak():
 
 
 def test_pick_prefers_healthy_over_degraded():
+    """DEGRADED loses ties and nothing else: load comes first."""
     sb = board("r-0", "r-1")
     sb.mark_degraded("r-0")
-    sb.on_dispatch("r-1")
-    sb.on_dispatch("r-1")
-    # r-0 is lighter but degraded: the loaded healthy replica wins.
+    # Equal load: the healthy replica wins although r-0 sorts first.
     assert sb.pick(per_replica_limit=4).address == "r-1"
+    sb.on_dispatch("r-1")
+    # r-0 is degraded but lighter: one lost message does not starve it.
+    assert sb.pick(per_replica_limit=4).address == "r-0"
+    sb.on_dispatch("r-0")
+    sb.on_dispatch("r-0")
+    assert sb.pick(per_replica_limit=4).address == "r-1"
+
+
+_ENTRIES = st.lists(
+    st.tuples(st.sampled_from(list(ReplicaState)), st.integers(0, 5)),
+    min_size=0,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=_ENTRIES,
+    limit=st.integers(1, 6),
+    excluded=st.sets(st.integers(0, 7)),
+    order=st.randoms(use_true_random=False),
+)
+def test_pick_is_least_loaded_and_order_independent(entries, limit, excluded, order):
+    """``pick`` returns a routable entry of minimal in-flight, a DEGRADED
+    one only when no HEALTHY one ties it, whatever the insertion order."""
+
+    def build(indices):
+        sb = ReplicaScoreboard()
+        for index in indices:
+            state, load = entries[index]
+            sb.add(f"r-{index}", state=state)
+            for _ in range(load):
+                sb.on_dispatch(f"r-{index}")
+        return sb
+
+    exclude = frozenset(f"r-{index}" for index in excluded)
+    indices = list(range(len(entries)))
+    picked = build(indices).pick(limit, exclude)
+    routable = [
+        (load, state, f"r-{index}")
+        for index, (state, load) in enumerate(entries)
+        if state in (ReplicaState.HEALTHY, ReplicaState.DEGRADED)
+        and load < limit
+        and f"r-{index}" not in exclude
+    ]
+    if not routable:
+        assert picked is None
+        return
+    lightest = min(load for load, _, _ in routable)
+    assert (picked.in_flight, picked.state, picked.address) in routable
+    assert picked.in_flight == lightest
+    if picked.state is ReplicaState.DEGRADED:
+        assert not any(
+            load == lightest and state is ReplicaState.HEALTHY
+            for load, state, _ in routable
+        )
+    order.shuffle(indices)
+    assert build(indices).pick(limit, exclude).address == picked.address
 
 
 def test_per_replica_limit_bounds_the_queue():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import repro.tensor as tf
-from repro._sim import DeterministicRng, SimClock
+from repro._sim import DeterministicRng, SimClock, probe
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.epc import EpcCache
 from repro.enclave.sgx import SgxMode
 from repro.errors import ConfigurationError
+from repro.observability.profiler import profile
+from repro.observability.tracer import Tracer
 from repro.runtime.scone import RuntimeConfig, SconeRuntime
 from repro.runtime.vfs import VirtualFileSystem
 from repro.tensor.engine import (
@@ -123,6 +125,37 @@ def test_thrash_surcharge_uses_the_caches_granule_cost(cpu, granule_size):
         # The float the engine derived from DEFAULT_GRANULE_SIZE before.
         pages = granule_size // CM.page_size
         assert runtime.memory.granule_fault_cost == CM.epc_page_fault_cost * pages
+
+
+def test_traced_paging_is_all_of_memory_time_but_the_bandwidth(cpu):
+    """Aim 4: the tracer's ``epc_faults`` is every simulated second the
+    memory phase spent paging — fault services *and* the thrash
+    surcharge — so ``compute`` is FLOPs, dispatch and DRAM bandwidth."""
+    runtime, clock = make_runtime(SgxMode.HW, FULL_TF_PROFILE, cpu=cpu)
+    engine = ExecutionEngine(runtime, FULL_TF_PROFILE)
+    big = RunStats(
+        flops=10**9, ops=50, weight_bytes=CM.epc_capacity_bytes,
+        activation_bytes=10**7, max_op_bytes=10**6,
+    )
+    tracer = Tracer()
+    previous = probe.ACTIVE
+    probe.set_active(tracer)
+    try:
+        tracer.register_clock(clock, "engine")
+        for _ in range(2):
+            engine.charge_run(big)
+    finally:
+        probe.set_active(previous)
+    assert engine.totals.epc_faults > 0
+    layers = profile(tracer)["engine"].layers
+    paging = engine.totals.memory_time - runtime.memory.bandwidth_time
+    assert layers["epc_faults"] == pytest.approx(paging, rel=1e-12)
+    assert layers["epc_faults"] == pytest.approx(
+        cpu.epc.stats.fault_time * FULL_TF_PROFILE.thrash_factor, rel=1e-12
+    )
+    assert layers["compute"] == pytest.approx(
+        engine.totals.compute_time + runtime.memory.bandwidth_time, rel=1e-9
+    )
 
 
 def test_no_epc_no_granule_fault_cost():
