@@ -8,7 +8,10 @@ one transient partition, one replica crash mid-spike).  Headline
 numbers — sustained requests/s, client p99 under chaos, and the
 cold-start → attested latency that makes elastic scaling practical
 (paper challenge ❹) — land in ``BENCH.json`` under ``serving``, the
-section they replace kept under ``previous``.
+section they replace kept under ``previous``.  Two more say whether the
+plane queues behind itself: the share of requests answered within one
+service time, and what doubling the replicas on a fixed pair of nodes
+does to saturated throughput.
 
 The bench also *asserts* the plane's contract while measuring it:
 every admitted request terminates in exactly one reply or one typed
@@ -29,6 +32,7 @@ from harness import (
 
 from repro.cluster.faults import FaultPlan, FaultSpec, TransientPartition
 from repro.serving.autoscaler import AutoscalerPolicy
+from repro.serving.router import RouterPolicy
 from repro.serving.service import ServingPlane
 from repro.serving.traffic import DiurnalProfile
 
@@ -36,6 +40,30 @@ SEED = 21
 CLIENTS = 12
 DURATION = 8.0
 DEADLINE_BUDGET = 0.5
+#: The slowest service time (10 ms + 20 % jitter) plus forwarding and
+#: four wire legs: a request that takes longer waited for something.
+ONE_SERVICE_TIME = 0.0135
+
+
+def _saturated_throughput(replicas: int) -> int:
+    """Requests a 2-node plane answers in 3 simulated seconds when 16
+    closed-loop clients never think (no hedging, no rate limit)."""
+    plane = ServingPlane(
+        seed=SEED,
+        n_nodes=2,
+        initial_replicas=replicas,
+        router_policy=RouterPolicy(hedge=False),
+        rate_limit=1e6,
+        rate_burst=1e6,
+    )
+    stats = plane.run_traffic(
+        16,
+        plane.time + 3.0,
+        profile=DiurnalProfile(base_think=0.001, phases=((1.0, 1.0),)),
+    )
+    plane.check_invariants()
+    assert stats.ok == stats.sent
+    return stats.ok
 
 
 def _run(seed: int, chaos: bool):
@@ -80,9 +108,10 @@ def test_serving_plane(benchmark):
         clean = _run(SEED, chaos=False)
         chaos = _run(SEED, chaos=True)
         replay = _run(SEED, chaos=True)
-        return clean, chaos, replay
+        capacity = _saturated_throughput(4) / _saturated_throughput(2)
+        return clean, chaos, replay, capacity
 
-    clean, chaos, replay = run_once(benchmark, scenario)
+    clean, chaos, replay, capacity = run_once(benchmark, scenario)
 
     # Determinism: the chaos run replays byte-for-byte from its seed —
     # router decisions, pool lifecycle, autoscaler moves, injected
@@ -98,6 +127,7 @@ def test_serving_plane(benchmark):
             "p50": stats.latency.percentile(50),
             "p95": stats.latency.percentile(95),
             "p99": stats.latency.percentile(99),
+            "within": stats.latency.share_within(ONE_SERVICE_TIME),
             "ok": stats.ok,
             "sent": stats.sent,
             "typed_errors": stats.overload + stats.deadline + stats.transport,
@@ -141,6 +171,10 @@ def test_serving_plane(benchmark):
             f"max {fmt_ms(max(cold))}",
             "every admitted request terminated in exactly one reply or one "
             "typed error; chaos run replays byte-identically from its seed",
+            f"answered within one service time ({fmt_ms(ONE_SERVICE_TIME)}): "
+            f"{m_clean['within']:.1%} fault-free, {m_chaos['within']:.1%} "
+            f"under chaos; 4 replicas on 2 nodes serve {capacity:.2f}x what "
+            "2 do (saturating closed loop)",
         ],
     )
 
@@ -177,6 +211,11 @@ def test_serving_plane(benchmark):
             "cold_start_to_attested_ms_max": round(max(cold) * 1e3, 3),
             "replicas_attested_under_chaos": m_chaos["replicas_attested"],
             "replay_byte_identical": True,
+            "share_within_one_service_time": {
+                "clean": round(m_clean["within"], 4),
+                "chaos": round(m_chaos["within"], 4),
+            },
+            "scale_out_capacity_ratio": round(capacity, 3),
             "previous": previous,
         },
     )

@@ -2,7 +2,9 @@
 
 A container binds a :class:`SconeRuntime` to a node with lifecycle
 state; starting one charges the node's clock for image setup (the cost
-the elastic-scaling experiment measures on top of attestation).
+the elastic-scaling experiment measures on top of attestation).  A
+container that serves traffic may :meth:`~Container.take_core` once it
+is up; stopping or crashing gives the core back.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.cluster.node import Node
+from repro.cluster.node import Core, Node
 from repro.errors import ClusterError
 from repro.runtime.scone import RuntimeConfig, SconeRuntime
 
@@ -31,6 +33,7 @@ class Container:
         self.config = config
         self.state = ContainerState.CREATED
         self.runtime: Optional[SconeRuntime] = None
+        self.core: Optional[Core] = None
 
     def start(self) -> SconeRuntime:
         """Start the container: image setup + enclave creation."""
@@ -48,21 +51,29 @@ class Container:
         self.state = ContainerState.RUNNING
         return self.runtime
 
+    def take_core(self) -> Core:
+        """Pin this container's endpoint to a core of its node (the
+        node's own clock when none is free)."""
+        self.core = self.node.take_core(f"{self.name}@{self.node.node_id}")
+        return self.core
+
+    def _teardown(self, state: ContainerState) -> None:
+        if self.runtime is not None:
+            self.runtime.shutdown()
+        self.runtime = None
+        if self.core is not None:
+            self.node.release_core(self.core)
+        self.state = state
+
     def stop(self) -> None:
         if self.state is not ContainerState.RUNNING:
             raise ClusterError(f"container {self.name!r} is not running")
         self.node.clock.advance(self.node.cost_model.container_stop_cost)
-        if self.runtime is not None:
-            self.runtime.shutdown()
-        self.runtime = None
-        self.state = ContainerState.STOPPED
+        self._teardown(ContainerState.STOPPED)
 
     def fail(self) -> None:
         """Simulate a crash (no graceful teardown cost)."""
-        if self.runtime is not None:
-            self.runtime.shutdown()
-        self.runtime = None
-        self.state = ContainerState.FAILED
+        self._teardown(ContainerState.FAILED)
 
     @property
     def running(self) -> bool:

@@ -118,12 +118,25 @@ class Orchestrator:
         )
         return min(self._nodes, key=lambda candidate: occupancy[id(candidate)])
 
-    def launch(self, spec: ContainerSpec, node: Optional[Node] = None) -> Container:
-        """Start one replica (attestation hooks run before it is visible)."""
+    def launch(
+        self,
+        spec: ContainerSpec,
+        node: Optional[Node] = None,
+        at: Optional[float] = None,
+    ) -> Container:
+        """Start one replica (attestation hooks run before it is visible).
+
+        ``at`` is the simulated time of the control-plane tick that
+        ordered the launch, if one did: the cold start begins no earlier.
+        (Nothing else brings an idle node's clock up to the timeline —
+        endpoints that serve traffic run on cores of their own.)
+        """
         group = self._replicas.setdefault(spec.name, [])
         index = self._spec_indices.get(spec.name, 0)
         self._spec_indices[spec.name] = index + 1
         target = self._place(node)
+        if at is not None:
+            target.clock.advance_to(at)
         container = Container(
             f"{spec.name}-{index}", target, spec.config_factory(target, index)
         )
@@ -165,7 +178,11 @@ class Orchestrator:
         )
 
     def restart(
-        self, spec: ContainerSpec, container: Container, reason: str = ""
+        self,
+        spec: ContainerSpec,
+        container: Container,
+        reason: str = "",
+        at: Optional[float] = None,
     ) -> Optional[Container]:
         """Replace one failed replica, consuming its lineage's budget.
 
@@ -173,7 +190,8 @@ class Orchestrator:
         ``on_start`` hooks), or ``None`` when the lineage is out of
         budget and the replica was quarantined instead.  ``reason`` (a
         short tag like ``ps-shard-2``) is recorded in the event log so
-        a sharded service's restarts are attributable per shard.
+        a sharded service's restarts are attributable per shard; ``at``
+        is the tick that found the replica dead (see :meth:`launch`).
         """
         if container.state is not ContainerState.FAILED:
             raise ClusterError(
@@ -205,7 +223,7 @@ class Orchestrator:
             )
             return None
         self._restarts[key] = used + 1
-        replacement = self.launch(spec, node=container.node)
+        replacement = self.launch(spec, node=container.node, at=at)
         # The replacement continues the crashed replica's lineage: its
         # future crashes draw down the same budget.
         self._lineage[replacement.name] = root
@@ -223,7 +241,9 @@ class Orchestrator:
         )
         return replacement
 
-    def supervise(self, spec: ContainerSpec) -> Dict[str, Optional[Container]]:
+    def supervise(
+        self, spec: ContainerSpec, at: Optional[float] = None
+    ) -> Dict[str, Optional[Container]]:
         """One supervision pass: restart (or quarantine) failed replicas.
 
         Returns failed-name -> replacement container (None = quarantined).
@@ -231,7 +251,7 @@ class Orchestrator:
         outcome: Dict[str, Optional[Container]] = {}
         for container in list(self._replicas.get(spec.name, [])):
             if container.state is ContainerState.FAILED:
-                outcome[container.name] = self.restart(spec, container)
+                outcome[container.name] = self.restart(spec, container, at=at)
         return outcome
 
     # -- singleton-service watchdog -------------------------------------
@@ -346,7 +366,7 @@ class Watchdog:
         self._clock.advance_to(due)
         self.ticks += 1
         for spec in self._specs:
-            for replacement in self._orchestrator.supervise(spec).values():
+            for replacement in self._orchestrator.supervise(spec, at=due).values():
                 if replacement is not None:
                     self.restarts += 1
         for name, healthy in self._orchestrator.supervise_services().items():

@@ -391,7 +391,7 @@ def collect_metrics(platform: SecureTFPlatform) -> PlatformMetrics:
         nodes.append(
             NodeMetrics(
                 node_id=node.node_id,
-                simulated_time=node.clock.now,
+                simulated_time=node.time,
                 epc_capacity_granules=epc.capacity_granules,
                 epc_resident_granules=epc.resident_granules,
                 epc_faults=epc.stats.faults,

@@ -233,5 +233,5 @@ class SecureTFPlatform:
 
     @property
     def time(self) -> float:
-        """Max simulated time across the cluster."""
-        return max(n.clock.now for n in self.nodes)
+        """Max simulated time across the cluster (cores included)."""
+        return max(n.time for n in self.nodes)

@@ -93,6 +93,13 @@ class Histogram:
                 return value
         return ordered[-1][0]
 
+    def share_within(self, bound: float) -> float:
+        """Share of observations ``<= bound`` (0.0 when empty): how much
+        of a latency distribution sits inside a limit."""
+        if not self.count:
+            return 0.0
+        return sum(w for value, w in self._samples if value <= bound) / self.count
+
     def summary(self) -> Dict[str, float]:
         return {
             "count": float(self.count),

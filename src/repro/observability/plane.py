@@ -3,7 +3,8 @@
 ``SecureTFPlatform`` builds a :class:`Telemetry` when its config says
 ``tracing=True``: the tracer is installed as the process-wide probe
 (:mod:`repro._sim.probe`), every node clock is registered under its
-node ID, and (when an interval is configured) a
+node ID and every core that is out under its endpoint's name, and
+(when an interval is configured) a
 :class:`~repro.observability.metrics.MetricsSampler` scrapes the
 platform's counters continuously.  The handle bundles the export
 surface — profile, flame report, Chrome trace, Prometheus text, JSON —
@@ -34,7 +35,8 @@ class Telemetry:
         self._platform = platform
         self.tracer = Tracer()
         for node in platform.nodes:
-            self.tracer.register_clock(node.clock, node.node_id)
+            for clock, label in node.labelled_clocks():
+                self.tracer.register_clock(clock, label)
         self._previous_probe = probe.set_active(self.tracer)
         self.sampler: Optional[MetricsSampler] = (
             MetricsSampler(platform, sample_interval) if sample_interval > 0 else None

@@ -127,7 +127,7 @@ class SloAutoscaler:
             return
         policy = self.policy
         if (sheds > 0 or p99 > policy.slo_p99) and replicas < policy.max_replicas:
-            self.pool.scale_out(1)
+            self.pool.scale_out(1, at=due)
             self.scale_outs += 1
             self._cooldown = policy.cooldown_ticks
             self.record(

@@ -11,6 +11,14 @@ scoreboard state to HEALTHY.  A replacement container launched by the
 watchdog re-runs the identical hook: a restarted enclave has fresh
 memory and must re-prove itself before it serves a single request.
 
+Container start and attestation are charged to the node's clock (the
+control plane's view of the node); once attested, the replica takes a
+**core** of its node (:meth:`Container.take_core
+<repro.cluster.container.Container.take_core>`) and its endpoint,
+dedup window and service time run there, beside — not behind — the
+node's other replicas.  A stopped or crashed replica gives the core
+back.
+
 Scale-in **drains**: the replica leaves the routable set immediately
 (state DRAINING) but its endpoint stays registered until the router's
 in-flight count for it reaches zero — admitted work finishes; it is
@@ -24,7 +32,7 @@ show up QUARANTINED.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro._sim import probe as _probe
 from repro.cluster.container import Container
@@ -40,11 +48,6 @@ from repro.serving.scoreboard import ReplicaScoreboard, ReplicaState
 #: backend(request_payload) -> reply_payload, charging the replica's
 #: clock for whatever compute it models.
 Backend = Callable[[bytes], bytes]
-
-#: Builds a replica's backend once it is attested (``identity`` is the
-#: CAS-provisioned identity; a real model service builds its interpreter
-#: here, behind the fs shield).
-BackendFactory = Callable[[Container, object], Backend]
 
 #: Per-replica at-most-once window (duplicate *deliveries* of one
 #: request replay the recorded reply instead of re-executing).
@@ -64,7 +67,6 @@ class ReplicaPool:
         mode: SgxMode = SgxMode.HW,
         service_time: float = 0.01,
         service_jitter: float = 0.2,
-        backend_factory: Optional[BackendFactory] = None,
         drain_poll: float = 0.05,
     ) -> None:
         self.platform = platform
@@ -75,7 +77,6 @@ class ReplicaPool:
         self.service_time = service_time
         self.service_jitter = service_jitter
         self.drain_poll = drain_poll
-        self._backend_factory = backend_factory
         #: All replicas share one runtime config name → one measurement
         #: → one CAS policy line admits every replica, present and
         #: future (that is what makes elastic scaling practical).
@@ -87,7 +88,6 @@ class ReplicaPool:
         #: attestation order (the bench's third headline metric).
         self.cold_starts: List[float] = []
         self.events: List[str] = []
-        self._identities: Dict[str, object] = {}
         platform.orchestrator.on_start.append(self._on_container_start)
 
     def runtime_config(self):
@@ -113,10 +113,7 @@ class ReplicaPool:
         node = container.node
         self.scoreboard.add(container.name, state=ReplicaState.ATTESTING)
         attest_from = node.clock.now
-        identity = self.platform.provision_runtime(
-            container.runtime, node, self.session
-        )
-        self._identities[container.name] = identity
+        self.platform.provision_runtime(container.runtime, node, self.session)
         # Cold start = container image setup (already charged by
         # Container.start) + the attestation/provisioning round-trips
         # that just ran.  Measured here so watchdog-launched
@@ -128,25 +125,21 @@ class ReplicaPool:
         if entry is not None:
             entry.cold_start_latency = cold
         self.cold_starts.append(cold)
-        backend = (
-            self._backend_factory(container, identity)
-            if self._backend_factory is not None
-            else self._default_backend(container)
-        )
+        core = container.take_core()
         self.platform.network.register(
             container.name,
-            node.clock,
-            self._make_handler(container, backend),
-            syscalls=node.syscall_interface(),
+            core.clock,
+            self._make_handler(container),
+            syscalls=core.syscalls,
         )
         self.scoreboard.set_state(container.name, ReplicaState.HEALTHY)
         self.record(f"attested {container.name} cold_start={cold:.6f}")
 
-    def _default_backend(self, container: Container) -> Backend:
-        """A service-time model: charge the replica's clock a jittered
+    def _backend(self, container: Container) -> Backend:
+        """A service-time model: charge the replica's core a jittered
         per-request cost and echo the payload."""
         rng = container.node.rng.child(f"svc-{container.name}")
-        clock = container.node.clock
+        clock = container.core.clock
         base = self.service_time
         jitter = self.service_jitter
 
@@ -156,8 +149,9 @@ class ReplicaPool:
 
         return backend
 
-    def _make_handler(self, container: Container, backend: Backend):
-        clock = container.node.clock
+    def _make_handler(self, container: Container):
+        clock = container.core.clock
+        backend = self._backend(container)
         dedup = DedupWindow(REPLICA_DEDUP_CAPACITY, REPLICA_DEDUP_TTL)
         # Each replica is an acceptor for the routing epoch: requests
         # dispatched by a router that has since been superseded carry a
@@ -217,12 +211,14 @@ class ReplicaPool:
 
     # -- elasticity ------------------------------------------------------
 
-    def scale_out(self, count: int = 1) -> List[Container]:
-        """Launch ``count`` fresh replicas (each attests before joining)."""
-        launched = []
-        for _ in range(count):
-            launched.append(self.orchestrator.launch(self.spec))
-        return launched
+    def scale_out(
+        self, count: int = 1, at: Optional[float] = None
+    ) -> List[Container]:
+        """Launch ``count`` fresh replicas (each attests before joining);
+        ``at`` is the controller tick behind the decision, if any (see
+        :meth:`Orchestrator.launch
+        <repro.cluster.orchestrator.Orchestrator.launch>`)."""
+        return [self.orchestrator.launch(self.spec, at=at) for _ in range(count)]
 
     def drain_one(self) -> Optional[str]:
         """Begin draining the most recently launched routable replica.
@@ -243,7 +239,7 @@ class ReplicaPool:
         self.scoreboard.set_state(address, ReplicaState.DRAINING)
         self.record(f"drain {address}")
         container = self.container(address)
-        clock = container.node.clock if container is not None else None
+        clock = container.core.clock if container is not None else None
 
         def drain_activity():
             while self.scoreboard.in_flight(address) > 0:
@@ -287,9 +283,11 @@ class ReplicaPool:
         self.platform.network.unregister(address)
         self.scoreboard.set_state(address, ReplicaState.FAILED)
         self.record(f"crash {address}")
-        _probe.flight(container.node.clock, "crash", address, "replica failed")
+        # Stamped by the replica's own clock: the node's only moves when
+        # the control plane touches the node.
+        _probe.flight(container.core.clock, "crash", address, "replica failed")
         _probe.incident(
-            "replica.crash", address, clock=container.node.clock,
+            "replica.crash", address, clock=container.core.clock,
             detail="replica killed without graceful teardown",
         )
 

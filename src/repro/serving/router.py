@@ -147,7 +147,9 @@ class _PendingRequest:
 
 
 class FrontEndRouter:
-    """The serving plane's front door (an endpoint on ``node``)."""
+    """The serving plane's front door: an endpoint on a core of ``node``
+    (forwarding takes microseconds and must not queue behind a replica
+    placed on the same machine), held until :meth:`close`."""
 
     def __init__(
         self,
@@ -192,8 +194,9 @@ class FrontEndRouter:
         #: Decision log; :meth:`trace_bytes` canonicalizes it for the
         #: two-seeded-runs byte-identity check.
         self.events: List[str] = []
+        self._core = node.take_core(address)
         network.register(
-            address, node.clock, self._handle, syscalls=node.syscall_interface()
+            address, self._core.clock, self._handle, syscalls=self._core.syscalls
         )
 
     # -- scheduler access ------------------------------------------------
@@ -204,7 +207,7 @@ class FrontEndRouter:
 
     @property
     def clock(self) -> SimClock:
-        return self.node.clock
+        return self._core.clock
 
     def record(self, event: str) -> None:
         self.events.append(event)
@@ -467,6 +470,7 @@ class FrontEndRouter:
 
     def close(self) -> None:
         self.network.unregister(self.address)
+        self.node.release_core(self._core)
         for info in list(self._pending.values()):
             self._settle_error(
                 info, RpcError(f"router {self.address!r} shut down")

@@ -7,13 +7,16 @@ fully routable, loses ties), ``DRAINING`` (scale-in: finishes in-flight
 work, takes no new), ``QUARANTINED`` (restart budget exhausted) or
 ``FAILED``.  Only HEALTHY and DEGRADED replicas are routable, and among
 those the router picks **least-loaded with deterministic tie-breaking**:
-the ordering key is ``(in-flight, state rank, address)``, a pure
-function of scoreboard state, so seeded runs route identically.
+the ordering key is ``(in-flight, state rank, served, address)``, a
+pure function of scoreboard state, so seeded runs route identically.
 
 Load comes first because the request waits behind the queue, not
 behind the label.  DEGRADED is a tie-break and nothing else: a replica
 that lost one message takes its share again as soon as its peers are
-busier, and heals on its first reply.  *Excluding* a replica that is
+busier, and heals on its first reply.  Exact ties go to the replica
+that has served the fewest requests, so an idle plane spreads its
+requests evenly instead of piling them on the lowest address.
+*Excluding* a replica that is
 really gone is the router's per-replica circuit breaker (3 failures →
 open for 1 s), not this state: ranked ahead of the load it would keep a
 replica out until every healthy one held ``per_replica_limit``
@@ -157,17 +160,20 @@ class ReplicaScoreboard:
     ) -> Optional[ReplicaEntry]:
         """Least-loaded routable replica, deterministic tie-break.
 
-        Key = (in-flight, state rank, address): lighter beats heavier,
-        HEALTHY beats DEGRADED at equal load, and the address string
-        settles exact ties — a pure function of scoreboard state, no
-        RNG, no identity ordering.
+        Key = (in-flight, state rank, served, address): lighter beats
+        heavier, HEALTHY beats DEGRADED at equal load, then the replica
+        that has served least, and the address string settles what is
+        left — a pure function of scoreboard state, no RNG, no identity
+        ordering.
         """
         candidates = self.routable(per_replica_limit, exclude)
         if not candidates:
             return None
         return min(
             candidates,
-            key=lambda e: (e.in_flight, _ROUTABLE_RANK[e.state], e.address),
+            key=lambda e: (
+                e.in_flight, _ROUTABLE_RANK[e.state], e.served, e.address
+            ),
         )
 
     def has_capacity(self, per_replica_limit: int) -> bool:

@@ -31,7 +31,7 @@ from repro.core.platform import PlatformConfig, SecureTFPlatform
 from repro.enclave.sgx import SgxMode
 from repro.serving.admission import AdmissionController, TokenBucket
 from repro.serving.autoscaler import AutoscalerPolicy, SloAutoscaler
-from repro.serving.pool import BackendFactory, ReplicaPool
+from repro.serving.pool import ReplicaPool
 from repro.serving.router import FrontEndRouter, RouterPolicy
 from repro.serving.scoreboard import ReplicaScoreboard
 from repro.serving.traffic import DiurnalProfile, TrafficGenerator, TrafficStats
@@ -54,7 +54,6 @@ class ServingPlane:
         rate_burst: float = 50.0,
         service_time: float = 0.01,
         service_jitter: float = 0.2,
-        backend_factory: Optional[BackendFactory] = None,
         watchdog_interval: float = 0.25,
         autoscaler_policy: Optional[AutoscalerPolicy] = None,
         fencing: bool = False,
@@ -74,7 +73,6 @@ class ServingPlane:
             mode=mode,
             service_time=service_time,
             service_jitter=service_jitter,
-            backend_factory=backend_factory,
         )
         router_config = service_runtime_config(
             ROUTER_ADDRESS, mode, fs_shield=False
@@ -144,7 +142,9 @@ class ServingPlane:
                 specs=serving_slos(self.router, interval=slo_interval),
                 interval=slo_interval,
                 node_clocks=[
-                    (node.clock, node.node_id) for node in self.platform.nodes
+                    labelled
+                    for node in self.platform.nodes
+                    for labelled in node.labelled_clocks()
                 ],
                 metrics_probe=self._metrics_probe,
             )
@@ -197,11 +197,9 @@ class ServingPlane:
         duration: float,
         profile: Optional[DiurnalProfile] = None,
         deadline_budget: float = 1.0,
-        client_node: int = -1,
     ) -> TrafficGenerator:
         return TrafficGenerator(
             self.platform.network,
-            self.platform.nodes[client_node],
             ROUTER_ADDRESS,
             clients,
             duration,

@@ -4,13 +4,13 @@ Each simulated client is a coroutine activity on the global scheduler:
 think (an exponential draw scaled by the diurnal profile), send one
 request with a propagated deadline, park on the reply, classify the
 outcome, repeat.  Clients are outside the cluster: they share one clock
-of their own (it joins the timeline at the time of the node they enter
-through), which nothing but their own timers and replies advances — the
-event heap executes events in global time order, so it reads exactly the
-reply time at each resume and per-request latency is measured precisely
-even on a shared clock.  (A cluster node's clock would not do: a replica
-placed on it advances it by a service time per request, and replies
-would land on a clock already past them.)
+of their own (it joins the timeline at the fleet's current time, so no
+first request waits for the plane to finish being built), which nothing
+but their own timers and replies advances — the event heap executes
+events in global time order, so it reads exactly the reply time at each
+resume and per-request latency is measured precisely even on a shared
+clock.  (A cluster node's clock would not do: whatever else runs on it
+advances it, and replies would land on a clock already past them.)
 
 Outcome accounting is total: every request a client sends terminates in
 exactly one of {ok, overload-shed, deadline-exceeded, transport error,
@@ -30,7 +30,6 @@ from repro._sim.clock import SimClock
 from repro._sim.rng import DeterministicRng
 from repro._sim.scheduler import Completion
 from repro.cluster.network import Network
-from repro.cluster.node import Node
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -101,7 +100,6 @@ class TrafficGenerator:
     def __init__(
         self,
         network: Network,
-        node: Node,
         router_address: str,
         clients: int,
         duration: float,
@@ -115,7 +113,7 @@ class TrafficGenerator:
         if duration <= 0:
             raise ConfigurationError(f"duration must be positive: {duration}")
         self.network = network
-        self.clock = SimClock(node.clock.now)
+        self.clock = SimClock(network.scheduler.fleet_time())
         network.scheduler.register_clock(self.clock)
         if probe.ACTIVE is not None:
             probe.ACTIVE.register_clock(self.clock, "clients")

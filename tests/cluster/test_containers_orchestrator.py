@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cluster import Container, ContainerSpec, Orchestrator, make_cluster
+from repro._sim.clock import SimClock
+from repro.cluster import (
+    Container,
+    ContainerSpec,
+    Network,
+    Orchestrator,
+    make_cluster,
+)
 from repro.cluster.container import ContainerState
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import SgxMode
@@ -278,3 +285,113 @@ def test_budget_is_per_lineage_not_global(cluster):
     # Each lineage has its own budget of 1: both replaced.
     assert all(c is not None for c in outcome.values())
     assert len(orch.replicas("svc")) == 2
+
+
+# -- cores -----------------------------------------------------------------
+
+
+def call_both(network, first, second):
+    """Two requests sent at the same instant from idle clocks; the
+    simulated times their replies land."""
+    clocks = [SimClock(), SimClock()]
+    pending = [
+        network.call_async(f"client-{i}", clock, address, b"q")
+        for i, (clock, address) in enumerate(zip(clocks, (first, second)))
+    ]
+    for completion in pending:
+        network.scheduler.run_until(completion)
+    return [clock.now for clock in clocks]
+
+
+def serve_on(network, core, address, service_time=0.01):
+    def handler(raw):
+        core.clock.advance(service_time)
+        return raw
+
+    network.register(address, core.clock, handler, syscalls=core.syscalls)
+
+
+def test_a_node_hands_out_one_core_fewer_than_it_has(cluster):
+    node = cluster[0]
+    node.clock.advance(2.0)
+    cores = [node.take_core(f"svc-{i}") for i in range(node.cores - 1)]
+    assert len({id(core.clock) for core in cores} | {id(node.clock)}) == node.cores
+    # A core joins the timeline where its node is, with a syscall
+    # interface of its own that charges it and not the node.
+    assert all(core.clock.now == 2.0 for core in cores)
+    cores[0].syscalls.socket_recv(4096)
+    assert cores[0].clock.now > 2.0 and node.clock.now == 2.0
+    assert node.labelled_clocks() == [(node.clock, "node-0")] + [
+        (core.clock, f"svc-{i}") for i, core in enumerate(cores)
+    ]
+    # Whoever comes after the last core shares the node's own clock.
+    shared = node.take_core("svc-late")
+    assert shared.clock is node.clock
+    assert shared.syscalls is node.syscall_interface()
+    assert len(node.cores_out) == node.cores - 1
+    node.release_core(shared)  # the node's own clock is not a core to return
+    assert len(node.cores_out) == node.cores - 1
+    node.release_core(cores[1])
+    node.clock.advance(1.0)
+    fresh = node.take_core("svc-next")
+    assert fresh.clock is not cores[1].clock and fresh.clock.now == 3.0
+
+
+def test_endpoints_on_cores_overlap_and_on_the_node_clock_serialise(cluster):
+    network = Network(CM)
+    node = cluster[0]
+    cores = [node.take_core(f"svc-{i}") for i in range(node.cores - 1)]
+    serve_on(network, cores[0], "a")
+    serve_on(network, cores[1], "b")
+    first, second = call_both(network, "a", "b")
+    assert first == second  # side by side
+    serve_on(network, node.take_core("c"), "c")
+    serve_on(network, node.take_core("d"), "d")
+    first, second = call_both(network, "c", "d")
+    # Out of cores: both run on the node's clock, the second behind the first.
+    assert second - first == pytest.approx(0.01, rel=1e-3)
+
+
+def test_a_stopped_or_crashed_container_returns_its_core(cluster):
+    node = cluster[0]
+    containers = [
+        Container(f"c{i}", node, config_factory(node, i)) for i in range(2)
+    ]
+    for container in containers:
+        container.start()
+        assert container.take_core().label == f"{container.name}@node-0"
+    assert len(node.cores_out) == 2
+    last_seen = containers[0].core.clock
+    containers[0].fail()
+    assert [core.label for core in node.cores_out] == ["c1@node-0"]
+    # What it ran on stays readable: the crash is stamped by that clock.
+    assert containers[0].core.clock is last_seen
+    containers[1].stop()
+    assert node.cores_out == []
+
+
+def test_a_launch_ordered_by_a_tick_starts_no_earlier_than_the_tick(cluster):
+    orch = Orchestrator(cluster)
+    spec = ContainerSpec("svc", config_factory)
+    untimed = orch.launch(spec)  # no tick behind it: timed as it always was
+    assert untimed.node.clock.now == pytest.approx(
+        CM.container_start_cost, rel=0.2
+    )
+    started = {}
+    orch.on_start.append(lambda c: started.setdefault(c.name, c.node.clock.now))
+    # Nothing has touched node-1 since t = 0; the tick is at t = 20.25.
+    late = orch.launch(spec, at=20.25)
+    assert late.node is cluster[1]
+    assert started[late.name] >= 20.25 + CM.container_start_cost
+    # A node already past the tick is not pulled back or pushed on.
+    cluster[2].clock.advance(30.0)
+    ahead = orch.launch(spec, at=20.25)
+    assert ahead.node is cluster[2]
+    assert started[ahead.name] == pytest.approx(
+        30.0 + CM.container_start_cost, rel=0.01
+    )
+    # A restart passes the tick that found the replica dead.
+    orch.fail_container(untimed)
+    (replacement,) = orch.supervise(spec, at=40.0).values()
+    assert replacement.node is untimed.node
+    assert started[replacement.name] >= 40.0 + CM.container_start_cost

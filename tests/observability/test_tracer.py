@@ -171,3 +171,7 @@ def test_histogram_percentiles_are_weighted():
     summary = hist.summary()
     assert summary["count"] == 100.0
     assert summary["p50"] == 1.0
+    assert hist.share_within(0.5) == 0.0
+    assert hist.share_within(1.0) == 0.98  # the bound itself is inside
+    assert hist.share_within(100.0) == 1.0
+    assert Histogram("empty").share_within(1.0) == 0.0

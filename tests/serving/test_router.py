@@ -283,7 +283,7 @@ def test_every_replica_lost_is_a_transport_error_not_overload(cluster, network):
 
     # The client-side half of the ledger files it under transport too.
     traffic = TrafficGenerator(
-        network, cluster[2], "router", clients=2, duration=2.0,
+        network, "router", clients=2, duration=2.0,
         rng=DeterministicRng(7), profile=DiurnalProfile(base_think=0.2),
     )
     stats = traffic.run()

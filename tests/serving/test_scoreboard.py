@@ -104,6 +104,37 @@ def test_pick_is_least_loaded_and_order_independent(entries, limit, excluded, or
     assert build(indices).pick(limit, exclude).address == picked.address
 
 
+def test_an_idle_plane_spreads_sequential_requests_evenly():
+    """Exact ties go to the replica that has served least, so one
+    request at a time over five idle replicas is 20 each — by address
+    alone all hundred would land on r-0."""
+    sb = board("r-0", "r-1", "r-2", "r-3", "r-4")
+    for _ in range(100):
+        entry = sb.pick(per_replica_limit=8)
+        sb.on_dispatch(entry.address)
+        sb.on_complete(entry.address, ok=True)
+    assert [entry.served for entry in sb.entries()] == [20] * 5
+
+
+def test_served_count_only_settles_ties_between_equals():
+    sb = board("r-0", "r-1", "r-2")
+    for _ in range(3):
+        sb.on_dispatch("r-0")
+        sb.on_complete("r-0", ok=True)
+    sb.mark_degraded("r-1")
+    sb.on_dispatch("r-2")
+    # r-0 has served most and is still the pick: it is HEALTHY and idle,
+    # r-1 is DEGRADED (loses the tie), r-2 is busier.
+    assert sb.pick(per_replica_limit=4).address == "r-0"
+    sb.on_dispatch("r-0")
+    # Load still comes first: the fresh-but-DEGRADED r-1 is lightest.
+    assert sb.pick(per_replica_limit=4).address == "r-1"
+    sb.on_dispatch("r-1")
+    # All at one in flight: HEALTHY r-0 (3 served) and r-2 (0 served) tie
+    # on load and state, and r-2 has served less.
+    assert sb.pick(per_replica_limit=4).address == "r-2"
+
+
 def test_per_replica_limit_bounds_the_queue():
     sb = board("r-0")
     sb.on_dispatch("r-0")
