@@ -6,7 +6,8 @@ runs, in simulated time: the commit-protocol overhead of journaled
 envelopes in two regimes — NATIVE traps at 4 KiB chunks, where the cost
 is calls, and an HW enclave on the async ring at 64 KiB chunks
 (``shield_write``'s geometry), where the ring hides the calls and the
-cost is bytes crossing the enclave boundary — mount-time recovery
+seal writes the ciphertext into the host's buffer, so what is left is
+crypto plus the journal's manifest and extra calls — mount-time recovery
 latency across an exhaustive crash-point sweep (every mutating op of a
 commit, both polarities, plus a tear at every chunk boundary +- 1 byte
 of either replica's extent), self-healing read throughput while
@@ -259,7 +260,8 @@ def test_storage_recovery_price_sheet(benchmark):
             "unprefixed write rows: NATIVE traps, 4 KiB chunks, 1 MiB - every call is a trap, so the "
             "bottleneck is the call count (extents: 2 x 6 + manifest + flip + GC, whatever the chunk count)",
             "hw_ rows: HW enclave, async ring, 64 KiB chunks, 544 KiB (shield_write) - the ring hides "
-            "the calls; the bottleneck is ciphertext crossing the boundary at MEE bandwidth, once per commit",
+            "the calls and the seal writes into the host's buffer (no copy out of the enclave), so the "
+            "bottleneck is crypto; the journal adds its manifest, copied, and 12 calls",
             "recovery mean over an exhaustive crash-point sweep (every mutating op, both polarities) "
             "plus a tear at every chunk boundary +- 1 byte of either replica's extent",
             "failover outage = failed call + watchdog promote + retried success",

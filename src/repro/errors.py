@@ -64,6 +64,14 @@ class SyscallError(ReproError):
     """A simulated system call failed."""
 
 
+class ShortWriteError(SyscallError):
+    """The kernel reported writing fewer bytes than it was handed.
+
+    Not an Iago attack — a full disk does the same — but never a
+    success: the write did not land, and a journaled commit stops before
+    its rename, so the old version stays live."""
+
+
 class ShieldError(IntegrityError):
     """A file-system or network shield operation failed verification.
 

@@ -20,7 +20,14 @@ time is charged for the *declared* size at that bandwidth.  A read pays
 for the chunks it opens: every chunk carries its share of the declared
 size, a chunk served from the plaintext cache costs one in-enclave copy
 of its share instead of a decrypt, and the cache's capacity is counted
-in the same simulated bytes.
+in the same simulated bytes.  A write pays its seal and its syscalls:
+the seal writes its output straight into the untrusted buffer the
+asynchronous syscall hands the kernel, so in HW mode no sealed byte is
+copied out of the enclave — only what the enclave builds itself (a
+manifest, an envelope's framing) crosses with its own bytes.  Digests
+and tags are taken over the ciphertext as the enclave produced it,
+never read back from that buffer: a host that rewrites a staged extent
+gets what tampering at rest gets it, a chunk that fails its digest.
 
 Crash consistency (the storage-plane hardening): the legacy *inline*
 layout stores the whole envelope in one file, which is only atomic if
@@ -31,8 +38,8 @@ honour.  The *journaled* layout (``journal=True``, implied by
 1. the protected chunks, back to back, are written as one generation-
    named shadow *extent* per replica (``{path}.__chunk.{version}.0.
    {replica}``, offsets derived from the manifest's geometry) through
-   one ``write_files`` — the payload leaves the enclave once — never
-   overwriting the live generation;
+   one ``write_files`` — one buffer for every replica, sealed outside
+   the enclave — never overwriting the live generation;
 2. an authenticated manifest (chunk digests, version, geometry, MAC
    under the file key) is written to ``{path}.__commit``;
 3. one atomic ``rename`` flips the manifest over ``{path}`` — THE
@@ -41,7 +48,8 @@ honour.  The *journaled* layout (``journal=True``, implied by
    generations are collected (one ``unlink`` per replica).
 
 A crash at *any* syscall boundary, or a tear at any byte of an extent,
-leaves the file at exactly the old or the new version;
+leaves the file at exactly the old or the new version (a write the
+kernel reports short raises before the rename: the old one);
 :meth:`FileSystemShield.recover` (the mount-time scan) rolls uncommitted
 flips back, rolls the freshness record forward across a crash between
 steps 3 and 4, collects strays, and re-replicates damaged chunk copies.
@@ -532,7 +540,14 @@ class FileSystemShield:
             }
         )
         self._charge_crypto(simulated, n_chunks)
-        self._syscalls.write_file(path, envelope, declared_size=declared_size)
+        # The chunks are sealed into the host's buffer; only the
+        # envelope's framing is written from the enclave.
+        self._syscalls.write_file(
+            path,
+            envelope,
+            declared_size=declared_size,
+            enclave_bytes=len(envelope) - sum(map(len, protected)),
+        )
         self.stats.files_written += 1
         digest = hashlib.sha256(envelope).digest()
         if self._freshness is not None:
@@ -670,6 +685,7 @@ class FileSystemShield:
         self._syscalls.write_files(
             [self._extent_path(path, version, r) for r in range(self._replicas)],
             b"".join(protected),
+            enclave_bytes=0,  # sealed into the host's buffer
         )
         self.stats.replicas_written += self._replicas * len(protected)
         body_bytes = encoding.encode(
@@ -690,11 +706,14 @@ class FileSystemShield:
         )
         self._charge_crypto(simulated, max(1, -(-simulated // self._chunk_size)))
         pending = path + COMMIT_SUFFIX
-        # A caller's declared size is charged on the manifest write (the
-        # extents pay for their real bytes) — floored at the manifest's
-        # own length: those bytes cross whatever the caller declares.
+        # A caller's declared size rides on the manifest write (the
+        # extents pay for their real bytes), floored at the manifest's
+        # own length.  It stands in for sealed bytes, so only the
+        # manifest, built and MAC'd in the enclave, is copied out of it.
         declared = None if declared_size is None else max(declared_size, len(manifest))
-        self._syscalls.write_file(pending, manifest, declared_size=declared)
+        self._syscalls.write_file(
+            pending, manifest, declared_size=declared, enclave_bytes=len(manifest)
+        )
         self._syscalls.rename(pending, path)  # THE commit point
         self.stats.files_written += 1
         digest = hashlib.sha256(manifest).digest()

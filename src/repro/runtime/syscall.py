@@ -35,7 +35,7 @@ from repro.enclave.sgx import Enclave, SgxMode
 from repro.runtime import iago, stats_registry
 from repro.runtime.syscall_plane import SyscallPlane, SyscallPlaneConfig
 from repro.runtime.vfs import VirtualFile, VirtualFileSystem
-from repro.errors import SyscallError
+from repro.errors import ShortWriteError, SyscallError
 
 #: Maximum bytes moved per read/write syscall (Linux pipe-sized chunks).
 IO_CHUNK = 256 * 1024
@@ -213,26 +213,6 @@ class SyscallInterface:
             probe.ACTIVE.charge(self._clock, "syscall_ring", self._clock.now - before)
         self.stats.time += self._clock.now - before
 
-    def _charge_io(self, n_bytes: int, write: bool) -> None:
-        """Charge the data movement of a file read/write.
-
-        The payload crosses the boundary in :data:`IO_CHUNK` pieces, each
-        a separate syscall: write continuations post fire-and-forget,
-        read continuations submit as one batch the handlers drain in
-        parallel.
-        """
-        chunks = max(1, -(-n_bytes // IO_CHUNK))
-        if write:
-            for _ in range(chunks - 1):
-                self._charge("rw_continuation", posted=True)
-        else:
-            self._charge_batch("rw_continuation", chunks - 1)
-        self._charge_copy(n_bytes)
-        if write:
-            self.stats.bytes_written += n_bytes
-        else:
-            self.stats.bytes_read += n_bytes
-
     def _maybe_hostile(self, name: str, result: object) -> object:
         if self.hostile_hook is not None:
             return self.hostile_hook(name, result)
@@ -252,40 +232,71 @@ class SyscallInterface:
             raise SyscallError("kernel returned a non-file object for read")
         iago.check_size_result(result.size)
         iago.check_read_result(result.size, result.content[: result.size + 1])
-        self._charge_io(result.size, write=False)
+        # The payload arrives in IO_CHUNK pieces, each a syscall; the
+        # continuations submit as one batch the handlers drain in parallel.
+        self._charge_batch("rw_continuation", max(1, -(-result.size // IO_CHUNK)) - 1)
+        self._charge_copy(result.size)
+        self.stats.bytes_read += result.size
         self._charge("close", posted=True)
         return result
 
     def write_file(
-        self, path: str, content: bytes, declared_size: Optional[int] = None
+        self,
+        path: str,
+        content: bytes,
+        declared_size: Optional[int] = None,
+        enclave_bytes: Optional[int] = None,
     ) -> VirtualFile:
         """Write a whole file (create or replace)."""
-        return self.write_files([path], content, declared_size)[0]
+        return self.write_files([path], content, declared_size, enclave_bytes)[0]
 
     def write_files(
-        self, paths: Sequence[str], content: bytes, declared_size: Optional[int] = None
+        self,
+        paths: Sequence[str],
+        content: bytes,
+        declared_size: Optional[int] = None,
+        enclave_bytes: Optional[int] = None,
     ) -> List[VirtualFile]:
         """Write one payload to every path (the replicas of a shield
-        extent).  The payload crosses the boundary **once**, with the
-        first destination; every destination pays its own ``open``,
-        posted ``write`` + continuations and posted ``close``, and has
-        its write count Iago-checked."""
+        extent).
+
+        Every destination pays its own ``open``, posted ``write`` +
+        continuations and posted ``close``, and counts in
+        ``bytes_written``.  The payload is copied at most once, with the
+        first destination, and only what the enclave holds of it: in HW
+        mode that is ``enclave_bytes`` (default: all of it) — the rest is
+        sealed output the file-system shield wrote straight into the
+        host's buffer, where the host already holds it.  NATIVE and SIM
+        copy the whole payload: there the copy is the kernel's
+        user→kernel one, which no seal skips.
+
+        Each destination's write count is checked: more than was handed
+        over is an Iago attack (:class:`IagoError`), fewer is a failed
+        write (:class:`ShortWriteError`) that leaves the destination as
+        it was."""
         size = declared_size if declared_size is not None else len(content)
+        crossing = size
+        if self._mode is SgxMode.HW and enclave_bytes is not None:
+            crossing = min(enclave_bytes, size)
         files: List[VirtualFile] = []
         for path in paths:
             self._charge("open")
             self._charge("write", posted=True)
+            for _ in range(max(1, -(-size // IO_CHUNK)) - 1):
+                self._charge("rw_continuation", posted=True)
             if not files:
-                self._charge_io(size, write=True)
-            else:  # the host already holds the buffer: calls, no copy
-                for _ in range(max(1, -(-size // IO_CHUNK)) - 1):
-                    self._charge("rw_continuation", posted=True)
-                self.stats.bytes_written += size
+                self._charge_copy(crossing)
+            self.stats.bytes_written += size
+            previous = self._vfs.lookup(path)
             files.append(self._vfs.write(path, content, declared_size=declared_size))
             written = self._maybe_hostile("write", size)
             if not isinstance(written, int):
                 raise SyscallError("kernel returned a non-integer write count")
-            iago.check_write_result(size, written)
+            if iago.check_write_result(size, written) < size:
+                self._vfs.reinstate(path, previous)
+                raise ShortWriteError(
+                    f"kernel wrote {written} of {size} bytes to {path!r}"
+                )
             self._charge("close", posted=True)
         return files
 

@@ -91,6 +91,19 @@ class VirtualFileSystem:
         self._fault_after("write", path, action)
         return file
 
+    def lookup(self, path: str) -> Optional[VirtualFile]:
+        """The file at ``path`` or None — a lookup, not a read: no fault
+        plan sees it."""
+        return self._files.get(path)
+
+    def reinstate(self, path: str, previous: Optional[VirtualFile]) -> None:
+        """Put ``path`` back to ``previous`` (None: no file) — what a
+        write the kernel reported short leaves behind."""
+        if previous is None:
+            self._files.pop(path, None)
+        else:
+            self._files[path] = previous
+
     def read(self, path: str) -> VirtualFile:
         if path not in self._files:
             raise SyscallError(f"no such file: {path!r}")

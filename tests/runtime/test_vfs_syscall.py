@@ -5,7 +5,7 @@ import pytest
 from repro._sim import SimClock
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import EnclaveImage, Segment, SgxMode
-from repro.errors import IagoError, SyscallError
+from repro.errors import IagoError, ShortWriteError, SyscallError
 from repro.runtime.syscall import IO_CHUNK, SyscallInterface
 from repro.runtime.vfs import VirtualFile, VirtualFileSystem
 
@@ -189,6 +189,60 @@ def test_iago_write_count_checked_on_every_destination(vfs, lie, victim):
     with pytest.raises(IagoError):
         syscalls.write_files(["/a", "/b"], b"data")
     assert len(writes) == victim + 1
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_short_write_count_fails_and_leaves_the_destination(vfs, victim):
+    """A kernel reporting fewer bytes than it was handed is a failed
+    write, not a success and not an Iago attack: typed, raised at that
+    destination, which keeps what it held; earlier ones stay written."""
+    syscalls, _ = make_syscalls(vfs)
+    vfs.write("/b", b"old")
+    writes = []
+
+    def hostile(name, result):
+        if name != "write":
+            return result
+        writes.append(result)
+        return result - 1 if len(writes) == victim + 1 else result
+
+    syscalls.hostile_hook = hostile
+    with pytest.raises(ShortWriteError, match="wrote 3 of 4 bytes"):
+        syscalls.write_files(["/a", "/b"], b"data")
+    assert len(writes) == victim + 1
+    assert vfs.exists("/a") == (victim == 1)
+    assert vfs.read("/b").content == b"old" and vfs.read("/b").version == 0
+
+
+@pytest.mark.parametrize("enclave_bytes", [0, 10])
+def test_hw_copies_only_what_the_enclave_holds(vfs, cpu, enclave_bytes):
+    """A payload sealed into the host's buffer pays its calls and no
+    copy; what the enclave holds of it is still copied, once."""
+    syscalls, clock = make_syscalls(vfs, SgxMode.HW, cpu)
+    memory = syscalls._enclave.memory
+    payload = b"x" * (2 * IO_CHUNK + 5)
+    syscalls.write_files(["/a", "/b"], payload)
+    full_calls = syscalls.stats.calls
+
+    touched, start = memory.bytes_touched, clock.now
+    syscalls.write_files(["/a", "/b"], payload, enclave_bytes=enclave_bytes)
+    assert memory.bytes_touched - touched == enclave_bytes
+    assert syscalls.stats.calls == 2 * full_calls
+    assert syscalls.stats.bytes_written == 4 * len(payload)
+    assert vfs.read("/b").content == payload
+
+
+@pytest.mark.parametrize("mode", [SgxMode.NATIVE, SgxMode.SIM])
+def test_outside_hw_the_whole_payload_is_copied(mode):
+    """NATIVE / SIM: the copy is the kernel's own, whatever was sealed."""
+    payload = b"x" * (2 * IO_CHUNK + 5)
+    elapsed = []
+    for enclave_bytes in (None, 0):
+        syscalls, clock = make_syscalls(VirtualFileSystem(), mode)
+        syscalls.write_files(["/a", "/b"], payload, enclave_bytes=enclave_bytes)
+        syscalls.flush()
+        elapsed.append(clock.now)
+    assert elapsed[0] == elapsed[1]
 
 
 def test_write_files_crosses_the_boundary_once(vfs, cpu):
