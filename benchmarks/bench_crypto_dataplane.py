@@ -280,7 +280,7 @@ SIMULATED_READS = (
     ("cold", DEFAULT_CHUNK_CACHE_BYTES, True),
     ("warm", DEFAULT_CHUNK_CACHE_BYTES, False),
     # Room for 8 of the 16 chunks: a chunk occupies its share of the
-    # stored envelope, a little over the 64 KiB of plaintext it holds.
+    # file's size, the 64 KiB of plaintext it holds.
     ("half_evicted", (MESSAGE_SIZE + CHUNK_SIZE) // 2, False),
 )
 

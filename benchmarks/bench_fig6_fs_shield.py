@@ -5,10 +5,9 @@ at AES-NI rates (~4 GB/s), so it adds ~0.12 % (SIM) / ~0.9 % (HW) —
 the cost lands at startup (decrypting the model once), amortized over
 the run.
 
-Two shield arms: the model uploaded as an *inline* envelope (what
-``deploy_encrypted_model`` writes today) and as the *journaled*,
-2-replica layout — the one that is safe under the paper's threat model
-— so the "shield overhead is small" shape is shown on the safe path too.
+"Shield on" uploads the model with ``deploy_encrypted_model``: a
+journaled commit, the one storage layout, which is safe under the
+paper's threat model.
 
 This is the **cold** path: every run of the paper's ``label_image`` is a
 new process with an empty chunk cache, so the measured model load drops
@@ -23,9 +22,7 @@ import pytest
 
 from harness import PAPER, fmt_s, print_table, record, run_once
 
-from repro.cas.audit import ScopedFreshnessTracker
 from repro.core.inference import (
-    MODEL_PATH_PREFIX,
     InferenceService,
     deploy_encrypted_model,
     service_runtime_config,
@@ -34,31 +31,12 @@ from repro.core.platform import PlatformConfig, SecureTFPlatform
 from repro.data import synthetic_cifar10
 from repro.enclave.sgx import SgxMode
 from repro.models import pretrained_lite_model
-from repro.runtime.fs_shield import FileSystemShield, PathRule, ShieldPolicy
-from repro.runtime.syscall import SyscallInterface
 
 MODELS = ("densenet", "inception_v3", "inception_v4")
 RUNS = 12
 
 
-def _deploy_journaled(platform, session, node, model):
-    """``deploy_encrypted_model`` with the owner's shield journaled and
-    2-way replicated (the service reads either layout)."""
-    path = f"{MODEL_PATH_PREFIX}{model.name}.tflite"
-    shield = FileSystemShield(
-        SyscallInterface(node.vfs, platform.cost_model, node.clock, mode=SgxMode.NATIVE),
-        platform.cas.owner_fs_key(session),
-        [PathRule(MODEL_PATH_PREFIX, ShieldPolicy.ENCRYPT)],
-        platform.cost_model,
-        node.clock,
-        freshness=ScopedFreshnessTracker(platform.cas.audit, f"{session}@{node.node_id}"),
-        replicas=2,
-    )
-    shield.write_file(path, model.to_bytes(), declared_size=model.size_bytes)
-    return path
-
-
-def _measure(model, image, mode, fs_shield, journaled=False):
+def _measure(model, image, mode, fs_shield):
     """Per-run latency as the paper measures it: every run is a fresh
     ``label_image`` process, so the model is (shield-)loaded each time.
     The model-load cost is measured separately from the container/
@@ -71,9 +49,7 @@ def _measure(model, image, mode, fs_shield, journaled=False):
     ]
     platform.register_session("fig6", configs, accept_debug=True)
     node = platform.node(1)
-    if journaled:
-        path = _deploy_journaled(platform, "fig6", node, model)
-    elif fs_shield:
+    if fs_shield:
         path = deploy_encrypted_model(platform, "fig6", node, model)
     else:
         path = "/secure/models/plain.tflite"
@@ -109,7 +85,6 @@ def _collect():
             mode.value: {
                 "off": _measure(model, image, mode, fs_shield=False),
                 "on": _measure(model, image, mode, fs_shield=True),
-                "journaled": _measure(model, image, mode, fs_shield=True, journaled=True),
             }
             for mode in (SgxMode.SIM, SgxMode.HW)
         }
@@ -125,18 +100,12 @@ def test_fig6_fs_shield_effect(benchmark):
         for mode in ("sim", "hw"):
             off = results[name][mode]["off"]
             on = results[name][mode]["on"]
-            journaled = results[name][mode]["journaled"]
             overhead = on / off - 1.0
-            journaled_overhead = journaled / off - 1.0
             overheads[(name, mode)] = overhead
-            overheads[(name, mode + "_journaled")] = journaled_overhead
-            rows.append(
-                (name, mode, fmt_s(off), fmt_s(on), f"{overhead * 100:+.2f}%",
-                 fmt_s(journaled), f"{journaled_overhead * 100:+.2f}%")
-            )
+            rows.append((name, mode, fmt_s(off), fmt_s(on), f"{overhead * 100:+.2f}%"))
     print_table(
         "Fig. 6 — file-system shield effect on classification latency",
-        ("model", "mode", "shield off", "shield on", "overhead", "journaled x2", "overhead"),
+        ("model", "mode", "shield off", "shield on", "overhead"),
         rows,
         notes=[
             f"paper: +{PAPER['fig6_fs_shield_overhead_sim'] * 100:.2f}% (SIM), "

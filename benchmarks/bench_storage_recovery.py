@@ -1,13 +1,12 @@
 """Price sheet of the crash-consistent storage plane.
 
 Measures what the robustness guarantees cost and how fast the machinery
-runs, in simulated time: the commit-protocol overhead of journaled
-(one shadow extent per replica + manifest-flip) writes over inline
-envelopes in two regimes — NATIVE traps at 4 KiB chunks, where the cost
-is calls, and an HW enclave on the async ring at 64 KiB chunks
-(``shield_write``'s geometry), where the ring hides the calls and the
-seal writes the ciphertext into the host's buffer, so what is left is
-crypto plus the journal's manifest and extra calls — mount-time recovery
+runs, in simulated time: the throughput of a journaled commit (one
+shadow extent per replica + manifest flip) in two regimes — NATIVE
+traps at 4 KiB chunks, where the cost is calls, and an HW enclave on
+the async ring at 64 KiB chunks (``shield_write``'s geometry), where the
+ring hides the calls and the seal writes the ciphertext into the host's
+buffer, so what is left is crypto plus the manifest — mount-time recovery
 latency across an exhaustive crash-point sweep (every mutating op of a
 commit, both polarities, plus a tear at every chunk boundary +- 1 byte
 of either replica's extent), self-healing read throughput while
@@ -46,7 +45,7 @@ CHUNK_SIZE = 4096
 MB = len(PAYLOAD) / 1e6
 
 
-def mount(vfs, tracker, journal, replicas=2):
+def mount(vfs, tracker):
     clock = SimClock()
     syscalls = SyscallInterface(vfs, CM, clock, mode=SgxMode.NATIVE)
     shield = FileSystemShield(
@@ -57,14 +56,13 @@ def mount(vfs, tracker, journal, replicas=2):
         clock,
         chunk_size=CHUNK_SIZE,
         freshness=tracker,
-        journal=journal,
-        replicas=replicas if journal else 1,
+        replicas=2,
     )
     return shield, clock
 
 
-def _write_mb_s(journal):
-    shield, clock = mount(VirtualFileSystem(), LocalFreshnessTracker(), journal)
+def _write_mb_s():
+    shield, clock = mount(VirtualFileSystem(), LocalFreshnessTracker())
     start = clock.now
     shield.write_file(PATH, PAYLOAD)
     return MB / (clock.now - start)
@@ -75,7 +73,7 @@ def _write_mb_s(journal):
 HW_PAYLOAD = bytes(range(256)) * (544 * 4)
 
 
-def _hw_write_mb_s(journal):
+def _hw_write_mb_s():
     """Steady-state overwrite (an old generation to collect) through a
     HW ``SconeRuntime``; returns (MB/s, syscalls of that write)."""
     platform = SecureTFPlatform(PlatformConfig(n_nodes=1, seed=5))
@@ -84,8 +82,7 @@ def _hw_write_mb_s(journal):
         RuntimeConfig(
             name="bench-shield",
             mode=SgxMode.HW,
-            fs_journal=journal,
-            fs_replicas=2 if journal else 1,
+            fs_replicas=2,
             fs_key=bytes(range(32)),
             fs_rules=RULES,
         ),
@@ -124,7 +121,7 @@ def _crash_sweep():
     old, new = SWEEP_PAYLOAD, SWEEP_PAYLOAD[::-1]
     probe_vfs = VirtualFileSystem()
     probe_tracker = LocalFreshnessTracker()
-    shield, _ = mount(probe_vfs, probe_tracker, journal=True)
+    shield, _ = mount(probe_vfs, probe_tracker)
     shield.write_file(PATH, old)
     plan = StorageFaultPlan(0).attach(probe_vfs)
     shield.write_file(PATH, new)
@@ -150,7 +147,7 @@ def _crash_sweep():
     for point in boundaries + tears:
         vfs = VirtualFileSystem()
         tracker = LocalFreshnessTracker()
-        victim, _ = mount(vfs, tracker, journal=True)
+        victim, _ = mount(vfs, tracker)
         victim.write_file(PATH, old)
         plan = StorageFaultPlan(0, crash_points=[point]).attach(vfs)
         try:
@@ -159,7 +156,7 @@ def _crash_sweep():
             pass
         assert plan.counters.crashes + plan.counters.torn_writes == 1, point
         vfs.faults = None
-        remounted, clock = mount(vfs, tracker, journal=True)
+        remounted, clock = mount(vfs, tracker)
         start = clock.now
         remounted.recover()
         total += clock.now - start
@@ -171,13 +168,13 @@ def _heal_read():
     """Damage one replica of every chunk; a cold read repairs them all."""
     vfs = VirtualFileSystem()
     tracker = LocalFreshnessTracker()
-    shield, _ = mount(vfs, tracker, journal=True)
+    shield, _ = mount(vfs, tracker)
     shield.write_file(PATH, PAYLOAD)
 
     for path in [p for p in vfs.listdir() if CHUNK_MARKER in p and p.endswith(".1")]:
         vfs.tamper(path, b"rotted")
 
-    reader, clock = mount(vfs, tracker, journal=True)
+    reader, clock = mount(vfs, tracker)
     start = clock.now
     assert reader.read_file(PATH) == PAYLOAD
     elapsed = clock.now - start
@@ -222,25 +219,14 @@ def _cas_failover_outage():
 
 def test_storage_recovery_price_sheet(benchmark):
     def run():
-        inline_mb_s = _write_mb_s(journal=False)
-        journal_mb_s = _write_mb_s(journal=True)
-        hw_inline_mb_s, hw_inline_calls = _hw_write_mb_s(journal=False)
-        hw_journal_mb_s, hw_journal_calls = _hw_write_mb_s(journal=True)
+        journal_mb_s = _write_mb_s()
+        hw_journal_mb_s, hw_journal_calls = _hw_write_mb_s()
         recovery_s, boundaries, tears = _crash_sweep()
         heal_mb_s, repaired = _heal_read()
         outage_ms = _cas_failover_outage()
         return {
-            "inline_write_mb_s": round(inline_mb_s, 2),
             "journal_write_mb_s": round(journal_mb_s, 2),
-            "journal_overhead_pct": round(
-                (inline_mb_s / journal_mb_s - 1.0) * 100, 1
-            ),
-            "hw_inline_write_mb_s": round(hw_inline_mb_s, 2),
             "hw_journal_write_mb_s": round(hw_journal_mb_s, 2),
-            "hw_journal_overhead_pct": round(
-                (hw_inline_mb_s / hw_journal_mb_s - 1.0) * 100, 1
-            ),
-            "hw_inline_write_syscalls": hw_inline_calls,
             "hw_journal_write_syscalls": hw_journal_calls,
             "crash_boundaries_swept": boundaries,
             "extent_tears_swept": tears,
@@ -256,21 +242,20 @@ def test_storage_recovery_price_sheet(benchmark):
         ["metric", "value"],
         [[k, v] for k, v in metrics.items()],
         notes=[
-            "journal = one shadow extent x2 replicas + manifest flip; inline = single envelope",
+            "journal = one shadow extent x2 replicas + manifest flip",
             "unprefixed write rows: NATIVE traps, 4 KiB chunks, 1 MiB - every call is a trap, so the "
             "bottleneck is the call count (extents: 2 x 6 + manifest + flip + GC, whatever the chunk count)",
             "hw_ rows: HW enclave, async ring, 64 KiB chunks, 544 KiB (shield_write) - the ring hides "
-            "the calls and the seal writes into the host's buffer (no copy out of the enclave), so the "
-            "bottleneck is crypto; the journal adds its manifest, copied, and 12 calls",
+            "the calls and the seal writes into the host's buffer, so the bottleneck is crypto; "
+            "only the manifest is copied out of the enclave",
             "recovery mean over an exhaustive crash-point sweep (every mutating op, both polarities) "
             "plus a tear at every chunk boundary +- 1 byte of either replica's extent",
             "failover outage = failed call + watchdog promote + retried success",
         ],
     )
-    # The safe layout is affordable in both regimes; recovery is
-    # sub-second; healing reads stay usable.
-    assert metrics["journal_write_mb_s"] >= metrics["inline_write_mb_s"] / 1.5
-    assert metrics["hw_journal_write_mb_s"] >= metrics["hw_inline_write_mb_s"] / 1.5
+    # A commit stays a handful of calls; recovery is sub-second;
+    # healing reads stay usable.
+    assert metrics["hw_journal_write_syscalls"] <= 20
     assert metrics["recovery_scan_ms_mean"] < 1000.0
     assert metrics["chunks_repaired"] == -(-len(PAYLOAD) // CHUNK_SIZE)
     record(benchmark, **metrics)

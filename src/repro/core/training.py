@@ -94,8 +94,6 @@ class TrainingJobConfig:
     retry_policy: Optional[RetryPolicy] = None
     #: Restarts allowed per container lineage before quarantine.
     recovery_budget: int = 3
-    #: Journaled (crash-consistent) checkpoint shield layout.
-    checkpoint_journal: bool = False
     #: Replica count for checkpoint chunks (self-healing reads).
     checkpoint_replicas: int = 1
     #: Exit-less syscall ring shape for every container of the job
@@ -466,7 +464,6 @@ class TrainingJob:
                 self.platform.active_cas.audit,
                 f"{self.config.session}@{node.node_id}",
             ),
-            journal=self.config.checkpoint_journal,
             replicas=self.config.checkpoint_replicas,
         )
 

@@ -23,17 +23,16 @@ of its share instead of a decrypt, and the cache's capacity is counted
 in the same simulated bytes.  A write pays its seal and its syscalls:
 the seal writes its output straight into the untrusted buffer the
 asynchronous syscall hands the kernel, so in HW mode no sealed byte is
-copied out of the enclave — only what the enclave builds itself (a
-manifest, an envelope's framing) crosses with its own bytes.  Digests
-and tags are taken over the ciphertext as the enclave produced it,
-never read back from that buffer: a host that rewrites a staged extent
-gets what tampering at rest gets it, a chunk that fails its digest.
+copied out of the enclave — only what the enclave builds itself, the
+manifest, crosses with its own bytes.  Digests and tags are taken over
+the ciphertext as the enclave produced it, never read back from that
+buffer: a host that rewrites a staged extent gets what tampering at
+rest gets it, a chunk that fails its digest.
 
-Crash consistency (the storage-plane hardening): the legacy *inline*
-layout stores the whole envelope in one file, which is only atomic if
-every OS write is — an assumption a hostile or crashing host does not
-honour.  The *journaled* layout (``journal=True``, implied by
-``replicas > 1``) therefore commits like a database:
+Crash consistency: a file stored in one write is only atomic if every
+OS write is — an assumption a hostile or crashing host does not honour.
+Every protected file is therefore a journaled commit, made like a
+database's:
 
 1. the protected chunks, back to back, are written as one generation-
    named shadow *extent* per replica (``{path}.__chunk.{version}.0.
@@ -52,10 +51,12 @@ leaves the file at exactly the old or the new version (a write the
 kernel reports short raises before the rename: the old one);
 :meth:`FileSystemShield.recover` (the mount-time scan) rolls uncommitted
 flips back, rolls the freshness record forward across a crash between
-steps 3 and 4, collects strays, and re-replicates damaged chunk copies.
-Reads self-heal: every replica is fetched and checked slot by slot
-(manifest digest + AEAD), a torn/rotted chunk is repaired from any
-intact copy and counted — the shield fails closed only when some chunk
+steps 3 and 4, collects strays, and re-replicates damaged chunk copies;
+a protected path holding no authenticating manifest is reported
+``damaged`` with its extents kept.  Reads self-heal: every replica is
+fetched and checked slot by slot (manifest digest + AEAD), a torn/rotted
+chunk is repaired from any intact copy and counted — the shield fails
+closed (``ShieldError``, as for every refused read) only when some chunk
 has no valid copy left.  A repair never overwrites a replica in place
 (it may hold the only intact copy of *another* chunk): the healed extent
 is written to ``{extent}.__commit`` and renamed over the damaged one.
@@ -184,7 +185,7 @@ class FsShieldStats:
     chunk_cache_misses: int = 0
     real_crypto_time: float = 0.0
     bytes_by_cipher: Dict[str, int] = field(default_factory=dict)
-    # Storage-plane robustness counters (journaled layout).
+    # Storage-plane robustness counters.
     torn_writes_detected: int = 0     # invalid/missing stored artifacts seen
     chunks_repaired: int = 0          # replicas rewritten from an intact copy
     recovery_scans: int = 0           # mount-time recover() passes
@@ -207,7 +208,6 @@ class FileSystemShield:
         cipher: str = "chacha20-poly1305",
         freshness: Optional[FreshnessTracker] = None,
         chunk_cache_bytes: int = DEFAULT_CHUNK_CACHE_BYTES,
-        journal: bool = False,
         replicas: int = 1,
         memory: Optional[EnclaveMemory] = None,
     ) -> None:
@@ -217,9 +217,6 @@ class FileSystemShield:
             raise ShieldError(f"chunk size must be positive: {chunk_size}")
         if replicas < 1:
             raise ShieldError(f"replica count must be >= 1: {replicas}")
-        #: k-way chunk replication implies the journaled (multi-file)
-        #: layout — replicas only exist as separate shadow files.
-        self._journal = journal or replicas > 1
         self._replicas = replicas
         self._syscalls = syscalls
         self._master_key = master_key
@@ -234,7 +231,7 @@ class FileSystemShield:
         self._freshness = freshness
         self._versions: Dict[str, int] = {}
         self._file_keys: Dict[str, bytes] = {}
-        # Plaintext chunk cache.  The key binds (path, version, envelope
+        # Plaintext chunk cache.  The key binds (path, version, manifest
         # digest, chunk index): any rewrite bumps the version and any
         # tampering changes the digest, so stale or forged content can
         # never be served — the cache fails closed to a decrypt+verify.
@@ -384,7 +381,7 @@ class FileSystemShield:
             self._chunk_cache_put(path, version, digest, index, chunk, share)
 
     # ------------------------------------------------------------------
-    # Chunk protection (shared by both layouts)
+    # Chunk protection
     # ------------------------------------------------------------------
 
     def _protect_chunks(
@@ -518,40 +515,52 @@ class FileSystemShield:
             return
 
         chunks = self._split(plaintext)
-        n_chunks = max(1, -(-simulated // self._chunk_size))
         started = time.perf_counter()
         protected, crypto_label = self._protect_chunks(path, policy, version, chunks)
         self._account_real_crypto(
             crypto_label, len(plaintext), time.perf_counter() - started
         )
 
-        if self._journal:
-            self._write_journaled(path, policy, version, chunks, protected, declared_size)
-            return
-
-        envelope = encoding.encode(
+        # The crash-consistent commit: shadow extents -> pending manifest
+        # -> atomic rename flip -> freshness commit -> GC.
+        self._syscalls.write_files(
+            [self._extent_path(path, version, r) for r in range(self._replicas)],
+            b"".join(protected),
+            enclave_bytes=0,  # sealed into the host's buffer
+        )
+        self.stats.replicas_written += self._replicas * len(protected)
+        body_bytes = encoding.encode(
             {
                 "policy": policy.value,
                 "version": version,
                 "cipher": self._cipher,
                 "chunk_size": self._chunk_size,
                 "plaintext_size": len(plaintext),
-                "chunks": protected,
+                "declared_size": simulated,
+                "n_chunks": len(chunks),
+                "replicas": self._replicas,
+                "chunk_digests": [hashlib.sha256(blob).digest() for blob in protected],
             }
         )
-        self._charge_crypto(simulated, n_chunks)
-        # The chunks are sealed into the host's buffer; only the
-        # envelope's framing is written from the enclave.
-        self._syscalls.write_file(
-            path,
-            envelope,
-            declared_size=declared_size,
-            enclave_bytes=len(envelope) - sum(map(len, protected)),
+        manifest = encoding.encode(
+            {"body": body_bytes, "mac": self._manifest_mac(path, body_bytes)}
         )
+        self._charge_crypto(simulated, max(1, -(-simulated // self._chunk_size)))
+        pending = path + COMMIT_SUFFIX
+        # A caller's declared size rides on the manifest write (the
+        # extents pay for their real bytes), floored at the manifest's
+        # own length.  It stands in for sealed bytes, so only the
+        # manifest, built and MAC'd in the enclave, is copied out of it.
+        declared = None if declared_size is None else max(declared_size, len(manifest))
+        self._syscalls.write_file(
+            pending, manifest, declared_size=declared, enclave_bytes=len(manifest)
+        )
+        self._syscalls.rename(pending, path)  # THE commit point
         self.stats.files_written += 1
-        digest = hashlib.sha256(envelope).digest()
+        digest = hashlib.sha256(manifest).digest()
         if self._freshness is not None:
             self._freshness.commit(path, version, digest)
+        self._gc_generations(path, version, self._syscalls.list_dir(path + CHUNK_MARKER))
         self._warm_chunk_cache(path, version, digest, chunks, simulated)
 
     # ------------------------------------------------------------------
@@ -566,37 +575,32 @@ class FileSystemShield:
         if policy is ShieldPolicy.PASSTHROUGH:
             return file.content
 
-        try:
-            envelope = encoding.decode(file.content)
-        except IntegrityError as exc:
-            raise ShieldError(f"corrupt shield envelope for {path!r}") from exc
-        if self._is_manifest(envelope):
-            return self._read_journaled(path, file, policy, envelope)
-        for field in ("policy", "version", "cipher", "chunk_size", "plaintext_size", "chunks"):
-            if field not in envelope:
-                raise ShieldError(f"shield envelope for {path!r} missing {field!r}")
-        if envelope["policy"] != policy.value:
+        body = self._read_manifest(path, file.content)
+        if body["policy"] != policy.value:
             raise ShieldError(
-                f"policy mismatch for {path!r}: stored {envelope['policy']!r}, "
+                f"policy mismatch for {path!r}: stored {body['policy']!r}, "
                 f"configured {policy.value!r}"
             )
-        version = envelope["version"]
-        chunks: List[bytes] = envelope["chunks"]
-        chunk_size, plaintext_size = envelope["chunk_size"], envelope["plaintext_size"]
-        # The geometry is the host's word until the chunks authenticate
-        # (the AAD binds the count); it must at least be one a write
-        # could have produced before time is charged by it.
-        if chunk_size <= 0 or len(chunks) != max(1, -(-plaintext_size // chunk_size)):
-            raise ShieldError(f"shield envelope for {path!r} has inconsistent geometry")
-
+        version = body["version"]
         digest = hashlib.sha256(file.content).digest()
         if self._freshness is not None:
             self._freshness.verify(path, version, digest)
 
-        return self._reassemble(path, plaintext_size, self._open_chunks(
-            path, policy, version, digest, envelope["cipher"],
-            self._simulated_shares(file.size, plaintext_size, chunk_size, len(chunks)),
-            lambda: (chunks, None),
+        def load() -> Tuple[List[bytes], Callable[[], None]]:
+            blobs, heal = self._scrub_extents(path, body)
+            if None in blobs:
+                raise ShieldError(
+                    f"chunk {blobs.index(None)} of {path!r}: no intact replica remains"
+                )
+            return blobs, heal
+
+        return self._reassemble(path, body["plaintext_size"], self._open_chunks(
+            path, policy, version, digest, body["cipher"],
+            self._simulated_shares(
+                body["declared_size"], body["plaintext_size"], body["chunk_size"],
+                body["n_chunks"],
+            ),
+            load,
         ))
 
     @staticmethod
@@ -610,7 +614,7 @@ class FileSystemShield:
         return plaintext
 
     # ------------------------------------------------------------------
-    # Journaled layout: atomic commits, replicas, self-healing, recovery
+    # Storage layout: extents, manifest, self-healing
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -635,92 +639,28 @@ class FileSystemShield:
             self._file_key(path) + _MANIFEST_MAC_INFO + body_bytes
         ).digest()
 
-    @staticmethod
-    def _is_manifest(envelope: object) -> bool:
-        return isinstance(envelope, dict) and "mac" in envelope and "body" in envelope
-
-    def _manifest_body(self, path: str, envelope: dict) -> dict:
-        """Authenticate a decoded journal manifest and return its body;
-        IntegrityError when the MAC fails or the body is malformed."""
-        body_bytes = envelope["body"]
-        if envelope["mac"] != self._manifest_mac(path, body_bytes):
-            raise IntegrityError(f"manifest of {path!r} failed authentication")
-        body = encoding.decode(body_bytes)
+    def _read_manifest(self, path: str, raw: bytes) -> dict:
+        """Decode and authenticate the manifest stored at ``path`` and
+        return its body; ShieldError for anything else — torn, forged,
+        malformed or not a manifest at all."""
+        try:
+            envelope = encoding.decode(raw)
+        except IntegrityError as exc:
+            raise ShieldError(f"corrupt manifest for {path!r}") from exc
+        if not (isinstance(envelope, dict) and isinstance(envelope.get("body"), bytes)):
+            raise ShieldError(f"no shield manifest at {path!r}")
+        if envelope.get("mac") != self._manifest_mac(path, envelope["body"]):
+            raise ShieldError(f"manifest of {path!r} failed authentication")
+        body = encoding.decode(envelope["body"])
         for name in (
             "policy", "version", "cipher", "chunk_size", "plaintext_size",
             "declared_size", "n_chunks", "replicas", "chunk_digests",
         ):
             if name not in body:
-                raise IntegrityError(f"manifest of {path!r} missing {name!r}")
+                raise ShieldError(f"manifest of {path!r} missing {name!r}")
         if len(body["chunk_digests"]) != body["n_chunks"]:
-            raise IntegrityError(f"manifest of {path!r} has inconsistent geometry")
+            raise ShieldError(f"manifest of {path!r} has inconsistent geometry")
         return body
-
-    def _decode_manifest(self, path: str, raw: bytes) -> Optional[dict]:
-        """Decode + authenticate a journal manifest; None when ``raw`` is
-        not a journal manifest at all; IntegrityError when it is one but
-        fails authentication or is malformed."""
-        try:
-            envelope = encoding.decode(raw)
-        except IntegrityError:
-            return None
-        if not self._is_manifest(envelope):
-            return None
-        return self._manifest_body(path, envelope)
-
-    def _write_journaled(
-        self,
-        path: str,
-        policy: ShieldPolicy,
-        version: int,
-        chunks: List[bytes],
-        protected: List[bytes],
-        declared_size: Optional[int],
-    ) -> None:
-        """The crash-consistent commit: shadow extents -> pending manifest
-        -> atomic rename flip -> freshness commit -> GC."""
-        plaintext_size = sum(map(len, chunks))
-        simulated = declared_size if declared_size is not None else plaintext_size
-        digests = [hashlib.sha256(blob).digest() for blob in protected]
-        self._syscalls.write_files(
-            [self._extent_path(path, version, r) for r in range(self._replicas)],
-            b"".join(protected),
-            enclave_bytes=0,  # sealed into the host's buffer
-        )
-        self.stats.replicas_written += self._replicas * len(protected)
-        body_bytes = encoding.encode(
-            {
-                "policy": policy.value,
-                "version": version,
-                "cipher": self._cipher,
-                "chunk_size": self._chunk_size,
-                "plaintext_size": plaintext_size,
-                "declared_size": simulated,
-                "n_chunks": len(chunks),
-                "replicas": self._replicas,
-                "chunk_digests": digests,
-            }
-        )
-        manifest = encoding.encode(
-            {"body": body_bytes, "mac": self._manifest_mac(path, body_bytes)}
-        )
-        self._charge_crypto(simulated, max(1, -(-simulated // self._chunk_size)))
-        pending = path + COMMIT_SUFFIX
-        # A caller's declared size rides on the manifest write (the
-        # extents pay for their real bytes), floored at the manifest's
-        # own length.  It stands in for sealed bytes, so only the
-        # manifest, built and MAC'd in the enclave, is copied out of it.
-        declared = None if declared_size is None else max(declared_size, len(manifest))
-        self._syscalls.write_file(
-            pending, manifest, declared_size=declared, enclave_bytes=len(manifest)
-        )
-        self._syscalls.rename(pending, path)  # THE commit point
-        self.stats.files_written += 1
-        digest = hashlib.sha256(manifest).digest()
-        if self._freshness is not None:
-            self._freshness.commit(path, version, digest)
-        self._gc_generations(path, version, self._syscalls.list_dir(path + CHUNK_MARKER))
-        self._warm_chunk_cache(path, version, digest, chunks, simulated)
 
     def _gc_generations(self, path: str, keep_version: int, listing: List[str]) -> None:
         """Unlink, of the listed extents of ``path``, every generation
@@ -782,37 +722,6 @@ class FileSystemShield:
 
         return blobs, heal
 
-    def _read_journaled(
-        self, path: str, file, policy: ShieldPolicy, envelope: dict
-    ) -> bytes:
-        body = self._manifest_body(path, envelope)
-        if body["policy"] != policy.value:
-            raise ShieldError(
-                f"policy mismatch for {path!r}: stored {body['policy']!r}, "
-                f"configured {policy.value!r}"
-            )
-        version = body["version"]
-        digest = hashlib.sha256(file.content).digest()
-        if self._freshness is not None:
-            self._freshness.verify(path, version, digest)
-
-        def load() -> Tuple[List[bytes], Callable[[], None]]:
-            blobs, heal = self._scrub_extents(path, body)
-            if None in blobs:
-                raise IntegrityError(
-                    f"chunk {blobs.index(None)} of {path!r}: no intact replica remains"
-                )
-            return blobs, heal
-
-        return self._reassemble(path, body["plaintext_size"], self._open_chunks(
-            path, policy, version, digest, body["cipher"],
-            self._simulated_shares(
-                body["declared_size"], body["plaintext_size"], body["chunk_size"],
-                body["n_chunks"],
-            ),
-            load,
-        ))
-
     # ------------------------------------------------------------------
     # Mount-time recovery scan
     # ------------------------------------------------------------------
@@ -820,7 +729,7 @@ class FileSystemShield:
     def recover(self, prefix: str = "", heal: bool = True) -> Dict[str, str]:
         """Reconcile untrusted storage after a crash (run at mount).
 
-        Per journaled file: discards uncommitted manifest flips (the old
+        Per protected file: discards uncommitted manifest flips (the old
         version stays live), completes freshness commits interrupted
         between the flip and the tracker (authenticated roll-forward —
         only the *next* version with a valid MAC qualifies; anything
@@ -866,14 +775,12 @@ class FileSystemShield:
                 continue
             raw = self._syscalls.read_file(base).content
             try:
-                body = self._decode_manifest(base, raw)
-            except IntegrityError:
+                body = self._read_manifest(base, raw)
+            except ShieldError:
+                # Torn, forged or foreign: the extents may be all that is
+                # left of the file, so they stay for the reader to refuse.
                 self.stats.torn_writes_detected += 1
                 report[base] = "damaged"
-                continue
-            if body is None:  # inline envelope or foreign file
-                for p in strays.get(base, []):
-                    self._syscalls.unlink(p)
                 continue
             version = body["version"]
             digest = hashlib.sha256(raw).digest()

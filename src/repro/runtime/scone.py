@@ -56,9 +56,9 @@ class RuntimeConfig:
     fs_rules: List[PathRule] = field(default_factory=list)
     fs_key: Optional[bytes] = None
     fs_chunk_size: int = 64 * 1024
-    #: Crash-consistent (journaled) shield layout: atomic rename commits
-    #: plus mount-time recovery.  Implied by ``fs_replicas > 1``.
-    fs_journal: bool = False
+    #: Selects nothing: every shielded file is a journaled commit.  Kept
+    #: for callers that still pass ``True``; ``False`` is refused.
+    fs_journal: bool = True
     #: k-way replica placement for shielded chunks (self-healing reads).
     fs_replicas: int = 1
     freshness: Optional[FreshnessTracker] = None
@@ -122,6 +122,11 @@ class SconeRuntime:
         if config.mode is not SgxMode.NATIVE and cpu is None:
             raise ConfigurationError(
                 f"{config.mode.value} mode needs an SgxCpu to run on"
+            )
+        if not config.fs_journal:
+            raise ConfigurationError(
+                "the fs shield has one storage layout, the journaled commit: "
+                "fs_journal=False selects nothing"
             )
         if config.mode is not SgxMode.NATIVE and config.resolved_libc() is GLIBC:
             raise ConfigurationError(
@@ -230,7 +235,6 @@ class SconeRuntime:
             self.clock,
             chunk_size=self.config.fs_chunk_size,
             freshness=freshness if freshness is not None else self.config.freshness,
-            journal=self.config.fs_journal,
             replicas=self.config.fs_replicas,
             memory=self.memory,
         )

@@ -46,7 +46,6 @@ def make_job(session, backup=False, seed=71):
             mode=SgxMode.SIM,
             learning_rate=0.05,
             retry_policy=retry,
-            checkpoint_journal=True,
             checkpoint_replicas=2,
         ),
     )

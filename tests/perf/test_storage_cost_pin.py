@@ -2,15 +2,14 @@
 
 Deterministic (simulated clock and call counts only, no host timing), so
 it runs in tier 1.  ``shield_write``'s geometry — HW enclave, async
-ring, 64 KiB chunks, one 544 KiB file — written inline and journaled
-with two replicas: the journaled commit may cost at most 1.15x the
-inline write in simulated seconds and 20 syscalls, and its ciphertext
-crosses the enclave boundary once, as the seal's output into the host's
-buffer, however many replicas it lands in: the only bytes *copied* out
-of the enclave are the manifest's.  Per-chunk shadow files (78 calls,
-two crossings, 1.46x) trip both.  What keeps its copy: a PASSTHROUGH
-write (its plaintext lives in the enclave) and NATIVE mode (the copy is
-the kernel's own).
+ring, 64 KiB chunks, one 544 KiB file committed with two replicas:
+its overwrite is pinned bit for bit in simulated seconds and in
+syscalls, and its ciphertext crosses the enclave boundary once, as the
+seal's output into the host's buffer, however many replicas it lands
+in: the only bytes *copied* out of the enclave are the manifest's.
+Per-chunk shadow files (78 calls, two crossings) trip both.  What keeps
+its copy: a PASSTHROUGH write (its plaintext lives in the enclave) and
+NATIVE mode (the copy is the kernel's own).
 """
 
 from repro._sim import DeterministicRng, SimClock
@@ -37,7 +36,7 @@ RULES = [
 ]
 
 
-def _shield(mode=SgxMode.HW, **layout):
+def _shield(mode=SgxMode.HW):
     clock = SimClock()
     enclave = None
     if mode is SgxMode.HW:
@@ -57,16 +56,16 @@ def _shield(mode=SgxMode.HW, **layout):
         CM,
         clock,
         freshness=LocalFreshnessTracker(),
-        **layout,
+        replicas=2,
     )
     return shield, syscalls, enclave, vfs, clock
 
 
-def _overwrite(path=PATH, mode=SgxMode.HW, declared_size=None, **layout):
+def _overwrite(path=PATH, mode=SgxMode.HW, declared_size=None):
     """Cost of the second write of ``path`` (the steady state: an old
     generation to collect); returns (seconds, syscalls, bytes copied out
     of the enclave — None outside one —, bytes the OS wrote, vfs)."""
-    shield, syscalls, enclave, vfs, clock = _shield(mode, **layout)
+    shield, syscalls, enclave, vfs, clock = _shield(mode)
     memory = enclave.memory if enclave else None
     shield.write_file(path, PAYLOAD, declared_size=declared_size)
     syscalls.flush()
@@ -94,23 +93,22 @@ def _journaled_sizes(vfs):
     return extent, manifest
 
 
-def test_journaled_write_costs_about_what_the_inline_one_does():
-    inline_s, inline_calls, _, _, _ = _overwrite()
-    journal_s, journal_calls, _, _, _ = _overwrite(journal=True, replicas=2)
-    assert inline_calls <= journal_calls <= 20, journal_calls
-    assert journal_s <= 1.15 * inline_s, (journal_s, inline_s)
+def test_hw_journaled_overwrite_costs_what_it_always_did():
+    seconds, calls, _, _, _ = _overwrite()
+    assert calls == 18
+    assert seconds == 0.00016504653333334132  # bit for bit
 
 
 def test_journaled_payload_crosses_the_enclave_boundary_once():
     """Once, as the seal's output: the extents are never copied."""
-    _, _, crossed, written, vfs = _overwrite(journal=True, replicas=2)
+    _, _, crossed, written, vfs = _overwrite()
     extent, manifest = _journaled_sizes(vfs)
     assert crossed == manifest                 # the enclave-built bytes only
     assert written == 2 * extent + manifest    # the OS wrote every replica
 
 
 def test_passthrough_payload_is_still_copied_out_once():
-    _, calls, crossed, written, vfs = _overwrite(PLAIN_PATH, journal=True, replicas=2)
+    _, calls, crossed, written, vfs = _overwrite(PLAIN_PATH)
     assert vfs.read(PLAIN_PATH).content == PAYLOAD[::-1]
     assert crossed == written == len(PAYLOAD)
     assert calls == 6  # version stat, open, write, 2 continuations, close
@@ -119,9 +117,7 @@ def test_passthrough_payload_is_still_copied_out_once():
 def test_native_journaled_overwrite_costs_what_it_always_did():
     """The kernel's user->kernel copy is no seal's to skip: every byte
     of both extents and the manifest is charged as before."""
-    seconds, calls, crossed, written, vfs = _overwrite(
-        mode=SgxMode.NATIVE, journal=True, replicas=2
-    )
+    seconds, calls, crossed, written, vfs = _overwrite(mode=SgxMode.NATIVE)
     extent, manifest = _journaled_sizes(vfs)
     assert crossed is None and written == 2 * extent + manifest
     assert calls == 18
@@ -130,9 +126,7 @@ def test_native_journaled_overwrite_costs_what_it_always_did():
 
 def test_declared_size_journaled_write_copies_only_the_manifest():
     declared = 8 * 1024 * 1024
-    _, _, crossed, written, vfs = _overwrite(
-        declared_size=declared, journal=True, replicas=2
-    )
+    _, _, crossed, written, vfs = _overwrite(declared_size=declared)
     extent, manifest = _journaled_sizes(vfs)
     assert crossed == manifest
     assert written == 2 * extent + declared

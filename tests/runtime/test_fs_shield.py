@@ -17,7 +17,11 @@ from repro.runtime.fs_shield import (
 )
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.vfs import VirtualFileSystem
-from tests.runtime._extents import damage_chunk
+from tests.runtime._extents import damage_chunk, extent_path, plant, stored_chunks
+
+#: What refuses a planted chunk: the manifest's digest, or — under a
+#: manifest re-issued over it — the chunk's own tag or keyed digest.
+NO_REPLICA, FORGED = "no intact replica remains", "failed authentication"
 
 RULES = [
     PathRule("/secure/", ShieldPolicy.ENCRYPT),
@@ -26,7 +30,7 @@ RULES = [
 ]
 
 
-def make_shield(freshness=None, chunk_size=1024, rules=RULES, key=None, **layout):
+def make_shield(freshness=None, chunk_size=1024, rules=RULES, key=None, **options):
     vfs = VirtualFileSystem()
     clock = SimClock()
     syscalls = SyscallInterface(vfs, CM, clock, mode=SgxMode.NATIVE)
@@ -38,7 +42,7 @@ def make_shield(freshness=None, chunk_size=1024, rules=RULES, key=None, **layout
         clock,
         chunk_size=chunk_size,
         freshness=freshness,
-        **layout,
+        **options,
     )
     return shield, vfs, clock
 
@@ -56,16 +60,19 @@ def test_encrypt_roundtrip_and_ciphertext_on_disk():
     plaintext = b"model weights " * 500
     shield.write_file("/secure/m", plaintext)
     assert shield.read_file("/secure/m") == plaintext
-    raw = vfs.read("/secure/m").content
-    assert b"model weights" not in raw
+    stored = [vfs.read(p).content for p in vfs.listdir()]
+    assert len(stored) == 2  # the manifest and one extent
+    assert not any(b"model weights" in raw for raw in stored)
 
 
 def test_authenticate_keeps_plaintext_but_detects_tamper():
     shield, vfs, _ = make_shield()
     shield.write_file("/auth/data", b"public but authenticated")
-    raw = vfs.read("/auth/data").content
+    extent = extent_path("/auth/data", 0, 0)
+    raw = vfs.read(extent).content
     assert b"public but authenticated" in raw
-    vfs.tamper("/auth/data", raw.replace(b"public", b"forged"))
+    vfs.tamper(extent, raw.replace(b"public", b"forged"))
+    shield.drop_caches()
     with pytest.raises(ShieldError):
         shield.read_file("/auth/data")
 
@@ -78,42 +85,54 @@ def test_passthrough_untouched():
 
 
 def test_every_chunk_tamper_detected():
-    shield, vfs, _ = make_shield(chunk_size=64)
+    """A flipped byte anywhere in the manifest or in every replica of an
+    extent slot fails closed on a cold read."""
+    shield, vfs, _ = make_shield(chunk_size=64, replicas=2)
     shield.write_file("/secure/f", bytes(range(256)) * 2)
-    raw = vfs.read("/secure/f").content
-    for position in range(0, len(raw), 97):
-        corrupted = bytearray(raw)
-        corrupted[position] ^= 0xA5
-        vfs.tamper("/secure/f", bytes(corrupted))
-        with pytest.raises(ShieldError):
-            shield.read_file("/secure/f")
-        vfs.tamper("/secure/f", raw)
+    targets = [["/secure/f"], [extent_path("/secure/f", 0, r) for r in range(2)]]
+    for group in targets:
+        raws = [vfs.read(target).content for target in group]
+        for position in range(0, len(raws[0]), 97):
+            for target, raw in zip(group, raws):
+                corrupted = bytearray(raw)
+                corrupted[position] ^= 0xA5
+                vfs.tamper(target, bytes(corrupted))
+            shield.drop_caches()
+            with pytest.raises(ShieldError):
+                shield.read_file("/secure/f")
+            for target, raw in zip(group, raws):
+                vfs.tamper(target, raw)
+    assert shield.read_file("/secure/f") == bytes(range(256)) * 2
 
 
 def test_chunk_swap_between_files_detected():
-    """AAD binds path: moving a validly encrypted chunk across files fails."""
+    """Moving validly encrypted chunks across files fails: the manifest's
+    digests stop it, and under a manifest that authenticates them the
+    AAD, which binds the path, still does."""
     shield, vfs, _ = make_shield(chunk_size=64)
     shield.write_file("/secure/a", b"A" * 200)
     shield.write_file("/secure/b", b"B" * 200)
-    vfs.tamper("/secure/b", vfs.read("/secure/a").content)
-    with pytest.raises(ShieldError):
-        shield.read_file("/secure/b")
+    moved = stored_chunks(vfs, "/secure/a")
+    for mac, refusal in ((None, NO_REPLICA), (shield._manifest_mac, FORGED)):
+        plant(vfs, "/secure/b", moved, mac)
+        shield.drop_caches()
+        with pytest.raises(ShieldError, match=refusal):
+            shield.read_file("/secure/b")
 
 
 def test_cross_version_chunk_splice_detected():
-    """Splicing an old version's chunks into the new envelope fails: the
-    file version is bound into every chunk's AAD."""
-    from repro.crypto import encoding
-
+    """An old generation's extent under the new manifest fails: the
+    manifest's digests stop it, and under a manifest that authenticates
+    it the file version, bound into every chunk's AAD, still does."""
     shield, vfs, _ = make_shield(chunk_size=64)
     shield.write_file("/secure/f", b"version-zero" * 30)
-    old_envelope = encoding.decode(vfs.read("/secure/f").content)
+    old = stored_chunks(vfs, "/secure/f")
     shield.write_file("/secure/f", b"version-one!" * 30)
-    new_envelope = encoding.decode(vfs.read("/secure/f").content)
-    new_envelope["chunks"] = old_envelope["chunks"]
-    vfs.tamper("/secure/f", encoding.encode(new_envelope))
-    with pytest.raises(ShieldError):
-        shield.read_file("/secure/f")
+    for mac, refusal in ((None, NO_REPLICA), (shield._manifest_mac, FORGED)):
+        plant(vfs, "/secure/f", old, mac)
+        shield.drop_caches()
+        with pytest.raises(ShieldError, match=refusal):
+            shield.read_file("/secure/f")
 
 
 def test_rollback_detected_with_freshness_tracker():
@@ -250,8 +269,8 @@ def test_tampered_file_not_served_from_cache():
     raw = bytearray(vfs.read("/secure/m").content)
     raw[len(raw) // 2] ^= 0x01
     vfs.write("/secure/m", bytes(raw))
-    # The envelope digest differs, so cached plaintext cannot be used
-    # and decryption of the tampered chunk must fail.
+    # Every chunk is cached, but a warm read authenticates the manifest
+    # as a cold one does, and the flipped byte fails its MAC.
     with pytest.raises(ShieldError):
         shield.read_file("/secure/m")
 
@@ -313,80 +332,65 @@ def test_real_crypto_time_and_cipher_bytes_recorded():
 
 def test_authenticate_every_byte_mutation_fails_closed():
     """Flipping any byte of an AUTHENTICATE-policy file's stored bytes —
-    chunk body, MAC, or envelope framing — must raise IntegrityError
-    (ShieldError is one), never return modified plaintext."""
-    from repro.errors import IntegrityError
-
+    chunk body, keyed digest, manifest — must raise ShieldError, never
+    return modified plaintext."""
     shield, vfs, _ = make_shield(chunk_size=64)
     shield.write_file("/auth/cfg", b"threshold=42;" * 20)
-    raw = vfs.read("/auth/cfg").content
-    for position in range(0, len(raw), 41):
-        corrupted = bytearray(raw)
-        corrupted[position] ^= 0x80
-        vfs.tamper("/auth/cfg", bytes(corrupted))
-        with pytest.raises(IntegrityError):
-            shield.read_file("/auth/cfg")
-        vfs.tamper("/auth/cfg", raw)
+    for target in ("/auth/cfg", extent_path("/auth/cfg", 0, 0)):
+        raw = vfs.read(target).content
+        for position in range(0, len(raw), 41):
+            corrupted = bytearray(raw)
+            corrupted[position] ^= 0x80
+            vfs.tamper(target, bytes(corrupted))
+            shield.drop_caches()
+            with pytest.raises(ShieldError):
+                shield.read_file("/auth/cfg")
+            vfs.tamper(target, raw)
     assert shield.read_file("/auth/cfg") == b"threshold=42;" * 20
 
 
 def test_authenticate_chunk_reorder_detected():
-    """Swapping two validly MAC'd chunks is a mutation attack the index
-    in the AAD must catch."""
-    from repro.crypto import encoding
-    from repro.errors import IntegrityError
-
+    """Swapping two validly MAC'd chunks is a mutation attack the
+    manifest's digests catch, and under a manifest that authenticates the
+    new order, the index in the AAD."""
     shield, vfs, _ = make_shield(chunk_size=64)
     shield.write_file("/auth/cfg", bytes(range(256)))
-    envelope = encoding.decode(vfs.read("/auth/cfg").content)
-    envelope["chunks"][0], envelope["chunks"][1] = (
-        envelope["chunks"][1],
-        envelope["chunks"][0],
-    )
-    vfs.tamper("/auth/cfg", encoding.encode(envelope))
-    with pytest.raises(IntegrityError):
-        shield.read_file("/auth/cfg")
+    chunks = stored_chunks(vfs, "/auth/cfg")
+    chunks[0], chunks[1] = chunks[1], chunks[0]
+    for mac, refusal in ((None, NO_REPLICA), (shield._manifest_mac, FORGED)):
+        plant(vfs, "/auth/cfg", chunks, mac)
+        shield.drop_caches()
+        with pytest.raises(ShieldError, match=refusal):
+            shield.read_file("/auth/cfg")
 
 
 @pytest.mark.parametrize("prefix", ["/secure/f", "/auth/f"])
 def test_last_chunk_truncation_attack_detected(prefix):
     """Dropping the last chunk AND shrinking the declared chunk count is
-    the classic truncation forgery: every remaining chunk still carries a
-    valid MAC, but its AAD binds n_chunks, so the shrink fails closed."""
-    from repro.crypto import encoding
-    from repro.errors import IntegrityError
-
+    the classic truncation forgery: the extent loses the last chunk's
+    slot, and under a manifest that authenticates the shrink every
+    remaining chunk still carries a valid tag — but its AAD binds
+    n_chunks, so the shrink fails closed."""
     shield, vfs, _ = make_shield(chunk_size=64)
     shield.write_file(prefix, bytes(range(256)))  # 4 chunks
-    envelope = encoding.decode(vfs.read(prefix).content)
-    assert len(envelope["chunks"]) == 4
-    envelope["chunks"] = envelope["chunks"][:-1]
-    envelope["plaintext_size"] = 192  # a consistent-looking shrink
-    vfs.tamper(prefix, encoding.encode(envelope))
-    with pytest.raises(IntegrityError):
-        shield.read_file(prefix)
+    chunks = stored_chunks(vfs, prefix)
+    assert len(chunks) == 4
+    for mac, refusal in ((None, NO_REPLICA), (shield._manifest_mac, FORGED)):
+        plant(vfs, prefix, chunks[:-1], mac, plaintext_size=192)
+        shield.drop_caches()
+        with pytest.raises(ShieldError, match=refusal):
+            shield.read_file(prefix)
 
 
 def test_journaled_last_chunk_truncation_detected():
-    """The journaled layout's equivalent: shrink n_chunks + chunk_digests
-    in a re-MAC'd... impossible — the manifest MAC is keyed.  An attacker
-    without the key can only replay the whole old manifest (freshness
-    catches it) or corrupt it (MAC catches it).  Verify the corrupt-path:
-    a manifest with the last digest dropped fails authentication."""
+    """The manifest's own truncation: shrinking n_chunks + chunk_digests
+    without the key leaves a stale MAC.  An attacker without the key can
+    only replay the whole old manifest (freshness catches it) or corrupt
+    it (the MAC catches it)."""
     from repro.crypto import encoding
-    from repro.errors import IntegrityError
 
-    shield, vfs, _ = make_shield(chunk_size=64)
-    journaled = FileSystemShield(
-        shield._syscalls,
-        bytes(range(32)),
-        RULES,
-        CM,
-        SimClock(),
-        chunk_size=64,
-        replicas=2,
-    )
-    journaled.write_file("/secure/j", bytes(range(256)))
+    shield, vfs, _ = make_shield(chunk_size=64, replicas=2)
+    shield.write_file("/secure/j", bytes(range(256)))
     envelope = encoding.decode(vfs.read("/secure/j").content)
     body = encoding.decode(envelope["body"])
     body["n_chunks"] = 3
@@ -394,9 +398,9 @@ def test_journaled_last_chunk_truncation_detected():
     body["plaintext_size"] = 192
     envelope["body"] = encoding.encode(body)  # MAC now stale
     vfs.tamper("/secure/j", encoding.encode(envelope))
-    journaled.drop_caches()
-    with pytest.raises(IntegrityError):
-        journaled.read_file("/secure/j")
+    shield.drop_caches()
+    with pytest.raises(ShieldError, match="failed authentication"):
+        shield.read_file("/secure/j")
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +413,15 @@ def test_journaled_last_chunk_truncation_detected():
 def test_failed_cold_read_releases_no_chunk(cipher, victim):
     """One bad chunk fails the whole batch: the error names it, and no
     chunk of the file — not even the ones before it — was opened, counted
-    or cached."""
-    from repro.crypto import encoding
-
+    or cached.  The manifest is re-issued over the bad chunk, so its
+    digest passes and the AEAD is what refuses it."""
     shield, vfs, _ = make_shield(chunk_size=64, cipher=cipher)
     shield.write_file("/secure/f", bytes(range(256)))  # 4 chunks
-    envelope = encoding.decode(vfs.read("/secure/f").content)
-    chunk = bytearray(envelope["chunks"][victim])
+    chunks = stored_chunks(vfs, "/secure/f")
+    chunk = bytearray(chunks[victim])
     chunk[5] ^= 0x10
-    envelope["chunks"][victim] = bytes(chunk)
-    vfs.tamper("/secure/f", encoding.encode(envelope))
+    chunks[victim] = bytes(chunk)
+    plant(vfs, "/secure/f", chunks, shield._manifest_mac)
     shield.drop_caches()
     opened_before = shield.stats.chunks_opened
     with pytest.raises(ShieldError, match=f"chunk {victim} of '/secure/f' failed authentication"):
@@ -432,14 +435,12 @@ def test_journaled_cold_read_with_a_lost_chunk_releases_no_chunk():
     """Both replicas of one chunk rotted: the read fails naming it before
     anything is opened — and before chunk 0's single damaged replica is
     healed; recover() still heals it."""
-    from repro.errors import IntegrityError
-
     shield, vfs, _ = make_shield(chunk_size=64, replicas=2)
     shield.write_file("/secure/j", bytes(range(256)))
     for index, replica in ((0, 0), (2, 0), (2, 1)):
         damage_chunk(vfs, "/secure/j", 0, index, replica)
     shield.drop_caches()
-    with pytest.raises(IntegrityError, match="chunk 2 of '/secure/j': no intact replica"):
+    with pytest.raises(ShieldError, match="chunk 2 of '/secure/j': no intact replica"):
         shield.read_file("/secure/j")
     assert shield.stats.chunks_opened == 0
     assert shield.stats.chunks_repaired == 0
@@ -451,7 +452,7 @@ def test_journaled_cold_read_with_a_lost_chunk_releases_no_chunk():
 def test_journaled_read_decodes_and_authenticates_the_manifest_once(monkeypatch):
     from repro.runtime import fs_shield
 
-    shield, _, _ = make_shield(chunk_size=64, journal=True)
+    shield, _, _ = make_shield(chunk_size=64)
     content = bytes(range(256))
     shield.write_file("/secure/j", content)
 
@@ -469,7 +470,7 @@ def test_journaled_read_decodes_and_authenticates_the_manifest_once(monkeypatch)
     monkeypatch.setattr(fs_shield.encoding, "decode", counting_decode)
     monkeypatch.setattr(shield, "_manifest_mac", counting_mac)
     assert shield.read_file("/secure/j") == content  # warm: nine cache hits in the bench
-    assert calls == {"decode": 2, "mac": 1}  # the envelope and its body, one MAC
+    assert calls == {"decode": 2, "mac": 1}  # the manifest and its body, one MAC
     shield.drop_caches()
     assert shield.read_file("/secure/j") == content
     assert calls == {"decode": 4, "mac": 2}

@@ -12,9 +12,10 @@ the freshness commit.
 import pytest
 
 from repro._sim import SimClock
+from repro.crypto import encoding
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import SgxMode
-from repro.errors import FreshnessError, IntegrityError, StorageCrash
+from repro.errors import FreshnessError, IntegrityError, ShieldError, StorageCrash
 from repro.runtime.fs_shield import (
     CHUNK_MARKER,
     COMMIT_SUFFIX,
@@ -305,17 +306,50 @@ def test_disk_image_rollback_rejected():
         remounted.read_file(PATH)
 
 
-def test_recover_skips_inline_and_passthrough_files():
+def test_recover_skips_passthrough_and_keeps_foreign_files():
+    """A passthrough file is none of recovery's business; a protected
+    path holding something that is not a manifest is reported damaged
+    and left as it is — its extents too."""
     vfs = VirtualFileSystem()
     tracker = LocalFreshnessTracker()
     rules = RULES + [PathRule("/plain/", ShieldPolicy.PASSTHROUGH)]
-    inline = mount(vfs, tracker, replicas=1, rules=rules)
-    assert inline._journal is False  # replicas=1, journal not requested
-    inline.write_file(PATH, OLD)
-    inline.write_file("/plain/x", b"raw")
+    shield = mount(vfs, tracker, rules=rules)
+    shield.write_file(PATH, OLD)
+    shield.write_file("/plain/x", b"raw")
+    vfs.write("/plain/x" + CHUNK_MARKER + "0.0.0", b"not ours")
+    foreign = {
+        "/s/bytes": b"written around the shield",
+        "/s/shaped": encoding.encode({"body": 5, "mac": b""}),  # decodes, is no manifest
+    }
+    for path, raw in foreign.items():
+        vfs.write(path, raw)
+    before = vfs.capture_state()
 
-    journaled = mount(vfs, tracker, replicas=2, rules=rules)
-    report = journaled.recover()
-    assert PATH not in report  # inline envelope: not recovery-managed
-    assert "/plain/x" not in report
-    assert journaled.read_file(PATH) == OLD  # both layouts readable
+    report = mount(vfs, tracker, rules=rules).recover()
+    assert report == {PATH: "clean", **{path: "damaged" for path in foreign}}
+    assert vfs.capture_state() == before
+    for path in foreign:
+        with pytest.raises(ShieldError):
+            mount(vfs, tracker, rules=rules).read_file(path)
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.0], ids=["half", "empty"])
+def test_recover_keeps_the_extents_of_a_torn_manifest(keep):
+    """A manifest cut short (by a host that lies about its own writes or
+    rots the disk) is reported damaged: recovery must not mistake the
+    live generation's extents for strays and unlink them."""
+    vfs = VirtualFileSystem()
+    tracker = LocalFreshnessTracker()
+    mount(vfs, tracker).write_file(PATH, OLD)
+    manifest = vfs.read(PATH).content
+    vfs.tamper(PATH, manifest[: int(len(manifest) * keep)])
+    extents = {extent_path(PATH, 0, r): vfs.read(extent_path(PATH, 0, r)).content for r in range(2)}
+
+    shield = mount(vfs, tracker)
+    assert shield.recover() == {PATH: "damaged"}
+    assert shield.stats.torn_writes_detected == 1
+    assert {p: vfs.read(p).content for p in extents} == extents
+    with pytest.raises(ShieldError):
+        shield.read_file(PATH)
+    vfs.tamper(PATH, manifest)  # whatever restores the manifest finds its data
+    assert mount(vfs, tracker).read_file(PATH) == OLD

@@ -22,7 +22,7 @@ from repro._sim import DeterministicRng, SimClock
 from repro.enclave.attestation import ProvisioningAuthority
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import EnclaveImage, Segment, SgxCpu, SgxMode
-from repro.errors import IntegrityError, ShortWriteError, SyscallError
+from repro.errors import ShieldError, ShortWriteError, SyscallError
 from repro.runtime.fs_shield import (
     CHUNK_MARKER,
     FileSystemShield,
@@ -42,7 +42,7 @@ EVIL = b"host-chosen plaintext!".ljust(CHUNK, b"!") * 3
 TAG = 16
 
 
-def mount(vfs, tracker, journal=True):
+def mount(vfs, tracker):
     """A HW shield in a fresh enclave over surviving storage (a remount:
     no cached keys or chunks; the tracker models CAS, which outlives it)."""
     clock = SimClock()
@@ -63,8 +63,7 @@ def mount(vfs, tracker, journal=True):
         clock,
         chunk_size=CHUNK,
         freshness=tracker,
-        replicas=2 if journal else 1,
-        journal=journal,
+        replicas=2,
         memory=enclave.memory,
     )
     return shield, syscalls
@@ -122,23 +121,6 @@ def test_short_journaled_write_fails_before_the_rename(victims, strays):
     syscalls.hostile_hook = None
     shield.write_file(PATH, NEW)  # an honest kernel: the next commit lands
     assert mount(vfs, tracker)[0].read_file(PATH) == NEW
-
-
-def test_short_inline_write_leaves_the_old_version():
-    vfs, tracker = VirtualFileSystem(), LocalFreshnessTracker()
-    shield, syscalls = mount(vfs, tracker, journal=False)
-    shield.write_file(PATH, OLD)
-    before = vfs.capture_state()
-
-    syscalls.hostile_hook = short_writes({0})
-    with pytest.raises(ShortWriteError):
-        shield.write_file(PATH, NEW)
-    assert vfs.capture_state() == before
-
-    remounted, _ = mount(vfs, tracker, journal=False)
-    assert remounted.read_file(PATH) == OLD
-    assert remounted.recover() == {}  # an inline file has no strays
-    assert vfs.capture_state() == before
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +202,6 @@ def test_one_rewritten_staged_extent_self_heals(replica):
 def test_both_rewritten_staged_extents_fail_closed():
     vfs, tracker = staged_attack([0, 1])
     reader, _ = mount(vfs, tracker)
-    with pytest.raises(IntegrityError, match="no intact replica"):
+    with pytest.raises(ShieldError, match="no intact replica"):
         reader.read_file(PATH)
     assert reader.stats.chunks_opened == 0 and reader.stats.chunks_repaired == 0

@@ -10,7 +10,7 @@ counts its capacity in the same bytes.  Pinned here:
   read are supposed to cost (manifest read, the crypto formula of the
   whole declared file, one read per replica; manifest read, one copy)
   and the two clocks must agree **bit for bit**, in NATIVE / SIM / HW
-  and both layouts;
+  and at every replica count;
 * over random write / overwrite / read / ``drop_caches`` sequences,
   ``crypto_bytes`` moves by the shares of exactly the chunks
   ``chunks_opened`` counts, the cache never holds more simulated bytes
@@ -31,7 +31,7 @@ from repro.crypto import encoding
 from repro.enclave.attestation import ProvisioningAuthority
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import EnclaveImage, Segment, SgxCpu, SgxMode
-from repro.errors import FreshnessError, IntegrityError, ShieldError
+from repro.errors import FreshnessError, ShieldError
 from repro.runtime.fs_shield import (
     FileSystemShield,
     LocalFreshnessTracker,
@@ -40,14 +40,12 @@ from repro.runtime.fs_shield import (
 )
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.vfs import VirtualFileSystem
-from tests.runtime._extents import extent_path
+from tests.runtime._extents import extent_path, manifest_body
 
 RULES = [PathRule("/secure/", ShieldPolicy.ENCRYPT)]
 PATHS = ("/secure/a", "/secure/b")
 PATH = PATHS[0]
-#: (journal, replicas): the inline envelope and the journaled layout at
-#: every replica count the issue names.
-LAYOUTS = ((False, 1), (True, 1), (True, 2), (True, 3))
+REPLICAS = (1, 2, 3)
 
 
 def make_rig(mode=SgxMode.NATIVE, vfs=None, tracker=None, rules=RULES, **shield_args):
@@ -81,12 +79,8 @@ def make_rig(mode=SgxMode.NATIVE, vfs=None, tracker=None, rules=RULES, **shield_
 def stored_geometry(vfs, path):
     """``(simulated size, plaintext size, chunk size)`` of the file at
     ``path``, read off untrusted storage the way the shield must."""
-    file = vfs.read(path)
-    envelope = encoding.decode(file.content)
-    if "body" in envelope:
-        body = encoding.decode(envelope["body"])
-        return body["declared_size"], body["plaintext_size"], body["chunk_size"]
-    return file.size, envelope["plaintext_size"], envelope["chunk_size"]
+    body = manifest_body(vfs, path)
+    return body["declared_size"], body["plaintext_size"], body["chunk_size"]
 
 
 def chunk_shares(simulated, plaintext_size, chunk_size):
@@ -111,13 +105,9 @@ def crypto_seconds(simulated, chunk_size):
     )
 
 
-def declared_size(size, chunk_size, extra):
-    """``None`` or a declared size the OS accepts in both layouts: the
-    inline envelope is a tag per chunk and some framing longer than the
-    plaintext, and a file cannot be declared smaller than it is."""
-    if extra is None:
-        return None
-    return size + 32 * (size // chunk_size + 1) + 512 + extra
+def declared_size(size, extra):
+    """``None`` or a declared size no smaller than the file."""
+    return None if extra is None else size + extra
 
 
 def charge_copy(rig, n_bytes):
@@ -136,7 +126,7 @@ def charge_copy(rig, n_bytes):
 @settings(max_examples=80, deadline=None)
 @given(
     mode=st.sampled_from(list(SgxMode)),
-    layout=st.sampled_from(LAYOUTS),
+    replicas=st.sampled_from(REPLICAS),
     chunk_size=st.sampled_from([64, 100, 256, 1024]),
     size=st.integers(0, 3000),
     declared_extra=st.one_of(st.none(), st.integers(0, 5_000_000)),
@@ -144,22 +134,18 @@ def charge_copy(rig, n_bytes):
     seed=st.integers(0, 2**16),
 )
 def test_cold_and_warm_reads_cost_what_the_layer_table_says(
-    mode, layout, chunk_size, size, declared_extra, warm, seed
+    mode, replicas, chunk_size, size, declared_extra, warm, seed
 ):
-    journal, replicas = layout
     data = random.Random(seed).randbytes(size)
-    declared = declared_size(size, chunk_size, declared_extra)
-    rigs = [
-        make_rig(mode, chunk_size=chunk_size, journal=journal, replicas=replicas)
-        for _ in range(2)
-    ]
+    declared = declared_size(size, declared_extra)
+    rigs = [make_rig(mode, chunk_size=chunk_size, replicas=replicas) for _ in range(2)]
     for rig in rigs:
         rig.shield.write_file(PATH, data, declared_size=declared)
         if not warm:
             rig.shield.drop_caches()
     real, by_hand = rigs
     simulated, _, _ = stored_geometry(real.vfs, PATH)
-    if declared is not None and journal:
+    if declared is not None:
         assert simulated == declared
     # The write warmed the cache only if every share fits in it.
     assert simulated <= 8 * 1024 * 1024
@@ -178,9 +164,8 @@ def test_cold_and_warm_reads_cost_what_the_layer_table_says(
         assert stats.crypto_time == crypto_time  # not one bit of crypto
     else:
         by_hand.clock.advance(crypto_seconds(simulated, chunk_size))
-        if journal:
-            for replica in range(replicas):
-                by_hand.syscalls.read_file(extent_path(PATH, 0, replica))
+        for replica in range(replicas):
+            by_hand.syscalls.read_file(extent_path(PATH, 0, replica))
         assert stats.chunks_opened - opened == max(1, -(-size // chunk_size))
         assert stats.crypto_bytes - crypto_bytes == simulated
     assert real.clock.now == by_hand.clock.now  # bit for bit
@@ -205,19 +190,17 @@ OPS = st.one_of(
 
 @settings(max_examples=120, deadline=None)
 @given(
-    layout=st.sampled_from(LAYOUTS),
+    replicas=st.sampled_from(REPLICAS),
     chunk_size=st.sampled_from([64, 100, 256]),
     cache_bytes=st.sampled_from([0, 90, 300, 1000, 2500, 20_000]),
     ops=st.lists(OPS, min_size=1, max_size=14),
     seed=st.integers(0, 2**16),
 )
 def test_a_read_is_charged_the_shares_of_the_chunks_it_opens(
-    layout, chunk_size, cache_bytes, ops, seed
+    replicas, chunk_size, cache_bytes, ops, seed
 ):
-    journal, replicas = layout
     rig = make_rig(
-        chunk_size=chunk_size, journal=journal, replicas=replicas,
-        chunk_cache_bytes=cache_bytes,
+        chunk_size=chunk_size, replicas=replicas, chunk_cache_bytes=cache_bytes
     )
     shield, stats, clock = rig.shield, rig.shield.stats, rig.clock
     rng = random.Random(seed)
@@ -236,15 +219,14 @@ def test_a_read_is_charged_the_shares_of_the_chunks_it_opens(
             crypto_time = stats.crypto_time
             shield.write_file(
                 path, written[path],
-                declared_size=declared_size(size, chunk_size, declared_extra),
+                declared_size=declared_size(size, declared_extra),
             )
             # An insert hands the buffer over: the write costs its seal,
             # whatever the cache then keeps of it.
             simulated, _, _ = stored_geometry(rig.vfs, path)
-            if journal or declared_extra is not None:
-                assert stats.crypto_time - crypto_time == pytest.approx(
-                    crypto_seconds(simulated, chunk_size), rel=1e-9
-                )
+            assert stats.crypto_time - crypto_time == pytest.approx(
+                crypto_seconds(simulated, chunk_size), rel=1e-9
+            )
         elif op == "drop":
             shield.drop_caches()
         elif args[0] in written:
@@ -306,25 +288,21 @@ def _roll_back(rig, snapshot):
 
 
 def _drop_field(rig, snapshot):
-    envelope = encoding.decode(rig.vfs.read(PATH).content)
-    if "body" in envelope:  # a manifest that authenticates, one field short
-        body = encoding.decode(envelope["body"])
-        del body["declared_size"]
-        envelope["body"] = encoding.encode(body)
-        envelope["mac"] = rig.shield._manifest_mac(PATH, envelope["body"])
-    else:
-        del envelope["cipher"]
-    rig.vfs.tamper(PATH, encoding.encode(envelope))
+    """A manifest that authenticates, one field short."""
+    body = manifest_body(rig.vfs, PATH)
+    del body["declared_size"]
+    body_bytes = encoding.encode(body)
+    rig.vfs.tamper(PATH, encoding.encode(
+        {"body": body_bytes, "mac": rig.shield._manifest_mac(PATH, body_bytes)}
+    ))
 
 
 def _forge_manifest(rig, snapshot):
+    """One bit of the body under the old MAC."""
     envelope = encoding.decode(rig.vfs.read(PATH).content)
-    if "body" in envelope:  # one bit of the body under the old MAC
-        body = bytearray(envelope["body"])
-        body[-1] ^= 0x01
-        envelope["body"] = bytes(body)
-    else:  # the inline envelope has no MAC; its geometry is the host's word
-        envelope["chunk_size"] = 0
+    body = bytearray(envelope["body"])
+    body[-1] ^= 0x01
+    envelope["body"] = bytes(body)
     rig.vfs.tamper(PATH, encoding.encode(envelope))
 
 
@@ -335,19 +313,18 @@ REJECTIONS = {
         [PathRule("/secure/", ShieldPolicy.AUTHENTICATE)],
         ShieldError,
     ),
-    "missing field": (_drop_field, RULES, (ShieldError, IntegrityError)),
-    "manifest mac / geometry": (_forge_manifest, RULES, (ShieldError, IntegrityError)),
+    "missing field": (_drop_field, RULES, ShieldError),
+    "manifest mac / geometry": (_forge_manifest, RULES, ShieldError),
 }
 
 
 @pytest.mark.parametrize("warm", [True, False], ids=["warm", "cold"])
-@pytest.mark.parametrize("layout", [(False, 1), (True, 2)], ids=["inline", "journaled"])
+@pytest.mark.parametrize("replicas", [2], ids=["journaled"])
 @pytest.mark.parametrize("reason", REJECTIONS)
-def test_a_refused_read_is_billed_no_crypto(reason, layout, warm):
+def test_a_refused_read_is_billed_no_crypto(reason, replicas, warm):
     attack, reader_rules, error = REJECTIONS[reason]
-    journal, replicas = layout
     tracker = LocalFreshnessTracker()
-    args = dict(chunk_size=1024, journal=journal, replicas=replicas)
+    args = dict(chunk_size=1024, replicas=replicas)
     rig = make_rig(tracker=tracker, **args)
     rig.shield.write_file(PATH, b"old " * 2000, declared_size=40_000)
     snapshot = rig.vfs.capture_state()
@@ -368,7 +345,7 @@ def test_a_refused_read_is_billed_no_crypto(reason, layout, warm):
         reader.shield.read_file(PATH)
     assert stats.crypto_bytes == before[2]
     assert stats.crypto_time == before[3]
-    # The whole advance is the read of the stored manifest / envelope
+    # The whole advance is the read of the stored manifest
     # (the parent added 40 000 B of AES-NI time first: +0.04 ms).
     advance = reader.clock.now - before[0]
     assert advance == pytest.approx(syscalls.time - before[1], rel=1e-9)

@@ -9,6 +9,7 @@ from repro.errors import IagoError
 from repro.runtime.fs_shield import FileSystemShield, PathRule, ShieldPolicy
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.vfs import VirtualFileSystem
+from tests.runtime._extents import extent_path, manifest_body
 
 
 def make_shield():
@@ -53,10 +54,7 @@ def test_stale_version_from_kernel_cannot_force_nonce_reuse():
     shield.write_file("/s/f", b"content-v1")
     syscalls.hostile_hook = None
     # The shield's internal counter won: the second write is version 1.
-    from repro.crypto import encoding
-
-    envelope = encoding.decode(vfs.read("/s/f").content)
-    assert envelope["version"] == 1
+    assert manifest_body(vfs, "/s/f")["version"] == 1
     assert shield.read_file("/s/f") == b"content-v1"
 
 
@@ -69,7 +67,8 @@ def test_version_wrapped_past_the_nonce_field_cannot_force_nonce_reuse():
     shield, syscalls, vfs = make_shield()
     first, second = b"A" * 64, b"secret-weights-" * 4 + b"!!!!"
     shield.write_file("/s/f", first)
-    stored = vfs.read("/s/f").content
+    stored = vfs.capture_state()
+    sealed_first = vfs.read(extent_path("/s/f", 0, 0)).content[: len(first)]
 
     syscalls.hostile_hook = lambda name, res: res + 2**32 if name == "version" else res
     with pytest.raises(IagoError, match="32-bit nonce field"):
@@ -77,16 +76,12 @@ def test_version_wrapped_past_the_nonce_field_cannot_force_nonce_reuse():
     syscalls.hostile_hook = None
 
     # Nothing was sealed under the reused nonces, nothing reached the host ...
-    assert vfs.read("/s/f").content == stored
+    assert vfs.capture_state() == stored
     assert shield.stats.chunks_sealed == 1
     # ... and the lie did not poison the floor: the next write is version 1.
     shield.write_file("/s/f", second)
-    from repro.crypto import encoding
-
-    envelope = encoding.decode(vfs.read("/s/f").content)
-    assert envelope["version"] == 1
-    sealed_first = encoding.decode(stored)["chunks"][0][: len(first)]
-    sealed_second = envelope["chunks"][0][: len(second)]
+    assert manifest_body(vfs, "/s/f")["version"] == 1
+    sealed_second = vfs.read(extent_path("/s/f", 1, 0)).content[: len(second)]
     leaked = bytes(a ^ b for a, b in zip(sealed_first, sealed_second))
     assert leaked != bytes(a ^ b for a, b in zip(first, second))
     assert shield.read_file("/s/f") == second

@@ -103,6 +103,15 @@ def test_enclave_modes_need_cpu():
         make_runtime(SgxMode.HW, cpu=None)
 
 
+@pytest.mark.parametrize("mode", list(SgxMode))
+def test_fs_journal_off_selects_no_storage_layout(cpu, mode):
+    """Every shielded file is a journaled commit: the field is accepted
+    as ``True`` and refused as ``False``, whatever the mode."""
+    assert make_runtime(mode, cpu, fs_journal=True).config.fs_journal
+    with pytest.raises(ConfigurationError, match="fs_journal=False"):
+        make_runtime(mode, cpu, fs_journal=False)
+
+
 def test_native_has_no_measurement_or_quote():
     runtime = make_runtime(SgxMode.NATIVE)
     with pytest.raises(EnclaveError):
