@@ -7,7 +7,14 @@ steps/s must improve monotonically from 1 to 4 shards (the dominant
 gradient quantization must cut the bytes the shield's record crypto is
 charged for, and the secure-aggregation committee's masking overhead
 over plain federated averaging is recorded.
+
+A long run also records what the shards' at-most-once windows hold
+after ``LONG_ROUNDS`` rounds (HW mode, so the run spans several dedup
+TTLs of simulated time): live entries and the tracemalloc peak of the
+training loop, which must not grow with run length.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,16 +31,17 @@ from repro.enclave.sgx import SgxMode
 
 STEPS = 8
 SHARD_COUNTS = (1, 2, 4, 8)
+LONG_ROUNDS = 150
 
 
-def _run_sharded(batches, shards, bits):
-    platform = SecureTFPlatform(PlatformConfig(n_nodes=3, seed=90))
+def _started_job(seed, session, shards, bits, mode):
+    platform = SecureTFPlatform(PlatformConfig(n_nodes=3, seed=seed))
     job = TrainingJob(
         platform,
         TrainingJobConfig(
-            session=f"bench-s{shards}-q{bits or 0}",
+            session=session,
             n_workers=2,
-            mode=SgxMode.SIM,
+            mode=mode,
             network_shield=True,
             learning_rate=0.05,
             ps_shards=shards,
@@ -42,6 +50,13 @@ def _run_sharded(batches, shards, bits):
         ),
     )
     job.start()
+    return platform, job
+
+
+def _run_sharded(batches, shards, bits):
+    platform, job = _started_job(
+        90, f"bench-s{shards}-q{bits or 0}", shards, bits, SgxMode.SIM
+    )
     result = job.train(batches, steps=STEPS)
     metrics = collect_metrics(platform)
     job.stop()
@@ -50,6 +65,28 @@ def _run_sharded(batches, shards, bits):
         "steps_per_s": STEPS / result.wall_clock,
         "wire_bytes": metrics.training.gradient_bytes_in,
         "bytes_saved": metrics.training.gradient_bytes_saved,
+    }
+
+
+def _run_long(batches):
+    """``LONG_ROUNDS`` rounds of the ``train_sharded`` configuration:
+    simulated span, live dedup-window entries summed over the shards,
+    and the tracemalloc peak while training."""
+    _, job = _started_job(93, "bench-long", 2, 8, SgxMode.HW)
+    steps = 2 * LONG_ROUNDS
+    rounds = (batches * (steps // len(batches) + 1))[:steps]
+    tracemalloc.start()
+    try:
+        result = job.train(rounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(shard._server.dedup) for shard in job.ps_service.shards)
+    job.stop()
+    return {
+        "sim_span_s": result.wall_clock,
+        "window_entries": entries,
+        "tracemalloc_peak_mb": peak / 1e6,
     }
 
 
@@ -84,11 +121,14 @@ def _collect():
     float32 = _run_sharded(batches, 4, None)
     plain_wall = _run_federated(secure=False)
     secure_wall = _run_federated(secure=True)
-    return quantized, float32, plain_wall, secure_wall
+    long_run = _run_long(batches)
+    return quantized, float32, plain_wall, secure_wall, long_run
 
 
 def test_sharded_training_scaling(benchmark):
-    quantized, float32, plain_wall, secure_wall = run_once(benchmark, _collect)
+    quantized, float32, plain_wall, secure_wall, long_run = run_once(
+        benchmark, _collect
+    )
 
     rows = [
         [
@@ -109,6 +149,9 @@ def test_sharded_training_scaling(benchmark):
             f"({fmt_s(float32['wall_s'])})",
             f"secure aggregation: {fmt_s(secure_wall)} vs plain "
             f"{fmt_s(plain_wall)} for 2 federated rounds",
+            f"{LONG_ROUNDS} HW rounds ({fmt_s(long_run['sim_span_s'])} simulated): "
+            f"{long_run['window_entries']} live dedup-window entries, "
+            f"tracemalloc peak {long_run['tracemalloc_peak_mb']:.1f} MB",
         ],
     )
 
@@ -142,6 +185,10 @@ def test_sharded_training_scaling(benchmark):
         "secure_agg_wall_s": round(secure_wall, 4),
         "plain_agg_wall_s": round(plain_wall, 4),
         "secure_agg_overhead": round(overhead, 3),
+        "long_run_rounds": LONG_ROUNDS,
+        "long_run_sim_span_s": round(long_run["sim_span_s"], 2),
+        "long_run_window_entries": long_run["window_entries"],
+        "long_run_tracemalloc_peak_mb": round(long_run["tracemalloc_peak_mb"], 1),
     }
     record(benchmark, **metrics)
     previous = load_bench("sharded_training")

@@ -182,6 +182,10 @@ class ParameterServer:
         self.learning_rate = learning_rate
         self._weights: Dict[str, np.ndarray] = {}
         self._version = 0
+        #: The encoded pull reply of the current weights, built by the
+        #: first pull after they changed: every worker pulling this
+        #: version gets (and every dedup entry holds) this one object.
+        self._pull_reply: Optional[bytes] = None
         self._allowed = allowed_peers
         self.updates_applied = 0
         #: Leadership lease over the ``ps`` role (set by the recovery
@@ -226,6 +230,7 @@ class ParameterServer:
     def initialize(self, weights: Dict[str, np.ndarray]) -> None:
         self._weights = {k: np.array(v, dtype=np.float32) for k, v in weights.items()}
         self._version = 1
+        self._pull_reply = None
         self._maybe_checkpoint()
 
     @property
@@ -251,9 +256,11 @@ class ParameterServer:
             self.node.clock, "ps.pull", attrs={"shard": self.store_key}
         ):
             self.shard_stats.pulls += 1
-            return encoding.encode(
-                {"version": self._version, "weights": encode_array_dict(self._weights)}
-            )
+            if self._pull_reply is None:
+                self._pull_reply = encoding.encode(
+                    {"version": self._version, "weights": encode_array_dict(self._weights)}
+                )
+            return self._pull_reply
 
     def _handle_push(self, payload: bytes, peer: Optional[str]) -> bytes:
         self._check_peer(peer)
@@ -282,7 +289,9 @@ class ParameterServer:
             self.shard_stats.gradient_bytes_saved += max(0, float_bytes - wire_bytes)
         self.shard_stats.pushes += 1
         self.shard_stats.gradient_bytes_in += wire_bytes
-        # Apply SGD on the PS node's clock (this is real PS work).
+        # Apply SGD on the PS node's clock (this is real PS work).  The
+        # weights may change from here on, even if a later piece fails.
+        self._pull_reply = None
         flops = 0
         for name, grad in gradients.items():
             if name not in self._weights:

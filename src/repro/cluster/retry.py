@@ -6,7 +6,8 @@ turns them from run-ending crashes into bounded latency:
 
 - :class:`RetryPolicy` — exponential backoff with deterministic jitter
   (seeded through :class:`~repro._sim.rng.DeterministicRng`) and a
-  per-call deadline in simulated seconds.
+  per-call deadline in simulated seconds, never past
+  :data:`RETRY_HORIZON`.
 - :class:`CircuitBreaker` / :class:`BreakerRegistry` — per-endpoint
   failure shedding: after ``failure_threshold`` consecutive failures the
   breaker opens and calls fail fast with
@@ -43,6 +44,7 @@ from repro._sim.rng import DeterministicRng
 from repro._sim.scheduler import Scheduler
 from repro.errors import (
     CircuitOpenError,
+    ConfigurationError,
     FencingError,
     RpcTransportError,
     SecurityError,
@@ -52,6 +54,14 @@ from repro.runtime.stats_registry import gauge
 
 S = TypeVar("S")
 T = TypeVar("T")
+
+#: The longest a client keeps resending one call ID, in simulated
+#: seconds from the call's start.  No :class:`RetryPolicy` may resend
+#: past it and :class:`RetryingExecutor` caps every call's deadline at
+#: it, so a server's at-most-once window
+#: (:attr:`~repro.cluster.rpc.RpcServer.DEDUP_TTL`) can be derived from
+#: it instead of guessed.
+RETRY_HORIZON = 30.0
 
 #: Failures worth retrying: the message may simply not have arrived.
 RETRYABLE_ERRORS = (RpcTransportError, StaleConnectionError, CircuitOpenError)
@@ -75,14 +85,31 @@ def is_retryable(exc: BaseException) -> bool:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with jitter and a per-call deadline."""
+    """Exponential backoff with jitter and a per-call deadline.
+
+    ``deadline=None`` means "no budget of its own" and is only allowed
+    for a policy that never resends (``max_attempts=1``): any policy
+    that could resend past :data:`RETRY_HORIZON` is refused.
+    """
 
     max_attempts: int = 5
     base_delay: float = 0.02
     multiplier: float = 2.0
     max_delay: float = 2.0
     jitter: float = 0.1            # ± fraction of the computed delay
-    deadline: Optional[float] = 30.0  # sim-seconds budget per call
+    deadline: Optional[float] = RETRY_HORIZON  # sim-seconds budget per call
+
+    def __post_init__(self) -> None:
+        if self.deadline is None and self.max_attempts > 1:
+            raise ConfigurationError(
+                f"a policy with {self.max_attempts} attempts needs a deadline "
+                f"(at most the {RETRY_HORIZON} s retry horizon)"
+            )
+        if self.deadline is not None and self.deadline > RETRY_HORIZON:
+            raise ConfigurationError(
+                f"deadline {self.deadline} s is past the {RETRY_HORIZON} s "
+                "retry horizon"
+            )
 
     def backoff(self, retry_index: int, rng: Optional[DeterministicRng] = None) -> float:
         """Delay before retry number ``retry_index`` (0-based)."""
@@ -120,6 +147,10 @@ class RecoveryStats:
     breakers_closed: int = gauge(0)
     breakers_open: int = gauge(0)
     breakers_half_open: int = gauge(0)
+    # A server's at-most-once window right now: live (call ID → reply)
+    # entries, and the bytes of the distinct replies they hold.
+    dedup_window_entries: int = gauge(0)
+    dedup_window_bytes: int = gauge(0)
 
 
 #: RecoveryStats gauge field per public breaker state name.
@@ -308,15 +339,16 @@ class RetryingExecutor:
         deadline: Optional[float],
     ) -> Generator[None, None, T]:
         """The retry loop, as a generator that parks exactly once:
-        between the send and the receive half of attempt 1."""
+        between the send and the receive half of attempt 1.  No attempt
+        is sent past :data:`RETRY_HORIZON` from the call's start, however
+        late a deadline the caller passed."""
         policy = self.policy
         breaker = self.breakers.get(endpoint)
+        now = self._clock.now
         if deadline is None:
-            deadline = (
-                self._clock.now + policy.deadline
-                if policy.deadline is not None
-                else None
-            )
+            budget = RETRY_HORIZON if policy.deadline is None else policy.deadline
+            deadline = now + budget
+        deadline = min(deadline, now + RETRY_HORIZON)
         self.stats.calls += 1
         retry_index = 0
         while True:
@@ -363,7 +395,7 @@ class RetryingExecutor:
                 )
                 raise failure
             delay = policy.backoff(retry_index - 1, self._rng)
-            if deadline is not None and self._clock.now + delay > deadline:
+            if self._clock.now + delay > deadline:
                 self.stats.giveups += 1
                 probe.flight(
                     self._clock, "giveup", endpoint, f"deadline attempts={retry_index}"

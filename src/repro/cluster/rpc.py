@@ -29,7 +29,9 @@ messages) is layered on without changing the wire protocol's shape:
   :class:`~repro.cluster.retry.RetryPolicy` stamp each call with a
   unique call ID; servers keep a bounded dedup window of (ID → reply),
   so a retried or duplicate-delivered mutation executes exactly once
-  and the cached reply is returned.
+  and the cached reply is returned.  The window's age bound is derived
+  from :data:`~repro.cluster.retry.RETRY_HORIZON`, the longest any
+  client resends one call ID.
 - **Retry/backoff + circuit breaking** on every client call — attempt 1
   included, so the breaker admits it and monitoring counts it — via
   :class:`~repro.cluster.retry.RetryingExecutor`.
@@ -60,6 +62,7 @@ from repro.cluster.epoch import EpochGuard, EpochLease
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.retry import (
+    RETRY_HORIZON,
     BreakerRegistry,
     RecoveryStats,
     RetryPolicy,
@@ -149,9 +152,13 @@ class PendingRpc:
 class RpcServer:
     """Cleartext RPC endpoint with an at-most-once dedup window."""
 
-    #: Bounds of the (call ID → cached reply) dedup window.
+    #: Bounds of the (call ID → cached reply) dedup window.  A call ID is
+    #: deduplicated for as long as any copy of it can still arrive: the
+    #: first execution comes after the call started, every resend leaves
+    #: within ``RETRY_HORIZON`` of that start, and the second horizon
+    #: covers a duplicate of the last resend still in flight.
     DEDUP_CAPACITY = 1024
-    DEDUP_TTL = 300.0  # sim-seconds
+    DEDUP_TTL = 2 * RETRY_HORIZON  # sim-seconds
 
     def __init__(
         self,
@@ -169,14 +176,14 @@ class RpcServer:
         self._syscalls = syscalls if syscalls is not None else node.syscall_interface()
         self._methods: Dict[str, MethodHandler] = {}
         self._started = False
+        self.stats = RecoveryStats()
+        stats_registry.register("recovery", self.stats, node.clock)
         #: call ID → cached reply.  Public because a stateful service
         #: checkpoints it together with its own state (``ParameterServer``).
-        self.dedup = DedupWindow(self.DEDUP_CAPACITY, self.DEDUP_TTL)
+        self.dedup = DedupWindow(self.DEDUP_CAPACITY, self.DEDUP_TTL, stats=self.stats)
         #: Acceptor-side fencing guards, one per leader role this
         #: endpoint accepts writes from (see :meth:`add_guard`).
         self._guards: Dict[str, EpochGuard] = {}
-        self.stats = RecoveryStats()
-        stats_registry.register("recovery", self.stats, node.clock)
         #: Called after a call commits (dispatched + dedup-recorded);
         #: lets stateful services checkpoint atomically with the dedup
         #: window (see ``ParameterServer``).

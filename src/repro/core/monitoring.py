@@ -301,7 +301,9 @@ class PlatformMetrics:
         lines.append(
             f"recovery: {r.retries} retries ({r.backoff_time:.3f}s backoff), "
             f"{r.giveups} giveups, {r.reconnects} reconnects, "
-            f"{r.dedup_hits} dedup hits, {r.handshakes_expired} handshakes "
+            f"{r.dedup_hits} dedup hits (window {r.dedup_window_entries} "
+            f"entries, {r.dedup_window_bytes / 1e6:.1f} MB), "
+            f"{r.handshakes_expired} handshakes "
             f"expired, breakers {r.breaker_trips} trips/"
             f"{r.breaker_rejections} rejections "
             f"({r.breakers_closed} closed/{r.breakers_open} open/"

@@ -150,9 +150,7 @@ def test_breaker_trips_after_threshold_and_half_opens():
 
 
 def test_executor_sheds_calls_while_open_then_recovers(clock):
-    policy = RetryPolicy(
-        max_attempts=2, base_delay=0.01, jitter=0.0, deadline=None
-    )
+    policy = RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0)
     breakers = BreakerRegistry(failure_threshold=2, reset_timeout=10.0)
     executor = RetryingExecutor(
         policy, clock, DeterministicRng(1, label="x"), breakers=breakers

@@ -148,6 +148,8 @@ PUBLISHED_SINCE = [
     "syscalls.by_name",
     "recovery.cas_quorum_acks",
     "recovery.cas_epochs_replicated",
+    "recovery.dedup_window_entries",
+    "recovery.dedup_window_bytes",
 ]
 
 
@@ -250,6 +252,8 @@ SNAPSHOT = PlatformMetrics(
         epoch_bumps=57,
         fenced_rejections=58,
         lease_expiries=59,
+        dedup_window_entries=114,
+        dedup_window_bytes=11500000,
     ),
     syscalls=SyscallStats(
         calls=60,
@@ -319,7 +323,7 @@ REPORT = [
     'aead cache: 34 hits / 35 misses; bytes by cipher: a36=1139.6MB, k36=39.6MB',
     'storage: 24 torn/rotted artifacts detected, 25 chunks repaired, 26 recovery scans (27 rolled back / 28 rolled forward)',
     'syscall plane: 60 calls (61 userspace, 72 sync fallbacks), ring 63 submitted / 64 completed (peak occupancy 65), 66 batches (max 67), 69 stalls (70.125s), 71 wakeups, overlap 50%',
-    'recovery: 39 retries (41.125s backoff), 40 giveups, 42 reconnects, 48 dedup hits, 49 handshakes expired, breakers 43 trips/44 rejections (45 closed/46 open/47 half-open), 50 restarts, 51 quarantined',
+    'recovery: 39 retries (41.125s backoff), 40 giveups, 42 reconnects, 48 dedup hits (window 114 entries, 11.5 MB), 49 handshakes expired, breakers 43 trips/44 rejections (45 closed/46 open/47 half-open), 50 restarts, 51 quarantined',
     'cas ha: 52 failovers, 53 ops / 54 audit records replicated',
     'fencing: 56 grants, 57 bumps, 58 stale epochs rejected, 59 lease expiries, 55 fenced calls',
     'training: 80 pulls, 81 pushes (82 quantized), 91.30 MB gradients on the wire (92.40 MB saved by quantization), 85 shard restarts, 86 barrier commits; pushes by shard: a88=1088, k88=88',
