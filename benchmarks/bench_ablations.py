@@ -4,8 +4,7 @@
 (b) user-level vs OS threading on blocking events,
 (c) file-system shield chunk size,
 (d) EPC replacement policy (random vs LRU) under a slight overflow, and
-    what the residency model itself costs the host per granule touched,
-(e) TLS record cipher choice.
+    what the residency model itself costs the host per granule touched.
 """
 
 import time
@@ -13,7 +12,7 @@ import time
 import pytest
 
 from harness import (
-    fmt_ms, fmt_s, load_bench, print_table, record, run_once, save_bench,
+    fmt_ms, load_bench, print_table, record, run_once, save_bench,
 )
 
 from repro._sim import DeterministicRng, SimClock
@@ -227,31 +226,3 @@ def test_ablation_epc_host_cost(benchmark):
     rates = [fault_rate for _, fault_rate in results.values()]
     assert rates[0] == 0.0 and rates == sorted(rates)
 
-
-def test_ablation_tls_cipher(benchmark):
-    from repro.crypto.aead import get_aead
-
-    payload = bytes(256 * 1024)
-
-    def scenario():
-        import time
-
-        results = {}
-        for cipher, key_len in (("chacha20-poly1305", 32), ("aes-256-gcm", 32)):
-            aead = get_aead(cipher, bytes(key_len))
-            start = time.perf_counter()
-            sealed = aead.encrypt(b"\x01" * 12, payload)
-            aead.decrypt(b"\x01" * 12, sealed)
-            results[cipher] = time.perf_counter() - start
-        return results
-
-    results = run_once(benchmark, scenario)
-    print_table(
-        "Ablation (e) — record cipher, 256 KiB seal+open (real wall time)",
-        ("cipher", "time"),
-        [(k, fmt_s(v)) for k, v in results.items()],
-        notes=["vectorized ChaCha20 is the practical bulk cipher in pure "
-               "Python; AES-GCM is kept for small control messages"],
-    )
-    record(benchmark, **{k.replace("-", "_"): v for k, v in results.items()})
-    assert results["chacha20-poly1305"] < results["aes-256-gcm"]

@@ -1,14 +1,14 @@
-"""Crypto data-plane throughput: real MB/s of the AEADs and shield paths.
+"""Crypto data-plane throughput: real MB/s of the AEAD and shield paths.
 
 Unlike the figure benchmarks, which report *simulated* time, this one
 measures the wall-clock throughput of the cryptography the simulator
-actually executes — the vectorized AES-GCM and ChaCha20-Poly1305 cores
-and the file-system shield built on them.  Results go to
+actually executes — the vectorized ChaCha20-Poly1305 core (the one
+AEAD) and the file-system shield built on it.  Results go to
 ``benchmark.extra_info`` and are persisted in ``BENCH.json`` so the
 repo's perf trajectory is tracked PR over PR.
 
 Both shields seal small units (64 KiB file chunks, TLS records), so the
-per-call floor matters as much as the large-message rate: the AEADs are
+per-call floor matters as much as the large-message rate: the AEAD is
 also swept over message sizes, and the 256-byte row is reported as
 calls/s.  The canonical codec under every envelope is priced the same
 way (``codec_*``): a fenced serving request and its ``ok`` reply in
@@ -25,8 +25,8 @@ evicted — with the chunk-cache hit ratio that explains it
 (``fs_shield_sim_read_*``).  Each run keeps the section it replaces
 under ``previous``.
 
-Seed baseline for reference: AES-GCM ~0.2 MB/s (bigint GHASH, serial
-CTR), ChaCha20-Poly1305 ~22 MB/s (serial bigint Poly1305).
+Seed baseline for reference: ChaCha20-Poly1305 ~22 MB/s (serial bigint
+Poly1305).
 """
 
 import os
@@ -37,7 +37,7 @@ from harness import load_bench, print_table, record, run_once, save_bench
 
 from repro._sim import SimClock
 from repro.crypto import encoding
-from repro.crypto.aead import get_aead
+from repro.crypto.aead import CIPHER, get_aead
 from repro.crypto.chacha import poly1305_mac
 from repro.crypto.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from repro.crypto.x25519 import X25519PrivateKey
@@ -55,8 +55,7 @@ from repro.serving import AutoscalerPolicy, RouterPolicy, ServingPlane, messages
 
 MESSAGE_SIZE = 1 << 20
 REPEATS = 5
-CIPHERS = ("chacha20-poly1305", "aes-256-gcm", "aes-128-gcm")
-#: Sizes below MESSAGE_SIZE the AEADs are swept over (MESSAGE_SIZE keeps
+#: Sizes below MESSAGE_SIZE the AEAD is swept over (MESSAGE_SIZE keeps
 #: its unsuffixed keys): a TLS record, a gradient piece, a shield chunk.
 SWEEP_SIZES = {"256b": 256, "16k": 16 << 10, "64k": 64 << 10}
 #: Small calls are over in well under a millisecond: time them in runs
@@ -96,46 +95,43 @@ def _mb_per_s(n_bytes: int, fn) -> float:
 
 
 def _aead_throughputs() -> dict:
-    results = {}
     payload = os.urandom(MESSAGE_SIZE)
     nonce = os.urandom(12)
-    for cipher in CIPHERS:
-        key = os.urandom(32 if cipher != "aes-128-gcm" else 16)
-        aead = get_aead(cipher, key)
-        sealed = aead.encrypt(nonce, payload)
-        results[f"{cipher}_encrypt_mb_s"] = _mb_per_s(
-            MESSAGE_SIZE, lambda a=aead: a.encrypt(nonce, payload)
-        )
-        results[f"{cipher}_decrypt_mb_s"] = _mb_per_s(
-            MESSAGE_SIZE, lambda a=aead: a.decrypt(nonce, sealed)
-        )
-    return results
+    aead = get_aead(CIPHER, os.urandom(32))
+    sealed = aead.encrypt(nonce, payload)
+    return {
+        f"{CIPHER}_encrypt_mb_s": _mb_per_s(
+            MESSAGE_SIZE, lambda: aead.encrypt(nonce, payload)
+        ),
+        f"{CIPHER}_decrypt_mb_s": _mb_per_s(
+            MESSAGE_SIZE, lambda: aead.decrypt(nonce, sealed)
+        ),
+    }
 
 
 def _aead_size_sweep() -> dict:
     results = {}
     nonce = os.urandom(12)
-    for cipher in CIPHERS:
-        aead = get_aead(cipher, os.urandom(32 if cipher != "aes-128-gcm" else 16))
-        for label, size in SWEEP_SIZES.items():
-            payload = os.urandom(size)
-            sealed = aead.encrypt(nonce, payload)
-            small = size <= SMALL_CALL_BYTES
-            calls = SMALL_CALLS_PER_REPEAT if small else 1
-            for op, fn in (
-                ("encrypt", lambda: aead.encrypt(nonce, payload)),
-                ("decrypt", lambda: aead.decrypt(nonce, sealed)),
-            ):
-                seconds = _best_seconds(fn, calls)
-                results[f"{cipher}_{op}_{label}_mb_s"] = size / seconds / 1e6
-                if small:
-                    results[f"{cipher}_{op}_{label}_calls_s"] = 1.0 / seconds
+    aead = get_aead(CIPHER, os.urandom(32))
+    for label, size in SWEEP_SIZES.items():
+        payload = os.urandom(size)
+        sealed = aead.encrypt(nonce, payload)
+        small = size <= SMALL_CALL_BYTES
+        calls = SMALL_CALLS_PER_REPEAT if small else 1
+        for op, fn in (
+            ("encrypt", lambda: aead.encrypt(nonce, payload)),
+            ("decrypt", lambda: aead.decrypt(nonce, sealed)),
+        ):
+            seconds = _best_seconds(fn, calls)
+            results[f"{CIPHER}_{op}_{label}_mb_s"] = size / seconds / 1e6
+            if small:
+                results[f"{CIPHER}_{op}_{label}_calls_s"] = 1.0 / seconds
     return results
 
 
 def _batch_and_mac_rates() -> dict:
     """One file's chunks as one batch, and the authenticator by itself."""
-    aead = get_aead("chacha20-poly1305", os.urandom(32))
+    aead = get_aead(CIPHER, os.urandom(32))
     nonces = [bytes([index]) * 12 for index in range(BATCH_CHUNKS)]
     chunks = [os.urandom(CHUNK_SIZE) for _ in range(BATCH_CHUNKS)]
     aads = [b"chunk-%d" % index for index in range(BATCH_CHUNKS)]
@@ -237,7 +233,7 @@ def _public_key_rates() -> dict:
     return results
 
 
-def _make_shield(cipher: str, **shield_args):
+def _make_shield(**shield_args):
     """A NATIVE (owner-side) shield and the simulated clock it charges."""
     vfs = VirtualFileSystem()
     clock = SimClock()
@@ -248,7 +244,6 @@ def _make_shield(cipher: str, **shield_args):
         [PathRule("/secure/", ShieldPolicy.ENCRYPT)],
         DEFAULT_COST_MODEL,
         clock,
-        cipher=cipher,
         **shield_args,
     )
     return shield, clock
@@ -257,21 +252,19 @@ def _make_shield(cipher: str, **shield_args):
 def _shield_throughputs() -> dict:
     results = {}
     payload = os.urandom(MESSAGE_SIZE)
-    for cipher in CIPHERS:
-        shield, _ = _make_shield(cipher)
-        results[f"fs_shield_{cipher}_write_mb_s"] = _mb_per_s(
-            MESSAGE_SIZE, lambda s=shield: s.write_file("/secure/bench", payload)
-        )
-        # Cold read: caches dropped before every iteration.
-        results[f"fs_shield_{cipher}_read_cold_mb_s"] = _mb_per_s(
-            MESSAGE_SIZE,
-            lambda s=shield: (s.drop_caches(), s.read_file("/secure/bench")),
-        )
-        # Warm read: chunk cache populated by the previous read.
-        shield.read_file("/secure/bench")
-        results[f"fs_shield_{cipher}_read_warm_mb_s"] = _mb_per_s(
-            MESSAGE_SIZE, lambda s=shield: s.read_file("/secure/bench")
-        )
+    shield, _ = _make_shield()
+    results[f"fs_shield_{CIPHER}_write_mb_s"] = _mb_per_s(
+        MESSAGE_SIZE, lambda: shield.write_file("/secure/bench", payload)
+    )
+    # Cold read: caches dropped before every iteration.
+    results[f"fs_shield_{CIPHER}_read_cold_mb_s"] = _mb_per_s(
+        MESSAGE_SIZE, lambda: (shield.drop_caches(), shield.read_file("/secure/bench"))
+    )
+    # Warm read: chunk cache populated by the previous read.
+    shield.read_file("/secure/bench")
+    results[f"fs_shield_{CIPHER}_read_warm_mb_s"] = _mb_per_s(
+        MESSAGE_SIZE, lambda: shield.read_file("/secure/bench")
+    )
     return results
 
 
@@ -293,9 +286,7 @@ def _shield_simulated_reads() -> dict:
     payload = os.urandom(MESSAGE_SIZE)
     results = {}
     for label, cache_bytes, drop in SIMULATED_READS:
-        shield, clock = _make_shield(
-            CIPHERS[0], chunk_size=CHUNK_SIZE, chunk_cache_bytes=cache_bytes
-        )
+        shield, clock = _make_shield(chunk_size=CHUNK_SIZE, chunk_cache_bytes=cache_bytes)
         shield.write_file("/secure/bench", payload)
         shield.read_file("/secure/bench")  # past the write-warmed state
         if drop:
@@ -324,24 +315,21 @@ def _collect() -> dict:
 def test_crypto_dataplane_throughput(benchmark):
     results = run_once(benchmark, _collect)
 
-    rows = []
-    for cipher in CIPHERS:
-        rows.append(
-            (
-                cipher,
-                f"{results[f'{cipher}_encrypt_mb_s']:.1f}",
-                f"{results[f'{cipher}_decrypt_mb_s']:.1f}",
-                f"{results[f'fs_shield_{cipher}_write_mb_s']:.1f}",
-                f"{results[f'fs_shield_{cipher}_read_cold_mb_s']:.1f}",
-                f"{results[f'fs_shield_{cipher}_read_warm_mb_s']:.1f}",
-            )
-        )
     print_table(
         "Crypto data plane — real throughput (MB/s)",
         ("cipher", "encrypt", "decrypt", "shield write", "read cold", "read warm"),
-        rows,
+        [
+            (
+                CIPHER,
+                f"{results[f'{CIPHER}_encrypt_mb_s']:.1f}",
+                f"{results[f'{CIPHER}_decrypt_mb_s']:.1f}",
+                f"{results[f'fs_shield_{CIPHER}_write_mb_s']:.1f}",
+                f"{results[f'fs_shield_{CIPHER}_read_cold_mb_s']:.1f}",
+                f"{results[f'fs_shield_{CIPHER}_read_warm_mb_s']:.1f}",
+            )
+        ],
         notes=[
-            "seed baseline: aes-gcm ~0.2 MB/s, chacha20-poly1305 ~22 MB/s",
+            "seed baseline: chacha20-poly1305 ~22 MB/s",
             "warm reads serve plaintext chunks from the freshness-bound cache",
         ],
     )
@@ -366,14 +354,13 @@ def test_crypto_dataplane_throughput(benchmark):
         ("cipher", "256 B", "calls/s", "16 KiB", "64 KiB", "1 MiB"),
         [
             (
-                cipher,
-                f"{results[f'{cipher}_encrypt_256b_mb_s']:.2f}",
-                f"{results[f'{cipher}_encrypt_256b_calls_s']:.0f}",
-                f"{results[f'{cipher}_encrypt_16k_mb_s']:.1f}",
-                f"{results[f'{cipher}_encrypt_64k_mb_s']:.1f}",
-                f"{results[f'{cipher}_encrypt_mb_s']:.1f}",
+                CIPHER,
+                f"{results[f'{CIPHER}_encrypt_256b_mb_s']:.2f}",
+                f"{results[f'{CIPHER}_encrypt_256b_calls_s']:.0f}",
+                f"{results[f'{CIPHER}_encrypt_16k_mb_s']:.1f}",
+                f"{results[f'{CIPHER}_encrypt_64k_mb_s']:.1f}",
+                f"{results[f'{CIPHER}_encrypt_mb_s']:.1f}",
             )
-            for cipher in CIPHERS
         ],
         notes=["the 256 B row is the per-call floor: what a TLS record pays"],
     )
@@ -448,8 +435,6 @@ def test_crypto_dataplane_throughput(benchmark):
         results["chacha20-poly1305_seal_many_9x64k_mb_s"]
         > results["chacha20-poly1305_encrypt_64k_mb_s"]
     )
-    assert results["aes-256-gcm_encrypt_mb_s"] >= 10.0
-    assert results["aes-128-gcm_encrypt_mb_s"] >= 10.0
     # Exact-type dispatch, not the nine-way isinstance ladder (~105k and
     # ~90k calls/s here); tests/perf/test_codec_perf_smoke.py holds the
     # tighter floors.
@@ -461,11 +446,10 @@ def test_crypto_dataplane_throughput(benchmark):
     assert results["pk_ed25519_sign_calls_s"] >= 1000.0
     # The warm read path must beat the cold one — that's the cache — on
     # the host and, in step with the hit ratio, on the simulated clock.
-    for cipher in CIPHERS:
-        assert (
-            results[f"fs_shield_{cipher}_read_warm_mb_s"]
-            > results[f"fs_shield_{cipher}_read_cold_mb_s"]
-        )
+    assert (
+        results[f"fs_shield_{CIPHER}_read_warm_mb_s"]
+        > results[f"fs_shield_{CIPHER}_read_cold_mb_s"]
+    )
     assert [
         results[f"fs_shield_sim_read_{label}_hit_ratio"] for label, _, _ in SIMULATED_READS
     ] == [0.0, 1.0, 0.5]

@@ -122,7 +122,6 @@ def make_cluster(
     cost_model: CostModel,
     provisioning: ProvisioningAuthority,
     seed: int = 0,
-    epc_policy: str = "random",
     scheduler: Optional[Scheduler] = None,
 ) -> List[Node]:
     """Build ``n_nodes`` homogeneous nodes, each with its own clock/EPC.
@@ -145,7 +144,6 @@ def make_cluster(
             clock,
             provisioning,
             rng.child("cpu"),
-            epc_policy=epc_policy,
         )
         nodes.append(
             Node(

@@ -85,7 +85,7 @@ def is_retryable(exc: BaseException) -> bool:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with jitter and a per-call deadline.
+    """Exponential (doubling) backoff with jitter and a per-call deadline.
 
     ``deadline=None`` means "no budget of its own" and is only allowed
     for a policy that never resends (``max_attempts=1``): any policy
@@ -94,7 +94,6 @@ class RetryPolicy:
 
     max_attempts: int = 5
     base_delay: float = 0.02
-    multiplier: float = 2.0
     max_delay: float = 2.0
     jitter: float = 0.1            # ± fraction of the computed delay
     deadline: Optional[float] = RETRY_HORIZON  # sim-seconds budget per call
@@ -113,7 +112,7 @@ class RetryPolicy:
 
     def backoff(self, retry_index: int, rng: Optional[DeterministicRng] = None) -> float:
         """Delay before retry number ``retry_index`` (0-based)."""
-        delay = min(self.base_delay * self.multiplier ** retry_index, self.max_delay)
+        delay = min(self.base_delay * 2.0 ** retry_index, self.max_delay)
         if self.jitter and rng is not None:
             delay *= 1.0 + self.jitter * rng.uniform(-1.0, 1.0)
         return delay

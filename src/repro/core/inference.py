@@ -53,9 +53,6 @@ def service_runtime_config(
     mode: SgxMode,
     engine: EngineProfile = LITE_PROFILE,
     fs_shield: bool = True,
-    max_threads: int = 8,
-    syscall_ring_depth: int = 64,
-    syscall_handler_threads: int = 2,
 ) -> RuntimeConfig:
     """The runtime config (→ measurement) of an inference container."""
     return RuntimeConfig(
@@ -64,9 +61,6 @@ def service_runtime_config(
         binary_size=engine.binary_size,
         binary_identity=f"{service_name}:{engine.name}".encode(),
         heap_size=32 * 1024 * 1024,
-        max_threads=max_threads,
-        syscall_ring_depth=syscall_ring_depth,
-        syscall_handler_threads=syscall_handler_threads,
         fs_shield_enabled=fs_shield and mode is not SgxMode.NATIVE,
         fs_rules=[PathRule(MODEL_PATH_PREFIX, ShieldPolicy.ENCRYPT)],
     )

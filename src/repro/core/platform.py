@@ -23,7 +23,6 @@ from repro.cluster.epoch import EPOCH_KEY_PREFIX, EpochService, load_epochs
 from repro.cluster.retry import RetryPolicy
 from repro.enclave.attestation import AttestationVerifier, ProvisioningAuthority, Report
 from repro.enclave.cost_model import DEFAULT_COST_MODEL, CostModel
-from repro.enclave.sgx import SgxMode
 from repro.errors import AttestationError, ConfigurationError
 from repro.runtime.scone import RuntimeConfig, SconeRuntime, expected_measurement
 
@@ -35,11 +34,9 @@ class PlatformConfig:
     n_nodes: int = 3
     cost_model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     seed: int = 0
-    cas_node: int = 0
-    cas_mode: SgxMode = SgxMode.HW
-    epc_policy: str = "random"
-    #: Node index of a standby CAS replica (None = no HA pair).  Must
-    #: differ from ``cas_node``: the pair exists to survive a node loss.
+    #: Node index of a standby CAS replica (None = no HA pair).  CAS
+    #: runs on node 0, so this is in ``[1, n_nodes)``: the pair exists
+    #: to survive a node loss.
     cas_backup_node: Optional[int] = None
     #: Retry policy CAS clients use to ride out a failover window.
     cas_retry: Optional[RetryPolicy] = None
@@ -75,15 +72,10 @@ class SecureTFPlatform:
             self.config.cost_model,
             self.provisioning,
             seed=self.config.seed,
-            epc_policy=self.config.epc_policy,
             scheduler=self.scheduler,
         )
         self.network = Network(self.config.cost_model, scheduler=self.scheduler)
-        self.cas = CasService(
-            self.nodes[self.config.cas_node],
-            self.provisioning.public_key(),
-            mode=self.config.cas_mode,
-        )
+        self.cas = CasService(self.nodes[0], self.provisioning.public_key())
         self.orchestrator = Orchestrator(self.nodes)
         #: The deployment's epoch-fencing authority (None = fencing off).
         #: In production this registry is ``epoch/<role>`` records in the
@@ -95,15 +87,15 @@ class SecureTFPlatform:
             else None
         )
         self.cas_pair: Optional[ReplicatedCasPair] = None
-        if self.config.cas_backup_node is not None:
-            if self.config.cas_backup_node == self.config.cas_node:
+        backup_node = self.config.cas_backup_node
+        if backup_node is not None:
+            if not 1 <= backup_node < self.config.n_nodes:
                 raise ConfigurationError(
-                    "the CAS standby must live on a different node"
+                    f"cas_backup_node must name a node in [1, "
+                    f"{self.config.n_nodes}) — CAS runs on node 0: {backup_node!r}"
                 )
             backup = CasService(
-                self.nodes[self.config.cas_backup_node],
-                self.provisioning.public_key(),
-                mode=self.config.cas_mode,
+                self.nodes[backup_node], self.provisioning.public_key()
             )
             self.cas_pair = ReplicatedCasPair(
                 self.network,
@@ -179,9 +171,7 @@ class SecureTFPlatform:
         inside a genuine enclave (Fig. 1, step 1)."""
         quote = self.cas.attest()
         verifier = AttestationVerifier(self.provisioning.public_key())
-        report = verifier.verify(
-            quote, accept_debug=self.config.cas_mode is not SgxMode.HW
-        )
+        report = verifier.verify(quote)
         if report.attributes.get("name") != "cas":
             raise AttestationError(
                 f"expected the CAS enclave, got {report.attributes.get('name')!r}"

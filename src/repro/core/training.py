@@ -49,12 +49,15 @@ from repro.runtime.scone import RuntimeConfig
 from repro.tensor.engine import FULL_TF_PROFILE
 
 
+#: Application threads of a training worker: its enclave's
+#: ``max_threads`` (measured) and its session's thread count.
+WORKER_THREADS = 4
+
+
 def training_runtime_config(
     name: str,
     mode: SgxMode,
     max_threads: int = 8,
-    syscall_ring_depth: int = 64,
-    syscall_handler_threads: int = 2,
     tracing: bool = False,
 ) -> RuntimeConfig:
     """Runtime config (→ measurement) of a training container.
@@ -70,8 +73,6 @@ def training_runtime_config(
         binary_identity=f"{name}:tensorflow".encode(),
         heap_size=128 * 1024 * 1024,
         max_threads=max_threads,
-        syscall_ring_depth=syscall_ring_depth,
-        syscall_handler_threads=syscall_handler_threads,
         fs_shield_enabled=False,  # training inputs fed via the PS protocol
         tracing=tracing,
     )
@@ -85,21 +86,13 @@ class TrainingJobConfig:
     n_workers: int = 1
     mode: SgxMode = SgxMode.HW
     network_shield: bool = True
-    model_name: str = "mnist_cnn"
     learning_rate: float = 0.0005  # the paper's §5.4 setting
-    threads_per_worker: int = 4
     seed: int = 0
     #: When set, worker→PS RPC retries with backoff AND the job
     #: supervises recovery (PS checkpoint/restore, container restarts).
     retry_policy: Optional[RetryPolicy] = None
-    #: Restarts allowed per container lineage before quarantine.
-    recovery_budget: int = 3
     #: Replica count for checkpoint chunks (self-healing reads).
     checkpoint_replicas: int = 1
-    #: Exit-less syscall ring shape for every container of the job
-    #: (the paper's sync-vs-async / #handler-threads sweeps turn these).
-    syscall_ring_depth: int = 64
-    syscall_handlers: int = 2
     #: Parameter-server enclaves the model is weight-sharded across:
     #: variables are partitioned with a deterministic byte-balanced
     #: shard map and every pull/push fans out per shard.
@@ -155,9 +148,7 @@ class TrainingJob:
         return training_runtime_config(
             f"{self.config.session}-worker",
             self.config.mode,
-            self.config.threads_per_worker,
-            syscall_ring_depth=self.config.syscall_ring_depth,
-            syscall_handler_threads=self.config.syscall_handlers,
+            max_threads=WORKER_THREADS,
             tracing=self.platform.telemetry is not None,
         )
 
@@ -165,8 +156,6 @@ class TrainingJob:
         return training_runtime_config(
             f"{self.config.session}-ps",
             self.config.mode,
-            syscall_ring_depth=self.config.syscall_ring_depth,
-            syscall_handler_threads=self.config.syscall_handlers,
             tracing=self.platform.telemetry is not None,
         )
 
@@ -231,9 +220,8 @@ class TrainingJob:
             f"{self.config.session}-w{slot}",
             container.node,
             container.runtime,
-            model_name=self.config.model_name,
             seed=self.config.seed,
-            threads=self.config.threads_per_worker,
+            threads=WORKER_THREADS,
             shield=self._shield_for(container),
         )
         self._worker_slots[worker.name] = slot
@@ -252,7 +240,6 @@ class TrainingJob:
             self._hook_installed = True
         if cfg.retry_policy is not None:
             self._ps_store = InMemoryCheckpointStore()
-            orchestrator.restart_budget = cfg.recovery_budget
             if self.platform.epochs is not None:
                 # The checkpoint store is the durable acceptor shared by
                 # a crashed shard and its replacement: fence each shard's

@@ -5,10 +5,10 @@ primitives: AEAD encryption, key derivation, Diffie-Hellman key exchange,
 signatures, and certificates.  No third-party crypto package is available
 offline, so this package implements them directly:
 
-- :mod:`repro.crypto.aes` — AES-128/192/256 block cipher (table based).
-- :mod:`repro.crypto.gcm` — AES-GCM authenticated encryption.
-- :mod:`repro.crypto.chacha` — ChaCha20-Poly1305 AEAD (numpy-vectorized;
-  the default cipher for the shields because it is fast in pure Python).
+- :mod:`repro.crypto.chacha` — ChaCha20-Poly1305 AEAD (numpy-vectorized),
+  the one cipher behind every shield; :mod:`repro.crypto.aead` wraps it
+  with nonce sequencing.  The simulated clock charges the paper's AES-NI
+  rate for it (see :mod:`repro.crypto.aead`).
 - :mod:`repro.crypto.kdf` — HMAC, HKDF-Extract/Expand (RFC 5869).
 - :mod:`repro.crypto.x25519` — Curve25519 ECDH (RFC 7748).
 - :mod:`repro.crypto.ed25519` — Ed25519 signatures (RFC 8032).
@@ -23,10 +23,8 @@ them against RFC test vectors — but they are **not constant-time** and
 must never be used outside this simulation.
 """
 
-from repro.crypto.aead import Aead, AeadKey, get_aead
-from repro.crypto.aes import AES
+from repro.crypto.aead import AeadKey, get_aead
 from repro.crypto.chacha import ChaCha20Poly1305
-from repro.crypto.gcm import AesGcm
 from repro.crypto.kdf import hkdf_expand, hkdf_extract, hkdf_expand_label, hmac_sha256
 from repro.crypto.x25519 import X25519PrivateKey, X25519PublicKey, x25519
 from repro.crypto.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
@@ -41,10 +39,7 @@ from repro.crypto.masking import (
 )
 
 __all__ = [
-    "AES",
-    "AesGcm",
     "ChaCha20Poly1305",
-    "Aead",
     "AeadKey",
     "get_aead",
     "hmac_sha256",

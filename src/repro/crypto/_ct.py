@@ -1,9 +1,9 @@
-"""Constant-time primitives shared by the AEAD implementations.
+"""Constant-time tag comparison.
 
 Tag comparison must not leak *where* two MACs diverge: an early-exit
 ``==`` lets a byte-at-a-time forgery attack time its way to a valid tag.
-Both AEADs (:mod:`repro.crypto.gcm`, :mod:`repro.crypto.chacha`) verify
-through this one helper so the property is enforced in a single place.
+Every tag check verifies through this one helper so the property is
+enforced in a single place.
 """
 
 from __future__ import annotations

@@ -1,94 +1,74 @@
-"""A uniform AEAD interface with a nonce-managing key wrapper.
+"""The one AEAD, behind a nonce-managing key wrapper.
 
-The shields and CAS never call ciphers directly; they hold an
+Every sealing path — the fs shield, TLS records, CAS provisioning and
+enclave sealing — uses ChaCha20-Poly1305.  The paper's shields use
+AES-GCM on AES-NI (§3.3, §5.3); the simulated clock charges that rate
+(:class:`~repro.enclave.cost_model.CostModel`) whichever cipher seals
+the real bytes, and ChaCha20 is the one that is fast in numpy.  Its name
+is written into fs-shield manifests, TLS hellos and ``bytes_by_cipher``;
+any other name is refused with :class:`~repro.errors.ConfigurationError`.
+
+The shields and CAS never call the cipher directly; they hold an
 :class:`AeadKey`, which owns a monotonically increasing nonce counter so
 that nonce reuse — the classic AEAD catastrophe — is impossible by
 construction within one key's lifetime.
 
-:func:`get_aead` memoizes cipher objects per ``(cipher, key)``.  AES-GCM
-in particular does real per-key setup (key schedule plus GHASH tables),
-so re-deriving the same object on every file read would dominate small
-operations.  Cipher objects are stateless after construction — nonces
-live in :class:`AeadKey` — which is what makes sharing them safe.
+:func:`get_aead` memoizes cipher objects per key.  Construction lays the
+key into the ChaCha20 state words, so re-deriving the same object on
+every file read or TLS record would be paid on every small operation.
+Cipher objects are stateless after construction — nonces live in
+:class:`AeadKey` — which is what makes sharing them safe.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from typing import Dict, List, Protocol, Sequence, Tuple, Type
+from typing import Dict
 
 from repro.crypto.chacha import ChaCha20Poly1305
-from repro.crypto.gcm import AesGcm
 from repro.errors import ConfigurationError
 
-
-class Aead(Protocol):
-    """Structural interface all AEAD ciphers implement."""
-
-    NONCE_SIZE: int
-    TAG_SIZE: int
-
-    def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes: ...
-
-    def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes: ...
-
-    def seal_many(
-        self, nonces: Sequence[bytes], plaintexts: Sequence[bytes], aads: Sequence[bytes]
-    ) -> List[bytes]:
-        """``[encrypt(n, p, a), ...]``; refuses a nonce repeated in the batch."""
-        ...
-
-    def open_many(
-        self, nonces: Sequence[bytes], sealed: Sequence[bytes], aads: Sequence[bytes]
-    ) -> List[bytes]:
-        """``[decrypt(n, s, a), ...]``, all verified before any is released;
-        an :class:`~repro.errors.IntegrityError` carries the ``position``."""
-        ...
+#: The cipher's name as stored in manifests and sent in TLS hellos.
+CIPHER = "chacha20-poly1305"
+KEY_SIZE = 32
+TAG_SIZE = ChaCha20Poly1305.TAG_SIZE
 
 
-_CIPHERS: Dict[str, Type] = {
-    "chacha20-poly1305": ChaCha20Poly1305,
-    "aes-256-gcm": AesGcm,
-    "aes-128-gcm": AesGcm,
-}
-
-_KEY_SIZES: Dict[str, int] = {
-    "chacha20-poly1305": 32,
-    "aes-256-gcm": 32,
-    "aes-128-gcm": 16,
-}
+def check_cipher(cipher: object) -> None:
+    """Refuse any cipher name but :data:`CIPHER` (names may arrive from
+    the host or the network, so anything at all may be passed)."""
+    if not (isinstance(cipher, str) and cipher == CIPHER):
+        raise ConfigurationError(
+            f"unknown AEAD cipher {cipher!r}; the one cipher is {CIPHER!r}"
+        )
 
 
 # Process-wide cipher-object cache.  Bounded LRU so long-running
 # simulations with many ephemeral session keys can't grow it forever.
-_AEAD_CACHE: "OrderedDict[Tuple[str, bytes], Aead]" = OrderedDict()
+_AEAD_CACHE: "OrderedDict[bytes, ChaCha20Poly1305]" = OrderedDict()
 _AEAD_CACHE_CAPACITY = 64
 _aead_cache_hits = 0
 _aead_cache_misses = 0
 
 
-def get_aead(cipher: str, key: bytes) -> Aead:
-    """Return a (cached) instance of a named AEAD cipher with ``key``."""
+def get_aead(cipher: str, key: bytes) -> ChaCha20Poly1305:
+    """Return a (cached) cipher object for ``key``; ``cipher`` must be
+    :data:`CIPHER`."""
     global _aead_cache_hits, _aead_cache_misses
-    if cipher not in _CIPHERS:
+    check_cipher(cipher)
+    if len(key) != KEY_SIZE:
         raise ConfigurationError(
-            f"unknown AEAD cipher {cipher!r}; known: {sorted(_CIPHERS)}"
+            f"{CIPHER} needs a {KEY_SIZE}-byte key, got {len(key)}"
         )
-    expected = _KEY_SIZES[cipher]
-    if len(key) != expected:
-        raise ConfigurationError(
-            f"{cipher} needs a {expected}-byte key, got {len(key)}"
-        )
-    cache_key = (cipher, key)
-    cached = _AEAD_CACHE.get(cache_key)
+    cached = _AEAD_CACHE.get(key)
     if cached is not None:
-        _AEAD_CACHE.move_to_end(cache_key)
+        _AEAD_CACHE.move_to_end(key)
         _aead_cache_hits += 1
         return cached
     _aead_cache_misses += 1
-    aead = _CIPHERS[cipher](key)
-    _AEAD_CACHE[cache_key] = aead
+    aead = ChaCha20Poly1305(key)
+    _AEAD_CACHE[key] = aead
     while len(_AEAD_CACHE) > _AEAD_CACHE_CAPACITY:
         _AEAD_CACHE.popitem(last=False)
     return aead
@@ -111,20 +91,6 @@ def reset_aead_cache() -> None:
     _aead_cache_misses = 0
 
 
-def key_size(cipher: str) -> int:
-    """Key size in bytes for a named cipher."""
-    if cipher not in _KEY_SIZES:
-        raise ConfigurationError(f"unknown AEAD cipher {cipher!r}")
-    return _KEY_SIZES[cipher]
-
-
-def tag_size(cipher: str) -> int:
-    """Bytes a named cipher's seal adds to its plaintext."""
-    if cipher not in _CIPHERS:
-        raise ConfigurationError(f"unknown AEAD cipher {cipher!r}")
-    return _CIPHERS[cipher].TAG_SIZE
-
-
 class AeadKey:
     """An AEAD key bound to a cipher with automatic nonce sequencing.
 
@@ -136,14 +102,9 @@ class AeadKey:
     def __init__(self, cipher: str, key: bytes, nonce_prefix: bytes = b"\x00" * 4) -> None:
         if len(nonce_prefix) != 4:
             raise ConfigurationError("nonce prefix must be 4 bytes")
-        self._cipher_name = cipher
         self._aead = get_aead(cipher, key)
         self._prefix = nonce_prefix
         self._counter = 0
-
-    @property
-    def cipher(self) -> str:
-        return self._cipher_name
 
     @property
     def messages_sealed(self) -> int:

@@ -29,14 +29,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.crypto import encoding
-from repro.crypto.aead import get_aead, key_size
+from repro.crypto.aead import CIPHER, KEY_SIZE, check_cipher, get_aead
 from repro.crypto.certs import Certificate, verify_chain
 from repro.crypto.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 from repro.crypto.kdf import hkdf_expand_label, hkdf_extract, hmac_sha256
 from repro.crypto.x25519 import X25519PrivateKey, X25519PublicKey
-from repro.errors import HandshakeError, IntegrityError
-
-_DEFAULT_CIPHER = "chacha20-poly1305"
+from repro.errors import ConfigurationError, HandshakeError, IntegrityError
 
 
 @dataclass
@@ -50,8 +48,7 @@ class TlsIdentity:
 class _KeySchedule:
     """RFC 8446 §7.1 key schedule (simplified: no PSK, no 0-RTT)."""
 
-    def __init__(self, cipher: str) -> None:
-        self._cipher = cipher
+    def __init__(self) -> None:
         self._transcript = hashlib.sha256()
         zeros = b"\x00" * 32
         self._early_secret = hkdf_extract(b"", zeros)
@@ -81,8 +78,7 @@ class _KeySchedule:
         return hmac_sha256(finished_key, self.transcript_hash())
 
     def traffic_keys(self, secret: bytes) -> Tuple[bytes, bytes]:
-        n = key_size(self._cipher)
-        key = hkdf_expand_label(secret, "key", b"", n)
+        key = hkdf_expand_label(secret, "key", b"", KEY_SIZE)
         iv = hkdf_expand_label(secret, "iv", b"", 12)
         return key, iv
 
@@ -94,12 +90,10 @@ class RecordLayer:
     is bound into the nonce and the record header into the AAD).
     """
 
-    def __init__(self, cipher: str, send: Tuple[bytes, bytes], recv: Tuple[bytes, bytes]):
-        #: Negotiated cipher name (for per-cipher accounting upstream).
-        self.cipher = cipher
-        self._send_aead = get_aead(cipher, send[0])
+    def __init__(self, send: Tuple[bytes, bytes], recv: Tuple[bytes, bytes]):
+        self._send_aead = get_aead(CIPHER, send[0])
         self._send_iv = int.from_bytes(send[1], "big")
-        self._recv_aead = get_aead(cipher, recv[0])
+        self._recv_aead = get_aead(CIPHER, recv[0])
         self._recv_iv = int.from_bytes(recv[1], "big")
         self._send_seq = 0
         self._recv_seq = 0
@@ -170,7 +164,6 @@ class TlsClient:
         trusted_roots: List[Ed25519PublicKey],
         identity: Optional[TlsIdentity] = None,
         random_bytes: bytes = b"",
-        cipher: str = _DEFAULT_CIPHER,
         now: float = 0.0,
         expected_server: Optional[str] = None,
     ) -> None:
@@ -178,12 +171,11 @@ class TlsClient:
             raise HandshakeError("client needs at least 64 bytes of randomness")
         self._roots = trusted_roots
         self._identity = identity
-        self._cipher = cipher
         self._now = now
         self._expected_server = expected_server
         self._ephemeral = X25519PrivateKey.generate(random_bytes[:32])
         self._random = random_bytes[32:64]
-        self._schedule = _KeySchedule(cipher)
+        self._schedule = _KeySchedule()
         self._record_layer: Optional[RecordLayer] = None
         self.server_certificate: Optional[Certificate] = None
 
@@ -193,7 +185,7 @@ class TlsClient:
             {
                 "random": self._random,
                 "key_share": self._ephemeral.public_key().public_bytes(),
-                "cipher": self._cipher,
+                "cipher": CIPHER,
             },
         )
         self._schedule.update_transcript(message)
@@ -260,7 +252,6 @@ class TlsClient:
 
         self._schedule.derive_application()
         self._record_layer = RecordLayer(
-            self._cipher,
             send=self._schedule.traffic_keys(self._schedule.client_app),
             recv=self._schedule.traffic_keys(self._schedule.server_app),
         )
@@ -294,7 +285,6 @@ class TlsServer:
         self._roots = trusted_roots or []
         self._now = now
         self._schedule: Optional[_KeySchedule] = None
-        self._cipher = _DEFAULT_CIPHER
         self._record_layer: Optional[RecordLayer] = None
         self.client_certificate: Optional[Certificate] = None
 
@@ -302,16 +292,21 @@ class TlsServer:
         msg = _decode_message(data, "client_hello")
         try:
             client_share = msg["key_share"]
-            self._cipher = msg["cipher"]
+            cipher = msg["cipher"]
         except KeyError as exc:
             raise HandshakeError(f"client hello missing field {exc}") from exc
+        # Refused before any key share is derived or anything is signed.
+        try:
+            check_cipher(cipher)
+        except ConfigurationError as exc:
+            raise HandshakeError(f"client hello: {exc}") from exc
 
-        self._schedule = _KeySchedule(self._cipher)
+        self._schedule = _KeySchedule()
         self._schedule.update_transcript(data)
 
         server_share = self._ephemeral.public_key().public_bytes()
         hello_part = _encode_message(
-            "server_hello", {"key_share": server_share, "cipher": self._cipher}
+            "server_hello", {"key_share": server_share, "cipher": CIPHER}
         )
         self._schedule.update_transcript(hello_part)
         shared = self._ephemeral.exchange(X25519PublicKey(client_share))
@@ -330,7 +325,7 @@ class TlsServer:
             "server_flight",
             {
                 "key_share": server_share,
-                "cipher": self._cipher,
+                "cipher": CIPHER,
                 "certificate": cert_bytes,
                 "certificate_verify": cert_verify,
                 "finished": finished,
@@ -373,7 +368,6 @@ class TlsServer:
 
         self._schedule.derive_application()
         self._record_layer = RecordLayer(
-            self._cipher,
             send=self._schedule.traffic_keys(self._schedule.server_app),
             recv=self._schedule.traffic_keys(self._schedule.client_app),
         )

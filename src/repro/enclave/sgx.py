@@ -117,7 +117,6 @@ class SgxCpu:
         provisioning: ProvisioningAuthority,
         rng: DeterministicRng,
         epc_capacity_bytes: Optional[int] = None,
-        epc_policy: str = "random",
     ) -> None:
         self.cpu_id = cpu_id
         self.cost_model = cost_model
@@ -126,7 +125,6 @@ class SgxCpu:
             cost_model,
             clock,
             capacity_bytes=epc_capacity_bytes,
-            policy=epc_policy,
             seed=rng.randint(0, 2**31),
         )
         self._attestation_key = Ed25519PrivateKey.generate(rng.random_bytes(32))

@@ -28,7 +28,7 @@ class IntegrityError(SecurityError):
     """Authenticated data failed verification (MAC/tag/measurement).
 
     ``position`` names the failing message when a batch was verified as
-    one (``Aead.open_many``); it is ``None`` everywhere else.
+    one (``ChaCha20Poly1305.open_many``); it is ``None`` everywhere else.
     """
 
     def __init__(self, *args: object, position: Optional[int] = None) -> None:

@@ -75,11 +75,12 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple
 from repro._sim import probe
 from repro._sim.clock import SimClock
 from repro.crypto import encoding
-from repro.crypto.aead import get_aead, tag_size
+from repro.crypto.aead import CIPHER, TAG_SIZE, check_cipher, get_aead
 from repro.crypto.kdf import hkdf
 from repro.enclave.cost_model import CostModel
 from repro.enclave.memory import EnclaveMemory
 from repro.errors import (
+    ConfigurationError,
     FreshnessError,
     IagoError,
     IntegrityError,
@@ -205,7 +206,6 @@ class FileSystemShield:
         cost_model: CostModel,
         clock: SimClock,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        cipher: str = "chacha20-poly1305",
         freshness: Optional[FreshnessTracker] = None,
         chunk_cache_bytes: int = DEFAULT_CHUNK_CACHE_BYTES,
         replicas: int = 1,
@@ -227,7 +227,6 @@ class FileSystemShield:
         #: through it); None for an owner-side shield outside any enclave.
         self._memory = memory
         self._chunk_size = chunk_size
-        self._cipher = cipher
         self._freshness = freshness
         self._versions: Dict[str, int] = {}
         self._file_keys: Dict[str, bytes] = {}
@@ -271,7 +270,7 @@ class FileSystemShield:
             salt=b"securetf-fs-shield",
             ikm=self._master_key,
             info=path.encode("utf-8"),
-            length=32 if self._cipher != "aes-128-gcm" else 16,
+            length=32,
         )
         self._file_keys[path] = key
         return key
@@ -392,9 +391,9 @@ class FileSystemShield:
             for index in range(len(chunks))
         ]
         if policy is ShieldPolicy.ENCRYPT:
-            aead = get_aead(self._cipher, self._file_key(path))
+            aead = get_aead(CIPHER, self._file_key(path))
             nonces = [self._chunk_nonce(version, index) for index in range(len(chunks))]
-            protected, crypto_label = aead.seal_many(nonces, chunks, aads), self._cipher
+            protected, crypto_label = aead.seal_many(nonces, chunks, aads), CIPHER
         else:  # AUTHENTICATE: plaintext chunks, keyed digests alongside
             key = self._file_key(path)
             protected = [
@@ -411,7 +410,6 @@ class FileSystemShield:
         policy: ShieldPolicy,
         version: int,
         digest: bytes,
-        cipher: str,
         shares: List[int],
         load: Callable[[], Tuple[List[bytes], Optional[Callable[[], None]]]],
     ) -> List[bytes]:
@@ -445,7 +443,7 @@ class FileSystemShield:
         aads = [self._aad(path, policy, version, index, n_chunks) for index in missing]
         blobs = [stored[index] for index in missing]
         if policy is ShieldPolicy.ENCRYPT:
-            aead = get_aead(cipher, self._file_key(path))
+            aead = get_aead(CIPHER, self._file_key(path))
             nonces = [self._chunk_nonce(version, index) for index in missing]
             try:
                 opened = aead.open_many(nonces, blobs, aads)
@@ -453,7 +451,7 @@ class FileSystemShield:
                 raise ShieldError(
                     f"chunk {missing[exc.position]} of {path!r} failed authentication"
                 ) from exc
-            crypto_label = cipher
+            crypto_label = CIPHER
         else:
             key = self._file_key(path)
             opened = []
@@ -533,7 +531,7 @@ class FileSystemShield:
             {
                 "policy": policy.value,
                 "version": version,
-                "cipher": self._cipher,
+                "cipher": CIPHER,
                 "chunk_size": self._chunk_size,
                 "plaintext_size": len(plaintext),
                 "declared_size": simulated,
@@ -595,7 +593,7 @@ class FileSystemShield:
             return blobs, heal
 
         return self._reassemble(path, body["plaintext_size"], self._open_chunks(
-            path, policy, version, digest, body["cipher"],
+            path, policy, version, digest,
             self._simulated_shares(
                 body["declared_size"], body["plaintext_size"], body["chunk_size"],
                 body["n_chunks"],
@@ -627,7 +625,7 @@ class FileSystemShield:
         """``(start, stop)`` of every protected chunk inside an extent,
         derived from the manifest's geometry and stored nowhere."""
         encrypted = body["policy"] == ShieldPolicy.ENCRYPT.value
-        overhead = tag_size(body["cipher"]) if encrypted else _AUTH_MAC_SIZE
+        overhead = TAG_SIZE if encrypted else _AUTH_MAC_SIZE
         stops = [
             min(count * body["chunk_size"], body["plaintext_size"]) + count * overhead
             for count in range(1, body["n_chunks"] + 1)
@@ -660,6 +658,10 @@ class FileSystemShield:
                 raise ShieldError(f"manifest of {path!r} missing {name!r}")
         if len(body["chunk_digests"]) != body["n_chunks"]:
             raise ShieldError(f"manifest of {path!r} has inconsistent geometry")
+        try:
+            check_cipher(body["cipher"])
+        except ConfigurationError as exc:
+            raise ShieldError(f"manifest of {path!r}: {exc}") from exc
         return body
 
     def _gc_generations(self, path: str, keep_version: int, listing: List[str]) -> None:

@@ -29,6 +29,7 @@ from typing import Deque, Dict, List, Optional, Protocol
 from repro._sim import probe
 from repro._sim.clock import SimClock
 from repro._sim.rng import DeterministicRng
+from repro.crypto.aead import CIPHER
 from repro.crypto.ed25519 import Ed25519PublicKey
 from repro.crypto.tls import RecordLayer, TlsClient, TlsIdentity, TlsServer
 from repro.enclave.cost_model import CostModel
@@ -108,8 +109,7 @@ def protect_timed(records: RecordLayer, stats: NetShieldStats, payload: bytes) -
     started = time.perf_counter()
     record = records.protect(payload)
     stats.real_crypto_time += time.perf_counter() - started
-    by_cipher = stats.bytes_by_cipher
-    by_cipher[records.cipher] = by_cipher.get(records.cipher, 0) + len(payload)
+    stats.bytes_by_cipher[CIPHER] = stats.bytes_by_cipher.get(CIPHER, 0) + len(payload)
     return record
 
 
@@ -118,8 +118,7 @@ def unprotect_timed(records: RecordLayer, stats: NetShieldStats, record: bytes) 
     started = time.perf_counter()
     payload = records.unprotect(record)
     stats.real_crypto_time += time.perf_counter() - started
-    by_cipher = stats.bytes_by_cipher
-    by_cipher[records.cipher] = by_cipher.get(records.cipher, 0) + len(payload)
+    stats.bytes_by_cipher[CIPHER] = stats.bytes_by_cipher.get(CIPHER, 0) + len(payload)
     return payload
 
 

@@ -30,8 +30,7 @@ from repro.runtime.fs_shield import (
 from repro.runtime.libc import GLIBC, SCONE_LIBC, LibcFlavor
 from repro.runtime.net_shield import NetworkShield
 from repro.runtime.syscall import SyscallInterface
-from repro.runtime.syscall_plane import SyscallPlaneConfig
-from repro.runtime.threading_ul import ThreadingModel, UserLevelScheduler
+from repro.runtime.threading_ul import UserLevelScheduler
 from repro.runtime.vfs import VirtualFileSystem
 
 
@@ -47,21 +46,14 @@ class RuntimeConfig:
     heap_size: int = 64 * 1024 * 1024
     max_threads: int = 8
     async_syscalls: bool = True
-    #: Slots in the exit-less submission/completion ring.
-    syscall_ring_depth: int = 64
-    #: OS-side syscall handler threads serving the ring.
-    syscall_handler_threads: int = 2
-    threading: ThreadingModel = ThreadingModel.USER_LEVEL
     fs_shield_enabled: bool = True
     fs_rules: List[PathRule] = field(default_factory=list)
     fs_key: Optional[bytes] = None
-    fs_chunk_size: int = 64 * 1024
     #: Selects nothing: every shielded file is a journaled commit.  Kept
     #: for callers that still pass ``True``; ``False`` is refused.
     fs_journal: bool = True
     #: k-way replica placement for shielded chunks (self-healing reads).
     fs_replicas: int = 1
-    freshness: Optional[FreshnessTracker] = None
     #: SCONE_ALLOW_DLOPEN analogue: permit runtime library loading, with
     #: mandatory fs-shield authentication (§4.1 — required for Python).
     allow_dlopen: bool = False
@@ -159,17 +151,9 @@ class SconeRuntime:
             mode=config.mode,
             enclave=self.enclave,
             asynchronous=config.async_syscalls and self._libc.supports_async_syscalls,
-            plane_config=SyscallPlaneConfig(
-                ring_depth=config.syscall_ring_depth,
-                handler_threads=config.syscall_handler_threads,
-            ),
         )
         self.scheduler = UserLevelScheduler(
-            cost_model,
-            clock,
-            mode=config.mode,
-            threading_model=config.threading,
-            enclave=self.enclave,
+            cost_model, clock, mode=config.mode, enclave=self.enclave
         )
         # Completion waits hide behind the scheduler's runnable threads,
         # and scheduler blocks flush the ring's submission batch.
@@ -179,7 +163,7 @@ class SconeRuntime:
         self.loaded_libraries: List[str] = []
         if config.fs_shield_enabled and config.mode is not SgxMode.NATIVE:
             if config.fs_key is not None:
-                self.install_fs_key(config.fs_key, config.freshness)
+                self.install_fs_key(config.fs_key)
             # else: the key arrives later, from CAS, via install_fs_key().
         if config.tracing and probe.ACTIVE is not None:
             # Label first-wins in the tracer: a container sharing its
@@ -219,7 +203,9 @@ class SconeRuntime:
         ):
             return self.enclave.get_quote(report_data)
 
-    def install_fs_key(self, key: bytes, freshness=None) -> None:
+    def install_fs_key(
+        self, key: bytes, freshness: Optional[FreshnessTracker] = None
+    ) -> None:
         """Arm the file-system shield with a (CAS-provisioned) key."""
         if not self.config.fs_shield_enabled:
             raise ConfigurationError(
@@ -233,8 +219,7 @@ class SconeRuntime:
             self.config.fs_rules,
             self.cost_model,
             self.clock,
-            chunk_size=self.config.fs_chunk_size,
-            freshness=freshness if freshness is not None else self.config.freshness,
+            freshness=freshness,
             replicas=self.config.fs_replicas,
             memory=self.memory,
         )

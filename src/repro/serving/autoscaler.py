@@ -2,8 +2,8 @@
 
 A recurring scheduler event (same shape as the orchestrator's
 :class:`~repro.cluster.orchestrator.Watchdog`) scrapes the router every
-``interval`` simulated seconds and compares what it sees against the
-SLO:
+:data:`TICK_INTERVAL` simulated seconds and compares what it sees
+against the SLO:
 
 - **scale out** when the sliding-window p99 breaches the SLO or the
   router shed load since the last tick — capacity is the only honest
@@ -29,6 +29,14 @@ from repro.errors import ConfigurationError
 from repro.serving.pool import ReplicaPool
 from repro.serving.router import FrontEndRouter
 
+#: Simulated seconds between scrapes.
+TICK_INTERVAL = 0.5
+#: Scale in when in-flight / capacity falls below this (and nothing was
+#: shed and p99 is under half the SLO).
+SCALE_IN_UTILIZATION = 0.25
+#: Ticks to hold fire after any scaling action.
+COOLDOWN_TICKS = 2
+
 
 @dataclass(frozen=True)
 class AutoscalerPolicy:
@@ -36,15 +44,8 @@ class AutoscalerPolicy:
 
     #: Sliding-window p99 latency target (simulated seconds).
     slo_p99: float = 0.2
-    #: Seconds between scrapes.
-    interval: float = 0.5
     min_replicas: int = 1
     max_replicas: int = 8
-    #: Scale in when in-flight / capacity falls below this (and nothing
-    #: was shed and p99 is under half the SLO).
-    scale_in_utilization: float = 0.25
-    #: Ticks to hold fire after any scaling action.
-    cooldown_ticks: int = 2
 
 
 class SloAutoscaler:
@@ -88,7 +89,7 @@ class SloAutoscaler:
 
     def start(self) -> None:
         self._stopped = False
-        self._schedule_next(self._clock.now + self.policy.interval)
+        self._schedule_next(self._clock.now + TICK_INTERVAL)
 
     def stop(self) -> None:
         self._stopped = True
@@ -114,7 +115,7 @@ class SloAutoscaler:
             return
         self._clock.advance_to(due)
         self.ticks += 1
-        self._schedule_next(due + self.policy.interval)
+        self._schedule_next(due + TICK_INTERVAL)
 
         p99 = self.router.latency.percentile(99)
         sheds = self._sheds_delta()
@@ -129,7 +130,7 @@ class SloAutoscaler:
         if (sheds > 0 or p99 > policy.slo_p99) and replicas < policy.max_replicas:
             self.pool.scale_out(1, at=due)
             self.scale_outs += 1
-            self._cooldown = policy.cooldown_ticks
+            self._cooldown = COOLDOWN_TICKS
             self.record(
                 f"scale-out @{due:.6f} replicas={replicas + 1} "
                 f"p99={p99:.6f} sheds={sheds}"
@@ -137,13 +138,13 @@ class SloAutoscaler:
         elif (
             sheds == 0
             and p99 < policy.slo_p99 / 2
-            and utilization < policy.scale_in_utilization
+            and utilization < SCALE_IN_UTILIZATION
             and replicas > policy.min_replicas
         ):
             drained = self.pool.drain_one()
             if drained is not None:
                 self.scale_ins += 1
-                self._cooldown = policy.cooldown_ticks
+                self._cooldown = COOLDOWN_TICKS
                 self.record(
                     f"scale-in @{due:.6f} drain={drained} "
                     f"p99={p99:.6f} util={utilization:.3f}"

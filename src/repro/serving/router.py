@@ -65,6 +65,10 @@ from repro.serving.scoreboard import ReplicaScoreboard
 ROUTER_DEDUP_CAPACITY = 1024
 ROUTER_DEDUP_TTL = 60.0
 
+#: Sliding window of request latencies feeding the hedge delay (its
+#: p99) and the autoscaler's SLO.
+LATENCY_WINDOW = 256
+
 
 @dataclass(frozen=True)
 class RouterPolicy:
@@ -78,9 +82,6 @@ class RouterPolicy:
     #: the window-p99 latency (never sooner than ``hedge_min_delay``).
     hedge: bool = True
     hedge_min_delay: float = 0.05
-    hedge_percentile: float = 99.0
-    #: Sliding window feeding the hedge delay and the autoscaler's SLO.
-    latency_window: int = 256
 
 
 @dataclass
@@ -179,7 +180,7 @@ class FrontEndRouter:
             stats=self.recovery,
         )
         self.latency = WindowedHistogram(
-            f"{address}.latency", window=self.policy.latency_window
+            f"{address}.latency", window=LATENCY_WINDOW
         )
         #: Routing-epoch lease (set by the serving plane when fencing is
         #: on).  Every replica dispatch is stamped with it; a router that
@@ -266,7 +267,7 @@ class FrontEndRouter:
         if self.policy.hedge:
             delay = max(
                 self.policy.hedge_min_delay,
-                self.latency.percentile(self.policy.hedge_percentile),
+                self.latency.percentile(99.0),
             )
             if deadline is None or now + delay < deadline:
                 info.hedge_event = self.scheduler.schedule(

@@ -10,7 +10,7 @@ from repro.crypto.ed25519 import Ed25519PrivateKey
 from repro.crypto.tls import TlsIdentity
 from repro.enclave.attestation import ProvisioningAuthority
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
-from repro.errors import IntegrityError, RpcError, SecurityError
+from repro.errors import HandshakeError, IntegrityError, RpcError, SecurityError
 from repro.runtime.net_shield import NetworkShield
 
 
@@ -284,6 +284,26 @@ def test_pending_handshakes_expire_by_age(secure_setup):
     # The sweep on the second hs1 evicted the stale first one.
     assert len(server._pending) == 1
     assert server.stats.handshakes_expired == 1
+
+
+@pytest.mark.parametrize("cipher", [[1], 7, "rot13", "aes-128-gcm"], ids=repr)
+def test_hs1_naming_another_cipher_gets_a_typed_error(secure_setup, cipher):
+    from repro.cluster.rpc import _envelope, _open_envelope
+    from repro.crypto import encoding
+
+    _, _, client, server, network, cluster = secure_setup
+    hello = encoding.decode(
+        client._shield.client_handshake(now=cluster[1].clock.now).hello()
+    )
+    hello["cipher"] = cipher
+    raw = network.call(
+        "client", cluster[1].clock, "secure",
+        _envelope("hs1", hello=encoding.encode(hello)),
+    )
+    # The error envelope re-raises as its original type on the client.
+    with pytest.raises(HandshakeError, match="unknown AEAD cipher"):
+        _open_envelope(raw)
+    assert not server._pending
 
 
 def test_secure_reconnect_after_server_restart(secure_setup):

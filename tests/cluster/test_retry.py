@@ -35,7 +35,7 @@ def network():
 
 
 def test_backoff_grows_exponentially_and_caps():
-    policy = RetryPolicy(base_delay=0.01, multiplier=2.0, max_delay=0.05, jitter=0.0)
+    policy = RetryPolicy(base_delay=0.01, max_delay=0.05, jitter=0.0)
     delays = [policy.backoff(i) for i in range(6)]
     assert delays[:3] == [0.01, 0.02, 0.04]
     assert all(d == 0.05 for d in delays[3:])
@@ -96,7 +96,7 @@ def test_executor_gives_up_after_max_attempts(clock):
 
 def test_executor_respects_deadline(clock):
     executor = make_executor(
-        clock, max_attempts=100, base_delay=1.0, multiplier=1.0,
+        clock, max_attempts=100, base_delay=1.0, max_delay=1.0,
         jitter=0.0, deadline=3.5,
     )
     calls = []

@@ -61,7 +61,7 @@ def test_policies_within_the_horizon_are_accepted():
 
 def test_a_caller_deadline_past_the_horizon_gives_up_at_the_horizon(clock):
     policy = RetryPolicy(
-        max_attempts=1000, base_delay=1.0, multiplier=1.0, jitter=0.0
+        max_attempts=1000, base_delay=1.0, max_delay=1.0, jitter=0.0
     )
     executor = RetryingExecutor(
         policy,

@@ -34,6 +34,21 @@ def platform():
     return SecureTFPlatform(PlatformConfig(n_nodes=3, seed=1))
 
 
+@pytest.mark.parametrize("backup", [-1, 5, -3, 0, 3])
+def test_cas_backup_node_must_name_another_existing_node(backup):
+    """CAS runs on node 0; on 3 nodes the standby is node 1 or 2.  A
+    negative index would alias a node from the end (-3 is CAS itself),
+    and an index past the cluster has no node."""
+    with pytest.raises(ConfigurationError, match="cas_backup_node"):
+        SecureTFPlatform(PlatformConfig(n_nodes=3, seed=1, cas_backup_node=backup))
+
+
+def test_cas_backup_node_on_the_last_node_builds_a_pair():
+    platform = SecureTFPlatform(PlatformConfig(n_nodes=3, seed=1, cas_backup_node=2))
+    assert platform.cas_pair is not None
+    assert platform.cas_pair.backup.node is platform.nodes[2]
+
+
 def start_service(platform, lite_model, mode=SgxMode.HW, **kwargs):
     session = "infer"
     platform.register_session(

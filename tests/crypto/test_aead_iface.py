@@ -1,38 +1,38 @@
-"""AEAD registry and the nonce-sequencing key wrapper."""
+"""The one AEAD, its cipher-name check, and the nonce-sequencing key wrapper."""
 
 import pytest
 
 from repro.crypto.aead import (
+    CIPHER,
+    KEY_SIZE,
+    TAG_SIZE,
     AeadKey,
     aead_cache_stats,
     get_aead,
-    key_size,
     reset_aead_cache,
 )
 from repro.errors import ConfigurationError, IntegrityError
 
 
-@pytest.mark.parametrize(
-    "cipher,size",
-    [("chacha20-poly1305", 32), ("aes-256-gcm", 32), ("aes-128-gcm", 16)],
-)
-def test_registry_roundtrip(cipher, size):
-    assert key_size(cipher) == size
-    aead = get_aead(cipher, bytes(size))
+def test_roundtrip_under_the_one_cipher():
+    assert (CIPHER, KEY_SIZE, TAG_SIZE) == ("chacha20-poly1305", 32, 16)
+    aead = get_aead(CIPHER, bytes(KEY_SIZE))
     sealed = aead.encrypt(b"\x01" * 12, b"payload", b"aad")
+    assert len(sealed) == len(b"payload") + TAG_SIZE
     assert aead.decrypt(b"\x01" * 12, sealed, b"aad") == b"payload"
 
 
 def test_unknown_cipher_rejected():
-    with pytest.raises(ConfigurationError):
-        get_aead("rot13", bytes(32))
-    with pytest.raises(ConfigurationError):
-        key_size("rot13")
+    for name in ("rot13", "aes-128-gcm", "aes-256-gcm", 7, [1], None):
+        with pytest.raises(ConfigurationError, match="unknown AEAD cipher"):
+            get_aead(name, bytes(32))
+        with pytest.raises(ConfigurationError, match="unknown AEAD cipher"):
+            AeadKey(name, bytes(32))
 
 
 def test_wrong_key_size_rejected():
     with pytest.raises(ConfigurationError):
-        get_aead("aes-128-gcm", bytes(32))
+        get_aead(CIPHER, bytes(16))
 
 
 def test_aeadkey_sequencing_produces_distinct_nonces():
@@ -53,7 +53,7 @@ def test_aeadkey_aad_binding():
 
 
 def test_aeadkey_explicit_sequence():
-    key = AeadKey("aes-256-gcm", bytes(32))
+    key = AeadKey("chacha20-poly1305", bytes(32))
     sealed = key.seal_at(7, b"chunk", aad=b"file")
     assert key.open_at(7, sealed, aad=b"file") == b"chunk"
     with pytest.raises(IntegrityError):
@@ -87,14 +87,12 @@ def test_aead_cache_returns_same_object_for_same_key():
     assert stats["misses"] == 1
 
 
-def test_aead_cache_distinguishes_cipher_and_key():
+def test_aead_cache_distinguishes_keys():
     reset_aead_cache()
-    a = get_aead("aes-256-gcm", bytes(32))
-    b = get_aead("chacha20-poly1305", bytes(32))
-    c = get_aead("aes-256-gcm", bytes([1]) + bytes(31))
+    a = get_aead("chacha20-poly1305", bytes(32))
+    b = get_aead("chacha20-poly1305", bytes([1]) + bytes(31))
     assert a is not b
-    assert a is not c
-    assert aead_cache_stats()["misses"] == 3
+    assert aead_cache_stats()["misses"] == 2
 
 
 def test_aead_cache_evicts_least_recently_used():
@@ -123,9 +121,8 @@ def test_cached_ciphers_are_nonce_stateless():
     assert k2.messages_sealed == 0
 
 
-@pytest.mark.parametrize("cipher", ["chacha20-poly1305", "aes-256-gcm", "aes-128-gcm"])
-def test_batch_calls_equal_the_per_message_calls(cipher):
-    aead = get_aead(cipher, bytes(range(key_size(cipher))))
+def test_batch_calls_equal_the_per_message_calls():
+    aead = get_aead(CIPHER, bytes(range(KEY_SIZE)))
     nonces = [bytes([i]) * 12 for i in range(4)]
     plaintexts = [b"", b"x", b"chunk " * 40, bytes(range(256)) * 20]
     aads = [b"", b"a", b"", b"index-3"]

@@ -203,6 +203,41 @@ def test_record_nonce_is_the_iv_xor_the_right_aligned_sequence(seq):
     iv = bytes(range(0xF0, 0xFC))
     seq_bytes = struct.pack(">Q", seq).rjust(12, b"\x00")
     expected = bytes(a ^ b for a, b in zip(iv, seq_bytes))  # RFC 8446 §5.3
-    layer = RecordLayer("chacha20-poly1305", (bytes(32), iv), (bytes(32), iv))
+    layer = RecordLayer((bytes(32), iv), (bytes(32), iv))
     assert RecordLayer._nonce(layer._send_iv, seq) == expected
     assert RecordLayer._nonce(layer._recv_iv, seq) == expected
+
+
+class _SigningSpy:
+    """A signing key that records what it is asked to sign."""
+
+    def __init__(self, key):
+        self._key = key
+        self.signed = []
+
+    def sign(self, message):
+        self.signed.append(message)
+        return self._key.sign(message)
+
+
+@pytest.mark.parametrize("cipher", [[1], 7, "rot13", "aes-128-gcm"], ids=repr)
+def test_server_refuses_any_other_cipher_before_signing(ca, rng, cipher):
+    """A hello naming anything but the one cipher is a HandshakeError at
+    the hello: no key share derived, no CertificateVerify signed — even
+    though the client's own record layer would have worked."""
+    from repro.crypto import encoding
+
+    client, _ = make_pair(ca, rng, mutual=False)
+    identity = make_identity(ca, rng, "server")
+    spy = _SigningSpy(identity.signing_key)
+    server = TlsServer(
+        TlsIdentity(spy, identity.certificate), random_bytes=rng.random_bytes(32)
+    )
+    hello = encoding.decode(client.client_hello())
+    hello["cipher"] = cipher
+    with pytest.raises(HandshakeError, match="unknown AEAD cipher"):
+        server.process_client_hello(encoding.encode(hello))
+    assert spy.signed == []
+    assert server._schedule is None  # no key schedule, so no shared secret
+    with pytest.raises(HandshakeError, match="not completed"):
+        server.record_layer
