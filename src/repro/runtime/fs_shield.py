@@ -27,7 +27,17 @@ copied out of the enclave — only what the enclave builds itself, the
 manifest, crosses with its own bytes.  Digests and tags are taken over
 the ciphertext as the enclave produced it, never read back from that
 buffer: a host that rewrites a staged extent gets what tampering at
-rest gets it, a chunk that fails its digest.
+rest gets it, a chunk that fails its digest.  A read mirrors it: every
+replica is checked against the manifest's digests where it lies, in
+the host's buffer, and in HW mode only the chunks the read opens are
+copied in — once, their shares plus tags — and the AEAD authenticates
+that enclave copy.  The in-place check is advisory (it picks the copy
+to open and the replicas to repair); a host that rewrites a replica
+after the check gets a refused read.  The manifest again crosses with its own
+bytes; a declared size rides on the shares opened.  NATIVE and SIM
+keep the kernel's copy of everything read.  Every SHA-256 pass over a
+chunk or a manifest is counted in ``FsShieldStats.digest_bytes`` and
+charged nothing.
 
 Crash consistency: a file stored in one write is only atomic if every
 OS write is — an assumption a hostile or crashing host does not honour.
@@ -67,6 +77,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import struct
+import sys
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -114,6 +125,10 @@ DEFAULT_CHUNK_CACHE_BYTES = 8 * 1024 * 1024
 #: File versions fill the 32-bit field of the chunk nonce.
 _VERSION_LIMIT = 1 << 32
 
+#: ``read_file(enclave_bytes=)`` of a manifest: every byte stored, never
+#: the declared size it carries as a stand-in for the sealed extents.
+_MANIFEST_BYTES = sys.maxsize
+
 
 class ShieldPolicy(enum.Enum):
     """Per-path-prefix protection levels (paper §3.3.3)."""
@@ -121,6 +136,11 @@ class ShieldPolicy(enum.Enum):
     ENCRYPT = "encrypt"            # confidentiality + integrity
     AUTHENTICATE = "authenticate"  # integrity only
     PASSTHROUGH = "passthrough"    # untouched
+
+
+def _chunk_overhead(policy: str) -> int:
+    """Bytes protection adds to a chunk: its AEAD tag or keyed digest."""
+    return TAG_SIZE if policy == ShieldPolicy.ENCRYPT.value else _AUTH_MAC_SIZE
 
 
 @dataclass(frozen=True)
@@ -193,6 +213,9 @@ class FsShieldStats:
     recoveries_rolled_back: int = 0   # uncommitted flips discarded
     recoveries_rolled_forward: int = 0  # freshness commits completed post-crash
     replicas_written: int = 0         # chunk replicas written (in extents)
+    # Bytes through uncharged SHA-256: chunk and manifest digests on a
+    # write, the scrub (every replica) and the manifest digest on a read.
+    digest_bytes: int = 0
 
 
 class FileSystemShield:
@@ -321,6 +344,11 @@ class FileSystemShield:
         ]
         return [stop - start for start, stop in zip(stops, stops[1:])]
 
+    def _digest(self, data: bytes) -> bytes:
+        """SHA-256 of a chunk or a manifest, counted (charged nothing)."""
+        self.stats.digest_bytes += len(data)
+        return hashlib.sha256(data).digest()
+
     def _account_real_crypto(self, label: str, n_bytes: int, elapsed: float) -> None:
         self.stats.real_crypto_time += elapsed
         by_cipher = self.stats.bytes_by_cipher
@@ -425,7 +453,8 @@ class FileSystemShield:
         freshness; this is the one place a read is charged, by ``shares``
         (each chunk's simulated bytes): a cached chunk costs a copy of
         its share, and crypto is paid for the chunks to open, before
-        they are fetched.
+        they are fetched, then one copy into the enclave of their shares
+        plus tags (HW only: NATIVE and SIM copied them with the read).
         """
         started = time.perf_counter()
         n_chunks = len(shares)
@@ -440,6 +469,10 @@ class FileSystemShield:
             return parts
         self._charge_crypto(to_open, max(1, -(-to_open // self._chunk_size)))
         stored, heal = load()
+        # The AEAD below authenticates this enclave copy, whatever the
+        # host's buffer holds by now: the scrub's check was advisory.
+        overhead = _chunk_overhead(policy.value)
+        self._syscalls.copy_in(sum(shares[index] + overhead for index in missing))
         aads = [self._aad(path, policy, version, index, n_chunks) for index in missing]
         blobs = [stored[index] for index in missing]
         if policy is ShieldPolicy.ENCRYPT:
@@ -537,7 +570,7 @@ class FileSystemShield:
                 "declared_size": simulated,
                 "n_chunks": len(chunks),
                 "replicas": self._replicas,
-                "chunk_digests": [hashlib.sha256(blob).digest() for blob in protected],
+                "chunk_digests": [self._digest(blob) for blob in protected],
             }
         )
         manifest = encoding.encode(
@@ -555,7 +588,7 @@ class FileSystemShield:
         )
         self._syscalls.rename(pending, path)  # THE commit point
         self.stats.files_written += 1
-        digest = hashlib.sha256(manifest).digest()
+        digest = self._digest(manifest)
         if self._freshness is not None:
             self._freshness.commit(path, version, digest)
         self._gc_generations(path, version, self._syscalls.list_dir(path + CHUNK_MARKER))
@@ -567,22 +600,15 @@ class FileSystemShield:
 
     def read_file(self, path: str) -> bytes:
         """Read, verify, and (if encrypted) decrypt a protected file."""
-        file = self._syscalls.read_file(path)
         policy = self.policy_for(path)
+        protected = policy is not ShieldPolicy.PASSTHROUGH
+        file = self._syscalls.read_file(
+            path, enclave_bytes=_MANIFEST_BYTES if protected else None
+        )
         self.stats.files_read += 1
-        if policy is ShieldPolicy.PASSTHROUGH:
+        if not protected:
             return file.content
-
-        body = self._read_manifest(path, file.content)
-        if body["policy"] != policy.value:
-            raise ShieldError(
-                f"policy mismatch for {path!r}: stored {body['policy']!r}, "
-                f"configured {policy.value!r}"
-            )
-        version = body["version"]
-        digest = hashlib.sha256(file.content).digest()
-        if self._freshness is not None:
-            self._freshness.verify(path, version, digest)
+        body, digest = self._authenticated_manifest(path, policy, file.content)
 
         def load() -> Tuple[List[bytes], Callable[[], None]]:
             blobs, heal = self._scrub_extents(path, body)
@@ -593,13 +619,30 @@ class FileSystemShield:
             return blobs, heal
 
         return self._reassemble(path, body["plaintext_size"], self._open_chunks(
-            path, policy, version, digest,
+            path, policy, body["version"], digest,
             self._simulated_shares(
                 body["declared_size"], body["plaintext_size"], body["chunk_size"],
                 body["n_chunks"],
             ),
             load,
         ))
+
+    def _authenticated_manifest(
+        self, path: str, policy: ShieldPolicy, raw: bytes
+    ) -> Tuple[dict, bytes]:
+        """The body of ``raw``, the manifest stored at protected ``path``,
+        and its digest, once its MAC, its policy and its freshness record
+        pass."""
+        body = self._read_manifest(path, raw)
+        if body["policy"] != policy.value:
+            raise ShieldError(
+                f"policy mismatch for {path!r}: stored {body['policy']!r}, "
+                f"configured {policy.value!r}"
+            )
+        digest = self._digest(raw)
+        if self._freshness is not None:
+            self._freshness.verify(path, body["version"], digest)
+        return body, digest
 
     @staticmethod
     def _reassemble(path: str, recorded_size: int, parts: List[bytes]) -> bytes:
@@ -624,8 +667,7 @@ class FileSystemShield:
     def _extent_slots(body: dict) -> List[Tuple[int, int]]:
         """``(start, stop)`` of every protected chunk inside an extent,
         derived from the manifest's geometry and stored nowhere."""
-        encrypted = body["policy"] == ShieldPolicy.ENCRYPT.value
-        overhead = TAG_SIZE if encrypted else _AUTH_MAC_SIZE
+        overhead = _chunk_overhead(body["policy"])
         stops = [
             min(count * body["chunk_size"], body["plaintext_size"]) + count * overhead
             for count in range(1, body["n_chunks"] + 1)
@@ -695,12 +737,13 @@ class FileSystemShield:
         for replica in range(body["replicas"]):
             target = self._extent_path(path, body["version"], replica)
             try:
-                extent = self._syscalls.read_file(target).content
+                # Checked where it lies: only _open_chunks copies bytes in.
+                extent = self._syscalls.read_file(target, enclave_bytes=0).content
             except SyscallError:
                 extent = b""  # a missing replica has lost every chunk
             for index, (start, stop) in enumerate(slots):
                 blob = extent[start:stop]
-                if hashlib.sha256(blob).digest() != digests[index]:
+                if self._digest(blob) != digests[index]:
                     damaged.setdefault(target, (extent, []))[1].append(index)
                     self.stats.torn_writes_detected += 1
                 elif blobs[index] is None:
@@ -718,6 +761,7 @@ class FileSystemShield:
                         else extent[start:stop].ljust(stop - start, b"\0")
                         for blob, (start, stop) in zip(blobs, slots)
                     ),
+                    enclave_bytes=0,  # host to host: ciphertext the scrub found
                 )
                 self._syscalls.rename(target + COMMIT_SUFFIX, target)
                 self.stats.chunks_repaired += healable
@@ -775,7 +819,7 @@ class FileSystemShield:
                     self.stats.recoveries_rolled_back += 1
                     report[base] = "rolled-back"
                 continue
-            raw = self._syscalls.read_file(base).content
+            raw = self._syscalls.read_file(base, enclave_bytes=_MANIFEST_BYTES).content
             try:
                 body = self._read_manifest(base, raw)
             except ShieldError:
@@ -785,7 +829,7 @@ class FileSystemShield:
                 report[base] = "damaged"
                 continue
             version = body["version"]
-            digest = hashlib.sha256(raw).digest()
+            digest = self._digest(raw)
             outcome = report.get(base, "clean")
             if self._freshness is not None:
                 try:
@@ -821,7 +865,14 @@ class FileSystemShield:
         self._chunk_cache_used = 0
 
     def stat(self, path: str) -> int:
-        return self._syscalls.stat(path)
+        """Size of a file: a protected one's declared size, answered by
+        its authenticated manifest (after the checks a read makes), not
+        by the host's size of the manifest file."""
+        policy = self.policy_for(path)
+        if policy is ShieldPolicy.PASSTHROUGH:
+            return self._syscalls.stat(path)
+        raw = self._syscalls.read_file(path, enclave_bytes=_MANIFEST_BYTES).content
+        return self._authenticated_manifest(path, policy, raw)[0]["declared_size"]
 
     def exists(self, path: str) -> bool:
         return self._syscalls.exists(path)

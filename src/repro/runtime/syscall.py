@@ -222,8 +222,17 @@ class SyscallInterface:
     # File operations (the shield and runtime build on these)
     # ------------------------------------------------------------------
 
-    def read_file(self, path: str) -> VirtualFile:
-        """Read a whole file; returns the VirtualFile (content + size)."""
+    def read_file(self, path: str, enclave_bytes: Optional[int] = None) -> VirtualFile:
+        """Read a whole file; returns the VirtualFile (content + size).
+
+        The payload is copied to the caller once.  In HW mode a caller
+        that names ``enclave_bytes`` gets at most that many of the bytes
+        stored, never a declared size beyond them (a stand-in for data
+        the host holds); the default copies everything read.  What is not
+        copied stays in the host's buffer, where the file-system shield
+        checks digests in place and copies in, with :meth:`copy_in`, only
+        the chunks it opens.  NATIVE and SIM copy everything read: there
+        the copy is the kernel's kernel→user one, which no caller skips."""
         self._charge("open")
         self._charge("read")
         file = self._vfs.read(path)
@@ -235,10 +244,20 @@ class SyscallInterface:
         # The payload arrives in IO_CHUNK pieces, each a syscall; the
         # continuations submit as one batch the handlers drain in parallel.
         self._charge_batch("rw_continuation", max(1, -(-result.size // IO_CHUNK)) - 1)
-        self._charge_copy(result.size)
+        crossing = result.size
+        if self._mode is SgxMode.HW and enclave_bytes is not None:
+            crossing = min(enclave_bytes, len(result.content))
+        self._charge_copy(crossing)
         self.stats.bytes_read += result.size
         self._charge("close", posted=True)
         return result
+
+    def copy_in(self, n_bytes: int) -> None:
+        """Copy ``n_bytes`` that a :meth:`read_file` left in the host's
+        buffer into the enclave (HW mode only: NATIVE and SIM copied
+        everything with the read)."""
+        if self._mode is SgxMode.HW:
+            self._charge_copy(n_bytes)
 
     def write_file(
         self,

@@ -144,6 +144,7 @@ PUBLISHED_SINCE = [
     "shields.fs_chunks_sealed",
     "shields.fs_chunks_opened",
     "shields.fs_replicas_written",
+    "shields.fs_digest_bytes",
     "shields.net_handshakes",
     "syscalls.by_name",
     "recovery.cas_quorum_acks",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._sim import SimClock
+from repro.crypto import encoding
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import SgxMode
 from repro.errors import FreshnessError, ShieldError
@@ -210,6 +211,45 @@ def test_stat_and_exists_passthrough():
     assert shield.stat("/secure/f") == 500
     assert shield.exists("/secure/f")
     assert not shield.exists("/secure/missing")
+
+
+@pytest.mark.parametrize("declared", [None, 40_000, 100], ids=["undeclared", "declared", "small"])
+def test_stat_answers_from_the_authenticated_manifest(declared):
+    """Not the host's size of the manifest file (a few hundred bytes for
+    an undeclared 500 000-byte file, or the declared size floored at the
+    manifest's own length)."""
+    shield, vfs, _ = make_shield(
+        freshness=LocalFreshnessTracker(), chunk_size=64 * 1024
+    )
+    data = bytes(500_000) if declared is None else b"x" * 50
+    shield.write_file("/secure/f", data, declared_size=declared)
+    assert shield.stat("/secure/f") == (len(data) if declared is None else declared)
+    if declared is None:
+        assert vfs.read("/secure/f").size == 582  # what stat used to return
+    shield.write_file("/plain/f", b"abc", declared_size=7)
+    assert shield.stat("/plain/f") == 7  # passthrough: the syscall's stat
+
+
+def test_stat_refuses_a_forged_manifest():
+    shield, vfs, _ = make_shield(freshness=LocalFreshnessTracker())
+    shield.write_file("/secure/f", b"x" * 50, declared_size=40_000)
+    envelope = encoding.decode(vfs.read("/secure/f").content)
+    body = encoding.decode(envelope["body"])
+    body["declared_size"] = 80_000
+    envelope["body"] = encoding.encode(body)  # under the old MAC
+    vfs.tamper("/secure/f", encoding.encode(envelope))
+    with pytest.raises(ShieldError, match="failed authentication"):
+        shield.stat("/secure/f")
+
+
+def test_stat_refuses_a_rolled_back_manifest():
+    shield, vfs, _ = make_shield(freshness=LocalFreshnessTracker())
+    shield.write_file("/secure/f", b"x" * 50, declared_size=40_000)
+    snapshot = copy.deepcopy(vfs.read("/secure/f"))
+    shield.write_file("/secure/f", b"x" * 50, declared_size=80_000)
+    vfs.rollback("/secure/f", snapshot)
+    with pytest.raises(FreshnessError):
+        shield.stat("/secure/f")
 
 
 @settings(max_examples=20, deadline=None)

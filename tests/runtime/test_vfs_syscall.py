@@ -245,6 +245,45 @@ def test_outside_hw_the_whole_payload_is_copied(mode):
     assert elapsed[0] == elapsed[1]
 
 
+@pytest.mark.parametrize("enclave_bytes", [None, 0, 10, 1 << 62])
+def test_hw_read_copies_in_only_what_the_enclave_keeps(vfs, cpu, enclave_bytes):
+    """A read pays its calls whatever it copies; a caller that names
+    ``enclave_bytes`` gets at most that many of the bytes stored — never
+    a declared size's stand-in — and ``copy_in`` charges the rest later,
+    at the same bandwidth."""
+    syscalls, clock = make_syscalls(vfs, SgxMode.HW, cpu)
+    memory = syscalls._enclave.memory
+    payload = b"x" * (2 * IO_CHUNK + 5)
+    vfs.write("/a", payload, declared_size=4 * IO_CHUNK)
+    calls, touched = syscalls.stats.calls, memory.bytes_touched
+    assert syscalls.read_file("/a", enclave_bytes=enclave_bytes).content == payload
+    expected = 4 * IO_CHUNK if enclave_bytes is None else min(enclave_bytes, len(payload))
+    assert memory.bytes_touched - touched == expected
+    assert syscalls.stats.calls - calls == 6  # open, read, 3 continuations, close
+    assert syscalls.stats.bytes_read == 4 * IO_CHUNK
+
+    touched, start = memory.bytes_touched, clock.now
+    syscalls.copy_in(IO_CHUNK)
+    assert memory.bytes_touched - touched == IO_CHUNK
+    assert clock.now - start == pytest.approx(IO_CHUNK / CM.enclave_memory_bandwidth)
+
+
+@pytest.mark.parametrize("mode", [SgxMode.NATIVE, SgxMode.SIM])
+def test_outside_hw_a_read_copies_everything(mode):
+    """NATIVE / SIM: the kernel→user copy is no caller's to skip, and
+    ``copy_in`` has nothing left to copy."""
+    elapsed = []
+    for enclave_bytes in (None, 0):
+        vfs = VirtualFileSystem()
+        vfs.write("/a", b"x" * 5, declared_size=2 * IO_CHUNK + 5)
+        syscalls, clock = make_syscalls(vfs, mode)
+        syscalls.read_file("/a", enclave_bytes=enclave_bytes)
+        syscalls.copy_in(IO_CHUNK)
+        syscalls.flush()
+        elapsed.append(clock.now)
+    assert elapsed[0] == elapsed[1]
+
+
 def test_write_files_crosses_the_boundary_once(vfs, cpu):
     """One payload, two destinations: the copy out of the enclave is
     charged once, the calls and the bytes the OS wrote per destination;
