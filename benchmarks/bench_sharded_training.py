@@ -164,10 +164,11 @@ def test_sharded_training_scaling(benchmark):
     # Quantization cuts the wire ~4x against the float32 run.
     assert quantized[4]["wire_bytes"] < float32["wire_bytes"] / 3
     assert quantized[4]["bytes_saved"] > 0
-    # Masking costs something — each hospital opens one attested
-    # channel per committee member instead of one total, and the
-    # primary pulls every partial — but stays within a small constant
-    # factor of plain averaging.
+    # Masking costs something — each hospital sends every committee
+    # member a uint64 share of the whole model (twice its float32 bytes)
+    # instead of one shard its pieces, and every owner pulls the other
+    # members' sums — but stays within a small constant factor of plain
+    # averaging.
     overhead = secure_wall / plain_wall
     assert 1.0 <= overhead < 6.0
 

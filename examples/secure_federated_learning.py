@@ -4,9 +4,10 @@
 Three hospitals collaborate on a diagnosis model.  Patient data never
 leaves a hospital; only model parameters are shared — and because local
 models themselves leak (model inversion, GAN attacks — §6.2), the
-*global aggregation* runs inside an attested secureTF enclave.  Each
-hospital verifies the aggregator's quote before submitting, and all
-parameter traffic rides mutually-authenticated TLS.
+*global aggregation* runs inside an attested secureTF enclave: a
+parameter-server shard of a training job whose workers are the
+hospitals.  CAS certifies the enclave only after verifying its quote,
+and all parameter traffic rides mutually-authenticated TLS.
 
 Run:  python examples/secure_federated_learning.py
 """
@@ -47,8 +48,8 @@ def main() -> None:
         print(f"{hospital.name}: {len(hospital.dataset)} private examples "
               f"(never leave {hospital.node.node_id})")
 
-    # The aggregation enclave starts, is attested by the hospitals, and
-    # CAS issues each hospital a client TLS identity.
+    # The aggregation enclave starts and is attested by CAS, and CAS
+    # issues each hospital a client TLS identity of the session.
     federation = FederatedLearning(
         platform, "brain-tumor-model", hospitals, mode=SgxMode.HW
     )

@@ -48,7 +48,6 @@ from repro.cluster.retry import (
 from repro.cluster.rpc import RpcClient, RpcServer, SecureRpcClient, SecureRpcServer
 from repro.cluster.orchestrator import Orchestrator, ContainerSpec, Watchdog
 from repro.cluster.parameter_server import (
-    AsyncTrainer,
     InMemoryCheckpointStore,
     ParameterServer,
     PSCheckpoint,
@@ -57,6 +56,7 @@ from repro.cluster.parameter_server import (
 )
 from repro.cluster.sharding import (
     GradientQuantizer,
+    SecureAggregation,
     ShardMap,
     ShardPiece,
     ShardTrainingStats,
@@ -96,10 +96,10 @@ __all__ = [
     "InMemoryCheckpointStore",
     "ShardedParameterService",
     "GradientQuantizer",
+    "SecureAggregation",
     "ShardMap",
     "ShardPiece",
     "ShardTrainingStats",
     "SyncTrainer",
-    "AsyncTrainer",
     "TrainingWorker",
 ]

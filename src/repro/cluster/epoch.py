@@ -65,9 +65,6 @@ class FenceToken:
     role: str
     epoch: int
 
-    def to_fields(self) -> dict:
-        return {"role": self.role, "epoch": self.epoch}
-
 
 class EpochLease:
     """One leader's claim on a role at a specific epoch.

@@ -12,8 +12,14 @@ system.  :class:`SyncTrainer` runs synchronous rounds with per-node
 clocks: each worker's pull→compute→push advances its own clock, every
 shard's clock serializes its applies, and a barrier ends the round — so
 adding workers shortens the round wall-clock exactly as real synchronous
-data-parallelism does.  :class:`AsyncTrainer` is the same loop without
-the barrier.
+data-parallelism does.
+
+A pushed gradient is an SGD step.  A data owner's push (federated
+learning, §6.2) is its example-weighted model, summed until the round
+barrier, where the shards install the sum (FedAvg) — or, under
+:class:`~repro.cluster.sharding.SecureAggregation`, combine the shares
+every shard summed.  A shielded shard serves only peers of its own CAS
+session (``AttestationError`` for any other certificate subject).
 
 Fault tolerance (paper challenge ❹): a :class:`ParameterServer` built
 with a checkpoint store snapshots weights *and* its RPC dedup window
@@ -27,7 +33,7 @@ worker→shard session) and a recovery supervisor (duck-typed; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -44,13 +50,18 @@ from repro.cluster.rpc import (
     SecureRpcServer,
 )
 from repro.cluster.retry import RetryPolicy
-from repro.cluster.sharding import GradientQuantizer, ShardMap, ShardTrainingStats
+from repro.cluster.sharding import (
+    GradientQuantizer,
+    SecureAggregation,
+    ShardMap,
+    ShardTrainingStats,
+)
 from repro.cluster.worker import TrainingWorker
 from repro.crypto import encoding
 from repro.errors import (
+    AttestationError,
     CircuitOpenError,
     ClusterError,
-    PolicyError,
     RpcTransportError,
     StaleConnectionError,
 )
@@ -73,6 +84,8 @@ class PSCheckpoint:
     version: int
     updates_applied: int
     dedup: list
+    round: Optional[int] = None
+    pending: list = field(default_factory=list)  # the round's owner pushes
 
 
 class InMemoryCheckpointStore:
@@ -154,19 +167,23 @@ class ParameterServer:
         network: Network,
         learning_rate: float,
         shield: Optional[NetworkShield] = None,
-        allowed_peers: Optional[List[str]] = None,
         checkpoint_store: Optional[InMemoryCheckpointStore] = None,
         syscalls: Optional["SyscallInterface"] = None,
         store_key: Optional[str] = None,
-        quantizer: Optional[GradientQuantizer] = None,
+        codec: Union[GradientQuantizer, SecureAggregation, None] = None,
     ) -> None:
         if learning_rate <= 0:
             raise ClusterError(f"learning rate must be positive: {learning_rate}")
         self.node = node
         self.address = address
-        #: Decodes ``q{bits}``-encoded pushes; ``None`` accepts only
-        #: float32 gradients.  Must match the workers' quantizer.
-        self.quantizer = quantizer
+        #: The push codec (``None``: float32); must match the workers'.
+        self.codec = codec
+        self.shield = shield  # also its identity when it calls its committee
+        #: ``{session}/{role}-{n}`` as CAS certified it (None: no shield).
+        self._subject = shield.identity.certificate.subject if shield else None
+        #: The federated round being summed, and its owner pushes.
+        self._round: Optional[int] = None
+        self._pending: List[Dict[str, np.ndarray]] = []
         #: Per-shard training-plane counters, registered under this
         #: node's clock so ``collect_metrics`` finds them.
         self.shard_stats = ShardTrainingStats(
@@ -186,7 +203,6 @@ class ParameterServer:
         #: first pull after they changed: every worker pulling this
         #: version gets (and every dedup entry holds) this one object.
         self._pull_reply: Optional[bytes] = None
-        self._allowed = allowed_peers
         self.updates_applied = 0
         #: Leadership lease over the ``ps`` role (set by the recovery
         #: supervisor when fencing is on).  Its cached epoch is presented
@@ -208,6 +224,7 @@ class ParameterServer:
         self._syscalls = syscalls if syscalls is not None else self._server._syscalls
         self._server.register("pull", self._handle_pull)
         self._server.register("push", self._handle_push)
+        self._server.register("partial", self._handle_partial)
         self._server.start()
 
         self._store = checkpoint_store
@@ -221,6 +238,7 @@ class ParameterServer:
                 self._weights = {k: v.copy() for k, v in snapshot.weights.items()}
                 self._version = snapshot.version
                 self.updates_applied = snapshot.updates_applied
+                self._round, self._pending = snapshot.round, list(snapshot.pending)
                 self._server.dedup.restore(snapshot.dedup)
                 self._checkpointed_version = snapshot.version
             self._server.on_committed = self._maybe_checkpoint
@@ -241,12 +259,13 @@ class ParameterServer:
     def version(self) -> int:
         return self._version
 
-    def _check_peer(self, peer: Optional[str]) -> None:
-        if self._allowed is not None:
-            if peer is None or peer not in self._allowed:
-                raise PolicyError(
-                    f"peer {peer!r} is not an authorized training worker"
-                )
+    def _check_peer(self, peer: Optional[str], committee: bool = False) -> None:
+        """Refuse a peer outside this shard's session (committee: role)."""
+        me = self._subject
+        if me is not None:
+            scope = me.rsplit("-", 1)[0] + "-" if committee else me.split("/")[0] + "/"
+            if not (peer or "").startswith(scope):
+                raise AttestationError(f"{peer!r} is outside {scope!r}")
 
     def _handle_pull(self, payload: bytes, peer: Optional[str]) -> bytes:
         self._check_peer(peer)
@@ -273,25 +292,27 @@ class ParameterServer:
         body = encoding.decode(payload)
         gradients = decode_array_dict(body["gradients"])
         wire_bytes = len(body["gradients"])
+        self.shard_stats.pushes += 1
+        self.shard_stats.gradient_bytes_in += wire_bytes
+        self._pull_reply = None
+        if "round" in body:
+            return self._buffer(body["round"], gradients)
         if str(body.get("encoding", "")).startswith("q"):
-            if self.quantizer is None:
+            if not isinstance(self.codec, GradientQuantizer):
                 raise ClusterError(
                     "received quantized gradients but no quantizer is configured"
                 )
             with probe.span(
                 self.node.clock, "ps.dequantize", attrs={"shard": self.store_key}
             ):
-                gradients = self.quantizer.dequantize(
+                gradients = self.codec.dequantize(
                     gradients, body.get("scales", {})
                 )
             self.shard_stats.quantized_pushes += 1
             float_bytes = sum(4 * g.size for g in gradients.values())
             self.shard_stats.gradient_bytes_saved += max(0, float_bytes - wire_bytes)
-        self.shard_stats.pushes += 1
-        self.shard_stats.gradient_bytes_in += wire_bytes
         # Apply SGD on the PS node's clock (this is real PS work).  The
         # weights may change from here on, even if a later piece fails.
-        self._pull_reply = None
         flops = 0
         for name, grad in gradients.items():
             if name not in self._weights:
@@ -313,6 +334,55 @@ class ParameterServer:
         self.updates_applied += 1
         return encoding.encode({"version": self._version})
 
+    # -- FedAvg: owner pushes are summed per round, installed at its end --
+
+    def _buffer(self, round_tag: int, values: Dict[str, np.ndarray]) -> bytes:
+        if self._round is not None and round_tag < self._round:
+            raise ClusterError(f"push for past round {round_tag} at {self.address!r}")
+        if round_tag != self._round:  # a round that never closed is dropped
+            self._round, self._pending = round_tag, []
+        self._pending.append(values)
+        self._version += 1  # checkpointed with the call ID that pushed it
+        return encoding.encode({"version": self._version})
+
+    def _round_sums(
+        self, round_tag: int, expected: int, keys: List[str]
+    ) -> Dict[str, np.ndarray]:
+        """The round's pushes summed over ``keys``, if each owner pushed once."""
+        held = len(self._pending) if self._round == round_tag else 0
+        if held != expected:
+            raise ClusterError(
+                f"round {round_tag} at {self.address!r} has {held}/{expected} pushes"
+            )
+        return {key: sum(values[key] for values in self._pending) for key in keys}
+
+    def _handle_partial(self, payload: bytes, peer: Optional[str]) -> bytes:
+        self._check_peer(peer, committee=True)
+        body = encoding.decode(payload)
+        return encode_array_dict(
+            self._round_sums(body["round"], body["expected"], body["keys"])
+        )
+
+    def finish_round(
+        self, round_tag: int, expected: int, partials: List[bytes], examples: int
+    ) -> None:
+        """Install this shard's pieces of the round's model (its own sums,
+        or the ``partials`` of every member combined over ``examples``)
+        and open the next round: a late push of this one is refused."""
+        merged = self._round_sums(round_tag, expected, sorted(self._weights))
+        if partials:
+            with probe.span(self.node.clock, "secure_agg.combine", "federated"):
+                merged = self.codec.combine(
+                    [merged] + [decode_array_dict(p) for p in partials], examples
+                )
+        flops = 3 * sum(v.size for v in merged.values()) * (expected + len(partials))
+        self.node.clock.advance(flops / self.node.cost_model.flops_per_second_full_tf)
+        self._weights, self._pull_reply = merged, None
+        self._round, self._pending = round_tag + 1, []
+        self._version += 1
+        self.updates_applied += 1
+        self._maybe_checkpoint()
+
     def _maybe_checkpoint(self) -> None:
         """Snapshot state after a committed call that changed the weights."""
         if self._store is None or self._version == self._checkpointed_version:
@@ -322,12 +392,15 @@ class ParameterServer:
             version=self._version,
             updates_applied=self.updates_applied,
             dedup=self._server.dedup.snapshot(),
+            round=self._round,
+            pending=list(self._pending),
         )
         # Persisting the snapshot is real file I/O: charge it through
         # the shared syscall plane (write + continuations + fsync-like
         # rename ordering live there), not as ad-hoc clock time.
         payload_bytes = (
             sum(int(w.nbytes) for w in snapshot.weights.values())
+            + sum(int(v.nbytes) for values in self._pending for v in values.values())
             + 64 * max(1, len(snapshot.dedup))
         )
         self._syscalls.write_file(
@@ -417,12 +490,6 @@ class ShardedParameterService:
             if partition:
                 self._shards[index].initialize(partition)
 
-    def shard_of(self, name: str) -> ParameterServer:
-        """The shard owning ``name`` (its first slice, if row-split)."""
-        if self.shard_map is None:
-            raise ClusterError("service is not initialized")
-        return self._shards[self.shard_map.shards_of(name)[0]]
-
     @property
     def weights(self) -> Dict[str, np.ndarray]:
         if self.shard_map is None:
@@ -431,19 +498,6 @@ class ShardedParameterService:
         for index in self.active_shards:
             parts.update(self._shards[index].weights)
         return self.shard_map.merge(parts)
-
-    def partition_gradients(
-        self, gradients: Dict[str, np.ndarray]
-    ) -> Dict[str, Dict[str, np.ndarray]]:
-        """Group a gradient dict by owning shard address (piece-keyed:
-        a row-split variable appears as ``var#start:stop`` slices)."""
-        if self.shard_map is None:
-            raise ClusterError("service is not initialized")
-        grouped: Dict[str, Dict[str, np.ndarray]] = {}
-        for index, part in enumerate(self.shard_map.partition(gradients)):
-            if part:
-                grouped.setdefault(self._shards[index].address, {}).update(part)
-        return grouped
 
     def commit_barrier(self) -> Optional[int]:
         """Commit the round's cross-shard version vector (if a shared
@@ -520,7 +574,7 @@ class SyncTrainer:
         workers: List[TrainingWorker],
         retry: Optional[RetryPolicy] = None,
         recovery: Optional[object] = None,
-        quantizer: Optional[GradientQuantizer] = None,
+        codec: Union[GradientQuantizer, SecureAggregation, None] = None,
     ) -> None:
         if not workers:
             raise ClusterError("training needs at least one worker")
@@ -529,16 +583,20 @@ class SyncTrainer:
         self._workers = workers
         self._retry = retry
         self._recovery = recovery
-        self._quantizer = quantizer
-        # One session per (worker, shard address): secure record layers
+        self._codec = codec
+        self._secure = isinstance(codec, SecureAggregation)
+        #: Rounds started; tags federated pushes, so a failed round's are dropped.
+        self._round = 0
+        # One session per (caller, shard address): secure record layers
         # are per-connection streams, so concurrent fan-out to distinct
-        # shards never reorders a single session's records.
+        # shards never reorders a single session's records.  A caller
+        # is a worker, or a shard pulling its committee's partial sums.
         self._connections: Dict[tuple, Union[SecureConnection, "_PlainConnection"]] = {}
 
     # -- connections -----------------------------------------------------
 
     def _connection(self, worker: TrainingWorker, ps: ParameterServer):
-        key = (worker.name, ps.address)
+        key = (worker.address, ps.address)
         if key in self._connections:
             return self._connections[key]
         if worker.shield is not None:
@@ -565,7 +623,7 @@ class SyncTrainer:
     def _drop_connections(self, worker: Optional[TrainingWorker] = None,
                           address: Optional[str] = None) -> None:
         for key in list(self._connections):
-            if worker is not None and key[0] != worker.name:
+            if worker is not None and key[0] != worker.address:
                 continue
             if address is not None and key[1] != address:
                 continue
@@ -649,43 +707,88 @@ class SyncTrainer:
         for index in self._service.active_shards:
             nbytes = self._service.shard_map.shard_nbytes()[index]
             pull = max(1, int(nbytes * scale))
-            if self._quantizer is None:
+            if not isinstance(self._codec, GradientQuantizer):
                 push = pull
             else:
-                push = self._quantizer.declared_bytes(
+                push = self._codec.declared_bytes(
                     pull, len(self._service.shard_map.keys_on(index))
                 )
             declared[index] = (pull, push)
         return declared
 
     def _encode_push(
-        self, gradients: Dict[str, np.ndarray], declared_flops: int, clock=None
+        self, gradients: Dict[str, np.ndarray], declared_flops: int, clock
     ) -> bytes:
-        if self._quantizer is None:
+        if self._codec is None:
             return encoding.encode(
                 {
                     "gradients": encode_array_dict(gradients),
                     "declared_flops": declared_flops,
                 }
             )
-        if clock is not None:
-            with probe.span(clock, "train.quantize", category="training"):
-                quantized, scales = self._quantizer.quantize(gradients)
-        else:
-            quantized, scales = self._quantizer.quantize(gradients)
+        with probe.span(clock, "train.quantize", category="training"):
+            quantized, scales = self._codec.quantize(gradients)
         return encoding.encode(
             {
                 "gradients": encode_array_dict(quantized),
                 "scales": scales,
-                "encoding": f"q{self._quantizer.bits}",
+                "encoding": f"q{self._codec.bits}",
                 "declared_flops": declared_flops,
             }
         )
 
-    def _end_round(self, clocks: List) -> None:
-        """Commit the cross-shard checkpoint barrier, then the
-        synchronous-round clock barrier."""
-        self._service.commit_barrier()
+    def _push_requests(
+        self, worker: TrainingWorker, update: Dict[str, np.ndarray], declared, examples
+    ) -> List[tuple]:
+        """One push per shard: a gradient's pieces (float32 or quantized),
+        or a data owner's model weighted by its share of ``examples`` —
+        under secure aggregation, one ring share of each piece per shard."""
+        parts = self._service.shard_map.partition(update)
+        if worker.examples is None:
+            return [
+                (k, "push", self._encode_push(
+                    parts[k], 2 * declared[k][0] // 4, worker.node.clock
+                ), declared[k][1], None)
+                for k in self._service.active_shards
+                if parts[k]
+            ]
+        if self._secure:
+            rng = worker.node.rng.child(f"secure-agg|{worker.name}|{self._round}")
+            with probe.span(worker.node.clock, "secure_agg.mask", category="federated"):
+                parts = self._codec.split(parts, worker.examples, rng)
+        else:
+            weight = worker.examples / examples
+            parts = [{key: v * weight for key, v in part.items()} for part in parts]
+        # One uint64 ring share of every piece: twice the float32 model.
+        shares = 2 * sum(pull for pull, _ in declared.values())
+        return [
+            (k, "push", encoding.encode(
+                {"gradients": encode_array_dict(part), "round": self._round}
+            ), shares if self._secure else declared[k][1], None)
+            for k, part in enumerate(parts)
+            if part
+        ]
+
+    def _end_round(self, clocks: List, owners: int, examples: int, declared) -> None:
+        """Close a federated round (``owners`` pushed models of ``examples``;
+        under secure aggregation each owning shard first pulls, as itself,
+        the other members' sums of its pieces), then the two barriers."""
+        service, partials = self._service, {}
+        for k in service.active_shards if owners else ():
+            request = encoding.encode(
+                {"round": self._round, "expected": owners,
+                 "keys": service.shard_map.keys_on(k)}
+            )
+            peers = [j for j in range(service.n_shards) if self._secure and j != k]
+            sums = 2 * declared[k][0]  # uint64 sums of this owner's pieces
+            partials[k] = self._fanout(
+                service.shard(k), [(j, "partial", request, None, sums) for j in peers]
+            )
+        for k, replies in partials.items():
+            service.shard(k).finish_round(
+                self._round, owners, list(replies.values()), examples
+            )
+        service.commit_barrier()
         self._network.barrier(clocks)
 
     def train(self, batches: List, steps: Optional[int] = None) -> TrainingResult:
@@ -718,6 +821,9 @@ class SyncTrainer:
                 round_workers.append((self._ensure_alive(slot), batches[index]))
                 index += 1
             round_index += 1
+            self._round += 1
+            owners = [w for w, _ in round_workers if w.examples is not None]
+            examples = sum(w.examples for w in owners)
 
             # Phase 1: each worker pulls every shard's slice — the send
             # halves are issued back-to-back (overlapped transfers), the
@@ -743,42 +849,26 @@ class SyncTrainer:
                         parts.update(decode_array_dict(pulled["weights"]))
                     worker.load_weights(self._service.shard_map.merge(parts))
 
-            # Phase 2: gradient computation on each worker's own clock.
-            round_grads = []
-            for worker, (images, labels) in round_workers:
+            # Phase 2: each worker's step on its own clock (a gradient,
+            # or a data owner's local training).
+            round_updates = []
+            for worker, batch in round_workers:
                 with probe.span(
                     worker.node.clock,
                     "train.compute",
                     category="training",
                     attrs={"worker": worker.name, "round": round_index},
                 ):
-                    gradients, loss = worker.compute_gradients(images, labels)
+                    update, loss = worker.compute_update(batch)
                 losses.append(loss)
-                round_grads.append((worker, gradients))
+                round_updates.append((worker, update))
 
             # Phase 3: pushes fan out per shard but stay serialized
             # across workers — each shard applies updates in worker
             # order, keeping float accumulation (and the final weights)
             # identical run to run regardless of fault timing.
-            for worker, gradients in round_grads:
-                groups = self._service.shard_map.partition(gradients)
-                requests = []
-                for k in active:
-                    if not groups[k]:
-                        continue
-                    requests.append(
-                        (
-                            k,
-                            "push",
-                            self._encode_push(
-                                groups[k],
-                                2 * declared[k][0] // 4,
-                                clock=worker.node.clock,
-                            ),
-                            declared[k][1],
-                            None,
-                        )
-                    )
+            for worker, update in round_updates:
+                requests = self._push_requests(worker, update, declared, examples)
                 with probe.span(
                     worker.node.clock,
                     "train.push",
@@ -789,7 +879,7 @@ class SyncTrainer:
 
             shard_clocks = [s.node.clock for s in self._service.shards]
             clocks = [w.node.clock for w in self._workers] + shard_clocks
-            self._end_round(clocks)
+            self._end_round(clocks, len(owners), examples, declared)
 
         wall = max(clock.now for clock in clocks) - start
         return TrainingResult(
@@ -801,28 +891,6 @@ class SyncTrainer:
             per_worker_time={w.name: w.node.clock.now for w in self._workers},
             simulated_events=self._network.scheduler.events_processed - events_before,
         )
-
-
-class AsyncTrainer(SyncTrainer):
-    """Asynchronous (Hogwild-style) PS training: no round barrier.
-
-    Each worker loops pull → compute → push at its own pace; the shards
-    apply updates as they arrive, so fast workers are never blocked by
-    stragglers, at the cost of gradient staleness.  This is distributed
-    TensorFlow's between-graph asynchronous mode, included here to show
-    the stateful-computing substrate supports both disciplines.
-
-    With one clock per node, events must be processed in rough timestamp
-    order or the (sequential) Python loop serializes concurrent workers
-    through the shard clocks, so each cycle keeps :class:`SyncTrainer`'s
-    interleaving — all pulls, then all computes, then all pushes — and
-    only the end of the round differs.
-    """
-
-    def _end_round(self, clocks: List) -> None:
-        # No barrier: a fast worker's clock runs ahead and it simply
-        # trains on staler weights, which is async semantics.
-        pass
 
 
 class _PlainConnection:

@@ -21,6 +21,10 @@ on them bit-for-bit:
     tensor's max magnitude) so two same-seed runs produce byte-identical
     wire payloads, and dequantized SGD stays reproducible under chaos.
 
+:class:`SecureAggregation`
+    The other push codec: a data owner's model as one additive ring
+    share per shard, so no single shard enclave sees it (§6.2).
+
 Per-shard runtime counters (:class:`ShardTrainingStats`) also live here;
 parameter servers register them with the stats registry so
 ``collect_metrics`` can aggregate the training plane per shard.
@@ -33,7 +37,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ClusterError
+from repro.crypto.masking import combine_tensor_shares, decode_fixed, share_tensors
+from repro.errors import ClusterError, ConfigurationError
 
 #: Wire-name separator between a variable and its row range.  ``#`` is
 #: not produced by the tensor layer's scoped names, so piece keys never
@@ -132,12 +137,6 @@ class ShardMap:
     @property
     def pieces(self) -> List[ShardPiece]:
         return sorted(self._pieces.values(), key=lambda p: p.key)
-
-    def piece(self, key: str) -> ShardPiece:
-        try:
-            return self._pieces[key]
-        except KeyError:
-            raise ClusterError(f"no shard piece {key!r}")
 
     def shards_of(self, var: str) -> List[int]:
         """All shards holding a slice of ``var`` (one unless split)."""
@@ -250,19 +249,56 @@ class GradientQuantizer:
             ).astype(np.float32)
         return out
 
-    def error_bound(self, tensors: Mapping[str, np.ndarray]) -> Dict[str, float]:
-        """Per-tensor worst-case round-trip error (half a quantum)."""
-        bounds = {}
-        for name, value in tensors.items():
-            peak = float(np.max(np.abs(np.asarray(value)))) if np.asarray(value).size else 0.0
-            bounds[name] = peak / self.qmax / 2.0
-        return bounds
-
     def declared_bytes(self, float32_bytes: int, n_tensors: int = 1) -> int:
         """Wire-size declaration for a quantized payload that carried
         ``float32_bytes`` before: the integer lattice plus one float32
         scale per tensor."""
         return max(1, float32_bytes * self.bits // 32) + 4 * max(1, n_tensors)
+
+
+class SecureAggregation:
+    """Secure-aggregation push codec; the committee is the PS shards.
+
+    A data owner scales each piece of its model by its example count,
+    fixed-point encodes it (:mod:`repro.crypto.masking`) and splits it
+    into one additive ring share per shard: share ``s`` of a piece owned
+    by shard ``k`` goes to shard ``(k + s) mod m``, on that shard's
+    attested channel.  Every shard thus holds one share of every piece,
+    uniform noise on its own.  At the round barrier each owner adds the
+    wrapping sums the ``m`` members hold of its pieces and divides by
+    the example total; ring addition is exact, so the result is the
+    unmasked fixed-point FedAvg bit for bit.
+    """
+
+    def __init__(self, members: int) -> None:
+        if members < 2:
+            raise ConfigurationError(
+                "secure aggregation needs >= 2 committee members "
+                "(a single member's partial sum is the plaintext aggregate)"
+            )
+        self.members = members
+
+    def split(
+        self, parts: List[Dict[str, np.ndarray]], examples: int, rng
+    ) -> List[Dict[str, np.ndarray]]:
+        """Per-shard model pieces -> per-destination share dicts."""
+        out: List[Dict[str, np.ndarray]] = [{} for _ in range(self.members)]
+        for owner, part in enumerate(parts):
+            weighted = {key: v * np.float32(examples) for key, v in part.items()}
+            for s, share in enumerate(share_tensors(weighted, self.members, rng)):
+                out[(owner + s) % self.members].update(share)
+        return out
+
+    @staticmethod
+    def combine(
+        partials: List[Dict[str, np.ndarray]], examples: int
+    ) -> Dict[str, np.ndarray]:
+        """Every member's partial sums of one owner's pieces -> the
+        example-weighted mean."""
+        return {
+            key: (decode_fixed(value) / np.float32(examples)).astype(np.float32)
+            for key, value in combine_tensor_shares(partials).items()
+        }
 
 
 @dataclass
@@ -281,6 +317,7 @@ class ShardTrainingStats:
 
 __all__ = [
     "GradientQuantizer",
+    "SecureAggregation",
     "ShardMap",
     "ShardPiece",
     "ShardTrainingStats",

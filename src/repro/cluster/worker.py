@@ -22,13 +22,18 @@ from repro.tensor.variables import GLOBAL_VARIABLES
 
 
 class TrainingWorker:
-    """One data-parallel worker bound to a node + runtime."""
+    """One data-parallel worker bound to a node + runtime (``None``: it
+    runs outside the platform, and its compute is not charged)."""
+
+    #: ``None``: pushes gradients.  A data owner (``Hospital``) sets its
+    #: dataset size and pushes the model it trained, for FedAvg.
+    examples: Optional[int] = None
 
     def __init__(
         self,
         name: str,
         node: Node,
-        runtime: SconeRuntime,
+        runtime: Optional[SconeRuntime],
         model_name: str = "mnist_cnn",
         seed: int = 0,
         threads: int = 4,
@@ -54,7 +59,11 @@ class TrainingWorker:
             self._grads = tf.gradients(
                 self._loss, [v.tensor for v in self._variables]
             )
-        engine = ExecutionEngine(runtime, FULL_TF_TRAINING_PROFILE, threads=threads)
+        engine = (
+            ExecutionEngine(runtime, FULL_TF_TRAINING_PROFILE, threads=threads)
+            if runtime is not None
+            else None
+        )
         self._session = tf.Session(graph=self.graph, engine=engine, threads=threads)
         self.declared_model_bytes = int(
             sum(v.nbytes for v in self._variables) * self.graph.weight_scale
@@ -64,19 +73,9 @@ class TrainingWorker:
     def variables(self) -> List:
         return list(self._variables)
 
-    def initial_weights(self) -> Dict[str, np.ndarray]:
-        """This worker's initialized weights (used to seed the PS)."""
+    def weights(self) -> Dict[str, np.ndarray]:
+        """This worker's local weights (the first worker's seed the PS)."""
         return {v.name: v.value for v in self._variables}
-
-    def variable_nbytes(self) -> Dict[str, int]:
-        """Per-variable float32 sizes — the shard map's input."""
-        return {v.name: int(v.nbytes) for v in self._variables}
-
-    def declared_bytes_for(self, nbytes: int) -> int:
-        """Declared wire size for ``nbytes`` of local variables, scaled
-        to the paper's model size the same way
-        :attr:`declared_model_bytes` is."""
-        return int(nbytes * self.graph.weight_scale)
 
     def load_weights(self, weights: Dict[str, np.ndarray]) -> None:
         for var in self._variables:
@@ -84,10 +83,9 @@ class TrainingWorker:
                 raise ClusterError(f"pulled weights missing {var.name!r}")
             var.load(weights[var.name])
 
-    def compute_gradients(
-        self, images: np.ndarray, labels: np.ndarray
-    ) -> Tuple[Dict[str, np.ndarray], float]:
-        """One forward+backward pass on a batch; returns (grads, loss)."""
+    def compute_update(self, batch: Tuple) -> Tuple[Dict[str, np.ndarray], float]:
+        """(gradients, loss) of one ``(images, labels)`` batch."""
+        images, labels = batch
         fetches = list(self._grads) + [self._loss]
         feed = {self._built.input: images, self._labels: labels}
         *grad_values, loss = self._session.run(fetches, feed_dict=feed)

@@ -3,58 +3,41 @@
 Hospitals train locally on their private data (their own machines, which
 they trust) and share only model parameters.  Because local models still
 leak (§6.2 cites model-inversion and GAN attacks), the *global
-aggregation* runs inside an attested secureTF enclave: hospitals verify
-the aggregator's quote before submitting, and all parameter exchange
-rides network-shield TLS.
+aggregation* runs inside attested secureTF enclaves over network-shield
+TLS.
 
-Aggregation is FedAvg: the global model is the example-count-weighted
-mean of the submitted local models.
-
-**Secure-aggregation mode** (``secure_aggregation=True``) strengthens
-the trust story further, following the tf-encrypted / Bonawitz et al.
-shape: the single aggregator becomes a *committee* of ``n_aggregators``
-enclaves, and each hospital submits only **additive ring shares** of its
-example-weighted update (:mod:`repro.crypto.masking`) — one share per
-aggregator.  Any single aggregator (and any proper subset of the
-committee) holds uniformly random masks, so even a compromised
-aggregator enclave learns nothing about an individual hospital's model;
-only the combination of *every* committee member's partial sum reveals
-the aggregate.  Fixed-point ring arithmetic makes the masked aggregate
-bit-exact: it equals the unmasked fixed-point FedAvg byte for byte.
+A federation is a :class:`~repro.core.training.TrainingJob` whose
+workers are the hospitals and whose PS shards aggregate, so a round is
+a round of the one trainer, with its retries, at-most-once window,
+fencing and checkpoints.  A hospital's step is ``local_steps`` of SGD
+from the global model; the shards install the example-weighted mean of
+the pushed models at the round barrier (FedAvg).  With
+``secure_aggregation=True`` the ``n_aggregators`` shards receive them
+through the :class:`~repro.cluster.sharding.SecureAggregation` push
+codec — one additive ring share each — so no single enclave holds a
+hospital's update in the clear, and the aggregate is still the
+fixed-point FedAvg byte for byte.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 import repro.tensor as tf
-from repro._sim import probe
-from repro.cluster.container import Container
 from repro.cluster.node import Node
-from repro.cluster.rpc import SecureRpcClient, SecureRpcServer
+from repro.cluster.retry import RetryPolicy
+from repro.cluster.sharding import SecureAggregation
+from repro.cluster.worker import TrainingWorker
 from repro.core.platform import SecureTFPlatform
-from repro.core.training import training_runtime_config
-from repro.crypto import encoding
-from repro.crypto.certs import Certificate
-from repro.crypto.masking import (
-    combine_tensor_shares,
-    decode_fixed,
-    share_tensors,
-)
-from repro.crypto.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
-from repro.crypto.tls import TlsIdentity
+from repro.core.training import TrainingJob, TrainingJobConfig
 from repro.data.loaders import Dataset
-from repro.enclave.attestation import AttestationVerifier
 from repro.enclave.sgx import SgxMode
-from repro.errors import AttestationError, ConfigurationError
-from repro.tensor.arrays import decode_array_dict, encode_array_dict
-from repro.tensor.variables import GLOBAL_VARIABLES
+from repro.errors import ConfigurationError
 
 
-class Hospital:
+class Hospital(TrainingWorker):
     """A data owner doing local training on its own trusted hardware."""
 
     def __init__(
@@ -67,147 +50,37 @@ class Hospital:
         batch_size: int = 50,
         seed: int = 0,
     ) -> None:
-        from repro.models import build_model
-
-        self.name = name
-        self.node = node
+        super().__init__(name, node, None, model_name=model_name, seed=seed)
         self.dataset = dataset
         self.batch_size = batch_size
-        built = build_model(model_name, seed=seed)
-        self._built = built
-        with built.graph.as_default():
-            self._labels = tf.placeholder(
-                "float32", (None, dataset.num_classes), name=f"{name}/labels"
-            )
-            self._loss = tf.losses.softmax_cross_entropy(self._labels, built.logits)
+        self.examples = len(dataset)
+        with self.graph.as_default():
             self._train_op = tf.optimizers.GradientDescent(learning_rate).minimize(
                 self._loss
             )
-        self._variables = [
-            v for v in built.graph.get_collection(GLOBAL_VARIABLES) if v.trainable
-        ]
-        self._session = tf.Session(graph=built.graph)
-        self.identity: Optional[TlsIdentity] = None
 
-    def weights(self) -> Dict[str, np.ndarray]:
-        return {v.name: v.value for v in self._variables}
-
-    def load_weights(self, weights: Dict[str, np.ndarray]) -> None:
-        for var in self._variables:
-            var.load(weights[var.name])
-
-    def local_train(self, steps: int, round_seed: int = 0) -> float:
-        """Run ``steps`` local SGD steps; returns the last batch loss."""
+    def compute_update(self, batch: Tuple[int, int]) -> Tuple[Dict, float]:
+        """``(local_steps, round_seed)``: local SGD -> (model, last loss)."""
+        local_steps, round_seed = batch
         loss = float("nan")
         batches = self.dataset.batches(self.batch_size, shuffle_seed=round_seed)
-        for _, (images, labels) in zip(range(steps), batches):
+        for _, (images, labels) in zip(range(local_steps), batches):
             loss = self._session.run(
                 [self._loss, self._train_op],
                 {self._built.input: images, self._labels: labels},
             )[0]
-        return float(loss)
+        return self.weights(), float(loss)
 
     def evaluate_accuracy(self, test: Dataset, n: int = 500) -> float:
-        images = test.images[:n]
-        labels = test.labels[:n]
         logits = self._session.run(
-            self._built.logits, {self._built.input: images}
+            self._built.logits, {self._built.input: test.images[:n]}
         )
-        return float((np.argmax(logits, axis=1) == labels).mean())
-
-
-class _AggregatorEnclave:
-    """One committee member of the secure-aggregation mode.
-
-    Holds only the *wrapping sum of the ring shares* submitted to it —
-    uniformly random masks until combined with every other member's
-    partial sum (the DataOwner/ModelOwner split of tf-encrypted: data
-    owners submit shares, no single compute party sees plaintext).
-    """
-
-    def __init__(self, fl: "FederatedLearning", index: int, node: Node) -> None:
-        self.fl = fl
-        self.index = index
-        self.node = node
-        self.address = f"fl-agg{index}-{fl.session}"
-        self.container: Optional[Container] = None
-        self.server: Optional[SecureRpcServer] = None
-        self.shield = None
-        #: Wrapping per-tensor sum of the shares this member received.
-        self.partial: Dict[str, np.ndarray] = {}
-        self.submissions = 0
-        self.total_examples = 0
-
-    def start(self, config) -> None:
-        self.container = Container(self.address, self.node, config)
-        runtime = self.container.start()
-        identity = self.fl.platform.provision_runtime(
-            runtime, self.node, self.fl.session
-        )
-        self.shield = runtime.make_net_shield(
-            identity.tls_identity(), [Ed25519PublicKey(identity.trusted_root)]
-        )
-        self.server = SecureRpcServer(
-            self.fl.platform.network, self.address, self.node, self.shield,
-            require_client_cert=True,
-        )
-        self.server.register("submit_share", self._handle_submit_share)
-        self.server.register("pull_partial", self._handle_pull_partial)
-        if self.index == 0:
-            self.server.register("pull_global", self.fl._handle_pull)
-        self.server.start()
-        self.runtime = runtime
-
-    def _handle_submit_share(self, payload: bytes, peer) -> bytes:
-        self.fl._check_peer(peer)
-        body = encoding.decode(payload)
-        share = decode_array_dict(body["share"])
-        for name in sorted(share):
-            if name in self.partial:
-                self.partial[name] = self.partial[name] + share[name]
-            else:
-                self.partial[name] = np.asarray(share[name], dtype=np.uint64)
-        self.total_examples += int(body["n_examples"])
-        self.submissions += 1
-        self.fl.share_submissions += 1
-        return b"ok"
-
-    def _handle_pull_partial(self, payload: bytes, peer) -> bytes:
-        # Committee-internal: only another attested enclave of this
-        # session (never a hospital) may read a partial sum.
-        if (
-            peer is None
-            or not peer.startswith(f"{self.fl.session}/")
-            or "/hospital/" in peer
-        ):
-            raise AttestationError(
-                f"peer {peer!r} is not an aggregator of session "
-                f"{self.fl.session!r}"
-            )
-        reply = encoding.encode(
-            {
-                "partial": encode_array_dict(self.partial),
-                "n_examples": self.total_examples,
-                "submissions": self.submissions,
-            }
-        )
-        self.reset()
-        return reply
-
-    def reset(self) -> None:
-        self.partial = {}
-        self.submissions = 0
-        self.total_examples = 0
-
-    def stop(self) -> None:
-        if self.server is not None:
-            self.server.stop()
-        if self.container is not None and self.container.running:
-            self.container.stop()
+        return float((np.argmax(logits, axis=1) == test.labels[:n]).mean())
 
 
 class FederatedLearning:
-    """The attested global-aggregation enclave plus its hospital clients."""
+    """Hospitals plus the attested aggregation enclaves, as one job (its
+    shards run from ``aggregator_node``, default the first node)."""
 
     def __init__(
         self,
@@ -221,303 +94,35 @@ class FederatedLearning:
     ) -> None:
         if len(hospitals) < 2:
             raise ConfigurationError("federated learning needs >= 2 parties")
-        if secure_aggregation and n_aggregators < 2:
-            raise ConfigurationError(
-                "secure aggregation needs >= 2 aggregator enclaves "
-                "(a single member's partial sum is the plaintext aggregate)"
-            )
-        self.platform = platform
-        self.session = session
-        self.hospitals = hospitals
-        self.mode = mode
-        self.secure_aggregation = secure_aggregation
-        self.node = aggregator_node or platform.nodes[0]
-        self._container: Optional[Container] = None
-        self._server: Optional[SecureRpcServer] = None
-        self._global: Dict[str, np.ndarray] = {}
-        self._pending: List = []
+        self.job = TrainingJob(
+            platform,
+            TrainingJobConfig(
+                session=session,
+                n_workers=len(hospitals),
+                mode=mode,
+                network_shield=mode is not SgxMode.NATIVE,
+                retry_policy=RetryPolicy(max_attempts=4, base_delay=0.02),
+                ps_shards=n_aggregators if secure_aggregation else 1,
+            ),
+            workers=hospitals,
+            codec=SecureAggregation(n_aggregators) if secure_aggregation else None,
+            ps_node=aggregator_node or platform.nodes[0],
+        )
+        self.address = f"{session}-ps0"
         self.rounds_completed = 0
-        #: Total ring-share submissions accepted across the committee.
-        self.share_submissions = 0
-        self.aggregators: List[_AggregatorEnclave] = []
-        if secure_aggregation:
-            nodes = platform.nodes
-            start_index = nodes.index(self.node)
-            self.aggregators = [
-                _AggregatorEnclave(
-                    self, i, nodes[(start_index + i) % len(nodes)]
-                )
-                for i in range(n_aggregators)
-            ]
-            self.address = self.aggregators[0].address
-        else:
-            self.address = f"fl-aggregator-{session}"
-
-    # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Launch + attest the aggregator(s); issue hospital identities."""
-        config = training_runtime_config(
-            f"fl-{self.session}", self.mode
-        )
-        self.platform.register_session(
-            self.session, [config], accept_debug=self.mode is not SgxMode.HW
-        )
-        verifier = AttestationVerifier(self.platform.provisioning.public_key())
-        if self.secure_aggregation:
-            # The whole committee runs the same attested image; hospitals
-            # verify every member's quote — a single unattested member
-            # would hold real shares.
-            for aggregator in self.aggregators:
-                aggregator.start(config)
-                quote = aggregator.runtime.attest()
-                report = verifier.verify(
-                    quote, accept_debug=self.mode is not SgxMode.HW
-                )
-                if report.measurement != aggregator.runtime.measurement:
-                    raise AttestationError(
-                        f"aggregator {aggregator.address} quote does not "
-                        "match its image"
-                    )
-        else:
-            self._container = Container(self.address, self.node, config)
-            runtime = self._container.start()
-            identity = self.platform.provision_runtime(
-                runtime, self.node, self.session
-            )
-            shield = runtime.make_net_shield(
-                identity.tls_identity(), [Ed25519PublicKey(identity.trusted_root)]
-            )
-            self._server = SecureRpcServer(
-                self.platform.network, self.address, self.node, shield,
-                require_client_cert=True,
-            )
-            self._server.register("pull_global", self._handle_pull)
-            self._server.register("submit", self._handle_submit)
-            self._server.start()
-            self._runtime = runtime
-
-            # Hospitals verify the aggregator's quote before trusting it.
-            quote = runtime.attest()
-            report = verifier.verify(
-                quote, accept_debug=self.mode is not SgxMode.HW
-            )
-            expected = runtime.measurement
-            if report.measurement != expected:
-                raise AttestationError(
-                    "aggregator quote does not match its image"
-                )
-
-        # CAS issues each hospital a client TLS identity (data owners are
-        # authenticated parties of the session).
-        for hospital in self.hospitals:
-            key_bytes, cert_bytes = self.platform.cas.keys.new_tls_identity(
-                f"{self.session}/hospital/{hospital.name}",
-                now=hospital.node.clock.now,
-            )
-            hospital.identity = TlsIdentity(
-                signing_key=Ed25519PrivateKey(key_bytes),
-                certificate=Certificate.from_bytes(cert_bytes),
-            )
-
-        self._global = self.hospitals[0].weights()
-
-    # ------------------------------------------------------------------
-
-    def _handle_pull(self, payload: bytes, peer) -> bytes:
-        self._check_peer(peer)
-        return encode_array_dict(self._global)
-
-    def _handle_submit(self, payload: bytes, peer) -> bytes:
-        self._check_peer(peer)
-        body = encoding.decode(payload)
-        weights = decode_array_dict(body["weights"])
-        self._pending.append((weights, body["n_examples"]))
-        if len(self._pending) == len(self.hospitals):
-            self._aggregate()
-        return b"ok"
-
-    def _check_peer(self, peer) -> None:
-        if peer is None or not peer.startswith(f"{self.session}/hospital/"):
-            raise AttestationError(
-                f"peer {peer!r} is not an authenticated hospital of "
-                f"session {self.session!r}"
-            )
-
-    def _aggregate(self) -> None:
-        """FedAvg over the pending submissions (inside the enclave)."""
-        total = sum(n for _, n in self._pending)
-        merged: Dict[str, np.ndarray] = {}
-        for name in self._global:
-            merged[name] = sum(
-                weights[name] * (n / total) for weights, n in self._pending
-            ).astype(np.float32)
-        # Charge the aggregation compute on the enclave's clock.
-        flops = 3 * sum(a.size for a in merged.values()) * len(self._pending)
-        self.node.clock.advance(
-            flops / self.node.cost_model.flops_per_second_full_tf
-        )
-        self._global = merged
-        self._pending = []
-        self.rounds_completed += 1
-
-    # ------------------------------------------------------------------
+        """Launch + attest the aggregation shards; certify the hospitals."""
+        self.job.start()
 
     def run_round(self, local_steps: int = 5, round_seed: int = 0) -> float:
         """One federated round; returns the mean local loss."""
-        if self._server is None and not self.aggregators:
-            raise ConfigurationError("start() the federation first")
-        losses = []
-        for hospital in self.hospitals:
-            assert hospital.identity is not None
-            shield = _hospital_shield(self.platform, hospital)
-            client = SecureRpcClient(
-                self.platform.network,
-                f"{hospital.name}@{hospital.node.node_id}-r{self.rounds_completed}-{round_seed}",
-                hospital.node,
-                shield=shield,
-            )
-            conn = client.connect(self.address, expected_server=None)
-            global_weights = decode_array_dict(conn.call("pull_global", b""))
-            hospital.load_weights(global_weights)
-            losses.append(hospital.local_train(local_steps, round_seed=round_seed))
-            if self.secure_aggregation:
-                self._submit_shares(hospital, shield, round_seed)
-            else:
-                conn.call(
-                    "submit",
-                    encoding.encode(
-                        {
-                            "weights": encode_array_dict(hospital.weights()),
-                            "n_examples": len(hospital.dataset),
-                        }
-                    ),
-                )
-        if self.secure_aggregation:
-            self._finish_secure_round()
-        self.platform.network.barrier(
-            [h.node.clock for h in self.hospitals]
-            + (
-                [a.node.clock for a in self.aggregators]
-                if self.aggregators
-                else [self.node.clock]
-            )
-        )
-        return float(np.mean(losses))
-
-    # -- secure-aggregation round ----------------------------------------
-
-    def _submit_shares(self, hospital: Hospital, shield, round_seed: int) -> None:
-        """Split the hospital's example-weighted update into ring shares
-        and hand exactly one share to each committee member.  The mask
-        stream is seeded per (hospital, round), so seeded runs replay
-        the identical shares."""
-        n = len(hospital.dataset)
-        weighted = {
-            name: value * np.float32(n)
-            for name, value in hospital.weights().items()
-        }
-        rng = hospital.node.rng.child(
-            f"fl-mask-r{self.rounds_completed}-s{round_seed}-{hospital.name}"
-        )
-        with probe.span(
-            hospital.node.clock,
-            "secure_agg.mask",
-            category="federated",
-            attrs={"hospital": hospital.name, "round": self.rounds_completed},
-        ):
-            shares = share_tensors(weighted, len(self.aggregators), rng)
-        for aggregator, share in zip(self.aggregators, shares):
-            client = SecureRpcClient(
-                self.platform.network,
-                f"{hospital.name}@{hospital.node.node_id}"
-                f"-agg{aggregator.index}-r{self.rounds_completed}-{round_seed}",
-                hospital.node,
-                shield=shield,
-            )
-            conn = client.connect(aggregator.address, expected_server=None)
-            conn.call(
-                "submit_share",
-                encoding.encode(
-                    {
-                        "share": encode_array_dict(share),
-                        "n_examples": n,
-                    }
-                ),
-            )
-
-    def _finish_secure_round(self) -> None:
-        """Combine the committee's partial sums into the new global model.
-
-        The primary member pulls every other member's partial over the
-        attested channel, wrapping-adds them to its own, and only that
-        combined ring sum — never any single partial — is decoded back
-        to floats.  Exact fixed-point division by the example total
-        yields the FedAvg mean, bit-identical to the unmasked
-        fixed-point computation.
-        """
-        primary = self.aggregators[0]
-        expected = len(self.hospitals)
-        if primary.submissions != expected:
-            raise ConfigurationError(
-                f"round incomplete: {primary.submissions}/{expected} shares"
-            )
-        partials = [dict(primary.partial)]
-        total = primary.total_examples
-        client = SecureRpcClient(
-            self.platform.network,
-            f"{primary.address}-combine-r{self.rounds_completed}",
-            primary.node,
-            shield=primary.shield,
-        )
-        for member in self.aggregators[1:]:
-            conn = client.connect(member.address, expected_server=None)
-            body = encoding.decode(conn.call("pull_partial", b""))
-            if int(body["submissions"]) != expected:
-                raise ConfigurationError(
-                    f"committee member {member.address} is missing shares"
-                )
-            partials.append(decode_array_dict(body["partial"]))
-        primary.reset()
-        with probe.span(
-            primary.node.clock,
-            "secure_agg.combine",
-            category="federated",
-            attrs={"round": self.rounds_completed, "members": len(self.aggregators)},
-        ):
-            combined = combine_tensor_shares(partials)
-            self._global = {
-                name: (decode_fixed(value) / np.float32(total)).astype(np.float32)
-                for name, value in combined.items()
-            }
-            # Charge the combine + decode on the primary's enclave clock.
-            flops = (
-                3 * sum(a.size for a in combined.values()) * len(self.aggregators)
-            )
-            primary.node.clock.advance(
-                flops / primary.node.cost_model.flops_per_second_full_tf
-            )
+        result = self.job.train([(local_steps, round_seed)] * self.job.config.n_workers)
         self.rounds_completed += 1
+        return result.final_loss
 
     def global_weights(self) -> Dict[str, np.ndarray]:
-        return dict(self._global)
+        return self.job.weights()
 
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.stop()
-        if self._container is not None and self._container.running:
-            self._container.stop()
-        for aggregator in self.aggregators:
-            aggregator.stop()
-
-
-def _hospital_shield(platform: SecureTFPlatform, hospital: Hospital):
-    from repro.runtime.net_shield import NetworkShield
-
-    return NetworkShield(
-        hospital.identity,
-        [platform.cas.keys.ca.public_key()],
-        platform.cost_model,
-        hospital.node.clock,
-        hospital.node.rng.child(f"fl-{hospital.name}"),
-    )
+        self.job.stop()

@@ -209,9 +209,6 @@ class InferenceService:
         self.stats.total_latency += self.node.clock.now - before
         return label
 
-    def classify_batch(self, images: np.ndarray) -> List[int]:
-        return [self.classify(image) for image in images]
-
     # ------------------------------------------------------------------
 
     def serve(self, address: Optional[str] = None) -> str:

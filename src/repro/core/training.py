@@ -20,12 +20,15 @@ at the same network address, resuming at the exact version it reached.
 Chaos plans (:class:`~repro.cluster.faults.FaultPlan`) attach via
 :meth:`TrainingJob.attach_chaos`; their scheduled container crashes
 fire at round boundaries through the trainer's ``tick``.
+
+A job may be given its workers instead: data owners on their own
+hardware (§6.2, :mod:`repro.core.federated`) that CAS certifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.cluster.container import Container
 from repro.crypto import encoding
@@ -38,13 +41,17 @@ from repro.cluster.parameter_server import (
     SyncTrainer,
     TrainingResult,
 )
-from repro.cluster.sharding import GradientQuantizer
+from repro.cluster.node import Node
+from repro.cluster.sharding import GradientQuantizer, SecureAggregation
 from repro.cluster.retry import RetryPolicy
 from repro.cluster.worker import TrainingWorker
 from repro.core.platform import SecureTFPlatform
-from repro.crypto.ed25519 import Ed25519PublicKey
+from repro.crypto.certs import Certificate
+from repro.crypto.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from repro.crypto.tls import TlsIdentity
 from repro.enclave.sgx import SgxMode
 from repro.errors import ClusterError, ConfigurationError
+from repro.runtime.net_shield import NetworkShield
 from repro.runtime.scone import RuntimeConfig
 from repro.tensor.engine import FULL_TF_PROFILE
 
@@ -104,11 +111,29 @@ class TrainingJobConfig:
 
 
 class TrainingJob:
-    """A launched PS shards + workers deployment."""
+    """A launched PS shards + workers deployment.
 
-    def __init__(self, platform: SecureTFPlatform, config: TrainingJobConfig) -> None:
+    ``workers``: data owners admitted in place of the worker containers;
+    ``codec``: a push codec other than the config's quantizer; shard
+    ``k`` runs ``k`` nodes before ``ps_node`` (default the last node).
+    """
+
+    def __init__(
+        self,
+        platform: SecureTFPlatform,
+        config: TrainingJobConfig,
+        workers: Optional[List[TrainingWorker]] = None,
+        codec: Optional[SecureAggregation] = None,
+        ps_node: Optional[Node] = None,
+    ) -> None:
         if config.n_workers < 1:
             raise ConfigurationError("training needs at least one worker")
+        if workers is not None and len(workers) != config.n_workers:
+            raise ConfigurationError(
+                f"{len(workers)} workers given for {config.n_workers} slots"
+            )
+        if codec is not None and config.gradient_quantization_bits is not None:
+            raise ConfigurationError("a job pushes through one codec")
         if config.ps_shards < 1:
             raise ConfigurationError("training needs at least one PS shard")
         if config.network_shield and config.mode is SgxMode.NATIVE:
@@ -122,11 +147,13 @@ class TrainingJob:
         #: The PS plane: ``ps_shards`` servers behind one shard map.
         self.ps_service: Optional[ShardedParameterService] = None
         self.trainer: Optional[SyncTrainer] = None
-        self.quantizer: Optional[GradientQuantizer] = (
+        self.codec: Union[GradientQuantizer, SecureAggregation, None] = (
             GradientQuantizer(config.gradient_quantization_bits)
             if config.gradient_quantization_bits is not None
-            else None
+            else codec
         )
+        self._owners = workers
+        self._ps_node = ps_node
         self._containers: List[Container] = []
         self._worker_spec: Optional[ContainerSpec] = None
         self._shard_specs: List[ContainerSpec] = []
@@ -212,7 +239,7 @@ class TrainingJob:
             shield=self._shield_for(container),
             checkpoint_store=self._ps_store,
             syscalls=container.runtime.syscalls,
-            quantizer=self.quantizer,
+            codec=self.codec,
         )
 
     def _build_worker(self, slot: int, container: Container) -> TrainingWorker:
@@ -225,6 +252,24 @@ class TrainingJob:
             shield=self._shield_for(container),
         )
         self._worker_slots[worker.name] = slot
+        return worker
+
+    def _admit(self, worker: TrainingWorker) -> TrainingWorker:
+        """Enrol a data owner: it has no container to attest, so CAS
+        certifies it as ``{session}/owner/{name}`` — a peer of this
+        session's shards and of no other session's."""
+        if self.config.network_shield:
+            keys, node = self.platform.active_cas.keys, worker.node
+            key, cert = keys.new_tls_identity(
+                f"{self.config.session}/owner/{worker.name}", now=node.clock.now
+            )
+            worker.shield = NetworkShield(
+                TlsIdentity(Ed25519PrivateKey(key), Certificate.from_bytes(cert)),
+                [keys.ca.public_key()],
+                self.platform.cost_model,
+                node.clock,
+                node.rng.child(f"owner-{worker.name}"),
+            )
         return worker
 
     def start(self) -> None:
@@ -261,12 +306,15 @@ class TrainingJob:
         # node matches Fig. 2).  Each shard gets its own spec so the
         # orchestrator tracks restart lineage per shard.
         shards: List[ParameterServer] = []
+        first = (
+            nodes.index(self._ps_node) if self._ps_node is not None else len(nodes) - 1
+        )
         for k in range(cfg.ps_shards):
             spec = ContainerSpec(
                 f"{cfg.session}-ps{k}", lambda node, index: self._ps_config()
             )
             self._shard_specs.append(spec)
-            node = nodes[(len(nodes) - 1 - k) % len(nodes)]
+            node = nodes[(first - k) % len(nodes)]
             container = orchestrator.launch(spec, node=node)
             self._containers.append(container)
             self._shard_containers.append(container)
@@ -280,7 +328,9 @@ class TrainingJob:
             shards, barrier_store=self._ps_store
         )
 
-        for index in range(cfg.n_workers):
+        if self._owners is not None:
+            self.workers = [self._admit(worker) for worker in self._owners]
+        for index in range(len(self.workers), cfg.n_workers):
             # One worker per node, wrapping (the paper's 3-machine cluster
             # colocates the PS with a worker; PS work is microseconds).
             node = nodes[index % len(nodes)]
@@ -289,25 +339,20 @@ class TrainingJob:
             self._worker_containers.append(container)
             self.workers.append(self._build_worker(index, container))
 
-        self.ps_service.initialize(self.workers[0].initial_weights())
+        self.ps_service.initialize(self.workers[0].weights())
         self.trainer = SyncTrainer(
             self.platform.network,
             self.ps_service,
             self.workers,
             retry=cfg.retry_policy,
             recovery=self if cfg.retry_policy is not None else None,
-            quantizer=self.quantizer,
+            codec=self.codec,
         )
 
     def train(self, batches: List, steps: Optional[int] = None) -> TrainingResult:
         if self.trainer is None:
             raise ConfigurationError("start() the job before training")
         return self.trainer.train(batches, steps=steps)
-
-    def simulated_events(self) -> int:
-        """Total event-heap events executed on this job's platform so
-        far (deliveries, replies, retry timers, watchdog probes)."""
-        return self.platform.scheduler.events_processed
 
     # ------------------------------------------------------------------
     # Chaos attachment + recovery supervision (SyncTrainer's ``recovery``

@@ -47,7 +47,7 @@ def test_pull_push_updates_weights(cluster, network):
     worker = make_worker(cluster[0], "w0")
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.1)
     service = ShardedParameterService([ps])
-    service.initialize(worker.initial_weights())
+    service.initialize(worker.weights())
     v0 = ps.version
 
     train, _ = synthetic_mnist(n_train=100, n_test=10, seed=0)
@@ -64,7 +64,7 @@ def test_training_reduces_loss(cluster, network):
     worker = make_worker(cluster[0], "w0")
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.1)
     service = ShardedParameterService([ps])
-    service.initialize(worker.initial_weights())
+    service.initialize(worker.weights())
     train, _ = synthetic_mnist(n_train=800, n_test=10, seed=0)
     batches = list(train.batches(100))
     trainer = SyncTrainer(network, service, [worker])
@@ -81,7 +81,7 @@ def test_two_workers_split_batches(cluster, network):
     workers = [make_worker(cluster[i], f"w{i}") for i in range(2)]
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.05)
     service = ShardedParameterService([ps])
-    service.initialize(workers[0].initial_weights())
+    service.initialize(workers[0].weights())
     train, _ = synthetic_mnist(n_train=400, n_test=10, seed=0)
     batches = list(train.batches(100))
     trainer = SyncTrainer(network, service, workers)
@@ -93,7 +93,7 @@ def test_two_workers_split_batches(cluster, network):
 def test_gradient_shape_mismatch_rejected(cluster, network):
     worker = make_worker(cluster[0], "w0")
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.1)
-    ps.initialize(worker.initial_weights())
+    ps.initialize(worker.weights())
     bad = {name: np.zeros((1, 1), np.float32) for name in ps.weights}
     payload = encoding.encode(
         {"gradients": encode_array_dict(bad), "declared_flops": 0}
@@ -109,7 +109,7 @@ def test_gradient_shape_mismatch_rejected(cluster, network):
 def test_unknown_gradient_name_rejected(cluster, network):
     worker = make_worker(cluster[0], "w0")
     ps = ParameterServer(cluster[2], "ps", network, learning_rate=0.1)
-    ps.initialize(worker.initial_weights())
+    ps.initialize(worker.weights())
     payload = encoding.encode(
         {
             "gradients": encode_array_dict(

@@ -36,12 +36,15 @@ def test_window_entries_and_memory_stay_flat_over_three_windows(provisioning):
         for i in (0, 1)
     ]
     pushes = {
-        address: encoding.encode(
+        service.shard(k).address: encoding.encode(
             {"gradients": encode_array_dict(part), "declared_flops": 0}
         )
-        for address, part in service.partition_gradients(
-            {name: np.ones(PIECE, dtype=np.float32) for name in model}
-        ).items()
+        for k, part in enumerate(
+            service.shard_map.partition(
+                {name: np.ones(PIECE, dtype=np.float32) for name in model}
+            )
+        )
+        if part
     }
     assert len(pushes) == 2  # one piece on each shard
 

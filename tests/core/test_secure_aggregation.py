@@ -7,6 +7,8 @@ no single committee member may hold anything but uniformly random masks,
 and hospitals must be unable to read partial sums.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.enclave.sgx import SgxMode
 from repro.errors import AttestationError, ConfigurationError, RpcError
 
 
-def make_federation(seed=5, n_aggregators=2, n_train=300, take=100):
+def make_federation(seed=5, n_aggregators=2, n_train=300, take=100, secure=True):
     platform = SecureTFPlatform(PlatformConfig(n_nodes=3, seed=seed))
     train, test = synthetic_mnist(n_train=n_train, n_test=200, seed=6)
     hospitals = [
@@ -33,7 +35,7 @@ def make_federation(seed=5, n_aggregators=2, n_train=300, take=100):
     ]
     fl = FederatedLearning(
         platform, "sfl", hospitals, mode=SgxMode.HW,
-        secure_aggregation=True, n_aggregators=n_aggregators,
+        secure_aggregation=secure, n_aggregators=n_aggregators,
     )
     return platform, fl, hospitals, test
 
@@ -66,8 +68,35 @@ def test_secure_aggregate_is_bit_exact_fixed_point_fedavg():
         np.testing.assert_array_equal(aggregated[name], reference)
 
     # Every hospital handed one share to every committee member.
-    assert fl.share_submissions == len(hospitals) * len(fl.aggregators)
+    assert [ps.shard_stats.pushes for ps in fl.job.ps_service.shards] == [
+        len(hospitals)
+    ] * 2
     fl.stop()
+
+
+#: SHA-256 of ``global_weights()`` after two rounds of
+#: ``make_federation()`` (sorted names, raw float32 bytes), captured
+#: before federated rounds ran on the sharded trainer.  Ring arithmetic
+#: is exact, so the secure aggregate may not move by a bit; plain FedAvg
+#: applies ``sum(w_i * (n_i / N))`` in hospital order, as it always did.
+PINNED_GLOBAL_WEIGHTS = {
+    True: "a1401c467316a99a85d1159a2be05d99298bfd0b1579e1d60de7ee71e1b32b91",
+    False: "987391ec3b3e4def557d89cbea9e633fa7928e6174aaa9d571990b2325b9a0de",
+}
+
+
+@pytest.mark.parametrize("secure", [True, False], ids=["secure", "plain"])
+def test_two_rounds_match_the_pinned_aggregate(secure):
+    _, fl, _, _ = make_federation(secure=secure)
+    fl.start()
+    for round_index in range(2):
+        fl.run_round(local_steps=3, round_seed=round_index)
+    weights = fl.global_weights()
+    fl.stop()
+    digest = hashlib.sha256(
+        b"".join(weights[name].tobytes() for name in sorted(weights))
+    ).hexdigest()
+    assert digest == PINNED_GLOBAL_WEIGHTS[secure]
 
 
 def test_secure_rounds_are_deterministic():
@@ -120,58 +149,64 @@ def test_secure_rounds_improve_accuracy():
     fl.stop()
 
 
-def test_committee_partials_are_masked_until_combined():
+def test_committee_partials_are_masked_until_combined(monkeypatch):
     """A single member's partial sum is not the (encoded) aggregate:
     each partial is a share of it, useless alone."""
     _, fl, hospitals, _ = make_federation()
     fl.start()
-    # Drive submissions by hand so the partials survive inspection
-    # (run_round's combine step resets them).
-    from repro.core.federated import _hospital_shield
+    # Read every member's partial sums at the round barrier, before the
+    # first owner installs its pieces (which moves its round on).
+    service = fl.job.ps_service
+    keys = [piece.key for piece in service.shard_map.pieces]
+    partials = []
+    first = service.shard(service.active_shards[0])
+    finish = first.finish_round
 
-    for hospital in hospitals:
-        hospital.local_train(2, round_seed=0)
-        fl._submit_shares(hospital, _hospital_shield(fl.platform, hospital), 0)
+    def inspect_then_finish(round_tag, expected, *rest):
+        for ps in service.shards:
+            partials.append(ps._round_sums(round_tag, expected, keys))
+        finish(round_tag, expected, *rest)
 
-    total = sum(len(h.dataset) for h in hospitals)
+    monkeypatch.setattr(first, "finish_round", inspect_then_finish)
+    fl.run_round(local_steps=2, round_seed=0)
+
     expected = {}
     for hospital in hospitals:
         n = np.float32(len(hospital.dataset))
-        for name, value in hospital.weights().items():
-            encoded = encode_fixed(value * n)
-            expected[name] = (
-                combine_shares([expected[name], encoded])
-                if name in expected
-                else encoded
-            )
+        for part in service.shard_map.partition(hospital.weights()):
+            for key, value in part.items():
+                encoded = encode_fixed(value * n)
+                expected[key] = (
+                    combine_shares([expected[key], encoded])
+                    if key in expected
+                    else encoded
+                )
     # No single partial equals the aggregate encoding; the wrapping sum
     # of all partials does, exactly.
-    name = sorted(expected)[0]
-    for aggregator in fl.aggregators:
-        assert not np.array_equal(aggregator.partial[name], expected[name])
-    combined = combine_shares(
-        [a.partial[name] for a in fl.aggregators]
-    )
-    np.testing.assert_array_equal(combined, expected[name])
+    key = sorted(expected)[0]
+    assert len(partials) == 2
+    for partial in partials:
+        assert not np.array_equal(partial[key], expected[key])
+    combined = combine_shares([partial[key] for partial in partials])
+    np.testing.assert_array_equal(combined, expected[key])
     fl.stop()
 
 
 def test_hospitals_cannot_read_partial_sums():
     from repro.cluster.rpc import SecureRpcClient
-    from repro.core.federated import _hospital_shield
 
-    _, fl, hospitals, _ = make_federation()
+    platform, fl, hospitals, _ = make_federation()
     fl.start()
     hospital = hospitals[0]
     client = SecureRpcClient(
-        fl.platform.network,
+        platform.network,
         f"{hospital.name}@{hospital.node.node_id}-snoop",
         hospital.node,
-        shield=_hospital_shield(fl.platform, hospital),
+        shield=hospital.shield,
     )
-    conn = client.connect(fl.aggregators[1].address, expected_server=None)
+    conn = client.connect(fl.job.ps_service.shard(1).address, expected_server=None)
     with pytest.raises((AttestationError, RpcError)):
-        conn.call("pull_partial", b"")
+        conn.call("partial", b"")
     fl.stop()
 
 

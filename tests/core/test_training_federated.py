@@ -85,6 +85,68 @@ def test_native_cannot_enable_network_shield():
         )
 
 
+def _outsider_connection(platform, node, subject, address):
+    """A secure session to ``address`` under a CAS-certified ``subject``."""
+    from repro.cluster.rpc import SecureRpcClient
+    from repro.crypto.certs import Certificate
+    from repro.crypto.ed25519 import Ed25519PrivateKey
+    from repro.crypto.tls import TlsIdentity
+    from repro.runtime.net_shield import NetworkShield
+
+    key_bytes, cert_bytes = platform.cas.keys.new_tls_identity(
+        subject, now=node.clock.now
+    )
+    shield = NetworkShield(
+        TlsIdentity(Ed25519PrivateKey(key_bytes), Certificate.from_bytes(cert_bytes)),
+        [platform.cas.keys.ca.public_key()],
+        platform.cost_model,
+        node.clock,
+        node.rng.child(subject),
+    )
+    return SecureRpcClient(platform.network, subject, node, shield).connect(address)
+
+
+def test_parameter_server_serves_only_its_own_session():
+    """CAS certifies more than one session's enclaves (and users): a
+    certificate that chains to its root is not, on its own, a reason to
+    hand out the model or take a gradient."""
+    from repro.cluster.rpc import SecureRpcClient
+    from repro.crypto import encoding
+    from repro.tensor.arrays import encode_array_dict
+
+    platform = SecureTFPlatform(PlatformConfig(n_nodes=3, seed=2))
+    jobs = [
+        TrainingJob(
+            platform,
+            TrainingJobConfig(session=session, mode=SgxMode.HW, learning_rate=0.05),
+        )
+        for session in ("job", "other")
+    ]
+    for job in jobs:
+        job.start()
+    ps = jobs[0].ps_service.shard(0)
+    push = encoding.encode({"gradients": encode_array_dict({}), "declared_flops": 0})
+    node = platform.node(1)
+    stranger = _outsider_connection(platform, node, "user/random-guy", ps.address)
+    foreign = jobs[1].workers[0]
+    foreigner = SecureRpcClient(
+        platform.network, foreign.address, foreign.node, foreign.shield
+    ).connect(ps.address)
+    for conn in (stranger, foreigner):
+        for method, payload in (("pull", b""), ("push", push)):
+            with pytest.raises(AttestationError):
+                conn.call(method, payload)
+    assert ps.version == 1  # nothing was applied
+    # The job's own worker is still served.
+    own = jobs[0].workers[0]
+    conn = SecureRpcClient(
+        platform.network, own.address, own.node, own.shield
+    ).connect(ps.address)
+    assert encoding.decode(conn.call("pull", b""))["version"] == 1
+    for job in jobs:
+        job.stop()
+
+
 def test_train_requires_start(mnist):
     batches, _ = mnist
     platform = SecureTFPlatform(PlatformConfig(n_nodes=2))
@@ -170,5 +232,5 @@ def test_unauthorized_party_cannot_submit():
     conn = outsider.connect(fl.address)
     # The aggregator's authentication rejection arrives typed.
     with pytest.raises(AttestationError):
-        conn.call("pull_global", b"")
+        conn.call("pull", b"")
     fl.stop()
