@@ -1,15 +1,8 @@
 """The global event-heap scheduler: one clock lattice for whole fleets.
 
-Before this module existed, the simulation interleaved concurrent
-actors by *call nesting*: ``Network.call`` walked the callee's
-:class:`~repro._sim.clock.SimClock` forward inside the caller's Python
-stack frame, drive loops hand-ordered worker phases, and every timer was
-an inline ``clock.advance``.  That synchronous walk is O(nodes) per
-decision ("who acts next?" is a min-scan over per-node clocks) and ties
-Python recursion depth to RPC nesting — fine for the paper's 3-machine
-cluster, a wall-clock ceiling for 100+ node fleets.
-
-This module replaces the walk with a single global **event heap**:
+Concurrent actors interleave on a single global **event heap**, never
+by Python call nesting, so a fleet of N nodes costs O(events · log
+events) however deeply its RPCs nest:
 
 - :class:`Event` — a callback keyed by ``(time, seq)``.  ``time`` is
   absolute simulated seconds on the shared timeline all per-node
@@ -17,24 +10,29 @@ This module replaces the walk with a single global **event heap**:
   assigned at scheduling, so ties break by *scheduling order* and every
   run is deterministic per seed (no dict-order or identity ordering
   anywhere).
-- :class:`Completion` — the park/resume handle.  A blocking caller
-  parks by draining the heap until its completion resolves
-  (:meth:`Scheduler.run_until`); a coroutine activity parks by
-  ``yield``-ing the completion, costing no Python stack at all.
+- :class:`Completion` — the park/resume handle.  There is one way to
+  wait inside the simulation: an *activity* (a generator) ``yield``\\ s
+  the completion, holding no Python stack while it is parked — the way
+  SCONE's user-level threads park on an asynchronous system call
+  instead of blocking the enclave thread.
 - :class:`Scheduler` — the heap plus activity support.  Network
   deliveries, retry/backoff timers, orchestrator health probes, and
-  fault-plan delay spikes are all expressed as scheduled events, so a
-  fleet of N nodes costs O(events · log events) total, independent of
-  how calls nest.
+  fault-plan delay spikes are all expressed as scheduled events.
+
+Synchronous code *outside* the heap (a test, an example, a top-level
+``train()`` or ``run_traffic()``) enters it through :meth:`Scheduler.drive`
+(run an activity to its end) or :meth:`Scheduler.run_until` (wait for
+one completion).  Both refuse to nest: called while an event executes
+they raise :class:`SchedulerError`, because a wait there would drain the
+heap on the caller's stack — other actors' events running inside this
+one's.  Code that runs inside an event waits by ``yield``.
 
 Per-node :class:`SimClock`\\ s remain the *views* components charge time
 to: an event executes "on" some node by advancing that node's clock to
-(at least) the event's timestamp, exactly as the synchronous walk did —
-probe hooks, layer charges, and clock subscriptions keep firing with
-identical values.  The scheduler never moves a clock backwards; a
-callee whose clock is already past an arrival simply handles the event
-late, which is the same saturation semantics ``Network.call`` always
-had.
+(at least) the event's timestamp — probe hooks, layer charges, and clock
+subscriptions fire as the clock moves.  The scheduler never moves a
+clock backwards; a callee whose clock is already past an arrival simply
+handles the event late (a saturated callee delays its callers).
 
 Determinism contract: with a fixed seed, the sequence of executed
 events — and therefore every RNG draw, trace byte, and final weight —
@@ -187,6 +185,9 @@ class Scheduler:
         self.activities_running = 0
         #: Activities currently parked on an unresolved Completion.
         self.activities_parked = 0
+        #: True while an event's callback runs: the waits of synchronous
+        #: code (run_until, drive) refuse to start then.
+        self._executing = False
 
     # -- clock views -----------------------------------------------------
 
@@ -217,14 +218,6 @@ class Scheduler:
             self.heap_peak = len(self._heap)
         return event
 
-    def schedule_after(
-        self, clock: SimClock, delay: float, fn: Callable[[], None], label: str = ""
-    ) -> Event:
-        """Schedule ``fn`` at ``clock.now + delay`` (a per-node timer)."""
-        if delay < 0:
-            raise SchedulerError(f"cannot schedule a negative delay: {delay}")
-        return self.schedule(clock.now + delay, fn, label)
-
     def timer(self, clock: SimClock, delay: float, label: str = "timer") -> Completion:
         """A completion that resolves at ``clock.now + delay``, advancing
         ``clock`` to the fire time first (observers see the advance)."""
@@ -250,62 +243,85 @@ class Scheduler:
 
     # -- execution -------------------------------------------------------
 
-    def _pop_runnable(self) -> Optional[Event]:
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            if not event.cancelled:
-                return event
-            # Cancelled events vanish silently (lazy deletion).
-        return None
-
-    def step(self) -> bool:
-        """Execute the earliest pending event; False when heap is empty."""
-        event = self._pop_runnable()
-        if event is None:
-            return False
-        self.events_processed += 1
-        event.owner = None  # fired: a late cancel() must not count
-        event.fn()
-        return True
-
     def run(self, until: Optional[float] = None) -> int:
         """Drain the heap (optionally only events with ``time <= until``).
 
         Returns the number of events executed by this call.
         """
-        executed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            event = pop(heap)[2]
-            if event.cancelled:
-                continue
-            self.events_processed += 1
-            event.owner = None  # fired: a late cancel() must not count
-            event.fn()
-            executed += 1
-        return executed
+        return self._execute(until, None)
 
     def run_until(self, completion: Completion) -> Any:
         """Drive the heap until ``completion`` resolves; its result.
 
-        This is the *blocking bridge*: synchronous code (the legacy
-        drive loops, ``Network.call``) parks here, keeping its Python
-        stack, while the scheduler executes whatever the fleet has
-        pending — including events that belong to other parked calls.
-        Re-entrant: an event handler may itself park, nesting another
-        ``run_until`` on the stack (depth equals RPC nesting of
-        *synchronous* callers only; coroutine activities never nest).
+        The wait of synchronous code outside the simulation.  Not
+        re-entrant: inside an event it raises :class:`SchedulerError`
+        (an activity yields the completion instead).
         """
-        while not completion.done:
-            if not self.step():
-                raise SchedulerError(
-                    f"deadlock: completion {completion.label!r} cannot resolve "
-                    f"(event heap is empty)"
-                )
+        self._execute(None, completion)
         return completion.result()
+
+    def drive(self, activity: Activity) -> Any:
+        """Run ``activity`` to its end from outside the simulation; its
+        return value (or its exception, raised here).
+
+        The generator is stepped at once, on the caller's stack — no
+        ``spawn:`` event — and each completion it yields is waited for
+        as :meth:`run_until` waits, so the events it causes keep the
+        order and ``seq`` a synchronous caller's would.  Not re-entrant.
+        """
+        self._refuse_nesting()
+        value: Any = None
+        error: Optional[BaseException] = None
+        while True:
+            try:
+                target = activity.throw(error) if error is not None else activity.send(value)
+            except StopIteration as stop:
+                return stop.value
+            if not isinstance(target, Completion):
+                raise SchedulerError(
+                    f"activity yielded {type(target).__name__}; "
+                    "activities may only yield Completions"
+                )
+            self._execute(None, target)
+            value, error = target.value, target.error
+
+    def _execute(self, until: Optional[float], completion: Optional[Completion]) -> int:
+        """Execute events in heap order until the heap is empty, the next
+        event is past ``until``, or ``completion`` resolved; the number
+        executed."""
+        self._refuse_nesting()
+        executed = 0
+        heap = self._heap
+        pop = heapq.heappop
+        self._executing = True
+        try:
+            while completion is None or not completion.done:
+                if not heap:
+                    if completion is not None:
+                        raise SchedulerError(
+                            f"deadlock: completion {completion.label!r} cannot "
+                            "resolve (event heap is empty)"
+                        )
+                    break
+                if until is not None and heap[0][0] > until:
+                    break
+                event = pop(heap)[2]
+                if event.cancelled:
+                    continue  # lazy deletion
+                self.events_processed += 1
+                event.owner = None  # fired: a late cancel() must not count
+                event.fn()
+                executed += 1
+        finally:
+            self._executing = False
+        return executed
+
+    def _refuse_nesting(self) -> None:
+        if self._executing:
+            raise SchedulerError(
+                "the scheduler was entered while an event executes: code "
+                "inside the simulation waits by yielding the completion"
+            )
 
     # -- activities ------------------------------------------------------
 
@@ -318,14 +334,29 @@ class Scheduler:
     ) -> Completion:
         """Run ``activity`` as a resumable coroutine; completion of exit.
 
-        The generator is first stepped at ``at`` (or ``clock.now``, or
-        immediately at time 0).  Each ``yield completion`` parks the
-        activity with *no retained Python stack*; it resumes — in the
+        The generator is first stepped by a ``spawn:`` event at ``at``
+        (or ``clock.now``, or time 0).  Each ``yield completion`` parks
+        the activity with *no retained Python stack*; it resumes — in the
         resolver's deterministic order — with the completion's value, or
         has the completion's error thrown into it.  ``return value``
         resolves the returned completion with ``value``; an uncaught
         exception fails it.
         """
+        done, step = self._activity(activity, name)
+        start = at if at is not None else (clock.now if clock is not None else 0.0)
+        self.schedule(start, step, label=f"spawn:{name}")
+        return done
+
+    def start(self, activity: Activity, name: str = "activity") -> Completion:
+        """:meth:`spawn`, but stepped at once on the caller's stack (no
+        ``spawn:`` event): the activity runs up to its first ``yield``
+        before this returns, as a plain call would."""
+        done, step = self._activity(activity, name)
+        step()
+        return done
+
+    def _activity(self, activity: Activity, name: str):
+        """The exit completion of ``activity`` and the function stepping it."""
         done = Completion(name)
         self.activities_running += 1
         parked = {"now": False}  # this activity's park state (gauge feed)
@@ -335,10 +366,7 @@ class Scheduler:
                 parked["now"] = False
                 self.activities_parked -= 1
             try:
-                if error is not None:
-                    target = activity.throw(error)
-                else:
-                    target = activity.send(value)
+                target = activity.throw(error) if error is not None else activity.send(value)
             except StopIteration as stop:
                 self.activities_running -= 1
                 done.resolve(getattr(stop, "value", None))
@@ -349,19 +377,16 @@ class Scheduler:
                 return
             if not isinstance(target, Completion):
                 self.activities_running -= 1
-                failure = SchedulerError(
+                done.fail(SchedulerError(
                     f"activity {name!r} yielded {type(target).__name__}; "
                     "activities may only yield Completions"
-                )
-                done.fail(failure)
+                ))
                 return
             parked["now"] = True
             self.activities_parked += 1
             target.add_waiter(lambda c: step(c.value, c.error))
 
-        start = at if at is not None else (clock.now if clock is not None else 0.0)
-        self.schedule(start, step, label=f"spawn:{name}")
-        return done
+        return done, step
 
     def __repr__(self) -> str:
         return (

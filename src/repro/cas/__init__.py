@@ -21,7 +21,7 @@ from repro.cas.policy import Policy, PolicyEngine
 from repro.cas.audit import AuditCheckpoint, AuditRecord, FreshnessAuditService
 from repro.cas.keys import KeyManager, ProvisionedIdentity
 from repro.cas.service import CasService, ProvisionBundle
-from repro.cas.client import CasClient, RemoteCasClient
+from repro.cas.client import RemoteCasClient
 from repro.cas.failover import CasPairStats, ReplicatedCasPair
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "ProvisionedIdentity",
     "CasService",
     "ProvisionBundle",
-    "CasClient",
     "RemoteCasClient",
     "CasPairStats",
     "ReplicatedCasPair",

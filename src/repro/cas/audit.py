@@ -104,7 +104,16 @@ class FreshnessAuditService:
         self._commit_hooks.append(hook)
 
     def commit(self, owner: str, path: str, version: int, digest: bytes) -> AuditRecord:
-        """Record a new file version; versions must be strictly monotonic."""
+        """Record a new file version (versions must be strictly monotonic)
+        and fan it out to the commit hooks."""
+        record = self.append(owner, path, version, digest)
+        for hook in self._commit_hooks:
+            hook(record)
+        return record
+
+    def append(self, owner: str, path: str, version: int, digest: bytes) -> AuditRecord:
+        """:meth:`commit` without the hooks: for a caller that replicates
+        the record itself."""
         key = (owner, path)
         current = self._latest.get(key)
         if current is not None and version <= current.version:
@@ -123,8 +132,6 @@ class FreshnessAuditService:
         self._log.append(record)
         self._latest[key] = record
         self._head = record.record_digest()
-        for hook in self._commit_hooks:
-            hook(record)
         return record
 
     def verify(self, owner: str, path: str, version: int, digest: bytes) -> None:

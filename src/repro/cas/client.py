@@ -1,11 +1,10 @@
-"""Client side of CAS provisioning — direct and over the network.
+"""Client side of CAS provisioning, over the simulated network.
 
 The joining enclave's half of the protocol described in
 :mod:`repro.cas.service`: generate the quote-bound X25519 key, attest,
-send the quote, unseal the bundle.  ``CasClient`` talks to a co-located
-service object (CAS on the same node / in-process tests);
-``RemoteCasClient`` goes through the simulated network, charging LAN
-latency — the realistic Fig. 4 configuration.
+send the quote, unseal the bundle.  ``RemoteCasClient`` goes through the
+simulated network, charging LAN latency — the realistic Fig. 4
+configuration.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro._sim import probe
+from repro._sim.scheduler import Activity
 from repro._sim.trace import EventTrace
 from repro.cas.keys import ProvisionedIdentity
 from repro.cas.service import CasService, ProvisionBundle, derive_provision_key
@@ -25,67 +25,6 @@ from repro.crypto.x25519 import X25519PrivateKey, X25519PublicKey
 from repro.enclave.attestation import Quote
 from repro.errors import AttestationError
 from repro.runtime.scone import SconeRuntime
-
-
-def _request_bundle(
-    runtime: SconeRuntime,
-    session: str,
-    send_quote,
-    trace: Optional[EventTrace] = None,
-) -> ProvisionedIdentity:
-    """Common flow: keygen -> quote -> send -> unseal."""
-    with probe.span(
-        runtime.clock,
-        "attestation.provision",
-        category="attestation",
-        attrs={"session": session},
-    ):
-        return _request_bundle_inner(runtime, session, send_quote, trace)
-
-
-def _request_bundle_inner(
-    runtime: SconeRuntime,
-    session: str,
-    send_quote,
-    trace: Optional[EventTrace] = None,
-) -> ProvisionedIdentity:
-    exchange_key = X25519PrivateKey.generate(
-        runtime.rng.child("cas-exchange").random_bytes(32)
-    )
-    public = exchange_key.public_key().public_bytes()
-
-    if trace is not None:
-        with trace.span("quote.generation"):
-            quote = runtime.attest(report_data=public)
-    else:
-        quote = runtime.attest(report_data=public)
-
-    bundle = send_quote(session, quote)
-
-    shared = exchange_key.exchange(X25519PublicKey(bundle.ephemeral_public))
-    transcript = quote.report.measurement + public
-    opener = derive_provision_key(shared, transcript)
-    identity = ProvisionedIdentity.from_bytes(
-        opener.open(bundle.sealed_identity)
-    )
-    if identity.session != session:
-        raise AttestationError(
-            f"CAS provisioned session {identity.session!r}, requested {session!r}"
-        )
-    return identity
-
-
-class CasClient:
-    """Provisioning against a co-located :class:`CasService`."""
-
-    def __init__(self, service: CasService, trace: Optional[EventTrace] = None) -> None:
-        self._service = service
-        self._trace = trace
-
-    def provision(self, runtime: SconeRuntime, session: str) -> ProvisionedIdentity:
-        return _request_bundle(
-            runtime, session, self._service.provision, trace=self._trace
-        )
 
 
 class RemoteCasClient:
@@ -105,24 +44,57 @@ class RemoteCasClient:
         self._trace = trace
         self._retry = retry
 
-    def provision(self, runtime: SconeRuntime, session: str) -> ProvisionedIdentity:
+    def provisioning(self, runtime: SconeRuntime, session: str) -> Activity:
+        """Keygen -> quote -> ``provision`` RPC -> unseal, as an activity
+        returning the :class:`ProvisionedIdentity`."""
         client = RpcClient(
             self._network,
             f"cas-client@{self._node.node_id}",
             self._node,
             retry=self._retry,
         )
-
-        def send(sess: str, quote: Quote) -> ProvisionBundle:
-            payload = encoding.encode({"session": sess, "quote": quote.to_bytes()})
-            if self._trace is not None:
-                with self._trace.span("key.transfer"):
-                    raw = client.call(self._cas_address, "provision", payload)
+        trace = self._trace
+        with probe.span(
+            runtime.clock,
+            "attestation.provision",
+            category="attestation",
+            attrs={"session": session},
+        ):
+            exchange_key = X25519PrivateKey.generate(
+                runtime.rng.child("cas-exchange").random_bytes(32)
+            )
+            public = exchange_key.public_key().public_bytes()
+            if trace is not None:
+                with trace.span("quote.generation"):
+                    quote = runtime.attest(report_data=public)
             else:
-                raw = client.call(self._cas_address, "provision", payload)
-            return ProvisionBundle.from_bytes(raw)
+                quote = runtime.attest(report_data=public)
 
-        return _request_bundle(runtime, session, send, trace=self._trace)
+            payload = encoding.encode({"session": session, "quote": quote.to_bytes()})
+            request = client.request(self._cas_address, "provision", payload)
+            if trace is not None:
+                with trace.span("key.transfer"):
+                    raw = yield from request
+            else:
+                raw = yield from request
+            bundle = ProvisionBundle.from_bytes(raw)
+
+            shared = exchange_key.exchange(X25519PublicKey(bundle.ephemeral_public))
+            opener = derive_provision_key(shared, quote.report.measurement + public)
+            identity = ProvisionedIdentity.from_bytes(
+                opener.open(bundle.sealed_identity)
+            )
+            if identity.session != session:
+                raise AttestationError(
+                    f"CAS provisioned session {identity.session!r}, "
+                    f"requested {session!r}"
+                )
+            return identity
+
+    def provision(self, runtime: SconeRuntime, session: str) -> ProvisionedIdentity:
+        """:meth:`provisioning`, driven — for synchronous code outside the
+        simulation."""
+        return self._network.scheduler.drive(self.provisioning(runtime, session))
 
 
 def serve_cas(network: Network, service: CasService, address: str = "cas") -> RpcServer:

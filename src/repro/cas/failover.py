@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro._sim.scheduler import Activity, Completion
 from repro.cas.client import serve_cas
 from repro.cas.service import CasService
 from repro.cluster.epoch import EpochLease, EpochService
@@ -126,17 +127,19 @@ class ReplicatedCasPair:
                     CAS_PRIMARY_ROLE, name="hw-counter"
                 )
 
-        # The primary's public CAS API at the well-known address.
+        # The primary's public CAS API at the well-known address; a
+        # remote audit commit is answered once the standby acked it.
         self.primary_server = serve_cas(network, primary, address=address)
+        self.primary_server.register("audit_commit", self._handle_audit_commit)
         self.backup_public_server: Optional[RpcServer] = None
 
     # -- primary-side replication ----------------------------------------
 
-    def _quorum_call(self, method: str, payload: bytes) -> None:
+    def _quorum(self, method: str, payload: bytes) -> Activity:
         """Push one mutation to the standby; the ack completes the quorum
         (primary + standby = 2/2).  Raises RpcError when the standby is
         unreachable — an unreplicated mutation is not committed."""
-        reply = self._repl_client.call(self.backup_address, method, payload)
+        reply = yield from self._repl_client.request(self.backup_address, method, payload)
         if reply != b"ok":
             raise RpcError(f"standby rejected {method}: {reply!r}")
         self.stats.quorum_acks += 1
@@ -144,11 +147,13 @@ class ReplicatedCasPair:
     def _replicate_op(self, op: str, payload: dict) -> None:
         if op != "register_policy":
             raise RpcError(f"unknown replicated operation {op!r}")
-        self._quorum_call("repl_policy", encoding.encode(payload))
+        self.network.scheduler.drive(
+            self._quorum("repl_policy", encoding.encode(payload))
+        )
         self.stats.ops_replicated += 1
 
-    def _replicate_record(self, record) -> None:
-        self._quorum_call(
+    def _replicating(self, record) -> Activity:
+        yield from self._quorum(
             "repl_audit",
             encoding.encode(
                 {
@@ -160,6 +165,23 @@ class ReplicatedCasPair:
             ),
         )
         self.stats.records_replicated += 1
+        return b"ok"
+
+    def _replicate_record(self, record) -> None:
+        """Commit hook (commits made outside the simulation)."""
+        self.network.scheduler.drive(self._replicating(record))
+
+    def _handle_audit_commit(self, payload: bytes, peer) -> Completion:
+        """``audit_commit`` at the primary: append, then reply once the
+        standby acked — a deferred reply, so the quorum call waits on
+        the heap instead of inside this delivery."""
+        body = encoding.decode(payload)
+        record = self.primary.audit.append(
+            body["owner"], body["path"], body["version"], body["digest"]
+        )
+        return self.network.scheduler.start(
+            self._replicating(record), name=f"repl:{record.path}"
+        )
 
     # -- standby-side apply ----------------------------------------------
 

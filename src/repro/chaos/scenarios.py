@@ -660,7 +660,9 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
             fence=lease.stamp() if lease is not None else None,
         )
         try:
-            raw = network.call(router, clock, replica, request)
+            raw = scheduler.run_until(
+                network.call_async(router, clock, replica, request)
+            )
         except (RpcError, FencingError):
             return False  # transport loss or a fenced rejection
         messages.decode_reply(raw)

@@ -15,12 +15,9 @@ park/resume pair** rather than a nested synchronous walk —
     reply:    advance the caller to the reply time and resume it with
               the response
 
-so timing is *identical* to the old per-node-clock walk, but a
-256-node fleet costs O(events · log events) with no Python recursion
-tied to call nesting: blocking callers park via
-:meth:`~repro._sim.scheduler.Scheduler.run_until` (legacy drive loops
-keep working unchanged), coroutine activities park stacklessly via
-:meth:`call_async` + ``yield``.
+so a 256-node fleet costs O(events · log events) with no Python
+recursion tied to call nesting: the caller is an activity that sends
+with :meth:`call_async` and waits by ``yield``-ing the completion.
 
 Two interception layers run on every payload, in order:
 
@@ -184,33 +181,6 @@ class Network:
     def _transfer_time(self, n_bytes: int) -> float:
         return self._model.lan_rtt / 2 + n_bytes / self._model.lan_bandwidth
 
-    def call(
-        self,
-        src: str,
-        src_clock: SimClock,
-        dst: str,
-        request: bytes,
-        declared_request: Optional[int] = None,
-        declared_response: Optional[int] = None,
-    ) -> bytes:
-        """Blocking RPC from ``src`` to ``dst``; returns the response.
-
-        The send half runs synchronously on the caller's clock; the
-        caller then *parks*, draining the event heap (which may execute
-        other nodes' deliveries and timers that come first) until its
-        reply event resumes it.  Timing and side-effect order are
-        byte-identical to the old nested synchronous walk.
-        """
-        completion = self.call_async(
-            src,
-            src_clock,
-            dst,
-            request,
-            declared_request=declared_request,
-            declared_response=declared_response,
-        )
-        return self.scheduler.run_until(completion)
-
     def call_async(
         self,
         src: str,
@@ -222,8 +192,7 @@ class Network:
     ) -> Completion:
         """Send half of an RPC: returns the completion the reply event
         resolves (with the response bytes) after advancing the caller's
-        clock to the reply time.  Coroutine activities ``yield`` it;
-        :meth:`call` parks on it.
+        clock to the reply time; the calling activity ``yield``\\ s it.
 
         Send-time failures (unknown endpoint, partition, request-leg
         drop) raise synchronously, exactly as the caller would observe
@@ -257,21 +226,19 @@ class Network:
         # position in the heap.
         arrival = src_clock.now + self._transfer_time(request_size) + action.delay
         completion = Completion(f"net:{src}->{dst}")
-        self.scheduler.schedule(
-            arrival,
-            lambda: self._deliver(
-                src,
-                src_clock,
-                dst,
-                request,
-                request_size,
-                arrival,
-                action,
-                declared_response,
-                completion,
-            ),
-            label=f"deliver:{src}->{dst}",
-        )
+
+        def deliver() -> None:
+            # Any failure from here on fails ``completion`` (resuming
+            # the caller with the error) instead of escaping the event.
+            try:
+                self._deliver(
+                    src, src_clock, dst, request, request_size, arrival,
+                    action, declared_response, completion,
+                )
+            except BaseException as exc:  # noqa: BLE001 - route to the caller
+                completion.fail(exc)
+
+        self.scheduler.schedule(arrival, deliver, label=f"deliver:{src}->{dst}")
         return completion
 
     def _deliver(
@@ -286,43 +253,10 @@ class Network:
         declared_response: Optional[int],
         completion: Completion,
     ) -> None:
-        """The delivery event: handler execution on the callee's clock.
-
-        Any failure from here on fails ``completion`` (resuming the
-        parked caller with the error) rather than propagating into
-        whichever drain loop happened to pop this event.
-        """
-        try:
-            self._deliver_inner(
-                src,
-                src_clock,
-                dst,
-                request,
-                request_size,
-                arrival,
-                action,
-                declared_response,
-                completion,
-            )
-        except BaseException as exc:  # noqa: BLE001 - route to the caller
-            completion.fail(exc)
-
-    def _deliver_inner(
-        self,
-        src: str,
-        src_clock: SimClock,
-        dst: str,
-        request: bytes,
-        request_size: int,
-        arrival: float,
-        action: FaultAction,
-        declared_response: Optional[int],
-        completion: Completion,
-    ) -> None:
+        """The delivery event: handler execution on the callee's clock."""
         # Re-resolve the endpoint: in a concurrent fleet another event
         # (a crash, a partition) may have fired while this message was
-        # in flight.  Legacy blocking chains never interleave, so this
-        # check is a no-op for them.
+        # in flight.
         endpoint = self._endpoints.get(dst)
         if endpoint is None or dst in self._partitioned:
             self.stats.dropped += 1

@@ -16,12 +16,11 @@ lineage (a crash-looping container is quarantined, not restarted
 forever), and every supervision decision is appended to
 :attr:`Orchestrator.events` for the monitoring plane.
 
-Health probing scales two ways: the synchronous sweeps above (called
-from drive loops, as the training supervisor does at round boundaries)
-and a :class:`Watchdog` that schedules the same sweeps as **recurring
-events on the event-heap scheduler** — the fleet-scale form, where a
-256-replica deployment is probed on a simulated period without any
-drive loop having to iterate the fleet between its own steps.
+Health probing: a :class:`Watchdog` schedules the same sweeps as
+**recurring events on the event-heap scheduler**, so a 256-replica
+deployment is probed on a simulated period.  A start hook runs inside
+such an event, so a hook that must wait (attestation) starts an
+activity and returns.
 """
 
 from __future__ import annotations

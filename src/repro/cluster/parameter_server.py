@@ -39,10 +39,10 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro._sim import probe
+from repro._sim.scheduler import Activity
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.rpc import (
-    PendingRpc,
     RpcClient,
     RpcServer,
     SecureConnection,
@@ -596,6 +596,10 @@ class SyncTrainer:
     # -- connections -----------------------------------------------------
 
     def _connection(self, worker: TrainingWorker, ps: ParameterServer):
+        """The caller's session to ``ps`` (an activity: a new secure one
+        handshakes).  A shielded caller talks only to a shard of its own
+        CAS session; a server certified for another one (its chain
+        verifies) is refused before a byte of the round is sent."""
         key = (worker.address, ps.address)
         if key in self._connections:
             return self._connections[key]
@@ -607,9 +611,15 @@ class SyncTrainer:
                 worker.shield,
                 retry=self._retry,
             )
-            conn: Union[SecureConnection, "_PlainConnection"] = client.connect(
+            conn: Union[SecureConnection, "_PlainConnection"] = yield from client.open(
                 ps.address, expected_server=None
             )
+            scope = worker.shield.identity.certificate.subject.split("/")[0] + "/"
+            if not (conn.peer_subject or "").startswith(scope):
+                raise AttestationError(
+                    f"{ps.address!r} presented {conn.peer_subject!r}, "
+                    f"outside {scope!r}"
+                )
         else:
             conn = _PlainConnection(
                 RpcClient(
@@ -631,21 +641,21 @@ class SyncTrainer:
 
     # -- recovery hooks --------------------------------------------------
 
-    def _ensure_alive(self, slot: int) -> TrainingWorker:
+    def _ensure_alive(self, slot: int) -> Activity:
         worker = self._workers[slot]
         if self._recovery is None or self._recovery.worker_ok(worker):
             return worker
-        replacement = self._recovery.replace_worker(worker)
+        replacement = yield from self._recovery.replace_worker(worker)
         self._drop_connections(worker=worker)
         self._workers[slot] = replacement
         return replacement
 
-    def _recover_shard(self, index: int) -> None:
+    def _recover_shard(self, index: int) -> Activity:
         """Replace a dead shard via the supervisor (fence-first) and
         drop every session to its old address."""
         old = self._service.shard(index)
         if not self._recovery.shard_ok(index):
-            replacement = self._recovery.recover_shard(index)
+            replacement = yield from self._recovery.recover_shard(index)
             if replacement is None:
                 raise ClusterError(f"shard {index} could not be recovered")
             self._service.replace_shard(index, replacement)
@@ -654,44 +664,43 @@ class SyncTrainer:
                 conn._client.reset_breaker(replacement.address)
         self._drop_connections(address=old.address)
 
-    def _issue(self, worker: TrainingWorker, request: tuple) -> PendingRpc:
+    def _issue(self, worker: TrainingWorker, request: tuple) -> Activity:
         index, method, payload, declared_request, declared_response = request
-        conn = self._connection(worker, self._service.shard(index))
-        return conn.begin_call(
+        conn = yield from self._connection(worker, self._service.shard(index))
+        return (yield from conn.begin_call(
             method,
             payload,
             declared_request=declared_request,
             declared_response=declared_response,
-        )
+        ))
 
-    def _fanout(
-        self,
-        worker: TrainingWorker,
-        requests: List[tuple],
-    ) -> Dict[int, bytes]:
-        """Issue every shard call's send half now, settle in shard order.
+    def _fanout(self, worker: TrainingWorker, requests: List[tuple]) -> Activity:
+        """Issue every shard call's send half now, settle in shard order;
+        the replies by shard.
 
         ``requests`` holds ``(shard_index, method, payload,
         declared_request, declared_response)``.  All send halves run at
         the worker's current clock (overlapped transfers); settling
-        drives the heap to each reply.  A call that fails to settle has
-        spent its whole retry budget against that shard, so the shard is
-        recovered (replaced if its container died, sessions rebuilt) and
-        the call issued afresh.
+        waits for each reply.  A call that fails to settle has spent its
+        whole retry budget against that shard, so the shard is recovered
+        (replaced if its container died, sessions rebuilt) and the call
+        issued afresh.
         """
-        pending = [(request, self._issue(worker, request)) for request in requests]
+        pending = []
+        for request in requests:
+            pending.append((request, (yield from self._issue(worker, request))))
         results: Dict[int, bytes] = {}
         for request, handle in pending:
             index = request[0]
             for recoveries_left in range(self.MAX_RECOVERIES_PER_CALL, -1, -1):
                 try:
-                    results[index] = handle.settle()
+                    results[index] = yield from handle.settle()
                     break
                 except (RpcTransportError, StaleConnectionError, CircuitOpenError):
                     if self._recovery is None or not recoveries_left:
                         raise
-                    self._recover_shard(index)
-                    handle = self._issue(worker, request)
+                    yield from self._recover_shard(index)
+                    handle = yield from self._issue(worker, request)
         return results
 
     # -- training --------------------------------------------------------
@@ -769,7 +778,7 @@ class SyncTrainer:
             if part
         ]
 
-    def _end_round(self, clocks: List, owners: int, examples: int, declared) -> None:
+    def _end_round(self, clocks: List, owners: int, examples: int, declared) -> Activity:
         """Close a federated round (``owners`` pushed models of ``examples``;
         under secure aggregation each owning shard first pulls, as itself,
         the other members' sums of its pieces), then the two barriers."""
@@ -781,7 +790,7 @@ class SyncTrainer:
             )
             peers = [j for j in range(service.n_shards) if self._secure and j != k]
             sums = 2 * declared[k][0]  # uint64 sums of this owner's pieces
-            partials[k] = self._fanout(
+            partials[k] = yield from self._fanout(
                 service.shard(k), [(j, "partial", request, None, sums) for j in peers]
             )
         for k, replies in partials.items():
@@ -795,8 +804,12 @@ class SyncTrainer:
         """Run rounds until batches (or ``steps``) run out.
 
         Batches are dealt round-robin to workers; each round processes
-        ``len(workers)`` batches in parallel.
+        ``len(workers)`` batches in parallel.  Synchronous: the rounds
+        are one activity, driven from outside the simulation.
         """
+        return self._network.scheduler.drive(self._rounds(batches, steps))
+
+    def _rounds(self, batches: List, steps: Optional[int]) -> Activity:
         if self._service.shard_map is None:
             raise ClusterError("service must be initialized before training")
         total_steps = min(steps, len(batches)) if steps is not None else len(batches)
@@ -818,7 +831,7 @@ class SyncTrainer:
             for slot in range(len(self._workers)):
                 if index >= total_steps:
                     break
-                round_workers.append((self._ensure_alive(slot), batches[index]))
+                round_workers.append(((yield from self._ensure_alive(slot)), batches[index]))
                 index += 1
             round_index += 1
             self._round += 1
@@ -836,7 +849,7 @@ class SyncTrainer:
                     category="training",
                     attrs={"worker": worker.name, "round": round_index},
                 ):
-                    pulls = self._fanout(
+                    pulls = yield from self._fanout(
                         worker,
                         [
                             (k, "pull", b"", None, declared[k][0])
@@ -875,11 +888,11 @@ class SyncTrainer:
                     category="training",
                     attrs={"worker": worker.name, "round": round_index},
                 ):
-                    self._fanout(worker, requests)
+                    yield from self._fanout(worker, requests)
 
             shard_clocks = [s.node.clock for s in self._service.shards]
             clocks = [w.node.clock for w in self._workers] + shard_clocks
-            self._end_round(clocks, len(owners), examples, declared)
+            yield from self._end_round(clocks, len(owners), examples, declared)
 
         wall = max(clock.now for clock in clocks) - start
         return TrainingResult(
@@ -906,7 +919,7 @@ class _PlainConnection:
         payload: bytes,
         declared_request: Optional[int] = None,
         declared_response: Optional[int] = None,
-    ) -> PendingRpc:
+    ) -> Activity:
         return self._client.begin_call(
             self._dst,
             method,

@@ -25,23 +25,22 @@ turns them from run-ending crashes into bounded latency:
 
 Backoff advances the caller's *simulated* clock, so retry storms cost
 simulated time exactly like they cost wall-clock time in production.
-With a :class:`~repro._sim.scheduler.Scheduler` attached (the normal
-case — RPC clients pass their network's scheduler), each backoff is a
-**timer event on the global heap** rather than an inline advance: the
-sleeping caller parks, the rest of the fleet keeps executing whatever
-deliveries and probes come first, and the wake-up event advances the
-caller's clock to the exact same instant the inline advance reached.
+Every wait of the loop — the reply of an attempt, a backoff — is a
+``yield`` of a completion on the global heap: each backoff is a **timer
+event** whose wake-up advances the caller's clock to ``now + delay``,
+and meanwhile the rest of the fleet executes whatever deliveries and
+probes come first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, Optional, TypeVar
+from typing import Any, Callable, Dict, Generator, Optional, TypeVar
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
 from repro._sim.rng import DeterministicRng
-from repro._sim.scheduler import Scheduler
+from repro._sim.scheduler import Activity, Completion, Scheduler
 from repro.errors import (
     CircuitOpenError,
     ConfigurationError,
@@ -261,17 +260,16 @@ class BreakerRegistry:
 
 
 class RetryingExecutor:
-    """Runs an RPC attempt function under a retry policy and breaker."""
+    """Runs an RPC's attempts under a retry policy and breaker."""
 
     def __init__(
         self,
         policy: RetryPolicy,
         clock: SimClock,
         rng: DeterministicRng,
+        scheduler: Scheduler,
         breakers: Optional[BreakerRegistry] = None,
         stats: Optional[RecoveryStats] = None,
-        on_event: Optional[Callable[[str], None]] = None,
-        scheduler: Optional[Scheduler] = None,
     ) -> None:
         self.policy = policy
         self._clock = clock
@@ -281,66 +279,26 @@ class RetryingExecutor:
         self.breakers = breakers if breakers is not None else BreakerRegistry(
             stats=self.stats
         )
-        self._on_event = on_event
-
-    def _event(self, message: str) -> None:
-        if self._on_event is not None:
-            self._on_event(message)
-
-    def run(
-        self,
-        endpoint: str,
-        attempt_fn: Callable[[], T],
-        deadline: Optional[float] = None,
-    ) -> T:
-        """Run ``attempt_fn`` with retries.  ``deadline`` (absolute
-        simulated seconds) overrides the policy-derived budget — the
-        propagated request deadline bounds the retry loop, so a doomed
-        call is abandoned instead of backing off past the point anyone
-        still cares about the answer."""
-        return self.begin(
-            endpoint, lambda: None, lambda _sent: attempt_fn(), deadline
-        )()
 
     def begin(
         self,
         endpoint: str,
-        send: Callable[[], S],
-        receive: Callable[[S], T],
+        send: Callable[[], Generator[Completion, Any, S]],
+        receive: Callable[[S], Generator[Completion, Any, T]],
         deadline: Optional[float] = None,
-    ) -> Callable[[], T]:
-        """Open one call whose attempts are ``receive(send())``.
+    ) -> Generator[Completion, Any, Activity]:
+        """Open one call whose attempts are ``receive(send())`` (both
+        halves activities): an activity that counts the call, fixes its
+        deadline, admits and **sends** attempt 1, and returns the
+        activity settling the call — ``receive`` on that attempt, then a
+        fresh ``send`` + ``receive`` per retry.  A failed (or rejected)
+        first send is attempt 1's outcome, raised when the call settles.
 
-        The call is counted, its deadline fixed and attempt 1 admitted
-        by the breaker and **sent** before this returns; the returned
-        ``settle`` function runs the rest of the loop — ``receive`` on
-        that in-flight attempt, then a fresh ``send`` + ``receive`` per
-        retry.  A failed (or breaker-rejected) first send is not raised
-        here: it is attempt 1's outcome, handled when the call settles.
+        ``deadline`` (absolute simulated seconds) overrides the policy's
+        budget, so a doomed call is abandoned instead of backing off past
+        the point anyone still cares about the answer; no attempt is sent
+        past :data:`RETRY_HORIZON` from the call's start.
         """
-        attempts = self._attempts(endpoint, send, receive, deadline)
-        next(attempts)  # runs to the park point after attempt 1's send
-
-        def settle() -> T:
-            try:
-                next(attempts)
-            except StopIteration as done:
-                return done.value
-            raise AssertionError("retry loop parked twice")
-
-        return settle
-
-    def _attempts(
-        self,
-        endpoint: str,
-        send: Callable[[], S],
-        receive: Callable[[S], T],
-        deadline: Optional[float],
-    ) -> Generator[None, None, T]:
-        """The retry loop, as a generator that parks exactly once:
-        between the send and the receive half of attempt 1.  No attempt
-        is sent past :data:`RETRY_HORIZON` from the call's start, however
-        late a deadline the caller passed."""
         policy = self.policy
         breaker = self.breakers.get(endpoint)
         now = self._clock.now
@@ -349,29 +307,33 @@ class RetryingExecutor:
             deadline = now + budget
         deadline = min(deadline, now + RETRY_HORIZON)
         self.stats.calls += 1
+        first = yield from self._send(endpoint, breaker, send)
+        return self._settle(endpoint, breaker, send, receive, deadline, first)
+
+    def _send(self, endpoint: str, breaker: CircuitBreaker, send):
+        """One attempt's send half: ``(admitted, in flight, failure)``."""
+        if not breaker.allow(self._clock.now):
+            self.stats.breaker_rejections += 1
+            probe.flight(self._clock, "breaker", endpoint, "rejected: open")
+            return False, None, CircuitOpenError(
+                f"circuit for endpoint {endpoint!r} is open"
+            )
+        self.stats.attempts += 1
+        try:
+            return True, (yield from send()), None
+        except Exception as exc:
+            return True, None, exc
+
+    def _settle(self, endpoint, breaker, send, receive, deadline, first):
+        """The rest of the retry loop, from attempt 1's receive half."""
+        policy = self.policy
+        admitted, sent, failure = first
         retry_index = 0
         while True:
-            sent = None
-            failure: Optional[Exception] = None
-            admitted = breaker.allow(self._clock.now)
-            if admitted:
-                self.stats.attempts += 1
-                try:
-                    sent = send()
-                except Exception as exc:
-                    failure = exc
-            else:
-                self.stats.breaker_rejections += 1
-                probe.flight(self._clock, "breaker", endpoint, "rejected: open")
-                failure = CircuitOpenError(
-                    f"circuit for endpoint {endpoint!r} is open"
-                )
-            if retry_index == 0:
-                yield
             if admitted:
                 if failure is None:
                     try:
-                        result = receive(sent)
+                        result = yield from receive(sent)
                     except Exception as exc:
                         failure = exc
                     else:
@@ -380,7 +342,6 @@ class RetryingExecutor:
                 if not is_retryable(failure):
                     if isinstance(failure, FencingError):
                         self.stats.fenced_calls += 1
-                        self._event(f"fenced {endpoint}")
                         probe.flight(
                             self._clock, "fenced", endpoint, type(failure).__name__
                         )
@@ -402,22 +363,15 @@ class RetryingExecutor:
                 raise failure
             self.stats.retries += 1
             self.stats.backoff_time += delay
-            self._event(f"retry {endpoint} attempt={retry_index + 1}")
             probe.flight(
                 self._clock, "retry", endpoint, f"attempt={retry_index + 1}"
             )
-            if self._scheduler is not None:
-                # Backoff as a heap event: park until the wake-up timer
-                # advances this clock to now + delay.  Identical clock
-                # trajectory to the inline advance, but other nodes'
-                # events scheduled inside the window execute first.
-                self._scheduler.run_until(
-                    self._scheduler.timer(
-                        self._clock, delay, label=f"backoff:{endpoint}"
-                    )
-                )
-            else:
-                self._clock.advance(delay)
+            # Backoff as a heap event: park until the wake-up timer
+            # advances this clock to now + delay; other nodes' events
+            # scheduled inside the window execute first.
+            yield self._scheduler.timer(
+                self._clock, delay, label=f"backoff:{endpoint}"
+            )
             if probe.ACTIVE is not None:
                 probe.ACTIVE.charge(self._clock, "retry_backoff", delay)
                 probe.ACTIVE.event(
@@ -425,6 +379,7 @@ class RetryingExecutor:
                     "retry",
                     attrs={"endpoint": endpoint, "attempt": retry_index + 1},
                 )
+            admitted, sent, failure = yield from self._send(endpoint, breaker, send)
 
 
 __all__ = [

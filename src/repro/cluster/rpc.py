@@ -8,15 +8,18 @@ shield's TLS session over the same transport: a two-step handshake
 records per call.  The paper's Fig. 8 contrast "with/without network
 shield" is exactly the choice between these two stacks.
 
-Every client call takes one path: ``begin_call`` builds the call envelope
-(:meth:`RpcClient._call_envelope`, the only place one is built), runs
-attempt 1's *send half* and returns a :class:`PendingRpc`; ``settle()``
-runs the *receive half* — and, for a retrying client, the rest of the
-executor's loop, a fresh send + receive per retry.  ``call`` is
-``begin_call(...).settle()`` under an ``rpc.call`` span, so a blocking
-call and a fanned-out one differ only in what the caller does between
-the two halves.  Each transport is those two halves: plain is socket
-write + wire / reply + socket read; secure wraps them in record crypto.
+Every client call takes one path, and every wait on it is a ``yield``
+(an *activity*, see :mod:`repro._sim.scheduler`): ``begin_call`` builds
+the call envelope (:meth:`RpcClient._call_envelope`, the only place one
+is built), runs attempt 1's *send half* and returns a
+:class:`PendingRpc`; ``settle()`` runs the *receive half* — and, for a
+retrying client, the rest of the executor's loop, a fresh send +
+receive per retry.  ``request`` is ``begin_call`` then ``settle`` under
+an ``rpc.call`` span, so a single call and a fanned-out one differ only
+in what the caller does between the two halves; ``call`` drives
+``request`` for synchronous code outside the simulation.  Each
+transport is those two halves: plain is socket write + wire / reply +
+socket read; secure wraps them in record crypto.
 
 Resilience (paper challenge ❹ — elastic clouds kill containers and lose
 messages) is layered on without changing the wire protocol's shape:
@@ -52,11 +55,11 @@ from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
 import repro.errors as _errors
 from repro._sim import probe
-from repro._sim.scheduler import Completion
+from repro._sim.scheduler import Activity, Completion
 from repro.cluster.dedup import DedupWindow
 from repro.cluster.epoch import EpochGuard, EpochLease
 from repro.cluster.network import Network
@@ -71,6 +74,7 @@ from repro.cluster.retry import (
 from repro.crypto import encoding
 from repro.crypto.tls import RecordLayer
 from repro.errors import (
+    AttestationError,
     IntegrityError,
     ReproError,
     RpcError,
@@ -87,10 +91,10 @@ from repro.runtime.net_shield import (
     unprotect_timed,
 )
 
-T = TypeVar("T")
-
-#: method handler: fn(payload_bytes, peer_subject) -> response_bytes
-MethodHandler = Callable[[bytes, Optional[str]], bytes]
+#: method handler: fn(payload_bytes, peer_subject) -> response_bytes, or
+#: a Completion resolving with them (a *deferred* reply: the handler
+#: waits for work of its own — e.g. a quorum call — on the heap).
+MethodHandler = Callable[[bytes, Optional[str]], object]
 
 #: Known error types a remote error envelope may name.
 _ERROR_TYPES = {
@@ -111,6 +115,29 @@ def _trace_fields(tracer: object, clock) -> dict:
         return {}
     context = tracer.current_context(clock)
     return {"trace": context} if context is not None else {}
+
+
+def _error_envelope(exc: BaseException) -> bytes:
+    return _envelope(
+        "error", message=f"{type(exc).__name__}: {exc}", error=type(exc).__name__
+    )
+
+
+def _now(value: Any = None, error: Optional[BaseException] = None) -> Activity:
+    """An activity that finishes at once: with ``value``, or raising
+    ``error`` (a plain socket write never waits; a failed one is the
+    attempt's outcome)."""
+    if error is not None:
+        raise error
+    return value
+    yield  # unreachable: makes this a generator
+
+
+def _settled(clock, attrs: dict, begin: Activity) -> Activity:
+    """A ``begin_call`` activity, settled at once, under an ``rpc.call`` span."""
+    with probe.span(clock, "rpc.call", category="rpc", attrs=attrs):
+        pending = yield from begin
+        return (yield from pending.settle())
 
 
 def _raise_remote_error(msg: dict) -> None:
@@ -136,17 +163,20 @@ def _open_envelope(data: bytes, expected: Optional[str] = None) -> dict:
 class PendingRpc:
     """One call whose first attempt is already on the wire.
 
-    Returned by the ``begin_call`` methods.  :meth:`settle` drives the
-    event heap until the reply lands; with a retry policy it is the rest
-    of the executor's loop (see
+    Returned by the ``begin_call`` activities.  :meth:`settle` is the
+    activity that waits for the reply; with a retry policy it is the
+    rest of the executor's loop (see
     :meth:`~repro.cluster.retry.RetryingExecutor.begin`), resending the
     **same** envelope under the same call ID.  A send that failed is
     that attempt's outcome and surfaces here, not from ``begin_call``.
-    Call it exactly once.
+    Settle it exactly once.
     """
 
-    def __init__(self, settle: Callable[[], bytes]) -> None:
-        self.settle = settle
+    def __init__(self, settle: Activity) -> None:
+        self._settle = settle
+
+    def settle(self) -> Activity:
+        return self._settle
 
 
 class RpcServer:
@@ -286,6 +316,11 @@ class RpcServer:
                 f"{self.address!r} (now {now:.6f})"
             )
         response = self._dispatch(msg["method"], msg["payload"], peer)
+        if isinstance(response, Completion):
+            return response  # deferred: commits when it resolves (_replying)
+        return self._commit(call_id, now, response)
+
+    def _commit(self, call_id: Optional[str], now: float, response: bytes) -> bytes:
         if call_id is not None:
             self.dedup.put(call_id, now, response)
         if self.on_committed is not None:
@@ -301,17 +336,27 @@ class RpcServer:
                 raise
         return response
 
-    def _handle(self, request: bytes) -> bytes:
+    def _replying(self, msg: dict, deferred: Completion):
+        """A deferred reply (a handler's :class:`Completion`) commits and
+        is enveloped once it resolves."""
+        try:
+            payload = yield deferred
+            payload = self._commit(msg.get("call_id"), self._node.clock.now, payload)
+        except (ReproError, KeyError) as exc:
+            return _error_envelope(exc)
+        return _envelope("reply", payload=payload)
+
+    def _handle(self, request: bytes):
         try:
             msg = _open_envelope(request, "call")
             response = self._dispatch_call(msg, None)
-            return _envelope("reply", payload=response)
         except (ReproError, KeyError) as exc:
-            return _envelope(
-                "error",
-                message=f"{type(exc).__name__}: {exc}",
-                error=type(exc).__name__,
+            return _error_envelope(exc)
+        if isinstance(response, Completion):
+            return self._network.scheduler.start(
+                self._replying(msg, response), name=f"reply:{self.address}"
             )
+        return _envelope("reply", payload=response)
 
 
 class RpcClient:
@@ -343,11 +388,9 @@ class RpcClient:
                 retry,
                 node.clock,
                 node.rng.child(f"retry|{address}"),
+                network.scheduler,
                 breakers=breakers or BreakerRegistry(stats=self.stats),
                 stats=self.stats,
-                # Backoffs ride the network's event heap, so a parked
-                # retry never blocks the rest of the fleet.
-                scheduler=network.scheduler,
             )
         # The instance number is drawn from the *network* (not a process
         # global): unique within the simulation — which is all dedup
@@ -385,24 +428,20 @@ class RpcClient:
     def _begin(
         self,
         dst: str,
-        send: Callable[[], Completion],
-        receive: Callable[[Completion], bytes],
+        send: Callable[[], Activity],
+        receive: Callable[[Completion], Activity],
         deadline: Optional[float],
-    ) -> PendingRpc:
+    ) -> Generator[Completion, Any, PendingRpc]:
         """Run attempt 1's ``send`` now; the rest is :class:`PendingRpc`."""
         if self._executor is not None:
-            return PendingRpc(self._executor.begin(dst, send, receive, deadline))
+            return PendingRpc(
+                (yield from self._executor.begin(dst, send, receive, deadline))
+            )
         try:
-            sent = send()
+            sent = yield from send()
         except (RpcTransportError, StaleConnectionError) as exc:
-            failure = exc
-
-            def settle() -> bytes:
-                raise failure
-        else:
-            def settle() -> bytes:
-                return receive(sent)
-        return PendingRpc(settle)
+            return PendingRpc(_now(error=exc))
+        return PendingRpc(receive(sent))
 
     def _send(
         self,
@@ -426,13 +465,17 @@ class RpcClient:
             declared_response=declared_response,
         )
 
-    def _receive(self, sent: Completion, declared_response: Optional[int]) -> bytes:
-        """Receive half: park until the reply lands, charge its read."""
-        raw = self._network.scheduler.run_until(sent)
+    def _receive(self, sent: Completion, declared_response: Optional[int]) -> Activity:
+        """Receive half: wait for the reply, charge its read."""
+        raw = yield sent
         self._syscalls.socket_recv(
             declared_response if declared_response is not None else len(raw)
         )
         return raw
+
+    def _reply(self, sent: Completion, declared_response: Optional[int]) -> Activity:
+        raw = yield from self._receive(sent, declared_response)
+        return _open_envelope(raw, "reply")["payload"]
 
     def begin_call(
         self,
@@ -442,45 +485,39 @@ class RpcClient:
         declared_request: Optional[int] = None,
         declared_response: Optional[int] = None,
         deadline: Optional[float] = None,
-    ) -> PendingRpc:
-        """Issue an RPC's send half now; settle the reply later.
-
-        ``deadline`` (absolute simulated seconds) is stamped into the
-        call envelope so the server can shed the request if it arrives
-        already expired, and bounds this client's retry loop to the same
-        budget.  Several pending calls issued back-to-back share the
-        caller's send timestamp, overlapping their transfers (this is
-        how training fans out per-shard traffic).
+    ) -> Generator[Completion, Any, PendingRpc]:
+        """Issue an RPC's send half now (an activity returning the
+        :class:`PendingRpc`); settle the reply later.  ``deadline``
+        (absolute simulated seconds) is stamped into the call envelope
+        so the server can shed the request if it arrives already
+        expired, and bounds this client's retry loop to the same budget.
+        Several pending calls issued back-to-back share the caller's
+        send timestamp, overlapping their transfers (this is how
+        training fans out per-shard traffic).
         """
         request = self._call_envelope(method, payload, deadline)
-        return self._begin(
+        return (yield from self._begin(
             dst,
-            lambda: self._send(dst, request, declared_request, declared_response),
-            lambda sent: _open_envelope(
-                self._receive(sent, declared_response), "reply"
-            )["payload"],
+            lambda: _now(
+                self._send(dst, request, declared_request, declared_response)
+            ),
+            lambda sent: self._reply(sent, declared_response),
             deadline,
+        ))
+
+    def request(self, dst: str, method: str, payload: bytes, **options) -> Activity:
+        """One RPC as an activity: :meth:`begin_call` (same options),
+        settled at once."""
+        return _settled(
+            self._node.clock,
+            {"dst": dst, "method": method},
+            self.begin_call(dst, method, payload, **options),
         )
 
-    def call(
-        self,
-        dst: str,
-        method: str,
-        payload: bytes,
-        declared_request: Optional[int] = None,
-        declared_response: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> bytes:
-        """A blocking RPC: :meth:`begin_call`, settled at once."""
-        with probe.span(
-            self._node.clock,
-            "rpc.call",
-            category="rpc",
-            attrs={"dst": dst, "method": method},
-        ):
-            return self.begin_call(
-                dst, method, payload, declared_request, declared_response, deadline
-            ).settle()
+    def call(self, *args, **kwargs) -> bytes:
+        """A blocking RPC, for synchronous code outside the simulation:
+        :meth:`request` (same arguments), driven to its reply."""
+        return self._network.scheduler.drive(self.request(*args, **kwargs))
 
 
 class SecureRpcServer(RpcServer):
@@ -585,11 +622,7 @@ class SecureRpcServer(RpcServer):
                 )
             raise RpcError(f"unexpected envelope kind {kind!r}")
         except (ReproError, KeyError) as exc:
-            return _envelope(
-                "error",
-                message=f"{type(exc).__name__}: {exc}",
-                error=type(exc).__name__,
-            )
+            return _error_envelope(exc)
 
 
 class SecureConnection:
@@ -620,16 +653,22 @@ class SecureConnection:
         self._expected_server = expected_server
         self._mutual = mutual
 
-    def _reconnect(self) -> None:
+    def _reconnect(self) -> Activity:
+        """A fresh handshake with ``dst``; the peer must be of the CAS
+        session (``{session}/`` subject prefix) the session first reached."""
         with probe.span(
             self._client._node.clock,
             "rpc.reconnect",
             category="rpc",
             attrs={"dst": self._dst},
         ):
-            conn, records, subject = self._client._handshake_once(
+            conn, records, subject = yield from self._client._handshake_once(
                 self._dst, self._expected_server, self._mutual
             )
+        first = self.peer_subject or ""
+        scope = first.split("/")[0] + "/" if "/" in first else ""
+        if not (subject or "").startswith(scope):
+            raise AttestationError(f"{self._dst!r} is now {subject!r}, outside {scope!r}")
         self._conn = conn
         self._records = records
         self.peer_subject = subject
@@ -660,10 +699,11 @@ class SecureConnection:
         )
         return client._send(self._dst, request, declared_request, declared_response)
 
-    def _receive(self, sent: Completion, declared_response: Optional[int]) -> bytes:
-        """Receive half: park for the reply record, verify and open it."""
+    def _receive(self, sent: Completion, declared_response: Optional[int]) -> Activity:
+        """Receive half: wait for the reply record, verify and open it."""
         client = self._client
-        msg = _open_envelope(client._receive(sent, declared_response), "secure_reply")
+        raw = yield from client._receive(sent, declared_response)
+        msg = _open_envelope(raw, "secure_reply")
         try:
             reply_raw = unprotect_timed(self._records, client._shield.stats, msg["record"])
         except IntegrityError:
@@ -677,7 +717,7 @@ class SecureConnection:
         )
         return _open_envelope(reply_raw, "reply")["payload"]
 
-    def _healing(self, half: Callable[..., T], *args: object) -> T:
+    def _healing(self, half: Callable[..., Activity], *args: object) -> Activity:
         """Run one half of an attempt.  If it fails under a retrying
         client, the session may be dead (server restarted) or desynced (a
         record was lost or mangled in flight, or a send sequence number
@@ -685,17 +725,23 @@ class SecureConnection:
         broken stream, so establish a fresh session before the retry
         loop resends under the same call ID."""
         try:
-            return half(*args)
+            return (yield from half(*args))
         except (RpcTransportError, StaleConnectionError, IntegrityError) as exc:
             if self._client._executor is None:
                 raise  # no retry loop to heal the session for
-            self._try_reconnect()
+            try:
+                yield from self._reconnect()
+            except RpcError:
+                # Transport still down; the retry loop will back off and
+                # the next attempt re-triggers reconnection.  Security
+                # failures (bad certificate, tampered handshake) propagate.
+                pass
             if isinstance(exc, IntegrityError):
                 raise StaleConnectionError(
                     f"secure session to {self._dst!r} failed verification; "
                     "re-established"
                 ) from exc
-            raise
+            raise exc
 
     def begin_call(
         self,
@@ -704,7 +750,7 @@ class SecureConnection:
         declared_request: Optional[int] = None,
         declared_response: Optional[int] = None,
         deadline: Optional[float] = None,
-    ) -> PendingRpc:
+    ) -> Generator[Completion, Any, PendingRpc]:
         """Issue the send half of a secure call; settle the reply later.
 
         The inner envelope is protected and written to the wire now (on
@@ -712,46 +758,33 @@ class SecureConnection:
         different shards overlap their transfers.  Each secure session
         carries at most one record in flight here, which keeps the
         record layer's sequence numbers aligned however the replies
-        interleave on the heap.
+        interleave on the heap.  A send that fails under a retrying
+        client waits here while the session re-handshakes.
         """
         client = self._client
         inner = client._call_envelope(method, payload, deadline)
-        return client._begin(
+        return (yield from client._begin(
             self._dst,
             lambda: self._healing(
-                self._send, inner, declared_request, declared_response
+                lambda: _now(self._send(inner, declared_request, declared_response))
             ),
             lambda sent: self._healing(self._receive, sent, declared_response),
             deadline,
+        ))
+
+    def request(self, method: str, payload: bytes, **options) -> Activity:
+        """One secure RPC as an activity: :meth:`begin_call` (same
+        options), settled at once."""
+        return _settled(
+            self._client._node.clock,
+            {"dst": self._dst, "method": method, "secure": True},
+            self.begin_call(method, payload, **options),
         )
 
-    def call(
-        self,
-        method: str,
-        payload: bytes,
-        declared_request: Optional[int] = None,
-        declared_response: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> bytes:
-        """A blocking secure RPC: :meth:`begin_call`, settled at once."""
-        with probe.span(
-            self._client._node.clock,
-            "rpc.call",
-            category="rpc",
-            attrs={"dst": self._dst, "method": method, "secure": True},
-        ):
-            return self.begin_call(
-                method, payload, declared_request, declared_response, deadline
-            ).settle()
-
-    def _try_reconnect(self) -> None:
-        try:
-            self._reconnect()
-        except RpcError:
-            # Transport still down; the retry loop will back off and the
-            # next attempt re-triggers reconnection.  Security failures
-            # (bad certificate, tampered handshake) propagate.
-            pass
+    def call(self, *args, **kwargs) -> bytes:
+        """A blocking secure RPC, for synchronous code outside the
+        simulation: :meth:`request` (same arguments), driven to its reply."""
+        return self._client._network.scheduler.drive(self.request(*args, **kwargs))
 
 
 class SecureRpcClient(RpcClient):
@@ -781,7 +814,7 @@ class SecureRpcClient(RpcClient):
         dst: str,
         expected_server: Optional[str],
         mutual: bool,
-    ) -> Tuple[int, RecordLayer, Optional[str]]:
+    ) -> Generator[Completion, Any, Tuple[int, RecordLayer, Optional[str]]]:
         """One full TLS handshake with ``dst`` (fresh state each time)."""
         with probe.span(
             self._node.clock, "tls.handshake", category="crypto", attrs={"dst": dst}
@@ -793,36 +826,43 @@ class SecureRpcClient(RpcClient):
             )
             hs1 = _envelope("hs1", hello=handshake.hello())
             self._syscalls.socket_send(len(hs1))
-            raw = self._network.call(self.address, self._node.clock, dst, hs1)
+            raw = yield self._network.call_async(
+                self.address, self._node.clock, dst, hs1
+            )
             self._syscalls.socket_recv(len(raw))
             msg = _open_envelope(raw, "hs1_reply")
             client_flight = handshake.finish(msg["flight"])
             hs2 = _envelope("hs2", conn=msg["conn"], client_flight=client_flight)
             self._syscalls.socket_send(len(hs2))
-            raw = self._network.call(self.address, self._node.clock, dst, hs2)
+            raw = yield self._network.call_async(
+                self.address, self._node.clock, dst, hs2
+            )
             self._syscalls.socket_recv(len(raw))
             _open_envelope(raw, "hs2_reply")
             self._shield.charge_handshake()
             return msg["conn"], handshake.record_layer, handshake.peer_subject
 
-    def connect(
+    def open(
         self,
         dst: str,
         expected_server: Optional[str] = None,
         mutual: bool = True,
-    ) -> SecureConnection:
-        """Run the TLS handshake with ``dst`` and return the session.
+    ) -> Generator[Completion, Any, SecureConnection]:
+        """Run the TLS handshake with ``dst``; the session (an activity).
 
         With a retry policy, a handshake interrupted by loss or a
         transient partition is restarted from ``hs1`` with fresh state
         after backoff (abandoned server-side state expires).
         """
         if self._executor is None:
-            conn, records, subject = self._handshake_once(dst, expected_server, mutual)
-        else:
-            conn, records, subject = self._executor.run(
-                dst, lambda: self._handshake_once(dst, expected_server, mutual)
+            conn, records, subject = yield from self._handshake_once(
+                dst, expected_server, mutual
             )
+        else:
+            settle = yield from self._executor.begin(
+                dst, _now, lambda _: self._handshake_once(dst, expected_server, mutual)
+            )
+            conn, records, subject = yield from settle
         return SecureConnection(
             self,
             dst,
@@ -832,3 +872,13 @@ class SecureRpcClient(RpcClient):
             expected_server=expected_server,
             mutual=mutual,
         )
+
+    def connect(
+        self,
+        dst: str,
+        expected_server: Optional[str] = None,
+        mutual: bool = True,
+    ) -> SecureConnection:
+        """:meth:`open`, driven — for synchronous code outside the
+        simulation."""
+        return self._network.scheduler.drive(self.open(dst, expected_server, mutual))

@@ -24,6 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro._sim import probe
+from repro._sim.scheduler import Activity
 from repro.cas.audit import ScopedFreshnessTracker
 from repro.cluster.container import Container
 from repro.cluster.node import Node
@@ -31,7 +32,7 @@ from repro.cluster.rpc import SecureRpcServer
 from repro.core.platform import SecureTFPlatform
 from repro.crypto.ed25519 import Ed25519PublicKey
 from repro.enclave.sgx import SgxMode
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.runtime.fs_shield import FileSystemShield, PathRule, ShieldPolicy
 from repro.runtime.scone import RuntimeConfig, SconeRuntime
 from repro.runtime.syscall import SyscallInterface
@@ -145,16 +146,21 @@ class InferenceService:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Container start → attest/provision → load model → ready."""
+        """Container start → attest/provision → load model → ready; for
+        synchronous code outside the simulation (:meth:`starting`, driven)."""
+        self.platform.scheduler.drive(self.starting())
+
+    def starting(self) -> Activity:
+        """:meth:`start` as an activity."""
         with probe.span(
             self.node.clock,
             "inference.startup",
             category="inference",
             attrs={"service": self.name},
         ):
-            self._start_inner()
+            yield from self._start_inner()
 
-    def _start_inner(self) -> None:
+    def _start_inner(self) -> Activity:
         start_time = self.node.clock.now
         # The config here must match the one the policy was registered
         # with byte-for-byte: any difference changes the measurement and
@@ -167,7 +173,7 @@ class InferenceService:
         self.runtime = runtime
 
         if self.mode is not SgxMode.NATIVE:
-            self.identity = self.platform.provision_runtime(
+            self.identity = yield from self.platform.provision(
                 runtime, self.node, self.session
             )
             if self.fs_shield:
@@ -278,34 +284,14 @@ class _FullTfRunner:
 
 
 def _boot_activity(
-    platform: SecureTFPlatform,
-    service: InferenceService,
-    delay: float,
-    after=None,
-):
-    """One service's boot as a scheduler activity.
-
-    ``start()`` is synchronous legacy code: its RPCs park via the
-    blocking bridge (``run_until``), which drains the heap and would
-    execute *other* replicas' pending boots inside this one's Python
-    stack — O(fleet) recursion.  Two guards keep the stack constant:
-
-    - gate on ``after`` (the previous replica's boot completion), so at
-      most one synchronous boot body is ever live.  Boots still overlap
-      in *simulated* time: each advances only its own node's clock.
-    - always park on the stagger timer (even at delay 0), so the boot
-      body runs from the scheduler's top-level loop, never inside
-      another boot's resolution stack.
-    """
-    if after is not None:
-        try:
-            yield after
-        except ReproError:
-            pass  # the failed boot reports through its own completion
+    platform: SecureTFPlatform, service: InferenceService, delay: float
+) -> Activity:
+    """One service's boot as a scheduler activity: ``delay`` on its own
+    node's clock, then :meth:`InferenceService.starting`."""
     yield platform.scheduler.timer(
         service.node.clock, delay, label=f"boot:{service.name}"
     )
-    service.start()
+    yield from service.starting()
     return service
 
 
@@ -327,14 +313,13 @@ def launch_fleet(
     Returns the services once every boot completed; a failed boot
     (attestation rejection, policy violation) re-raises here.
     """
-    completions = []
-    previous = None
-    for index, service in enumerate(services):
-        previous = platform.scheduler.spawn(
-            _boot_activity(platform, service, index * stagger, after=previous),
+    completions = [
+        platform.scheduler.spawn(
+            _boot_activity(platform, service, index * stagger),
             name=f"boot:{service.name}",
             clock=service.node.clock,
         )
-        completions.append(previous)
+        for index, service in enumerate(services)
+    ]
     platform.scheduler.run()
     return [completion.result() for completion in completions]

@@ -214,6 +214,11 @@ class SecureTFPlatform:
         """Attest a running container to CAS and install its secrets."""
         return self.cas_client(node).provision(runtime, session)
 
+    def provision(self, runtime: SconeRuntime, node: Node, session: str):
+        """:meth:`provision_runtime` as an activity, for code inside the
+        simulation (a boot, a supervisor's replacement)."""
+        return self.cas_client(node).provisioning(runtime, session)
+
     def node(self, index: int) -> Node:
         return self.nodes[index]
 

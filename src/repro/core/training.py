@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
+from repro._sim.scheduler import Activity, Completion
 from repro.cluster.container import Container
 from repro.crypto import encoding
 from repro.cluster.faults import FaultPlan
@@ -160,7 +161,8 @@ class TrainingJob:
         self._shard_containers: List[Container] = []
         self._worker_containers: List[Container] = []
         self._worker_slots: Dict[str, int] = {}
-        self._identities: Dict[str, object] = {}
+        #: Container name → completion of its provisioning activity.
+        self._provisioning: Dict[str, Completion] = {}
         self._ps_store: Optional[InMemoryCheckpointStore] = None
         self._hook_installed = False
         #: Attached chaos plan (None = fault-free run).
@@ -211,23 +213,26 @@ class TrainingJob:
             return
         if not container.name.startswith(f"{cfg.session}-"):
             return
-        identity = self.platform.provision_runtime(
-            container.runtime, container.node, cfg.session
+        self._provisioning[container.name] = self.platform.scheduler.start(
+            self.platform.provision(container.runtime, container.node, cfg.session),
+            name=f"provision:{container.name}",
         )
-        self._identities[container.name] = identity
 
-    def _shield_for(self, container: Container):
-        if not self.config.network_shield:
+    def _shield_for(self, container: Container) -> Activity:
+        """The container's network shield, once its provisioning (started
+        by the hook) finished; None without one."""
+        provisioned = self._provisioning.get(container.name)
+        if provisioned is None:
             return None
-        identity = self._identities.get(container.name)
-        if identity is None:
+        identity = yield provisioned
+        if not self.config.network_shield:
             return None
         return container.runtime.make_net_shield(
             identity.tls_identity(),
             [Ed25519PublicKey(identity.trusted_root)],
         )
 
-    def _build_shard_ps(self, shard: int, container: Container) -> ParameterServer:
+    def _build_shard_ps(self, shard: int, container: Container) -> Activity:
         """PS shard ``shard`` for ``container`` — the address doubles as
         the checkpoint-store key, so a replacement restores its own
         shard's snapshot lineage (and only that shard's)."""
@@ -236,20 +241,20 @@ class TrainingJob:
             f"{self.config.session}-ps{shard}",
             self.platform.network,
             learning_rate=self.config.learning_rate,
-            shield=self._shield_for(container),
+            shield=(yield from self._shield_for(container)),
             checkpoint_store=self._ps_store,
             syscalls=container.runtime.syscalls,
             codec=self.codec,
         )
 
-    def _build_worker(self, slot: int, container: Container) -> TrainingWorker:
+    def _build_worker(self, slot: int, container: Container) -> Activity:
         worker = TrainingWorker(
             f"{self.config.session}-w{slot}",
             container.node,
             container.runtime,
             seed=self.config.seed,
             threads=WORKER_THREADS,
-            shield=self._shield_for(container),
+            shield=(yield from self._shield_for(container)),
         )
         self._worker_slots[worker.name] = slot
         return worker
@@ -274,7 +279,11 @@ class TrainingJob:
 
     def start(self) -> None:
         """Launch PS + workers via the orchestrator; attest and provision
-        each (unless NATIVE)."""
+        each (unless NATIVE).  Synchronous: the launches are one
+        activity, driven from outside the simulation."""
+        self.platform.scheduler.drive(self._starting())
+
+    def _starting(self) -> Activity:
         cfg = self.config
         nodes = self.platform.nodes
         orchestrator = self.platform.orchestrator
@@ -318,7 +327,7 @@ class TrainingJob:
             container = orchestrator.launch(spec, node=node)
             self._containers.append(container)
             self._shard_containers.append(container)
-            ps = self._build_shard_ps(k, container)
+            ps = yield from self._build_shard_ps(k, container)
             if self.platform.epochs is not None:
                 ps.lease = self.platform.epochs.grant(
                     f"ps-{k}", holder=container.name
@@ -337,7 +346,7 @@ class TrainingJob:
             container = orchestrator.launch(self._worker_spec, node=node)
             self._containers.append(container)
             self._worker_containers.append(container)
-            self.workers.append(self._build_worker(index, container))
+            self.workers.append((yield from self._build_worker(index, container)))
 
         self.ps_service.initialize(self.workers[0].weights())
         self.trainer = SyncTrainer(
@@ -405,7 +414,7 @@ class TrainingJob:
             return True
         return self._worker_containers[slot].running
 
-    def replace_worker(self, worker: TrainingWorker) -> TrainingWorker:
+    def replace_worker(self, worker: TrainingWorker) -> Activity:
         slot = self._worker_slots[worker.name]
         failed = self._worker_containers[slot]
         replacement = self.platform.orchestrator.restart(self._worker_spec, failed)
@@ -415,7 +424,7 @@ class TrainingJob:
             )
         self._containers.append(replacement)
         self._worker_containers[slot] = replacement
-        new_worker = self._build_worker(slot, replacement)
+        new_worker = yield from self._build_worker(slot, replacement)
         self.workers[slot] = new_worker
         self.record_recovery(
             f"worker-restart slot={slot} container={replacement.name}"
@@ -425,7 +434,7 @@ class TrainingJob:
     def shard_ok(self, shard: int) -> bool:
         return self._shard_containers[shard].running
 
-    def recover_shard(self, shard: int) -> Optional[ParameterServer]:
+    def recover_shard(self, shard: int) -> Activity:
         """Restart shard ``shard``'s container and resume it from its
         own checkpoint slot, fence-first (the shard's epoch is bumped
         before the replacement serves, so the zombie predecessor's saves
@@ -446,7 +455,7 @@ class TrainingJob:
         )
         self._shard_containers[shard] = replacement
         self._containers.append(replacement)
-        ps = self._build_shard_ps(shard, replacement)
+        ps = yield from self._build_shard_ps(shard, replacement)
         ps.lease = lease
         ps.shard_stats.restarts += 1
         self.record_recovery(

@@ -4,8 +4,8 @@ Every replica is launched through the
 :class:`~repro.cluster.orchestrator.Orchestrator` (least-occupied-node
 placement, restart budgets, quarantine) and becomes routable only after
 it has **attested to CAS and been provisioned** — the pool's
-``on_start`` hook runs the same attestation path elastic scaling rides
-in the paper (challenge ❹), measures the cold-start → attested latency
+``on_start`` hook starts a boot activity on the attestation path elastic
+scaling rides in the paper (challenge ❹), measures the cold-start latency
 the bench reports, registers the replica's endpoint, and flips its
 scoreboard state to HEALTHY.  A replacement container launched by the
 watchdog re-runs the identical hook: a restarted enclave has fresh
@@ -32,16 +32,22 @@ show up QUARANTINED.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro._sim import probe as _probe
+from repro._sim.scheduler import Completion
 from repro.cluster.container import Container
 from repro.cluster.dedup import DedupWindow
 from repro.cluster.orchestrator import ContainerSpec, Orchestrator
 from repro.core.inference import service_runtime_config
 from repro.core.platform import SecureTFPlatform
 from repro.enclave.sgx import SgxMode
-from repro.errors import ClusterError, DeadlineExceededError, RpcTransportError
+from repro.errors import (
+    ClusterError,
+    DeadlineExceededError,
+    ReproError,
+    RpcTransportError,
+)
 from repro.serving import messages
 from repro.serving.scoreboard import ReplicaScoreboard, ReplicaState
 
@@ -87,6 +93,8 @@ class ReplicaPool:
         #: Cold-start → attested latency per attested replica, in
         #: attestation order (the bench's third headline metric).
         self.cold_starts: List[float] = []
+        #: Replica name → completion of its boot activity.
+        self.boots: Dict[str, Completion] = {}
         self.events: List[str] = []
         platform.orchestrator.on_start.append(self._on_container_start)
 
@@ -108,12 +116,34 @@ class ReplicaPool:
     # -- lifecycle hook --------------------------------------------------
 
     def _on_container_start(self, container: Container) -> None:
+        """Orchestrator hook: the replica is ATTESTING until its boot
+        activity (:meth:`_boot`, completion in :attr:`boots`) finishes."""
         if not container.name.startswith(f"{self.spec_name}-"):
             return  # another service's container
-        node = container.node
         self.scoreboard.add(container.name, state=ReplicaState.ATTESTING)
+        self.boots[container.name] = self.platform.scheduler.start(
+            self._boot(container), name=f"boot:{container.name}"
+        )
+
+    def _boot(self, container: Container):
+        """Attest and provision, then take a core and join the routable
+        set.  A boot that fails (a provision reply lost past the retry
+        budget, a refused quote) fails the container: the scoreboard
+        shows it FAILED and the watchdog restarts or quarantines it."""
+        node = container.node
         attest_from = node.clock.now
-        self.platform.provision_runtime(container.runtime, node, self.session)
+        try:
+            yield from self.platform.provision(
+                container.runtime, node, self.session
+            )
+        except ReproError as exc:
+            if container.running:
+                container.fail()
+            self.scoreboard.set_state(container.name, ReplicaState.FAILED)
+            self.record(f"boot-failed {container.name} {type(exc).__name__}")
+            return
+        if not container.running:
+            return  # crashed while it attested
         # Cold start = container image setup (already charged by
         # Container.start) + the attestation/provisioning round-trips
         # that just ran.  Measured here so watchdog-launched
@@ -256,18 +286,6 @@ class ReplicaPool:
             drain_activity(), name=f"drain:{address}", clock=clock
         )
         return address
-
-    def scale_to(self, target: int) -> None:
-        """Elastic scaling with drain-on-shrink semantics."""
-        if target < 0:
-            raise ClusterError(f"cannot scale to {target} replicas")
-        current = self.size()
-        if target > current:
-            self.scale_out(target - current)
-        else:
-            for _ in range(current - target):
-                if self.drain_one() is None:
-                    break
 
     # -- chaos + supervision ---------------------------------------------
 

@@ -8,7 +8,8 @@
 2. the front-end router launches as an **attested container** on the
    control node and registers its endpoint;
 3. the replica pool scales to its initial size — each replica attests
-   to CAS before becoming routable;
+   to CAS before becoming routable (a boot is an activity: the replica
+   stays ATTESTING while it waits for CAS);
 4. the orchestrator watchdog supervises replica containers (restart
    budgets, quarantine) and syncs outcomes into the scoreboard every
    tick;
@@ -110,7 +111,11 @@ class ServingPlane:
                 "router", holder=self.router_container.name
             )
 
-        self.pool.scale_out(initial_replicas)
+        for _ in range(initial_replicas):
+            # One boot at a time: each replica is routable before the
+            # next one launches.
+            (replica,) = self.pool.scale_out()
+            self.platform.scheduler.run_until(self.pool.boots[replica.name])
         self.pool.watch()
         self.watchdog: Watchdog = self.platform.orchestrator.start_watchdog(
             self.platform.scheduler, watchdog_interval, specs=[self.pool.spec]

@@ -67,7 +67,7 @@ class TestHeapOrdering:
         with pytest.raises(SchedulerError):
             sched.schedule(-1.0, lambda: None)
         with pytest.raises(SchedulerError):
-            sched.schedule_after(SimClock(), -0.5, lambda: None)
+            sched.timer(SimClock(), -0.5)
 
     def test_scheduler_error_is_a_repro_error(self):
         assert issubclass(SchedulerError, ReproError)
@@ -130,26 +130,66 @@ class TestTimersAndParking:
         with pytest.raises(SchedulerError, match="deadlock"):
             sched.run_until(orphan)
 
-    def test_run_until_is_reentrant(self):
-        # An event handler parks on a nested completion whose resolver
-        # is a *later* event: the inner drain must execute it, then the
-        # outer drain completes normally.
+    def test_run_until_refuses_to_nest(self):
+        # An event handler that waits by draining the heap would run
+        # other actors' events on its own stack: refused.  The same
+        # wait as an activity's yield completes.
         sched = Scheduler()
         clock = SimClock()
-        outer = Completion("outer")
-        trace = []
+        refused = []
 
         def handler():
-            trace.append("outer-start")
             inner = sched.timer(clock, 1.0, label="inner")
-            sched.run_until(inner)
-            trace.append("outer-end")
-            outer.resolve("done")
+            for wait in (sched.run_until, lambda c: sched.drive(iter([c])), sched.run):
+                try:
+                    wait(inner)
+                except SchedulerError as exc:
+                    refused.append(str(exc))
 
         sched.schedule(0.0, handler)
+        sched.run()
+        assert len(refused) == 3
+        assert all("yielding the completion" in text for text in refused)
+
+        def waiter():
+            yield sched.timer(clock, 1.0, label="yielded")
+            return "done"
+
+        outer = Completion("outer")
+        sched.schedule(
+            clock.now,
+            lambda: sched.start(waiter()).add_waiter(lambda c: outer.resolve(c.value)),
+        )
         assert sched.run_until(outer) == "done"
-        assert trace == ["outer-start", "outer-end"]
-        assert clock.now == pytest.approx(1.0)
+        assert clock.now == pytest.approx(2.0)
+
+    def test_drive_steps_at_once_without_a_spawn_event(self):
+        sched = Scheduler()
+        clock = SimClock()
+        trace = []
+
+        def activity():
+            trace.append(("start", sched.events_scheduled))
+            due = yield sched.timer(clock, 0.5)
+            trace.append(("woke", due))
+            return "out"
+
+        assert sched.drive(activity()) == "out"
+        assert trace == [("start", 0), ("woke", pytest.approx(0.5))]
+        assert sched.events_scheduled == 1  # the timer; no spawn: event
+
+    def test_drive_throws_a_failed_completion_into_the_activity(self):
+        sched = Scheduler()
+        failing = Completion("fails")
+        sched.schedule(1.0, lambda: failing.fail(ValueError("boom")))
+
+        def activity():
+            try:
+                yield failing
+            except ValueError as exc:
+                return f"caught: {exc}"
+
+        assert sched.drive(activity()) == "caught: boom"
 
 
 class TestActivities:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro._sim import DeterministicRng, EventTrace
-from repro.cas import CasClient, CasService, Policy
+from repro.cas import CasService, Policy
 from repro.cas.client import RemoteCasClient, RemoteFreshnessTracker, serve_cas
 from repro.cluster import Network, make_cluster
 from repro.crypto.aead import AeadKey
@@ -46,6 +46,13 @@ def make_runtime(node, name="worker", mode=SgxMode.HW):
     )
 
 
+def provision(cas, node, runtime, session):
+    """Provision ``runtime`` on ``node`` from ``cas`` over a fresh LAN."""
+    network = Network(CM)
+    serve_cas(network, cas)
+    return RemoteCasClient(network, node, "cas").provision(runtime, session)
+
+
 def register(cas, runtime, session="s", secrets=None, accept_debug=False):
     cas.register_policy(
         Policy(
@@ -61,7 +68,7 @@ def register(cas, runtime, session="s", secrets=None, accept_debug=False):
 def test_direct_provision_flow(cas, cluster):
     runtime = make_runtime(cluster[1])
     register(cas, runtime, secrets={"api": b"token"})
-    identity = CasClient(cas).provision(runtime, "s")
+    identity = provision(cas, cluster[1], runtime, "s")
     assert identity.session == "s"
     assert identity.secrets == {"api": b"token"}
     assert len(identity.fs_key) == 32
@@ -73,8 +80,8 @@ def test_direct_provision_flow(cas, cluster):
 def test_each_member_gets_unique_identity(cas, cluster):
     runtime = make_runtime(cluster[1])
     register(cas, runtime)
-    a = CasClient(cas).provision(runtime, "s")
-    b = CasClient(cas).provision(runtime, "s")
+    a = provision(cas, cluster[1], runtime, "s")
+    b = provision(cas, cluster[1], runtime, "s")
     assert a.tls_certificate != b.tls_certificate
     assert a.fs_key == b.fs_key  # session key is shared
 
@@ -84,16 +91,16 @@ def test_wrong_measurement_rejected(cas, cluster):
     register(cas, runtime)
     impostor = make_runtime(cluster[1], name="impostor")
     with pytest.raises(PolicyError):
-        CasClient(cas).provision(impostor, "s")
+        provision(cas, cluster[1], impostor, "s")
 
 
 def test_sim_mode_needs_accept_debug(cas, cluster):
     runtime = make_runtime(cluster[1], mode=SgxMode.SIM)
     register(cas, runtime, session="strict", accept_debug=False)
     with pytest.raises(AttestationError):
-        CasClient(cas).provision(runtime, "strict")
+        provision(cas, cluster[1], runtime, "strict")
     register(cas, runtime, session="dev", accept_debug=True)
-    identity = CasClient(cas).provision(runtime, "dev")
+    identity = provision(cas, cluster[1], runtime, "dev")
     assert identity.session == "dev"
 
 
@@ -125,7 +132,7 @@ def test_provision_requires_32_byte_report_data(cas, cluster):
 def test_owner_fs_key_matches_provisioned(cas, cluster):
     runtime = make_runtime(cluster[1])
     register(cas, runtime)
-    identity = CasClient(cas).provision(runtime, "s")
+    identity = provision(cas, cluster[1], runtime, "s")
     assert cas.owner_fs_key("s") == identity.fs_key
     with pytest.raises(PolicyError):
         cas.owner_fs_key("unknown")

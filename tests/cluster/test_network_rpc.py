@@ -256,11 +256,11 @@ def test_pending_handshakes_expire_by_count(secure_setup):
     server.PENDING_CAPACITY = 4
     # Abandoned hs1s (client crashes before hs2) must not pin memory.
     for i in range(10):
-        network.call(
+        network.scheduler.run_until(network.call_async(
             "client", cluster[1].clock, "secure",
             _envelope("hs1", hello=client._shield.client_handshake(
                 now=cluster[1].clock.now).hello()),
-        )
+        ))
     assert len(server._pending) <= 4 + 1
     assert server.stats.handshakes_expired >= 5
 
@@ -269,18 +269,18 @@ def test_pending_handshakes_expire_by_age(secure_setup):
     from repro.cluster.rpc import _envelope
 
     _, _, client, server, network, cluster = secure_setup
-    network.call(
+    network.scheduler.run_until(network.call_async(
         "client", cluster[1].clock, "secure",
         _envelope("hs1", hello=client._shield.client_handshake(
             now=cluster[1].clock.now).hello()),
-    )
+    ))
     assert len(server._pending) == 1
     cluster[1].clock.advance(server.PENDING_TTL + 1.0)
-    network.call(
+    network.scheduler.run_until(network.call_async(
         "client", cluster[1].clock, "secure",
         _envelope("hs1", hello=client._shield.client_handshake(
             now=cluster[1].clock.now).hello()),
-    )
+    ))
     # The sweep on the second hs1 evicted the stale first one.
     assert len(server._pending) == 1
     assert server.stats.handshakes_expired == 1
@@ -296,10 +296,10 @@ def test_hs1_naming_another_cipher_gets_a_typed_error(secure_setup, cipher):
         client._shield.client_handshake(now=cluster[1].clock.now).hello()
     )
     hello["cipher"] = cipher
-    raw = network.call(
+    raw = network.scheduler.run_until(network.call_async(
         "client", cluster[1].clock, "secure",
         _envelope("hs1", hello=encoding.encode(hello)),
-    )
+    ))
     # The error envelope re-raises as its original type on the client.
     with pytest.raises(HandshakeError, match="unknown AEAD cipher"):
         _open_envelope(raw)
@@ -376,7 +376,7 @@ def test_secure_call_retries_through_partition_heal(secure_setup):
 
 # --- begin_call / settle: the one call path ---------------------------------------
 #
-# ``call`` is ``begin_call().settle()``; these drive the two halves apart,
+# ``call`` is ``begin_call`` then ``settle``; these drive the two halves apart,
 # over the plain and the shielded transport alike.
 
 
@@ -437,8 +437,13 @@ class _Rig:
 
     def begin(self, method, payload):
         if self.conn is None:
-            return self.client.begin_call("svc", method, payload)
-        return self.conn.begin_call(method, payload)
+            begin = self.client.begin_call("svc", method, payload)
+        else:
+            begin = self.conn.begin_call(method, payload)
+        return self.network.scheduler.drive(begin)
+
+    def settle(self, pending):
+        return self.network.scheduler.drive(pending.settle())
 
     def call(self, method, payload):
         if self.conn is None:
@@ -471,7 +476,7 @@ def test_begin_call_request_leg_loss_is_retried_once(kind):
     messages = rig.network.stats.messages
     pending = rig.begin("apply", b"g")  # the send fails; nothing is raised yet
     assert rig.handled == []
-    assert pending.settle() == b"ok:g"
+    assert rig.settle(pending) == b"ok:g"
     assert rig.handled == [b"g"]
     assert rig.client.stats.retries == 1
     # One resend sufficed: a secure client re-handshakes *before* it
@@ -485,7 +490,7 @@ def test_begin_call_request_leg_loss_is_retried_once(kind):
 def test_begin_call_reply_leg_loss_replays_from_dedup_window(kind):
     rig = _Rig(kind)
     rig.drop_next("svc")
-    assert rig.begin("apply", b"g").settle() == b"ok:g"
+    assert rig.settle(rig.begin("apply", b"g")) == b"ok:g"
     # The handler ran exactly once; the resend carried the same call ID
     # and was answered from the server's dedup window.
     assert rig.handled == [b"g"]
@@ -498,7 +503,7 @@ def test_begin_call_survives_server_restart_before_settle(kind):
     pending = rig.begin("apply", b"g")
     rig.server.abort()  # the container dies with the request in flight
     rig.server = rig.start_server("server2")
-    assert pending.settle() == b"ok:g"
+    assert rig.settle(pending) == b"ok:g"
     assert rig.handled == [b"g"]
     if kind == "secure":
         # The replacement knows no sessions: re-handshake, then resend.
@@ -514,7 +519,7 @@ def test_begin_call_open_breaker_sends_nothing(kind):
     rig = _Rig(kind, breakers=breakers, max_attempts=2)
     rig.network.partition("svc")
     with pytest.raises(RpcTransportError):
-        rig.begin("apply", b"trip").settle()
+        rig.settle(rig.begin("apply", b"trip"))
     rig.network.heal("svc")
     assert breakers.get("svc").state == "open"
 
@@ -523,7 +528,7 @@ def test_begin_call_open_breaker_sends_nothing(kind):
     pending = rig.begin("apply", b"shed")  # admitted by the breaker: refused
     assert rig.network.stats.messages == messages
     with pytest.raises(CircuitOpenError):
-        pending.settle()
+        rig.settle(pending)
     assert rig.network.stats.messages == messages
     assert rig.client.stats.breaker_rejections == rejections + 2
     assert rig.handled == []
@@ -533,7 +538,7 @@ def test_begin_call_remote_error_is_not_retried(kind):
     rig = _Rig(kind)
     attempts = rig.client.stats.attempts
     with pytest.raises(SecurityError):
-        rig.begin("deny", b"x").settle()
+        rig.settle(rig.begin("deny", b"x"))
     assert rig.handled == [b"x"]
     assert rig.client.stats.attempts == attempts + 1
     assert rig.client.stats.retries == 0
@@ -546,14 +551,14 @@ def test_begin_call_is_tried_at_most_max_attempts_times(kind):
     attempts = rig.client.stats.attempts
     rig.network.partition("svc")
     with pytest.raises(RpcTransportError):
-        rig.begin("apply", b"g").settle()
+        rig.settle(rig.begin("apply", b"g"))
     assert rig.client.stats.attempts == attempts + 3
     assert rig.client.stats.giveups == 1
 
 
 def test_call_equals_begin_call_settle_under_the_same_fault_plan(kind):
     """Twin seeded rigs, one driven through ``call`` and one through
-    ``begin_call().settle()``: same clocks, same recovery counters, same
+    ``begin_call`` then ``settle``: same clocks, same recovery counters, same
     wire traffic, same fault dice."""
     from repro.cluster.faults import FaultPlan, FaultSpec
     from repro.cluster.retry import BreakerRegistry
@@ -573,7 +578,7 @@ def test_call_equals_begin_call_settle_under_the_same_fault_plan(kind):
             if use_call:
                 replies.append(rig.call("apply", payload))
             else:
-                replies.append(rig.begin("apply", payload).settle())
+                replies.append(rig.settle(rig.begin("apply", payload)))
         assert plan.counters.losses > 0 and plan.counters.duplicates > 0
         return (
             replies,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro._sim import DeterministicRng, SimClock
+from repro._sim import DeterministicRng, Scheduler, SimClock
 from repro.cluster import Network, make_cluster
 from repro.cluster.faults import FaultPlan, FaultSpec
 from repro.cluster.retry import (
@@ -14,6 +14,7 @@ from repro.cluster.retry import (
 )
 from repro.cluster.rpc import RpcClient, RpcServer
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
+from tests.cluster._attempts import run_attempts
 from repro.errors import (
     CircuitOpenError,
     PolicyError,
@@ -61,7 +62,11 @@ def test_retryable_classification():
 
 def make_executor(clock, **policy_kw):
     policy = RetryPolicy(**policy_kw)
-    return RetryingExecutor(policy, clock, DeterministicRng(7, label="x"))
+    return RetryingExecutor(policy, clock, DeterministicRng(7, label="x"), Scheduler())
+
+
+def run(executor, endpoint, attempt):
+    return run_attempts(executor, executor._scheduler, endpoint, attempt)
 
 
 def test_executor_retries_transient_failures(clock):
@@ -74,7 +79,7 @@ def test_executor_retries_transient_failures(clock):
             raise RpcTransportError("lost")
         return "ok"
 
-    assert executor.run("svc", flaky) == "ok"
+    assert run(executor, "svc", flaky) == "ok"
     assert len(attempts) == 3
     assert executor.stats.retries == 2
     # Backoff advanced the simulated clock between attempts.
@@ -89,7 +94,7 @@ def test_executor_gives_up_after_max_attempts(clock):
         raise RpcTransportError("lost")
 
     with pytest.raises(RpcTransportError):
-        executor.run("svc", dead)
+        run(executor, "svc", dead)
     assert executor.stats.attempts == 3
     assert executor.stats.giveups == 1
 
@@ -106,7 +111,7 @@ def test_executor_respects_deadline(clock):
         raise RpcTransportError("lost")
 
     with pytest.raises(RpcTransportError):
-        executor.run("svc", dead)
+        run(executor, "svc", dead)
     # Attempts at t=0,1,2,3; the next backoff would pass the deadline.
     assert len(calls) == 4
     assert clock.now <= 3.5
@@ -121,7 +126,7 @@ def test_non_retryable_error_attempted_once(clock):
         raise PolicyError("no")
 
     with pytest.raises(PolicyError):
-        executor.run("svc", denied)
+        run(executor, "svc", denied)
     assert len(calls) == 1
     assert executor.stats.retries == 0
 
@@ -153,7 +158,7 @@ def test_executor_sheds_calls_while_open_then_recovers(clock):
     policy = RetryPolicy(max_attempts=2, base_delay=0.01, jitter=0.0)
     breakers = BreakerRegistry(failure_threshold=2, reset_timeout=10.0)
     executor = RetryingExecutor(
-        policy, clock, DeterministicRng(1, label="x"), breakers=breakers
+        policy, clock, DeterministicRng(1, label="x"), Scheduler(), breakers=breakers
     )
     calls = []
 
@@ -162,17 +167,17 @@ def test_executor_sheds_calls_while_open_then_recovers(clock):
         raise RpcTransportError("lost")
 
     with pytest.raises(RpcTransportError):
-        executor.run("svc", dead)  # both attempts fail -> breaker trips
+        run(executor, "svc", dead)  # both attempts fail -> breaker trips
     assert breakers.get("svc").state == "open"
     before = len(calls)
     # While open, the attempt function is never invoked: calls are shed.
     with pytest.raises(CircuitOpenError):
-        executor.run("svc", dead)
+        run(executor, "svc", dead)
     assert len(calls) == before
     assert executor.stats.breaker_rejections > 0
     # After the cooldown the endpoint recovered: probe succeeds.
     clock.advance(10.0)
-    assert executor.run("svc", lambda: "ok") == "ok"
+    assert run(executor, "svc", lambda: "ok") == "ok"
     assert breakers.get("svc").state == "closed"
 
 

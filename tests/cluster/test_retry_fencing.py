@@ -4,7 +4,7 @@ otherwise burn its whole backoff budget learning the same 'no'."""
 
 import pytest
 
-from repro._sim import DeterministicRng, SimClock
+from repro._sim import DeterministicRng, Scheduler, SimClock
 from repro.cluster import Network, make_cluster
 from repro.cluster.epoch import EpochService
 from repro.cluster.retry import (
@@ -21,6 +21,7 @@ from repro.errors import (
     LeaseExpiredError,
     RpcTransportError,
 )
+from tests.cluster._attempts import run_attempts
 
 
 def test_fencing_errors_are_not_retryable():
@@ -33,7 +34,8 @@ def test_fencing_errors_are_not_retryable():
 def test_executor_gives_up_immediately_on_fenced_error():
     clock = SimClock()
     policy = RetryPolicy(max_attempts=5, base_delay=0.01, jitter=0.0)
-    executor = RetryingExecutor(policy, clock, DeterministicRng(3, label="t"))
+    scheduler = Scheduler()
+    executor = RetryingExecutor(policy, clock, DeterministicRng(3, label="t"), scheduler)
     attempts = []
 
     def fenced_operation():
@@ -41,7 +43,7 @@ def test_executor_gives_up_immediately_on_fenced_error():
         raise FencedError("stale epoch 1")
 
     with pytest.raises(FencedError):
-        executor.run("acceptor", fenced_operation)
+        run_attempts(executor, scheduler, "acceptor", fenced_operation)
     # One attempt, zero backoff sleeps: authoritative means *believed*.
     assert len(attempts) == 1
     assert clock.now == 0.0

@@ -5,7 +5,7 @@ is derived."""
 import numpy as np
 import pytest
 
-from repro._sim import DeterministicRng
+from repro._sim import DeterministicRng, Scheduler
 from repro.cluster import InMemoryCheckpointStore, Network, ParameterServer, make_cluster
 from repro.cluster.retry import (
     RETRY_HORIZON,
@@ -18,6 +18,7 @@ from repro.crypto import encoding
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.errors import ConfigurationError, RpcTransportError
 from repro.tensor.arrays import encode_array_dict
+from tests.cluster._attempts import run_attempts
 
 
 def test_the_window_is_two_horizons_and_the_default_deadline_one():
@@ -63,10 +64,12 @@ def test_a_caller_deadline_past_the_horizon_gives_up_at_the_horizon(clock):
     policy = RetryPolicy(
         max_attempts=1000, base_delay=1.0, max_delay=1.0, jitter=0.0
     )
+    scheduler = Scheduler()
     executor = RetryingExecutor(
         policy,
         clock,
         DeterministicRng(7, label="x"),
+        scheduler,
         breakers=BreakerRegistry(failure_threshold=10_000),  # never opens
     )
     start, sent = clock.now, []
@@ -76,7 +79,9 @@ def test_a_caller_deadline_past_the_horizon_gives_up_at_the_horizon(clock):
         raise RpcTransportError("lost")
 
     with pytest.raises(RpcTransportError):
-        executor.run("svc", dead, deadline=start + 10 * RETRY_HORIZON)
+        run_attempts(
+            executor, scheduler, "svc", dead, deadline=start + 10 * RETRY_HORIZON
+        )
     # One attempt a second from t=0; the one after t=30 would be late.
     assert len(sent) == int(RETRY_HORIZON) + 1
     assert max(sent) - start <= RETRY_HORIZON

@@ -143,6 +143,48 @@ def test_parameter_server_serves_only_its_own_session():
         platform.network, own.address, own.node, own.shield
     ).connect(ps.address)
     assert encoding.decode(conn.call("pull", b""))["version"] == 1
+
+
+@pytest.mark.parametrize("when", ["connect", "reconnect"])
+def test_training_worker_talks_only_to_its_own_session(mnist, when):
+    """The mirror of the shard's peer scope: a CAS-certified shard of
+    another session that answers at this job's shard address chains to
+    the same root, and is refused before it sees a pull or a push —
+    whether it is there at the first handshake or takes the address
+    from under a live session (the retry loop's re-handshake)."""
+    from repro.cluster.retry import RetryPolicy
+    from repro.cluster.rpc import SecureRpcServer
+
+    batches, _ = mnist
+    platform = SecureTFPlatform(PlatformConfig(n_nodes=3, seed=2))
+    jobs = [
+        TrainingJob(
+            platform,
+            TrainingJobConfig(
+                session=session, mode=SgxMode.HW, learning_rate=0.05,
+                retry_policy=RetryPolicy(max_attempts=3),
+            ),
+        )
+        for session in ("job", "other")
+    ]
+    for job in jobs:
+        job.start()
+    if when == "reconnect":
+        jobs[0].train(batches, steps=1)  # sessions to the real shard exist
+    target = jobs[0].ps_service.shard(0)
+    foreign = jobs[1].ps_service.shard(0)
+    served = []
+    platform.network.unregister(target.address)
+    impostor = SecureRpcServer(
+        platform.network, target.address, foreign.node, foreign.shield
+    )
+    for method in ("pull", "push"):
+        impostor.register(method, lambda payload, peer, m=method: served.append(m) or b"")
+    impostor.start()
+    refusal = "presented" if when == "connect" else "is now"
+    with pytest.raises(AttestationError, match=f"{refusal} .* outside 'job/'"):
+        jobs[0].train(batches, steps=2)
+    assert served == []
     for job in jobs:
         job.stop()
 

@@ -30,12 +30,12 @@ def make_plane(seed=3, initial_replicas=2, restart_budget=None, **kwargs):
 def send(plane, request_id, deadline=None):
     network = plane.platform.network
     clock = plane.platform.nodes[-1].clock
-    raw = network.call(
+    raw = network.scheduler.run_until(network.call_async(
         "client",
         clock,
         "router",
         messages.encode_request(request_id, b"p", deadline=deadline),
-    )
+    ))
     return messages.decode_reply(raw)
 
 
@@ -118,3 +118,31 @@ def test_drain_finishes_inflight_work_before_stopping():
     assert states(plane)["replica-0"] is ReplicaState.STOPPED
     assert "drained replica-0" in plane.pool.events
     plane.quiesce()
+
+
+def test_lost_provision_reply_fails_the_boot_not_the_tick():
+    """Unscoped loss reaches the CAS leg: a watchdog restart whose
+    un-retried ``provision`` reply is dropped must not abort the run.
+    The boot activity marks that replica FAILED, the watchdog restarts
+    (or quarantines) it, and every admitted request still terminates."""
+    from repro.cluster.faults import FaultPlan, FaultSpec
+
+    plane = make_plane(seed=1, initial_replicas=3)
+    plane.add_faults(FaultPlan(101, FaultSpec(loss=0.2)))
+    for i, at in enumerate((1.0, 2.0, 3.0)):
+        plane.platform.scheduler.schedule(
+            at, lambda i=i: plane.pool.crash(f"replica-{i}"), label="chaos:crash"
+        )
+    stats = plane.run_traffic(4, 6.0)
+    plane.check_invariants()
+    stats.assert_accounted()
+    failed_boots = [e for e in plane.pool.events if e.startswith("boot-failed")]
+    assert failed_boots, "the seed must drop a provision message"
+    assert all("RpcTransportError" in e for e in failed_boots)
+    # Each failed boot is a FAILED container the watchdog acted on.
+    assert plane.watchdog.restarts > 3
+    assert plane.router.admission.stats.admitted == plane.router.stats.terminal
+    assert stats.ok > 0
+    assert any(
+        e.state is ReplicaState.HEALTHY for e in plane.scoreboard.entries()
+    )

@@ -70,12 +70,12 @@ def add_replica(network, router, node, address, service_time=0.01):
 
 
 def send(network, clock, request_id, deadline=None, payload=b"p"):
-    raw = network.call(
+    raw = network.scheduler.run_until(network.call_async(
         "client",
         clock,
         "router",
         messages.encode_request(request_id, payload, deadline=deadline),
-    )
+    ))
     return messages.decode_reply(raw)
 
 
