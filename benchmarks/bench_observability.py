@@ -1,8 +1,11 @@
 """The telemetry plane: tracing overhead and artifact export.
 
-Runs the same HW distributed-training workload twice — telemetry off,
-then on (tracer + 0.5 s metric sampler) — and checks the plane's core
-bargain:
+Runs the same HW distributed-training workload with telemetry off and
+on (tracer + 0.5 s metric sampler), after one warm-up run, in
+alternating pairs, and checks the plane's core bargain.  A second row
+pages: HW Lite inference of ``inception_v4`` past the EPC, classify
+laps timed the same way untraced and under ``Telemetry`` (the training
+row never faults, so it cannot see what tracing costs the EPC scan):
 
 - **near-zero simulated cost**: recording never advances a clock, so
   the only simulated difference is the propagated trace context riding
@@ -21,19 +24,32 @@ scalar results go to ``BENCH.json`` under ``observability``.
 """
 
 import json
+import statistics
 import time
 
-from harness import print_table, record, run_once, save_artifact, save_bench
+from harness import (
+    load_bench,
+    print_table,
+    record,
+    run_once,
+    save_artifact,
+    save_bench,
+)
 
-from repro.core import SecureTFPlatform
+from repro.core import InferenceService, SecureTFPlatform
+from repro.core.inference import deploy_encrypted_model, service_runtime_config
 from repro.core.platform import PlatformConfig
 from repro.core.training import TrainingJob, TrainingJobConfig
-from repro.data import synthetic_mnist
+from repro.data import synthetic_cifar10, synthetic_mnist
 from repro.enclave.sgx import SgxMode
-from repro.observability import validate_chrome_trace
+from repro.models import pretrained_lite_model
+from repro.observability import Telemetry, validate_chrome_trace
 
 BATCHES = 6
 BATCH_SIZE = 64
+#: Both rows time alternating (untraced, traced) pairs and report medians.
+PAIRS = 5
+CLASSIFIES_PER_LAP = 8
 
 
 def _train(tracing: bool):
@@ -57,17 +73,72 @@ def _train(tracing: bool):
     return platform, result
 
 
+def _alternate(pairs, run):
+    """``run(traced)`` returns host seconds; run ``pairs`` alternating
+    pairs (untraced first in even pairs) and return the median untraced
+    and traced seconds and the median traced/untraced ratio of a pair."""
+    walls = {False: [], True: []}
+    for index in range(pairs):
+        for traced in (False, True) if index % 2 == 0 else (True, False):
+            walls[traced].append(run(traced))
+    ratios = [t / u for u, t in zip(walls[False], walls[True])]
+    return (
+        statistics.median(walls[False]),
+        statistics.median(walls[True]),
+        statistics.median(ratios),
+    )
+
+
+def _paging_laps():
+    """HW Lite classifies past the EPC on one warmed service, a lap
+    untraced and a lap under ``Telemetry`` alternately."""
+    _, test = synthetic_cifar10(n_train=5, n_test=CLASSIFIES_PER_LAP, seed=11)
+    platform = SecureTFPlatform(PlatformConfig(n_nodes=2, seed=11))
+    platform.register_session("infer", [service_runtime_config("svc", SgxMode.HW)])
+    node = platform.node(1)
+    model = pretrained_lite_model("inception_v4", seed=11)
+    path = deploy_encrypted_model(platform, "infer", node, model)
+    service = InferenceService(platform, "infer", node, path, mode=SgxMode.HW, name="svc")
+    service.start()
+    faults = []
+
+    def lap(traced):
+        telemetry = Telemetry(platform) if traced else None
+        before = node.cpu.epc.stats.faults
+        started = time.perf_counter()
+        for image in test.images:
+            service.classify(image)
+        elapsed = time.perf_counter() - started
+        if telemetry is not None:
+            telemetry.close()
+        faults.append(node.cpu.epc.stats.faults - before)
+        return elapsed
+
+    lap(False)  # warm: the first classify loads the model
+    return _alternate(PAIRS, lap) + (faults[-1],)
+
+
 def test_bench_observability(benchmark):
     def scenario():
         metrics = {}
+        runs = {}
 
-        started = time.perf_counter()
-        _, plain = _train(tracing=False)
-        metrics["untraced_wall_s"] = time.perf_counter() - started
+        def train(traced):
+            started = time.perf_counter()
+            platform, result = _train(tracing=traced)
+            elapsed = time.perf_counter() - started
+            # The next untraced run must run with no tracer installed.
+            platform.close_telemetry()
+            runs[traced] = platform, result
+            return elapsed
 
-        started = time.perf_counter()
-        platform, traced = _train(tracing=True)
-        metrics["traced_wall_s"] = time.perf_counter() - started
+        train(False)  # warm: imports and first-use paths
+        (
+            metrics["untraced_wall_s"],
+            metrics["traced_wall_s"],
+            metrics["overhead_ratio"],
+        ) = _alternate(PAIRS, train)
+        (_, plain), (platform, traced) = runs[False], runs[True]
         telemetry = platform.telemetry
 
         trace = telemetry.chrome_trace()
@@ -86,16 +157,19 @@ def test_bench_observability(benchmark):
                 )
         metrics["profile_residual"] = residual
         metrics["simulated_delta_s"] = abs(traced.wall_clock - plain.wall_clock)
-        metrics["overhead_ratio"] = (
-            metrics["traced_wall_s"] / metrics["untraced_wall_s"]
-        )
 
         save_artifact(
             "observability.trace.json", json.dumps(trace, indent=2) + "\n"
         )
         save_artifact("observability.profile.txt", telemetry.profile_report() + "\n")
         save_artifact("observability.prom.txt", telemetry.prometheus())
-        platform.close_telemetry()
+
+        (
+            metrics["paging_untraced_lap_s"],
+            metrics["paging_traced_lap_s"],
+            metrics["paging_overhead_ratio"],
+            metrics["paging_faults_per_lap"],
+        ) = _paging_laps()
         return metrics
 
     metrics = run_once(benchmark, scenario)
@@ -111,18 +185,29 @@ def test_bench_observability(benchmark):
                 metrics["series"],
                 metrics["samples"],
             ),
+            ("paging off", f"{metrics['paging_untraced_lap_s']:.2f}s/lap", "-", "-", "-"),
+            ("paging on", f"{metrics['paging_traced_lap_s']:.2f}s/lap", "-", "-", "-"),
         ],
         notes=[
-            f"wall overhead {metrics['overhead_ratio']:.2f}x, "
+            f"wall overhead {metrics['overhead_ratio']:.2f}x (median of {PAIRS} pairs), "
             f"simulated delta {metrics['simulated_delta_s']:.6f}s, "
             f"worst profile residual {metrics['profile_residual']:.2e}",
+            f"paging row ({CLASSIFIES_PER_LAP} inception_v4 classifies past the "
+            f"EPC, {metrics['paging_faults_per_lap']} faults a lap): median "
+            f"traced/untraced over {PAIRS} alternating lap pairs "
+            f"{metrics['paging_overhead_ratio']:.2f}x",
         ],
     )
     record(benchmark, **metrics)
+    previous = load_bench("observability")
+    previous.pop("previous", None)
     save_bench(
         "observability",
-        {k: (round(v, 4) if isinstance(v, float) else v)
-         for k, v in metrics.items()},
+        {
+            **{k: (round(v, 4) if isinstance(v, float) else v)
+               for k, v in metrics.items()},
+            "previous": previous,
+        },
     )
     # Recording must be (near-)free in simulated time — the envelope's
     # trace context is the only wire-level difference — and must

@@ -270,10 +270,10 @@ class Network:
 
         callee_idle = arrival - endpoint.clock.now
         endpoint.clock.advance_to(arrival)
-        if probe.ACTIVE is not None and callee_idle > 0:
+        if probe.SINK is not None and callee_idle > 0:
             # The callee sat idle until the request arrived: that gap is
             # network wait on the callee's clock, not compute.
-            probe.ACTIVE.charge(endpoint.clock, "network_wait", callee_idle)
+            probe.SINK.charge(endpoint.clock, "network_wait", callee_idle)
         if endpoint.syscalls is not None:
             # The server process reads the request off its socket: this
             # is real I/O through its syscall plane, on its clock.
@@ -422,11 +422,11 @@ class Network:
         """The reply event: land the response on the caller's clock."""
         caller_wait = reply_at - src_clock.now
         src_clock.advance_to(reply_at)
-        if probe.ACTIVE is not None and caller_wait > 0:
+        if probe.SINK is not None and caller_wait > 0:
             # Everything between the caller's send and the reply landing
             # — server occupancy plus both wire legs — is network wait
             # from the caller's point of view.
-            probe.ACTIVE.charge(src_clock, "network_wait", caller_wait)
+            probe.SINK.charge(src_clock, "network_wait", caller_wait)
         completion.resolve(response)
 
     def barrier(self, clocks) -> float:
@@ -435,6 +435,6 @@ class Network:
         for clock in clocks:
             waited = latest - clock.now
             clock.advance_to(latest)
-            if probe.ACTIVE is not None and waited > 0:
-                probe.ACTIVE.charge(clock, "network_wait", waited)
+            if probe.SINK is not None and waited > 0:
+                probe.SINK.charge(clock, "network_wait", waited)
         return latest

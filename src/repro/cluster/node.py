@@ -76,10 +76,8 @@ class Node:
         self.cores_out.append(core)
         # Named before its first charge, or a trace opened earlier would
         # date the clock from that charge and not from here.
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.register_clock(clock, label)
-        if probe.FLIGHT is not None:
-            probe.FLIGHT.register_clock(clock, label)
+        if probe.SINK is not None:
+            probe.SINK.register_clock(clock, label)
         return core
 
     def release_core(self, core: Core) -> None:

@@ -372,13 +372,11 @@ class RetryingExecutor:
             yield self._scheduler.timer(
                 self._clock, delay, label=f"backoff:{endpoint}"
             )
-            if probe.ACTIVE is not None:
-                probe.ACTIVE.charge(self._clock, "retry_backoff", delay)
-                probe.ACTIVE.event(
-                    self._clock,
-                    "retry",
-                    attrs={"endpoint": endpoint, "attempt": retry_index + 1},
-                )
+            if probe.SINK is not None:
+                probe.SINK.charge(self._clock, "retry_backoff", delay)
+                attrs = {"endpoint": endpoint, "attempt": retry_index + 1}
+                with probe.span(self._clock, "retry", "event", attrs):
+                    pass  # an instant: the retry fired here
             admitted, sent, failure = yield from self._send(endpoint, breaker, send)
 
 

@@ -107,13 +107,13 @@ def _envelope(kind: str, **fields: object) -> bytes:
     return encoding.encode({"kind": kind, **fields})
 
 
-def _trace_fields(tracer: object, clock) -> dict:
+def _trace_fields(sink: object, clock) -> dict:
     """Trace-context envelope fields for the innermost open span on
     ``clock`` — empty (so envelopes are byte-identical to an untraced
     build) when tracing is off or no span is open."""
-    if tracer is None:
+    if sink is None:
         return {}
-    context = tracer.current_context(clock)
+    context = sink.current_context(clock)
     return {"trace": context} if context is not None else {}
 
 
@@ -420,7 +420,7 @@ class RpcClient:
             fields["call_id"] = self.next_call_id()
         if deadline is not None:
             fields["deadline"] = deadline
-        fields.update(_trace_fields(probe.ACTIVE, self._node.clock))
+        fields.update(_trace_fields(probe.SINK, self._node.clock))
         if self.fence is not None:
             fields["fence"] = self.fence.stamp()
         return _envelope("call", **fields)

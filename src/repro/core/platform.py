@@ -154,7 +154,7 @@ class SecureTFPlatform:
         return load_epochs(self.active_cas.db)
 
     def close_telemetry(self) -> None:
-        """Detach the telemetry plane (restores any previous recorder)."""
+        """Detach the telemetry plane (its tracer leaves the probe sink)."""
         if self.telemetry is not None:
             self.telemetry.close()
 

@@ -29,12 +29,13 @@ Every simulated memory access of every workload funnels through
 Python on a hit: residency is one ``bytearray`` per enclave (a byte per
 granule, 1 = resident) and a range is *scanned* with ``bytearray.find``,
 which skips a run of resident granules in C.  Only faults enter the
-interpreter loop.  Each adds its cost to the clock's sum in turn, but the
-sum and the counters are *stored* once per scan unless somebody is
-watching: with a clock observer (the metrics sampler, the flight
-recorder) or a tracer installed, every fault still updates the stats,
-advances the clock and charges the tracer, in that order, before the
-next is looked at.
+interpreter loop.  Each adds its cost to the clock's sum in turn
+(``SimClock.advance_each``), but the sum and the counters are *stored*
+once per scan, and the run is one ``charge_each`` to the telemetry sink
+(the same additions: the ledger is bit for bit the per-fault one).  A
+clock observer — the metrics sampler — is the one reader that could look
+between two faults, so with one subscribed each fault still updates the
+stats, then advances the clock.  Both policies follow these rules.
 """
 
 from __future__ import annotations
@@ -152,9 +153,6 @@ class EpcCache:
     def resident_granules(self) -> int:
         return len(self._lru) if self.policy == "lru" else len(self._slots)
 
-    def resident_granules_of(self, enclave_id: int) -> int:
-        return self.stats.per_enclave_resident.get(enclave_id, 0)
-
     def access(self, enclave_id: int, granule_index: int) -> bool:
         """Touch one granule; returns True on a fault (cost charged)."""
         return self._touch(enclave_id, granule_index, granule_index + 1) == 1
@@ -211,12 +209,10 @@ class EpcCache:
         counts = stats.per_enclave_resident
         own = counts.get(enclave_id, 0)
         ever_loaded = self._ever_loaded
-        pages = self._pages_per_granule
         cost = self._granule_fault_cost
-        clock = self._clock
         # Whoever reads the stats at an advance must find this fault in
         # them; with nobody there the totals are stored once, below.
-        watched = clock.observed or probe.ACTIVE is not None
+        observed = self._clock.observed
         base = enclave_id << _GRANULE_BITS
         # Every granule of the range that does not fault is a hit.
         hits = stats.hits + stop - first
@@ -263,32 +259,23 @@ class EpcCache:
                 cold_loads += 1
             faults += 1
             fault_time += cost
-            if watched:
+            if observed:
                 stats.hits = hits - faults - (stop - cursor - 1)  # not yet seen
                 stats.evictions, stats.cold_loads = evictions, cold_loads
-                stats.faults += 1
-                stats.fault_pages += pages
-                stats.fault_time = fault_time
-                clock.advance(cost)
-                if probe.ACTIVE is not None:
-                    probe.ACTIVE.charge(
-                        clock, "epc_faults", cost, histogram="epc.fault_service"
-                    )
+                self._publish_fault(fault_time)
             cursor = find(0, cursor + 1, stop)
         stats.hits = hits - faults
-        if not watched:
-            stats.evictions, stats.cold_loads = evictions, cold_loads
-            stats.faults += faults
-            stats.fault_pages += faults * pages
-            stats.fault_time = fault_time
-            clock.advance_each(cost, faults)
-        return faults
+        stats.evictions, stats.cold_loads = evictions, cold_loads
+        return self._settle(faults, fault_time, observed)
 
     def _touch_lru(self, enclave_id: int, first: int, stop: int) -> int:
-        """LRU ablation: every hit reorders, so every granule is visited."""
+        """LRU ablation: every hit reorders, so every granule is visited.
+        Faults are stored, advanced and charged by ``_scan``'s rules."""
         lru = self._lru
         stats = self.stats
+        observed = self._clock.observed
         base = enclave_id << _GRANULE_BITS
+        fault_time = stats.fault_time
         faults = 0
         for key in range(base + first, base + stop):
             if key in lru:
@@ -301,8 +288,38 @@ class EpcCache:
                 self._dec_resident(victim >> _GRANULE_BITS)
             lru[key] = None
             self._inc_resident(enclave_id)
-            self._charge_fault(key)
+            if key not in self._ever_loaded:
+                self._ever_loaded.add(key)
+                stats.cold_loads += 1
             faults += 1
+            fault_time += self._granule_fault_cost
+            if observed:
+                self._publish_fault(fault_time)
+        return self._settle(faults, fault_time, observed)
+
+    def _publish_fault(self, fault_time: float) -> None:
+        """One fault, published before the next is looked at: stats,
+        then the clock (an observer reads the stats at the advance)."""
+        stats = self.stats
+        stats.faults += 1
+        stats.fault_pages += self._pages_per_granule
+        stats.fault_time = fault_time
+        self._clock.advance(self._granule_fault_cost)
+
+    def _settle(self, faults: int, fault_time: float, observed: bool) -> int:
+        """Store a walk's faults — unless each was published as it came —
+        and charge the run to the sink once; returns ``faults``."""
+        cost = self._granule_fault_cost
+        if not observed:
+            stats = self.stats
+            stats.faults += faults
+            stats.fault_pages += faults * self._pages_per_granule
+            stats.fault_time = fault_time
+            self._clock.advance_each(cost, faults)
+        if faults and probe.SINK is not None:
+            probe.SINK.charge_each(
+                self._clock, "epc_faults", cost, faults, histogram="epc.fault_service"
+            )
         return faults
 
     def evict_enclave(self, enclave_id: int) -> int:
@@ -327,21 +344,6 @@ class EpcCache:
             self._resident.pop(enclave_id, None)
         self.stats.per_enclave_resident.pop(enclave_id, None)
         return len(keys)
-
-    def _charge_fault(self, key: int) -> None:
-        stats = self.stats
-        stats.faults += 1
-        stats.fault_pages += self._pages_per_granule
-        if key not in self._ever_loaded:
-            self._ever_loaded.add(key)
-            stats.cold_loads += 1
-        cost = self._granule_fault_cost
-        stats.fault_time += cost
-        self._clock.advance(cost)
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.charge(
-                self._clock, "epc_faults", cost, histogram="epc.fault_service"
-            )
 
     def _inc_resident(self, enclave_id: int) -> None:
         counts = self.stats.per_enclave_resident

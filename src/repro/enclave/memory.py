@@ -106,46 +106,6 @@ class EnclaveMemory:
             raise EnclaveError(f"region {name!r} is not allocated")
         return self._regions[name]
 
-    def touch(
-        self,
-        name: str,
-        offset: int = 0,
-        n_bytes: Optional[int] = None,
-        bandwidth: bool = True,
-    ) -> int:
-        """Charge a sequential access of ``n_bytes`` at ``offset`` in region.
-
-        ``bandwidth=False`` models accesses that hit on-core caches in
-        steady state (hot code paths): no DRAM bandwidth is charged, but
-        the granules still occupy — and may fault in — the EPC, because
-        SGX's protection is at page granularity regardless of the cache
-        hierarchy.  Returns the number of EPC granule faults (0 outside
-        HW mode).
-        """
-        region = self.region(name)
-        if n_bytes is None:
-            n_bytes = region.size - offset
-        if offset < 0 or n_bytes < 0 or offset + n_bytes > region.size:
-            raise EnclaveError(
-                f"touch [{offset}, {offset + n_bytes}) outside region "
-                f"{name!r} of size {region.size}"
-            )
-        if n_bytes == 0:
-            return 0
-        return self._charge(region.base + offset, n_bytes, bandwidth)
-
-    def _charge(self, first_byte: int, n_bytes: int, bandwidth: bool) -> int:
-        """Charge one in-bounds, non-empty access; returns its EPC faults."""
-        if bandwidth:
-            duration = n_bytes / self._bandwidth
-            self._clock.advance(duration)
-            self.bandwidth_time += duration
-        self.bytes_touched += n_bytes
-
-        if self._epc is None:
-            return 0
-        return self._epc.access_range(self._enclave_id, first_byte, n_bytes)
-
     def touch_window(
         self,
         name: str,
@@ -159,7 +119,9 @@ class EnclaveMemory:
         to interleave walks over several regions the way real per-op
         execution interleaves code, weights, and activations — the cache
         behaviour under interleaving differs fundamentally from doing one
-        region at a time.
+        region at a time.  ``bandwidth=False`` models hot code that hits
+        on-core caches: no DRAM time, but its granules still occupy — and
+        may fault in — the EPC.
         """
         region = self.region(name)
         if n_bytes <= 0:
@@ -169,25 +131,18 @@ class EnclaveMemory:
         remaining = n_bytes
         cursor %= size
         while remaining > 0:
+            # Each in-bounds piece: DRAM time first, then its granules.
             chunk = min(remaining, size - cursor)
-            faults += self._charge(base + cursor, chunk, bandwidth)
+            if bandwidth:
+                duration = chunk / self._bandwidth
+                self._clock.advance(duration)
+                self.bandwidth_time += duration
+            self.bytes_touched += chunk
+            if self._epc is not None:
+                faults += self._epc.access_range(self._enclave_id, base + cursor, chunk)
             cursor = (cursor + chunk) % size
             remaining -= chunk
         return faults, cursor
-
-    def touch_cyclic(
-        self,
-        name: str,
-        traffic_bytes: int,
-        bandwidth: bool = True,
-    ) -> int:
-        """Charge ``traffic_bytes`` of accesses cycling over a whole region.
-
-        Models a working set being streamed repeatedly (weights per
-        inference, hot code per op): full sequential passes plus a
-        remainder.  Returns total EPC granule faults.
-        """
-        return self.touch_window(name, 0, traffic_bytes, bandwidth)[0]
 
     def charge_bytes(self, n_bytes: int) -> None:
         """Charge bandwidth for anonymous traffic (no specific region).

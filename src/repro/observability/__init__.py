@@ -16,9 +16,9 @@ Coupled pieces (see DESIGN.md §5f and §5k):
 - :mod:`.incident` — trigger-driven deterministic incident bundles
   with cross-node causal timelines and root-cause summaries.
 
-Recording is off unless a recorder is installed in
-:mod:`repro._sim.probe`; instrumented hot paths check those single
-slots and do nothing else when they are empty.
+Recording is off unless a consumer is installed in
+:mod:`repro._sim.probe`'s one sink; instrumented hot paths check that
+single slot and do nothing else when it is empty.
 """
 
 from repro.observability.exporters import (
@@ -66,9 +66,7 @@ from repro.observability.tracer import (
     LAYERS,
     Span,
     Tracer,
-    activate,
     active_tracer,
-    deactivate,
 )
 
 __all__ = [
@@ -91,12 +89,10 @@ __all__ = [
     "Telemetry",
     "Tracer",
     "WindowedHistogram",
-    "activate",
     "active_tracer",
     "build_flame",
     "bundle_from_scenario",
     "cas_slos",
-    "deactivate",
     "dump_json",
     "find_root_cause",
     "flame_report",

@@ -10,7 +10,9 @@ RPC/fence/watchdog events at near-zero cost.
 Cost discipline mirrors :mod:`repro._sim.probe`'s tracer slot:
 
 - instrumentation sites call :func:`probe.flight`, whose fast path is a
-  single module-global load and a None comparison;
+  single module-global load and a None comparison; the recorder is one
+  of the sink's consumers, and hears of spans and charges only while a
+  tracer is installed beside it;
 - recording never advances a clock, never draws randomness, and never
   allocates per-event objects beyond one tuple — a run with the
   recorder installed has byte-identical simulated results, and a run
@@ -31,6 +33,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional
 
 from repro._sim.clock import SimClock
+from repro._sim.probe import Sink
 
 #: Label of the ring that receives clock-less (control-plane) events.
 CONTROL_RING = "control"
@@ -81,7 +84,7 @@ class _Ring:
         return len(self._events)
 
 
-class FlightRecorder:
+class FlightRecorder(Sink):
     """Per-node ring buffers of recent span/charge/fault events.
 
     Register node clocks up front (:meth:`register_clock`) so events
@@ -168,12 +171,13 @@ class FlightRecorder:
         if self.stats is not None:
             self.stats.flight_events += 1
 
-    # -- tracer forwarding -----------------------------------------------
+    flight = record
+
+    # -- what the tracer records (forwarded by the sink's fan-out) -------
 
     def on_span_end(self, span) -> None:
-        """Called by the tracer when a span closes (recorder + tracer
-        both on): the ring keeps the recent span tail even after the
-        tracer's own buffer would have scrolled far past it."""
+        """A tracer span closed: the ring keeps the recent span tail even
+        after the tracer's own buffer would have scrolled far past it."""
         self.record(
             span.clock,
             "span",
@@ -183,7 +187,8 @@ class FlightRecorder:
         )
 
     def on_charge(self, clock: SimClock, layer: str, duration: float) -> None:
-        """Called by the tracer's charge hook (recorder + tracer on)."""
+        """The tracer took a charge (one line per call: a run of EPC
+        faults charged at once is one line with the run's total)."""
         self.record(clock, "charge", layer, f"{duration:.6f}")
 
     # -- freezing --------------------------------------------------------

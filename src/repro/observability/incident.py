@@ -40,7 +40,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro._sim.clock import SimClock
+from repro._sim.probe import Sink
 from repro.observability.flight import FlightEvent, FlightRecorder
+from repro.observability.tracer import active_tracer
 
 #: Event kinds that can be a root cause (the faults, not the symptoms).
 FAULT_KINDS = (
@@ -157,21 +159,20 @@ def find_root_cause(
     }
 
 
-class IncidentPipeline:
+class IncidentPipeline(Sink):
     """Turns triggers into bundles; dedups so each distinct trigger key
-    emits exactly one bundle per run."""
+    emits exactly one bundle per run.  The trace side of a bundle comes
+    from the tracer installed when the trigger fires."""
 
     def __init__(
         self,
         recorder: FlightRecorder,
-        tracer=None,
         metrics_probe: Optional[Callable[[], Dict[str, object]]] = None,
         window: float = 5.0,
         stats=None,
         max_bundles: int = 64,
     ) -> None:
         self.recorder = recorder
-        self.tracer = tracer
         self.metrics_probe = metrics_probe
         self.window = window
         self.stats = stats
@@ -209,7 +210,13 @@ class IncidentPipeline:
             timeline_events = self.recorder.timeline(
                 until=trigger_time, window=self.window
             )
-            trigger_trace = self._trigger_trace(clock)
+            tracer = active_tracer()
+            # The trace of the innermost open span on the trigger's clock:
+            # the causal chain the root-cause search prefers.
+            trigger_trace = None
+            if tracer is not None and clock is not None:
+                context = tracer.current_context(clock)
+                trigger_trace = context["t"] if context else None
             bundle = IncidentBundle(
                 incident_id=f"I{self._next_id}",
                 trigger_kind=kind,
@@ -223,7 +230,7 @@ class IncidentPipeline:
                     label: [e.line() for e in events]
                     for label, events in frozen.items()
                 },
-                chrome_trace=self._chrome_window(trigger_time),
+                chrome_trace=self._chrome_window(tracer, trigger_time),
                 metrics=self.metrics_probe() if self.metrics_probe else None,
                 root_cause=find_root_cause(
                     timeline_events, kind, name, trigger_time, trigger_trace
@@ -237,34 +244,22 @@ class IncidentPipeline:
         finally:
             self.recorder.unfreeze()
 
-    def _trigger_trace(self, clock: Optional[SimClock]) -> Optional[str]:
-        """Trace ID of the innermost open span on the trigger's clock —
-        the causal chain the root-cause search prefers."""
-        if self.tracer is None or clock is None:
-            return None
-        current = getattr(self.tracer, "current_context", None)
-        if current is None:
-            return None
-        context = current(clock)
-        return context["t"] if context else None
+    incident = trigger
 
-    def _chrome_window(self, until: float) -> Optional[Dict[str, object]]:
-        """Last-N-seconds Chrome trace from the active tracer."""
-        if self.tracer is None:
-            return None
-        spans = getattr(self.tracer, "spans", None)
-        if spans is None:
+    def _chrome_window(self, tracer, until: float) -> Optional[Dict[str, object]]:
+        """Last-N-seconds Chrome trace from the installed tracer."""
+        if tracer is None:
             return None
         start = until - self.window
         windowed = [
             span
-            for span in spans
+            for span in tracer.spans
             if span.start <= until
             and (span.end if span.end is not None else span.start) >= start
         ]
         from repro.observability.exporters import to_chrome_trace
 
-        return to_chrome_trace(self.tracer, spans=windowed)
+        return to_chrome_trace(tracer, spans=windowed)
 
 
 # -- chaos-campaign bundles ----------------------------------------------

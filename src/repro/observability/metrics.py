@@ -74,6 +74,18 @@ class Histogram:
         self.count += count
         self.sum += value * count
 
+    def observe_each(self, value: float, count: int) -> None:
+        """``count`` calls of ``observe(value)``, stored as one sample:
+        the sum takes ``value`` once per call, in order."""
+        if count <= 0:
+            return
+        self._samples.append((value, count))
+        self.count += count
+        total = self.sum
+        for _ in range(count):
+            total += value
+        self.sum = total
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

@@ -1,15 +1,15 @@
 """The platform-level telemetry plane: tracer + sampler, one handle.
 
 ``SecureTFPlatform`` builds a :class:`Telemetry` when its config says
-``tracing=True``: the tracer is installed as the process-wide probe
+``tracing=True``: the tracer is installed into the process-wide sink
 (:mod:`repro._sim.probe`), every node clock is registered under its
 node ID and every core that is out under its endpoint's name, and
 (when an interval is configured) a
 :class:`~repro.observability.metrics.MetricsSampler` scrapes the
 platform's counters continuously.  The handle bundles the export
 surface — profile, flame report, Chrome trace, Prometheus text, JSON —
-and ``close()`` restores the previous probe so platforms can be traced
-in sequence within one process.
+and ``close()`` removes the tracer from the sink again, whatever was
+installed or removed in between.
 """
 
 from __future__ import annotations
@@ -37,11 +37,10 @@ class Telemetry:
         for node in platform.nodes:
             for clock, label in node.labelled_clocks():
                 self.tracer.register_clock(clock, label)
-        self._previous_probe = probe.set_active(self.tracer)
+        probe.install(self.tracer)
         self.sampler: Optional[MetricsSampler] = (
             MetricsSampler(platform, sample_interval) if sample_interval > 0 else None
         )
-        self._closed = False
 
     # -- reports ---------------------------------------------------------
 
@@ -76,14 +75,11 @@ class Telemetry:
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Stop recording: detach the sampler and restore the probe."""
-        if self._closed:
-            return
-        self._closed = True
+        """Stop recording: detach the sampler and remove the tracer
+        (again: a no-op)."""
         if self.sampler is not None:
             self.sampler.close()
-        if probe.ACTIVE is self.tracer:
-            probe.set_active(self._previous_probe)
+        probe.remove(self.tracer)
 
     def __enter__(self) -> "Telemetry":
         return self

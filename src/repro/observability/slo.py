@@ -101,9 +101,6 @@ class Alert:
     burn_short: float = 0.0
     burn_long: float = 0.0
 
-    def transition_lines(self) -> List[str]:
-        return [f"{t:.6f} {self.spec_name} {state}" for t, state in self.transitions]
-
 
 class _SloState:
     """Per-spec evaluation state: sample window + state machine."""
@@ -266,9 +263,6 @@ class SloMonitor:
                 return state.alert
         raise KeyError(f"no SLO named {name!r}")
 
-    def firing(self) -> List[Alert]:
-        return [a for a in self.alerts() if a.state == STATE_FIRING]
-
     def transition_log(self) -> str:
         """Canonical transition log, merged across alerts in time order
         (ties break by spec order) — the byte-identity surface."""
@@ -420,8 +414,8 @@ class MonitoringSession:
     """SLO monitor + flight recorder + incident pipeline, one handle.
 
     Installs the recorder and pipeline into :mod:`repro._sim.probe`'s
-    ``FLIGHT``/``INCIDENTS`` slots (returned to their previous holders
-    on :meth:`close`, so sessions nest like telemetry planes), registers
+    sink (removed again on :meth:`close`, in whatever order sessions and
+    telemetry planes close), registers
     one shared :class:`MonitoringStats` under ``clock`` in the stats
     registry, and wires alert firings into incident bundles.
     """
@@ -445,17 +439,15 @@ class MonitoringSession:
         for node_clock, label in node_clocks:
             self.recorder.register_clock(node_clock, label)
         self.recorder.register_clock(clock, self.recorder.label_of(clock))
-        self._previous_flight = probe.set_flight(self.recorder)
-        tracer = probe.ACTIVE
         self.pipeline = IncidentPipeline(
             self.recorder,
-            tracer=tracer,
             metrics_probe=metrics_probe,
             window=incident_window,
             stats=self.stats,
             max_bundles=max_bundles,
         )
-        self._previous_incidents = probe.set_incidents(self.pipeline)
+        probe.install(self.recorder)
+        probe.install(self.pipeline)
         self.monitor = SloMonitor(
             scheduler,
             clock,
@@ -466,7 +458,6 @@ class MonitoringSession:
         )
         if specs:
             self.monitor.start()
-        self._closed = False
 
     def _on_alert_fire(self, alert: Alert, now: float) -> None:
         self.pipeline.trigger(
@@ -484,15 +475,11 @@ class MonitoringSession:
         return self.pipeline.bundles
 
     def close(self) -> None:
-        """Stop evaluating and restore the probe slots."""
-        if self._closed:
-            return
-        self._closed = True
+        """Stop evaluating and remove the recorder and pipeline (again:
+        a no-op)."""
         self.monitor.stop()
-        if probe.FLIGHT is self.recorder:
-            probe.set_flight(self._previous_flight)
-        if probe.INCIDENTS is self.pipeline:
-            probe.set_incidents(self._previous_incidents)
+        probe.remove(self.recorder)
+        probe.remove(self.pipeline)
 
     def __enter__(self) -> "MonitoringSession":
         return self

@@ -13,7 +13,8 @@ A :class:`Tracer` records two kinds of evidence about a run:
   syscall ring, backpressure stalls, retry backoff, network waits).
   Charges are three parallel float lists per clock, not span objects,
   because hot paths (a paging storm is millions of EPC faults) cannot
-  afford an object per event.
+  afford an object per event; a run of identical charges (one scan's
+  faults) is one entry, via :meth:`Tracer.charge_each`.
 
 Both are pure recordings: the tracer never advances a clock, never
 draws randomness (IDs come from a counter), and never mutates the
@@ -27,9 +28,8 @@ simulation's stand-in for "which process" — mirroring how
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
@@ -112,17 +112,11 @@ class _ClockRecord:
         self.charge_layers: List[str] = []
         self.layer_totals: Dict[str, float] = {}
 
-    def charged_within(self, start: float, end: float) -> float:
-        """Total charged time recorded in the window [start, end)."""
-        lo = bisect.bisect_left(self.charge_starts, start)
-        hi = bisect.bisect_left(self.charge_starts, end)
-        if hi <= lo:
-            return 0.0
-        return self.charge_cum[hi - 1] - (self.charge_cum[lo - 1] if lo else 0.0)
 
-
-class Tracer:
+class Tracer(probe.Sink):
     """Deterministic span/charge recorder for one telemetry session."""
+
+    records_spans = True
 
     #: Ceiling on retained span objects; further spans still nest (the
     #: stack stays coherent) but are not kept, and ``dropped_spans``
@@ -147,7 +141,7 @@ class Tracer:
         if record is None:
             self._clocks[clock] = _ClockRecord(label, clock.now)
 
-    def _record(self, clock: SimClock) -> _ClockRecord:
+    def clock_record(self, clock: SimClock) -> _ClockRecord:
         record = self._clocks.get(clock)
         if record is None:
             record = _ClockRecord(f"clock-{len(self._clocks)}", clock.now)
@@ -158,10 +152,7 @@ class Tracer:
         return list(self._clocks)
 
     def label_of(self, clock: SimClock) -> str:
-        return self._record(clock).label
-
-    def clock_record(self, clock: SimClock) -> _ClockRecord:
-        return self._record(clock)
+        return self.clock_record(clock).label
 
     # -- spans -----------------------------------------------------------
 
@@ -180,7 +171,7 @@ class Tracer:
         innermost open span on the same clock is the parent; otherwise
         the span roots a fresh trace.
         """
-        record = self._record(clock)
+        record = self.clock_record(clock)
         remote = False
         if parent_context is not None:
             trace_id = parent_context["t"]
@@ -215,7 +206,7 @@ class Tracer:
 
     def end_span(self, span: Span) -> None:
         span.end = span.clock.now
-        stack = self._record(span.clock).stack
+        stack = self.clock_record(span.clock).stack
         if span in stack:
             # Pop through to this span (robust to a child left open by
             # an exception unwinding past its end_span).
@@ -225,32 +216,11 @@ class Tracer:
         hist_name = _SPAN_HISTOGRAMS.get(span.name)
         if hist_name is not None:
             self.observe(hist_name, span.duration)
-        flight = probe.FLIGHT
-        if flight is not None:
-            flight.on_span_end(span)
-
-    def span(
-        self,
-        clock: SimClock,
-        name: str,
-        category: str = "",
-        attrs: Optional[Dict[str, object]] = None,
-        parent_context: Optional[Dict[str, str]] = None,
-    ) -> "_SpanScope":
-        return _SpanScope(self, clock, name, category, attrs, parent_context)
-
-    def event(
-        self, clock: SimClock, name: str, attrs: Optional[Dict[str, object]] = None
-    ) -> Span:
-        """A zero-duration instant (retry fired, worker restarted...)."""
-        span = self.start_span(clock, name, category="event", attrs=attrs)
-        self.end_span(span)
-        return span
 
     def current_context(self, clock: SimClock) -> Optional[Dict[str, str]]:
         """Context of the innermost open span on ``clock`` (for envelope
         injection), or None outside any span."""
-        stack = self._record(clock).stack
+        stack = self.clock_record(clock).stack
         return stack[-1].context() if stack else None
 
     # -- charges ---------------------------------------------------------
@@ -269,7 +239,7 @@ class Tracer:
         histogram (e.g. per-chunk decrypt from one n-chunk charge)."""
         if duration <= 0.0:
             return
-        record = self._record(clock)
+        record = self.clock_record(clock)
         record.charge_starts.append(clock.now - duration)
         previous = record.charge_cum[-1] if record.charge_cum else 0.0
         record.charge_cum.append(previous + duration)
@@ -277,50 +247,49 @@ class Tracer:
         record.layer_totals[layer] = record.layer_totals.get(layer, 0.0) + duration
         if histogram is not None and count > 0:
             self.observe(histogram, duration / count, count=count)
-        flight = probe.FLIGHT
-        if flight is not None:
-            flight.on_charge(clock, layer, duration)
+
+    def charge_each(
+        self,
+        clock: SimClock,
+        layer: str,
+        each: float,
+        count: int,
+        histogram: Optional[str] = None,
+    ) -> None:
+        """``count`` successive ``charge(each)`` calls (a run of EPC faults)
+        recorded as one: the layer total, running sum and histogram sum
+        take the same additions in the same order (``advance_each``'s rule)."""
+        if each <= 0.0 or count <= 0:
+            return
+        record = self._clocks.get(clock) or self.clock_record(clock)  # hot: inline
+        cum = previous = record.charge_cum[-1] if record.charge_cum else 0.0
+        total = record.layer_totals.get(layer, 0.0)
+        for _ in range(count):
+            cum += each
+            total += each
+        record.charge_starts.append(clock.now - (cum - previous))
+        record.charge_cum.append(cum)
+        record.charge_layers.append(layer)
+        record.layer_totals[layer] = total
+        if histogram is not None:
+            hist = self.histograms.get(histogram) or self._histogram(histogram)
+            hist.observe_each(each, count)
 
     # -- histograms ------------------------------------------------------
 
     def observe(self, name: str, value: float, count: int = 1) -> None:
+        self._histogram(name).observe(value, count=count)
+
+    def _histogram(self, name: str) -> Histogram:
         hist = self.histograms.get(name)
         if hist is None:
-            hist = Histogram(name)
-            self.histograms[name] = hist
-        hist.observe(value, count=count)
-
-
-class _SpanScope:
-    """Context manager form of start_span/end_span."""
-
-    def __init__(self, tracer, clock, name, category, attrs, parent_context) -> None:
-        self._tracer = tracer
-        self._args = (clock, name, category, attrs, parent_context)
-        self.span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        clock, name, category, attrs, parent_context = self._args
-        self.span = self._tracer.start_span(
-            clock, name, category=category, attrs=attrs, parent_context=parent_context
-        )
-        return self.span
-
-    def __exit__(self, *exc_info: object) -> None:
-        assert self.span is not None
-        self._tracer.end_span(self.span)
-
-
-def activate(tracer: Tracer) -> Optional[object]:
-    """Install ``tracer`` as the process-wide recorder; returns the
-    previous one (restore it for scoped activation)."""
-    return probe.set_active(tracer)
-
-
-def deactivate() -> None:
-    probe.set_active(None)
+            hist = self.histograms[name] = Histogram(name)
+        return hist
 
 
 def active_tracer() -> Optional[Tracer]:
-    tracer = probe.ACTIVE
-    return tracer if isinstance(tracer, Tracer) else None
+    """The installed tracer that owns spans (the newest), or None."""
+    for consumer in reversed(probe.installed()):
+        if isinstance(consumer, Tracer):
+            return consumer
+    return None

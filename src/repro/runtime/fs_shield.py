@@ -311,8 +311,8 @@ class FileSystemShield:
             + n_chunks * self._model.fs_shield_chunk_overhead
         )
         self._clock.advance(duration)
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.charge(
+        if probe.SINK is not None:
+            probe.SINK.charge(
                 self._clock,
                 "crypto",
                 duration,

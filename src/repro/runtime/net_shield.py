@@ -98,8 +98,8 @@ def charge_record_crypto(
         + n_records * cost_model.net_shield_record_overhead
     )
     clock.advance(duration)
-    if probe.ACTIVE is not None:
-        probe.ACTIVE.charge(clock, "crypto", duration)
+    if probe.SINK is not None:
+        probe.SINK.charge(clock, "crypto", duration)
     stats.crypto_bytes += n_bytes
     stats.crypto_time += duration
 
@@ -301,8 +301,8 @@ class NetworkShield:
     def charge_handshake(self) -> None:
         """Charge one handshake's cryptography (two signatures + ECDHE)."""
         self.clock.advance(0.9e-3)
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.charge(self.clock, "crypto", 0.9e-3)
+        if probe.SINK is not None:
+            probe.SINK.charge(self.clock, "crypto", 0.9e-3)
         self.stats.handshakes += 1
 
     def client_handshake(

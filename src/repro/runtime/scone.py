@@ -165,10 +165,10 @@ class SconeRuntime:
             if config.fs_key is not None:
                 self.install_fs_key(config.fs_key)
             # else: the key arrives later, from CAS, via install_fs_key().
-        if config.tracing and probe.ACTIVE is not None:
+        if config.tracing and probe.SINK is not None:
             # Label first-wins in the tracer: a container sharing its
             # node's clock cannot relabel the node.
-            probe.ACTIVE.register_clock(clock, config.name)
+            probe.SINK.register_clock(clock, config.name)
 
     # ------------------------------------------------------------------
 

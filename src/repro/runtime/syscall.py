@@ -167,10 +167,10 @@ class SyscallInterface:
             self.stats.transitions += 1
             self._enclave.cpu.transition(asynchronous=False)
             self._clock.advance(model.syscall_kernel_cost)
-        if probe.ACTIVE is not None and self.plane is None:
+        if probe.SINK is not None and self.plane is None:
             # The plane charges its own advances; trap/transition paths
             # are attributed here.
-            probe.ACTIVE.charge(self._clock, "syscall_ring", self._clock.now - before)
+            probe.SINK.charge(self._clock, "syscall_ring", self._clock.now - before)
         self.stats.time += self._clock.now - before
 
     def _charge_batch(self, name: str, count: int) -> None:
@@ -194,8 +194,8 @@ class SyscallInterface:
                     self.stats.transitions += 1
                     self._enclave.cpu.transition(asynchronous=False)
                     self._clock.advance(model.syscall_kernel_cost)
-            if probe.ACTIVE is not None:
-                probe.ACTIVE.charge(
+            if probe.SINK is not None:
+                probe.SINK.charge(
                     self._clock, "syscall_ring", self._clock.now - before, count=count
                 )
         self.stats.time += self._clock.now - before
@@ -209,8 +209,8 @@ class SyscallInterface:
             self._enclave.memory.charge_bytes(n_bytes)
         else:
             self._clock.advance(n_bytes / self._model.native_memory_bandwidth)
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.charge(self._clock, "syscall_ring", self._clock.now - before)
+        if probe.SINK is not None:
+            probe.SINK.charge(self._clock, "syscall_ring", self._clock.now - before)
         self.stats.time += self._clock.now - before
 
     def _maybe_hostile(self, name: str, result: object) -> object:

@@ -168,8 +168,8 @@ class SyscallPlane:
                 self.stats.backpressure_stalls += 1
                 self.stats.backpressure_time += stall
                 self._clock.advance_to(target)
-                if probe.ACTIVE is not None:
-                    probe.ACTIVE.charge(self._clock, "backpressure", stall)
+                if probe.SINK is not None:
+                    probe.SINK.charge(self._clock, "backpressure", stall)
             self._reap()
 
     def _sync_exit_cost(self) -> float:
@@ -187,8 +187,8 @@ class SyscallPlane:
         else:
             self._clock.advance(self._model.syscall_trap_cost)
         self._clock.advance(kernel_cost)
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.charge(self._clock, "syscall_ring", self._clock.now - before)
+        if probe.SINK is not None:
+            probe.SINK.charge(self._clock, "syscall_ring", self._clock.now - before)
 
     def _starved(self) -> bool:
         """True when the ring cannot win: every handler is busy further
@@ -224,8 +224,8 @@ class SyscallPlane:
                     self._model.syscall_trap_cost + self._model.syscall_kernel_cost
                 )
             now = self._clock.now
-        if probe.ACTIVE is not None and now > before:
-            probe.ACTIVE.charge(self._clock, "syscall_ring", now - before)
+        if probe.SINK is not None and now > before:
+            probe.SINK.charge(self._clock, "syscall_ring", now - before)
         completion = max(now, free_at) + kernel_cost
         self._handlers[index] = completion
         heapq.heappush(self._inflight, completion)
@@ -245,10 +245,10 @@ class SyscallPlane:
                 exposed, hidden = wait, 0.0
             self.stats.overlap_exposed_time += exposed
             self.stats.overlap_hidden_time += hidden
-            if probe.ACTIVE is not None and self._clock.now > before:
+            if probe.SINK is not None and self._clock.now > before:
                 # Only the exposed share advanced the clock; hidden time
                 # ran other application threads and stays compute.
-                probe.ACTIVE.charge(
+                probe.SINK.charge(
                     self._clock, "syscall_ring", self._clock.now - before
                 )
         self._reap()
@@ -264,8 +264,8 @@ class SyscallPlane:
         self.stats.userspace_handled += 1
         duration = self._model.userlevel_switch_cost * factor
         self._clock.advance(duration)
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.charge(self._clock, "syscall_ring", duration)
+        if probe.SINK is not None:
+            probe.SINK.charge(self._clock, "syscall_ring", duration)
         return True
 
     def call(self, name: str, kernel_cost: Optional[float] = None) -> None:

@@ -115,8 +115,8 @@ class TrafficGenerator:
         self.network = network
         self.clock = SimClock(network.scheduler.fleet_time())
         network.scheduler.register_clock(self.clock)
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.register_clock(self.clock, "clients")
+        if probe.SINK is not None:
+            probe.SINK.register_clock(self.clock, "clients")
         self.router_address = router_address
         self.clients = clients
         self.duration = duration

@@ -118,20 +118,6 @@ class RunStats:
     #: FLOPs spent in linear ops (matmul/conv) — offloadable to a GPU.
     linear_flops: int = 0
 
-    def merge_op(
-        self,
-        flops: int,
-        activation_bytes: int,
-        op_bytes: int,
-        linear: bool = False,
-    ) -> None:
-        self.flops += flops
-        self.ops += 1
-        self.activation_bytes += activation_bytes
-        self.max_op_bytes = max(self.max_op_bytes, op_bytes)
-        if linear:
-            self.linear_flops += flops
-
 
 @dataclass
 class EngineTotals:
@@ -290,9 +276,9 @@ class ExecutionEngine:
             granule_cost = runtime.memory.granule_fault_cost
             surcharge = faults * granule_cost * (self.profile.thrash_factor - 1.0)
             clock.advance(surcharge)
-            if probe.ACTIVE is not None:
+            if probe.SINK is not None:
                 # Paging, not compute: the tracer files what nobody
                 # claims under compute.
-                probe.ACTIVE.charge(clock, "epc_faults", surcharge)
+                probe.SINK.charge(clock, "epc_faults", surcharge)
         self.totals.memory_time += clock.now - before
         self.totals.epc_faults += faults

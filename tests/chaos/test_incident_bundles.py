@@ -131,9 +131,7 @@ class TestPlainCampaignsUnchanged:
             "s = FaultSchedule('cas-failover', 2, 'partition-outbound', False)\n"
             "r = run_campaign([s], fencing=True, verify_replay=False)\n"
             "assert r.incident_bundles == []\n"
-            "assert probe.ACTIVE is None\n"
-            "assert probe.FLIGHT is None\n"
-            "assert probe.INCIDENTS is None\n"
+            "assert probe.SINK is None and probe.installed() == ()\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code],

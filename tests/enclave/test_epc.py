@@ -122,7 +122,7 @@ def test_out_of_range_granules_fail_closed(policy):
     with pytest.raises(EnclaveError):
         cache.access_range(1, (1 << 32) * GRANULE - 1, 2)
     assert cache.stats.accesses == 4 and clock.now == cache.stats.fault_time
-    assert cache.resident_granules_of(2) == 0
+    assert cache.stats.per_enclave_resident.get(2, 0) == 0
 
 
 def test_multiple_enclaves_share_capacity():
@@ -130,7 +130,7 @@ def test_multiple_enclaves_share_capacity():
     cache.access_range(1, 0, 3 * GRANULE)
     cache.access_range(2, 0, 3 * GRANULE)
     assert cache.resident_granules == 4
-    assert cache.resident_granules_of(1) + cache.resident_granules_of(2) == 4
+    assert sum(cache.stats.per_enclave_resident.values()) == 4
 
 
 def test_evict_enclave_frees_only_its_granules():
@@ -139,8 +139,7 @@ def test_evict_enclave_frees_only_its_granules():
     cache.access_range(2, 0, 3 * GRANULE)
     freed = cache.evict_enclave(1)
     assert freed == 2
-    assert cache.resident_granules_of(1) == 0
-    assert cache.resident_granules_of(2) == 3
+    assert cache.stats.per_enclave_resident == {2: 3}
 
 
 def test_evicted_enclave_faults_back_in():
@@ -260,9 +259,6 @@ class ReferenceEpcCache:
     def resident_granules(self):
         return len(self._lru) if self.policy == "lru" else len(self._slots)
 
-    def resident_granules_of(self, enclave_id):
-        return self.stats.per_enclave_resident.get(enclave_id, 0)
-
     def access(self, enclave_id, granule_index):
         key = (enclave_id, granule_index)
         if self.policy == "lru":
@@ -299,8 +295,8 @@ class ReferenceEpcCache:
         cost = self._granule_fault_cost
         self.stats.fault_time += cost
         self._clock.advance(cost)
-        if probe.ACTIVE is not None:
-            probe.ACTIVE.charge(
+        if probe.SINK is not None:
+            probe.SINK.charge(
                 self._clock, "epc_faults", cost, histogram="epc.fault_service"
             )
         return True
@@ -355,14 +351,31 @@ def _stats_snapshot(stats):
     return snapshot
 
 
-class _RecordingTracer:
-    """Stands in for ``probe.ACTIVE``: logs each charge and the clock it saw."""
+class _RecordingTracer(probe.Sink):
+    """Stands in for the tracer: logs each charge as (the clock it saw,
+    layer, seconds per fault, faults, histogram)."""
 
     def __init__(self):
         self.charges = []
 
-    def charge(self, clock, layer, seconds, histogram=None):
-        self.charges.append((clock.now, layer, seconds, histogram))
+    def charge(self, clock, layer, seconds, count=1, histogram=None):
+        self.charges.append((clock.now, layer, seconds, 1, histogram))
+
+    def charge_each(self, clock, layer, each, count, histogram=None):
+        self.charges.append((clock.now, layer, each, count, histogram))
+
+    def fold(self, mark):
+        """The charges since ``mark`` as one entry: the reference charges
+        each fault, the cache each operation's run of faults."""
+        run = self.charges[mark:]
+        if run:
+            now, layer, each, _, histogram = run[-1]
+            assert {entry[1:3] + entry[4:] for entry in run} == {
+                (layer, each, histogram)
+            }
+            self.charges[mark:] = [
+                (now, layer, each, sum(entry[3] for entry in run), histogram)
+            ]
 
 
 ORACLE_GRANULE = 4096  # one page: the smallest legal granule
@@ -388,8 +401,9 @@ _operations = st.one_of(
 )
 
 
-#: (observer subscribed, tracer installed).  With neither the scan stores
-#: a scan's faults once at its end; with either it publishes per fault.
+#: (observer subscribed, tracer installed).  Without an observer a scan
+#: stores its faults once at its end, with one it publishes per fault; a
+#: tracer gets one charge per scan either way.
 WATCH_MODES = [(False, False), (True, False), (False, True), (True, True)]
 
 _watch_switches = st.tuples(st.just("watch"), st.booleans(), st.booleans())
@@ -416,7 +430,6 @@ def _drive(cache_type, clock, operations, capacity_granules, policy, seed):
 
     tracer = _RecordingTracer()
     returned = []
-    previous = probe.set_active(None)
     try:
         for name, *args in operations:
             if name == "watch":
@@ -424,18 +437,21 @@ def _drive(cache_type, clock, operations, capacity_granules, policy, seed):
                 clock.unsubscribe(observer)
                 if observe:
                     clock.subscribe(observer)
-                probe.set_active(tracer if trace else None)
+                (probe.install if trace else probe.remove)(tracer)
             else:
+                mark = len(tracer.charges)
                 returned.append(getattr(cache, name)(*args))
+                if cache_type is EpcCache:
+                    assert len(tracer.charges) - mark <= 1
+                tracer.fold(mark)
     finally:
-        probe.set_active(previous)
+        probe.remove(tracer)
     return cache, {
         "returned": returned,
         "stats": _stats_snapshot(cache.stats),
         "now": clock.now,
         "rng": cache._rng.getstate(),
         "resident": cache.resident_granules,
-        "resident_of": [cache.resident_granules_of(e) for e in (1, 2, 3)],
         "advances": advances,
         "charges": tracer.charges,
     }
@@ -475,10 +491,13 @@ def test_scan_matches_per_granule_reference(operations, capacity, policy, seed):
         watch: (run.pop("advances"), run.pop("charges")) for watch, run in runs.items()
     }
     assert all(run == runs[False, False] for run in runs.values())
-    # Watching changes what is logged and nothing else; each watcher
-    # sees one entry per fault whoever else is there.
+    # Watching changes what is logged and nothing else, whoever else is
+    # there: the observer sees one advance per fault, the tracer one
+    # charge per operation that faults, carrying its faults.
     faults = runs[False, False]["stats"]["faults"]
-    assert [len(log) for log in logged[True, True]] == [faults, faults]
+    advances, charges = logged[True, True]
+    assert len(advances) == sum(entry[3] for entry in charges) == faults
+    assert all(entry[3] > 0 for entry in charges)
     assert logged[True, False] == (logged[True, True][0], [])
     assert logged[False, True] == ([], logged[True, True][1])
     assert logged[False, False] == ([], [])

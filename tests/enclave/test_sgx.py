@@ -103,11 +103,12 @@ def test_quote_charges_generation_cost(cpu, clock):
 
 def test_destroy_evicts_and_blocks_use(cpu):
     enclave = cpu.create_enclave(make_image(), SgxMode.HW)
-    enclave.memory.touch("binary")
-    assert cpu.epc.resident_granules_of(enclave.enclave_id) > 0
+    binary = enclave.memory.region("binary")
+    enclave.memory.touch_window("binary", 0, binary.size)
+    assert cpu.epc.stats.per_enclave_resident.get(enclave.enclave_id, 0) > 0
     enclave.destroy()
     assert not enclave.alive
-    assert cpu.epc.resident_granules_of(enclave.enclave_id) == 0
+    assert cpu.epc.stats.per_enclave_resident.get(enclave.enclave_id, 0) == 0
     with pytest.raises(EnclaveError):
         enclave.create_report()
     enclave.destroy()  # idempotent

@@ -10,10 +10,9 @@ from repro._sim import probe
 @pytest.fixture(autouse=True)
 def _reset_probe():
     """A leaked recorder would silently instrument every later test."""
-    previous = probe.ACTIVE
-    previous_flight = probe.FLIGHT
-    previous_incidents = probe.INCIDENTS
+    before = probe.installed()
     yield
-    probe.set_active(previous)
-    probe.set_flight(previous_flight)
-    probe.set_incidents(previous_incidents)
+    for consumer in probe.installed():
+        probe.remove(consumer)
+    for consumer in before:
+        probe.install(consumer)

@@ -125,10 +125,11 @@ def test_traced_run_records_expected_surfaces(traced_run):
 
 
 def test_disabled_tracing_is_byte_identical():
-    # The module-scoped traced platform may still hold the probe slot;
-    # clear it so these runs are genuinely uninstrumented (_reset_probe
-    # restores it afterwards).
-    probe.set_active(None)
+    # The module-scoped traced platform may still be installed in the
+    # sink; clear it so these runs are genuinely uninstrumented
+    # (_reset_probe restores it afterwards).
+    for consumer in probe.installed():
+        probe.remove(consumer)
     platform_a, result_a = _train(tracing=False)
     platform_b, result_b = _train(tracing=False)
     assert platform_a.telemetry is None
@@ -144,7 +145,8 @@ def test_disabled_tracing_matches_traced_simulated_structure(traced_run):
     training steps, same simulated-step structure (the only wire-level
     delta is the propagated trace context, microseconds overall)."""
     platform, result = traced_run
-    probe.set_active(None)
+    for consumer in probe.installed():
+        probe.remove(consumer)
     _, plain = _train(tracing=False)
     assert result.steps == plain.steps
     assert abs(result.wall_clock - plain.wall_clock) < 1e-3

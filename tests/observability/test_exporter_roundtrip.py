@@ -23,6 +23,7 @@ from repro.observability.metrics import (
     WindowedHistogram,
     flatten_metrics,
 )
+from repro.observability import Telemetry
 from repro.observability.slo import MonitoringSession
 
 pytestmark = pytest.mark.monitoring
@@ -61,6 +62,26 @@ class TestBundleChromeTrace:
         # The whole bundle must survive canonical JSON encoding.
         payload = json.loads(bundle.dump())
         assert validate_chrome_trace(payload["chrome_trace"]) > 0
+
+    def test_bundle_carries_a_tracer_opened_after_the_session(self):
+        """A serving plane builds its monitoring session in its
+        constructor; a trace started afterwards must still reach its
+        incident bundles."""
+        platform = SecureTFPlatform(PlatformConfig(n_nodes=2, seed=11))
+        clock = platform.nodes[0].clock
+        with MonitoringSession(
+            platform.scheduler,
+            clock,
+            node_clocks=[(n.clock, n.node_id) for n in platform.nodes],
+        ) as session:
+            with Telemetry(platform):
+                for i in range(2):
+                    with probe.span(clock, "rpc.call", attrs={"i": i}):
+                        clock.advance(0.25)
+                bundle = session.pipeline.trigger("crash", "r0", clock=clock)
+            after = session.pipeline.trigger("crash", "r1", clock=clock)
+        assert validate_chrome_trace(bundle.chrome_trace) == 2
+        assert after.chrome_trace is None
 
     def test_windowed_trace_never_dangles_parents(self, traced_platform):
         platform = traced_platform

@@ -92,12 +92,12 @@ class TestFreeze:
 
 class TestProbeSlot:
     def test_flight_helper_is_noop_without_recorder(self):
-        assert probe.FLIGHT is None
+        assert probe.SINK is None
         probe.flight(None, "rpc", "nobody-listening")  # must not raise
 
     def test_flight_helper_routes_to_installed_recorder(self):
         recorder = FlightRecorder()
-        previous = probe.set_flight(recorder)
+        probe.install(recorder)
         try:
             clock = SimClock()
             recorder.register_clock(clock, "n0")
@@ -105,7 +105,7 @@ class TestProbeSlot:
             assert recorder.events_recorded == 1
             assert recorder.timeline()[0].kind == "retry"
         finally:
-            probe.set_flight(previous)
+            probe.remove(recorder)
 
     def test_recording_never_advances_clocks(self):
         recorder = FlightRecorder()
@@ -123,19 +123,19 @@ class TestTracerForwarding:
 
         recorder = FlightRecorder()
         tracer = Tracer()
-        prev_flight = probe.set_flight(recorder)
-        prev_active = probe.set_active(tracer)
+        probe.install(recorder)
+        probe.install(tracer)
         try:
             clock = SimClock()
             recorder.register_clock(clock, "n0")
             with probe.span(clock, "rpc.call"):
                 clock.advance(0.5)
-            tracer.charge(clock, "crypto", 0.25)
+            probe.SINK.charge(clock, "crypto", 0.25)
             kinds = [e.kind for e in recorder.timeline()]
             assert kinds == ["span", "charge"]
             span_event = recorder.timeline()[0]
             assert span_event.name == "rpc.call"
             assert "T1/S1" in span_event.detail
         finally:
-            probe.set_active(prev_active)
-            probe.set_flight(prev_flight)
+            probe.remove(tracer)
+            probe.remove(recorder)

@@ -67,13 +67,13 @@ class TestTrigger:
 
     def test_probe_incident_helper_routes_to_pipeline(self):
         pipeline, recorder, clock = make_pipeline()
-        previous = probe.set_incidents(pipeline)
+        probe.install(pipeline)
         try:
             probe.incident("watchdog.quarantine", "replica-3", clock=clock)
             assert len(pipeline.bundles) == 1
             assert pipeline.bundles[0].trigger_kind == "watchdog.quarantine"
         finally:
-            probe.set_incidents(previous)
+            probe.remove(pipeline)
 
 
 class TestRootCause:
@@ -138,15 +138,15 @@ class TestChromeTraceWindow:
         clock = SimClock()
         recorder.register_clock(clock, "n0")
         tracer.register_clock(clock, "n0")
-        prev = probe.set_active(tracer)
+        probe.install(tracer)
         try:
             for i in range(5):
                 with probe.span(clock, "rpc.call", attrs={"i": i}):
                     clock.advance(1.0)
-            pipeline = IncidentPipeline(recorder, tracer=tracer, window=2.0)
+            pipeline = IncidentPipeline(recorder, window=2.0)
             bundle = pipeline.trigger("alert", "p99", clock=clock)
         finally:
-            probe.set_active(prev)
+            probe.remove(tracer)
         doc = bundle.chrome_trace
         assert doc is not None
         # Referentially closed and schema-valid, even though the window

@@ -262,11 +262,8 @@ class TestSessionWiring:
     def test_close_restores_probe_slots(self):
         from repro._sim import probe
 
-        before_flight = probe.FLIGHT
-        before_incidents = probe.INCIDENTS
+        before = probe.installed()
         session = MonitoringSession(Scheduler(), SimClock())
-        assert probe.FLIGHT is session.recorder
-        assert probe.INCIDENTS is session.pipeline
+        assert probe.installed() == before + (session.recorder, session.pipeline)
         session.close()
-        assert probe.FLIGHT is before_flight
-        assert probe.INCIDENTS is before_incidents
+        assert probe.installed() == before

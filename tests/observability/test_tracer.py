@@ -90,11 +90,31 @@ def test_charges_accumulate_layer_totals_and_windows():
 
     record = tracer.clock_record(clock)
     assert record.layer_totals == pytest.approx({"crypto": 1.5, "epc_faults": 2.0})
-    # Window queries over the recorded intervals (start-inclusive).
-    assert record.charged_within(0.0, 3.5) == pytest.approx(3.5)
-    assert record.charged_within(0.0, 1.0) == pytest.approx(1.0)
-    assert record.charged_within(1.0, 3.0) == pytest.approx(2.0)
-    assert record.charged_within(3.2, 3.5) == pytest.approx(0.0)
+    # The intervals the flame report windows by span: starts and the
+    # running sum of durations.
+    assert record.charge_starts == pytest.approx([0.0, 1.0, 3.0])
+    assert record.charge_cum == pytest.approx([1.0, 3.0, 3.5])
+    assert record.charge_layers == ["crypto", "epc_faults", "crypto"]
+
+
+def test_charge_each_leaves_the_ledger_of_one_charge_per_item():
+    each, count = 2.56e-4, 1000
+    one_by_one, batched = Tracer(), Tracer()
+    clocks = SimClock(3.0), SimClock(3.0)
+    for _ in range(count):
+        clocks[0].advance(each)
+        one_by_one.charge(clocks[0], "epc_faults", each, histogram="epc.fault_service")
+    clocks[1].advance_each(each, count)
+    batched.charge_each(
+        clocks[1], "epc_faults", each, count, histogram="epc.fault_service"
+    )
+    a, b = one_by_one.clock_record(clocks[0]), batched.clock_record(clocks[1])
+    assert b.layer_totals == a.layer_totals
+    assert b.charge_cum == a.charge_cum[-1:] and len(b.charge_starts) == 1
+    first, second = (t.histograms["epc.fault_service"] for t in (one_by_one, batched))
+    assert (second.count, second.sum) == (first.count, first.sum)
+    assert second.percentile(50) == first.percentile(50) == each
+    assert second.sum != each * count  # folded one item at a time, not multiplied
 
 
 def test_zero_and_negative_charges_ignored():
@@ -133,7 +153,7 @@ def test_register_clock_first_label_wins():
 
 
 def test_probe_span_is_noop_without_recorder():
-    assert probe.ACTIVE is None
+    assert probe.SINK is None
     clock = SimClock()
     with probe.span(clock, "anything", attrs={"k": "v"}):
         pass  # must not raise, must not advance, must record nothing
@@ -142,7 +162,7 @@ def test_probe_span_is_noop_without_recorder():
 
 def test_probe_span_records_when_active():
     tracer = Tracer()
-    probe.set_active(tracer)
+    probe.install(tracer)
     clock = SimClock()
     with probe.span(clock, "work") as span:
         clock.advance(1.0)

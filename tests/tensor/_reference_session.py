@@ -136,12 +136,12 @@ class ReferenceSession:
         elif op.op_type in _STATE_OPS:
             stats.ops += 1
         else:
-            stats.merge_op(
-                flops=flops,
-                activation_bytes=out_bytes,
-                op_bytes=in_bytes + out_bytes,
-                linear=op.op_type in _LINEAR_OPS,
-            )
+            stats.flops += flops
+            stats.ops += 1
+            stats.activation_bytes += out_bytes
+            stats.max_op_bytes = max(stats.max_op_bytes, in_bytes + out_bytes)
+            if op.op_type in _LINEAR_OPS:
+                stats.linear_flops += flops
 
     def _normalize_feed(
         self, feed_dict: Dict[Union[Tensor, str], Any]

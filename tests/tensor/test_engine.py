@@ -138,14 +138,13 @@ def test_traced_paging_is_all_of_memory_time_but_the_bandwidth(cpu):
         activation_bytes=10**7, max_op_bytes=10**6,
     )
     tracer = Tracer()
-    previous = probe.ACTIVE
-    probe.set_active(tracer)
+    probe.install(tracer)
     try:
         tracer.register_clock(clock, "engine")
         for _ in range(2):
             engine.charge_run(big)
     finally:
-        probe.set_active(previous)
+        probe.remove(tracer)
     assert engine.totals.epc_faults > 0
     layers = profile(tracer)["engine"].layers
     paging = engine.totals.memory_time - runtime.memory.bandwidth_time
