@@ -16,8 +16,9 @@ events) however deeply its RPCs nest:
   SCONE's user-level threads park on an asynchronous system call
   instead of blocking the enclave thread.
 - :class:`Scheduler` — the heap plus activity support.  Network
-  deliveries, retry/backoff timers, orchestrator health probes, and
-  fault-plan delay spikes are all expressed as scheduled events.
+  deliveries and fault-plan delay spikes are scheduled events; retry
+  backoffs and the control plane's ticks (watchdog, autoscaler, SLO
+  monitor) are activities asleep on :meth:`Scheduler.timer`.
 
 Synchronous code *outside* the heap (a test, an example, a top-level
 ``train()`` or ``run_traffic()``) enters it through :meth:`Scheduler.drive`
@@ -33,6 +34,11 @@ to: an event executes "on" some node by advancing that node's clock to
 subscriptions fire as the clock moves.  The scheduler never moves a
 clock backwards; a callee whose clock is already past an arrival simply
 handles the event late (a saturated callee delays its callers).
+
+One program-wide "now": :attr:`Scheduler.now` is the time of the event
+being executed (``None`` outside the heap).  A timer's wake-up, a
+router's hedge and a tick-ordered container launch read it instead of
+having it threaded through.
 
 Determinism contract: with a fixed seed, the sequence of executed
 events — and therefore every RNG draw, trace byte, and final weight —
@@ -188,6 +194,7 @@ class Scheduler:
         #: True while an event's callback runs: the waits of synchronous
         #: code (run_until, drive) refuse to start then.
         self._executing = False
+        self._now: Optional[float] = None
 
     # -- clock views -----------------------------------------------------
 
@@ -199,6 +206,11 @@ class Scheduler:
     @property
     def clocks(self) -> List[SimClock]:
         return list(self._clocks)
+
+    @property
+    def now(self) -> Optional[float]:
+        """The time of the event being executed; ``None`` outside the heap."""
+        return self._now
 
     def fleet_time(self) -> float:
         """Max simulated time across all registered per-node clocks."""
@@ -218,17 +230,20 @@ class Scheduler:
             self.heap_peak = len(self._heap)
         return event
 
-    def timer(self, clock: SimClock, delay: float, label: str = "timer") -> Completion:
-        """A completion that resolves at ``clock.now + delay``, advancing
-        ``clock`` to the fire time first (observers see the advance)."""
+    def timer(
+        self, clock: Optional[SimClock], when: float, label: str = "timer"
+    ) -> Completion:
+        """A completion that resolves with its fire time at absolute
+        simulated time ``when``, advancing ``clock`` (if any) to it first
+        (observers see the advance)."""
         completion = Completion(label)
-        due = clock.now + delay
 
         def fire() -> None:
-            clock.advance_to(due)
-            completion.resolve(due)
+            if clock is not None:
+                clock.advance_to(self._now)
+            completion.resolve(self._now)
 
-        self.schedule(due, fire, label)
+        self.schedule(when, fire, label)
         return completion
 
     def pending(self) -> int:
@@ -310,10 +325,12 @@ class Scheduler:
                     continue  # lazy deletion
                 self.events_processed += 1
                 event.owner = None  # fired: a late cancel() must not count
+                self._now = event.time
                 event.fn()
                 executed += 1
         finally:
             self._executing = False
+            self._now = None
         return executed
 
     def _refuse_nesting(self) -> None:
@@ -326,16 +343,12 @@ class Scheduler:
     # -- activities ------------------------------------------------------
 
     def spawn(
-        self,
-        activity: Activity,
-        name: str = "activity",
-        at: Optional[float] = None,
-        clock: Optional[SimClock] = None,
+        self, activity: Activity, name: str = "activity", clock: Optional[SimClock] = None
     ) -> Completion:
         """Run ``activity`` as a resumable coroutine; completion of exit.
 
-        The generator is first stepped by a ``spawn:`` event at ``at``
-        (or ``clock.now``, or time 0).  Each ``yield completion`` parks
+        The generator is first stepped by a ``spawn:`` event at
+        ``clock.now`` (or time 0).  Each ``yield completion`` parks
         the activity with *no retained Python stack*; it resumes — in the
         resolver's deterministic order — with the completion's value, or
         has the completion's error thrown into it.  ``return value``
@@ -343,7 +356,7 @@ class Scheduler:
         exception fails it.
         """
         done, step = self._activity(activity, name)
-        start = at if at is not None else (clock.now if clock is not None else 0.0)
+        start = clock.now if clock is not None else 0.0
         self.schedule(start, step, label=f"spawn:{name}")
         return done
 

@@ -106,7 +106,7 @@ class ReplicaFleet:
                 1.0 + self._jitter * rng.uniform(-1.0, 1.0)
             )
             yield self._scheduler.timer(
-                node.clock, delay, label=f"{self_addr}:pace"
+                node.clock, node.clock.now + delay, label=f"{self_addr}:pace"
             )
             self.stats.calls += 1
             try:

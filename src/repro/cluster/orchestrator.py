@@ -16,10 +16,10 @@ lineage (a crash-looping container is quarantined, not restarted
 forever), and every supervision decision is appended to
 :attr:`Orchestrator.events` for the monitoring plane.
 
-Health probing: a :class:`Watchdog` schedules the same sweeps as
-**recurring events on the event-heap scheduler**, so a 256-replica
-deployment is probed on a simulated period.  A start hook runs inside
-such an event, so a hook that must wait (attestation) starts an
+Health probing: a :class:`Watchdog` is a scheduler activity that runs
+the same sweep on a simulated period, so a 256-replica deployment is
+probed without a scan between drive-loop steps.  A start hook runs
+inside such a tick, so a hook that must wait (attestation) starts an
 activity and returns.
 """
 
@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro._sim import probe as _probe
 from repro._sim.clock import SimClock
-from repro._sim.scheduler import Scheduler
+from repro._sim.scheduler import Completion, Scheduler
 from repro.cluster.container import Container, ContainerState
 from repro.cluster.node import Node
 from repro.errors import ClusterError
@@ -55,10 +55,13 @@ class ContainerSpec:
 class Orchestrator:
     """Places containers on the least-occupied node; supports elastic scaling."""
 
-    def __init__(self, nodes: List[Node], restart_budget: int = 3) -> None:
+    def __init__(
+        self, nodes: List[Node], scheduler: Scheduler, restart_budget: int = 3
+    ) -> None:
         if not nodes:
             raise ClusterError("orchestrator needs at least one node")
         self._nodes = list(nodes)
+        self._scheduler = scheduler
         self._replicas: Dict[str, List[Container]] = {}
         self.on_start: List[StartHook] = []
         #: Max restarts per replica lineage before quarantine.
@@ -117,25 +120,21 @@ class Orchestrator:
         )
         return min(self._nodes, key=lambda candidate: occupancy[id(candidate)])
 
-    def launch(
-        self,
-        spec: ContainerSpec,
-        node: Optional[Node] = None,
-        at: Optional[float] = None,
-    ) -> Container:
+    def launch(self, spec: ContainerSpec, node: Optional[Node] = None) -> Container:
         """Start one replica (attestation hooks run before it is visible).
 
-        ``at`` is the simulated time of the control-plane tick that
-        ordered the launch, if one did: the cold start begins no earlier.
-        (Nothing else brings an idle node's clock up to the timeline —
-        endpoints that serve traffic run on cores of their own.)
+        Launched inside an event (a tick that ordered it), the cold start
+        begins no earlier than that event.  Nothing else brings an idle
+        node's clock up to the timeline — endpoints that serve traffic
+        run on cores of their own.
         """
         group = self._replicas.setdefault(spec.name, [])
         index = self._spec_indices.get(spec.name, 0)
         self._spec_indices[spec.name] = index + 1
         target = self._place(node)
-        if at is not None:
-            target.clock.advance_to(at)
+        now = self._scheduler.now
+        if now is not None:
+            target.clock.advance_to(now)
         container = Container(
             f"{spec.name}-{index}", target, spec.config_factory(target, index)
         )
@@ -177,11 +176,7 @@ class Orchestrator:
         )
 
     def restart(
-        self,
-        spec: ContainerSpec,
-        container: Container,
-        reason: str = "",
-        at: Optional[float] = None,
+        self, spec: ContainerSpec, container: Container, reason: str = ""
     ) -> Optional[Container]:
         """Replace one failed replica, consuming its lineage's budget.
 
@@ -189,8 +184,7 @@ class Orchestrator:
         ``on_start`` hooks), or ``None`` when the lineage is out of
         budget and the replica was quarantined instead.  ``reason`` (a
         short tag like ``ps-shard-2``) is recorded in the event log so
-        a sharded service's restarts are attributable per shard; ``at``
-        is the tick that found the replica dead (see :meth:`launch`).
+        a sharded service's restarts are attributable per shard.
         """
         if container.state is not ContainerState.FAILED:
             raise ClusterError(
@@ -222,7 +216,7 @@ class Orchestrator:
             )
             return None
         self._restarts[key] = used + 1
-        replacement = self.launch(spec, node=container.node, at=at)
+        replacement = self.launch(spec, node=container.node)
         # The replacement continues the crashed replica's lineage: its
         # future crashes draw down the same budget.
         self._lineage[replacement.name] = root
@@ -240,9 +234,7 @@ class Orchestrator:
         )
         return replacement
 
-    def supervise(
-        self, spec: ContainerSpec, at: Optional[float] = None
-    ) -> Dict[str, Optional[Container]]:
+    def supervise(self, spec: ContainerSpec) -> Dict[str, Optional[Container]]:
         """One supervision pass: restart (or quarantine) failed replicas.
 
         Returns failed-name -> replacement container (None = quarantined).
@@ -250,7 +242,7 @@ class Orchestrator:
         outcome: Dict[str, Optional[Container]] = {}
         for container in list(self._replicas.get(spec.name, [])):
             if container.state is ContainerState.FAILED:
-                outcome[container.name] = self.restart(spec, container, at=at)
+                outcome[container.name] = self.restart(spec, container)
         return outcome
 
     # -- singleton-service watchdog -------------------------------------
@@ -282,37 +274,20 @@ class Orchestrator:
                 _probe.flight(None, "watchdog", name, "service-failover")
         return outcome
 
-    def recover(self, spec: ContainerSpec) -> List[Container]:
-        """Replace every failed replica with a fresh attested container."""
-        return [
-            replacement
-            for replacement in self.supervise(spec).values()
-            if replacement is not None
-        ]
-
     def start_watchdog(
-        self,
-        scheduler: Scheduler,
-        interval: float,
-        specs: Optional[List[ContainerSpec]] = None,
-        clock: Optional[SimClock] = None,
+        self, interval: float, specs: Optional[List[ContainerSpec]] = None
     ) -> "Watchdog":
-        """Probe health on a simulated period, as scheduler events.
+        """Probe health on a simulated period, as a scheduler activity.
 
         Every ``interval`` simulated seconds the watchdog runs one
         supervision pass (container restarts for ``specs``, singleton-
         service failovers for everything registered via
-        :meth:`register_service`) on ``clock`` — by default the first
-        node's, standing in for the control-plane machine.  The probes
-        interleave with whatever the fleet is doing purely by heap
-        order; nothing scans the fleet between drive-loop steps.
+        :meth:`register_service`) on the first node's clock, standing in
+        for the control-plane machine.  The probes interleave with
+        whatever the fleet is doing purely by heap order.
         """
         watchdog = Watchdog(
-            self,
-            scheduler,
-            clock if clock is not None else self._nodes[0].clock,
-            interval,
-            specs or [],
+            self, self._scheduler, self._nodes[0].clock, interval, specs or []
         )
         watchdog.start()
         return watchdog
@@ -324,7 +299,8 @@ class Orchestrator:
 
 
 class Watchdog:
-    """Recurring orchestrator health probes on the event heap."""
+    """Recurring orchestrator health probes: an activity that sleeps
+    until each probe's due time, then supervises."""
 
     def __init__(
         self,
@@ -342,33 +318,28 @@ class Watchdog:
         self._interval = interval
         self._specs = specs
         self._stopped = True
-        self.ticks = 0
         self.restarts = 0
-        self.failovers = 0
 
     def start(self) -> None:
         self._stopped = False
-        self._schedule_next(self._clock.now + self._interval)
-
-    def stop(self) -> None:
-        """No further probes fire (the pending event is skipped)."""
-        self._stopped = True
-
-    def _schedule_next(self, due: float) -> None:
-        self._scheduler.schedule(
-            due, lambda: self._tick(due), label="watchdog:probe"
+        self._scheduler.start(self._probing(), name="watchdog").add_waiter(
+            Completion.result  # a probe that raises ends the run
         )
 
-    def _tick(self, due: float) -> None:
-        if self._stopped:
-            return
-        self._clock.advance_to(due)
-        self.ticks += 1
-        for spec in self._specs:
-            for replacement in self._orchestrator.supervise(spec, at=due).values():
-                if replacement is not None:
-                    self.restarts += 1
-        for name, healthy in self._orchestrator.supervise_services().items():
-            if not healthy:
-                self.failovers += 1
-        self._schedule_next(due + self._interval)
+    def stop(self) -> None:
+        """No further probes run (the pending one wakes and exits)."""
+        self._stopped = True
+
+    def _probing(self):
+        due = self._clock.now + self._interval
+        while True:
+            yield self._scheduler.timer(None, due, label="watchdog:probe")
+            if self._stopped:
+                return
+            self._clock.advance_to(due)
+            for spec in self._specs:
+                for replacement in self._orchestrator.supervise(spec).values():
+                    if replacement is not None:
+                        self.restarts += 1
+            self._orchestrator.supervise_services()
+            due += self._interval

@@ -48,6 +48,7 @@ from repro.errors import (
     RpcTransportError,
     SecurityError,
     StaleConnectionError,
+    UpstreamTransportError,
 )
 from repro.runtime.stats_registry import gauge
 
@@ -70,8 +71,9 @@ RETRYABLE_ERRORS = (RpcTransportError, StaleConnectionError, CircuitOpenError)
 #: errors because a denied request does not become allowed by asking
 #: again; fencing errors because the caller has provably lost its
 #: leadership epoch — retrying a fenced write is exactly the split-brain
-#: commit that fencing exists to prevent.
-AUTHORITATIVE_ERRORS = (SecurityError, FencingError)
+#: commit that fencing exists to prevent; a front end's upstream loss
+#: because it is that front end's recorded outcome for the request.
+AUTHORITATIVE_ERRORS = (SecurityError, FencingError, UpstreamTransportError)
 
 
 def is_retryable(exc: BaseException) -> bool:
@@ -370,7 +372,7 @@ class RetryingExecutor:
             # advances this clock to now + delay; other nodes' events
             # scheduled inside the window execute first.
             yield self._scheduler.timer(
-                self._clock, delay, label=f"backoff:{endpoint}"
+                self._clock, self._clock.now + delay, label=f"backoff:{endpoint}"
             )
             if probe.SINK is not None:
                 probe.SINK.charge(self._clock, "retry_backoff", delay)

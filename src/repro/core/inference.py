@@ -288,8 +288,9 @@ def _boot_activity(
 ) -> Activity:
     """One service's boot as a scheduler activity: ``delay`` on its own
     node's clock, then :meth:`InferenceService.starting`."""
+    clock = service.node.clock
     yield platform.scheduler.timer(
-        service.node.clock, delay, label=f"boot:{service.name}"
+        clock, clock.now + delay, label=f"boot:{service.name}"
     )
     yield from service.starting()
     return service

@@ -76,7 +76,7 @@ class SecureTFPlatform:
         )
         self.network = Network(self.config.cost_model, scheduler=self.scheduler)
         self.cas = CasService(self.nodes[0], self.provisioning.public_key())
-        self.orchestrator = Orchestrator(self.nodes)
+        self.orchestrator = Orchestrator(self.nodes, self.scheduler)
         #: The deployment's epoch-fencing authority (None = fencing off).
         #: In production this registry is ``epoch/<role>`` records in the
         #: replicated CAS database; the service object is its interface,

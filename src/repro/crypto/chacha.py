@@ -135,12 +135,14 @@ def _block_pass(head: np.ndarray, runs: List[Tuple[np.ndarray, int, int]]) -> np
         _quarter_round(a, b_diag, c_diag, d_diag, t)
         copyto(b_head, b_spare); copyto(c_head, c_spare); copyto(d_tail, d_spare)
 
-    # Add the input state and serialize block-major in the same calls.
-    out = np.empty((n_blocks, 4, 4), dtype=np.uint32)
-    np.add(a.T, head[0:4], out=out[:, 0])
-    np.add(b.T, head[4:8], out=out[:, 1])
-    np.add(c.T, head[8:12], out=out[:, 2])
-    np.add(d.T, d_in.T, out=out[:, 3])
+    # Add the input state in row order (every write contiguous), then
+    # serialize block-major with one transposing copy.
+    state = np.empty((16, n_blocks), dtype=np.uint32)
+    np.add(a, head[0:4, None], out=state[0:4])
+    np.add(b, head[4:8, None], out=state[4:8])
+    np.add(c, head[8:12, None], out=state[8:12])
+    np.add(d, d_in, out=state[12:16])
+    out = np.ascontiguousarray(state.T)
     return out.astype("<u4", copy=False).reshape(-1).view(np.uint8)
 
 

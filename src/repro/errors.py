@@ -153,6 +153,11 @@ class RpcTransportError(RpcError):
     """
 
 
+class UpstreamTransportError(RpcTransportError):
+    """A front end's recorded answer that every replica leg it tried lost
+    the request: resending replays it, so a caller does not retry it."""
+
+
 class StaleConnectionError(RpcError):
     """A secure session is no longer valid on the server (restart or
     expiry); the client should re-handshake and resend."""

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
-from repro._sim.scheduler import Scheduler
+from repro._sim.scheduler import Completion, Scheduler
 from repro.observability.flight import FlightRecorder
 from repro.observability.incident import IncidentBundle, IncidentPipeline
 from repro.runtime.stats_registry import MonitoringStats, register
@@ -159,10 +159,11 @@ class SloMonitor:
     """Evaluates SloSpecs on a recurring event-heap schedule.
 
     Like the orchestrator's :class:`~repro.cluster.orchestrator
-    .Watchdog`, the monitor reschedules itself every ``interval``
-    simulated seconds; unlike the watchdog it never advances its clock —
-    evaluation happens *at* the event's due time but is purely
-    observational, so the simulated run is unchanged by monitoring.
+    .Watchdog`, the monitor is an activity that sleeps until each
+    evaluation's due time, every ``interval`` simulated seconds; unlike
+    the watchdog it never advances its clock — evaluation happens *at*
+    the due time but is purely observational, so the simulated run is
+    unchanged by monitoring.
     """
 
     def __init__(
@@ -190,30 +191,26 @@ class SloMonitor:
         self._stopped = True
         self.evaluations = 0
 
-    @property
-    def clock(self) -> SimClock:
-        return self._clock
-
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
         self._stopped = False
-        self._schedule_next(self._clock.now + self.interval)
-
-    def stop(self) -> None:
-        """No further evaluations (the pending event fires as a no-op)."""
-        self._stopped = True
-
-    def _schedule_next(self, due: float) -> None:
-        self._scheduler.schedule(
-            due, lambda: self._tick(due), label="slo:evaluate"
+        self._scheduler.start(self._evaluating(), name="slo-monitor").add_waiter(
+            Completion.result  # an evaluation that raises ends the run
         )
 
-    def _tick(self, due: float) -> None:
-        if self._stopped:
-            return
-        self.evaluate(due)
-        self._schedule_next(due + self.interval)
+    def stop(self) -> None:
+        """No further evaluations (the pending wake-up exits)."""
+        self._stopped = True
+
+    def _evaluating(self):
+        due = self._clock.now + self.interval
+        while True:
+            yield self._scheduler.timer(None, due, label="slo:evaluate")
+            if self._stopped:
+                return
+            self.evaluate(due)
+            due += self.interval
 
     # -- evaluation ------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """SLO-driven autoscaling: scrape, decide, scale, repeat.
 
-A recurring scheduler event (same shape as the orchestrator's
-:class:`~repro.cluster.orchestrator.Watchdog`) scrapes the router every
-:data:`TICK_INTERVAL` simulated seconds and compares what it sees
-against the SLO:
+A scheduler activity (the orchestrator's
+:class:`~repro.cluster.orchestrator.Watchdog` and the SLO monitor tick
+the same way: sleep until the due time, tick, repeat) scrapes the
+router every :data:`TICK_INTERVAL` simulated seconds and compares what
+it sees against the SLO:
 
 - **scale out** when the sliding-window p99 breaches the SLO or the
   router shed load since the last tick — capacity is the only honest
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro._sim.clock import SimClock
-from repro._sim.scheduler import Scheduler
+from repro._sim.scheduler import Completion, Scheduler
 from repro.errors import ConfigurationError
 from repro.serving.pool import ReplicaPool
 from repro.serving.router import FrontEndRouter
@@ -49,7 +50,7 @@ class AutoscalerPolicy:
 
 
 class SloAutoscaler:
-    """The serving plane's capacity controller (a recurring heap event)."""
+    """The serving plane's capacity controller (a ticking activity)."""
 
     def __init__(
         self,
@@ -73,14 +74,8 @@ class SloAutoscaler:
         self._stopped = True
         self._cooldown = 0
         self._last_sheds = 0
-        self.ticks = 0
-        self.scale_outs = 0
-        self.scale_ins = 0
         #: Decision log (part of the serving plane's determinism trace).
         self.events: List[str] = []
-
-    def record(self, event: str) -> None:
-        self.events.append(event)
 
     def trace_bytes(self) -> bytes:
         return "\n".join(self.events).encode()
@@ -89,15 +84,27 @@ class SloAutoscaler:
 
     def start(self) -> None:
         self._stopped = False
-        self._schedule_next(self._clock.now + TICK_INTERVAL)
+        self._scheduler.start(self._ticking(), name="autoscaler").add_waiter(
+            Completion.result  # a tick that raises ends the run
+        )
 
     def stop(self) -> None:
         self._stopped = True
 
-    def _schedule_next(self, due: float) -> None:
-        self._scheduler.schedule(
-            due, lambda: self._tick(due), label="autoscaler:tick"
-        )
+    def _ticking(self):
+        """Sleep until each tick's due time; arm the next, then decide."""
+        due = self._clock.now + TICK_INTERVAL
+        tick = self._scheduler.timer(None, due, label="autoscaler:tick")
+        while True:
+            yield tick
+            if self._stopped:
+                return
+            self._clock.advance_to(due)
+            tick = self._scheduler.timer(
+                None, due + TICK_INTERVAL, label="autoscaler:tick"
+            )
+            self._decide(due)
+            due += TICK_INTERVAL
 
     # -- one control decision -------------------------------------------
 
@@ -110,13 +117,7 @@ class SloAutoscaler:
         self._last_sheds = total
         return delta
 
-    def _tick(self, due: float) -> None:
-        if self._stopped:
-            return
-        self._clock.advance_to(due)
-        self.ticks += 1
-        self._schedule_next(due + TICK_INTERVAL)
-
+    def _decide(self, due: float) -> None:
         p99 = self.router.latency.percentile(99)
         sheds = self._sheds_delta()
         replicas = self.pool.size()
@@ -128,10 +129,9 @@ class SloAutoscaler:
             return
         policy = self.policy
         if (sheds > 0 or p99 > policy.slo_p99) and replicas < policy.max_replicas:
-            self.pool.scale_out(1, at=due)
-            self.scale_outs += 1
+            self.pool.scale_out()
             self._cooldown = COOLDOWN_TICKS
-            self.record(
+            self.events.append(
                 f"scale-out @{due:.6f} replicas={replicas + 1} "
                 f"p99={p99:.6f} sheds={sheds}"
             )
@@ -143,9 +143,8 @@ class SloAutoscaler:
         ):
             drained = self.pool.drain_one()
             if drained is not None:
-                self.scale_ins += 1
                 self._cooldown = COOLDOWN_TICKS
-                self.record(
+                self.events.append(
                     f"scale-in @{due:.6f} drain={drained} "
                     f"p99={p99:.6f} util={utilization:.3f}"
                 )

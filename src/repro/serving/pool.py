@@ -241,14 +241,9 @@ class ReplicaPool:
 
     # -- elasticity ------------------------------------------------------
 
-    def scale_out(
-        self, count: int = 1, at: Optional[float] = None
-    ) -> List[Container]:
-        """Launch ``count`` fresh replicas (each attests before joining);
-        ``at`` is the controller tick behind the decision, if any (see
-        :meth:`Orchestrator.launch
-        <repro.cluster.orchestrator.Orchestrator.launch>`)."""
-        return [self.orchestrator.launch(self.spec, at=at) for _ in range(count)]
+    def scale_out(self) -> Container:
+        """Launch one fresh replica (it attests before joining)."""
+        return self.orchestrator.launch(self.spec)
 
     def drain_one(self) -> Optional[str]:
         """Begin draining the most recently launched routable replica.
@@ -274,7 +269,7 @@ class ReplicaPool:
         def drain_activity():
             while self.scoreboard.in_flight(address) > 0:
                 yield self.platform.scheduler.timer(
-                    clock, self.drain_poll, label=f"drain-poll:{address}"
+                    clock, clock.now + self.drain_poll, label=f"drain-poll:{address}"
                 )
             self.platform.network.unregister(address)
             if container is not None and container.running:

@@ -51,6 +51,7 @@ from repro.errors import (
     OverloadError,
     RpcError,
     RpcTransportError,
+    UpstreamTransportError,
 )
 from repro.observability.metrics import WindowedHistogram
 from repro.runtime import stats_registry
@@ -122,7 +123,6 @@ class _PendingRequest:
         "hedge_event",
         "deadline_event",
         "settled",
-        "hedged",
         "hedge_addresses",
     )
 
@@ -143,7 +143,6 @@ class _PendingRequest:
         self.hedge_event: Optional[Event] = None
         self.deadline_event: Optional[Event] = None
         self.settled = False
-        self.hedged = False
         self.hedge_addresses: List[str] = []
 
 
@@ -260,9 +259,7 @@ class FrontEndRouter:
         self.record(f"admit {request_id} @{now:.6f}")
         if deadline is not None:
             info.deadline_event = self.scheduler.schedule(
-                deadline,
-                lambda: self._expire(info, deadline),
-                label=f"deadline:{request_id}",
+                deadline, lambda: self._expire(info), label=f"deadline:{request_id}"
             )
         if self.policy.hedge:
             delay = max(
@@ -271,9 +268,7 @@ class FrontEndRouter:
             )
             if deadline is None or now + delay < deadline:
                 info.hedge_event = self.scheduler.schedule(
-                    now + delay,
-                    lambda: self._hedge(info, now + delay),
-                    label=f"hedge:{request_id}",
+                    now + delay, lambda: self._hedge(info), label=f"hedge:{request_id}"
                 )
         self._launch_attempt(info, hedge=False)
         return info.completion
@@ -404,18 +399,19 @@ class FrontEndRouter:
 
     # -- timers ----------------------------------------------------------
 
-    def _hedge(self, info: _PendingRequest, due: float) -> None:
+    def _hedge(self, info: _PendingRequest) -> None:
         if info.settled or info.outstanding == 0:
             return
+        due = self.scheduler.now
         self.clock.advance_to(due)
-        info.hedged = True
         self.stats.hedges_fired += 1
         self.record(f"hedge-fire {info.request_id} @{due:.6f}")
         self._launch_attempt(info, hedge=True)
 
-    def _expire(self, info: _PendingRequest, due: float) -> None:
+    def _expire(self, info: _PendingRequest) -> None:
         if info.settled:
             return
+        due = self.scheduler.now
         self.clock.advance_to(due)
         self.record(f"deadline {info.request_id} @{due:.6f}")
         self._settle_error(
@@ -445,6 +441,8 @@ class FrontEndRouter:
             self.stats.failed_deadline += 1
         elif isinstance(error, RpcTransportError):
             self.stats.failed_transport += 1
+            # The replica legs lost it: this router's answer, not a lost client leg.
+            error = UpstreamTransportError(f"{info.request_id!r}: {error}")
         else:
             self.stats.failed_other += 1
         self._replied.put(info.request_id, self.clock.now, (False, error))

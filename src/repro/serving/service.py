@@ -114,11 +114,11 @@ class ServingPlane:
         for _ in range(initial_replicas):
             # One boot at a time: each replica is routable before the
             # next one launches.
-            (replica,) = self.pool.scale_out()
+            replica = self.pool.scale_out()
             self.platform.scheduler.run_until(self.pool.boots[replica.name])
         self.pool.watch()
         self.watchdog: Watchdog = self.platform.orchestrator.start_watchdog(
-            self.platform.scheduler, watchdog_interval, specs=[self.pool.spec]
+            watchdog_interval, specs=[self.pool.spec]
         )
         self.autoscaler: Optional[SloAutoscaler] = None
         if autoscaler_policy is not None:

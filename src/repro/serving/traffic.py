@@ -12,6 +12,11 @@ resume and per-request latency is measured precisely even on a shared
 clock.  (A cluster node's clock would not do: whatever else runs on it
 advances it, and replies would land on a clock already past them.)
 
+A request its leg to the router lost (a dropped send or reply) is
+resent under the same id while its deadline holds, through a
+:class:`~repro.cluster.retry.RetryingExecutor`; the router's
+at-most-once window answers a resend, so nothing runs twice.
+
 Outcome accounting is total: every request a client sends terminates in
 exactly one of {ok, overload-shed, deadline-exceeded, transport error,
 other typed error} — the client-side half of the serving plane's
@@ -30,6 +35,7 @@ from repro._sim.clock import SimClock
 from repro._sim.rng import DeterministicRng
 from repro._sim.scheduler import Completion
 from repro.cluster.network import Network
+from repro.cluster.retry import RecoveryStats, RetryingExecutor, RetryPolicy
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -80,6 +86,7 @@ class TrafficStats:
     transport: int = 0
     other_errors: int = 0
     latency: Histogram = field(default_factory=lambda: Histogram("client.latency"))
+    recovery: RecoveryStats = field(default_factory=RecoveryStats)
 
     @property
     def outcomes(self) -> int:
@@ -141,7 +148,7 @@ class TrafficGenerator:
         """Drive the simulation until every client finished.
 
         Parks on each client's completion rather than draining the heap:
-        recurring events (watchdog probes, autoscaler ticks) reschedule
+        the recurring ticks (watchdog probes, autoscaler ticks) re-arm
         themselves forever, so "heap empty" never comes while they run.
         """
         completions = self.start()
@@ -159,15 +166,22 @@ class TrafficGenerator:
         scheduler = self.network.scheduler
         stats = self.stats
         address = f"client-{index}"
+        resend = RetryingExecutor(
+            RetryPolicy(), clock, rng.child("resend"), scheduler, stats=stats.recovery
+        )
         # Desynchronized start: clients phase in across one base think
         # time instead of stampeding at t=0.
         yield scheduler.timer(
-            clock, rng.uniform(0.0, self.profile.base_think), label=f"warmup:{address}"
+            clock,
+            clock.now + rng.uniform(0.0, self.profile.base_think),
+            label=f"warmup:{address}",
         )
         sequence = 0
         while clock.now < self.duration:
             yield scheduler.timer(
-                clock, self.profile.think(clock.now, rng), label=f"think:{address}"
+                clock,
+                clock.now + self.profile.think(clock.now, rng),
+                label=f"think:{address}",
             )
             if clock.now >= self.duration:
                 break
@@ -175,18 +189,18 @@ class TrafficGenerator:
             sequence += 1
             sent_at = clock.now
             stats.sent += 1
+            deadline = sent_at + self.deadline_budget
             request = messages.encode_request(
-                request_id, self.payload, deadline=sent_at + self.deadline_budget
+                request_id, self.payload, deadline=deadline
             )
             try:
-                completion = self.network.call_async(
-                    address, clock, self.router_address, request
+                settle = yield from resend.begin(
+                    self.router_address,
+                    lambda: self._send(address, request),
+                    _reply,
+                    deadline=deadline,
                 )
-            except RpcTransportError:
-                stats.transport += 1
-                continue
-            try:
-                raw = yield completion
+                messages.decode_reply((yield from settle))
             except OverloadError:
                 stats.overload += 1
                 continue
@@ -195,20 +209,19 @@ class TrafficGenerator:
                 continue
             except RpcTransportError:
                 stats.transport += 1
-                continue
-            except RpcError:
-                stats.other_errors += 1
-                continue
-            try:
-                messages.decode_reply(raw)
-            except OverloadError:
-                stats.overload += 1
-                continue
-            except DeadlineExceededError:
-                stats.deadline += 1
                 continue
             except RpcError:
                 stats.other_errors += 1
                 continue
             stats.ok += 1
             stats.latency.observe(clock.now - sent_at)
+
+    def _send(self, address: str, request: bytes):
+        """One attempt's send half (a lost send raises, as a socket would)."""
+        return self.network.call_async(address, self.clock, self.router_address, request)
+        yield  # unreachable: makes this an activity
+
+
+def _reply(sent: Completion):
+    """One attempt's receive half: park on the reply."""
+    return (yield sent)

@@ -112,7 +112,7 @@ class TestTimersAndParking:
         sched = Scheduler()
         clock = SimClock()
         clock.advance(1.0)
-        due = sched.run_until(sched.timer(clock, 0.5))
+        due = sched.run_until(sched.timer(clock, clock.now + 0.5))
         assert due == pytest.approx(1.5)
         assert clock.now == pytest.approx(1.5)
 
@@ -121,8 +121,25 @@ class TestTimersAndParking:
         clock = SimClock()
         seen = []
         clock.subscribe(lambda old, new: seen.append(new))
-        sched.run_until(sched.timer(clock, 2.0))
+        sched.run_until(sched.timer(clock, clock.now + 2.0))
         assert seen and seen[-1] == pytest.approx(2.0)
+
+    def test_a_timer_without_a_clock_moves_none(self):
+        sched = Scheduler()
+        clock = SimClock()
+        sched.register_clock(clock)
+        assert sched.run_until(sched.timer(None, 2.0)) == 2.0
+        assert clock.now == 0.0
+
+    def test_now_is_the_time_of_the_executing_event(self):
+        sched = Scheduler()
+        seen = []
+        sched.schedule(1.5, lambda: seen.append(sched.now))
+        sched.schedule(0.25, lambda: seen.append(sched.now))
+        assert sched.now is None
+        sched.run()
+        assert seen == [0.25, 1.5]
+        assert sched.now is None  # outside the heap again
 
     def test_run_until_deadlock_detected(self):
         sched = Scheduler()
@@ -139,7 +156,7 @@ class TestTimersAndParking:
         refused = []
 
         def handler():
-            inner = sched.timer(clock, 1.0, label="inner")
+            inner = sched.timer(clock, clock.now + 1.0, label="inner")
             for wait in (sched.run_until, lambda c: sched.drive(iter([c])), sched.run):
                 try:
                     wait(inner)
@@ -152,7 +169,7 @@ class TestTimersAndParking:
         assert all("yielding the completion" in text for text in refused)
 
         def waiter():
-            yield sched.timer(clock, 1.0, label="yielded")
+            yield sched.timer(clock, clock.now + 1.0, label="yielded")
             return "done"
 
         outer = Completion("outer")
@@ -170,7 +187,7 @@ class TestTimersAndParking:
 
         def activity():
             trace.append(("start", sched.events_scheduled))
-            due = yield sched.timer(clock, 0.5)
+            due = yield sched.timer(clock, clock.now + 0.5)
             trace.append(("woke", due))
             return "out"
 
@@ -198,8 +215,8 @@ class TestActivities:
         clock = SimClock()
 
         def activity():
-            first = yield sched.timer(clock, 1.0)
-            second = yield sched.timer(clock, 2.0)
+            first = yield sched.timer(clock, clock.now + 1.0)
+            second = yield sched.timer(clock, clock.now + 2.0)
             return (first, second)
 
         done = sched.spawn(activity(), name="pair")
@@ -226,7 +243,7 @@ class TestActivities:
         sched = Scheduler()
 
         def activity():
-            yield sched.timer(SimClock(), 0.1)
+            yield sched.timer(None, 0.1)
             raise ValueError("exploded")
 
         done = sched.spawn(activity(), name="bomb")
@@ -252,7 +269,7 @@ class TestActivities:
 
         def ticker(name, clock, period, ticks):
             for _ in range(ticks):
-                yield sched.timer(clock, period)
+                yield sched.timer(clock, clock.now + period)
                 order.append((name, clock.now))
 
         sched.spawn(ticker("a", a_clock, 1.0, 3), name="a")
@@ -268,7 +285,7 @@ class TestActivities:
 
             def worker(index, clock):
                 for step in range(3):
-                    yield sched.timer(clock, 0.1 * (index + 1))
+                    yield sched.timer(clock, clock.now + 0.1 * (index + 1))
                     log.append((index, step, round(clock.now, 9)))
 
             for index, clock in enumerate(clocks):

@@ -148,7 +148,7 @@ def test_freshness_protection_survives_failover(pair, cluster):
 
 
 def test_orchestrator_watchdog_promotes(pair, cluster):
-    orch = Orchestrator(list(cluster))
+    orch = Orchestrator(list(cluster), pair.network.scheduler)
     orch.register_service("cas", pair.probe, pair.promote)
     assert orch.supervise_services() == {"cas": True}
 
@@ -166,7 +166,7 @@ def test_retrying_client_rides_through_a_supervised_failover(pair, cluster):
     land on the standby."""
     runtime = make_runtime(cluster[2])
     register(pair, runtime)
-    orch = Orchestrator(list(cluster))
+    orch = Orchestrator(list(cluster), pair.network.scheduler)
     orch.register_service("cas", pair.probe, pair.promote)
 
     pair.fail_primary()

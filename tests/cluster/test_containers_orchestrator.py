@@ -3,6 +3,7 @@
 import pytest
 
 from repro._sim.clock import SimClock
+from repro._sim.scheduler import Scheduler
 from repro.cluster import (
     Container,
     ContainerSpec,
@@ -79,7 +80,7 @@ def occupancy(orch):
 def test_orchestrator_round_robin_placement(cluster):
     """Fewest-containers-first with ties in node order *is* round-robin
     on an empty cluster."""
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     spec = ContainerSpec("svc", config_factory)
     containers = [orch.launch(spec) for _ in range(4)]
     nodes = [c.node.node_id for c in containers]
@@ -90,7 +91,7 @@ def test_unpinned_launches_go_around_pinned_containers(cluster):
     """Placement counts what is already running on a node, whoever put
     it there: a pinned front end on node-0 sends node-0 its replica
     last, not first."""
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     orch.launch(ContainerSpec("front", config_factory), node=cluster[0])
     spec = ContainerSpec("svc", config_factory)
     nodes = [orch.launch(spec).node.node_id for _ in range(5)]
@@ -104,7 +105,7 @@ def test_unpinned_launches_level_the_nodes(provisioning, n_nodes, pinned):
     container of each other once they have filled up to the pinned
     ones, which are never moved and always counted."""
     nodes = make_cluster(n_nodes, CM, provisioning, seed=2)
-    orch = Orchestrator(nodes)
+    orch = Orchestrator(nodes, Scheduler())
     front = ContainerSpec("front", config_factory)
     for index in pinned:
         orch.launch(front, node=nodes[index % n_nodes])
@@ -120,7 +121,7 @@ def test_unpinned_launches_level_the_nodes(provisioning, n_nodes, pinned):
 
 
 def test_scale_out_after_scale_in_refills_the_emptiest_node(cluster):
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     spec = ContainerSpec("svc", config_factory)
     containers = orch.scale_to(spec, 6)
     assert occupancy(orch) == {"node-0": 2, "node-1": 2, "node-2": 2}
@@ -135,13 +136,13 @@ def test_scale_out_after_scale_in_refills_the_emptiest_node(cluster):
 
 def test_scale_to_spreads_like_the_elastic_attestation_bench(cluster):
     """``bench_elastic_attestation.py``: 8 replicas over 3 nodes."""
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     orch.scale_to(ContainerSpec("elastic", config_factory), 8)
     assert occupancy(orch) == {"node-0": 3, "node-1": 3, "node-2": 2}
 
 
 def test_elastic_scale_up_and_down(cluster):
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     spec = ContainerSpec("svc", config_factory)
     orch.scale_to(spec, 3)
     assert len(orch.replicas("svc")) == 3
@@ -154,7 +155,7 @@ def test_elastic_scale_up_and_down(cluster):
 
 
 def test_on_start_hooks_run_for_every_launch(cluster):
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     attested = []
     orch.on_start.append(lambda c: attested.append(c.name))
     spec = ContainerSpec("svc", config_factory)
@@ -163,32 +164,31 @@ def test_on_start_hooks_run_for_every_launch(cluster):
 
 
 def test_recover_replaces_failed_replicas(cluster):
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     spec = ContainerSpec("svc", config_factory)
     containers = orch.scale_to(spec, 2)
     victim = containers[0]
     orch.fail_container(victim)
     assert len(orch.replicas("svc")) == 1
-    replaced = orch.recover(spec)
-    assert len(replaced) == 1
-    assert replaced[0].node is victim.node  # restarted in place
+    (replacement,) = orch.supervise(spec).values()
+    assert replacement.node is victim.node  # restarted in place
     assert len(orch.replicas("svc")) == 2
 
 
 def test_restart_stays_on_its_node_even_when_another_is_emptier(cluster):
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     spec = ContainerSpec("svc", config_factory)
     containers = orch.scale_to(spec, 4)  # node-0 holds two
     containers[2].stop()  # node-2 is now empty
     victim = containers[3]
     assert victim.node is cluster[0]
     orch.fail_container(victim)
-    (replacement,) = orch.recover(spec)
+    (replacement,) = orch.supervise(spec).values()
     assert replacement.node is cluster[0]
 
 
 def test_stop_all(cluster):
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     orch.scale_to(ContainerSpec("svc", config_factory), 3)
     orch.stop_all()
     assert orch.replicas("svc") == []
@@ -196,7 +196,7 @@ def test_stop_all(cluster):
 
 def test_orchestrator_needs_nodes():
     with pytest.raises(ClusterError):
-        Orchestrator([])
+        Orchestrator([], Scheduler())
 
 
 # --- supervised recovery --------------------------------------------------------
@@ -205,12 +205,12 @@ def test_orchestrator_needs_nodes():
 def test_replacement_names_are_monotonic(cluster):
     """Satellite: a replacement never reuses a crashed replica's name —
     names are identities in the network and the CAS session registry."""
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     spec = ContainerSpec("svc", config_factory)
     first, second = orch.scale_to(spec, 2)
     assert (first.name, second.name) == ("svc-0", "svc-1")
     orch.fail_container(first)
-    (replacement,) = orch.recover(spec)
+    (replacement,) = orch.supervise(spec).values()
     assert replacement.name == "svc-2"
     # Even after recovery, a further scale-up keeps counting upward.
     orch.scale_to(spec, 3)
@@ -219,7 +219,7 @@ def test_replacement_names_are_monotonic(cluster):
 
 
 def test_supervise_restarts_within_budget_then_quarantines(cluster):
-    orch = Orchestrator(cluster, restart_budget=2)
+    orch = Orchestrator(cluster, Scheduler(), restart_budget=2)
     spec = ContainerSpec("svc", config_factory)
     container = orch.launch(spec)
     for round_no in range(2):
@@ -242,7 +242,7 @@ def test_supervise_restarts_within_budget_then_quarantines(cluster):
 def test_restart_reruns_attestation_hooks(cluster):
     """A replacement enclave has fresh memory: it must re-attest and be
     re-provisioned exactly like the original."""
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     attested = []
     orch.on_start.append(lambda c: attested.append(c.name))
     spec = ContainerSpec("svc", config_factory)
@@ -254,7 +254,7 @@ def test_restart_reruns_attestation_hooks(cluster):
 
 
 def test_restart_rejects_healthy_container(cluster):
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     spec = ContainerSpec("svc", config_factory)
     container = orch.launch(spec)
     with pytest.raises(ClusterError):
@@ -262,7 +262,7 @@ def test_restart_rejects_healthy_container(cluster):
 
 
 def test_health_and_probe(cluster):
-    orch = Orchestrator(cluster)
+    orch = Orchestrator(cluster, Scheduler())
     spec = ContainerSpec("svc", config_factory)
     a, b = orch.scale_to(spec, 2)
     assert orch.probe("svc")
@@ -276,7 +276,7 @@ def test_health_and_probe(cluster):
 
 
 def test_budget_is_per_lineage_not_global(cluster):
-    orch = Orchestrator(cluster, restart_budget=1)
+    orch = Orchestrator(cluster, Scheduler(), restart_budget=1)
     spec = ContainerSpec("svc", config_factory)
     a, b = orch.scale_to(spec, 2)
     orch.fail_container(a)
@@ -371,27 +371,36 @@ def test_a_stopped_or_crashed_container_returns_its_core(cluster):
 
 
 def test_a_launch_ordered_by_a_tick_starts_no_earlier_than_the_tick(cluster):
-    orch = Orchestrator(cluster)
+    scheduler = Scheduler()
+    orch = Orchestrator(cluster, scheduler)
     spec = ContainerSpec("svc", config_factory)
-    untimed = orch.launch(spec)  # no tick behind it: timed as it always was
+
+    def at(when, order):
+        """Run ``order`` inside an event at ``when``; what it returned."""
+        out = []
+        scheduler.schedule(when, lambda: out.append(order()))
+        scheduler.run()
+        return out[0]
+
+    untimed = orch.launch(spec)  # outside the heap: timed as it always was
     assert untimed.node.clock.now == pytest.approx(
         CM.container_start_cost, rel=0.2
     )
     started = {}
     orch.on_start.append(lambda c: started.setdefault(c.name, c.node.clock.now))
     # Nothing has touched node-1 since t = 0; the tick is at t = 20.25.
-    late = orch.launch(spec, at=20.25)
+    late = at(20.25, lambda: orch.launch(spec))
     assert late.node is cluster[1]
     assert started[late.name] >= 20.25 + CM.container_start_cost
     # A node already past the tick is not pulled back or pushed on.
     cluster[2].clock.advance(30.0)
-    ahead = orch.launch(spec, at=20.25)
+    ahead = at(20.25, lambda: orch.launch(spec))
     assert ahead.node is cluster[2]
     assert started[ahead.name] == pytest.approx(
         30.0 + CM.container_start_cost, rel=0.01
     )
-    # A restart passes the tick that found the replica dead.
+    # A restart starts no earlier than the tick that found the replica dead.
     orch.fail_container(untimed)
-    (replacement,) = orch.supervise(spec, at=40.0).values()
+    (replacement,) = at(40.0, lambda: orch.supervise(spec)).values()
     assert replacement.node is untimed.node
     assert started[replacement.name] >= 40.0 + CM.container_start_cost

@@ -135,8 +135,8 @@ def test_failure_recovery_reattests():
     spec = ContainerSpec(session, lambda node, index: config)
     containers = platform.orchestrator.scale_to(spec, 2)
     platform.orchestrator.fail_container(containers[0])
-    replaced = platform.orchestrator.recover(spec)
-    assert len(replaced) == 1
+    (replacement,) = platform.orchestrator.supervise(spec).values()
+    assert replacement is not None
     assert len(provisioned) == 3
     assert len(platform.orchestrator.replicas(session)) == 2
 

@@ -193,6 +193,17 @@ class TestScheduledEvaluation:
         assert monitor.evaluations == 4
         assert scheduler.heap_size == 0
 
+    def test_an_evaluation_that_raises_ends_the_run(self):
+        def broken():
+            raise RuntimeError("probe bug")
+
+        scheduler = Scheduler()
+        monitor = SloMonitor(scheduler, SimClock(), [make_spec(broken)], interval=0.25)
+        monitor.start()
+        with pytest.raises(RuntimeError, match="probe bug"):
+            scheduler.run()
+        assert monitor.evaluations == 1
+
     def test_two_seeded_runs_produce_identical_transition_logs(self):
         def run():
             values = iter([0.1] * 4 + [5.0] * 6 + [0.1] * 20)

@@ -76,9 +76,9 @@ def test_a_cold_start_is_on_the_timeline_and_beside_its_neighbour():
     orchestrator = plane.platform.orchestrator
     ticks, restart = [], orchestrator.restart
 
-    def restart_and_note_the_tick(spec, container, reason="", at=None):
-        ticks.append(at)
-        return restart(spec, container, reason, at=at)
+    def restart_and_note_the_tick(spec, container, reason=""):
+        ticks.append(plane.platform.scheduler.now)
+        return restart(spec, container, reason)
 
     orchestrator.restart = restart_and_note_the_tick
     plane.platform.scheduler.schedule(

@@ -11,6 +11,7 @@ lifecycle, fault injections) replays byte-for-byte from the seed.
 import pytest
 
 from repro.cluster.faults import FaultPlan, FaultSpec, TransientPartition
+from repro.serving.router import RouterPolicy
 from repro.serving.service import ServingPlane
 
 pytestmark = pytest.mark.serving
@@ -96,3 +97,29 @@ def test_different_seed_diverges(runs):
     plane_a, _, _ = runs(11)
     plane_c, _, _ = runs(12)
     assert plane_a.trace_bytes() != plane_c.trace_bytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_request_lost_on_the_client_leg_is_resent(seed):
+    """Loss on the client↔router legs only: a lost send or a lost reply
+    is resent under the same request id while its deadline holds, and
+    the router's at-most-once window answers the resend — nothing is
+    lost to ``transport`` and nothing runs twice."""
+    plane = ServingPlane(
+        seed=seed,
+        n_nodes=4,
+        initial_replicas=5,
+        router_policy=RouterPolicy(max_attempts=5),
+    )
+    clients = frozenset(f"client-{i}" for i in range(16))
+    plan = FaultPlan(seed + 1, FaultSpec(loss=0.02, targets=clients))
+    plane.add_faults(plan)
+    stats = plane.run_traffic(16, 10.0)
+    plane.check_invariants()
+    assert plan.counters.losses > 0
+    assert stats.transport == 0
+    assert stats.ok == stats.sent
+    assert stats.recovery.retries > 0
+    # Every request the router admitted settled once: resends were
+    # answered from its window, not admitted again.
+    assert plane.router.admission.stats.admitted == plane.router.stats.completed_ok

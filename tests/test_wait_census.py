@@ -1,4 +1,5 @@
-"""Wait census: inside the simulation, every wait is a ``yield``.
+"""Wait census: inside the simulation, every wait is a ``yield``, and
+every sleep is a timer.
 
 ``Scheduler.run_until`` and ``Scheduler.drive`` drain the event heap on
 the caller's Python stack, so they belong only to synchronous code
@@ -8,8 +9,14 @@ callers in ``src/`` to a list of outermost entry points, each with a
 one-line reason.  Library code that needs to wait is an activity and
 yields the completion instead (see :mod:`repro._sim.scheduler`).
 
-The census walks the AST of ``src/`` and matches calls by method name,
-so it also catches a wait hidden behind a local alias of the scheduler.
+A second census keeps raw event scheduling (``Scheduler.schedule``) to
+the scheduler's own primitives and the network's wire: anything else
+that must happen later — a recurring tick, a backoff, a boot delay —
+sleeps on :meth:`Scheduler.timer <repro._sim.scheduler.Scheduler.timer>`
+inside an activity.
+
+Both censuses walk the AST of ``src/`` and match calls by method name,
+so they also catch a call hidden behind a local alias of the scheduler.
 """
 
 from __future__ import annotations
@@ -53,8 +60,28 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
 }
 
 
-def _waits(path: Path) -> List[Tuple[str, int]]:
-    """(enclosing qualified function, line) of every wait call in ``path``."""
+#: The raw heap insertion.
+SCHEDULES = {"schedule"}
+
+#: (module under src/repro, enclosing function) → why it may schedule.
+SCHEDULE_ALLOWLIST: Dict[Tuple[str, str], str] = {
+    ("_sim/scheduler.py", "Scheduler.timer"):
+        "the one timer primitive: a completion resolved at an absolute time",
+    ("_sim/scheduler.py", "Scheduler.spawn"):
+        "an activity's first step, as a spawn: event",
+    ("cluster/network.py", "Network.call_async"):
+        "a request's delivery event, at its arrival time",
+    ("cluster/network.py", "Network._finish_reply"):
+        "a reply's landing event, at its arrival time",
+    ("serving/router.py", "FrontEndRouter._handle"):
+        "the per-request deadline and hedge timers, cancelled when the "
+        "request settles (ROADMAP C(2) reworks them)",
+}
+
+
+def _calls(path: Path, names=WAITS) -> List[Tuple[str, int]]:
+    """(enclosing qualified function, line) of every call in ``path`` to
+    a method named in ``names``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found: List[Tuple[str, int]] = []
 
@@ -66,7 +93,7 @@ def _waits(path: Path) -> List[Tuple[str, int]]:
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr in WAITS
+                and child.func.attr in names
             ):
                 found.append((".".join(scope), child.lineno))
             visit(child, scope)
@@ -75,11 +102,11 @@ def _waits(path: Path) -> List[Tuple[str, int]]:
     return found
 
 
-def census() -> Dict[Tuple[str, str], List[int]]:
+def census(names=WAITS) -> Dict[Tuple[str, str], List[int]]:
     sites: Dict[Tuple[str, str], List[int]] = {}
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
-        for function, line in _waits(path):
+        for function, line in _calls(path, names):
             sites.setdefault((module, function), []).append(line)
     return sites
 
@@ -108,3 +135,26 @@ def test_the_scheduler_itself_defines_the_waits():
 
     for name in WAITS:
         assert callable(getattr(Scheduler, name))
+
+
+def test_every_raw_schedule_in_src_is_allowlisted():
+    unlisted = [
+        f"src/repro/{module}:{lines[0]} in {function or '<module>'}"
+        for (module, function), lines in census(SCHEDULES).items()
+        if (module, function) not in SCHEDULE_ALLOWLIST
+    ]
+    assert not unlisted, (
+        "raw Scheduler.schedule calls outside the primitives (an activity "
+        "sleeps on Scheduler.timer instead): " + ", ".join(unlisted)
+    )
+
+
+def test_schedule_allowlist_has_no_stale_entries():
+    sites = census(SCHEDULES)
+    stale = [key for key in SCHEDULE_ALLOWLIST if key not in sites]
+    assert not stale, f"allowlisted functions that no longer schedule: {stale}"
+
+
+def test_raw_schedules_stay_at_six():
+    """One per allowlisted function, and the router's two timers."""
+    assert sum(len(lines) for lines in census(SCHEDULES).values()) == 6
