@@ -246,7 +246,8 @@ def test_storage_recovery_price_sheet(benchmark):
             "unprefixed write rows: NATIVE traps, 4 KiB chunks, 1 MiB - every call is a trap, so the "
             "bottleneck is the call count (extents: 2 x 6 + manifest + flip + GC, whatever the chunk count)",
             "hw_ rows: HW enclave, async ring, 64 KiB chunks, 544 KiB (shield_write) - the ring hides "
-            "the calls and the seal writes into the host's buffer, so the bottleneck is crypto; "
+            "the calls and the seal writes into the host's buffer, so the bottleneck is crypto, "
+            "sealed on the enclave's idle threads down to the MEE floor; "
             "only the manifest is copied out of the enclave",
             "recovery mean over an exhaustive crash-point sweep (every mutating op, both polarities) "
             "plus a tear at every chunk boundary +- 1 byte of either replica's extent",

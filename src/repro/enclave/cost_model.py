@@ -17,8 +17,11 @@ Calibration anchors (paper + public SGX literature):
 - Synchronous enclave transition ≈ 4 µs round-trip (~8k cycles×2);
   SCONE's asynchronous syscalls cost ≈ 1.3 µs effective (paper §3.3.3,
   SCONE OSDI'16).
-- File-system shield cryptography at 4 GB/s (paper §5.3 #2 quotes the
-  AES-NI figure directly).
+- File-system shield cryptography at 4 GB/s per thread (paper §5.3 #2
+  quotes the AES-NI figure directly).  Inside an enclave a file's
+  chunks are sealed and opened on its idle threads, so the aggregate
+  floor is the enclave's memory bandwidth — 7.5 GB/s through the MEE in
+  HW, the native 18 GB/s in SIM — over the bytes the pass moves.
 - IAS quote verification needs WAN round trips: the paper measures
   ~280 ms for verification and ~325 ms end-to-end; CAS does the same
   verification locally in <1 ms and ~17 ms end-to-end (Fig. 4).
@@ -53,7 +56,8 @@ class CostModel:
     # --- Memory ----------------------------------------------------------
     #: Native (unencrypted) memory bandwidth seen by one core.
     native_memory_bandwidth: float = 18.0e9
-    #: Enclave memory bandwidth through the MEE (encrypt/decrypt + MAC).
+    #: Enclave memory bandwidth through the MEE (encrypt/decrypt + MAC):
+    #: the aggregate floor of the fs shield's chunk crypto in HW.
     enclave_memory_bandwidth: float = 7.5e9
     #: Multiplier on in-enclave compute: MEE latency on LLC misses and
     #: the wider cache footprint slow even EPC-resident execution.
@@ -96,7 +100,9 @@ class CostModel:
     scone_libc_factor: float = 1.015
 
     # --- Shields -----------------------------------------------------------
-    #: AES-NI bulk throughput used by the file-system shield (paper: 4 GB/s).
+    #: AES-NI bulk throughput of one thread of the file-system shield
+    #: (paper: 4 GB/s); a file's chunks spread over the enclave's idle
+    #: threads down to the memory-bandwidth floor.
     fs_shield_crypto_bandwidth: float = 4.0e9
     #: Per-chunk bookkeeping of the shield (metadata lookup + nonce mgmt).
     fs_shield_chunk_overhead: float = 0.8 * microseconds
@@ -104,6 +110,10 @@ class CostModel:
     net_shield_crypto_bandwidth: float = 2.2e9
     #: Per-record overhead of the network shield.
     net_shield_record_overhead: float = 1.8 * microseconds
+    #: One network-shield handshake's cryptography (two signatures plus
+    #: an ECDHE exchange).  Uncalibrated: no paper or cited measurement
+    #: anchors it.
+    net_shield_handshake_cost: float = 0.9e-3
 
     # --- Network -----------------------------------------------------------
     lan_bandwidth: float = Gbps(1.0)

@@ -62,6 +62,11 @@ class EnclaveMemory:
         self.bandwidth_time = 0.0
 
     @property
+    def bandwidth(self) -> float:
+        """Bytes/s of DRAM traffic: the MEE's in HW mode, native outside."""
+        return self._bandwidth
+
+    @property
     def encrypted(self) -> bool:
         """True when memory traffic goes through the MEE (HW mode)."""
         return self._epc is not None

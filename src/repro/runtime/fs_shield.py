@@ -15,8 +15,21 @@ auditing service (§3.3.2): the shield reports every committed file
 version to a :class:`FreshnessTracker` and verifies against it on read.
 
 Cost model: the paper measures shield cryptography at AES-NI rates
-(~4 GB/s, §5.3 #2); real ChaCha20 here runs on the *real* bytes while
-time is charged for the *declared* size at that bandwidth.  A read pays
+(~4 GB/s per thread, §5.3 #2); real ChaCha20 here runs on the *real*
+bytes while time is charged for the *declared* size.  Every seal and
+open is charged by one rule.  The serial charge is that size at the
+AES-NI rate plus a per-chunk bookkeeping cost.  Inside an enclave the
+chunks are independent, so the charge is spread over ``min(chunks,
+idle threads)`` — the enclave's ``max_threads`` less its runnable
+application threads, plus the caller — and floored at the bytes the
+pass moves through the enclave's memory over its bandwidth (a seal
+reads its plaintext once, an open reads the enclave copy and writes the
+plaintext: twice; 7.5 GB/s through the MEE in HW, 18 GB/s in SIM).  It
+never exceeds the serial charge, which is what one thread and an
+owner-side shield outside any enclave pay: an HW write lands on the MEE
+floor, an HW open's floor is above the serial charge.  The helpers are
+not application threads and leave the scheduler's ``runnable`` alone.
+The seal is charged before its extents reach the ring.  A read pays
 for the chunks it opens: every chunk carries its share of the declared
 size, a chunk served from the plaintext cache costs one in-enclave copy
 of its share instead of a decrypt, and the cache's capacity is counted
@@ -100,6 +113,7 @@ from repro.errors import (
 )
 from repro.runtime import stats_registry
 from repro.runtime.syscall import SyscallInterface
+from repro.runtime.threading_ul import UserLevelScheduler
 
 DEFAULT_CHUNK_SIZE = 64 * 1024
 
@@ -233,6 +247,7 @@ class FileSystemShield:
         chunk_cache_bytes: int = DEFAULT_CHUNK_CACHE_BYTES,
         replicas: int = 1,
         memory: Optional[EnclaveMemory] = None,
+        scheduler: Optional[UserLevelScheduler] = None,
     ) -> None:
         if len(master_key) != 32:
             raise ShieldError("file-system shield needs a 32-byte master key")
@@ -249,6 +264,13 @@ class FileSystemShield:
         #: Memory of the enclave the shield runs in (a cache hit is a copy
         #: through it); None for an owner-side shield outside any enclave.
         self._memory = memory
+        #: Whose idle threads seal and open chunks in that enclave (a
+        #: scheduler of its own, one runnable thread, if none is given).
+        self._scheduler = scheduler
+        if memory is not None and scheduler is None:
+            self._scheduler = UserLevelScheduler(
+                cost_model, clock, mode=syscalls.mode, enclave=syscalls.enclave
+            )
         self._chunk_size = chunk_size
         self._freshness = freshness
         self._versions: Dict[str, int] = {}
@@ -305,18 +327,36 @@ class FileSystemShield:
         # cannot verify, because the AAD binds the version in full.
         return struct.pack(">IQ", version & 0xFFFFFFFF, index)
 
-    def _charge_crypto(self, simulated_bytes: int, n_chunks: int) -> None:
+    def _charge_crypto(self, simulated_bytes: int, passes: int) -> None:
+        """Charge sealing (``passes=1``: the plaintext is read once) or
+        opening (``passes=2``: the enclave copy is read and the plaintext
+        written) ``simulated_bytes``.
+
+        The serial charge is the per-thread AES-NI rate plus the per-chunk
+        bookkeeping.  Inside an enclave the chunks are independent, so
+        they are spread over ``min(chunks, idle threads)`` helpers, and
+        the pass can go no faster than the enclave's memory moves its
+        bytes; it never costs more than the serial charge.  Outside one
+        (the owner's side) a single thread does it all."""
+        n_chunks = max(1, -(-simulated_bytes // self._chunk_size))
         duration = (
             simulated_bytes / self._model.fs_shield_crypto_bandwidth
             + n_chunks * self._model.fs_shield_chunk_overhead
         )
+        if self._memory is not None:
+            helpers = min(n_chunks, self._scheduler.idle_threads)
+            floor = passes * simulated_bytes / self._memory.bandwidth
+            duration = min(
+                max(self._scheduler.parallel_duration(duration, helpers), floor),
+                duration,
+            )
         self._clock.advance(duration)
         if probe.SINK is not None:
             probe.SINK.charge(
                 self._clock,
                 "crypto",
                 duration,
-                count=max(1, n_chunks),
+                count=n_chunks,
                 histogram="fs.chunk_crypto",
             )
         self.stats.crypto_bytes += simulated_bytes
@@ -467,7 +507,7 @@ class FileSystemShield:
         self._charge_copy(sum(shares) - to_open)
         if not missing:
             return parts
-        self._charge_crypto(to_open, max(1, -(-to_open // self._chunk_size)))
+        self._charge_crypto(to_open, passes=2)
         stored, heal = load()
         # The AEAD below authenticates this enclave copy, whatever the
         # host's buffer holds by now: the scrub's check was advisory.
@@ -551,6 +591,8 @@ class FileSystemShield:
         self._account_real_crypto(
             crypto_label, len(plaintext), time.perf_counter() - started
         )
+        # The seal is done before any extent it produces reaches the ring.
+        self._charge_crypto(simulated, passes=1)
 
         # The crash-consistent commit: shadow extents -> pending manifest
         # -> atomic rename flip -> freshness commit -> GC.
@@ -576,7 +618,6 @@ class FileSystemShield:
         manifest = encoding.encode(
             {"body": body_bytes, "mac": self._manifest_mac(path, body_bytes)}
         )
-        self._charge_crypto(simulated, max(1, -(-simulated // self._chunk_size)))
         pending = path + COMMIT_SUFFIX
         # A caller's declared size rides on the manifest write (the
         # extents pay for their real bytes), floored at the manifest's

@@ -300,9 +300,10 @@ class NetworkShield:
 
     def charge_handshake(self) -> None:
         """Charge one handshake's cryptography (two signatures + ECDHE)."""
-        self.clock.advance(0.9e-3)
+        cost = self.cost_model.net_shield_handshake_cost
+        self.clock.advance(cost)
         if probe.SINK is not None:
-            probe.SINK.charge(self.clock, "crypto", 0.9e-3)
+            probe.SINK.charge(self.clock, "crypto", cost)
         self.stats.handshakes += 1
 
     def client_handshake(

@@ -222,6 +222,7 @@ class SconeRuntime:
             freshness=freshness,
             replicas=self.config.fs_replicas,
             memory=self.memory,
+            scheduler=self.scheduler,
         )
 
     def make_net_shield(self, identity, trusted_roots) -> NetworkShield:

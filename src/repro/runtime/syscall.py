@@ -121,6 +121,10 @@ class SyscallInterface:
         return self._mode
 
     @property
+    def enclave(self) -> Optional[Enclave]:
+        return self._enclave
+
+    @property
     def asynchronous(self) -> bool:
         return self._asynchronous
 

@@ -15,7 +15,9 @@ here:
 
 The scheduler exposes :meth:`parallel_duration`, which the execution
 engine uses to turn "X seconds of single-thread work" into elapsed time
-on ``n`` threads, and :meth:`block`, which charges one blocking event.
+on ``n`` threads, :meth:`block`, which charges one blocking event, and
+:attr:`idle_threads`, the enclave threads the file-system shield can
+spread a file's chunks over without raising :attr:`runnable`.
 """
 
 from __future__ import annotations
@@ -81,6 +83,15 @@ class UserLevelScheduler:
     @property
     def runnable(self) -> int:
         return self._runnable
+
+    @property
+    def idle_threads(self) -> int:
+        """Threads free to take a helper task now: the enclave's measured
+        ``max_threads`` less the runnable application threads, plus the
+        calling thread itself.  One outside an enclave."""
+        if self._enclave is None:
+            return 1
+        return max(1, self._enclave.image.max_threads - self._runnable + 1)
 
     def set_runnable(self, threads: int) -> None:
         """Declare how many application threads are currently runnable."""

@@ -96,7 +96,11 @@ def _journaled_sizes(vfs):
 def test_hw_journaled_overwrite_costs_what_it_always_did():
     seconds, calls, _, _, _ = _overwrite()
     assert calls == 18
-    assert seconds == 0.00016504653333334132  # bit for bit
+    # Bit for bit.  0.00016504653333334132 until the seal was charged
+    # before its extents reached the ring (+0.6 µs: the kernel's write
+    # service no longer overlaps the encryption of what it writes).  This
+    # shield is built outside any enclave, so its seal stays serial.
+    assert seconds == 0.0001656465333333395
 
 
 def test_journaled_payload_crosses_the_enclave_boundary_once():
@@ -121,7 +125,9 @@ def test_native_journaled_overwrite_costs_what_it_always_did():
     extent, manifest = _journaled_sizes(vfs)
     assert crossed is None and written == 2 * extent + manifest
     assert calls == 18
-    assert seconds == 0.00019905394444444432  # bit for bit the pre-seal charge
+    # The pre-seal charge; 0.00019905394444444432 until the seal moved
+    # ahead of the extents' write (the same additions, in another order).
+    assert seconds == 0.00019905394444444407
 
 
 def test_declared_size_journaled_write_copies_only_the_manifest():

@@ -7,9 +7,10 @@ two replicas, read cold and then warm.  In HW the scrub checks every
 replica's digests in the host's buffer, the manifest crosses with its
 own bytes, and what the enclave opens — each chunk's share plus its tag
 — is copied in once, whatever the replica count.  NATIVE and SIM keep
-the kernel→user copy of everything read: their reads cost what they
-always did, bit for bit.  No SHA-256 pass moved: a cold read hashes
-both replicas and the manifest, as before.
+the kernel→user copy of everything read, pinned bit for bit.  The HW
+cold read's decrypt stays serial: its floor, 2 bytes through the MEE
+per byte opened, is above the serial AES-NI charge.  No SHA-256 pass
+moved: a cold read hashes both replicas and the manifest, as before.
 """
 
 import pytest
@@ -91,15 +92,20 @@ def test_hw_cold_read_costs_the_same_at_every_replica_count():
     assert costs[1] - costs[0] < 4e-6
 
 
-#: (cold, warm) seconds of the 544 KiB read before the copy-in rule;
-#: the kernel's copy is no caller's to skip, so these must not move.
+#: (cold, warm) seconds of the 544 KiB read; the kernel's copy is no
+#: caller's to skip, so the copy-in rule moved none of them.  A SIM cold
+#: read opens its nine chunks on the enclave's idle threads, down to the
+#: floor of 2 x 544 KiB at 18 GB/s (61.9 µs of crypto, 146.5 µs serial).
+#: The NATIVE cells and the warm SIM cells are the serial charge's: they
+#: moved in the last bits only, when the seal in the write before them was
+#: charged ahead of its extents (the same additions, in another order).
 OUTSIDE_HW = {
-    (SgxMode.NATIVE, 1): (0.00018705394444444432, 3.458194444444436e-05),
-    (SgxMode.NATIVE, 2): (0.0002240094999999997, 3.458194444444442e-05),
-    (SgxMode.NATIVE, 3): (0.00026096505555555516, 3.458194444444442e-05),
-    (SgxMode.SIM, 1): (0.00019100394444444436, 3.3231944444444465e-05),
-    (SgxMode.SIM, 2): (0.00022540949999999988, 3.323194444444441e-05),
-    (SgxMode.SIM, 3): (0.0002598150555555553, 3.323194444444441e-05),
+    (SgxMode.NATIVE, 1): (0.00018705394444444435, 3.458194444444442e-05),
+    (SgxMode.NATIVE, 2): (0.00022400949999999974, 3.458194444444436e-05),
+    (SgxMode.NATIVE, 3): (0.0002609650555555551, 3.458194444444442e-05),
+    (SgxMode.SIM, 1): (0.0001064350555555555, 3.323194444444444e-05),
+    (SgxMode.SIM, 2): (0.00014084061111111103, 3.3231944444444465e-05),
+    (SgxMode.SIM, 3): (0.00017524616666666657, 3.323194444444441e-05),
 }
 
 

@@ -8,7 +8,8 @@ counts its capacity in the same bytes.  Pinned here:
 
 * the layer table by hand — a twin rig replays what a cold and a warm
   read are supposed to cost (manifest read, the crypto formula of the
-  whole declared file, one read per replica, in HW one copy-in of the
+  whole declared file — in SIM and HW spread over the enclave's idle
+  threads down to its memory floor —, one read per replica, in HW one copy-in of the
   opened chunks; manifest read, one copy) and the two clocks must agree
   **bit for bit**, in NATIVE / SIM / HW and at every replica count.  In
   HW the manifest crosses with its own bytes and the extents with none:
@@ -100,12 +101,24 @@ def chunk_shares(simulated, plaintext_size, chunk_size):
     return shares
 
 
-def crypto_seconds(simulated, chunk_size):
-    """What the parent charged a read before looking at the cache."""
-    return (
+def crypto_seconds(simulated, chunk_size, mode=SgxMode.NATIVE, passes=2):
+    """The crypto charge of one pass over ``simulated`` bytes: the serial
+    AES-NI time outside an enclave (the NATIVE rig is the owner's side);
+    inside one (an image's default 8 threads, one runnable) spread over
+    one helper per chunk and floored at ``passes`` x the bytes over the
+    enclave's memory bandwidth, never above serial."""
+    n_chunks = max(1, -(-simulated // chunk_size))
+    serial = (
         simulated / CM.fs_shield_crypto_bandwidth
-        + max(1, -(-simulated // chunk_size)) * CM.fs_shield_chunk_overhead
+        + n_chunks * CM.fs_shield_chunk_overhead
     )
+    if mode is SgxMode.NATIVE:
+        return serial
+    bandwidth = (
+        CM.enclave_memory_bandwidth if mode is SgxMode.HW else CM.native_memory_bandwidth
+    )
+    parallel = serial / CM.effective_parallel_speedup(min(n_chunks, 8))
+    return min(max(parallel, passes * simulated / bandwidth), serial)
 
 
 def declared_size(size, extra):
@@ -170,7 +183,7 @@ def test_cold_and_warm_reads_cost_what_the_layer_table_says(
         assert stats.crypto_time == crypto_time  # not one bit of crypto
     else:
         n_chunks = max(1, -(-size // chunk_size))
-        by_hand.clock.advance(crypto_seconds(simulated, chunk_size))
+        by_hand.clock.advance(crypto_seconds(simulated, chunk_size, mode))
         for replica in range(replicas):
             by_hand.syscalls.read_file(
                 extent_path(PATH, 0, replica), enclave_bytes=0 if hw else None
