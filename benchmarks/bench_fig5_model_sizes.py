@@ -9,11 +9,27 @@ Key shapes to reproduce: HW is modestly slower than SIM; SIM tracks the
 natives; Graphene matches secureTF at 42 MB (everything EPC-resident)
 and falls behind as the model pushes the combined working set past the
 EPC (paper: 1.03× → ~1.4×).
+
+The HW runs are traced: each model's classify splits into compute
+(FLOPs, dispatch, DRAM bandwidth), the EPC faults the classifying thread
+waited for, and the paging a helper thread hid behind the compute (the
+engine's helper rule).  HW, SIM, HW/SIM and graphene/HW per model land
+in ``BENCH.json`` under ``fig5_model_sizes``, the section they replace
+kept under ``previous``.
 """
 
 import pytest
 
-from harness import PAPER, fmt_s, print_table, record, run_once
+from harness import (
+    PAPER,
+    fmt_ms,
+    fmt_s,
+    load_bench,
+    print_table,
+    record,
+    run_once,
+    save_bench,
+)
 
 from repro.baselines import make_graphene_runner, make_native_runner
 from repro.core.inference import (
@@ -21,10 +37,12 @@ from repro.core.inference import (
     deploy_encrypted_model,
     service_runtime_config,
 )
+from repro.core.monitoring import collect_metrics
 from repro.core.platform import PlatformConfig, SecureTFPlatform
 from repro.data import synthetic_cifar10
 from repro.enclave.sgx import SgxMode
 from repro.models import pretrained_lite_model
+from repro.observability import Telemetry
 from repro.runtime.libc import GLIBC, MUSL
 
 MODELS = ("densenet", "inception_v3", "inception_v4")
@@ -46,10 +64,28 @@ def _measure_secure_tf(model, image, mode):
     service.start()
     for _ in range(WARMUP):
         service.classify(image)
-    before = service.node.clock.now
+    node = service.node
+    telemetry = Telemetry(platform) if mode is SgxMode.HW else None
+    hidden = _hidden_fault_time(platform, node)
+    before = node.clock.now
     for _ in range(RUNS):
         service.classify(image)
-    return (service.node.clock.now - before) / RUNS
+    latency = (node.clock.now - before) / RUNS
+    if telemetry is None:
+        return latency, None
+    telemetry.close()
+    layers = telemetry.profile()[node.node_id].layers
+    split = {
+        "compute": layers["compute"] / RUNS,
+        "epc_faults": layers["epc_faults"] / RUNS,
+        "hidden_paging": (_hidden_fault_time(platform, node) - hidden) / RUNS,
+    }
+    return latency, split
+
+
+def _hidden_fault_time(platform, node):
+    metrics = collect_metrics(platform)
+    return next(n for n in metrics.nodes if n.node_id == node.node_id).epc_hidden_fault_time
 
 
 def _measure_baseline(model, image, make_runner, **kwargs):
@@ -63,9 +99,11 @@ def _measure_baseline(model, image, make_runner, **kwargs):
 def _collect():
     _, test = synthetic_cifar10(n_train=5, n_test=5, seed=7)
     image = test.images[0]
-    results = {}
+    results, splits = {}, {}
     for name in MODELS:
         model = pretrained_lite_model(name, seed=0)
+        sim, _ = _measure_secure_tf(model, image, SgxMode.SIM)
+        hw, splits[name] = _measure_secure_tf(model, image, SgxMode.HW)
         results[name] = {
             "native-glibc": _measure_baseline(
                 model, image, make_native_runner, libc=GLIBC
@@ -73,15 +111,15 @@ def _collect():
             "native-musl": _measure_baseline(
                 model, image, make_native_runner, libc=MUSL
             ),
-            "secureTF-SIM": _measure_secure_tf(model, image, SgxMode.SIM),
-            "secureTF-HW": _measure_secure_tf(model, image, SgxMode.HW),
+            "secureTF-SIM": sim,
+            "secureTF-HW": hw,
             "graphene": _measure_baseline(model, image, make_graphene_runner),
         }
-    return results
+    return results, splits
 
 
 def test_fig5_latency_vs_model_size(benchmark):
-    results = run_once(benchmark, _collect)
+    results, splits = run_once(benchmark, _collect)
 
     systems = ["native-glibc", "native-musl", "secureTF-SIM", "secureTF-HW", "graphene"]
     rows = [
@@ -101,8 +139,30 @@ def test_fig5_latency_vs_model_size(benchmark):
         rows,
         notes=notes,
     )
+    print_table(
+        "Fig. 5 — secureTF HW classify, by layer",
+        ["model", "HW", "compute", "epc_faults (waited)", "hidden paging"],
+        [
+            [name, fmt_ms(results[name]["secureTF-HW"])]
+            + [fmt_ms(splits[name][k]) for k in ("compute", "epc_faults", "hidden_paging")]
+            for name in MODELS
+        ],
+    )
     for name in MODELS:
         record(benchmark, **{f"{name}_{k}": v for k, v in results[name].items()})
+    previous = load_bench("fig5_model_sizes")
+    previous.pop("previous", None)
+    section = {}
+    for name in MODELS:
+        r = results[name]
+        section[name] = {
+            "hw_s": r["secureTF-HW"],
+            "sim_s": r["secureTF-SIM"],
+            "hw_over_sim": r["secureTF-HW"] / r["secureTF-SIM"],
+            "graphene_over_hw": r["graphene"] / r["secureTF-HW"],
+            **{f"hw_{k}_s": v for k, v in splits[name].items()},
+        }
+    save_bench("fig5_model_sizes", {**section, "previous": previous})
 
     for name in MODELS:
         r = results[name]

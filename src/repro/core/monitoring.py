@@ -178,6 +178,9 @@ class NodeMetrics:
     epc_fault_time: float
     epc_fault_rate: float = gauge()
     enclave_transitions: int
+    #: The part of ``epc_fault_time`` a helper thread serviced while the
+    #: caller computed (``EngineTotals.hidden_fault_time``, summed).
+    epc_hidden_fault_time: float = 0.0
 
     @property
     def epc_utilization(self) -> float:
@@ -400,6 +403,10 @@ def collect_metrics(platform: SecureTFPlatform) -> PlatformMetrics:
                 epc_fault_time=epc.stats.fault_time,
                 epc_fault_rate=epc.stats.fault_rate,
                 enclave_transitions=node.cpu.transitions,
+                epc_hidden_fault_time=sum(
+                    totals.hidden_fault_time
+                    for totals in stats_registry.stats_for("tensor", [node.clock])
+                ),
             )
         )
     audit = platform.active_cas.audit

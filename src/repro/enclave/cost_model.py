@@ -26,6 +26,10 @@ Calibration anchors (paper + public SGX literature):
   ~280 ms for verification and ~325 ms end-to-end; CAS does the same
   verification locally in <1 ms and ~17 ms end-to-end (Fig. 4).
 - Cluster: 3 nodes, 4 cores + HT at 3.9 GHz, 1 Gb/s network (§5.1).
+  A run on fewer threads than ``cores_per_node`` (with an enclave
+  thread to spare) has an idle core page its weight stream in ahead of
+  the compute (the execution engine's helper rule); a run that fills
+  the cores waits for every fault itself.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ class CostModel:
     flops_per_second_lite: float = 11.0e9
     #: Multiplicative efficiency loss per extra thread (contention).
     parallel_efficiency: float = 0.96
-    #: Cores per node (E3-1280 v6: 4 cores, 8 hyperthreads).
+    #: Cores per node (E3-1280 v6: 4 cores, 8 hyperthreads).  Below it a
+    #: run leaves a core idle for the engine's weight-paging helper.
     cores_per_node: int = 4
     hyperthreads_per_core: int = 2
     #: Hyperthreads add only fractional throughput.

@@ -36,6 +36,11 @@ once per scan, and the run is one ``charge_each`` to the telemetry sink
 clock observer — the metrics sampler — is the one reader that could look
 between two faults, so with one subscribed each fault still updates the
 stats, then advances the clock.  Both policies follow these rules.
+
+A walk with ``wait=False`` is serviced by a helper thread: the same
+walk — the same victims, draws, stats and ``fault_time`` additions — but
+the caller's clock does not move and the sink is not charged; the
+caller charges what it waits for itself.
 """
 
 from __future__ import annotations
@@ -157,8 +162,11 @@ class EpcCache:
         """Touch one granule; returns True on a fault (cost charged)."""
         return self._touch(enclave_id, granule_index, granule_index + 1) == 1
 
-    def access_range(self, enclave_id: int, first_byte: int, n_bytes: int) -> int:
-        """Touch a contiguous byte range; returns the number of granule faults."""
+    def access_range(
+        self, enclave_id: int, first_byte: int, n_bytes: int, wait: bool = True
+    ) -> int:
+        """Touch a contiguous byte range; returns the number of granule
+        faults.  ``wait=False``: a helper services them (module docstring)."""
         if n_bytes < 0:
             raise EnclaveError(f"negative byte count: {n_bytes}")
         if first_byte < 0:
@@ -170,10 +178,10 @@ class EpcCache:
         # ``first`` cannot be negative here, so the common case skips the
         # frame that checks it; the rest is left to ``_touch``.
         if stop > _MAX_GRANULES or self.policy == "lru":
-            return self._touch(enclave_id, first, stop)
-        return self._scan(enclave_id, first, stop)
+            return self._touch(enclave_id, first, stop, wait)
+        return self._scan(enclave_id, first, stop, wait)
 
-    def _touch(self, enclave_id: int, first: int, stop: int) -> int:
+    def _touch(self, enclave_id: int, first: int, stop: int, wait: bool = True) -> int:
         """Touch granules ``[first, stop)`` of one enclave; returns faults."""
         # A negative index would alias the tail of the residency map and
         # one past the key width would alias another enclave's granule.
@@ -182,10 +190,10 @@ class EpcCache:
                 f"granule range [{first}, {stop}) outside [0, 2**{_GRANULE_BITS})"
             )
         if self.policy == "lru":
-            return self._touch_lru(enclave_id, first, stop)
-        return self._scan(enclave_id, first, stop)
+            return self._touch_lru(enclave_id, first, stop, wait)
+        return self._scan(enclave_id, first, stop, wait)
 
-    def _scan(self, enclave_id: int, first: int, stop: int) -> int:
+    def _scan(self, enclave_id: int, first: int, stop: int, wait: bool = True) -> int:
         """Random policy: skip resident runs in C, fault the gaps inline."""
         resident = self._resident.get(enclave_id)
         if resident is None:
@@ -211,8 +219,9 @@ class EpcCache:
         ever_loaded = self._ever_loaded
         cost = self._granule_fault_cost
         # Whoever reads the stats at an advance must find this fault in
-        # them; with nobody there the totals are stored once, below.
-        observed = self._clock.observed
+        # them; with nobody there — or no advance — the totals are
+        # stored once, below.
+        observed = wait and self._clock.observed
         base = enclave_id << _GRANULE_BITS
         # Every granule of the range that does not fault is a hit.
         hits = stats.hits + stop - first
@@ -266,14 +275,14 @@ class EpcCache:
             cursor = find(0, cursor + 1, stop)
         stats.hits = hits - faults
         stats.evictions, stats.cold_loads = evictions, cold_loads
-        return self._settle(faults, fault_time, observed)
+        return self._settle(faults, fault_time, observed, wait)
 
-    def _touch_lru(self, enclave_id: int, first: int, stop: int) -> int:
+    def _touch_lru(self, enclave_id: int, first: int, stop: int, wait: bool) -> int:
         """LRU ablation: every hit reorders, so every granule is visited.
         Faults are stored, advanced and charged by ``_scan``'s rules."""
         lru = self._lru
         stats = self.stats
-        observed = self._clock.observed
+        observed = wait and self._clock.observed
         base = enclave_id << _GRANULE_BITS
         fault_time = stats.fault_time
         faults = 0
@@ -295,7 +304,7 @@ class EpcCache:
             fault_time += self._granule_fault_cost
             if observed:
                 self._publish_fault(fault_time)
-        return self._settle(faults, fault_time, observed)
+        return self._settle(faults, fault_time, observed, wait)
 
     def _publish_fault(self, fault_time: float) -> None:
         """One fault, published before the next is looked at: stats,
@@ -306,17 +315,21 @@ class EpcCache:
         stats.fault_time = fault_time
         self._clock.advance(self._granule_fault_cost)
 
-    def _settle(self, faults: int, fault_time: float, observed: bool) -> int:
+    def _settle(
+        self, faults: int, fault_time: float, observed: bool, wait: bool
+    ) -> int:
         """Store a walk's faults — unless each was published as it came —
-        and charge the run to the sink once; returns ``faults``."""
+        and, when the caller waits for them, advance its clock and charge
+        the run to the sink once; returns ``faults``."""
         cost = self._granule_fault_cost
         if not observed:
             stats = self.stats
             stats.faults += faults
             stats.fault_pages += faults * self._pages_per_granule
             stats.fault_time = fault_time
-            self._clock.advance_each(cost, faults)
-        if faults and probe.SINK is not None:
+            if wait:
+                self._clock.advance_each(cost, faults)
+        if wait and faults and probe.SINK is not None:
             probe.SINK.charge_each(
                 self._clock, "epc_faults", cost, faults, histogram="epc.fault_service"
             )

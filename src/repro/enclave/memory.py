@@ -117,6 +117,7 @@ class EnclaveMemory:
         cursor: int,
         n_bytes: int,
         bandwidth: bool = True,
+        wait: bool = True,
     ) -> "Tuple[int, int]":
         """Touch ``n_bytes`` starting at ``cursor``, wrapping around.
 
@@ -126,7 +127,10 @@ class EnclaveMemory:
         behaviour under interleaving differs fundamentally from doing one
         region at a time.  ``bandwidth=False`` models hot code that hits
         on-core caches: no DRAM time, but its granules still occupy — and
-        may fault in — the EPC.
+        may fault in — the EPC.  ``wait=False`` hands the faults to a
+        helper thread (:meth:`EpcCache.access_range`): the caller pays the
+        DRAM time, and the faults' cost is
+        ``faults * granule_fault_cost``, for it to charge what it waits.
         """
         region = self.region(name)
         if n_bytes <= 0:
@@ -144,7 +148,9 @@ class EnclaveMemory:
                 self.bandwidth_time += duration
             self.bytes_touched += chunk
             if self._epc is not None:
-                faults += self._epc.access_range(self._enclave_id, base + cursor, chunk)
+                faults += self._epc.access_range(
+                    self._enclave_id, base + cursor, chunk, wait
+                )
             cursor = (cursor + chunk) % size
             remaining -= chunk
         return faults, cursor

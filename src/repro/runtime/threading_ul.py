@@ -17,7 +17,8 @@ The scheduler exposes :meth:`parallel_duration`, which the execution
 engine uses to turn "X seconds of single-thread work" into elapsed time
 on ``n`` threads, :meth:`block`, which charges one blocking event, and
 :attr:`idle_threads`, the enclave threads the file-system shield can
-spread a file's chunks over without raising :attr:`runnable`.
+spread a file's chunks over (and the execution engine page weights in
+on) without raising :attr:`runnable`.
 """
 
 from __future__ import annotations

@@ -23,34 +23,6 @@ def ones() -> Initializer:
     return init
 
 
-def constant_fill(value: float) -> Initializer:
-    def init(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        return np.full(shape, value, dtype=np.float32)
-
-    return init
-
-
-def random_normal(stddev: float = 0.05, mean: float = 0.0) -> Initializer:
-    def init(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(mean, stddev, size=shape).astype(np.float32)
-
-    return init
-
-
-def truncated_normal(stddev: float = 0.05) -> Initializer:
-    """Normal samples with |x - mean| > 2*stddev resampled (TF semantics)."""
-
-    def init(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        samples = rng.normal(0.0, stddev, size=shape)
-        bad = np.abs(samples) > 2 * stddev
-        while bad.any():
-            samples[bad] = rng.normal(0.0, stddev, size=int(bad.sum()))
-            bad = np.abs(samples) > 2 * stddev
-        return samples.astype(np.float32)
-
-    return init
-
-
 def _fan_in_out(shape: Sequence[int]) -> "tuple[int, int]":
     if len(shape) == 2:
         return shape[0], shape[1]

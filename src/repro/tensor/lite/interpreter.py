@@ -79,11 +79,6 @@ class Interpreter:
         self._check_allocated()
         return [t.name for t in self._imported.inputs]
 
-    @property
-    def output_names(self) -> List[str]:
-        self._check_allocated()
-        return [t.name for t in self._imported.outputs]
-
     def invoke(self, inputs: Union[np.ndarray, List[Any], Dict[str, Any]]) -> List[np.ndarray]:
         """Run one forward pass; returns the output arrays in order."""
         self._check_allocated()

@@ -151,6 +151,7 @@ PUBLISHED_SINCE = [
     "recovery.cas_epochs_replicated",
     "recovery.dedup_window_entries",
     "recovery.dedup_window_bytes",
+    "nodes.epc_hidden_fault_time",
 ]
 
 
