@@ -11,7 +11,7 @@ Both shields seal small units (64 KiB file chunks, TLS records), so the
 per-call floor matters as much as the large-message rate: the AEAD is
 also swept over message sizes, and the 256-byte row is reported as
 calls/s.  The canonical codec under every envelope is priced the same
-way (``codec_*``): a fenced serving request and its ``ok`` reply in
+way (``codec_*``): the router's fenced ``infer`` call and its reply in
 microseconds and calls/s, a 1 MiB blob in MB/s.  What the fs shield
 actually issues — one ``seal_many`` / ``open_many`` over a file's
 chunks — is timed as a 9 x 64 KiB batch, and Poly1305 alone at a chunk
@@ -54,7 +54,7 @@ from repro.runtime.fs_shield import (
 )
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.vfs import VirtualFileSystem
-from repro.serving import AutoscalerPolicy, RouterPolicy, ServingPlane, messages
+from repro.serving import AutoscalerPolicy, RouterPolicy, ServingPlane
 
 MESSAGE_SIZE = 1 << 20
 REPEATS = 5
@@ -159,10 +159,12 @@ def _batch_and_mac_rates() -> dict:
 def _codec_rates() -> dict:
     """What one router -> replica hop pays the codec, each way."""
     envelopes = {
-        "request": messages.encode_request(
-            "client-12/345", bytes(64), deadline=2.0066, fence={"role": "router", "epoch": 3}
-        ),
-        "reply": messages.encode_ok("client-12/345", bytes(64), "replica-2"),
+        "request": encoding.encode({
+            "kind": "call", "method": "infer", "payload": bytes(64),
+            "call_id": "router#3/345", "deadline": 2.0066,
+            "fence": {"role": "router", "epoch": 3},
+        }),
+        "reply": encoding.encode({"kind": "reply", "payload": bytes(64)}),
     }
     results = {}
     for label, raw in envelopes.items():
@@ -446,7 +448,7 @@ def test_crypto_dataplane_throughput(benchmark):
         notes=["per-chunk passes (PR 15): ~70 MB/s batch, Poly1305 ~165 / ~300 MB/s"],
     )
     print_table(
-        "Canonical codec (fenced serving request, ok reply; 1 MiB blob)",
+        "Canonical codec (fenced infer call, its reply; 1 MiB blob)",
         ("message", "encode us", "decode us", "encode calls/s", "decode calls/s"),
         [
             (

@@ -369,17 +369,23 @@ class Scheduler:
         return done
 
     def _activity(self, activity: Activity, name: str):
-        """The exit completion of ``activity`` and the function stepping it."""
+        """The exit completion of ``activity`` and the function stepping
+        it: called with nothing for the first step, then as the waiter of
+        each completion the activity parks on."""
         done = Completion(name)
         self.activities_running += 1
-        parked = {"now": False}  # this activity's park state (gauge feed)
 
-        def step(value: Any = None, error: Optional[BaseException] = None) -> None:
-            if parked["now"]:
-                parked["now"] = False
-                self.activities_parked -= 1
+        def step(woke: Optional[Completion] = None) -> None:
             try:
-                target = activity.throw(error) if error is not None else activity.send(value)
+                if woke is None:
+                    target = activity.send(None)
+                else:
+                    self.activities_parked -= 1
+                    error = woke.error
+                    target = (
+                        activity.throw(error) if error is not None
+                        else activity.send(woke.value)
+                    )
             except StopIteration as stop:
                 self.activities_running -= 1
                 done.resolve(getattr(stop, "value", None))
@@ -395,9 +401,8 @@ class Scheduler:
                     "activities may only yield Completions"
                 ))
                 return
-            parked["now"] = True
             self.activities_parked += 1
-            target.add_waiter(lambda c: step(c.value, c.error))
+            target.add_waiter(step)
 
         return done, step
 

@@ -64,17 +64,15 @@ from repro.cluster.network import Network
 from repro.cluster.node import make_cluster
 from repro.cluster.parameter_server import InMemoryCheckpointStore, ParameterServer
 from repro.cluster.retry import RetryPolicy
-from repro.cluster.rpc import RpcClient
+from repro.cluster.rpc import RpcClient, RpcServer
 from repro.crypto import encoding
 from repro.enclave.attestation import ProvisioningAuthority
 from repro.enclave.cost_model import DEFAULT_COST_MODEL
 from repro.errors import (
     FencedError,
-    FencingError,
     FreshnessError,
     RpcError,
 )
-from repro.serving import messages
 from repro.tensor.arrays import encode_array_dict
 
 PS_ROLE = "ps"
@@ -598,6 +596,12 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
 
     history = History()
     scheduler = Scheduler()
+    rng = DeterministicRng(schedule.seed, label="chaos-router")
+    provisioning = ProvisioningAuthority(rng.child("intel"))
+    # One node per replica, then one per router.
+    nodes = make_cluster(
+        4, DEFAULT_COST_MODEL, provisioning, seed=schedule.seed, scheduler=scheduler
+    )
     network = Network(DEFAULT_COST_MODEL, scheduler=scheduler)
     epochs = EpochService() if fencing else None
     plan = FaultPlan(
@@ -607,68 +611,44 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     network.faults.append(plan.inject)
 
     replicas = ("replica-0", "replica-1")
-    for address in replicas:
-        clock = SimClock()
-        scheduler.register_clock(clock)
-        guard = (
-            epochs.make_guard(ROUTER_ROLE, name=address)
-            if epochs is not None
-            else None
-        )
-        dedup: Dict[str, bytes] = {}
+    for address, node in zip(replicas, nodes):
+        server = RpcServer(network, address, node)
 
-        def handler(raw: bytes, *, _addr=address, _clock=clock, _guard=guard,
-                    _dedup=dedup) -> bytes:
-            msg = messages.decode_request(raw)
-            request_id = msg["id"]
-            hit = _dedup.get(request_id)
-            if hit is not None:
-                return hit  # duplicate delivery: replay, don't re-run
-            fence = msg.get("fence")
-            epoch = fence.get("epoch") if isinstance(fence, dict) else None
-            if _guard is not None:
-                try:
-                    _guard.check(epoch if isinstance(epoch, int) else None)
-                except FencedError:
-                    history.record("fenced", _addr, request_id,
-                                   time=_clock.now)
-                    raise
-            history.record("execute", _addr, request_id, time=_clock.now,
-                           epoch=epoch if isinstance(epoch, int) else None)
-            reply = messages.encode_ok(request_id, msg["payload"], _addr)
-            _dedup[request_id] = reply
-            return reply
+        def infer(payload: bytes, peer, _addr=address, _clock=node.clock) -> bytes:
+            # After the server's window and guard: a replayed duplicate
+            # or a fenced dispatch never gets here.
+            history.record("execute", _addr, payload.decode(), time=_clock.now)
+            return payload
 
-        network.register(address, clock, handler)
+        server.register("infer", infer)
+        if epochs is not None:
+            server.add_guard(epochs.make_guard(ROUTER_ROLE, name=address))
+        server.start()
 
-    clock_a = SimClock()
-    clock_b = SimClock()
-    scheduler.register_clock(clock_a)
-    scheduler.register_clock(clock_b)
-    lease_a = (
-        epochs.grant(ROUTER_ROLE, holder="router-a")
-        if epochs is not None
-        else None
-    )
+    # Single-attempt dispatch clients, as in the PS family: a failed
+    # dispatch is a recorded give-up, and the call ID every dispatch
+    # carries lets a replica's window absorb a storm-duplicated delivery.
+    once = RetryPolicy(max_attempts=1, deadline=None)
+    router_a = RpcClient(network, "router-a", nodes[2], retry=once)
+    router_b = RpcClient(network, "router-b", nodes[3], retry=once)
+    clock_a, clock_b = nodes[2].clock, nodes[3].clock
+    if epochs is not None:
+        router_a.fence = epochs.grant(ROUTER_ROLE, holder="router-a")
     history.record("promote", "router-a", ROUTER_ROLE)
 
-    def dispatch(router: str, clock: SimClock, lease, replica: str,
+    def dispatch(router: RpcClient, clock: SimClock, replica: str,
                  request_id: str) -> bool:
-        """One stamped router → replica attempt; True on a settled ok."""
-        request = messages.encode_request(
-            request_id, b"payload",
-            fence=lease.stamp() if lease is not None else None,
-        )
+        """One stamped router → replica call; True on a settled ok."""
         try:
-            raw = scheduler.run_until(
-                network.call_async(router, clock, replica, request)
-            )
-        except (RpcError, FencingError):
-            return False  # transport loss or a fenced rejection
-        messages.decode_reply(raw)
+            router.call(replica, "infer", request_id.encode())
+        except FencedError:
+            history.record("fenced", replica, request_id, time=clock.now)
+            return False
+        except RpcError:
+            return False  # transport loss
         history.record(
-            "commit", router, f"settle/{request_id}", time=clock.now,
-            epoch=lease.epoch if lease is not None else None,
+            "commit", router.address, f"settle/{request_id}", time=clock.now,
+            epoch=router.fence.epoch if router.fence is not None else None,
             role=ROUTER_ROLE,
         )
         return True
@@ -677,7 +657,7 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     for i in range(step):
         rid = f"r{i}"
         history.record("admit", "client", rid, time=clock_a.now)
-        ok = dispatch("router-a", clock_a, lease_a, replicas[i % 2], rid)
+        ok = dispatch(router_a, clock_a, replicas[i % 2], rid)
         history.record("ack" if ok else "terminal", "client", rid,
                        value="" if ok else "gave-up", time=clock_a.now)
         if ok:
@@ -702,14 +682,11 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
         # both/outbound: the dispatch itself is dropped.  Either way the
         # router sees a transport failure and holds an unresolved claim
         # on the request — the zombie's retry below.
-        settled_by_a = dispatch("router-a", clock_a, lease_a, target, rid)
+        settled_by_a = dispatch(router_a, clock_a, target, rid)
 
     # Control plane: bump-before-promote, then the replacement router.
-    lease_b = (
-        epochs.grant(ROUTER_ROLE, holder="router-b")
-        if epochs is not None
-        else None
-    )
+    if epochs is not None:
+        router_b.fence = epochs.grant(ROUTER_ROLE, holder="router-b")
     history.record("promote", "router-b", ROUTER_ROLE)
 
     inbound = schedule.kind == "partition-inbound"
@@ -717,9 +694,7 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     if not inbound and not settled_by_a:
         # The client saw a typed transport failure and reissues through
         # the replacement (a fresh attempt on the *other* replica).
-        reissued = dispatch(
-            "router-b", clock_b, lease_b, replicas[(step + 1) % 2], rid
-        )
+        reissued = dispatch(router_b, clock_b, replicas[(step + 1) % 2], rid)
     if reissued:
         history.record("ack", "client", rid, time=clock_b.now)
         history.record("terminal", "client", rid, time=clock_b.now)
@@ -730,7 +705,7 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     for j in range(step + 1, STEPS_PER_FAMILY):
         rid_j = f"r{j}"
         history.record("admit", "client", rid_j, time=clock_b.now)
-        ok = dispatch("router-b", clock_b, lease_b, replicas[j % 2], rid_j)
+        ok = dispatch(router_b, clock_b, replicas[j % 2], rid_j)
         history.record("ack" if ok else "terminal", "client", rid_j,
                        value="" if ok else "gave-up", time=clock_b.now)
         if ok:
@@ -745,7 +720,7 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
         for clock in (clock_a, clock_b):
             clock.advance_to(t_heal)
         retry_target = replicas[(step + 1) % 2] if inbound else target
-        dispatch("router-a", clock_a, lease_a, retry_target, rid)
+        dispatch(router_a, clock_a, retry_target, rid)
 
     return _finish(schedule, fencing, history, plan, epochs)
 

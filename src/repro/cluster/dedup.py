@@ -5,9 +5,9 @@ endpoint records ``request key → outcome`` after the first execution
 and replays the recorded outcome for every later delivery.  The record
 is bounded two ways — by age (``ttl`` simulated seconds) and by count
 (``capacity``) — so neither a long run nor a flood of distinct keys can
-pin an endpoint's memory.  :class:`~repro.cluster.rpc.RpcServer` (call
-IDs), the serving router (client request IDs) and each serving replica
-(dispatch IDs) all hold one of these.
+pin an endpoint's memory.  Every :class:`~repro.cluster.rpc.RpcServer`
+holds one, keyed by call ID — the serving router and its replicas are
+such servers.
 """
 
 from __future__ import annotations

@@ -33,8 +33,9 @@ class Core:
     """One core of a node, as the process pinned to it sees it."""
 
     clock: SimClock
-    #: Host-side (NATIVE) syscall interface charging ``clock``.
-    syscalls: SyscallInterface
+    #: Host-side (NATIVE) syscall interface charging ``clock``; None for
+    #: processes outside the cluster, whose socket I/O nothing charges.
+    syscalls: Optional[SyscallInterface]
     label: str
 
 
@@ -96,6 +97,12 @@ class Node:
         return [(self.clock, self.node_id)] + [
             (core.clock, core.label) for core in self.cores_out
         ]
+
+    @property
+    def syscalls(self) -> SyscallInterface:
+        """The node's own (core 0) syscall interface: an endpoint reads
+        ``clock`` and ``syscalls`` off a node or a :class:`Core` alike."""
+        return self.syscall_interface()
 
     def syscall_interface(self):
         """The host-side (non-enclave) syscall interface of this node.

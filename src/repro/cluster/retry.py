@@ -132,6 +132,9 @@ class RecoveryStats:
     breaker_trips: int = 0
     breaker_rejections: int = 0
     dedup_hits: int = 0
+    # Calls a server shed unexecuted: their deadline had passed when
+    # they arrived.
+    shed_expired: int = 0
     handshakes_expired: int = 0
     # Calls that died with a typed fencing rejection (FencedError /
     # LeaseExpiredError).  Counted client-side where the authoritative
@@ -212,6 +215,8 @@ class CircuitBreaker:
         return False
 
     def on_success(self) -> None:
+        if not (self._consecutive_failures or self._half_open) and self._open_until is None:
+            return  # closed with a clean record: nothing to change or count
         before = self.state
         self._consecutive_failures = 0
         self._open_until = None

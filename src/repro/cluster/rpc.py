@@ -93,7 +93,10 @@ from repro.runtime.net_shield import (
 
 #: method handler: fn(payload_bytes, peer_subject) -> response_bytes, or
 #: a Completion resolving with them (a *deferred* reply: the handler
-#: waits for work of its own — e.g. a quorum call — on the heap).
+#: waits for work of its own — e.g. a quorum call, or a serving
+#: router's replica attempts — on the heap).  A handler that needs more
+#: of its call than the payload (the caller's deadline, the call ID)
+#: reads :attr:`RpcServer.current_call` while it runs.
 MethodHandler = Callable[[bytes, Optional[str]], object]
 
 #: Known error types a remote error envelope may name.
@@ -105,16 +108,6 @@ _ERROR_TYPES = {
 
 def _envelope(kind: str, **fields: object) -> bytes:
     return encoding.encode({"kind": kind, **fields})
-
-
-def _trace_fields(sink: object, clock) -> dict:
-    """Trace-context envelope fields for the innermost open span on
-    ``clock`` — empty (so envelopes are byte-identical to an untraced
-    build) when tracing is off or no span is open."""
-    if sink is None:
-        return {}
-    context = sink.current_context(clock)
-    return {"trace": context} if context is not None else {}
 
 
 def _error_envelope(exc: BaseException) -> bytes:
@@ -180,7 +173,13 @@ class PendingRpc:
 
 
 class RpcServer:
-    """Cleartext RPC endpoint with an at-most-once dedup window."""
+    """Cleartext RPC endpoint with an at-most-once dedup window.
+
+    ``node`` is where the endpoint runs: a :class:`~repro.cluster.node
+    .Node`, or a :class:`~repro.cluster.node.Core` of one (a serving
+    endpoint pinned to its own core).  The endpoint's handler runs on
+    its ``clock`` and its socket I/O is charged to its ``syscalls``.
+    """
 
     #: Bounds of the (call ID → cached reply) dedup window.  A call ID is
     #: deduplicated for as long as any copy of it can still arrive: the
@@ -201,9 +200,9 @@ class RpcServer:
         self.address = address
         self._node = node
         #: The syscall plane this endpoint's socket I/O is charged to at
-        #: delivery time (enclave plane for shielded servers, the node's
-        #: host interface otherwise).
-        self._syscalls = syscalls if syscalls is not None else node.syscall_interface()
+        #: delivery time (enclave plane for shielded servers, the host
+        #: interface of its node or core otherwise).
+        self._syscalls = syscalls if syscalls is not None else node.syscalls
         self._methods: Dict[str, MethodHandler] = {}
         self._started = False
         self.stats = RecoveryStats()
@@ -211,6 +210,12 @@ class RpcServer:
         #: call ID → cached reply.  Public because a stateful service
         #: checkpoints it together with its own state (``ParameterServer``).
         self.dedup = DedupWindow(self.DEDUP_CAPACITY, self.DEDUP_TTL, stats=self.stats)
+        #: call ID → the enveloped reply of a deferred call still pending:
+        #: a duplicate of it waits on that same reply.
+        self._replies: Dict[str, Completion] = {}
+        #: The call envelope whose handler is running (None between
+        #: calls): its ``deadline``, ``call_id`` and ``fence``.
+        self.current_call: Optional[dict] = None
         #: Acceptor-side fencing guards, one per leader role this
         #: endpoint accepts writes from (see :meth:`add_guard`).
         self._guards: Dict[str, EpochGuard] = {}
@@ -252,12 +257,6 @@ class RpcServer:
             self._network.unregister(self.address)
             self._started = False
 
-    def _dispatch(self, method: str, payload: bytes, peer: Optional[str]) -> bytes:
-        handler = self._methods.get(method)
-        if handler is None:
-            raise RpcError(f"unknown method {method!r} at {self.address!r}")
-        return handler(payload, peer)
-
     def _dispatch_call(self, msg: dict, peer: Optional[str]) -> bytes:
         """Dispatch one call envelope with at-most-once semantics.
 
@@ -265,6 +264,8 @@ class RpcServer:
         handler span, linking the client's call span on its node to the
         server work on this one — one trace ID across the cluster.
         """
+        if probe.SINK is None:
+            return self._dispatch_call_inner(msg, peer)
         trace = msg.get("trace")
         if not (isinstance(trace, dict) and "t" in trace and "s" in trace):
             trace = None  # absent or forged context must not fail the call
@@ -280,8 +281,6 @@ class RpcServer:
     def _check_fence(self, msg: dict) -> None:
         """Reject stale-epoch (or missing-epoch, for ``require`` guards)
         requests before any handler executes."""
-        if not self._guards:
-            return
         fence = msg.get("fence")
         if not isinstance(fence, dict):
             fence = None
@@ -292,18 +291,25 @@ class RpcServer:
             else:
                 guard.check(None)
 
-    def _dispatch_call_inner(self, msg: dict, peer: Optional[str]) -> bytes:
+    def _dispatch_call_inner(self, msg: dict, peer: Optional[str]) -> object:
+        """The reply payload, or a Completion resolving with the enveloped
+        reply (a deferred call, or a duplicate of one still pending)."""
         call_id = msg.get("call_id")
         now = self._node.clock.now
         if call_id is not None:
             hit = self.dedup.get(call_id, now)
+            if hit is None:
+                hit = self._replies.get(call_id)
             if hit is not None:
                 self.stats.dedup_hits += 1
+                if isinstance(hit, Exception):
+                    raise hit  # a deferred call's recorded typed error
                 return hit
         # Fencing before deadline/dispatch (but after dedup replay: a
         # cached reply is work that already committed under a then-valid
         # epoch, and replaying it executes nothing).
-        self._check_fence(msg)
+        if self._guards:
+            self._check_fence(msg)
         deadline = msg.get("deadline")
         if isinstance(deadline, (int, float)) and now > deadline:
             # Server-side shed of already-expired work: the caller's
@@ -311,13 +317,22 @@ class RpcServer:
             # queue — executing it would burn enclave time on a reply
             # nobody is waiting for.  (A dedup hit above still replays
             # its cached reply: the work already happened.)
+            self.stats.shed_expired += 1
             raise _errors.DeadlineExceededError(
                 f"request deadline {deadline:.6f} expired at "
                 f"{self.address!r} (now {now:.6f})"
             )
-        response = self._dispatch(msg["method"], msg["payload"], peer)
+        method = msg["method"]
+        handler = self._methods.get(method)
+        if handler is None:
+            raise RpcError(f"unknown method {method!r} at {self.address!r}")
+        self.current_call = msg
+        try:
+            response = handler(msg["payload"], peer)
+        finally:
+            self.current_call = None
         if isinstance(response, Completion):
-            return response  # deferred: commits when it resolves (_replying)
+            return self._replying(call_id, response)
         return self._commit(call_id, now, response)
 
     def _commit(self, call_id: Optional[str], now: float, response: bytes) -> bytes:
@@ -336,15 +351,35 @@ class RpcServer:
                 raise
         return response
 
-    def _replying(self, msg: dict, deferred: Completion):
-        """A deferred reply (a handler's :class:`Completion`) commits and
-        is enveloped once it resolves."""
-        try:
-            payload = yield deferred
-            payload = self._commit(msg.get("call_id"), self._node.clock.now, payload)
-        except (ReproError, KeyError) as exc:
-            return _error_envelope(exc)
-        return _envelope("reply", payload=payload)
+    def _replying(self, call_id: Optional[str], deferred: Completion) -> Completion:
+        """The enveloped reply of a deferred call (a handler's
+        :class:`Completion`), committed once that resolves.  Until then a
+        duplicate of the call waits on this same reply; a typed error the
+        call settles with is recorded like a reply, so a resend replays
+        the error instead of running the handler again."""
+        reply = Completion(f"reply:{self.address}")
+
+        def settle(done: Completion) -> None:
+            self._replies.pop(call_id, None)
+            now = self._node.clock.now
+            try:
+                if done.error is not None:
+                    raise done.error
+                payload = self._commit(call_id, now, done.value)
+                envelope = _envelope("reply", payload=payload)
+            except (ReproError, KeyError) as exc:
+                if exc is done.error and call_id is not None:
+                    self.dedup.put(call_id, now, exc)
+                envelope = _error_envelope(exc)
+            except Exception as exc:  # not a typed outcome: the caller's leg fails
+                reply.fail(exc)
+                return
+            reply.resolve(envelope)
+
+        if call_id is not None and not deferred.done:
+            self._replies[call_id] = reply
+        deferred.add_waiter(settle)
+        return reply
 
     def _handle(self, request: bytes):
         try:
@@ -353,28 +388,34 @@ class RpcServer:
         except (ReproError, KeyError) as exc:
             return _error_envelope(exc)
         if isinstance(response, Completion):
-            return self._network.scheduler.start(
-                self._replying(msg, response), name=f"reply:{self.address}"
-            )
+            return response  # enveloped when the deferred call settles
         return _envelope("reply", payload=response)
 
 
 class RpcClient:
-    """Cleartext RPC caller (optionally retrying with backoff)."""
+    """Cleartext RPC caller (optionally retrying with backoff).
+
+    ``node`` is where the caller runs, as for :class:`RpcServer`: a node,
+    or a core — one whose ``syscalls`` is None (closed-loop clients
+    outside the cluster) charges nothing for its socket I/O.  ``retry``
+    is a policy, run by an executor on ``node``'s clock and RNG, or an
+    executor the caller already runs its calls under (its breakers and
+    counters then serve this client).
+    """
 
     def __init__(
         self,
         network: Network,
         address: str,
         node: Node,
-        retry: Optional[RetryPolicy] = None,
+        retry: Optional[RetryPolicy | RetryingExecutor] = None,
         breakers: Optional[BreakerRegistry] = None,
         syscalls: Optional[SyscallInterface] = None,
     ) -> None:
         self._network = network
         self.address = address
         self._node = node
-        self._syscalls = syscalls if syscalls is not None else node.syscall_interface()
+        self._syscalls = syscalls if syscalls is not None else node.syscalls
         self.stats = RecoveryStats()
         #: When set (an :class:`~repro.cluster.epoch.EpochLease`), every
         #: call envelope carries this lease's role + epoch.  The stamp is
@@ -382,7 +423,10 @@ class RpcClient:
         #: its dead epoch, and the acceptor's guard is what says no.
         self.fence: Optional[EpochLease] = None
         self._executor: Optional[RetryingExecutor] = None
-        if retry is not None:
+        if isinstance(retry, RetryingExecutor):
+            self._executor = retry
+            self.stats = retry.stats
+        elif retry is not None:
             stats_registry.register("recovery", self.stats, node.clock)
             self._executor = RetryingExecutor(
                 retry,
@@ -420,7 +464,12 @@ class RpcClient:
             fields["call_id"] = self.next_call_id()
         if deadline is not None:
             fields["deadline"] = deadline
-        fields.update(_trace_fields(probe.SINK, self._node.clock))
+        if probe.SINK is not None:
+            # The innermost open span's context; none (so the envelope is
+            # byte-identical to an untraced build) when no span is open.
+            context = probe.SINK.current_context(self._node.clock)
+            if context is not None:
+                fields["trace"] = context
         if self.fence is not None:
             fields["fence"] = self.fence.stamp()
         return _envelope("call", **fields)
@@ -449,13 +498,15 @@ class RpcClient:
         request: bytes,
         declared_request: Optional[int],
         declared_response: Optional[int],
-    ) -> Completion:
+    ) -> Activity:
         """Send half: the caller's socket write goes through its own
         syscall plane (fire-and-forget submission), then the request is
-        on the wire and its reply event parked on the heap."""
-        self._syscalls.socket_send(
-            declared_request if declared_request is not None else len(request)
-        )
+        on the wire and its reply event parked on the heap — an activity
+        that never waits, returning the wire completion."""
+        if self._syscalls is not None:
+            self._syscalls.socket_send(
+                declared_request if declared_request is not None else len(request)
+            )
         return self._network.call_async(
             self.address,
             self._node.clock,
@@ -464,18 +515,23 @@ class RpcClient:
             declared_request=declared_request,
             declared_response=declared_response,
         )
+        yield  # unreachable: makes this an activity
 
-    def _receive(self, sent: Completion, declared_response: Optional[int]) -> Activity:
-        """Receive half: wait for the reply, charge its read."""
+    def _receive(
+        self,
+        sent: Completion,
+        declared_response: Optional[int],
+        kind: str = "reply",
+        field: str = "payload",
+    ) -> Activity:
+        """Receive half: wait for the reply, charge its read, open its
+        ``kind`` envelope; the envelope's ``field``."""
         raw = yield sent
-        self._syscalls.socket_recv(
-            declared_response if declared_response is not None else len(raw)
-        )
-        return raw
-
-    def _reply(self, sent: Completion, declared_response: Optional[int]) -> Activity:
-        raw = yield from self._receive(sent, declared_response)
-        return _open_envelope(raw, "reply")["payload"]
+        if self._syscalls is not None:
+            self._syscalls.socket_recv(
+                declared_response if declared_response is not None else len(raw)
+            )
+        return _open_envelope(raw, kind)[field]
 
     def begin_call(
         self,
@@ -498,10 +554,8 @@ class RpcClient:
         request = self._call_envelope(method, payload, deadline)
         return (yield from self._begin(
             dst,
-            lambda: _now(
-                self._send(dst, request, declared_request, declared_response)
-            ),
-            lambda sent: self._reply(sent, declared_response),
+            lambda: self._send(dst, request, declared_request, declared_response),
+            lambda sent: self._receive(sent, declared_response),
             deadline,
         ))
 
@@ -558,7 +612,7 @@ class SecureRpcServer(RpcServer):
             del self._pending[conn]
             self.stats.handshakes_expired += 1
 
-    def _handle(self, request: bytes) -> bytes:
+    def _handle(self, request: bytes) -> object:
         try:
             msg = _open_envelope(request)
             kind = msg["kind"]
@@ -608,21 +662,43 @@ class SecureRpcServer(RpcServer):
                 )
                 inner = _open_envelope(inner_raw, "call")
                 response = self._dispatch_call(inner, peer)
-                reply = _envelope("reply", payload=response)
-                declared_resp = msg.get("declared_response")
-                charge_record_crypto(
-                    self._node.cost_model,
-                    self._node.clock,
-                    self._shield.stats,
-                    declared_resp if declared_resp is not None else len(reply),
-                )
-                return _envelope(
-                    "secure_reply",
-                    record=protect_timed(records, self._shield.stats, reply),
-                )
+                if isinstance(response, Completion):
+                    return self._sealing(records, msg, response)
+                return self._seal(records, msg, _envelope("reply", payload=response))
             raise RpcError(f"unexpected envelope kind {kind!r}")
         except (ReproError, KeyError) as exc:
             return _error_envelope(exc)
+
+    def _seal(self, records: RecordLayer, msg: dict, reply: bytes) -> bytes:
+        """Charge and record-protect an enveloped ``reply`` to the
+        secure call ``msg`` under its session's keys."""
+        declared = msg.get("declared_response")
+        charge_record_crypto(
+            self._node.cost_model,
+            self._node.clock,
+            self._shield.stats,
+            declared if declared is not None else len(reply),
+        )
+        return _envelope(
+            "secure_reply", record=protect_timed(records, self._shield.stats, reply)
+        )
+
+    def _sealing(self, records: RecordLayer, msg: dict, reply: Completion) -> Completion:
+        """A deferred call's secure reply: its enveloped ``reply``,
+        sealed when it settles.  A typed error it settles with travels in
+        the clear, as a synchronous one does."""
+        sealed = Completion(f"secure_reply:{self.address}")
+
+        def settle(done: Completion) -> None:
+            if done.error is not None:
+                sealed.fail(done.error)
+            elif encoding.decode(done.value)["kind"] == "error":
+                sealed.resolve(done.value)
+            else:
+                sealed.resolve(self._seal(records, msg, done.value))
+
+        reply.add_waiter(settle)
+        return sealed
 
 
 class SecureConnection:
@@ -679,7 +755,7 @@ class SecureConnection:
         inner: bytes,
         declared_request: Optional[int],
         declared_response: Optional[int],
-    ) -> Completion:
+    ) -> Activity:
         """Send half: charge the record crypto, protect ``inner`` under
         the session's current keys (consuming a send sequence number),
         write it to the wire."""
@@ -697,15 +773,18 @@ class SecureConnection:
             declared_request=declared_request,
             declared_response=declared_response,
         )
-        return client._send(self._dst, request, declared_request, declared_response)
+        return (yield from client._send(
+            self._dst, request, declared_request, declared_response
+        ))
 
     def _receive(self, sent: Completion, declared_response: Optional[int]) -> Activity:
         """Receive half: wait for the reply record, verify and open it."""
         client = self._client
-        raw = yield from client._receive(sent, declared_response)
-        msg = _open_envelope(raw, "secure_reply")
+        record = yield from client._receive(
+            sent, declared_response, "secure_reply", "record"
+        )
         try:
-            reply_raw = unprotect_timed(self._records, client._shield.stats, msg["record"])
+            reply_raw = unprotect_timed(self._records, client._shield.stats, record)
         except IntegrityError:
             client._network.stats.tampered_detected += 1
             raise
@@ -766,7 +845,7 @@ class SecureConnection:
         return (yield from client._begin(
             self._dst,
             lambda: self._healing(
-                lambda: _now(self._send(inner, declared_request, declared_response))
+                self._send, inner, declared_request, declared_response
             ),
             lambda sent: self._healing(self._receive, sent, declared_response),
             deadline,

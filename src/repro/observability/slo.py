@@ -321,6 +321,9 @@ def serving_slos(
 ) -> List[SloSpec]:
     """The serving plane's standard SLO set over a FrontEndRouter."""
     admission = router.admission.stats
+    # A request that reached the router past its deadline is shed by the
+    # router's server before admission sees it.
+    server = router.stats.server
 
     def breaker_open_fraction() -> Optional[float]:
         breakers = list(router.breakers._breakers.values())
@@ -343,8 +346,8 @@ def serving_slos(
             value_probe=fraction_probe(
                 lambda: admission.shed_rate
                 + admission.shed_capacity
-                + admission.shed_expired,
-                lambda: admission.arrivals,
+                + server.shed_expired,
+                lambda: admission.arrivals + server.shed_expired,
             ),
             objective=shed_objective,
             description="sheds / offered requests per interval",

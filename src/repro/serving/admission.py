@@ -60,11 +60,13 @@ class AdmissionStats:
     admitted: int = 0
     shed_rate: int = 0       # token bucket empty
     shed_capacity: int = 0   # every routable replica's queue is full
-    shed_expired: int = 0    # deadline already passed on arrival
 
     @property
     def arrivals(self) -> int:
-        return self.admitted + self.shed_rate + self.shed_capacity + self.shed_expired
+        """Requests the router's handler saw.  One that arrived past its
+        deadline was shed by the router's server before it got there, and
+        is counted in that server's ``shed_expired``."""
+        return self.admitted + self.shed_rate + self.shed_capacity
 
 
 class AdmissionController:

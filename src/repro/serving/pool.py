@@ -14,10 +14,11 @@ memory and must re-prove itself before it serves a single request.
 Container start and attestation are charged to the node's clock (the
 control plane's view of the node); once attested, the replica takes a
 **core** of its node (:meth:`Container.take_core
-<repro.cluster.container.Container.take_core>`) and its endpoint,
-dedup window and service time run there, beside — not behind — the
-node's other replicas.  A stopped or crashed replica gives the core
-back.
+<repro.cluster.container.Container.take_core>`) and its endpoint — an
+:class:`~repro.cluster.rpc.RpcServer` with one ``infer`` method, whose
+window, routing-epoch guard and deadline shed are the server's — and
+its service time run there, beside — not behind — the node's other
+replicas.  A stopped or crashed replica gives the core back.
 
 Scale-in **drains**: the replica leaves the routable set immediately
 (state DRAINING) but its endpoint stays registered until the router's
@@ -32,33 +33,18 @@ show up QUARANTINED.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro._sim import probe as _probe
 from repro._sim.scheduler import Completion
 from repro.cluster.container import Container
-from repro.cluster.dedup import DedupWindow
 from repro.cluster.orchestrator import ContainerSpec, Orchestrator
+from repro.cluster.rpc import RpcServer
 from repro.core.inference import service_runtime_config
 from repro.core.platform import SecureTFPlatform
 from repro.enclave.sgx import SgxMode
-from repro.errors import (
-    ClusterError,
-    DeadlineExceededError,
-    ReproError,
-    RpcTransportError,
-)
-from repro.serving import messages
+from repro.errors import ClusterError, ReproError, RpcTransportError
 from repro.serving.scoreboard import ReplicaScoreboard, ReplicaState
-
-#: backend(request_payload) -> reply_payload, charging the replica's
-#: clock for whatever compute it models.
-Backend = Callable[[bytes], bytes]
-
-#: Per-replica at-most-once window (duplicate *deliveries* of one
-#: request replay the recorded reply instead of re-executing).
-REPLICA_DEDUP_CAPACITY = 512
-REPLICA_DEDUP_TTL = 30.0
 
 
 class ReplicaPool:
@@ -155,75 +141,38 @@ class ReplicaPool:
         if entry is not None:
             entry.cold_start_latency = cold
         self.cold_starts.append(cold)
-        core = container.take_core()
-        self.platform.network.register(
-            container.name,
-            core.clock,
-            self._make_handler(container),
-            syscalls=core.syscalls,
-        )
+        server = RpcServer(self.platform.network, container.name, container.take_core())
+        server.register("infer", self._infer(container))
+        if self.platform.epochs is not None:
+            # Each replica is an acceptor for the routing epoch: requests
+            # dispatched by a router that has since been superseded carry
+            # a stale epoch and are rejected before the backend runs — a
+            # zombie router cannot settle work through this replica.
+            server.add_guard(
+                self.platform.epochs.make_guard("router", name=container.name)
+            )
+        server.start()
         self.scoreboard.set_state(container.name, ReplicaState.HEALTHY)
         self.record(f"attested {container.name} cold_start={cold:.6f}")
 
-    def _backend(self, container: Container) -> Backend:
-        """A service-time model: charge the replica's core a jittered
-        per-request cost and echo the payload."""
+    def _infer(self, container: Container):
+        """The replica's ``infer`` method, a service-time model: while the
+        container runs, charge its core a jittered per-request cost and
+        echo the payload."""
         rng = container.node.rng.child(f"svc-{container.name}")
         clock = container.core.clock
         base = self.service_time
         jitter = self.service_jitter
 
-        def backend(payload: bytes) -> bytes:
-            clock.advance(base * (1.0 + jitter * rng.uniform(-1.0, 1.0)))
-            return payload
-
-        return backend
-
-    def _make_handler(self, container: Container):
-        clock = container.core.clock
-        backend = self._backend(container)
-        dedup = DedupWindow(REPLICA_DEDUP_CAPACITY, REPLICA_DEDUP_TTL)
-        # Each replica is an acceptor for the routing epoch: requests
-        # dispatched by a router that has since been superseded carry a
-        # stale epoch and are rejected before the backend runs — a
-        # zombie router cannot settle work through this replica.
-        guard = (
-            self.platform.epochs.make_guard("router", name=container.name)
-            if self.platform.epochs is not None
-            else None
-        )
-
-        def handler(raw: bytes) -> bytes:
+        def infer(payload: bytes, peer) -> bytes:
             if not container.running:
                 raise RpcTransportError(
                     f"replica {container.name!r} is not running"
                 )
-            msg = messages.decode_request(raw)
-            request_id = msg["id"]
-            now = clock.now
-            hit = dedup.get(request_id, now)
-            if hit is not None:
-                return hit  # duplicate delivery: replay, don't re-run
-            if guard is not None:
-                fence = msg.get("fence")
-                epoch = fence.get("epoch") if isinstance(fence, dict) else None
-                guard.check(epoch if isinstance(epoch, int) else None)
-            deadline = msg.get("deadline")
-            if deadline is not None and now > deadline:
-                # Server-side shed: the budget died in flight or in
-                # queue; answer with the typed error instead of burning
-                # enclave time on a reply nobody is waiting for.
-                raise DeadlineExceededError(
-                    f"deadline expired at replica {container.name!r} "
-                    f"({now:.6f} > {deadline:.6f})"
-                )
-            reply = messages.encode_ok(
-                request_id, backend(msg["payload"]), container.name
-            )
-            dedup.put(request_id, clock.now, reply)
-            return reply
+            clock.advance(base * (1.0 + jitter * rng.uniform(-1.0, 1.0)))
+            return payload
 
-        return handler
+        return infer
 
     # -- membership ------------------------------------------------------
 

@@ -1,10 +1,14 @@
 """The front-end router: one admitted request → exactly one outcome.
 
-The router is a network endpoint whose handler returns a **deferred
-reply** (a :class:`~repro._sim.scheduler.Completion`): the client parks
-on the network's reply leg while the router, entirely event-driven,
+The router is an :class:`~repro.cluster.rpc.RpcServer` with one
+``infer`` method, whose handler returns a **deferred reply** (a
+:class:`~repro._sim.scheduler.Completion`): the client parks on the
+network's reply leg while the router, entirely event-driven,
 dispatches the request to a replica, hedges it, retries it, or expires
-it.  The state machine per admitted request:
+it.  Toward the replicas it is an :class:`~repro.cluster.rpc.RpcClient`:
+each attempt is one ``begin_call`` carrying the client's payload as the
+envelope's opaque bytes, stamped with the request's deadline and the
+router's routing epoch.  The state machine per admitted request:
 
 ::
 
@@ -14,13 +18,14 @@ it.  The state machine per admitted request:
       │                               ├── transport failure ──> retry
       ├─ deadline already past ──────>│    (different replica, while
       │     DeadlineExceededError     │     budget and replicas remain;
-      │                               │     else settle(that failure))
+      │     (the server's shed)       │     else settle(that failure))
       │                               ├── hedge timer (p99-derived) fires
       │                               │     second attempt, first reply
       │                               │     wins, loser counted late
       │                               └── deadline event ─> settle(
       │                                     DeadlineExceededError)
-      └─ duplicate id ──> cached outcome / the same pending completion
+      └─ duplicate call ID ──> the server's window: the recorded outcome,
+                               or the same pending reply
 
 ``settle`` runs **exactly once** per request — an idempotent guard
 makes late replies observational only, and the Completion's own
@@ -29,9 +34,10 @@ therefore accounted for: ``admitted == ok + typed failures``, an
 invariant the chaos tests assert.
 
 Per-replica circuit breakers (shared :class:`~repro.cluster.retry
-.BreakerRegistry` machinery) gate routing; their state census reaches
-``collect_metrics`` through the same :class:`RecoveryStats` channel as
-every other endpoint's.
+.BreakerRegistry` machinery, run by the dispatch client's one-attempt
+executor) gate routing; their state census reaches ``collect_metrics``
+through the same :class:`RecoveryStats` channel as every other
+endpoint's.
 """
 
 from __future__ import annotations
@@ -41,11 +47,16 @@ from typing import Dict, List, Optional
 
 from repro._sim.clock import SimClock
 from repro._sim.scheduler import Completion, Event, Scheduler
-from repro.cluster.dedup import DedupWindow
 from repro.cluster.epoch import EpochLease
 from repro.cluster.network import Network
 from repro.cluster.node import Node
-from repro.cluster.retry import BreakerRegistry, RecoveryStats
+from repro.cluster.retry import (
+    BreakerRegistry,
+    RecoveryStats,
+    RetryingExecutor,
+    RetryPolicy,
+)
+from repro.cluster.rpc import RpcClient, RpcServer
 from repro.errors import (
     DeadlineExceededError,
     OverloadError,
@@ -55,16 +66,8 @@ from repro.errors import (
 )
 from repro.observability.metrics import WindowedHistogram
 from repro.runtime import stats_registry
-from repro.serving import messages
 from repro.serving.admission import AdmissionController
 from repro.serving.scoreboard import ReplicaScoreboard
-
-
-#: Router-side at-most-once window (duplicate client *sends* of a
-#: settled request replay the recorded outcome; the per-replica window
-#: is ``REPLICA_DEDUP_*`` in :mod:`repro.serving.pool`).
-ROUTER_DEDUP_CAPACITY = 1024
-ROUTER_DEDUP_TTL = 60.0
 
 #: Sliding window of request latencies feeding the hedge delay (its
 #: p99) and the autoscaler's SLO.
@@ -97,7 +100,13 @@ class RouterStats:
     hedges_fired: int = 0
     hedges_won: int = 0
     late_replies: int = 0
-    dedup_replays: int = 0
+    #: The router's ``RpcServer`` counters (its at-most-once window).
+    server: RecoveryStats = field(default_factory=RecoveryStats)
+
+    @property
+    def dedup_replays(self) -> int:
+        """Client resends and duplicates answered from the window."""
+        return self.server.dedup_hits
 
     @property
     def terminal(self) -> int:
@@ -168,7 +177,6 @@ class FrontEndRouter:
         self.scoreboard = scoreboard
         self.admission = admission
         self.policy = policy if policy is not None else RouterPolicy()
-        self.stats = RouterStats()
         #: Per-replica breakers; census + trip counters flow into
         #: ``collect_metrics`` via the standard recovery-stats channel.
         self.recovery = RecoveryStats()
@@ -181,33 +189,49 @@ class FrontEndRouter:
         self.latency = WindowedHistogram(
             f"{address}.latency", window=LATENCY_WINDOW
         )
-        #: Routing-epoch lease (set by the serving plane when fencing is
-        #: on).  Every replica dispatch is stamped with it; a router that
-        #: has been superseded keeps stamping its *stale* epoch — which
-        #: is exactly what lets the replica-side guards fence it.
-        self.fence: Optional[EpochLease] = None
-        self._pending: Dict[str, _PendingRequest] = {}
-        #: request id -> (ok?, reply bytes or typed error) of every
-        #: settled request: duplicate client sends replay the recorded
-        #: outcome instead of re-executing.
-        self._replied = DedupWindow(ROUTER_DEDUP_CAPACITY, ROUTER_DEDUP_TTL)
+        self._pending: Dict[_PendingRequest, None] = {}
         #: Decision log; :meth:`trace_bytes` canonicalizes it for the
         #: two-seeded-runs byte-identity check.
         self.events: List[str] = []
+        self.scheduler: Scheduler = network.scheduler
         self._core = node.take_core(address)
-        network.register(
-            address, self._core.clock, self._handle, syscalls=self._core.syscalls
+        #: The router's own core clock: its handler, timers and socket
+        #: charges run there.
+        self.clock: SimClock = self._core.clock
+        #: Toward clients: the ``infer`` endpoint, whose window answers
+        #: a resent or duplicated request with its recorded outcome.
+        self.server = RpcServer(network, address, self._core)
+        self.server.register("infer", self._infer)
+        self.stats = RouterStats(server=self.server.stats)
+        #: Toward replicas: one attempt per call — the router picks the
+        #: next replica itself — stamped with a call ID, so a replica's
+        #: window absorbs a duplicated delivery.
+        self._client = RpcClient(
+            network,
+            address,
+            self._core,
+            retry=RetryingExecutor(
+                RetryPolicy(max_attempts=1, deadline=None),
+                self.clock,
+                node.rng.child(f"dispatch|{address}"),
+                network.scheduler,
+                breakers=self.breakers,
+                stats=self.recovery,
+            ),
         )
-
-    # -- scheduler access ------------------------------------------------
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self.network.scheduler
+        self.server.start()
 
     @property
-    def clock(self) -> SimClock:
-        return self._core.clock
+    def fence(self) -> Optional[EpochLease]:
+        """Routing-epoch lease (set by the serving plane when fencing is
+        on), stamped into every replica dispatch.  A router that has
+        been superseded keeps stamping its *stale* epoch — which is
+        exactly what lets the replica-side guards fence it."""
+        return self._client.fence
+
+    @fence.setter
+    def fence(self, lease: Optional[EpochLease]) -> None:
+        self._client.fence = lease
 
     def record(self, event: str) -> None:
         self.events.append(event)
@@ -216,46 +240,21 @@ class FrontEndRouter:
         """Canonical decision trace (compared across seeded runs)."""
         return "\n".join(self.events).encode()
 
-    # -- endpoint handler ------------------------------------------------
+    # -- the infer method ------------------------------------------------
 
-    def _handle(self, raw: bytes) -> object:
-        """The network endpoint: returns reply bytes, a deferred-reply
-        Completion, or raises a typed error (shed)."""
-        msg = messages.decode_request(raw)
-        request_id = msg["id"]
+    def _infer(self, payload: bytes, peer: Optional[str]) -> Completion:
+        """Admit one request (or raise its typed shed) and return its
+        deferred reply.  The server has already answered duplicates
+        from its window and shed a request that arrived past its
+        deadline."""
+        call = self.server.current_call
+        request_id = call.get("call_id")
+        deadline = call.get("deadline")
         now = self.clock.now
-
-        # At-most-once toward the client: a duplicate send of a settled
-        # request replays the recorded outcome; a duplicate of a still-
-        # pending one shares the pending completion (both deliveries get
-        # their own reply leg when it settles).
-        hit = self._replied.get(request_id, now)
-        if hit is not None:
-            self.stats.dedup_replays += 1
-            ok, outcome = hit
-            if ok:
-                return outcome
-            raise outcome  # type: ignore[misc]  # the recorded typed error
-        pending = self._pending.get(request_id)
-        if pending is not None:
-            self.stats.dedup_replays += 1
-            return pending.completion
-
-        deadline = msg.get("deadline")
-        if deadline is not None and now > deadline:
-            # Expired on arrival: shed before spending a token or a
-            # replica slot on work nobody is waiting for.
-            self.admission.stats.shed_expired += 1
-            self.record(f"expire-on-arrival {request_id} @{now:.6f}")
-            raise DeadlineExceededError(
-                f"request {request_id!r} arrived after its deadline "
-                f"({now:.6f} > {deadline:.6f})"
-            )
-
         self.admission.admit(now, self.scoreboard.has_capacity(self.policy.per_replica_limit))
 
-        info = _PendingRequest(request_id, msg["payload"], deadline, now)
-        self._pending[request_id] = info
+        info = _PendingRequest(request_id, payload, deadline, now)
+        self._pending[info] = None
         self.record(f"admit {request_id} @{now:.6f}")
         if deadline is not None:
             info.deadline_event = self.scheduler.schedule(
@@ -320,29 +319,24 @@ class FrontEndRouter:
         if hedge:
             info.hedge_addresses.append(address)
         self.scoreboard.on_dispatch(address)
-        request = messages.encode_request(
-            info.request_id,
-            info.payload,
-            deadline=info.deadline,
-            fence=self.fence.stamp() if self.fence is not None else None,
-        )
         self.record(
             f"{'hedge' if hedge else 'dispatch'} {info.request_id} -> "
             f"{address} @{now:.6f}"
         )
-        try:
-            attempt = self.network.call_async(
-                self.address, self.clock, address, request
-            )
-        except RpcTransportError as exc:
-            # Send-leg loss: charged synchronously, same as a socket
-            # write failing under us.
-            self._attempt_failed(info, address, exc)
-            return
+        # A send-leg loss settles the attempt before start() returns,
+        # same as a socket write failing under us.
         info.outstanding += 1
-        attempt.add_waiter(
+        self.scheduler.start(self._attempt(info, address), name=address).add_waiter(
             lambda completion: self._on_attempt_done(info, address, completion)
         )
+
+    def _attempt(self, info: _PendingRequest, address: str):
+        """One attempt: a call to ``address``, settled (its breaker is
+        fed by the dispatch client's executor)."""
+        pending = yield from self._client.begin_call(
+            address, "infer", info.payload, deadline=info.deadline
+        )
+        return (yield from pending.settle())
 
     def _on_attempt_done(
         self, info: _PendingRequest, address: str, completion: Completion
@@ -350,9 +344,8 @@ class FrontEndRouter:
         info.outstanding -= 1
         self.scoreboard.on_complete(address, ok=completion.error is None)
         if completion.error is not None:
-            self._attempt_failed(info, address, completion.error, outstanding=True)
+            self._attempt_failed(info, address, completion.error)
             return
-        self.breakers.get(address).on_success()
         self.scoreboard.mark_healthy(address)
         if info.settled:
             self.stats.late_replies += 1
@@ -364,19 +357,11 @@ class FrontEndRouter:
         self._settle_ok(info, completion.value)
 
     def _attempt_failed(
-        self,
-        info: _PendingRequest,
-        address: str,
-        error: BaseException,
-        outstanding: bool = False,
+        self, info: _PendingRequest, address: str, error: BaseException
     ) -> None:
         transport = isinstance(error, RpcTransportError)
         if transport:
-            self.breakers.get(address).on_failure(self.clock.now)
             self.scoreboard.mark_degraded(address)
-        if not outstanding:
-            # Send-leg failure: the dispatch was counted, un-count it.
-            self.scoreboard.on_complete(address, ok=False)
         if info.settled:
             self.stats.late_replies += 1
             return
@@ -429,7 +414,6 @@ class FrontEndRouter:
             return
         self._finish(info)
         self.stats.completed_ok += 1
-        self._replied.put(info.request_id, self.clock.now, (True, reply))
         self.record(f"ok {info.request_id} @{self.clock.now:.6f}")
         info.completion.resolve(reply)
 
@@ -445,7 +429,6 @@ class FrontEndRouter:
             error = UpstreamTransportError(f"{info.request_id!r}: {error}")
         else:
             self.stats.failed_other += 1
-        self._replied.put(info.request_id, self.clock.now, (False, error))
         self.record(
             f"fail {info.request_id} {type(error).__name__} "
             f"@{self.clock.now:.6f}"
@@ -460,7 +443,7 @@ class FrontEndRouter:
         if info.deadline_event is not None:
             info.deadline_event.cancel()
             info.deadline_event = None
-        self._pending.pop(info.request_id, None)
+        self._pending.pop(info, None)
 
     # -- teardown --------------------------------------------------------
 
@@ -468,9 +451,9 @@ class FrontEndRouter:
         return len(self._pending)
 
     def close(self) -> None:
-        self.network.unregister(self.address)
+        self.server.stop()
         self.node.release_core(self._core)
-        for info in list(self._pending.values()):
+        for info in list(self._pending):
             self._settle_error(
                 info, RpcError(f"router {self.address!r} shut down")
             )

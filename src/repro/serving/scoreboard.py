@@ -51,8 +51,11 @@ class ReplicaState(enum.Enum):
     STOPPED = "stopped"
 
 
-#: States a new request may be routed to, ranked (lower = preferred).
-_ROUTABLE_RANK = {ReplicaState.HEALTHY: 0, ReplicaState.DEGRADED: 1}
+#: States a new request may be routed to; HEALTHY ranks before DEGRADED.
+#: A tuple, not a dict keyed by state: the router tests membership on
+#: every pick, and a tuple compares members by identity where a dict
+#: would hash the enum in Python.
+_ROUTABLE = (ReplicaState.HEALTHY, ReplicaState.DEGRADED)
 
 
 @dataclass
@@ -150,7 +153,7 @@ class ReplicaScoreboard:
         return [
             e
             for e in self._entries.values()
-            if e.state in _ROUTABLE_RANK
+            if e.state in _ROUTABLE
             and e.in_flight < per_replica_limit
             and e.address not in exclude
         ]
@@ -172,7 +175,7 @@ class ReplicaScoreboard:
         return min(
             candidates,
             key=lambda e: (
-                e.in_flight, _ROUTABLE_RANK[e.state], e.served, e.address
+                e.in_flight, e.state is not ReplicaState.HEALTHY, e.served, e.address
             ),
         )
 

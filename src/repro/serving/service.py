@@ -105,8 +105,8 @@ class ServingPlane:
             policy=router_policy,
         )
         if self.platform.epochs is not None:
-            # The routing epoch: replicas guard it (in the pool's
-            # handler); the router stamps it into every dispatch.
+            # The routing epoch: each replica's server guards it; the
+            # router stamps it into every dispatch.
             self.router.fence = self.platform.epochs.grant(
                 "router", holder=self.router_container.name
             )

@@ -12,8 +12,10 @@ resume and per-request latency is measured precisely even on a shared
 clock.  (A cluster node's clock would not do: whatever else runs on it
 advances it, and replies would land on a clock already past them.)
 
-A request its leg to the router lost (a dropped send or reply) is
-resent under the same id while its deadline holds, through a
+Each client is an :class:`~repro.cluster.rpc.RpcClient` calling the
+router's ``infer`` method.  A request its leg to the router lost (a
+dropped send or reply) is resent under the same call ID while its
+deadline holds, through the client's
 :class:`~repro.cluster.retry.RetryingExecutor`; the router's
 at-most-once window answers a resend, so nothing runs twice.
 
@@ -35,7 +37,9 @@ from repro._sim.clock import SimClock
 from repro._sim.rng import DeterministicRng
 from repro._sim.scheduler import Completion
 from repro.cluster.network import Network
+from repro.cluster.node import Core
 from repro.cluster.retry import RecoveryStats, RetryingExecutor, RetryPolicy
+from repro.cluster.rpc import RpcClient
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -44,7 +48,6 @@ from repro.errors import (
     RpcTransportError,
 )
 from repro.observability.metrics import Histogram
-from repro.serving import messages
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,8 @@ class TrafficGenerator:
         network.scheduler.register_clock(self.clock)
         if probe.SINK is not None:
             probe.SINK.register_clock(self.clock, "clients")
+        #: Where every client runs: the shared clock, no syscall charges.
+        self._host = Core(self.clock, None, "clients")
         self.router_address = router_address
         self.clients = clients
         self.duration = duration
@@ -166,8 +171,13 @@ class TrafficGenerator:
         scheduler = self.network.scheduler
         stats = self.stats
         address = f"client-{index}"
-        resend = RetryingExecutor(
-            RetryPolicy(), clock, rng.child("resend"), scheduler, stats=stats.recovery
+        client = RpcClient(
+            self.network,
+            address,
+            self._host,
+            retry=RetryingExecutor(
+                RetryPolicy(), clock, rng.child("resend"), scheduler, stats=stats.recovery
+            ),
         )
         # Desynchronized start: clients phase in across one base think
         # time instead of stampeding at t=0.
@@ -176,7 +186,6 @@ class TrafficGenerator:
             clock.now + rng.uniform(0.0, self.profile.base_think),
             label=f"warmup:{address}",
         )
-        sequence = 0
         while clock.now < self.duration:
             yield scheduler.timer(
                 clock,
@@ -185,22 +194,16 @@ class TrafficGenerator:
             )
             if clock.now >= self.duration:
                 break
-            request_id = f"{address}/{sequence}"
-            sequence += 1
             sent_at = clock.now
             stats.sent += 1
-            deadline = sent_at + self.deadline_budget
-            request = messages.encode_request(
-                request_id, self.payload, deadline=deadline
-            )
             try:
-                settle = yield from resend.begin(
+                pending = yield from client.begin_call(
                     self.router_address,
-                    lambda: self._send(address, request),
-                    _reply,
-                    deadline=deadline,
+                    "infer",
+                    self.payload,
+                    deadline=sent_at + self.deadline_budget,
                 )
-                messages.decode_reply((yield from settle))
+                yield from pending.settle()
             except OverloadError:
                 stats.overload += 1
                 continue
@@ -215,13 +218,3 @@ class TrafficGenerator:
                 continue
             stats.ok += 1
             stats.latency.observe(clock.now - sent_at)
-
-    def _send(self, address: str, request: bytes):
-        """One attempt's send half (a lost send raises, as a socket would)."""
-        return self.network.call_async(address, self.clock, self.router_address, request)
-        yield  # unreachable: makes this an activity
-
-
-def _reply(sent: Completion):
-    """One attempt's receive half: park on the reply."""
-    return (yield sent)

@@ -11,6 +11,7 @@ import pytest
 from repro.cas import CasService, Policy, ReplicatedCasPair
 from repro.cas.client import RemoteCasClient, RemoteFreshnessTracker
 from repro.cluster import Network, make_cluster
+from repro.cluster.network import FaultAction
 from repro.cluster.orchestrator import Orchestrator
 from repro.cluster.retry import RetryPolicy
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
@@ -82,6 +83,29 @@ def test_audit_chain_replicates_byte_identically(pair, cluster):
     assert pair.stats.records_replicated == 5
     assert pair.backup.audit.head == pair.primary.audit.head
     assert pair.backup.audit.log == pair.primary.audit.log
+
+
+def test_a_duplicated_audit_commit_appends_once(pair, cluster, monkeypatch):
+    """A duplicate delivery of a remote audit commit still waiting for
+    its quorum waits on that commit's reply: the append is not entered
+    again (where it would raise a spurious FreshnessError)."""
+    appends = []
+    append = pair.primary.audit.append
+    monkeypatch.setattr(
+        pair.primary.audit, "append", lambda *args: appends.append(args) or append(*args)
+    )
+    pair.network.faults.append(
+        lambda src, dst, n_bytes, now: FaultAction(duplicate=True) if dst == "cas" else None
+    )
+    tracker = RemoteFreshnessTracker(
+        pair.network, cluster[2], owner="sess",
+        retry=RetryPolicy(max_attempts=1, deadline=None),
+    )
+    tracker.commit("/model", 0, bytes(32))
+    pair.network.scheduler.run()
+    assert len(appends) == 1
+    assert pair.primary_server.stats.dedup_hits == 1
+    assert pair.stats.records_replicated == 1
 
 
 def test_unreachable_standby_blocks_the_mutation(pair, cluster):

@@ -152,6 +152,7 @@ PUBLISHED_SINCE = [
     "recovery.dedup_window_entries",
     "recovery.dedup_window_bytes",
     "nodes.epc_hidden_fault_time",
+    "recovery.shed_expired",  # new: a server's deadline sheds
 ]
 
 

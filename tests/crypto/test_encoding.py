@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.rpc import _open_envelope
 from repro.crypto import encoding
 from repro.errors import IntegrityError, RpcError
-from repro.serving import messages
 
 from . import _reference_codec as reference
 
@@ -276,7 +276,9 @@ def test_decode_of_any_buffer_returns_bytes_leaves(buffer):
     value = {"blob": b"abc", "items": [b"", b"\x00" * 40], "text": "t"}
     raw = encoding.encode(value)
     assert repr(encoding.decode(buffer(raw))) == repr(value)
-    request = messages.encode_request("client-0/0", b"payload", deadline=1.5)
-    assert messages.decode_request(buffer(request))["payload"] == b"payload"
+    call = encoding.encode(
+        {"kind": "call", "method": "infer", "payload": b"payload", "deadline": 1.5}
+    )
+    assert _open_envelope(buffer(call), "call")["payload"] == b"payload"
     with pytest.raises(RpcError):
-        messages.decode_request(buffer(encoding.encode({"kind": "req", "id": "x"})))
+        _open_envelope(buffer(encoding.encode({"method": "infer"})), "call")

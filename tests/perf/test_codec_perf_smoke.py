@@ -1,15 +1,23 @@
 """Tier-2 perf smoke: the canonical codec must stay one dispatched pass.
 
 Excluded from tier-1 (see ``addopts`` in pyproject.toml); run with
-``pytest -m tier2 tests/perf``.  Every RPC and serving envelope goes
-through ``encoding.encode``/``decode`` — three of each per served
-request.  The ``isinstance`` ladder with a ``struct.pack`` and a
+``pytest -m tier2 tests/perf``.  Every RPC envelope goes through
+``encoding.encode``/``decode`` — four of each per served request (the
+client's call and the router's, each with its reply); the envelopes
+timed here are the router → replica hop's.  On the serving envelopes
+these replaced, the ``isinstance`` ladder with a ``struct.pack`` and a
 ``_read`` call per field that this codec replaced measured, best of 7 on
 the build box, 113k encodes/s and 92k decodes/s of a fenced request
 (180k and 153k of an ``ok`` reply); exact-type dispatch with
 precompiled structs measures 300k and 185k (515k and 325k;
-``BENCH.json#crypto_dataplane`` ``codec_*``).  The floors sit between
-the two, so only a fall back toward the ladder trips them.
+``BENCH.json#crypto_dataplane`` ``codec_*``).  The fenced ``infer``
+call below has one key more than that request and its reply two fewer:
+best of five runs in one sitting on a 2-core box, the codec read
+~273k / ~156k (call) and ~786k / ~573k (reply), the ladder
+(``tests/crypto/_reference_codec.py``) ~88k / ~67k and ~277k / ~249k.
+The floors sit between the two, so only a fall back toward the ladder
+trips them — but the call's decode floor sits close to the codec, and
+a run on a loaded box can read below it (as the retired request did).
 """
 
 import time
@@ -17,16 +25,19 @@ import time
 import pytest
 
 from repro.crypto import encoding
-from repro.serving import messages
 
 REPEATS = 7
 CALLS = 5000
 
+#: A fenced ``infer`` call as ``RpcClient._call_envelope`` builds it, and
+#: its reply.
 ENVELOPES = {
-    "request": messages.encode_request(
-        "client-12/345", bytes(64), deadline=2.0066, fence={"role": "router", "epoch": 3}
-    ),
-    "reply": messages.encode_ok("client-12/345", bytes(64), "replica-2"),
+    "request": encoding.encode({
+        "kind": "call", "method": "infer", "payload": bytes(64),
+        "call_id": "router#3/345", "deadline": 2.0066,
+        "fence": {"role": "router", "epoch": 3},
+    }),
+    "reply": encoding.encode({"kind": "reply", "payload": bytes(64)}),
 }
 
 #: calls/s: (encode, decode) per envelope.

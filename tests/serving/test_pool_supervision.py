@@ -7,9 +7,9 @@ scoreboard and the routing plane converge on the supervision outcome.
 
 import pytest
 
-from repro.serving import messages
 from repro.serving.scoreboard import ReplicaState
 from repro.serving.service import ServingPlane
+from tests.serving._client import submit
 
 pytestmark = pytest.mark.serving
 
@@ -27,16 +27,17 @@ def make_plane(seed=3, initial_replicas=2, restart_budget=None, **kwargs):
     return plane
 
 
-def send(plane, request_id, deadline=None):
-    network = plane.platform.network
-    clock = plane.platform.nodes[-1].clock
-    raw = network.scheduler.run_until(network.call_async(
-        "client",
-        clock,
-        "router",
-        messages.encode_request(request_id, b"p", deadline=deadline),
-    ))
-    return messages.decode_reply(raw)
+def submit_to(plane, request_id):
+    return submit(plane.platform.network, plane.platform.nodes[-1].clock, request_id)
+
+
+def send(plane, request_id):
+    return plane.platform.scheduler.run_until(submit_to(plane, request_id))
+
+
+def served(plane):
+    """Replica → requests it served, for every replica on the scoreboard."""
+    return {e.address: e.served for e in plane.scoreboard.entries()}
 
 
 def states(plane):
@@ -58,8 +59,12 @@ def test_watchdog_restarts_crashed_replica_and_reattests_it():
     assert board["replica-2"] is ReplicaState.HEALTHY
     assert len(plane.pool.cold_starts) == attested_before + 1
     assert any("restart replica-0" in e for e in plane.platform.orchestrator.events)
-    reply = send(plane, "after-recovery")
-    assert reply["replica"] in ("replica-1", "replica-2")
+    before = served(plane)
+    assert send(plane, "after-recovery") == b"after-recovery"
+    after = served(plane)
+    assert after["replica-1"] + after["replica-2"] == (
+        before["replica-1"] + before["replica-2"] + 1
+    )
     plane.quiesce()
 
 
@@ -92,8 +97,10 @@ def test_routing_avoids_quarantined_replicas():
     assert states(plane)["replica-0"] is ReplicaState.QUARANTINED
     # Every request lands on the one surviving replica; the quarantined
     # entry is not in the routable set.
+    before = served(plane)["replica-1"]
     for i in range(4):
-        assert send(plane, f"q{i}")["replica"] == "replica-1"
+        send(plane, f"q{i}")
+    assert served(plane)["replica-1"] == before + 4
     routable = {e.address for e in plane.scoreboard.routable(per_replica_limit=8)}
     assert routable == {"replica-1"}
     plane.quiesce()
@@ -102,18 +109,14 @@ def test_routing_avoids_quarantined_replicas():
 def test_drain_finishes_inflight_work_before_stopping():
     plane = make_plane(initial_replicas=1, service_time=0.2)
     scheduler = plane.platform.scheduler
-    network = plane.platform.network
-    clock = plane.platform.nodes[-1].clock
-    completion = network.call_async(
-        "client", clock, "router", messages.encode_request("slow", b"p")
-    )
+    completion = submit_to(plane, "slow")
     # Let the request reach the replica, then begin the drain while it
     # is still being served.
     scheduler.run(until=plane.time + 0.01)
     assert plane.scoreboard.in_flight("replica-0") == 1
     assert plane.pool.drain_one() == "replica-0"
-    reply = messages.decode_reply(scheduler.run_until(completion))
-    assert reply["replica"] == "replica-0"  # admitted work completed
+    assert scheduler.run_until(completion) == b"slow"
+    assert served(plane)["replica-0"] == 1  # admitted work completed
     scheduler.run(until=plane.time + 2.0)
     assert states(plane)["replica-0"] is ReplicaState.STOPPED
     assert "drained replica-0" in plane.pool.events

@@ -1,7 +1,7 @@
 """Router unit tests: shed, deadline, retry, hedge, settle-exactly-once.
 
 These drive the :class:`FrontEndRouter` on a bare :class:`Network` with
-hand-built replica handlers (no platform, no attestation) so each state
+hand-built replica servers (no platform, no attestation) so each state
 transition of the request state machine is observable in isolation.
 """
 
@@ -11,13 +11,15 @@ from repro._sim.clock import SimClock
 from repro._sim.rng import DeterministicRng
 from repro.cluster import Network, make_cluster
 from repro.cluster.network import FaultAction
+from repro.cluster.rpc import RpcServer
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.errors import DeadlineExceededError, OverloadError, RpcTransportError
-from repro.serving import messages
+from repro.observability.slo import serving_slos
 from repro.serving.admission import AdmissionController, TokenBucket
 from repro.serving.router import FrontEndRouter, RouterPolicy
 from repro.serving.scoreboard import ReplicaScoreboard, ReplicaState
 from repro.serving.traffic import DiurnalProfile, TrafficGenerator
+from tests.serving._client import request_of, submit
 
 pytestmark = pytest.mark.serving
 
@@ -52,31 +54,31 @@ def make_router(network, node, per_replica_limit=2, max_attempts=3, hedge=False,
 
 
 def add_replica(network, router, node, address, service_time=0.01):
-    """A hand-built replica endpoint; returns its execution counter."""
+    """An ``infer`` server on ``node`` that takes ``service_time`` and
+    echoes the payload; returns the requests it executed, in order."""
     executions = []
 
-    def handler(raw):
-        msg = messages.decode_request(raw)
-        deadline = msg.get("deadline")
-        if deadline is not None and node.clock.now > deadline:
-            raise DeadlineExceededError(f"expired at {address}")
-        executions.append(msg["id"])
+    def infer(payload, peer):
+        executions.append(payload.decode())
         node.clock.advance(service_time)
-        return messages.encode_ok(msg["id"], msg["payload"], address)
+        return payload
 
-    network.register(address, node.clock, handler)
+    server = RpcServer(network, address, node)
+    server.register("infer", infer)
+    server.start()
     router.scoreboard.add(address, state=ReplicaState.HEALTHY)
     return executions
 
 
-def send(network, clock, request_id, deadline=None, payload=b"p"):
-    raw = network.scheduler.run_until(network.call_async(
-        "client",
-        clock,
-        "router",
-        messages.encode_request(request_id, payload, deadline=deadline),
-    ))
-    return messages.decode_reply(raw)
+def send(network, clock, request_id, deadline=None, attempts=1):
+    """One request, driven to its reply payload (or its typed error)."""
+    return network.scheduler.run_until(
+        submit(network, clock, request_id, deadline=deadline, attempts=attempts)
+    )
+
+
+def served(router, address):
+    return router.scoreboard.get(address).served
 
 
 def drop_first_message_to(network, address):
@@ -95,18 +97,17 @@ def drop_first_message_to(network, address):
 def dispatches(router):
     """(request id, replica) of every attempt the router sent, in order."""
     return [
-        (event.split()[1], event.split()[3])
+        (request_of(event), event.split()[3])
         for event in router.events
         if event.startswith(("dispatch ", "hedge "))
     ]
 
 
-def test_ok_roundtrip_stamps_replica(cluster, network):
+def test_ok_roundtrip_returns_the_replica_reply(cluster, network):
     router = make_router(network, cluster[0])
     add_replica(network, router, cluster[1], "r-a")
-    reply = send(network, cluster[2].clock, "q1")
-    assert reply["payload"] == b"p"
-    assert reply["replica"] == "r-a"
+    assert send(network, cluster[2].clock, "q1") == b"q1"
+    assert dispatches(router) == [("q1", "r-a")]
     assert router.stats.completed_ok == 1
     assert router.admission.stats.admitted == 1
     assert router.scoreboard.get("r-a").served == 1
@@ -118,15 +119,11 @@ def test_queue_bound_sheds_with_typed_overload(cluster, network):
     router = make_router(network, cluster[0], per_replica_limit=1)
     add_replica(network, router, cluster[1], "r-a", service_time=1.0)
     clock = cluster[2].clock
-    first = network.call_async(
-        "client", clock, "router", messages.encode_request("q1", b"p")
-    )
-    second = network.call_async(
-        "client", clock, "router", messages.encode_request("q2", b"p")
-    )
+    first = submit(network, clock, "q1")
+    second = submit(network, clock, "q2")
     with pytest.raises(OverloadError):
         network.scheduler.run_until(second)
-    messages.decode_reply(network.scheduler.run_until(first))
+    network.scheduler.run_until(first)
     assert router.admission.stats.admitted == 1
     assert router.admission.stats.shed_capacity == 1
 
@@ -148,10 +145,15 @@ def test_expired_on_arrival_is_shed_server_side(cluster, network):
     clock.advance(1.0)
     with pytest.raises(DeadlineExceededError):
         send(network, clock, "q1", deadline=0.5)
-    # Never admitted, never dispatched: no replica time was burned.
+    # Shed by the router's server before its handler ran: never
+    # admitted, never dispatched, no replica time burned.
     assert executions == []
-    assert router.admission.stats.shed_expired == 1
-    assert router.admission.stats.admitted == 0
+    assert router.admission.stats.arrivals == 0
+    assert router.stats.server.shed_expired == 1
+    assert router.pending_count() == 0
+    # ...but it is offered load the shed-rate SLO sees, shed in full.
+    (shed_rate,) = [s for s in serving_slos(router) if s.name == "serving.shed_rate"]
+    assert shed_rate.value_probe() == 1.0
 
 
 def test_replica_side_deadline_shed_propagates(cluster, network):
@@ -191,8 +193,9 @@ def test_transport_failure_retries_on_another_replica(cluster, network):
     add_replica(network, router, cluster[2], "r-b")
 
     drop_first_message_to(network, "r-a")
-    reply = send(network, cluster[2].clock, "q1")
-    assert reply["replica"] == "r-b"
+    send(network, cluster[2].clock, "q1")
+    assert dispatches(router) == [("q1", "r-a"), ("q1", "r-b")]
+    assert (served(router, "r-a"), served(router, "r-b")) == (0, 1)
     assert router.stats.retries == 1
     assert router.stats.completed_ok == 1
     # The lost attempt degraded r-a and fed its breaker.
@@ -211,20 +214,19 @@ def test_one_lost_message_does_not_starve_a_replica(cluster, network):
     add_replica(network, router, cluster[2], "r-b", service_time=1.0)
     drop_first_message_to(network, "r-a")
     clock = SimClock()
-    first = network.call_async(
-        "client", clock, "router", messages.encode_request("q1", b"p")
-    )
+    first = submit(network, clock, "q1")
     network.scheduler.run(until=0.1)
     assert dispatches(router) == [("q1", "r-a"), ("q1", "r-b")]
     assert router.scoreboard.get("r-a").state is ReplicaState.DEGRADED
     assert router.scoreboard.in_flight("r-b") == 1
 
     clock.advance_to(0.1)
-    reply = send(network, clock, "q2")
-    assert reply["replica"] == "r-a"
+    send(network, clock, "q2")
     assert dispatches(router)[-1] == ("q2", "r-a")
+    assert served(router, "r-a") == 1
     assert router.scoreboard.get("r-a").state is ReplicaState.HEALTHY
-    assert messages.decode_reply(network.scheduler.run_until(first))["replica"] == "r-b"
+    network.scheduler.run_until(first)
+    assert served(router, "r-b") == 1
 
 
 def test_partitioned_replica_is_cut_off_by_its_breaker(cluster, network):
@@ -236,15 +238,10 @@ def test_partitioned_replica_is_cut_off_by_its_breaker(cluster, network):
     add_replica(network, router, cluster[2], "r-b")
     network.partition("r-b")
     clock = SimClock()
-    pending = [
-        network.call_async(
-            "client", clock, "router", messages.encode_request(f"q{i}", b"p")
-        )
-        for i in range(6)
-    ]
+    pending = [submit(network, clock, f"q{i}") for i in range(6)]
     for completion in pending:
-        reply = messages.decode_reply(network.scheduler.run_until(completion))
-        assert reply["replica"] == "r-a"
+        network.scheduler.run_until(completion)
+    assert (served(router, "r-a"), served(router, "r-b")) == (6, 0)
     # q0 ties and goes to r-a; q1..q3 find r-b lighter and fail on it.
     assert [r for _, r in dispatches(router)].count("r-b") == 3
     assert router.recovery.breaker_trips == 1
@@ -298,10 +295,11 @@ def test_hedge_second_attempt_first_reply_wins(cluster, network):
     executions_a = add_replica(network, router, cluster[1], "r-a", service_time=1.0)
     executions_b = add_replica(network, router, cluster[2], "r-b", service_time=0.01)
     clock = cluster[2].clock
-    reply = send(network, clock, "q1", deadline=clock.now + 5.0)
+    send(network, clock, "q1", deadline=clock.now + 5.0)
     # The hedge (to the other replica) answered long before the slow
     # primary; its reply settled the request.
-    assert reply["replica"] == "r-b"
+    assert dispatches(router) == [("q1", "r-a"), ("q1", "r-b")]
+    assert (served(router, "r-a"), served(router, "r-b")) == (0, 1)
     assert router.stats.hedges_fired == 1
     assert router.stats.hedges_won == 1
     assert router.stats.completed_ok == 1
@@ -323,12 +321,12 @@ def test_hedge_not_fired_when_primary_is_fast(cluster, network):
 
 
 def test_duplicate_request_replays_cached_outcome(cluster, network):
+    """The router's reply is lost; the client resends under the same
+    call ID and the router's window answers it."""
     router = make_router(network, cluster[0])
     executions = add_replica(network, router, cluster[1], "r-a")
-    clock = cluster[2].clock
-    first = send(network, clock, "q1")
-    second = send(network, clock, "q1")
-    assert first["replica"] == second["replica"] == "r-a"
+    drop_first_message_to(network, "q1")
+    assert send(network, cluster[2].clock, "q1", attempts=2) == b"q1"
     assert executions == ["q1"]  # executed once, replayed once
     assert router.stats.dedup_replays == 1
     assert router.admission.stats.admitted == 1
@@ -337,11 +335,10 @@ def test_duplicate_request_replays_cached_outcome(cluster, network):
 def test_duplicate_of_failed_request_replays_the_typed_error(cluster, network):
     router = make_router(network, cluster[0])
     add_replica(network, router, cluster[1], "r-a", service_time=2.0)
+    drop_first_message_to(network, "q1")
     clock = cluster[2].clock
     with pytest.raises(DeadlineExceededError):
-        send(network, clock, "q1", deadline=clock.now + 0.3)
-    with pytest.raises(DeadlineExceededError):
-        send(network, clock, "q1")
+        send(network, clock, "q1", deadline=clock.now + 0.3, attempts=2)
     assert router.stats.dedup_replays == 1
     assert router.stats.terminal == 1
 
@@ -356,17 +353,10 @@ def test_admitted_equals_terminal_over_a_mixed_run(cluster, network):
     pending = []
     for i in range(10):
         deadline = clock.now + (0.02 if i % 3 == 0 else 1.0)
-        pending.append(
-            network.call_async(
-                "client",
-                clock,
-                "router",
-                messages.encode_request(f"q{i}", b"p", deadline=deadline),
-            )
-        )
+        pending.append(submit(network, clock, f"q{i}", deadline=deadline))
     for completion in pending:
         try:
-            messages.decode_reply(network.scheduler.run_until(completion))
+            network.scheduler.run_until(completion)
             outcomes["ok"] += 1
         except (OverloadError, DeadlineExceededError, RpcTransportError):
             outcomes["err"] += 1

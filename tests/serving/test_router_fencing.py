@@ -3,7 +3,7 @@ settle work through the replica pool."""
 
 import pytest
 
-from repro.serving import messages
+from repro.crypto import encoding
 from repro.serving.service import ServingPlane
 
 pytestmark = pytest.mark.serving
@@ -19,9 +19,12 @@ def make_plane(**kwargs):
 
 
 def submit(plane, router, request_id):
-    """Feed one request through a router object's endpoint handler."""
-    raw = messages.encode_request(request_id, b"payload")
-    result = router._handle(raw)
+    """Feed one ``infer`` call through a router object's server (the
+    zombie no longer holds the well-known address)."""
+    raw = encoding.encode(
+        {"kind": "call", "method": "infer", "payload": b"payload", "call_id": request_id}
+    )
+    result = router.server._handle(raw)
     plane.platform.scheduler.run()
     return result
 

@@ -89,5 +89,5 @@ def test_the_tick_timeline_is_pinned(monkeypatch):
     )
     assert plane.platform.scheduler.events_processed == 2851
     assert hashlib.sha256(plane.trace_bytes()).hexdigest() == (
-        "4637d490442cdc1acc0fe2103a4b4e20b134437316cc85fcc18b2bb02582dfb6"
+        "58c67f24370851e438398c2006cf6ab055bdf79c0fbd4cbc86d6206932e641c2"
     )

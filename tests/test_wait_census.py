@@ -15,7 +15,11 @@ that must happen later — a recurring tick, a backoff, a boot delay —
 sleeps on :meth:`Scheduler.timer <repro._sim.scheduler.Scheduler.timer>`
 inside an activity.
 
-Both censuses walk the AST of ``src/`` and match calls by method name,
+A third keeps raw sends (``Network.call_async``) to the RPC layer:
+every hop — training, CAS, serving — is an ``RpcClient`` call, with one
+envelope, one typed-error table and the server's at-most-once window.
+
+The censuses walk the AST of ``src/`` and match calls by method name,
 so they also catch a call hidden behind a local alias of the scheduler.
 """
 
@@ -55,8 +59,6 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
         "the initial replicas boot one after another while the plane is built",
     ("serving/traffic.py", "TrafficGenerator.run"):
         "the closed-loop client fleet's outermost wait",
-    ("chaos/scenarios.py", "_run_router_handoff.dispatch"):
-        "a campaign step issued from outside the heap",
 }
 
 
@@ -73,9 +75,23 @@ SCHEDULE_ALLOWLIST: Dict[Tuple[str, str], str] = {
         "a request's delivery event, at its arrival time",
     ("cluster/network.py", "Network._finish_reply"):
         "a reply's landing event, at its arrival time",
-    ("serving/router.py", "FrontEndRouter._handle"):
+    ("serving/router.py", "FrontEndRouter._infer"):
         "the per-request deadline and hedge timers, cancelled when the "
         "request settles (ROADMAP C(2) reworks them)",
+}
+
+
+#: The raw network send.
+SENDS = {"call_async"}
+
+#: Modules whose every function may send raw: the RPC layer itself.
+SEND_MODULES = {"cluster/rpc.py"}
+
+#: (module under src/repro, enclosing function) → why it may send raw.
+SEND_ALLOWLIST: Dict[Tuple[str, str], str] = {
+    ("cluster/fleet.py", "ReplicaFleet._activity"):
+        "the echo ring: bare heartbeats with no envelope, reached only "
+        "by bench_sim_core and the event-core smokes",
 }
 
 
@@ -158,3 +174,22 @@ def test_schedule_allowlist_has_no_stale_entries():
 def test_raw_schedules_stay_at_six():
     """One per allowlisted function, and the router's two timers."""
     assert sum(len(lines) for lines in census(SCHEDULES).values()) == 6
+
+
+def test_every_raw_send_in_src_is_the_rpc_layer():
+    unlisted = [
+        f"src/repro/{module}:{lines[0]} in {function or '<module>'}"
+        for (module, function), lines in census(SENDS).items()
+        if module not in SEND_MODULES and (module, function) not in SEND_ALLOWLIST
+    ]
+    assert not unlisted, (
+        "raw Network.call_async outside the RPC layer (an RpcClient call "
+        "carries the envelope, the typed errors and the call ID): "
+        + ", ".join(unlisted)
+    )
+
+
+def test_send_allowlist_has_no_stale_entries():
+    sites = census(SENDS)
+    stale = [key for key in SEND_ALLOWLIST if key not in sites]
+    assert not stale, f"allowlisted functions that no longer send raw: {stale}"
