@@ -27,10 +27,13 @@ the AEAD is batched so that a file's chunks share them:
   longer column plan continues in the next pass.  The per-block rate is
   flat from a few thousand columns on, so the cap costs nothing, and the
   state scratch is bounded however large the file.
-* :meth:`ChaCha20Poly1305.open_many` verifies **every** tag of the batch
-  — which needs only the block 0s and the ciphertexts — before any
-  stream byte is XORed into any ciphertext: a batch with one bad message
-  releases no plaintext at all, and the error carries its ``position``.
+* :meth:`ChaCha20Poly1305.open_many` reads each message once — one
+  snapshot of the buffer it is handed — and checks its tag and XORs its
+  stream from that snapshot, so the bytes decrypted are the bytes
+  authenticated even when the buffer is the host's.  Plaintexts are held
+  until **every** tag of the batch has verified: a batch with one bad
+  message releases no plaintext at all, and the error carries its
+  ``position``.
 
 Poly1305 is one matrix product for long messages.  Sixty-four blocks
 form a group; ``r^64 .. r^1`` (bigints, once per message — the key is
@@ -44,7 +47,7 @@ threads it uses) cannot change a bit.  The 2^128 pad bit of each block
 is one constant per group, two columns pair into one uint64 field so a
 group reads back as two ``int.from_bytes``, and one bigint Horner step
 per group by ``r^64`` finishes — algebraically the serial evaluation,
-and asserted byte-identical to :func:`poly1305_mac_reference` by the
+and asserted byte-identical to a serial bigint reference by the
 property tests.  Groups are converted to float64 a slab at a time, so
 the scratch is 512 KiB whatever the message length.  Short messages
 take the plain bigint loop, which wins below 2 KiB.
@@ -257,24 +260,6 @@ _GROUP_BLOCKS = 64
 _SLAB_GROUPS = 64
 
 
-def poly1305_mac_reference(key: bytes, message: bytes) -> bytes:
-    """Poly1305 one-time authenticator (RFC 8439 §2.5), serial bigints.
-
-    The oracle the vectorized path is tested against.
-    """
-    if len(key) != 32:
-        raise ValueError(f"Poly1305 key must be 32 bytes, got {len(key)}")
-    r = int.from_bytes(key[:16], "little") & _R_CLAMP
-    s = int.from_bytes(key[16:], "little")
-    acc = 0
-    for offset in range(0, len(message), 16):
-        chunk = message[offset: offset + 16]
-        n = int.from_bytes(chunk + b"\x01", "little")
-        acc = ((acc + n) * r) % _P1305
-    acc = (acc + s) & _TAG_MASK
-    return acc.to_bytes(16, "little")
-
-
 def _poly1305_groups(r: int, message: bytes, n_groups: int) -> int:
     """``sum (m_j + 2^128) * r^(n-j)`` over the first ``n = n_groups * B``
     blocks, ``B = _GROUP_BLOCKS``.
@@ -426,39 +411,38 @@ class ChaCha20Poly1305:
     def open_many(
         self, nonces: Sequence[bytes], sealed: Sequence[bytes], aads: Sequence[bytes]
     ) -> List[bytes]:
-        """Verify every message, then decrypt every message.
+        """Verify and decrypt every message, each from one fetch of its bytes.
 
-        No keystream touches any ciphertext until every tag of the
-        batch has verified; a failure raises :class:`IntegrityError`
-        with the failing ``position`` and releases no plaintext.
+        Each message's ciphertext || tag is read once, as one ``bytes``
+        snapshot of the buffer or view it is given; its tag is checked and
+        its keystream XORed from that snapshot, so a buffer rewritten
+        mid-open decrypts nothing its tag did not cover.  Plaintexts are
+        held until every tag of the batch has verified: a failure raises
+        :class:`IntegrityError` with the failing ``position`` and releases
+        no plaintext.
         """
         if not len(nonces) == len(sealed) == len(aads):
             raise ValueError("open_many needs one nonce and one aad per sealed message")
-        ciphertexts, tags = [], []
+        bodies = []
         for position, data in enumerate(sealed):
-            if len(data) < self.TAG_SIZE:
+            body = bytes(data)  # the one fetch
+            if len(body) < self.TAG_SIZE:
                 raise IntegrityError(
                     "ciphertext shorter than the Poly1305 tag", position=position
                 )
-            body = memoryview(data)
-            ciphertext = body[: -self.TAG_SIZE]
-            if len(ciphertext) > self.MAX_PAYLOAD:
+            if len(body) - self.TAG_SIZE > self.MAX_PAYLOAD:
                 raise IntegrityError(
-                    f"ciphertext of {len(ciphertext)} bytes exceeds the "
+                    f"ciphertext of {len(body) - self.TAG_SIZE} bytes exceeds the "
                     f"{self.MAX_PAYLOAD}-byte ChaCha20 counter space",
                     position=position,
                 )
-            ciphertexts.append(ciphertext)
-            tags.append(bytes(body[-self.TAG_SIZE:]))
-        otks, reader = self._begin(nonces, [len(ciphertext) for ciphertext in ciphertexts])
-        for position, (otk, aad, ciphertext, tag) in enumerate(
-            zip(otks, aads, ciphertexts, tags)
-        ):
-            if not ct_eq(self._tag(otk, aad, ciphertext), tag):
-                raise IntegrityError("Poly1305 tag verification failed", position=position)
-        # Only now does the stream touch a ciphertext.
+            bodies.append(body)
+        otks, reader = self._begin(nonces, [len(body) - self.TAG_SIZE for body in bodies])
         plaintexts = []
-        for ciphertext in ciphertexts:
+        for position, (otk, aad, body) in enumerate(zip(otks, aads, bodies)):
+            ciphertext = memoryview(body)[: -self.TAG_SIZE]
+            if not ct_eq(self._tag(otk, aad, ciphertext), body[-self.TAG_SIZE:]):
+                raise IntegrityError("Poly1305 tag verification failed", position=position)
             stream = reader.take(len(ciphertext))
             stream ^= np.frombuffer(ciphertext, dtype=np.uint8)
             plaintexts.append(stream.tobytes())

@@ -23,12 +23,13 @@ chunks are independent, so the charge is spread over ``min(chunks,
 idle threads)`` — the enclave's ``max_threads`` less its runnable
 application threads, plus the caller — and floored at the bytes the
 pass moves through the enclave's memory over its bandwidth (a seal
-reads its plaintext once, an open reads the enclave copy and writes the
-plaintext: twice; 7.5 GB/s through the MEE in HW, 18 GB/s in SIM).  It
-never exceeds the serial charge, which is what one thread and an
-owner-side shield outside any enclave pay: an HW write lands on the MEE
-floor, an HW open's floor is above the serial charge.  The helpers are
-not application threads and leave the scheduler's ``runnable`` alone.
+reads its plaintext once, an open reads the ciphertext where it lies
+and writes the plaintext: twice; 7.5 GB/s through the MEE in HW,
+18 GB/s in SIM).  It never exceeds the serial charge, which is what
+one thread and an owner-side shield outside any enclave pay: an HW
+write lands on the MEE floor, an HW open's floor is above the serial
+charge.  The helpers are not application threads and leave the
+scheduler's ``runnable`` alone.
 The seal is charged before its extents reach the ring.  A read pays
 for the chunks it opens: every chunk carries its share of the declared
 size, a chunk served from the plaintext cache costs one in-enclave copy
@@ -42,15 +43,17 @@ the ciphertext as the enclave produced it, never read back from that
 buffer: a host that rewrites a staged extent gets what tampering at
 rest gets it, a chunk that fails its digest.  A read mirrors it: every
 replica is checked against the manifest's digests where it lies, in
-the host's buffer, and in HW mode only the chunks the read opens are
-copied in — once, their shares plus tags — and the AEAD authenticates
-that enclave copy.  The in-place check is advisory (it picks the copy
-to open and the replicas to repair); a host that rewrites a replica
-after the check gets a refused read.  The manifest again crosses with its own
-bytes; a declared size rides on the shares opened.  NATIVE and SIM
-keep the kernel's copy of everything read.  Every SHA-256 pass over a
-chunk or a manifest is counted in ``FsShieldStats.digest_bytes`` and
-charged nothing.
+the host's buffer, and the chunks the read opens are opened there too:
+the AEAD reads each one once — one fetch, from which its tag is checked
+and its plaintext decrypted — so no ciphertext is copied into the
+enclave, and bytes the host rewrites mid-open are never the bytes
+decrypted.  The in-place check is advisory (it picks the copy to open
+and the replicas to repair); a host that rewrites a replica after the
+check gets a refused read, or nothing once the AEAD has fetched it.
+The manifest again crosses with its own bytes; a declared size rides
+on the shares opened.  NATIVE and SIM keep the kernel's copy of
+everything read.  Every SHA-256 pass over a chunk or a manifest is
+counted in ``FsShieldStats.digest_bytes`` and charged nothing.
 
 Crash consistency: a file stored in one write is only atomic if every
 OS write is — an assumption a hostile or crashing host does not honour.
@@ -329,8 +332,8 @@ class FileSystemShield:
 
     def _charge_crypto(self, simulated_bytes: int, passes: int) -> None:
         """Charge sealing (``passes=1``: the plaintext is read once) or
-        opening (``passes=2``: the enclave copy is read and the plaintext
-        written) ``simulated_bytes``.
+        opening (``passes=2``: the ciphertext is read where it lies and
+        the plaintext written) ``simulated_bytes``.
 
         The serial charge is the per-thread AES-NI rate plus the per-chunk
         bookkeeping.  Inside an enclave the chunks are independent, so
@@ -479,22 +482,22 @@ class FileSystemShield:
         version: int,
         digest: bytes,
         shares: List[int],
-        load: Callable[[], Tuple[List[bytes], Optional[Callable[[], None]]]],
+        load: Callable[[], Tuple[List[memoryview], Optional[Callable[[], None]]]],
     ) -> List[bytes]:
         """Every chunk's plaintext, from the cache where it is there.
 
         If any is not, ``load() -> (every protected chunk, self-heal or
         None)`` fetches the stored file once and the missing chunks are
         opened as **one** batch — every chunk authenticates before any
-        plaintext exists — and only then self-healed, counted and
+        plaintext is released — and only then self-healed, counted and
         cached.  Raises ShieldError naming the first chunk that fails.
 
         The caller has authenticated the manifest and checked policy and
         freshness; this is the one place a read is charged, by ``shares``
         (each chunk's simulated bytes): a cached chunk costs a copy of
         its share, and crypto is paid for the chunks to open, before
-        they are fetched, then one copy into the enclave of their shares
-        plus tags (HW only: NATIVE and SIM copied them with the read).
+        they are fetched — two passes, the ciphertext read where it lies
+        and the plaintext written.  Nothing else crosses in.
         """
         started = time.perf_counter()
         n_chunks = len(shares)
@@ -509,10 +512,9 @@ class FileSystemShield:
             return parts
         self._charge_crypto(to_open, passes=2)
         stored, heal = load()
-        # The AEAD below authenticates this enclave copy, whatever the
-        # host's buffer holds by now: the scrub's check was advisory.
-        overhead = _chunk_overhead(policy.value)
-        self._syscalls.copy_in(sum(shares[index] + overhead for index in missing))
+        # Opened where they lie, in the host's buffer: each chunk is read
+        # once, and that one read is what is authenticated and decrypted,
+        # whatever the host writes there meanwhile.
         aads = [self._aad(path, policy, version, index, n_chunks) for index in missing]
         blobs = [stored[index] for index in missing]
         if policy is ShieldPolicy.ENCRYPT:
@@ -529,6 +531,7 @@ class FileSystemShield:
             key = self._file_key(path)
             opened = []
             for index, blob, aad in zip(missing, blobs, aads):
+                blob = bytes(blob)  # the one fetch
                 if len(blob) < _AUTH_MAC_SIZE:
                     raise ShieldError(f"chunk {index} of {path!r} truncated")
                 mac, body = blob[:_AUTH_MAC_SIZE], blob[_AUTH_MAC_SIZE:]
@@ -651,7 +654,7 @@ class FileSystemShield:
             return file.content
         body, digest = self._authenticated_manifest(path, policy, file.content)
 
-        def load() -> Tuple[List[bytes], Callable[[], None]]:
+        def load() -> Tuple[List[memoryview], Callable[[], None]]:
             blobs, heal = self._scrub_extents(path, body)
             if None in blobs:
                 raise ShieldError(
@@ -761,10 +764,10 @@ class FileSystemShield:
 
     def _scrub_extents(
         self, path: str, body: dict
-    ) -> Tuple[List[Optional[bytes]], Callable[[], None]]:
+    ) -> Tuple[List[Optional[memoryview]], Callable[[], None]]:
         """Fetch every replica's extent once and check it slot by slot
-        against the manifest digests.  Returns (per chunk: the first
-        intact copy or None, ``heal``).
+        against the manifest digests.  Returns (per chunk: a view of the
+        first intact copy in the host's buffer, or None; ``heal``).
 
         ``heal()`` re-replicates the intact copies into every damaged
         replica — never in place: a damaged extent may hold the only
@@ -773,17 +776,18 @@ class FileSystemShield:
         crashed repair leaves the old copy whole.  A chunk no replica
         still has keeps the replica's own bytes in its slot."""
         slots, digests = self._extent_slots(body), body["chunk_digests"]
-        blobs: List[Optional[bytes]] = [None] * len(slots)
+        blobs: List[Optional[memoryview]] = [None] * len(slots)
         damaged: Dict[str, Tuple[bytes, List[int]]] = {}  # by extent path
         for replica in range(body["replicas"]):
             target = self._extent_path(path, body["version"], replica)
             try:
-                # Checked where it lies: only _open_chunks copies bytes in.
+                # Checked, and later opened, where it lies.
                 extent = self._syscalls.read_file(target, enclave_bytes=0).content
             except SyscallError:
                 extent = b""  # a missing replica has lost every chunk
+            view = memoryview(extent)
             for index, (start, stop) in enumerate(slots):
-                blob = extent[start:stop]
+                blob = view[start:stop]
                 if self._digest(blob) != digests[index]:
                     damaged.setdefault(target, (extent, []))[1].append(index)
                     self.stats.torn_writes_detected += 1

@@ -234,8 +234,8 @@ class SyscallInterface:
         stored, never a declared size beyond them (a stand-in for data
         the host holds); the default copies everything read.  What is not
         copied stays in the host's buffer, where the file-system shield
-        checks digests in place and copies in, with :meth:`copy_in`, only
-        the chunks it opens.  NATIVE and SIM copy everything read: there
+        checks digests and opens chunks in place.  NATIVE and SIM copy
+        everything read: there
         the copy is the kernel's kernel→user one, which no caller skips."""
         self._charge("open")
         self._charge("read")
@@ -255,13 +255,6 @@ class SyscallInterface:
         self.stats.bytes_read += result.size
         self._charge("close", posted=True)
         return result
-
-    def copy_in(self, n_bytes: int) -> None:
-        """Copy ``n_bytes`` that a :meth:`read_file` left in the host's
-        buffer into the enclave (HW mode only: NATIVE and SIM copied
-        everything with the read)."""
-        if self._mode is SgxMode.HW:
-            self._charge_copy(n_bytes)
 
     def write_file(
         self,

@@ -27,10 +27,27 @@ def pytest_configure(config: pytest.Config) -> None:
         "(tier 2; run via -m sharded_training)",
     )
 
-from repro._sim import DeterministicRng, SimClock
+from repro._sim import DeterministicRng, SimClock, probe
 from repro.enclave.attestation import ProvisioningAuthority
 from repro.enclave.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.enclave.sgx import SgxCpu
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_probe_sinks():
+    """Fail a test module that leaves a telemetry consumer installed in
+    ``probe.SINK``: every later module would run traced by it (its
+    spans, charges and flight events going to a sink nobody reads), so
+    a test that passes alone fails after it.  The leak is removed
+    before the failure is reported."""
+    before = probe.installed()
+    yield
+    leaked = [c for c in probe.installed() if not any(c is b for b in before)]
+    for consumer in leaked:
+        probe.remove(consumer)
+    if leaked:
+        names = ", ".join(type(consumer).__name__ for consumer in leaked)
+        pytest.fail(f"test module left probe sinks installed: {names}")
 
 
 @pytest.fixture

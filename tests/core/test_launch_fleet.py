@@ -21,14 +21,14 @@ from repro.models import pretrained_lite_model
 
 #: (startup latency, node clock at boot end) per service, stagger 0.
 BOOTS = [
-    (0.42297048059999665, 0.4371988592666633),
-    (0.4292729677666633, 0.44350134643332995),
-    (0.43557545493332994, 0.4498038335999966),
-    (0.4418779420999966, 0.45610632076666324),
-    (0.44818042926666324, 0.4624088079333299),
-    (0.4544829164333299, 0.46871129509999654),
-    (0.46078540359999653, 0.4750137822666632),
-    (0.4670878907666632, 0.48131626943332984),
+    (0.41709844219999664, 0.4313268208666633),
+    (0.4234009293666633, 0.43762930803332994),
+    (0.42970341653332994, 0.4439317951999966),
+    (0.4360059036999966, 0.45023428236666324),
+    (0.44230839086666324, 0.4565367695333299),
+    (0.4486108780333299, 0.46283925669999654),
+    (0.45491336519999653, 0.4691417438666632),
+    (0.4612158523666632, 0.47544423103332983),
 ]
 
 

@@ -4,8 +4,11 @@ One keystream pass and one halving Poly1305 fold **per message**: what
 ``repro.crypto.chacha`` did before ``seal_many`` / ``open_many`` put
 every message of a batch through shared passes and the fold became one
 float64 matrix product.  ``tests/crypto/test_chacha_batch.py`` holds the
-batched AEAD to these bytes.  Do not edit: nothing below the imports
-differs from the retired module.
+batched AEAD to these bytes, and ``tests/crypto/test_chacha.py`` holds
+the matrix-product Poly1305 to :func:`poly1305_mac_reference`, the
+serial bigint loop (the only copy: the live module no longer carries
+it).  Do not edit: nothing below the imports differs from the retired
+module.
 """
 
 from __future__ import annotations

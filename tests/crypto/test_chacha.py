@@ -11,9 +11,9 @@ from repro.crypto.chacha import (
     chacha20_keystream,
     chacha20_xor,
     poly1305_mac,
-    poly1305_mac_reference,
 )
 from repro.errors import IntegrityError
+from tests.crypto._reference_chacha import poly1305_mac_reference
 
 RFC_KEY = bytes(range(32))
 

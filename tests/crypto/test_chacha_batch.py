@@ -4,7 +4,8 @@
 one keystream pass and one Poly1305 fold per message.  The batched AEAD
 must return its bytes for every input, release nothing unless every
 message of a batch verifies, and refuse what the per-message calls
-refused.
+refused.  It reads each message once: what it decrypts is what it
+authenticated, even from a buffer rewritten while it works.
 """
 
 import pytest
@@ -92,20 +93,57 @@ def test_one_flipped_bit_names_its_item_and_releases_nothing(batch, victim, part
         body[len(plaintexts[victim]) + where % 16] ^= 1 << bit
     sealed[victim], aads[victim] = bytes(body), bytes(aad)
 
-    # Nothing may be XORed before the verdict: watch the reader.
-    taken = []
-    take = chacha._KeystreamReader.take
+    # No stream before its message's verdict, and nothing returned: watch
+    # the tag checks and the reader.
+    events = []
+    take, tag = chacha._KeystreamReader.take, ChaCha20Poly1305._tag
 
-    def spy(self, n_bytes):
-        taken.append(n_bytes)
+    def take_spy(self, n_bytes):
+        events.append(("take", n_bytes))
         return take(self, n_bytes)
 
+    def tag_spy(otk, aad, ciphertext):
+        events.append(("tag", len(ciphertext)))
+        return tag(otk, aad, ciphertext)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(chacha._KeystreamReader, "take", spy)
+        patch.setattr(chacha._KeystreamReader, "take", take_spy)
+        patch.setattr(ChaCha20Poly1305, "_tag", staticmethod(tag_spy))
         with pytest.raises(IntegrityError) as failure:
             aead.open_many(nonces, sealed, aads)
     assert failure.value.position == victim
-    assert taken == [64 * len(sealed)]  # the one-time keys, no stream
+    # The one-time keys, then per message before the victim its tag check
+    # and only then its stream; the victim's tag check, and no stream.
+    expected = [("take", 64 * len(sealed))]
+    for plaintext in plaintexts[:victim]:
+        expected += [("tag", len(plaintext)), ("take", len(plaintext))]
+    assert events == expected + [("tag", len(plaintexts[victim]))]
+
+
+@pytest.mark.parametrize(
+    "holder", [bytearray, lambda data: memoryview(bytearray(data))], ids=["bytearray", "view"]
+)
+def test_a_buffer_rewritten_after_its_tag_check_decrypts_what_was_authenticated(
+    holder, monkeypatch
+):
+    """A host-owned buffer is rewritten between each message's tag check
+    and its XOR.  One fetch per message means the XOR reads the bytes
+    the tag covered; two reads of the buffer would decrypt the rewrite."""
+    aead = ChaCha20Poly1305(KEY)
+    nonces = _nonces(3)
+    plaintexts = [_payload(size, salt) for salt, size in enumerate((100, 4097, 65))]
+    buffers = [holder(sealed) for sealed in aead.seal_many(nonces, plaintexts, [b""] * 3)]
+    mac, checked = chacha.poly1305_mac, []
+
+    def rewriting_mac(key, message, *args):
+        tag = mac(key, message, *args)
+        buffers[len(checked)][0] ^= 0xFF  # the first ciphertext byte
+        checked.append(True)
+        return tag
+
+    monkeypatch.setattr(chacha, "poly1305_mac", rewriting_mac)
+    assert aead.open_many(nonces, buffers, [b""] * 3) == plaintexts
+    assert len(checked) == 3
 
 
 def test_short_and_oversized_items_name_their_position(monkeypatch):

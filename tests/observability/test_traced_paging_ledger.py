@@ -3,10 +3,12 @@
 A run of EPC faults the caller waits for is one charge to the telemetry
 sink, folded one fault at a time, so the traced ledger is the one a
 charge per fault left.  ``STATS`` and ``FAULTING_SCANS`` were read off
-that per-fault build; ``NOW`` and the caller's wait off the build where
-a helper thread pages the weight stream in ahead of one-thread compute
-(the walk is the same walk, so the stats did not move).  Tracing must
-not move the untraced numbers either.
+that per-fault build; the caller's wait off the build where a helper
+thread pages the weight stream in ahead of one-thread compute (the walk
+is the same walk, so the stats did not move).  ``NOW`` is that build's
+less the 5.872 ms it took to copy the model's chunks into the enclave
+before opening them: they are opened where they lie now, and nothing
+else moved.  Tracing must not move the untraced numbers either.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.observability import Telemetry
 from repro.observability.tracer import Tracer
 from repro.runtime import stats_registry
 
-NOW = 3.608845276667497
+NOW = 3.6029732382674973
 STATS = EpcStats(
     hits=5755,
     faults=9285,

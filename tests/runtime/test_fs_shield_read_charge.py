@@ -9,12 +9,12 @@ counts its capacity in the same bytes.  Pinned here:
 * the layer table by hand — a twin rig replays what a cold and a warm
   read are supposed to cost (manifest read, the crypto formula of the
   whole declared file — in SIM and HW spread over the enclave's idle
-  threads down to its memory floor —, one read per replica, in HW one copy-in of the
-  opened chunks; manifest read, one copy) and the two clocks must agree
-  **bit for bit**, in NATIVE / SIM / HW and at every replica count.  In
-  HW the manifest crosses with its own bytes and the extents with none:
-  the scrub checks them in the host's buffer, and what the enclave opens
-  — each chunk's share plus its tag — is copied in once;
+  threads down to its memory floor —, one read per replica; manifest
+  read, one copy) and the two clocks must agree **bit for bit**, in
+  NATIVE / SIM / HW and at every replica count.  In HW the manifest
+  crosses with its own bytes and the extents with none: the scrub checks
+  them in the host's buffer and the AEAD opens them there, so nothing
+  else is copied in;
 * over random write / overwrite / read / ``drop_caches`` sequences,
   ``crypto_bytes`` moves by the shares of exactly the chunks
   ``chunks_opened`` counts, the cache never holds more simulated bytes
@@ -44,7 +44,7 @@ from repro.runtime.fs_shield import (
 )
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.vfs import VirtualFileSystem
-from tests.runtime._extents import OVERHEAD, extent_path, manifest_body
+from tests.runtime._extents import extent_path, manifest_body
 
 RULES = [PathRule("/secure/", ShieldPolicy.ENCRYPT)]
 PATHS = ("/secure/a", "/secure/b")
@@ -188,8 +188,6 @@ def test_cold_and_warm_reads_cost_what_the_layer_table_says(
             by_hand.syscalls.read_file(
                 extent_path(PATH, 0, replica), enclave_bytes=0 if hw else None
             )
-        if hw:  # shares + tags of the chunks opened, at MEE bandwidth
-            by_hand.memory.charge_bytes(simulated + n_chunks * OVERHEAD["encrypt"])
         assert stats.chunks_opened - opened == n_chunks
         assert stats.crypto_bytes - crypto_bytes == simulated
     assert real.clock.now == by_hand.clock.now  # bit for bit

@@ -1,17 +1,18 @@
-"""Mutations of stored bytes against the copy-in read path.
+"""Mutations of stored bytes against the read path, which opens chunks
+where they lie.
 
 A HW enclave, a journaled two-replica file, and a host that truncates,
 flips a bit in, splices into, appends to or swaps (with another file's
 artifact) the stored manifest and one or both extents before a cold
-read.  The scrub checks digests where the bytes lie and is advisory; the
-AEAD over the enclave's copy decides.  Whatever the host does:
+read, or rewrites an extent while it is being opened.  The scrub checks
+digests where the bytes lie and is advisory; the AEAD, over the one
+fetch it makes of each chunk, decides.  Whatever the host does:
 
 * a read returns the written bytes or raises a typed ``ReproError`` —
   nothing else;
 * damage to a single replica always reads correctly and is repaired;
-* the copy-in is the shares plus tags of exactly the chunks
-  ``chunks_opened`` counts (a read refused by the AEAD has copied in
-  what it tried to open, and counts none).
+* nothing crosses into the enclave but the manifest: no extent byte is
+  copied in, whether the read succeeds or is refused.
 """
 
 import random
@@ -24,20 +25,21 @@ from repro._sim import DeterministicRng, SimClock
 from repro.enclave.attestation import ProvisioningAuthority
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import EnclaveImage, Segment, SgxCpu, SgxMode
+from repro.crypto import chacha
 from repro.errors import ReproError, ShieldError
 from repro.runtime.fs_shield import (
+    CHUNK_MARKER,
     FileSystemShield,
     LocalFreshnessTracker,
     PathRule,
     ShieldPolicy,
 )
 from repro.runtime.syscall import SyscallInterface
-from repro.runtime.vfs import VirtualFileSystem
-from tests.runtime._extents import OVERHEAD, chunk_slot, extent_path, manifest_body
+from repro.runtime.vfs import VirtualFile, VirtualFileSystem
+from tests.runtime._extents import chunk_slot, extent_path, manifest_body
 
 PATH, OTHER = "/secure/a", "/secure/b"
 CHUNK = 256
-TAG = OVERHEAD["encrypt"]
 #: What the host may damage: the manifest or one replica's extent.
 TARGETS = ("manifest", 0, 1)
 
@@ -58,10 +60,7 @@ def make_rig():
         CM, clock, chunk_size=CHUNK, freshness=LocalFreshnessTracker(), replicas=2,
         memory=enclave.memory,
     )
-    copied = []
-    copy_in = syscalls.copy_in
-    syscalls.copy_in = lambda n_bytes: (copied.append(n_bytes), copy_in(n_bytes))
-    return SimpleNamespace(shield=shield, vfs=vfs, copied=copied)
+    return SimpleNamespace(shield=shield, syscalls=syscalls, vfs=vfs, memory=enclave.memory)
 
 
 def stored_path(path, target):
@@ -129,20 +128,20 @@ def test_a_mutated_store_reads_right_or_is_refused_typed(
     rig.shield.drop_caches()
     stats = rig.shield.stats
     opened, repaired = stats.chunks_opened, stats.chunks_repaired
+    manifest = len(rig.vfs.read(PATH).content)
+    touched = rig.memory.bytes_touched
     try:
         content = rig.shield.read_file(PATH)
     except Exception as exc:  # noqa: BLE001 — the type is what is checked
         assert isinstance(exc, ReproError), f"untyped {type(exc).__name__}: {exc}"
         assert not single_replica, f"one damaged replica refused: {exc}"
         assert stats.chunks_opened == opened
-        # Refused before the copy-in, or by the AEAD over it.
-        to_open = body["declared_size"] + body["n_chunks"] * TAG
-        assert sum(rig.copied) in (0, to_open)
+        # Nothing crosses in but the manifest, if the read got that far.
+        assert rig.memory.bytes_touched - touched in (0, manifest)
         return
     assert content == data
-    n_opened = stats.chunks_opened - opened
-    assert n_opened == body["n_chunks"]
-    assert sum(rig.copied) == body["declared_size"] + n_opened * TAG
+    assert stats.chunks_opened - opened == body["n_chunks"]
+    assert rig.memory.bytes_touched - touched == manifest  # nothing but the manifest
     if single_replica and slot_damage:
         assert stats.chunks_repaired > repaired
         repaired = stats.chunks_repaired
@@ -153,8 +152,8 @@ def test_a_mutated_store_reads_right_or_is_refused_typed(
 
 def test_a_replica_rewritten_after_the_scrub_is_refused(monkeypatch):
     """The digest check in the host's buffer only picks a copy: a host
-    that rewrites it between the scrub and the copy-in has the AEAD over
-    the enclave's copy refuse the read — it gains nothing."""
+    that rewrites it between the scrub and the open has the AEAD over its
+    one fetch refuse the read — it gains nothing."""
     rig = make_rig()
     rig.shield.write_file(PATH, bytes(range(256)) * 3)
     rig.shield.drop_caches()
@@ -171,3 +170,44 @@ def test_a_replica_rewritten_after_the_scrub_is_refused(monkeypatch):
     with pytest.raises(ShieldError, match="chunk 1 .* failed authentication"):
         rig.shield.read_file(PATH)
     assert rig.shield.stats.chunks_opened == 0
+
+
+def test_an_extent_rewritten_mid_open_reads_right_or_is_refused(monkeypatch):
+    """The host hands every extent over as a ``bytearray`` it keeps, and
+    rewrites a ciphertext byte of each chunk just after the AEAD has
+    checked that chunk's tag.  The scrub's views point into those
+    buffers, so only the one fetch per chunk stands between the host and
+    a decrypt of bytes no tag covered: the read returns what was written
+    or is refused, nothing else.  (A scrub that slices each chunk into a
+    private copy passes this whatever the open does; it guards the
+    views.)"""
+    rig = make_rig()
+    data = bytes(range(256)) * 3
+    rig.shield.write_file(PATH, data)
+    rig.shield.drop_caches()
+    slots = [chunk_slot(rig.vfs, PATH, index) for index in range(3)]
+    handed, checked = [], []
+
+    def hostile(name, result):
+        if name == "read" and CHUNK_MARKER in result.path:
+            handed.append(bytearray(result.content))
+            return VirtualFile(result.path, handed[-1], result.declared_size, result.version)
+        return result
+
+    mac = chacha.poly1305_mac
+
+    def rewriting_mac(key, message, *args):
+        tag = mac(key, message, *args)
+        start = slots[len(checked)][0]
+        for buffer in handed:
+            buffer[start] ^= 0x01
+        checked.append(start)
+        return tag
+
+    rig.syscalls.hostile_hook = hostile
+    monkeypatch.setattr(chacha, "poly1305_mac", rewriting_mac)
+    try:
+        assert rig.shield.read_file(PATH) == data
+    except ShieldError:
+        pass
+    assert len(handed) == 2 and checked  # both replicas handed over, and rewritten

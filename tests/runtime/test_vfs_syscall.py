@@ -249,9 +249,8 @@ def test_outside_hw_the_whole_payload_is_copied(mode):
 def test_hw_read_copies_in_only_what_the_enclave_keeps(vfs, cpu, enclave_bytes):
     """A read pays its calls whatever it copies; a caller that names
     ``enclave_bytes`` gets at most that many of the bytes stored — never
-    a declared size's stand-in — and ``copy_in`` charges the rest later,
-    at the same bandwidth."""
-    syscalls, clock = make_syscalls(vfs, SgxMode.HW, cpu)
+    a declared size's stand-in.  The rest stays in the host's buffer."""
+    syscalls, _ = make_syscalls(vfs, SgxMode.HW, cpu)
     memory = syscalls._enclave.memory
     payload = b"x" * (2 * IO_CHUNK + 5)
     vfs.write("/a", payload, declared_size=4 * IO_CHUNK)
@@ -262,23 +261,16 @@ def test_hw_read_copies_in_only_what_the_enclave_keeps(vfs, cpu, enclave_bytes):
     assert syscalls.stats.calls - calls == 6  # open, read, 3 continuations, close
     assert syscalls.stats.bytes_read == 4 * IO_CHUNK
 
-    touched, start = memory.bytes_touched, clock.now
-    syscalls.copy_in(IO_CHUNK)
-    assert memory.bytes_touched - touched == IO_CHUNK
-    assert clock.now - start == pytest.approx(IO_CHUNK / CM.enclave_memory_bandwidth)
-
 
 @pytest.mark.parametrize("mode", [SgxMode.NATIVE, SgxMode.SIM])
 def test_outside_hw_a_read_copies_everything(mode):
-    """NATIVE / SIM: the kernel→user copy is no caller's to skip, and
-    ``copy_in`` has nothing left to copy."""
+    """NATIVE / SIM: the kernel→user copy is no caller's to skip."""
     elapsed = []
     for enclave_bytes in (None, 0):
         vfs = VirtualFileSystem()
         vfs.write("/a", b"x" * 5, declared_size=2 * IO_CHUNK + 5)
         syscalls, clock = make_syscalls(vfs, mode)
         syscalls.read_file("/a", enclave_bytes=enclave_bytes)
-        syscalls.copy_in(IO_CHUNK)
         syscalls.flush()
         elapsed.append(clock.now)
     assert elapsed[0] == elapsed[1]

@@ -66,9 +66,12 @@ def run_plane():
     return plane, stats
 
 
-def test_the_tick_timeline_is_pinned(monkeypatch):
+def test_the_tick_timeline_is_pinned(monkeypatch, request):
     fired = record_ticks(monkeypatch)
     plane, stats = run_plane()
+    # Its monitoring session installed a flight recorder and an incident
+    # pipeline in the probe sink; closing the plane takes them out.
+    request.addfinalizer(plane.close)
     # The plane did what the pin is for: the autoscaler scaled out twice
     # from its ticks and the watchdog restarted the crashed replica.
     assert [e.split()[0] for e in plane.autoscaler.events] == ["scale-out"] * 2
