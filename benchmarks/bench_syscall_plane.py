@@ -9,20 +9,31 @@ transitions, in HW mode:
 - a handler-thread sweep (starvation → the plane degrades to sync
   fallbacks at 0 handlers, queues at 1, breathes at 4);
 - a scheduler-occupancy sweep (the kernel overlap is *measured* from
-  runnable-thread occupancy, not a constant).
+  runnable-thread occupancy, not a constant);
+- the ring per fs-shield operation on ``shield_write`` / ``shield_read``'s
+  geometry (544 KiB, 64 KiB chunks, two replicas, an 8-thread HW
+  enclave): the syscall wait a write, a cold read, the warm read after
+  it and a warm read after a warm read leave exposed, and the handler
+  wake-ups each pays.
 
-Results go to ``BENCH.json`` under ``syscall_plane``.
+Results go to ``BENCH.json`` under ``syscall_plane``; the section it
+replaces is kept under ``previous``.
 """
 
 import pytest
 
-from harness import fmt_ms, print_table, record, run_once, save_bench
+from harness import fmt_ms, load_bench, print_table, record, run_once, save_bench
 
 from repro._sim import DeterministicRng, SimClock
 from repro.enclave.attestation import ProvisioningAuthority
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import EnclaveImage, Segment, SgxCpu, SgxMode
-from repro.runtime.fs_shield import FileSystemShield, PathRule, ShieldPolicy
+from repro.runtime.fs_shield import (
+    FileSystemShield,
+    LocalFreshnessTracker,
+    PathRule,
+    ShieldPolicy,
+)
 from repro.runtime.syscall import SyscallInterface
 from repro.runtime.syscall_plane import SyscallPlaneConfig
 from repro.runtime.threading_ul import UserLevelScheduler
@@ -65,6 +76,46 @@ def _shield_over(syscalls, clock):
     )
 
 
+SHIELD_OPS = ("write", "cold_read", "warm_read", "warm_after_warm_read")
+
+
+def _shield_ops():
+    """{op: (exposed syscall wait in µs, handler wake-ups)} of one
+    overwrite, one cold read, the warm read after it and one more."""
+    rng = DeterministicRng(11, label="plane-bench-shield")
+    clock = SimClock()
+    cpu = SgxCpu(
+        "cpu-shield", CM, clock, ProvisioningAuthority(rng.child("intel")), rng.child("cpu")
+    )
+    enclave = cpu.create_enclave(
+        EnclaveImage("shield", [Segment.from_content("b", b"x", "code")]), SgxMode.HW
+    )
+    syscalls = SyscallInterface(
+        VirtualFileSystem(), CM, clock, mode=SgxMode.HW, enclave=enclave
+    )
+    shield = FileSystemShield(
+        syscalls, bytes(range(32)), [PathRule("/secure/", ShieldPolicy.ENCRYPT)],
+        CM, clock, freshness=LocalFreshnessTracker(), replicas=2,
+        memory=enclave.memory,
+    )
+    data = bytes(range(256)) * (544 * 4)
+    shield.write_file("/secure/f", data)
+    stats, ops = syscalls.stats, {}
+    for op in SHIELD_OPS:
+        if op == "cold_read":
+            shield.drop_caches()
+        exposed, wakeups = stats.overlap_exposed_time, stats.handler_wakeups
+        if op == "write":
+            shield.write_file("/secure/f", data[::-1])
+        else:
+            shield.read_file("/secure/f")
+        ops[op] = (
+            (stats.overlap_exposed_time - exposed) * 1e6,
+            stats.handler_wakeups - wakeups,
+        )
+    return ops
+
+
 def test_bench_syscall_plane(benchmark):
     def scenario():
         metrics = {}
@@ -102,6 +153,11 @@ def test_bench_syscall_plane(benchmark):
             metrics[f"handlers_{handlers}_sync_fallbacks"] = (
                 syscalls.stats.sync_fallbacks
             )
+
+        # -- the ring per fs-shield operation -------------------------
+        for op, (exposed_us, wakeups) in _shield_ops().items():
+            metrics[f"shield_{op}_exposed_wait_us"] = exposed_us
+            metrics[f"shield_{op}_wakeups"] = wakeups
 
         # -- occupancy sweep: measured kernel overlap -----------------
         for runnable in (1, 2, 8):
@@ -145,11 +201,22 @@ def test_bench_syscall_plane(benchmark):
             for r in (1, 2, 8)
         ],
     )
+    print_table(
+        "The ring per fs-shield operation — HW, 544 KiB, 2 replicas",
+        ("operation", "exposed syscall wait", "handler wake-ups"),
+        [
+            (op, f"{metrics[f'shield_{op}_exposed_wait_us']:.2f} µs",
+             metrics[f"shield_{op}_wakeups"])
+            for op in SHIELD_OPS
+        ],
+    )
     record(benchmark, **metrics)
+    previous = load_bench("syscall_plane")
+    previous.pop("previous", None)
     save_bench(
         "syscall_plane",
-        {k: (round(v, 3) if isinstance(v, float) else v)
-         for k, v in metrics.items()},
+        {**{k: (round(v, 3) if isinstance(v, float) else v)
+            for k, v in metrics.items()}, "previous": previous},
     )
     # The exit-less interface must be measurably cheaper than sync
     # transitions, and the overlap must grow with occupancy.

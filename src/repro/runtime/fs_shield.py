@@ -25,12 +25,17 @@ application threads, plus the caller — and floored at the bytes the
 pass moves through the enclave's memory over its bandwidth (a seal
 reads its plaintext once, an open reads the ciphertext where it lies
 and writes the plaintext: twice; 7.5 GB/s through the MEE in HW,
-18 GB/s in SIM).  It never exceeds the serial charge, which is what
-one thread and an owner-side shield outside any enclave pay: an HW
-write lands on the MEE floor, an HW open's floor is above the serial
+18 GB/s in SIM), even where that floor is above the serial charge: an
+HW write lands on the MEE floor, and so does an HW open, on one thread
+or eight.  An owner-side shield outside any enclave pays the serial
 charge.  The helpers are not application threads and leave the
 scheduler's ``runnable`` alone.
-The seal is charged before its extents reach the ring.  A read pays
+The syscalls ride under the crypto.  A write opens every file it will
+write before it seals, and the seal is charged chunk by chunk: each
+256 KiB piece of the extents reaches the ring once every chunk it holds
+a byte of is sealed, so no piece is ever written before it is sealed.
+A cold read submits every replica's reads together and decrypts each
+piece once it has landed in every replica.  A read pays
 for the chunks it opens: every chunk carries its share of the declared
 size, a chunk served from the plaintext cache costs one in-enclave copy
 of its share instead of a decrypt, and the cache's capacity is counted
@@ -95,8 +100,10 @@ import hashlib
 import struct
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro._sim import probe
@@ -112,7 +119,6 @@ from repro.errors import (
     IagoError,
     IntegrityError,
     ShieldError,
-    SyscallError,
 )
 from repro.runtime import stats_registry
 from repro.runtime.syscall import SyscallInterface
@@ -330,40 +336,64 @@ class FileSystemShield:
         # cannot verify, because the AAD binds the version in full.
         return struct.pack(">IQ", version & 0xFFFFFFFF, index)
 
-    def _charge_crypto(self, simulated_bytes: int, passes: int) -> None:
-        """Charge sealing (``passes=1``: the plaintext is read once) or
+    def _charge_crypto(
+        self, shares: List[Optional[int]], passes: int
+    ) -> Callable[[int], None]:
+        """Book sealing (``passes=1``: the plaintext is read once) or
         opening (``passes=2``: the ciphertext is read where it lies and
-        the plaintext written) ``simulated_bytes``.
+        the plaintext written) the chunks with simulated ``shares`` (None:
+        a chunk this pass leaves alone), and return ``through(count)``,
+        which charges those of the first ``count`` chunks not charged yet.
 
-        The serial charge is the per-thread AES-NI rate plus the per-chunk
-        bookkeeping.  Inside an enclave the chunks are independent, so
-        they are spread over ``min(chunks, idle threads)`` helpers, and
-        the pass can go no faster than the enclave's memory moves its
-        bytes; it never costs more than the serial charge.  Outside one
-        (the owner's side) a single thread does it all."""
-        n_chunks = max(1, -(-simulated_bytes // self._chunk_size))
+        The duration is the per-thread AES-NI rate plus the per-chunk
+        bookkeeping over the shares' sum.  Inside an enclave the chunks
+        are independent, so they are spread over ``min(chunks, idle
+        threads)`` helpers, and the pass goes no faster than the
+        enclave's memory moves its bytes.  Outside one (the owner's side)
+        a single thread does it all.  Each chunk is charged its share of
+        the duration when its piece of the file is reached: a write hands
+        a piece to the ring once it is sealed, a read opens a piece once
+        it has landed."""
+        simulated = sum(share for share in shares if share is not None)
+        n_chunks = max(1, -(-simulated // self._chunk_size))
         duration = (
-            simulated_bytes / self._model.fs_shield_crypto_bandwidth
+            simulated / self._model.fs_shield_crypto_bandwidth
             + n_chunks * self._model.fs_shield_chunk_overhead
         )
         if self._memory is not None:
             helpers = min(n_chunks, self._scheduler.idle_threads)
-            floor = passes * simulated_bytes / self._memory.bandwidth
-            duration = min(
-                max(self._scheduler.parallel_duration(duration, helpers), floor),
-                duration,
+            duration = max(
+                self._scheduler.parallel_duration(duration, helpers),
+                passes * simulated / self._memory.bandwidth,
             )
-        self._clock.advance(duration)
-        if probe.SINK is not None:
-            probe.SINK.charge(
-                self._clock,
-                "crypto",
-                duration,
-                count=n_chunks,
-                histogram="fs.chunk_crypto",
-            )
-        self.stats.crypto_bytes += simulated_bytes
+        self.stats.crypto_bytes += simulated
         self.stats.crypto_time += duration
+        reached, charged, covered = 0, 0.0, 0
+
+        def through(count: int) -> None:
+            nonlocal reached, charged, covered
+            if count <= reached:
+                return
+            taken = [share for share in shares[reached:count] if share is not None]
+            reached, covered = count, covered + sum(taken)
+            target = (
+                duration if count >= len(shares)
+                else duration * covered / simulated if simulated else 0.0
+            )
+            piece, charged = target - charged, target
+            if piece <= 0.0:
+                return
+            self._clock.advance(piece)
+            if probe.SINK is not None:
+                probe.SINK.charge(
+                    self._clock,
+                    "crypto",
+                    piece,
+                    count=len(taken),
+                    histogram="fs.chunk_crypto",
+                )
+
+        return through
 
     def _charge_copy(self, simulated_bytes: int) -> None:
         """A cache hit is not free: the cached bytes are copied to the
@@ -439,17 +469,6 @@ class FileSystemShield:
             _, (_, evicted) = self._chunk_cache.popitem(last=False)
             self._chunk_cache_used -= evicted
 
-    def _warm_chunk_cache(
-        self, path: str, version: int, digest: bytes, chunks: List[bytes], simulated: int
-    ) -> None:
-        """Cache a file just written: an immediate read-back (model deploy
-        followed by service start) then skips the decrypt entirely."""
-        shares = self._simulated_shares(
-            simulated, sum(map(len, chunks)), self._chunk_size, len(chunks)
-        )
-        for index, (chunk, share) in enumerate(zip(chunks, shares)):
-            self._chunk_cache_put(path, version, digest, index, chunk, share)
-
     # ------------------------------------------------------------------
     # Chunk protection
     # ------------------------------------------------------------------
@@ -482,7 +501,9 @@ class FileSystemShield:
         version: int,
         digest: bytes,
         shares: List[int],
-        load: Callable[[], Tuple[List[memoryview], Optional[Callable[[], None]]]],
+        load: Callable[
+            [Callable[[int], None]], Tuple[List[memoryview], Optional[Callable[[], None]]]
+        ],
     ) -> List[bytes]:
         """Every chunk's plaintext, from the cache where it is there.
 
@@ -510,8 +531,12 @@ class FileSystemShield:
         self._charge_copy(sum(shares) - to_open)
         if not missing:
             return parts
-        self._charge_crypto(to_open, passes=2)
-        stored, heal = load()
+        decrypt = self._charge_crypto(
+            [share if part is None else None for share, part in zip(shares, parts)],
+            passes=2,
+        )
+        stored, heal = load(decrypt)
+        decrypt(n_chunks)
         # Opened where they lie, in the host's buffer: each chunk is read
         # once, and that one read is what is authenticated and decrypted,
         # whatever the host writes there meanwhile.
@@ -594,15 +619,26 @@ class FileSystemShield:
         self._account_real_crypto(
             crypto_label, len(plaintext), time.perf_counter() - started
         )
-        # The seal is done before any extent it produces reaches the ring.
-        self._charge_crypto(simulated, passes=1)
+        shares = self._simulated_shares(
+            simulated, len(plaintext), self._chunk_size, len(chunks)
+        )
+        seal = self._charge_crypto(shares, passes=1)
+        starts = list(accumulate((len(blob) for blob in protected[:-1]), initial=0))
 
         # The crash-consistent commit: shadow extents -> pending manifest
-        # -> atomic rename flip -> freshness commit -> GC.
+        # -> atomic rename flip -> freshness commit -> GC.  Every file it
+        # writes is opened first, under the seal, and each piece of the
+        # extents reaches the ring once every chunk it holds a byte of is
+        # sealed.
+        extents = [self._extent_path(path, version, r) for r in range(self._replicas)]
+        pending = path + COMMIT_SUFFIX
+        opened = self._syscalls.open_files(extents + [pending])
         self._syscalls.write_files(
-            [self._extent_path(path, version, r) for r in range(self._replicas)],
+            extents,
             b"".join(protected),
             enclave_bytes=0,  # sealed into the host's buffer
+            produce=lambda stop: seal(bisect_left(starts, stop)),
+            opened=opened[:-1],
         )
         self.stats.replicas_written += self._replicas * len(protected)
         body_bytes = encoding.encode(
@@ -621,14 +657,14 @@ class FileSystemShield:
         manifest = encoding.encode(
             {"body": body_bytes, "mac": self._manifest_mac(path, body_bytes)}
         )
-        pending = path + COMMIT_SUFFIX
         # A caller's declared size rides on the manifest write (the
         # extents pay for their real bytes), floored at the manifest's
         # own length.  It stands in for sealed bytes, so only the
         # manifest, built and MAC'd in the enclave, is copied out of it.
         declared = None if declared_size is None else max(declared_size, len(manifest))
         self._syscalls.write_file(
-            pending, manifest, declared_size=declared, enclave_bytes=len(manifest)
+            pending, manifest, declared_size=declared, enclave_bytes=len(manifest),
+            opened=opened[-1],
         )
         self._syscalls.rename(pending, path)  # THE commit point
         self.stats.files_written += 1
@@ -636,7 +672,10 @@ class FileSystemShield:
         if self._freshness is not None:
             self._freshness.commit(path, version, digest)
         self._gc_generations(path, version, self._syscalls.list_dir(path + CHUNK_MARKER))
-        self._warm_chunk_cache(path, version, digest, chunks, simulated)
+        for index, (chunk, share) in enumerate(zip(chunks, shares)):
+            # An immediate read-back (model deploy, then service start)
+            # skips the decrypt entirely.
+            self._chunk_cache_put(path, version, digest, index, chunk, share)
 
     # ------------------------------------------------------------------
     # Read path
@@ -654,8 +693,10 @@ class FileSystemShield:
             return file.content
         body, digest = self._authenticated_manifest(path, policy, file.content)
 
-        def load() -> Tuple[List[memoryview], Callable[[], None]]:
-            blobs, heal = self._scrub_extents(path, body)
+        def load(
+            decrypt: Callable[[int], None]
+        ) -> Tuple[List[memoryview], Callable[[], None]]:
+            blobs, heal = self._scrub_extents(path, body, decrypt)
             if None in blobs:
                 raise ShieldError(
                     f"chunk {blobs.index(None)} of {path!r}: no intact replica remains"
@@ -763,11 +804,13 @@ class FileSystemShield:
                 self._syscalls.unlink(extent)
 
     def _scrub_extents(
-        self, path: str, body: dict
+        self, path: str, body: dict, reached: Optional[Callable[[int], None]] = None
     ) -> Tuple[List[Optional[memoryview]], Callable[[], None]]:
         """Fetch every replica's extent once and check it slot by slot
         against the manifest digests.  Returns (per chunk: a view of the
         first intact copy in the host's buffer, or None; ``heal``).
+        The replicas are read together; ``reached(count)`` hears when the
+        first ``count`` chunks have landed in every replica.
 
         ``heal()`` re-replicates the intact copies into every damaged
         replica — never in place: a damaged extent may hold the only
@@ -778,13 +821,21 @@ class FileSystemShield:
         slots, digests = self._extent_slots(body), body["chunk_digests"]
         blobs: List[Optional[memoryview]] = [None] * len(slots)
         damaged: Dict[str, Tuple[bytes, List[int]]] = {}  # by extent path
-        for replica in range(body["replicas"]):
-            target = self._extent_path(path, body["version"], replica)
-            try:
-                # Checked, and later opened, where it lies.
-                extent = self._syscalls.read_file(target, enclave_bytes=0).content
-            except SyscallError:
-                extent = b""  # a missing replica has lost every chunk
+        targets = [
+            self._extent_path(path, body["version"], replica)
+            for replica in range(body["replicas"])
+        ]
+        stops = [stop for _, stop in slots]
+        files = self._syscalls.read_files(
+            targets,
+            enclave_bytes=0,  # checked, and later opened, where it lies
+            landed=None if reached is None else (
+                lambda stop: reached(bisect_right(stops, stop))
+            ),
+        )
+        for target, file in zip(targets, files):
+            # A missing replica has lost every chunk.
+            extent = file.content if file is not None else b""
             view = memoryview(extent)
             for index, (start, stop) in enumerate(slots):
                 blob = view[start:stop]

@@ -26,7 +26,7 @@ ring is rejected exactly like a hostile synchronous return value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
@@ -149,32 +149,73 @@ class SyscallInterface:
         self.stats.calls += n
         self.stats.by_name[name] = self.stats.by_name.get(name, 0) + n
 
+    def _submit(self, name: str, ahead: bool = False) -> float:
+        """Charge one result-bearing syscall up to its submission and
+        return when it completes.  On the ring the caller works on until
+        it needs the result (:meth:`_wait`; ``ahead``: not at once); a
+        trap or a synchronous transition is paid here, whole."""
+        self._count(name)
+        before = self._clock.now
+        if self.plane is not None:
+            completion = self.plane.submit(name, ahead=ahead)
+        else:
+            self._trap()
+            completion = self._clock.now
+        self.stats.time += self._clock.now - before
+        return completion
+
+    def _wait(self, completion: float) -> None:
+        """Wait for what :meth:`_submit` returned (nothing off the ring)."""
+        if self.plane is not None:
+            before = self._clock.now
+            self.plane.wait(completion)
+            self.stats.time += self._clock.now - before
+
+    def _trap(self, count: int = 1) -> None:
+        """``count`` syscalls off the ring: NATIVE traps or HW-sync exits."""
+        model = self._model
+        before = self._clock.now
+        for _ in range(count):
+            if self._mode is SgxMode.NATIVE:
+                self._clock.advance(model.syscall_trap_cost + model.syscall_kernel_cost)
+            else:  # HW, synchronous
+                assert self._enclave is not None
+                self.stats.transitions += 1
+                self._enclave.cpu.transition(asynchronous=False)
+                self._clock.advance(model.syscall_kernel_cost)
+        if probe.SINK is not None:
+            # The plane charges its own advances.
+            probe.SINK.charge(
+                self._clock, "syscall_ring", self._clock.now - before, count=count
+            )
+
     def _charge(self, name: str, posted: bool = False) -> None:
         """Charge the boundary-crossing cost of one syscall.
 
         ``posted`` marks fire-and-forget calls (writes, closes, unlinks,
         sends): on the ring they batch and never wait for completion.
         """
+        if not posted or self.plane is None:
+            self._wait(self._submit(name))
+            return
         self._count(name)
-        model = self._model
         before = self._clock.now
+        self.plane.post(name)
+        self.stats.time += self._clock.now - before
 
-        if self.plane is not None:
-            if posted:
-                self.plane.post(name)
-            else:
-                self.plane.call(name)
-        elif self._mode is SgxMode.NATIVE:
-            self._clock.advance(model.syscall_trap_cost + model.syscall_kernel_cost)
-        else:  # HW, synchronous
-            assert self._enclave is not None
-            self.stats.transitions += 1
-            self._enclave.cpu.transition(asynchronous=False)
-            self._clock.advance(model.syscall_kernel_cost)
-        if probe.SINK is not None and self.plane is None:
-            # The plane charges its own advances; trap/transition paths
-            # are attributed here.
-            probe.SINK.charge(self._clock, "syscall_ring", self._clock.now - before)
+    def _hand_off(self, name: str, count: int) -> None:
+        """Post ``count`` calls and send them to a ring handler that is
+        awake; while every handler is parked they wait for the next
+        flush, so a hand-off never pays a wake-up."""
+        if self.plane is None:
+            for _ in range(count):
+                self._charge(name)
+            return
+        self._count(name, count)
+        before = self._clock.now
+        for _ in range(count):
+            self.plane.post(name, wake=False)
+        self.plane.flush(wake=False)
         self.stats.time += self._clock.now - before
 
     def _charge_batch(self, name: str, count: int) -> None:
@@ -187,21 +228,7 @@ class SyscallInterface:
         if self.plane is not None:
             self.plane.call_batch(name, count)
         else:
-            model = self._model
-            for _ in range(count):
-                if self._mode is SgxMode.NATIVE:
-                    self._clock.advance(
-                        model.syscall_trap_cost + model.syscall_kernel_cost
-                    )
-                else:
-                    assert self._enclave is not None
-                    self.stats.transitions += 1
-                    self._enclave.cpu.transition(asynchronous=False)
-                    self._clock.advance(model.syscall_kernel_cost)
-            if probe.SINK is not None:
-                probe.SINK.charge(
-                    self._clock, "syscall_ring", self._clock.now - before, count=count
-                )
+            self._trap(count)
         self.stats.time += self._clock.now - before
 
     def _charge_copy(self, n_bytes: int) -> None:
@@ -237,24 +264,87 @@ class SyscallInterface:
         checks digests and opens chunks in place.  NATIVE and SIM copy
         everything read: there
         the copy is the kernel's kernel→user one, which no caller skips."""
-        self._charge("open")
-        self._charge("read")
-        file = self._vfs.read(path)
-        result = self._maybe_hostile("read", file)
-        if not isinstance(result, VirtualFile):
-            raise SyscallError("kernel returned a non-file object for read")
-        iago.check_size_result(result.size)
-        iago.check_read_result(result.size, result.content[: result.size + 1])
-        # The payload arrives in IO_CHUNK pieces, each a syscall; the
-        # continuations submit as one batch the handlers drain in parallel.
-        self._charge_batch("rw_continuation", max(1, -(-result.size // IO_CHUNK)) - 1)
-        crossing = result.size
-        if self._mode is SgxMode.HW and enclave_bytes is not None:
-            crossing = min(enclave_bytes, len(result.content))
-        self._charge_copy(crossing)
-        self.stats.bytes_read += result.size
-        self._charge("close", posted=True)
+        (result,) = self._read([path], enclave_bytes)
+        if isinstance(result, SyscallError):
+            raise result
         return result
+
+    def read_files(
+        self,
+        paths: Sequence[str],
+        enclave_bytes: Optional[int] = None,
+        landed: Optional[Callable[[int], None]] = None,
+    ) -> List[Optional[VirtualFile]]:
+        """Read whole files together (the replicas of a shield extent),
+        each as :meth:`read_file` does; a path the kernel cannot read
+        comes back None.
+
+        Every path's ``open`` is submitted as one batch, then every
+        file's ``read``, then — once those tell the sizes — every file's
+        IO_CHUNK continuations, piece by piece, so the handlers drain
+        them in parallel.  ``landed(stop)`` is called as soon as the
+        first ``stop`` bytes of every file are in: the caller works on
+        what it holds while the rest arrives."""
+        return [
+            None if isinstance(result, SyscallError) else result
+            for result in self._read(paths, enclave_bytes, landed)
+        ]
+
+    def _read(
+        self,
+        paths: Sequence[str],
+        enclave_bytes: Optional[int],
+        landed: Optional[Callable[[int], None]] = None,
+    ) -> List[Union[VirtualFile, SyscallError]]:
+        for completion in [self._submit("open") for _ in paths]:
+            self._wait(completion)
+        results: List[Union[VirtualFile, SyscallError]] = []
+        pieces: List[List[float]] = []  # per file: each piece's completion
+        for path in paths:
+            pieces.append([self._submit("read")])
+            try:
+                result = self._maybe_hostile("read", self._vfs.read(path))
+                if not isinstance(result, VirtualFile):
+                    raise SyscallError("kernel returned a non-file object for read")
+            except SyscallError as exc:
+                results.append(exc)
+                continue
+            iago.check_size_result(result.size)
+            iago.check_read_result(result.size, result.content[: result.size + 1])
+            results.append(result)
+        # The first pieces tell every file's size; the rest go out together.
+        self._wait(max(done[0] for done in pieces))
+        sizes = [result.size if isinstance(result, VirtualFile) else 0 for result in results]
+        count = max(1, -(-max(sizes) // IO_CHUNK))
+        for index in range(1, count):  # piece by piece, every file's
+            for size, done in zip(sizes, pieces):
+                if size > index * IO_CHUNK:
+                    done.append(self._submit("rw_continuation"))
+        for index in range(count):
+            if landed is None and index < count - 1:
+                continue  # nobody works on a piece: wait for the last
+            self._wait(max(max(done[: index + 1]) for done in pieces))
+            closing = 0  # the files read to their end
+            for result, done in zip(results, pieces):
+                if isinstance(result, VirtualFile) and (
+                    landed is None or len(done) == index + 1
+                ):
+                    crossing = result.size
+                    if self._mode is SgxMode.HW and enclave_bytes is not None:
+                        crossing = min(enclave_bytes, len(result.content))
+                    self._charge_copy(crossing)
+                    self.stats.bytes_read += result.size
+                    closing += 1
+            self._hand_off("close", closing)
+            if landed is not None:
+                landed((index + 1) * IO_CHUNK)
+        return results
+
+    def open_files(self, paths: Sequence[str]) -> List[float]:
+        """Submit every path's ``open`` as one batch, ahead of work the
+        caller does before it writes them; returns their completions,
+        for :meth:`write_files`' ``opened``."""
+        return [self._submit("open", ahead=True) for _ in paths]
 
     def write_file(
         self,
@@ -262,9 +352,13 @@ class SyscallInterface:
         content: bytes,
         declared_size: Optional[int] = None,
         enclave_bytes: Optional[int] = None,
+        opened: Optional[float] = None,
     ) -> VirtualFile:
         """Write a whole file (create or replace)."""
-        return self.write_files([path], content, declared_size, enclave_bytes)[0]
+        return self.write_files(
+            [path], content, declared_size, enclave_bytes,
+            opened=None if opened is None else [opened],
+        )[0]
 
     def write_files(
         self,
@@ -272,19 +366,27 @@ class SyscallInterface:
         content: bytes,
         declared_size: Optional[int] = None,
         enclave_bytes: Optional[int] = None,
+        produce: Optional[Callable[[int], None]] = None,
+        opened: Optional[List[float]] = None,
     ) -> List[VirtualFile]:
         """Write one payload to every path (the replicas of a shield
         extent).
 
-        Every destination pays its own ``open``, posted ``write`` +
+        Every destination pays its own ``open`` — submitted together,
+        first, unless :meth:`open_files` submitted them earlier and
+        ``opened`` holds what it returned —, posted ``write`` +
         continuations and posted ``close``, and counts in
-        ``bytes_written``.  The payload is copied at most once, with the
-        first destination, and only what the enclave holds of it: in HW
-        mode that is ``enclave_bytes`` (default: all of it) — the rest is
-        sealed output the file-system shield wrote straight into the
-        host's buffer, where the host already holds it.  NATIVE and SIM
-        copy the whole payload: there the copy is the kernel's
-        user→kernel one, which no seal skips.
+        ``bytes_written``.  The payload goes out in
+        IO_CHUNK pieces: ``produce(stop)`` charges the making of its
+        first ``stop`` bytes (the shield's seal) before the piece that
+        ends there, whose calls are handed to an awake ring handler as
+        soon as it is made.  The payload is copied at most once, with
+        the first destination, piece by piece, and only what the enclave
+        holds of it: in HW mode that is ``enclave_bytes`` (default: all
+        of it) — the rest is sealed output the file-system shield wrote
+        straight into the host's buffer, where the host already holds
+        it.  NATIVE and SIM copy the whole payload: there the copy is the
+        kernel's user→kernel one, which no seal skips.
 
         Each destination's write count is checked: more than was handed
         over is an Iago attack (:class:`IagoError`), fewer is a failed
@@ -294,14 +396,24 @@ class SyscallInterface:
         crossing = size
         if self._mode is SgxMode.HW and enclave_bytes is not None:
             crossing = min(enclave_bytes, size)
+        opens = self.open_files(paths) if opened is None else opened
+        for index in range(max(1, -(-size // IO_CHUNK))):
+            start, stop = index * IO_CHUNK, min((index + 1) * IO_CHUNK, size)
+            if produce is not None:
+                produce(stop)
+            for completion in opens:
+                self._wait(completion)
+            opens = []
+            if min(crossing, stop) > start:
+                self._charge_copy(min(crossing, stop) - start)
+            name = "rw_continuation" if index else "write"
+            if produce is None:
+                for _ in paths:
+                    self._charge(name, posted=True)
+            else:
+                self._hand_off(name, len(paths))
         files: List[VirtualFile] = []
         for path in paths:
-            self._charge("open")
-            self._charge("write", posted=True)
-            for _ in range(max(1, -(-size // IO_CHUNK)) - 1):
-                self._charge("rw_continuation", posted=True)
-            if not files:
-                self._charge_copy(crossing)
             self.stats.bytes_written += size
             previous = self._vfs.lookup(path)
             files.append(self._vfs.write(path, content, declared_size=declared_size))
@@ -313,7 +425,7 @@ class SyscallInterface:
                 raise ShortWriteError(
                     f"kernel wrote {written} of {size} bytes to {path!r}"
                 )
-            self._charge("close", posted=True)
+        self._hand_off("close", len(paths))
         return files
 
     def stat(self, path: str) -> int:

@@ -16,13 +16,19 @@ with the mechanism itself:
   next becomes free; a request is served by the earliest-free handler,
   so kernel service time queues mechanistically under load;
 - **sleep/wake**: a handler idle longer than ``handler_spin_time``
-  parks on a futex, and the next submission pays a *real* enclave
-  transition to wake it — the exit-less path only wins while traffic
-  keeps handlers spinning;
+  parks on a futex, and waking it costs a *real* enclave transition —
+  the exit-less path only wins while traffic keeps handlers spinning.
+  A request goes to the awake handler that serves it first; a parked
+  one is woken only when that serves it sooner, wake included;
+- **submission ahead of the wait**: :meth:`SyscallPlane.submit` returns
+  a completion, and the caller calls :meth:`~SyscallPlane.wait` on it
+  once it needs the result, so its own work (a seal, a decrypt) hides
+  the kernel's; ``call`` is the two back to back;
 - **batched submission** for fire-and-forget calls (writes, closes,
   unlinks, sends): requests buffer and flush together — on batch
   overflow, before any result-bearing call, and when the scheduler
-  blocks;
+  blocks; a mid-computation hand-off (``flush(wake=False)``) goes out
+  only while a handler is awake;
 - **synchronous fallback**: when every handler is busy far enough into
   the future that a classic synchronous transition would be faster
   (handler starvation), the call takes the old-fashioned exit instead;
@@ -199,8 +205,15 @@ class SyscallPlane:
         earliest = min(self._handlers)
         return earliest - self._clock.now > self._sync_exit_cost()
 
-    def _submit_one(self, name: str, kernel_cost: float) -> float:
-        """Write one request into the ring; returns its completion time."""
+    def _submit_one(self, name: str, kernel_cost: float, wake: bool = True) -> float:
+        """Write one request into the ring; returns its completion time.
+
+        The request goes to the awake handler (busy, or spinning within
+        ``handler_spin_time``) that serves it first.  A parked handler is
+        woken only when that serves it sooner — when every awake one is
+        busy further ahead than the wake costs the caller, the test
+        :meth:`_starved` makes against a synchronous exit — and never
+        when ``wake`` is false (the caller checked one is awake)."""
         self._acquire_slot()
         before = self._clock.now  # after the slot wait: stalls are backpressure
         if self._enclave is not None:
@@ -210,9 +223,16 @@ class SyscallPlane:
         self.stats.ring_submissions += 1
 
         now = self._clock.now
-        index = min(range(len(self._handlers)), key=self._handlers.__getitem__)
-        free_at = self._handlers[index]
-        if now - free_at > self._model.handler_spin_time:
+        handlers = self._handlers
+        awake = [i for i, free_at in enumerate(handlers) if not self._parked(free_at, now)]
+        index = min(awake or range(len(handlers)), key=handlers.__getitem__)
+        if wake and len(awake) < len(handlers) and (
+            not awake or handlers[index] - now > self._wake_cost()
+        ):
+            index = min(
+                (i for i in range(len(handlers)) if i not in awake),
+                key=handlers.__getitem__,
+            )
             # The handler spun down and parked on a futex; waking it is a
             # real kernel visit — an enclave exit in HW mode.
             self.stats.handler_wakeups += 1
@@ -220,20 +240,64 @@ class SyscallPlane:
                 self.stats.transitions += 1
                 self._enclave.cpu.transition(asynchronous=False)
             else:
-                self._clock.advance(
-                    self._model.syscall_trap_cost + self._model.syscall_kernel_cost
-                )
+                self._clock.advance(self._wake_cost())
             now = self._clock.now
+        free_at = handlers[index]
         if probe.SINK is not None and now > before:
             probe.SINK.charge(self._clock, "syscall_ring", now - before)
         completion = max(now, free_at) + kernel_cost
-        self._handlers[index] = completion
+        handlers[index] = completion
         heapq.heappush(self._inflight, completion)
         if len(self._inflight) > self.stats.ring_occupancy_peak:
             self.stats.ring_occupancy_peak = len(self._inflight)
         return completion
 
-    def _wait_for(self, completion: float) -> None:
+    def _wake_cost(self) -> float:
+        """What waking a parked handler costs the caller: an enclave exit
+        in HW, a trap and the futex call outside SGX."""
+        if self._enclave is not None:
+            return self._model.sync_transition_cost
+        return self._model.syscall_trap_cost + self._model.syscall_kernel_cost
+
+    def _parked(self, free_at: float, now: float) -> bool:
+        """A handler idle longer than ``handler_spin_time`` sleeps on a futex."""
+        return now - free_at > self._model.handler_spin_time
+
+    # ------------------------------------------------------------------
+    # The entry points the syscall interface uses
+    # ------------------------------------------------------------------
+
+    def _userspace(self, name: str) -> bool:
+        factor = USERSPACE_SYSCALLS.get(name)
+        if factor is None:
+            return False
+        self.stats.userspace_handled += 1
+        duration = self._model.userlevel_switch_cost * factor
+        self._clock.advance(duration)
+        if probe.SINK is not None:
+            probe.SINK.charge(self._clock, "syscall_ring", duration)
+        return True
+
+    def submit(
+        self, name: str, kernel_cost: Optional[float] = None, ahead: bool = False
+    ) -> float:
+        """Submit one result-bearing syscall and return when it completes:
+        the caller works on until it needs the result, then calls
+        :meth:`wait`.  The buffered batch goes first.  A userspace-served
+        call and a synchronous fallback are done on return.  A request
+        submitted ``ahead`` of work the caller does before it waits
+        queues behind busy handlers: a synchronous exit only pays when
+        the caller would wait at once."""
+        if self._userspace(name):
+            return self._clock.now
+        cost = kernel_cost if kernel_cost is not None else self._model.syscall_kernel_cost
+        self.flush()
+        if not self._handlers or (not ahead and self._starved()):
+            self._charge_sync_exit(cost)
+            return self._clock.now
+        return self._submit_one(name, cost)
+
+    def wait(self, completion: float) -> None:
         """Wait for a completion, hiding what runnable threads cover."""
         wait = completion - self._clock.now
         if wait > 0:
@@ -253,31 +317,9 @@ class SyscallPlane:
                 )
         self._reap()
 
-    # ------------------------------------------------------------------
-    # The three entry points the syscall interface uses
-    # ------------------------------------------------------------------
-
-    def _userspace(self, name: str) -> bool:
-        factor = USERSPACE_SYSCALLS.get(name)
-        if factor is None:
-            return False
-        self.stats.userspace_handled += 1
-        duration = self._model.userlevel_switch_cost * factor
-        self._clock.advance(duration)
-        if probe.SINK is not None:
-            probe.SINK.charge(self._clock, "syscall_ring", duration)
-        return True
-
     def call(self, name: str, kernel_cost: Optional[float] = None) -> None:
         """One result-bearing syscall: submit, then wait for completion."""
-        if self._userspace(name):
-            return
-        cost = kernel_cost if kernel_cost is not None else self._model.syscall_kernel_cost
-        self.flush()
-        if self._starved():
-            self._charge_sync_exit(cost)
-            return
-        self._wait_for(self._submit_one(name, cost))
+        self.wait(self.submit(name, kernel_cost))
 
     def call_batch(
         self, name: str, count: int, kernel_cost: Optional[float] = None
@@ -287,24 +329,19 @@ class SyscallPlane:
         caller blocks only on the last completion."""
         if count <= 0:
             return
-        cost = kernel_cost if kernel_cost is not None else self._model.syscall_kernel_cost
         self.flush()
         self.stats.batches += 1
         if count > self.stats.max_batch:
             self.stats.max_batch = count
-        last = 0.0
-        for _ in range(count):
-            if self._starved():
-                self._charge_sync_exit(cost)
-                continue
-            last = max(last, self._submit_one(name, cost))
-        if last > 0.0:
-            self._wait_for(last)
+        self.wait(max(self.submit(name, kernel_cost) for _ in range(count)))
 
-    def post(self, name: str, kernel_cost: Optional[float] = None) -> None:
+    def post(
+        self, name: str, kernel_cost: Optional[float] = None, wake: bool = True
+    ) -> None:
         """One fire-and-forget syscall: buffered, submitted at the next
         flush, never waited on (its kernel time runs entirely on a
-        handler thread)."""
+        handler thread).  A full batch flushes, waking a handler only
+        with ``wake``."""
         if self._userspace(name):
             return
         cost = kernel_cost if kernel_cost is not None else self._model.syscall_kernel_cost
@@ -314,12 +351,19 @@ class SyscallPlane:
             return
         self._pending.append((name, cost))
         if len(self._pending) >= self.config.batch_max:
-            self.flush()
+            self.flush(wake=wake)
 
-    def flush(self, on_block: bool = False) -> None:
-        """Submit every buffered fire-and-forget request."""
+    def flush(self, on_block: bool = False, wake: bool = True) -> None:
+        """Submit every buffered fire-and-forget request.  With ``wake``
+        false they go only to a handler already awake, and stay buffered
+        for the next flush while every handler is parked: a hand-off in
+        the middle of a computation never pays an enclave exit."""
         if not self._pending:
             return
+        if not wake:
+            now = self._clock.now
+            if all(self._parked(free_at, now) for free_at in self._handlers):
+                return
         pending, self._pending = self._pending, []
         self.stats.batches += 1
         if len(pending) > self.stats.max_batch:
@@ -327,4 +371,4 @@ class SyscallPlane:
         if on_block:
             self.stats.flushes_on_block += 1
         for name, cost in pending:
-            self._submit_one(name, cost)
+            self._submit_one(name, cost, wake)

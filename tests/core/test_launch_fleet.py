@@ -20,15 +20,19 @@ from repro.enclave.sgx import SgxMode
 from repro.models import pretrained_lite_model
 
 #: (startup latency, node clock at boot end) per service, stagger 0.
+#: Each is 0.186 ms later than while an HW open's charge was capped at
+#: the serial AES-NI rate: the model's decrypt now pays its MEE floor
+#: (0.267 ns/B, 0.19 ms of this model), less what its replica reads
+#: save riding under it.
 BOOTS = [
-    (0.41709844219999664, 0.4313268208666633),
-    (0.4234009293666633, 0.43762930803332994),
-    (0.42970341653332994, 0.4439317951999966),
-    (0.4360059036999966, 0.45023428236666324),
-    (0.44230839086666324, 0.4565367695333299),
-    (0.4486108780333299, 0.46283925669999654),
-    (0.45491336519999653, 0.4691417438666632),
-    (0.4612158523666632, 0.47544423103332983),
+    (0.41728419539999695, 0.4315125740666635),
+    (0.4235866825666636, 0.43781506123333014),
+    (0.42988916973333025, 0.4441175483999968),
+    (0.4361916568999969, 0.45042003556666343),
+    (0.44249414406666354, 0.4567225227333301),
+    (0.4487966312333302, 0.46302500989999673),
+    (0.45509911839999684, 0.4693274970666634),
+    (0.4614016055666635, 0.47562998423333),
 ]
 
 

@@ -7,8 +7,11 @@ that per-fault build; the caller's wait off the build where a helper
 thread pages the weight stream in ahead of one-thread compute (the walk
 is the same walk, so the stats did not move).  ``NOW`` is that build's
 less the 5.872 ms it took to copy the model's chunks into the enclave
-before opening them: they are opened where they lie now, and nothing
-else moved.  Tracing must not move the untraced numbers either.
+before opening them (they are opened where they lie now), plus 0.186 ms
+since the model's decrypt pays its MEE floor rather than the serial
+charge it was capped at (3.6029732382674973 before), net of its replica
+reads riding under it; nothing else moved.  Tracing must not move the
+untraced numbers either.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from repro.observability import Telemetry
 from repro.observability.tracer import Tracer
 from repro.runtime import stats_registry
 
-NOW = 3.6029732382674973
+NOW = 3.6031589914674975
 STATS = EpcStats(
     hits=5755,
     faults=9285,

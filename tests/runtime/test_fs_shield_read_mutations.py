@@ -159,8 +159,8 @@ def test_a_replica_rewritten_after_the_scrub_is_refused(monkeypatch):
     rig.shield.drop_caches()
     scrub = rig.shield._scrub_extents
 
-    def scrub_then_rewrite(path, body):
-        blobs, heal = scrub(path, body)
+    def scrub_then_rewrite(path, body, *landing):
+        blobs, heal = scrub(path, body, *landing)
         forged = bytearray(blobs[1])
         forged[0] ^= 0x01
         blobs[1] = bytes(forged)

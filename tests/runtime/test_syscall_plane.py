@@ -176,6 +176,53 @@ def test_busy_handlers_need_no_wakeup():
     assert stats.handler_wakeups == 0
 
 
+def test_a_request_queues_behind_an_awake_handler_rather_than_wake_one():
+    """One handler has parked, the other is busy but free within what a
+    wake-up costs: the next request waits for the awake one."""
+    plane, stats, clock = make_plane()
+    clock.advance(100 * CM.handler_spin_time)  # both handlers park
+    plane.call("read")  # wakes one
+    assert stats.handler_wakeups == 1
+    plane.post("close")
+    plane.call("open")  # behind the close, 0.9 µs < the 1.2 µs wake
+    assert stats.handler_wakeups == 1
+    for _ in range(8):  # a queue longer than a wake-up: the other wakes
+        plane.post("write")
+    plane.call("open")
+    assert stats.handler_wakeups == 2
+
+
+def test_a_hand_off_never_wakes_a_parked_handler():
+    plane, stats, clock = make_plane()
+    clock.advance(100 * CM.handler_spin_time)
+    plane.post("write", wake=False)
+    plane.flush(wake=False)
+    assert stats.ring_submissions == 0  # still buffered: both are parked
+    plane.call("open")  # the next result-bearing call takes it, as before
+    assert stats.ring_submissions == 2 and stats.handler_wakeups == 1
+
+
+def test_hw_warm_shield_read_pays_at_most_one_wakeup(cpu):
+    """A warm read after a warm read finds both handlers parked under
+    its 74 µs copy: the posted close wakes one, and the open queues
+    behind that close instead of waking the second (two before)."""
+    from repro.runtime.fs_shield import (
+        FileSystemShield, LocalFreshnessTracker, PathRule, ShieldPolicy,
+    )
+
+    syscalls = make_hw_interface(cpu)
+    shield = FileSystemShield(
+        syscalls, bytes(range(32)), [PathRule("/s/", ShieldPolicy.ENCRYPT)], CM,
+        cpu.clock, freshness=LocalFreshnessTracker(), replicas=2,
+        memory=syscalls.enclave.memory,
+    )
+    shield.write_file("/s/f", bytes(544 * 1024))
+    shield.read_file("/s/f")
+    before = syscalls.stats.handler_wakeups
+    shield.read_file("/s/f")
+    assert syscalls.stats.handler_wakeups - before == 1
+
+
 def test_hw_wakeup_charges_real_transition(cpu):
     syscalls = make_hw_interface(cpu)
     cpu.clock.advance(100 * CM.handler_spin_time)
