@@ -507,18 +507,21 @@ class FileSystemShield:
     ) -> List[bytes]:
         """Every chunk's plaintext, from the cache where it is there.
 
-        If any is not, ``load() -> (every protected chunk, self-heal or
-        None)`` fetches the stored file once and the missing chunks are
-        opened as **one** batch — every chunk authenticates before any
-        plaintext is released — and only then self-healed, counted and
-        cached.  Raises ShieldError naming the first chunk that fails.
+        If any is not, ``load(decrypt) -> (every protected chunk,
+        self-heal or None)`` fetches the stored file once, calling
+        ``decrypt(count)`` as the first ``count`` chunks land, and the
+        missing chunks are opened as **one** batch — every chunk
+        authenticates before any plaintext is released — and only then
+        self-healed, counted and cached.  Raises ShieldError naming the
+        first chunk that fails.
 
         The caller has authenticated the manifest and checked policy and
         freshness; this is the one place a read is charged, by ``shares``
         (each chunk's simulated bytes): a cached chunk costs a copy of
-        its share, and crypto is paid for the chunks to open, before
-        they are fetched — two passes, the ciphertext read where it lies
-        and the plaintext written.  Nothing else crosses in.
+        its share, and crypto is paid for each chunk to open once it has
+        landed (``decrypt``; whatever ``load`` did not reach is charged
+        after it) — two passes, the ciphertext read where it lies and the
+        plaintext written.  Nothing else crosses in.
         """
         started = time.perf_counter()
         n_chunks = len(shares)

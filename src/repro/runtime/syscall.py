@@ -171,23 +171,28 @@ class SyscallInterface:
             self.plane.wait(completion)
             self.stats.time += self._clock.now - before
 
-    def _trap(self, count: int = 1) -> None:
-        """``count`` syscalls off the ring: NATIVE traps or HW-sync exits."""
+    def _trap(self) -> None:
+        """One syscall off the ring: a NATIVE trap or an HW-sync exit."""
         model = self._model
         before = self._clock.now
-        for _ in range(count):
-            if self._mode is SgxMode.NATIVE:
-                self._clock.advance(model.syscall_trap_cost + model.syscall_kernel_cost)
-            else:  # HW, synchronous
-                assert self._enclave is not None
-                self.stats.transitions += 1
-                self._enclave.cpu.transition(asynchronous=False)
-                self._clock.advance(model.syscall_kernel_cost)
+        if self._mode is SgxMode.NATIVE:
+            self._clock.advance(model.syscall_trap_cost + model.syscall_kernel_cost)
+        else:  # HW, synchronous
+            assert self._enclave is not None
+            self.stats.transitions += 1
+            self._enclave.cpu.transition(asynchronous=False)
+            self._clock.advance(model.syscall_kernel_cost)
         if probe.SINK is not None:
             # The plane charges its own advances.
-            probe.SINK.charge(
-                self._clock, "syscall_ring", self._clock.now - before, count=count
-            )
+            probe.SINK.charge(self._clock, "syscall_ring", self._clock.now - before)
+
+    def _submit_batch(self, name: str, count: int) -> List[float]:
+        """Submit ``count`` result-bearing calls together, one ring batch
+        the handlers serve in parallel; returns their completions."""
+        if count > 0 and self.plane is not None:
+            self.stats.batches += 1
+            self.stats.max_batch = max(self.stats.max_batch, count)
+        return [self._submit(name) for _ in range(count)]
 
     def _charge(self, name: str, posted: bool = False) -> None:
         """Charge the boundary-crossing cost of one syscall.
@@ -195,18 +200,22 @@ class SyscallInterface:
         ``posted`` marks fire-and-forget calls (writes, closes, unlinks,
         sends): on the ring they batch and never wait for completion.
         """
-        if not posted or self.plane is None:
-            self._wait(self._submit(name))
-            return
         self._count(name)
         before = self._clock.now
-        self.plane.post(name)
+        if self.plane is None:
+            self._trap()
+        elif posted:
+            self.plane.post(name)
+        else:
+            self.plane.call(name)
         self.stats.time += self._clock.now - before
 
     def _hand_off(self, name: str, count: int) -> None:
         """Post ``count`` calls and send them to a ring handler that is
         awake; while every handler is parked they wait for the next
         flush, so a hand-off never pays a wake-up."""
+        if count == 0:
+            return
         if self.plane is None:
             for _ in range(count):
                 self._charge(name)
@@ -216,19 +225,6 @@ class SyscallInterface:
         for _ in range(count):
             self.plane.post(name, wake=False)
         self.plane.flush(wake=False)
-        self.stats.time += self._clock.now - before
-
-    def _charge_batch(self, name: str, count: int) -> None:
-        """Charge ``count`` identical result-bearing syscalls, submitted
-        together so ring handlers service them in parallel."""
-        if count <= 0:
-            return
-        self._count(name, count)
-        before = self._clock.now
-        if self.plane is not None:
-            self.plane.call_batch(name, count)
-        else:
-            self._trap(count)
         self.stats.time += self._clock.now - before
 
     def _charge_copy(self, n_bytes: int) -> None:
@@ -296,8 +292,7 @@ class SyscallInterface:
         enclave_bytes: Optional[int],
         landed: Optional[Callable[[int], None]] = None,
     ) -> List[Union[VirtualFile, SyscallError]]:
-        for completion in [self._submit("open") for _ in paths]:
-            self._wait(completion)
+        self._wait(max([self._submit("open") for _ in paths]))
         results: List[Union[VirtualFile, SyscallError]] = []
         pieces: List[List[float]] = []  # per file: each piece's completion
         for path in paths:
@@ -313,27 +308,40 @@ class SyscallInterface:
             iago.check_read_result(result.size, result.content[: result.size + 1])
             results.append(result)
         # The first pieces tell every file's size; the rest go out together.
-        self._wait(max(done[0] for done in pieces))
+        waited = due = max([done[0] for done in pieces])
+        self._wait(waited)
         sizes = [result.size if isinstance(result, VirtualFile) else 0 for result in results]
         count = max(1, -(-max(sizes) // IO_CHUNK))
-        for index in range(1, count):  # piece by piece, every file's
-            for size, done in zip(sizes, pieces):
-                if size > index * IO_CHUNK:
-                    done.append(self._submit("rw_continuation"))
+        if count > 1:
+            owners = [  # piece by piece, every file's
+                owner
+                for index in range(1, count)
+                for owner, size in enumerate(sizes)
+                if size > index * IO_CHUNK
+            ]
+            for owner, completion in zip(
+                owners, self._submit_batch("rw_continuation", len(owners))
+            ):
+                pieces[owner].append(completion)
         for index in range(count):
+            for done in pieces:  # piece ``index`` has landed in every file at ``due``
+                if len(done) > index and done[index] > due:
+                    due = done[index]
             if landed is None and index < count - 1:
                 continue  # nobody works on a piece: wait for the last
-            self._wait(max(max(done[: index + 1]) for done in pieces))
+            if due > waited:  # a wait hidden by other threads ends early
+                self._wait(due)
+                waited = due
             closing = 0  # the files read to their end
-            for result, done in zip(results, pieces):
+            for result, size, done in zip(results, sizes, pieces):
                 if isinstance(result, VirtualFile) and (
                     landed is None or len(done) == index + 1
                 ):
-                    crossing = result.size
+                    crossing = size
                     if self._mode is SgxMode.HW and enclave_bytes is not None:
                         crossing = min(enclave_bytes, len(result.content))
                     self._charge_copy(crossing)
-                    self.stats.bytes_read += result.size
+                    self.stats.bytes_read += size
                     closing += 1
             self._hand_off("close", closing)
             if landed is not None:
@@ -396,13 +404,13 @@ class SyscallInterface:
         crossing = size
         if self._mode is SgxMode.HW and enclave_bytes is not None:
             crossing = min(enclave_bytes, size)
-        opens = self.open_files(paths) if opened is None else opened
+        opens = [self._submit("open") for _ in paths] if opened is None else opened
         for index in range(max(1, -(-size // IO_CHUNK))):
             start, stop = index * IO_CHUNK, min((index + 1) * IO_CHUNK, size)
             if produce is not None:
                 produce(stop)
-            for completion in opens:
-                self._wait(completion)
+            if opens:
+                self._wait(max(opens))
             opens = []
             if min(crossing, stop) > start:
                 self._charge_copy(min(crossing, stop) - start)
@@ -491,7 +499,9 @@ class SyscallInterface:
         the caller needs the payload)."""
         self._charge(name)
         chunks = max(1, -(-n_bytes // IO_CHUNK))
-        self._charge_batch("rw_continuation", chunks - 1)
+        continuations = self._submit_batch("rw_continuation", chunks - 1)
+        if continuations:
+            self._wait(max(continuations))
         self._charge_copy(n_bytes)
         self.stats.bytes_received += n_bytes
 

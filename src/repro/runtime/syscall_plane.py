@@ -18,8 +18,9 @@ with the mechanism itself:
 - **sleep/wake**: a handler idle longer than ``handler_spin_time``
   parks on a futex, and waking it costs a *real* enclave transition —
   the exit-less path only wins while traffic keeps handlers spinning.
-  A request goes to the awake handler that serves it first; a parked
-  one is woken only when that serves it sooner, wake included;
+  A request the earliest-free handler would take while parked goes to
+  the awake handler that serves it first instead, unless that one has
+  been busy back to back for longer than a wake costs;
 - **submission ahead of the wait**: :meth:`SyscallPlane.submit` returns
   a completion, and the caller calls :meth:`~SyscallPlane.wait` on it
   once it needs the result, so its own work (a seal, a decrypt) hides
@@ -138,6 +139,8 @@ class SyscallPlane:
         self.config = config or SyscallPlaneConfig()
         #: When each handler thread next becomes free (absolute time).
         self._handlers: List[float] = [0.0] * self.config.handler_threads
+        #: When each handler's current run of back-to-back requests began.
+        self._busy_since: List[float] = [0.0] * self.config.handler_threads
         #: Completion times of requests still occupying ring slots.
         self._inflight: List[float] = []
         #: Buffered fire-and-forget requests: (name, kernel_cost).
@@ -208,12 +211,14 @@ class SyscallPlane:
     def _submit_one(self, name: str, kernel_cost: float, wake: bool = True) -> float:
         """Write one request into the ring; returns its completion time.
 
-        The request goes to the awake handler (busy, or spinning within
-        ``handler_spin_time``) that serves it first.  A parked handler is
-        woken only when that serves it sooner — when every awake one is
-        busy further ahead than the wake costs the caller, the test
-        :meth:`_starved` makes against a synchronous exit — and never
-        when ``wake`` is false (the caller checked one is awake)."""
+        The request goes to the earliest-free handler.  When that one
+        has parked, the awake handler (busy, or spinning within
+        ``handler_spin_time``) that serves it first takes it instead,
+        unless that handler has been busy without a break for longer
+        than a wake-up costs the caller by the time it is free (the
+        queue a second handler would drain: traffic one handler does not
+        keep up with); then the parked one is woken.  With ``wake``
+        false nothing is woken (the caller checked one is awake)."""
         self._acquire_slot()
         before = self._clock.now  # after the slot wait: stalls are backpressure
         if self._enclave is not None:
@@ -224,25 +229,29 @@ class SyscallPlane:
 
         now = self._clock.now
         handlers = self._handlers
-        awake = [i for i, free_at in enumerate(handlers) if not self._parked(free_at, now)]
-        index = min(awake or range(len(handlers)), key=handlers.__getitem__)
-        if wake and len(awake) < len(handlers) and (
-            not awake or handlers[index] - now > self._wake_cost()
-        ):
-            index = min(
-                (i for i in range(len(handlers)) if i not in awake),
-                key=handlers.__getitem__,
-            )
-            # The handler spun down and parked on a futex; waking it is a
-            # real kernel visit — an enclave exit in HW mode.
-            self.stats.handler_wakeups += 1
-            if self._enclave is not None:
-                self.stats.transitions += 1
-                self._enclave.cpu.transition(asynchronous=False)
-            else:
-                self._clock.advance(self._wake_cost())
-            now = self._clock.now
+        index = min(range(len(handlers)), key=handlers.__getitem__)
+        spin = self._model.handler_spin_time
+        if now - handlers[index] > spin:  # parked: the first awake one, if any
+            parked = index
+            for other, free_at in enumerate(handlers):
+                if now - free_at <= spin and (index == parked or free_at < handlers[index]):
+                    index = other
+            busy_run = handlers[index] - self._busy_since[index]
+            if wake and index != parked and busy_run > self._wake_cost():
+                index = parked  # the awake one does not keep up: wake another
+            if wake and index == parked:
+                # The handler spun down and parked on a futex; waking it
+                # is a real kernel visit — an enclave exit in HW mode.
+                self.stats.handler_wakeups += 1
+                if self._enclave is not None:
+                    self.stats.transitions += 1
+                    self._enclave.cpu.transition(asynchronous=False)
+                else:
+                    self._clock.advance(self._wake_cost())
+                now = self._clock.now
         free_at = handlers[index]
+        if free_at < now:
+            self._busy_since[index] = now
         if probe.SINK is not None and now > before:
             probe.SINK.charge(self._clock, "syscall_ring", now - before)
         completion = max(now, free_at) + kernel_cost
@@ -258,10 +267,6 @@ class SyscallPlane:
         if self._enclave is not None:
             return self._model.sync_transition_cost
         return self._model.syscall_trap_cost + self._model.syscall_kernel_cost
-
-    def _parked(self, free_at: float, now: float) -> bool:
-        """A handler idle longer than ``handler_spin_time`` sleeps on a futex."""
-        return now - free_at > self._model.handler_spin_time
 
     # ------------------------------------------------------------------
     # The entry points the syscall interface uses
@@ -321,20 +326,6 @@ class SyscallPlane:
         """One result-bearing syscall: submit, then wait for completion."""
         self.wait(self.submit(name, kernel_cost))
 
-    def call_batch(
-        self, name: str, count: int, kernel_cost: Optional[float] = None
-    ) -> None:
-        """``count`` parallel result-bearing requests (multi-chunk reads):
-        all submitted before waiting, serviced across all handlers, the
-        caller blocks only on the last completion."""
-        if count <= 0:
-            return
-        self.flush()
-        self.stats.batches += 1
-        if count > self.stats.max_batch:
-            self.stats.max_batch = count
-        self.wait(max(self.submit(name, kernel_cost) for _ in range(count)))
-
     def post(
         self, name: str, kernel_cost: Optional[float] = None, wake: bool = True
     ) -> None:
@@ -360,10 +351,10 @@ class SyscallPlane:
         the middle of a computation never pays an enclave exit."""
         if not self._pending:
             return
-        if not wake:
-            now = self._clock.now
-            if all(self._parked(free_at, now) for free_at in self._handlers):
-                return
+        if not wake and (
+            self._clock.now - max(self._handlers) > self._model.handler_spin_time
+        ):
+            return  # every handler is parked
         pending, self._pending = self._pending, []
         self.stats.batches += 1
         if len(pending) > self.stats.max_batch:

@@ -148,6 +148,23 @@ def test_busy_single_handler_starves_result_bearing_call():
     assert stats.ring_submissions == 1  # only the posted write rode the ring
 
 
+def test_a_plain_write_file_still_falls_back_when_starved():
+    """Nothing runs between a plain write's opens and its wait for them,
+    so a starved open takes the synchronous exit; only opens submitted
+    ahead of a seal queue instead."""
+    for ahead, fallbacks in ((False, 1), (True, 0)):
+        syscalls = SyscallInterface(
+            VirtualFileSystem(), CM, SimClock(), mode=SgxMode.SIM,
+            plane_config=SyscallPlaneConfig(handler_threads=1),
+        )
+        syscalls.plane.post("write")  # the lone handler is busy
+        if ahead:
+            syscalls.open_files(["/f"])
+        else:
+            syscalls.write_file("/f", b"x")
+        assert syscalls.stats.sync_fallbacks == fallbacks
+
+
 def test_second_handler_prevents_starvation():
     plane, stats, _ = make_plane(handler_threads=2)
     plane.post("write")
@@ -190,6 +207,25 @@ def test_a_request_queues_behind_an_awake_handler_rather_than_wake_one():
         plane.post("write")
     plane.call("open")
     assert stats.handler_wakeups == 2
+
+
+def test_a_stream_one_handler_cannot_keep_up_with_wakes_the_second():
+    """Four runnable threads issue calls faster than one handler serves
+    them: once it has been busy back to back for longer than a wake-up,
+    the parked one is woken and the two share the stream (one handler
+    would leave the loop at 0.9 µs a call)."""
+    plane, stats, clock = make_plane()
+    scheduler = UserLevelScheduler(CM, clock)
+    scheduler.set_runnable(4)
+    plane.attach_scheduler(scheduler)
+    clock.advance(100 * CM.handler_spin_time)  # both handlers park
+    for _ in range(20):
+        plane.call("read")
+    assert stats.handler_wakeups == 2
+    start = clock.now
+    for _ in range(100):
+        plane.call("read")
+    assert (clock.now - start) / 100 < CM.syscall_kernel_cost
 
 
 def test_a_hand_off_never_wakes_a_parked_handler():
