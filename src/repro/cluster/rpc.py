@@ -19,7 +19,12 @@ an ``rpc.call`` span, so a single call and a fanned-out one differ only
 in what the caller does between the two halves; ``call`` drives
 ``request`` for synchronous code outside the simulation.  Each
 transport is those two halves: plain is socket write + wire / reply +
-socket read; secure wraps them in record crypto.
+socket read; secure wraps them in record crypto.  A caller that runs
+its attempts itself (the serving router) takes the plain halves without
+an activity: :meth:`RpcClient.send` builds the same envelope and runs
+the same send half, returning the completion the reply lands on, and
+:meth:`RpcClient.receive` — the receive half the activity path runs
+too — reads the reply when the caller's waiter settles the attempt.
 
 Resilience (paper challenge ❹ — elastic clouds kill containers and lose
 messages) is layered on without changing the wire protocol's shape:
@@ -453,14 +458,19 @@ class RpcClient:
             self._executor.breakers.reset(dst)
 
     def _call_envelope(
-        self, method: str, payload: bytes, deadline: Optional[float]
+        self,
+        method: str,
+        payload: bytes,
+        deadline: Optional[float],
+        stamped: bool = False,
     ) -> bytes:
         """The one ``call`` envelope: method + payload, stamped with a
-        dedup call ID (retrying clients only — every resend of this call
-        carries the same bytes), the caller's deadline, the open span's
-        trace context and the client's fencing epoch."""
+        dedup call ID (retrying clients and ``stamped`` sends — every
+        resend of this call carries the same bytes), the caller's
+        deadline, the open span's trace context and the client's fencing
+        epoch."""
         fields: Dict[str, object] = {"method": method, "payload": payload}
-        if self._executor is not None:
+        if stamped or self._executor is not None:
             fields["call_id"] = self.next_call_id()
         if deadline is not None:
             fields["deadline"] = deadline
@@ -492,17 +502,17 @@ class RpcClient:
             return PendingRpc(_now(error=exc))
         return PendingRpc(receive(sent))
 
-    def _send(
+    def _post(
         self,
         dst: str,
         request: bytes,
         declared_request: Optional[int],
         declared_response: Optional[int],
-    ) -> Activity:
+    ) -> Completion:
         """Send half: the caller's socket write goes through its own
         syscall plane (fire-and-forget submission), then the request is
-        on the wire and its reply event parked on the heap — an activity
-        that never waits, returning the wire completion."""
+        on the wire and its reply event parked on the heap; the wire
+        completion.  A send-time failure raises here."""
         if self._syscalls is not None:
             self._syscalls.socket_send(
                 declared_request if declared_request is not None else len(request)
@@ -515,7 +525,33 @@ class RpcClient:
             declared_request=declared_request,
             declared_response=declared_response,
         )
+
+    def _send(
+        self,
+        dst: str,
+        request: bytes,
+        declared_request: Optional[int],
+        declared_response: Optional[int],
+    ) -> Activity:
+        """:meth:`_post` as an activity that never waits."""
+        return self._post(dst, request, declared_request, declared_response)
         yield  # unreachable: makes this an activity
+
+    def receive(
+        self,
+        raw: bytes,
+        declared_response: Optional[int] = None,
+        kind: str = "reply",
+        field: str = "payload",
+    ) -> Any:
+        """Receive half, once the reply ``raw`` has landed: charge its
+        read, open its ``kind`` envelope; the envelope's ``field`` (a
+        remote error is raised as its typed exception)."""
+        if self._syscalls is not None:
+            self._syscalls.socket_recv(
+                declared_response if declared_response is not None else len(raw)
+            )
+        return _open_envelope(raw, kind)[field]
 
     def _receive(
         self,
@@ -524,14 +560,26 @@ class RpcClient:
         kind: str = "reply",
         field: str = "payload",
     ) -> Activity:
-        """Receive half: wait for the reply, charge its read, open its
-        ``kind`` envelope; the envelope's ``field``."""
-        raw = yield sent
-        if self._syscalls is not None:
-            self._syscalls.socket_recv(
-                declared_response if declared_response is not None else len(raw)
-            )
-        return _open_envelope(raw, kind)[field]
+        """:meth:`receive` as an activity: wait for the reply first."""
+        return self.receive((yield sent), declared_response, kind, field)
+
+    def send(
+        self, dst: str, method: str, payload: bytes, deadline: Optional[float] = None
+    ) -> Completion:
+        """One call of a caller that runs its attempts itself (a serving
+        router), outside any activity: the send half now — the call
+        envelope stamped with a fresh call ID, so the server's window
+        absorbs a duplicated delivery — and the completion the raw reply
+        lands on.  Its waiter settles the call: :meth:`receive` on the
+        value, or the error (a send-time failure comes back this way
+        too).  No executor runs it: no retry, no breaker."""
+        request = self._call_envelope(method, payload, deadline, stamped=True)
+        try:
+            return self._post(dst, request, None, None)
+        except Exception as exc:  # the attempt's outcome, as on the activity path
+            failed = Completion(f"send:{dst}")
+            failed.fail(exc)
+            return failed
 
     def begin_call(
         self,

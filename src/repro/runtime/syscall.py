@@ -292,53 +292,53 @@ class SyscallInterface:
         enclave_bytes: Optional[int],
         landed: Optional[Callable[[int], None]] = None,
     ) -> List[Union[VirtualFile, SyscallError]]:
-        self._wait(max([self._submit("open") for _ in paths]))
+        opens = [self._submit("open") for _ in paths]
+        self._wait(max(opens))
         results: List[Union[VirtualFile, SyscallError]] = []
-        pieces: List[List[float]] = []  # per file: each piece's completion
+        firsts: List[float] = []  # each file's first piece's completion
+        ends: List[int] = []  # the piece each file ends with (-1: unread)
         for path in paths:
-            pieces.append([self._submit("read")])
+            firsts.append(self._submit("read"))
             try:
                 result = self._maybe_hostile("read", self._vfs.read(path))
                 if not isinstance(result, VirtualFile):
                     raise SyscallError("kernel returned a non-file object for read")
             except SyscallError as exc:
                 results.append(exc)
+                ends.append(-1)
                 continue
-            iago.check_size_result(result.size)
-            iago.check_read_result(result.size, result.content[: result.size + 1])
+            size = result.size
+            iago.check_size_result(size)
+            iago.check_read_result(size, result.content[: size + 1])
             results.append(result)
+            ends.append(-(-size // IO_CHUNK) - 1 if size > IO_CHUNK else 0)
         # The first pieces tell every file's size; the rest go out together.
-        waited = due = max([done[0] for done in pieces])
+        waited = due = max(firsts)
         self._wait(waited)
-        sizes = [result.size if isinstance(result, VirtualFile) else 0 for result in results]
-        count = max(1, -(-max(sizes) // IO_CHUNK))
+        count = max(ends) + 1 or 1
+        landing = [due]  # per piece: when it has landed in every file holding it
         if count > 1:
-            owners = [  # piece by piece, every file's
-                owner
-                for index in range(1, count)
-                for owner, size in enumerate(sizes)
-                if size > index * IO_CHUNK
-            ]
-            for owner, completion in zip(
-                owners, self._submit_batch("rw_continuation", len(owners))
-            ):
-                pieces[owner].append(completion)
+            # Piece by piece, every file's continuation, as one batch.
+            widths = [sum(end >= index for end in ends) for index in range(1, count)]
+            continuations = self._submit_batch("rw_continuation", sum(widths))
+            start = 0
+            for width in widths:
+                landing.append(max(continuations[start : start + width]))
+                start += width
         for index in range(count):
-            for done in pieces:  # piece ``index`` has landed in every file at ``due``
-                if len(done) > index and done[index] > due:
-                    due = done[index]
+            if landing[index] > due:
+                due = landing[index]
             if landed is None and index < count - 1:
                 continue  # nobody works on a piece: wait for the last
             if due > waited:  # a wait hidden by other threads ends early
                 self._wait(due)
                 waited = due
             closing = 0  # the files read to their end
-            for result, size, done in zip(results, sizes, pieces):
-                if isinstance(result, VirtualFile) and (
-                    landed is None or len(done) == index + 1
-                ):
+            for result, end in zip(results, ends):
+                if end == index or (landed is None and end >= 0):
+                    size = result.size
                     crossing = size
-                    if self._mode is SgxMode.HW and enclave_bytes is not None:
+                    if enclave_bytes is not None and self._mode is SgxMode.HW:
                         crossing = min(enclave_bytes, len(result.content))
                     self._charge_copy(crossing)
                     self.stats.bytes_read += size
@@ -488,9 +488,9 @@ class SyscallInterface:
         """Charge transmitting ``n_bytes`` on a socket (fire-and-forget:
         the kernel drains the buffer on a handler thread)."""
         self._charge(name, posted=True)
-        chunks = max(1, -(-n_bytes // IO_CHUNK))
-        for _ in range(chunks - 1):
-            self._charge("rw_continuation", posted=True)
+        if n_bytes > IO_CHUNK:  # the rest leaves in continuations
+            for _ in range(-(-n_bytes // IO_CHUNK) - 1):
+                self._charge("rw_continuation", posted=True)
         self._charge_copy(n_bytes)
         self.stats.bytes_sent += n_bytes
 
@@ -498,10 +498,9 @@ class SyscallInterface:
         """Charge receiving ``n_bytes`` from a socket (result-bearing:
         the caller needs the payload)."""
         self._charge(name)
-        chunks = max(1, -(-n_bytes // IO_CHUNK))
-        continuations = self._submit_batch("rw_continuation", chunks - 1)
-        if continuations:
-            self._wait(max(continuations))
+        if n_bytes > IO_CHUNK:  # the rest arrives in continuations, one batch
+            continuations = -(-n_bytes // IO_CHUNK) - 1
+            self._wait(max(self._submit_batch("rw_continuation", continuations)))
         self._charge_copy(n_bytes)
         self.stats.bytes_received += n_bytes
 

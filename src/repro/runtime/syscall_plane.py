@@ -146,6 +146,17 @@ class SyscallPlane:
         #: Buffered fire-and-forget requests: (name, kernel_cost).
         self._pending: List[Tuple[str, float]] = []
         self._scheduler: Optional["UserLevelScheduler"] = None
+        #: What a classic synchronous call costs instead of the ring.
+        self._sync_exit_cost = (
+            cost_model.sync_transition_cost if enclave is not None
+            else cost_model.syscall_trap_cost
+        )
+        #: What waking a parked handler costs the caller: an enclave exit
+        #: in HW, a trap and the futex call outside SGX.
+        self._wake_cost = (
+            cost_model.sync_transition_cost if enclave is not None
+            else cost_model.syscall_trap_cost + cost_model.syscall_kernel_cost
+        )
 
     def attach_scheduler(self, scheduler: "UserLevelScheduler") -> None:
         """Wire the scheduler whose runnable-thread occupancy hides
@@ -181,12 +192,6 @@ class SyscallPlane:
                     probe.SINK.charge(self._clock, "backpressure", stall)
             self._reap()
 
-    def _sync_exit_cost(self) -> float:
-        """What a classic synchronous call costs instead of the ring."""
-        if self._enclave is not None:
-            return self._model.sync_transition_cost
-        return self._model.syscall_trap_cost
-
     def _charge_sync_exit(self, kernel_cost: float) -> None:
         self.stats.sync_fallbacks += 1
         before = self._clock.now
@@ -205,8 +210,7 @@ class SyscallPlane:
         time is paid on both paths)."""
         if not self._handlers:
             return True
-        earliest = min(self._handlers)
-        return earliest - self._clock.now > self._sync_exit_cost()
+        return min(self._handlers) - self._clock.now > self._sync_exit_cost
 
     def _submit_one(self, name: str, kernel_cost: float, wake: bool = True) -> float:
         """Write one request into the ring; returns its completion time.
@@ -229,15 +233,16 @@ class SyscallPlane:
 
         now = self._clock.now
         handlers = self._handlers
-        index = min(range(len(handlers)), key=handlers.__getitem__)
+        free_at = min(handlers)
+        index = handlers.index(free_at)
         spin = self._model.handler_spin_time
-        if now - handlers[index] > spin:  # parked: the first awake one, if any
+        if now - free_at > spin:  # parked: the first awake one, if any
             parked = index
             for other, free_at in enumerate(handlers):
                 if now - free_at <= spin and (index == parked or free_at < handlers[index]):
                     index = other
             busy_run = handlers[index] - self._busy_since[index]
-            if wake and index != parked and busy_run > self._wake_cost():
+            if wake and index != parked and busy_run > self._wake_cost:
                 index = parked  # the awake one does not keep up: wake another
             if wake and index == parked:
                 # The handler spun down and parked on a futex; waking it
@@ -247,9 +252,9 @@ class SyscallPlane:
                     self.stats.transitions += 1
                     self._enclave.cpu.transition(asynchronous=False)
                 else:
-                    self._clock.advance(self._wake_cost())
+                    self._clock.advance(self._wake_cost)
                 now = self._clock.now
-        free_at = handlers[index]
+            free_at = handlers[index]
         if free_at < now:
             self._busy_since[index] = now
         if probe.SINK is not None and now > before:
@@ -260,13 +265,6 @@ class SyscallPlane:
         if len(self._inflight) > self.stats.ring_occupancy_peak:
             self.stats.ring_occupancy_peak = len(self._inflight)
         return completion
-
-    def _wake_cost(self) -> float:
-        """What waking a parked handler costs the caller: an enclave exit
-        in HW, a trap and the futex call outside SGX."""
-        if self._enclave is not None:
-            return self._model.sync_transition_cost
-        return self._model.syscall_trap_cost + self._model.syscall_kernel_cost
 
     # ------------------------------------------------------------------
     # The entry points the syscall interface uses
@@ -293,10 +291,11 @@ class SyscallPlane:
         submitted ``ahead`` of work the caller does before it waits
         queues behind busy handlers: a synchronous exit only pays when
         the caller would wait at once."""
-        if self._userspace(name):
+        if name in USERSPACE_SYSCALLS and self._userspace(name):
             return self._clock.now
         cost = kernel_cost if kernel_cost is not None else self._model.syscall_kernel_cost
-        self.flush()
+        if self._pending:
+            self.flush()
         if not self._handlers or (not ahead and self._starved()):
             self._charge_sync_exit(cost)
             return self._clock.now
@@ -333,7 +332,7 @@ class SyscallPlane:
         flush, never waited on (its kernel time runs entirely on a
         handler thread).  A full batch flushes, waking a handler only
         with ``wake``."""
-        if self._userspace(name):
+        if name in USERSPACE_SYSCALLS and self._userspace(name):
             return
         cost = kernel_cost if kernel_cost is not None else self._model.syscall_kernel_cost
         if not self._handlers:

@@ -15,7 +15,9 @@ replica are plain ``RpcClient`` / ``RpcServer`` endpoints:
   queues + token-bucket rate limiting, shedding with
   :class:`~repro.errors.OverloadError`), deadline propagation,
   health/load-aware replica routing, and hedged requests with
-  first-reply-wins settlement, each attempt one ``begin_call``.
+  first-reply-wins settlement, each attempt one ``RpcClient.send``
+  settled from its reply's waiter, every request's deadline and hedge
+  under one router timer.
 - :mod:`.scoreboard` — the replica health/load scoreboard the router
   routes by (cold → attesting → healthy → degraded → draining /
   quarantined / failed).

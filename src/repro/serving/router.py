@@ -6,9 +6,12 @@ The router is an :class:`~repro.cluster.rpc.RpcServer` with one
 network's reply leg while the router, entirely event-driven,
 dispatches the request to a replica, hedges it, retries it, or expires
 it.  Toward the replicas it is an :class:`~repro.cluster.rpc.RpcClient`:
-each attempt is one ``begin_call`` carrying the client's payload as the
-envelope's opaque bytes, stamped with the request's deadline and the
-router's routing epoch.  The state machine per admitted request:
+each attempt is one :meth:`~repro.cluster.rpc.RpcClient.send` carrying
+the client's payload as the envelope's opaque bytes, stamped with a
+call ID, the request's deadline and the router's routing epoch, and
+settled from a waiter on the completion its reply lands on (the receive
+runs there) — no activity, no retry loop: the router picks the next
+replica itself.  The state machine per admitted request:
 
 ::
 
@@ -19,13 +22,20 @@ router's routing epoch.  The state machine per admitted request:
       ├─ deadline already past ──────>│    (different replica, while
       │     DeadlineExceededError     │     budget and replicas remain;
       │     (the server's shed)       │     else settle(that failure))
-      │                               ├── hedge timer (p99-derived) fires
+      │                               ├── hedge entry (p99-derived) due:
       │                               │     second attempt, first reply
       │                               │     wins, loser counted late
-      │                               └── deadline event ─> settle(
+      │                               └── deadline entry due ─> settle(
       │                                     DeadlineExceededError)
       └─ duplicate call ID ──> the server's window: the recorded outcome,
                                or the same pending reply
+
+A request's deadline and hedge are entries in the router's own small
+heap, keyed ``(due, admission order)`` — deadline before hedge — under
+**one** heap event armed at the earliest live entry.  A settled
+request's entries are dropped lazily: unfired, leaving the router's
+clock alone.  Same-instant entries fire in the order their own heap
+events would have had.
 
 ``settle`` runs **exactly once** per request — an idempotent guard
 makes late replies observational only, and the Completion's own
@@ -33,18 +43,22 @@ resolve-twice error is the hard backstop.  Every admitted request is
 therefore accounted for: ``admitted == ok + typed failures``, an
 invariant the chaos tests assert.
 
-Per-replica circuit breakers (shared :class:`~repro.cluster.retry
-.BreakerRegistry` machinery, run by the dispatch client's one-attempt
-executor) gate routing; their state census reaches ``collect_metrics``
-through the same :class:`RecoveryStats` channel as every other
-endpoint's.
+Per-replica circuit breakers (:class:`~repro.cluster.retry
+.BreakerRegistry`) gate routing: the router asks one before each pick
+and feeds it where the attempt settles — a transport failure is a
+failure, a reply a success, a typed refusal neither.  Their state
+census reaches ``collect_metrics`` through the same
+:class:`RecoveryStats` channel as every other endpoint's.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro._sim import probe
 from repro._sim.clock import SimClock
 from repro._sim.scheduler import Completion, Event, Scheduler
 from repro.cluster.epoch import EpochLease
@@ -52,13 +66,14 @@ from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.retry import (
     BreakerRegistry,
+    CircuitBreaker,
     RecoveryStats,
-    RetryingExecutor,
-    RetryPolicy,
+    is_retryable,
 )
 from repro.cluster.rpc import RpcClient, RpcServer
 from repro.errors import (
     DeadlineExceededError,
+    FencingError,
     OverloadError,
     RpcError,
     RpcTransportError,
@@ -129,8 +144,6 @@ class _PendingRequest:
         "completion",
         "tried",
         "outstanding",
-        "hedge_event",
-        "deadline_event",
         "settled",
         "hedge_addresses",
     )
@@ -149,10 +162,12 @@ class _PendingRequest:
         self.completion = Completion(f"serve:{request_id}")
         self.tried: List[str] = []
         self.outstanding = 0
-        self.hedge_event: Optional[Event] = None
-        self.deadline_event: Optional[Event] = None
         self.settled = False
         self.hedge_addresses: List[str] = []
+
+
+#: A request's deadline or hedge: ``(due, order, fire, request)``.
+_TimerEntry = Tuple[float, int, Callable[[_PendingRequest], None], _PendingRequest]
 
 
 class FrontEndRouter:
@@ -190,6 +205,14 @@ class FrontEndRouter:
             f"{address}.latency", window=LATENCY_WINDOW
         )
         self._pending: Dict[_PendingRequest, None] = {}
+        #: Every request's deadline and hedge, a heap ordered as their
+        #: own heap events would be (admission order, deadline before
+        #: hedge), under one heap event armed at the earliest live entry
+        #: (:meth:`_arm`).
+        self._timers: List[_TimerEntry] = []
+        self._timer_order = itertools.count()
+        self._timer: Optional[Event] = None
+        self._timer_label = f"timers:{address}"
         #: Decision log; :meth:`trace_bytes` canonicalizes it for the
         #: two-seeded-runs byte-identity check.
         self.events: List[str] = []
@@ -203,22 +226,10 @@ class FrontEndRouter:
         self.server = RpcServer(network, address, self._core)
         self.server.register("infer", self._infer)
         self.stats = RouterStats(server=self.server.stats)
-        #: Toward replicas: one attempt per call — the router picks the
-        #: next replica itself — stamped with a call ID, so a replica's
-        #: window absorbs a duplicated delivery.
-        self._client = RpcClient(
-            network,
-            address,
-            self._core,
-            retry=RetryingExecutor(
-                RetryPolicy(max_attempts=1, deadline=None),
-                self.clock,
-                node.rng.child(f"dispatch|{address}"),
-                network.scheduler,
-                breakers=self.breakers,
-                stats=self.recovery,
-            ),
-        )
+        #: Toward replicas: each attempt is one :meth:`RpcClient.send` —
+        #: the router picks the next replica and feeds the breakers
+        #: itself.
+        self._client = RpcClient(network, address, self._core)
         self.server.start()
 
     @property
@@ -256,19 +267,17 @@ class FrontEndRouter:
         info = _PendingRequest(request_id, payload, deadline, now)
         self._pending[info] = None
         self.record(f"admit {request_id} @{now:.6f}")
+        timers, order = self._timers, self._timer_order
         if deadline is not None:
-            info.deadline_event = self.scheduler.schedule(
-                deadline, lambda: self._expire(info), label=f"deadline:{request_id}"
-            )
+            heappush(timers, (deadline, next(order), self._expire, info))
         if self.policy.hedge:
             delay = max(
                 self.policy.hedge_min_delay,
                 self.latency.percentile(99.0),
             )
             if deadline is None or now + delay < deadline:
-                info.hedge_event = self.scheduler.schedule(
-                    now + delay, lambda: self._hedge(info), label=f"hedge:{request_id}"
-                )
+                heappush(timers, (now + delay, next(order), self._hedge, info))
+        self._arm()
         self._launch_attempt(info, hedge=False)
         return info.completion
 
@@ -293,7 +302,8 @@ class FrontEndRouter:
             if entry is None:
                 candidates_left = False
                 break
-            if self.breakers.get(entry.address).allow(now):
+            breaker = self.breakers.get(entry.address)
+            if breaker.allow(now):
                 break
             self.recovery.breaker_rejections += 1
             exclude = exclude | {entry.address}
@@ -323,28 +333,44 @@ class FrontEndRouter:
             f"{'hedge' if hedge else 'dispatch'} {info.request_id} -> "
             f"{address} @{now:.6f}"
         )
-        # A send-leg loss settles the attempt before start() returns,
+        # A send-leg loss settles the attempt before send() returns,
         # same as a socket write failing under us.
         info.outstanding += 1
-        self.scheduler.start(self._attempt(info, address), name=address).add_waiter(
-            lambda completion: self._on_attempt_done(info, address, completion)
+        self.recovery.calls += 1
+        self.recovery.attempts += 1
+        self._client.send(address, "infer", info.payload, info.deadline).add_waiter(
+            lambda landed: self._on_attempt_done(info, address, breaker, landed)
         )
-
-    def _attempt(self, info: _PendingRequest, address: str):
-        """One attempt: a call to ``address``, settled (its breaker is
-        fed by the dispatch client's executor)."""
-        pending = yield from self._client.begin_call(
-            address, "infer", info.payload, deadline=info.deadline
-        )
-        return (yield from pending.settle())
 
     def _on_attempt_done(
-        self, info: _PendingRequest, address: str, completion: Completion
+        self,
+        info: _PendingRequest,
+        address: str,
+        breaker: CircuitBreaker,
+        landed: Completion,
     ) -> None:
+        """Settle one attempt from its reply's landing (or its send's
+        failure): read the reply, feed ``address``'s breaker, then decide
+        for the request."""
+        error = landed.error
+        if error is None:
+            try:
+                reply = self._client.receive(landed.value)
+            except Exception as exc:  # a typed remote error, or a malformed reply
+                error = exc
+        if error is None:
+            breaker.on_success()
+        elif is_retryable(error):
+            breaker.on_failure(self.clock.now)
+            self.recovery.giveups += 1  # this replica's one attempt
+            probe.flight(self.clock, "giveup", address, "attempts=1")
+        elif isinstance(error, FencingError):
+            self.recovery.fenced_calls += 1  # authoritative: never retried
+            probe.flight(self.clock, "fenced", address, type(error).__name__)
         info.outstanding -= 1
-        self.scoreboard.on_complete(address, ok=completion.error is None)
-        if completion.error is not None:
-            self._attempt_failed(info, address, completion.error)
+        self.scoreboard.on_complete(address, ok=error is None)
+        if error is not None:
+            self._attempt_failed(info, address, error)
             return
         self.scoreboard.mark_healthy(address)
         if info.settled:
@@ -354,7 +380,7 @@ class FrontEndRouter:
         if address in info.hedge_addresses:
             self.stats.hedges_won += 1
         self.latency.observe(self.clock.now - info.admitted_at)
-        self._settle_ok(info, completion.value)
+        self._settle_ok(info, reply)
 
     def _attempt_failed(
         self, info: _PendingRequest, address: str, error: BaseException
@@ -384,8 +410,37 @@ class FrontEndRouter:
 
     # -- timers ----------------------------------------------------------
 
+    def _arm(self) -> None:
+        """Arm the router's one heap event at its earliest live timer
+        entry (a settled request's entries on top are dropped here; one
+        further down is dropped when it surfaces)."""
+        timers = self._timers
+        while timers and timers[0][3].settled:
+            heappop(timers)
+        if not timers:
+            return
+        due = timers[0][0]
+        if self._timer is not None:
+            if self._timer.time <= due:
+                return
+            self._timer.cancel()
+        self._timer = self.scheduler.schedule(due, self._fire, label=self._timer_label)
+
+    def _fire(self) -> None:
+        """The timer event: every entry now due, in its order — a settled
+        request's is dropped unfired and leaves the router's clock
+        alone —, then re-arm."""
+        self._timer = None
+        now = self.scheduler.now
+        timers = self._timers
+        while timers and timers[0][0] <= now:
+            _, _, fire, info = heappop(timers)
+            if not info.settled:
+                fire(info)
+        self._arm()
+
     def _hedge(self, info: _PendingRequest) -> None:
-        if info.settled or info.outstanding == 0:
+        if info.outstanding == 0:
             return
         due = self.scheduler.now
         self.clock.advance_to(due)
@@ -394,8 +449,6 @@ class FrontEndRouter:
         self._launch_attempt(info, hedge=True)
 
     def _expire(self, info: _PendingRequest) -> None:
-        if info.settled:
-            return
         due = self.scheduler.now
         self.clock.advance_to(due)
         self.record(f"deadline {info.request_id} @{due:.6f}")
@@ -436,13 +489,7 @@ class FrontEndRouter:
         info.completion.fail(error)
 
     def _finish(self, info: _PendingRequest) -> None:
-        info.settled = True
-        if info.hedge_event is not None:
-            info.hedge_event.cancel()
-            info.hedge_event = None
-        if info.deadline_event is not None:
-            info.deadline_event.cancel()
-            info.deadline_event = None
+        info.settled = True  # its timer entries are now dropped unfired
         self._pending.pop(info, None)
 
     # -- teardown --------------------------------------------------------
@@ -457,3 +504,7 @@ class FrontEndRouter:
             self._settle_error(
                 info, RpcError(f"router {self.address!r} shut down")
             )
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._timers.clear()

@@ -75,9 +75,9 @@ SCHEDULE_ALLOWLIST: Dict[Tuple[str, str], str] = {
         "a request's delivery event, at its arrival time",
     ("cluster/network.py", "Network._finish_reply"):
         "a reply's landing event, at its arrival time",
-    ("serving/router.py", "FrontEndRouter._infer"):
-        "the per-request deadline and hedge timers, cancelled when the "
-        "request settles (ROADMAP C(2) reworks them)",
+    ("serving/router.py", "FrontEndRouter._arm"):
+        "the router's one timer event over its requests' deadline and "
+        "hedge entries, armed at the earliest live one (ROADMAP C(1))",
 }
 
 
@@ -171,9 +171,9 @@ def test_schedule_allowlist_has_no_stale_entries():
     assert not stale, f"allowlisted functions that no longer schedule: {stale}"
 
 
-def test_raw_schedules_stay_at_six():
-    """One per allowlisted function, and the router's two timers."""
-    assert sum(len(lines) for lines in census(SCHEDULES).values()) == 6
+def test_raw_schedules_stay_at_five():
+    """At most one per allowlisted function: the router's timer is one."""
+    assert sum(len(lines) for lines in census(SCHEDULES).values()) <= 5
 
 
 def test_every_raw_send_in_src_is_the_rpc_layer():
