@@ -175,7 +175,38 @@ class ShieldedChannel:
         return payload
 
 
-class ClientHandshake:
+class _Handshake:
+    """What both ends of a handshake share once the flights are in."""
+
+    def _peer_certificate(self):
+        raise NotImplementedError
+
+    @property
+    def record_layer(self) -> RecordLayer:
+        return self._tls.record_layer
+
+    @property
+    def peer_subject(self) -> Optional[str]:
+        cert = self._peer_certificate()
+        return cert.subject if cert else None
+
+    def channel(
+        self, transport: Transport, syscalls: Optional[SyscallInterface] = None
+    ) -> ShieldedChannel:
+        """The established channel (call once the last flight is verified)."""
+        self._shield.charge_handshake()
+        return ShieldedChannel(
+            transport,
+            self._tls.record_layer,
+            self._shield.cost_model,
+            self._shield.clock,
+            self._shield.stats,
+            syscalls=syscalls or self._shield.syscalls,
+            peer_subject=self.peer_subject,
+        )
+
+
+class ClientHandshake(_Handshake):
     """Client-side handshake state machine bound to a shield."""
 
     def __init__(
@@ -202,33 +233,11 @@ class ClientHandshake:
         """Verify the server flight; returns the client finished flight."""
         return self._tls.process_server_flight(server_flight)
 
-    @property
-    def record_layer(self) -> RecordLayer:
-        return self._tls.record_layer
-
-    @property
-    def peer_subject(self) -> Optional[str]:
-        cert = self._tls.server_certificate
-        return cert.subject if cert else None
-
-    def channel(
-        self, transport: Transport, syscalls: Optional[SyscallInterface] = None
-    ) -> ShieldedChannel:
-        """The established channel (call after :meth:`finish`)."""
-        self._shield.charge_handshake()
-        cert = self._tls.server_certificate
-        return ShieldedChannel(
-            transport,
-            self._tls.record_layer,
-            self._shield.cost_model,
-            self._shield.clock,
-            self._shield.stats,
-            syscalls=syscalls or self._shield.syscalls,
-            peer_subject=cert.subject if cert else None,
-        )
+    def _peer_certificate(self):
+        return self._tls.server_certificate
 
 
-class ServerHandshake:
+class ServerHandshake(_Handshake):
     """Server-side handshake state machine bound to a shield."""
 
     def __init__(
@@ -251,30 +260,8 @@ class ServerHandshake:
         """Verify the client finished flight (and client cert if required)."""
         self._tls.process_client_flight(client_flight)
 
-    @property
-    def record_layer(self) -> RecordLayer:
-        return self._tls.record_layer
-
-    @property
-    def peer_subject(self) -> Optional[str]:
-        cert = self._tls.client_certificate
-        return cert.subject if cert else None
-
-    def channel(
-        self, transport: Transport, syscalls: Optional[SyscallInterface] = None
-    ) -> ShieldedChannel:
-        """The established channel (call after :meth:`complete`)."""
-        self._shield.charge_handshake()
-        cert = self._tls.client_certificate
-        return ShieldedChannel(
-            transport,
-            self._tls.record_layer,
-            self._shield.cost_model,
-            self._shield.clock,
-            self._shield.stats,
-            syscalls=syscalls or self._shield.syscalls,
-            peer_subject=cert.subject if cert else None,
-        )
+    def _peer_certificate(self):
+        return self._tls.client_certificate
 
 
 class NetworkShield:

@@ -8,14 +8,15 @@ Cost structure per mode (§3.3.3 and the SCONE paper):
   explains why SIM sometimes *beats* native (the paper observes this).
 - **HW, synchronous** — every call pays a full enclave transition.
 - **HW, asynchronous** — SCONE's exit-less interface: the request goes
-  through the :class:`~repro.runtime.syscall_plane.SyscallPlane` — a
-  bounded submission/completion ring served by OS-side handler threads,
-  with batched fire-and-forget submission, futex-style handler
-  sleep/wake, backpressure when the ring fills, and completion waits
-  hidden by the user-level scheduler's runnable-thread occupancy.
+  through the submission/completion ring of
+  :class:`~repro.runtime.syscall_plane.SyscallPlane`.
 
-The sync-vs-async gap and the userspace-served share *emerge* from the
-ring mechanics.
+NATIVE and HW-sync charge through a
+:class:`~repro.runtime.syscall_plane.TrapPlane`, so every call is one of
+two verbs in every mode: ``_submit`` / ``_wait`` for a call whose result
+the caller needs, ``_post`` for a fire-and-forget one.  The
+sync-vs-async gap and the userspace-served share *emerge* from the ring
+mechanics.
 
 All file operations verify the kernel's answers against Iago checks;
 tests install a ``hostile_hook`` to emulate a malicious kernel.  The
@@ -26,6 +27,7 @@ ring is rejected exactly like a hostile synchronous return value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro._sim import probe
@@ -33,7 +35,7 @@ from repro._sim.clock import SimClock
 from repro.enclave.cost_model import CostModel
 from repro.enclave.sgx import Enclave, SgxMode
 from repro.runtime import iago, stats_registry
-from repro.runtime.syscall_plane import SyscallPlane, SyscallPlaneConfig
+from repro.runtime.syscall_plane import SyscallPlane, SyscallPlaneConfig, TrapPlane
 from repro.runtime.vfs import VirtualFile, VirtualFileSystem
 from repro.errors import ShortWriteError, SyscallError
 
@@ -102,16 +104,16 @@ class SyscallInterface:
         self._clock = clock
         self._mode = mode
         self._enclave = enclave
-        self._asynchronous = asynchronous
         self.stats = SyscallStats()
         stats_registry.register("syscall", self.stats, clock)
-        #: The shared submission/completion ring (SIM and HW-async; the
-        #: NATIVE and HW-sync paths never touch a ring).
-        self.plane: Optional[SyscallPlane] = None
-        if mode is SgxMode.SIM or (mode is SgxMode.HW and asynchronous):
-            self.plane = SyscallPlane(
-                cost_model, clock, self.stats, enclave=enclave, config=plane_config
-            )
+        #: Where every call is charged: the shared submission/completion
+        #: ring in SIM and HW-async, a trap plane in NATIVE and HW-sync.
+        ring = mode is SgxMode.SIM or (mode is SgxMode.HW and asynchronous)
+        trapped = enclave if mode is SgxMode.HW else None  # NATIVE traps, no exit
+        self.plane: Union[SyscallPlane, TrapPlane] = (
+            SyscallPlane(cost_model, clock, self.stats, enclave, plane_config) if ring
+            else TrapPlane(cost_model, clock, self.stats, trapped)
+        )
         #: Test hook: called as ``hook(syscall_name, result)`` and may
         #: return a corrupted result, emulating a malicious kernel.
         self.hostile_hook: Optional[HostileHook] = None
@@ -124,108 +126,61 @@ class SyscallInterface:
     def enclave(self) -> Optional[Enclave]:
         return self._enclave
 
-    @property
-    def asynchronous(self) -> bool:
-        return self._asynchronous
-
     def attach_scheduler(self, scheduler) -> None:
         """Wire a :class:`~repro.runtime.threading_ul.UserLevelScheduler`
         so the plane hides completion waits behind its runnable threads
         and ``scheduler.block()`` flushes the submission batch."""
-        if self.plane is not None:
-            self.plane.attach_scheduler(scheduler)
-            scheduler.attach_plane(self.plane)
+        self.plane.attach_scheduler(scheduler)
+        scheduler.attach_plane(self.plane)
 
     def flush(self) -> None:
         """Drain any batched fire-and-forget submissions."""
-        if self.plane is not None:
-            self.plane.flush()
+        self.plane.flush()
 
     # ------------------------------------------------------------------
     # Cost accounting
     # ------------------------------------------------------------------
 
-    def _count(self, name: str, n: int = 1) -> None:
-        self.stats.calls += n
-        self.stats.by_name[name] = self.stats.by_name.get(name, 0) + n
+    def _count(self, name: str) -> None:
+        self.stats.calls += 1
+        self.stats.by_name[name] = self.stats.by_name.get(name, 0) + 1
 
     def _submit(self, name: str, ahead: bool = False) -> float:
         """Charge one result-bearing syscall up to its submission and
-        return when it completes.  On the ring the caller works on until
-        it needs the result (:meth:`_wait`; ``ahead``: not at once); a
-        trap or a synchronous transition is paid here, whole."""
+        return when it completes: the caller works on until it needs the
+        result (:meth:`_wait`; ``ahead``: not at once)."""
         self._count(name)
         before = self._clock.now
-        if self.plane is not None:
-            completion = self.plane.submit(name, ahead=ahead)
-        else:
-            self._trap()
-            completion = self._clock.now
+        completion = self.plane.submit(name, ahead=ahead)
         self.stats.time += self._clock.now - before
         return completion
 
     def _wait(self, completion: float) -> None:
-        """Wait for what :meth:`_submit` returned (nothing off the ring)."""
-        if self.plane is not None:
-            before = self._clock.now
-            self.plane.wait(completion)
-            self.stats.time += self._clock.now - before
-
-    def _trap(self) -> None:
-        """One syscall off the ring: a NATIVE trap or an HW-sync exit."""
-        model = self._model
+        """Wait for what :meth:`_submit` returned."""
         before = self._clock.now
-        if self._mode is SgxMode.NATIVE:
-            self._clock.advance(model.syscall_trap_cost + model.syscall_kernel_cost)
-        else:  # HW, synchronous
-            assert self._enclave is not None
-            self.stats.transitions += 1
-            self._enclave.cpu.transition(asynchronous=False)
-            self._clock.advance(model.syscall_kernel_cost)
-        if probe.SINK is not None:
-            # The plane charges its own advances.
-            probe.SINK.charge(self._clock, "syscall_ring", self._clock.now - before)
+        self.plane.wait(completion)
+        self.stats.time += self._clock.now - before
 
     def _submit_batch(self, name: str, count: int) -> List[float]:
         """Submit ``count`` result-bearing calls together, one ring batch
         the handlers serve in parallel; returns their completions."""
-        if count > 0 and self.plane is not None:
-            self.stats.batches += 1
-            self.stats.max_batch = max(self.stats.max_batch, count)
+        if count > 0:
+            self.plane.count_batch(count)
         return [self._submit(name) for _ in range(count)]
 
-    def _charge(self, name: str, posted: bool = False) -> None:
-        """Charge the boundary-crossing cost of one syscall.
-
-        ``posted`` marks fire-and-forget calls (writes, closes, unlinks,
-        sends): on the ring they batch and never wait for completion.
-        """
-        self._count(name)
-        before = self._clock.now
-        if self.plane is None:
-            self._trap()
-        elif posted:
-            self.plane.post(name)
-        else:
-            self.plane.call(name)
-        self.stats.time += self._clock.now - before
-
-    def _hand_off(self, name: str, count: int) -> None:
-        """Post ``count`` calls and send them to a ring handler that is
-        awake; while every handler is parked they wait for the next
-        flush, so a hand-off never pays a wake-up."""
-        if count == 0:
-            return
-        if self.plane is None:
-            for _ in range(count):
-                self._charge(name)
-            return
-        self._count(name, count)
-        before = self._clock.now
+    def _post(self, name: str, count: int = 1, wake: bool = True) -> None:
+        """Post ``count`` fire-and-forget calls.  Without ``wake`` they
+        are handed off: sent at once to an awake ring handler, or left
+        for the next flush while all are parked, never paying a wake-up."""
         for _ in range(count):
-            self.plane.post(name, wake=False)
-        self.plane.flush(wake=False)
-        self.stats.time += self._clock.now - before
+            self._count(name)
+            before = self._clock.now
+            self.plane.post(name, wake=wake)
+            self.stats.time += self._clock.now - before
+        if count > 0 and not wake:
+            before = self._clock.now
+            self.plane.flush(wake=False)
+            self.stats.time += self._clock.now - before
 
     def _charge_copy(self, n_bytes: int) -> None:
         """Charge moving a payload across the boundary; in HW mode the
@@ -245,6 +200,13 @@ class SyscallInterface:
             return self.hostile_hook(name, result)
         return result
 
+    def _kernel_int(self, name: str, value: int, what: str) -> int:
+        """The kernel's answer ``value`` to ``name``, refused unless an int."""
+        result = self._maybe_hostile(name, value)
+        if not isinstance(result, int):
+            raise SyscallError(f"kernel returned a non-integer {what}")
+        return result
+
     # ------------------------------------------------------------------
     # File operations (the shield and runtime build on these)
     # ------------------------------------------------------------------
@@ -258,8 +220,7 @@ class SyscallInterface:
         the host holds); the default copies everything read.  What is not
         copied stays in the host's buffer, where the file-system shield
         checks digests and opens chunks in place.  NATIVE and SIM copy
-        everything read: there
-        the copy is the kernel's kernel→user one, which no caller skips."""
+        everything read: the kernel's kernel→user copy, no caller skips."""
         (result,) = self._read([path], enclave_bytes)
         if isinstance(result, SyscallError):
             raise result
@@ -292,8 +253,7 @@ class SyscallInterface:
         enclave_bytes: Optional[int],
         landed: Optional[Callable[[int], None]] = None,
     ) -> List[Union[VirtualFile, SyscallError]]:
-        opens = [self._submit("open") for _ in paths]
-        self._wait(max(opens))
+        self._wait(max([self._submit("open") for _ in paths]))
         results: List[Union[VirtualFile, SyscallError]] = []
         firsts: List[float] = []  # each file's first piece's completion
         ends: List[int] = []  # the piece each file ends with (-1: unread)
@@ -307,28 +267,22 @@ class SyscallInterface:
                 results.append(exc)
                 ends.append(-1)
                 continue
-            size = result.size
-            iago.check_size_result(size)
-            iago.check_read_result(size, result.content[: size + 1])
+            iago.check_size_result(result.size)
+            iago.check_read_result(result.size, result.content[: result.size + 1])
             results.append(result)
-            ends.append(-(-size // IO_CHUNK) - 1 if size > IO_CHUNK else 0)
-        # The first pieces tell every file's size; the rest go out together.
+            ends.append(max(0, -(-result.size // IO_CHUNK) - 1))
+        # The first pieces tell every file's size; the rest go out together:
+        # piece by piece, every file's continuation, as one batch.
         waited = due = max(firsts)
         self._wait(waited)
-        count = max(ends) + 1 or 1
         landing = [due]  # per piece: when it has landed in every file holding it
-        if count > 1:
-            # Piece by piece, every file's continuation, as one batch.
-            widths = [sum(end >= index for end in ends) for index in range(1, count)]
-            continuations = self._submit_batch("rw_continuation", sum(widths))
-            start = 0
-            for width in widths:
-                landing.append(max(continuations[start : start + width]))
-                start += width
-        for index in range(count):
-            if landing[index] > due:
-                due = landing[index]
-            if landed is None and index < count - 1:
+        if max(ends) > 0:
+            widths = [sum(end >= index for end in ends) for index in range(1, max(ends) + 1)]
+            continuations = iter(self._submit_batch("rw_continuation", sum(widths)))
+            landing += [max(islice(continuations, width)) for width in widths]
+        for index, lands in enumerate(landing):
+            due = max(due, lands)
+            if landed is None and index < len(landing) - 1:
                 continue  # nobody works on a piece: wait for the last
             if due > waited:  # a wait hidden by other threads ends early
                 self._wait(due)
@@ -343,7 +297,7 @@ class SyscallInterface:
                     self._charge_copy(crossing)
                     self.stats.bytes_read += size
                     closing += 1
-            self._hand_off("close", closing)
+            self._post("close", closing, wake=False)
             if landed is not None:
                 landed((index + 1) * IO_CHUNK)
         return results
@@ -384,12 +338,12 @@ class SyscallInterface:
         first, unless :meth:`open_files` submitted them earlier and
         ``opened`` holds what it returned —, posted ``write`` +
         continuations and posted ``close``, and counts in
-        ``bytes_written``.  The payload goes out in
-        IO_CHUNK pieces: ``produce(stop)`` charges the making of its
-        first ``stop`` bytes (the shield's seal) before the piece that
-        ends there, whose calls are handed to an awake ring handler as
-        soon as it is made.  The payload is copied at most once, with
-        the first destination, piece by piece, and only what the enclave
+        ``bytes_written``.  The payload goes out in IO_CHUNK pieces:
+        ``produce(stop)`` charges the making of its first ``stop`` bytes
+        (the shield's seal) before the piece that ends there, whose calls
+        are handed off as soon as it is made; without ``produce`` they are
+        posted, lazily.  The payload is copied at most once, with the
+        first destination, piece by piece, and only what the enclave
         holds of it: in HW mode that is ``enclave_bytes`` (default: all
         of it) — the rest is sealed output the file-system shield wrote
         straight into the host's buffer, where the host already holds
@@ -405,9 +359,10 @@ class SyscallInterface:
         if self._mode is SgxMode.HW and enclave_bytes is not None:
             crossing = min(enclave_bytes, size)
         opens = [self._submit("open") for _ in paths] if opened is None else opened
+        handing_off = produce is not None
         for index in range(max(1, -(-size // IO_CHUNK))):
             start, stop = index * IO_CHUNK, min((index + 1) * IO_CHUNK, size)
-            if produce is not None:
+            if handing_off:
                 produce(stop)
             if opens:
                 self._wait(max(opens))
@@ -415,42 +370,33 @@ class SyscallInterface:
             if min(crossing, stop) > start:
                 self._charge_copy(min(crossing, stop) - start)
             name = "rw_continuation" if index else "write"
-            if produce is None:
-                for _ in paths:
-                    self._charge(name, posted=True)
-            else:
-                self._hand_off(name, len(paths))
+            self._post(name, len(paths), wake=not handing_off)
         files: List[VirtualFile] = []
         for path in paths:
             self.stats.bytes_written += size
             previous = self._vfs.lookup(path)
             files.append(self._vfs.write(path, content, declared_size=declared_size))
-            written = self._maybe_hostile("write", size)
-            if not isinstance(written, int):
-                raise SyscallError("kernel returned a non-integer write count")
+            written = self._kernel_int("write", size, "write count")
             if iago.check_write_result(size, written) < size:
                 self._vfs.reinstate(path, previous)
                 raise ShortWriteError(
                     f"kernel wrote {written} of {size} bytes to {path!r}"
                 )
-        self._hand_off("close", len(paths))
+        self._post("close", len(paths), wake=False)
         return files
 
     def stat(self, path: str) -> int:
         """Size of a file (simulated size)."""
-        self._charge("stat")
+        self._wait(self._submit("stat"))
         size = self._vfs.read(path).size
-        result = self._maybe_hostile("stat", size)
-        if not isinstance(result, int):
-            raise SyscallError("kernel returned a non-integer stat size")
-        return iago.check_size_result(result)
+        return iago.check_size_result(self._kernel_int("stat", size, "stat size"))
 
     def exists(self, path: str) -> bool:
-        self._charge("stat")
+        self._wait(self._submit("stat"))
         return self._vfs.exists(path)
 
     def unlink(self, path: str) -> None:
-        self._charge("unlink", posted=True)
+        self._post("unlink")
         self._vfs.delete(path)
 
     def rename(self, src: str, dst: str) -> VirtualFile:
@@ -458,11 +404,11 @@ class SyscallInterface:
         the shield's journaled write protocol).  Result-bearing on the
         ring on purpose: the flush-then-wait makes every posted write
         durable before the commit point returns."""
-        self._charge("rename")
+        self._wait(self._submit("rename"))
         return self._vfs.rename(src, dst)
 
     def list_dir(self, prefix: str = "") -> List[str]:
-        self._charge("getdents")
+        self._wait(self._submit("getdents"))
         paths = self._vfs.listdir(prefix)
         result = self._maybe_hostile("getdents", paths)
         if not isinstance(result, list):
@@ -471,33 +417,29 @@ class SyscallInterface:
 
     def next_version(self, path: str) -> int:
         """The version the next write to ``path`` will get (0 if new)."""
-        self._charge("stat")
+        self._wait(self._submit("stat"))
         if not self._vfs.exists(path):
             return 0
         version = self._vfs.read(path).version + 1
-        result = self._maybe_hostile("version", version)
-        if not isinstance(result, int):
-            raise SyscallError("kernel returned a non-integer version")
-        return iago.check_size_result(result)
+        return iago.check_size_result(self._kernel_int("version", version, "version"))
 
     # ------------------------------------------------------------------
     # Socket operations (the network shield and RPC stack charge here)
     # ------------------------------------------------------------------
 
-    def socket_send(self, n_bytes: int, name: str = "sendmsg") -> None:
-        """Charge transmitting ``n_bytes`` on a socket (fire-and-forget:
-        the kernel drains the buffer on a handler thread)."""
-        self._charge(name, posted=True)
+    def socket_send(self, n_bytes: int) -> None:
+        """Charge transmitting ``n_bytes`` on a socket (posted: the
+        kernel drains the buffer on a handler thread)."""
+        self._post("sendmsg")
         if n_bytes > IO_CHUNK:  # the rest leaves in continuations
-            for _ in range(-(-n_bytes // IO_CHUNK) - 1):
-                self._charge("rw_continuation", posted=True)
+            self._post("rw_continuation", -(-n_bytes // IO_CHUNK) - 1)
         self._charge_copy(n_bytes)
         self.stats.bytes_sent += n_bytes
 
-    def socket_recv(self, n_bytes: int, name: str = "recvmsg") -> None:
+    def socket_recv(self, n_bytes: int) -> None:
         """Charge receiving ``n_bytes`` from a socket (result-bearing:
         the caller needs the payload)."""
-        self._charge(name)
+        self._wait(self._submit("recvmsg"))
         if n_bytes > IO_CHUNK:  # the rest arrives in continuations, one batch
             continuations = -(-n_bytes // IO_CHUNK) - 1
             self._wait(max(self._submit_batch("rw_continuation", continuations)))
@@ -506,4 +448,4 @@ class SyscallInterface:
 
     def nop_syscall(self, name: str = "nop") -> None:
         """A syscall with no semantic effect (cost-model microbenchmarks)."""
-        self._charge(name)
+        self._wait(self._submit(name))

@@ -5,55 +5,49 @@ enclave thread never exits for a system call: it writes a request
 descriptor into a shared-memory *submission ring*, OS-side handler
 threads service the requests, and completions come back through a
 completion queue while the user-level scheduler runs another
-application thread.  Earlier revisions of this reproduction modelled
-the net effect with two analytic constants (a flat userspace-handled
-fraction and a fixed kernel-overlap factor); this module replaces them
-with the mechanism itself:
+application thread.  This module models the mechanism itself:
 
 - a **bounded ring** of ``ring_depth`` slots — submissions stall
   (backpressure) when all slots hold in-flight requests;
-- **N handler threads** outside the enclave, each a timeline of when it
-  next becomes free; a request is served by the earliest-free handler,
-  so kernel service time queues mechanistically under load;
+- **N handler threads**, each a timeline of when it next becomes free;
+  the earliest-free one serves a request, so kernel service time queues
+  mechanistically under load;
 - **sleep/wake**: a handler idle longer than ``handler_spin_time``
   parks on a futex, and waking it costs a *real* enclave transition —
-  the exit-less path only wins while traffic keeps handlers spinning.
-  A request the earliest-free handler would take while parked goes to
-  the awake handler that serves it first instead, unless that one has
+  the exit-less path only wins while traffic keeps handlers spinning —
+  so a request goes to an awake handler instead, unless that one has
   been busy back to back for longer than a wake costs;
-- **submission ahead of the wait**: :meth:`SyscallPlane.submit` returns
-  a completion, and the caller calls :meth:`~SyscallPlane.wait` on it
-  once it needs the result, so its own work (a seal, a decrypt) hides
-  the kernel's; ``call`` is the two back to back;
-- **batched submission** for fire-and-forget calls (writes, closes,
-  unlinks, sends): requests buffer and flush together — on batch
+- **two verbs**: :meth:`~SyscallPlane.submit` returns a completion, and
+  the caller waits on it (:meth:`~SyscallPlane.wait`) once it needs the
+  result, so its own work (a seal, a decrypt) hides the kernel's;
+  :meth:`~SyscallPlane.post` is a fire-and-forget call (writes, closes,
+  unlinks, sends).  Posted calls buffer and flush together — on batch
   overflow, before any result-bearing call, and when the scheduler
-  blocks; a mid-computation hand-off (``flush(wake=False)``) goes out
-  only while a handler is awake;
-- **synchronous fallback**: when every handler is busy far enough into
-  the future that a classic synchronous transition would be faster
-  (handler starvation), the call takes the old-fashioned exit instead;
-- **occupancy-derived overlap**: the wait for a completion is handed to
-  the :class:`~repro.runtime.threading_ul.UserLevelScheduler`, which
-  hides the fraction of it that other *runnable* application threads
-  can fill — the overlap now emerges from scheduler occupancy instead
-  of a constant.
+  blocks; a hand-off (``flush(wake=False)``) goes out only while a
+  handler is awake;
+- **synchronous fallback**: when every handler is busy further ahead
+  than a classic synchronous transition costs, the call takes it;
+- **occupancy-derived overlap**: a completion wait is handed to the
+  :class:`~repro.runtime.threading_ul.UserLevelScheduler`, which hides
+  the share other *runnable* application threads can fill.
 
 Userspace-served calls (futexes, clock reads, memory management) are
 dispatched by a per-syscall-name table, as in the real runtime, and
-never touch the ring.
+never touch the ring.  Off the ring — NATIVE, or HW with asynchronous
+syscalls off — a :class:`TrapPlane` speaks the same verbs: every call
+traps (or exits the enclave) whole where it is made.
 
 All state is plain floats and lists mutated in program order — no RNG,
 no wall clock — so two identical runs produce byte-identical
 :class:`~repro.runtime.syscall.SyscallStats` (the chaos/crash replay
-suites of PRs 2 and 3 depend on this).
+suites depend on this).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro._sim import probe
 from repro._sim.clock import SimClock
@@ -143,8 +137,8 @@ class SyscallPlane:
         self._busy_since: List[float] = [0.0] * self.config.handler_threads
         #: Completion times of requests still occupying ring slots.
         self._inflight: List[float] = []
-        #: Buffered fire-and-forget requests: (name, kernel_cost).
-        self._pending: List[Tuple[str, float]] = []
+        #: Names of the buffered fire-and-forget requests.
+        self._pending: List[str] = []
         self._scheduler: Optional["UserLevelScheduler"] = None
         #: What a classic synchronous call costs instead of the ring.
         self._sync_exit_cost = (
@@ -167,11 +161,6 @@ class SyscallPlane:
     # Ring mechanics
     # ------------------------------------------------------------------
 
-    def occupancy(self) -> int:
-        """Ring slots currently held by in-flight requests."""
-        self._reap()
-        return len(self._inflight)
-
     def _reap(self) -> None:
         now = self._clock.now
         while self._inflight and self._inflight[0] <= now:
@@ -192,7 +181,7 @@ class SyscallPlane:
                     probe.SINK.charge(self._clock, "backpressure", stall)
             self._reap()
 
-    def _charge_sync_exit(self, kernel_cost: float) -> None:
+    def _charge_sync_exit(self) -> None:
         self.stats.sync_fallbacks += 1
         before = self._clock.now
         if self._enclave is not None:
@@ -200,7 +189,7 @@ class SyscallPlane:
             self._enclave.cpu.transition(asynchronous=False)
         else:
             self._clock.advance(self._model.syscall_trap_cost)
-        self._clock.advance(kernel_cost)
+        self._clock.advance(self._model.syscall_kernel_cost)
         if probe.SINK is not None:
             probe.SINK.charge(self._clock, "syscall_ring", self._clock.now - before)
 
@@ -208,12 +197,10 @@ class SyscallPlane:
         """True when the ring cannot win: every handler is busy further
         into the future than a synchronous exit costs (the kernel service
         time is paid on both paths)."""
-        if not self._handlers:
-            return True
         return min(self._handlers) - self._clock.now > self._sync_exit_cost
 
-    def _submit_one(self, name: str, kernel_cost: float, wake: bool = True) -> float:
-        """Write one request into the ring; returns its completion time.
+    def _submit_one(self, name: str, wake: bool = True) -> float:
+        """Write request ``name`` into the ring; returns its completion time.
 
         The request goes to the earliest-free handler.  When that one
         has parked, the awake handler (busy, or spinning within
@@ -259,7 +246,7 @@ class SyscallPlane:
             self._busy_since[index] = now
         if probe.SINK is not None and now > before:
             probe.SINK.charge(self._clock, "syscall_ring", now - before)
-        completion = max(now, free_at) + kernel_cost
+        completion = max(now, free_at) + self._model.syscall_kernel_cost
         handlers[index] = completion
         heapq.heappush(self._inflight, completion)
         if len(self._inflight) > self.stats.ring_occupancy_peak:
@@ -281,9 +268,7 @@ class SyscallPlane:
             probe.SINK.charge(self._clock, "syscall_ring", duration)
         return True
 
-    def submit(
-        self, name: str, kernel_cost: Optional[float] = None, ahead: bool = False
-    ) -> float:
+    def submit(self, name: str, ahead: bool = False) -> float:
         """Submit one result-bearing syscall and return when it completes:
         the caller works on until it needs the result, then calls
         :meth:`wait`.  The buffered batch goes first.  A userspace-served
@@ -293,13 +278,12 @@ class SyscallPlane:
         the caller would wait at once."""
         if name in USERSPACE_SYSCALLS and self._userspace(name):
             return self._clock.now
-        cost = kernel_cost if kernel_cost is not None else self._model.syscall_kernel_cost
         if self._pending:
             self.flush()
         if not self._handlers or (not ahead and self._starved()):
-            self._charge_sync_exit(cost)
+            self._charge_sync_exit()
             return self._clock.now
-        return self._submit_one(name, cost)
+        return self._submit_one(name)
 
     def wait(self, completion: float) -> None:
         """Wait for a completion, hiding what runnable threads cover."""
@@ -321,25 +305,18 @@ class SyscallPlane:
                 )
         self._reap()
 
-    def call(self, name: str, kernel_cost: Optional[float] = None) -> None:
-        """One result-bearing syscall: submit, then wait for completion."""
-        self.wait(self.submit(name, kernel_cost))
-
-    def post(
-        self, name: str, kernel_cost: Optional[float] = None, wake: bool = True
-    ) -> None:
+    def post(self, name: str, wake: bool = True) -> None:
         """One fire-and-forget syscall: buffered, submitted at the next
         flush, never waited on (its kernel time runs entirely on a
         handler thread).  A full batch flushes, waking a handler only
         with ``wake``."""
         if name in USERSPACE_SYSCALLS and self._userspace(name):
             return
-        cost = kernel_cost if kernel_cost is not None else self._model.syscall_kernel_cost
         if not self._handlers:
             # Nobody will ever serve the ring: take the classic exit now.
-            self._charge_sync_exit(cost)
+            self._charge_sync_exit()
             return
-        self._pending.append((name, cost))
+        self._pending.append(name)
         if len(self._pending) >= self.config.batch_max:
             self.flush(wake=wake)
 
@@ -355,10 +332,51 @@ class SyscallPlane:
         ):
             return  # every handler is parked
         pending, self._pending = self._pending, []
-        self.stats.batches += 1
-        if len(pending) > self.stats.max_batch:
-            self.stats.max_batch = len(pending)
+        self.count_batch(len(pending))
         if on_block:
             self.stats.flushes_on_block += 1
-        for name, cost in pending:
-            self._submit_one(name, cost, wake)
+        for name in pending:
+            self._submit_one(name, wake)
+
+    def count_batch(self, size: int) -> None:
+        """Count ``size`` requests that went out together as one batch."""
+        self.stats.batches += 1
+        if size > self.stats.max_batch:
+            self.stats.max_batch = size
+
+
+class TrapPlane:
+    """Off the ring (NATIVE, or HW with asynchronous syscalls off): the
+    ring's verbs, but every call is paid whole where it is made — a trap
+    and the kernel's service time, or in HW a synchronous enclave exit
+    and the kernel's — so a completion has passed when :meth:`submit`
+    returns it, a post is a submit, no ring counter moves and no call is
+    served in userspace."""
+
+    def __init__(
+        self, cost_model: CostModel, clock: SimClock, stats: "SyscallStats",
+        enclave: Optional[Enclave] = None,
+    ) -> None:
+        self._model, self._clock, self._enclave = cost_model, clock, enclave
+        self.stats = stats
+
+    def submit(self, name: str, ahead: bool = False) -> float:
+        model = self._model
+        before = self._clock.now
+        if self._enclave is None:
+            self._clock.advance(model.syscall_trap_cost + model.syscall_kernel_cost)
+        else:
+            self.stats.transitions += 1
+            self._enclave.cpu.transition(asynchronous=False)
+            self._clock.advance(model.syscall_kernel_cost)
+        if probe.SINK is not None:
+            probe.SINK.charge(self._clock, "syscall_ring", self._clock.now - before)
+        return self._clock.now
+
+    def post(self, name: str, wake: bool = True) -> None:
+        self.submit(name)
+
+    def _nothing(self, *args: object, **kwargs: object) -> None:
+        """Off the ring nothing is hidden, waited for, flushed or batched."""
+
+    attach_scheduler = wait = flush = count_batch = _nothing

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ClusterError
 
@@ -148,15 +148,18 @@ class ReplicaScoreboard:
 
     # -- routing ---------------------------------------------------------
 
-    def routable(self, per_replica_limit: int, exclude: frozenset = frozenset()) -> List[ReplicaEntry]:
-        """Replicas a new attempt may go to, in scoreboard order."""
-        return [
+    def routable(
+        self, per_replica_limit: int, exclude: frozenset = frozenset()
+    ) -> Iterator[ReplicaEntry]:
+        """Replicas a new attempt may go to, in scoreboard order (lazily:
+        a caller that needs only the first stops there)."""
+        return (
             e
             for e in self._entries.values()
             if e.state in _ROUTABLE
             and e.in_flight < per_replica_limit
             and e.address not in exclude
-        ]
+        )
 
     def pick(
         self, per_replica_limit: int, exclude: frozenset = frozenset()
@@ -169,18 +172,17 @@ class ReplicaScoreboard:
         left — a pure function of scoreboard state, no RNG, no identity
         ordering.
         """
-        candidates = self.routable(per_replica_limit, exclude)
-        if not candidates:
-            return None
         return min(
-            candidates,
+            self.routable(per_replica_limit, exclude),
             key=lambda e: (
                 e.in_flight, e.state is not ReplicaState.HEALTHY, e.served, e.address
             ),
+            default=None,
         )
 
     def has_capacity(self, per_replica_limit: int) -> bool:
-        return bool(self.routable(per_replica_limit))
+        """Some replica is routable: stops at the first one."""
+        return next(self.routable(per_replica_limit), None) is not None
 
     def counts(self) -> Dict[str, int]:
         """State → replica count (for metrics and the autoscaler)."""

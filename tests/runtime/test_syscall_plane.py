@@ -122,7 +122,7 @@ def test_result_bearing_call_flushes_batch_first():
     plane, stats, _ = make_plane(handler_threads=4)
     plane.post("write")
     plane.post("write")
-    plane.call("read")
+    plane.wait(plane.submit("read"))
     # Both posted writes reached the ring before (or with) the read.
     assert stats.ring_submissions == 3
 
@@ -132,7 +132,7 @@ def test_result_bearing_call_flushes_batch_first():
 
 def test_zero_handlers_always_falls_back_to_sync():
     plane, stats, _ = make_plane(handler_threads=0)
-    plane.call("read")
+    plane.wait(plane.submit("read"))
     plane.post("write")
     assert stats.sync_fallbacks == 2
     assert stats.ring_submissions == 0
@@ -143,7 +143,7 @@ def test_busy_single_handler_starves_result_bearing_call():
     # trap costs, so the read takes the old-fashioned exit.
     plane, stats, _ = make_plane(handler_threads=1)
     plane.post("write")
-    plane.call("read")
+    plane.wait(plane.submit("read"))
     assert stats.sync_fallbacks == 1
     assert stats.ring_submissions == 1  # only the posted write rode the ring
 
@@ -168,7 +168,7 @@ def test_a_plain_write_file_still_falls_back_when_starved():
 def test_second_handler_prevents_starvation():
     plane, stats, _ = make_plane(handler_threads=2)
     plane.post("write")
-    plane.call("read")
+    plane.wait(plane.submit("read"))
     assert stats.sync_fallbacks == 0
     assert stats.ring_submissions == 2
 
@@ -178,17 +178,17 @@ def test_second_handler_prevents_starvation():
 
 def test_idle_handler_needs_wakeup():
     plane, stats, clock = make_plane()
-    plane.call("read")
+    plane.wait(plane.submit("read"))
     first_wakeups = stats.handler_wakeups
     clock.advance(100 * CM.handler_spin_time)
-    plane.call("read")
+    plane.wait(plane.submit("read"))
     assert stats.handler_wakeups == first_wakeups + 1
 
 
 def test_busy_handlers_need_no_wakeup():
     plane, stats, _ = make_plane(handler_threads=1)
     for _ in range(50):
-        plane.call("read")
+        plane.wait(plane.submit("read"))
     # Back-to-back traffic keeps the handler spinning: no futex wake.
     assert stats.handler_wakeups == 0
 
@@ -198,14 +198,14 @@ def test_a_request_queues_behind_an_awake_handler_rather_than_wake_one():
     wake-up costs: the next request waits for the awake one."""
     plane, stats, clock = make_plane()
     clock.advance(100 * CM.handler_spin_time)  # both handlers park
-    plane.call("read")  # wakes one
+    plane.wait(plane.submit("read"))  # wakes one
     assert stats.handler_wakeups == 1
     plane.post("close")
-    plane.call("open")  # behind the close, 0.9 µs < the 1.2 µs wake
+    plane.wait(plane.submit("open"))  # behind the close, 0.9 µs < the 1.2 µs wake
     assert stats.handler_wakeups == 1
     for _ in range(8):  # a queue longer than a wake-up: the other wakes
         plane.post("write")
-    plane.call("open")
+    plane.wait(plane.submit("open"))
     assert stats.handler_wakeups == 2
 
 
@@ -220,11 +220,11 @@ def test_a_stream_one_handler_cannot_keep_up_with_wakes_the_second():
     plane.attach_scheduler(scheduler)
     clock.advance(100 * CM.handler_spin_time)  # both handlers park
     for _ in range(20):
-        plane.call("read")
+        plane.wait(plane.submit("read"))
     assert stats.handler_wakeups == 2
     start = clock.now
     for _ in range(100):
-        plane.call("read")
+        plane.wait(plane.submit("read"))
     assert (clock.now - start) / 100 < CM.syscall_kernel_cost
 
 
@@ -234,7 +234,7 @@ def test_a_hand_off_never_wakes_a_parked_handler():
     plane.post("write", wake=False)
     plane.flush(wake=False)
     assert stats.ring_submissions == 0  # still buffered: both are parked
-    plane.call("open")  # the next result-bearing call takes it, as before
+    plane.wait(plane.submit("open"))  # the next result-bearing call takes it, as before
     assert stats.ring_submissions == 2 and stats.handler_wakeups == 1
 
 
@@ -275,7 +275,7 @@ def test_lone_thread_hides_nothing():
     plane, stats, clock = make_plane()
     scheduler = UserLevelScheduler(CM, clock)  # runnable defaults to 1
     plane.attach_scheduler(scheduler)
-    plane.call("read")
+    plane.wait(plane.submit("read"))
     assert stats.overlap_hidden_time == 0.0
     assert stats.overlap_exposed_time > 0.0
 
@@ -288,7 +288,7 @@ def test_overlap_grows_with_runnable_threads():
         scheduler.set_runnable(runnable)
         plane.attach_scheduler(scheduler)
         for _ in range(20):
-            plane.call("read")
+            plane.wait(plane.submit("read"))
         total = stats.overlap_hidden_time + stats.overlap_exposed_time
         fractions[runnable] = stats.overlap_hidden_time / total
     assert 0.0 < fractions[2] < fractions[8] < 1.0

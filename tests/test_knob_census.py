@@ -3,9 +3,10 @@
 A field that nothing sets is a second code path only its own unit test
 reaches.  This test walks the AST of ``src/``, ``benchmarks/`` and
 ``examples/`` and requires every field of the seven config / policy
-classes, and every parameter of the two runtime-config builders, to be
-set by some call there — or to carry an :data:`ALLOWLIST` entry with a
-one-line reason.  The census table with a decision per field is
+classes, and every parameter of the two runtime-config builders and of
+the two syscall-layer constructors (an owner named ``Class.__init__``),
+to be set by some call there — or to carry an :data:`ALLOWLIST` entry
+with a one-line reason.  The census table with a decision per field is
 DESIGN.md §3.
 
 What counts as setting a knob ``f`` (by keyword, or positionally in
@@ -41,6 +42,8 @@ KNOBS: Dict[str, str] = {
     "RetryPolicy": "src/repro/cluster/retry.py",
     "service_runtime_config": "src/repro/core/inference.py",
     "training_runtime_config": "src/repro/core/training.py",
+    "SyscallInterface.__init__": "src/repro/runtime/syscall.py",
+    "SyscallPlane.__init__": "src/repro/runtime/syscall_plane.py",
 }
 
 #: Knobs kept although no program, benchmark or example sets them.
@@ -72,12 +75,25 @@ SEARCH_DIRS = ("src", "benchmarks", "examples")
 Knob = Tuple[str, str]
 
 
+def _called_as(owner: str) -> str:
+    """The name a call to ``owner`` goes by (a constructor: its class)."""
+    return owner.split(".")[0]
+
+
 def knob_fields(root: Path, knobs: Dict[str, str] = KNOBS) -> Dict[str, List[str]]:
-    """Owner → its fields (dataclass annotations) or parameters (builders)."""
+    """Owner → its fields (dataclass annotations) or parameters (builders
+    and constructors)."""
     fields: Dict[str, List[str]] = {}
     for owner, module in knobs.items():
         for node in ast.parse((root / module).read_text()).body:
-            if isinstance(node, ast.ClassDef) and node.name == owner:
+            if isinstance(node, ast.ClassDef) and owner == f"{node.name}.__init__":
+                fields[owner] = [
+                    param
+                    for stmt in node.body
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+                    for param in _params(stmt)
+                ]
+            elif isinstance(node, ast.ClassDef) and node.name == owner:
                 fields[owner] = [
                     stmt.target.id
                     for stmt in node.body
@@ -171,7 +187,9 @@ def set_knobs(root: Path, knobs: Dict[str, str] = KNOBS) -> Set[Knob]:
                 for stmt in node.body:
                     if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
                         signatures.setdefault(node.name, _params(stmt))
-    signatures.update(knob_fields(root, knobs))
+    signatures.update(
+        (_called_as(owner), names) for owner, names in knob_fields(root, knobs).items()
+    )
     census = _Census(signatures)
     for tree in trees:
         census.visit(tree)
@@ -197,7 +215,7 @@ def unset_knobs(root: Path = ROOT) -> List[Knob]:
         (owner, name)
         for owner, names in knob_fields(root).items()
         for name in names
-        if (owner, name) not in done and (owner, name) not in ALLOWLIST
+        if (_called_as(owner), name) not in done and (owner, name) not in ALLOWLIST
     ]
 
 
@@ -216,7 +234,7 @@ def test_allowlist_names_only_real_unset_knobs():
     fields, done = knob_fields(ROOT), set_knobs(ROOT)
     for (owner, name), reason in ALLOWLIST.items():
         assert name in fields[owner], (owner, name)
-        assert (owner, name) not in done, (owner, name)
+        assert (_called_as(owner), name) not in done, (owner, name)
         assert reason.strip()
 
 
@@ -243,3 +261,19 @@ def test_forwarding_is_followed_and_pass_through_alone_sets_nothing(tmp_path):
     assert ("RouterPolicy", "hedge") in done  # plane(False) reaches it
     assert ("RouterPolicy", "hedge_min_delay") not in done  # forwarded only
     assert ("RouterPolicy", "max_attempts") not in done  # self.cfg.f alone
+
+
+def test_a_constructor_parameter_nobody_sets_is_reported(tmp_path):
+    for top in SEARCH_DIRS:
+        (tmp_path / top).mkdir()
+    knobs = {"Plane.__init__": "src/plane.py"}
+    (tmp_path / knobs["Plane.__init__"]).write_text(
+        "class Plane:\n"
+        "    def __init__(self, clock, depth=4, spare=None):\n"
+        "        self.clock = clock\n"
+    )
+    (tmp_path / "benchmarks" / "bench_x.py").write_text("Plane(object(), depth=8)\n")
+    assert knob_fields(tmp_path, knobs) == {"Plane.__init__": ["clock", "depth", "spare"]}
+    done = set_knobs(tmp_path, knobs)
+    assert {("Plane", "clock"), ("Plane", "depth")} <= done
+    assert ("Plane", "spare") not in done
