@@ -10,13 +10,13 @@ the local cluster, itself running inside an enclave.  It:
   inside CAS so "no human ever sees them" (§7.3), application config —
   encrypted to a key the attested enclave proved possession of (the
   X25519 public key bound into the quote's report data),
-- stores everything in an encrypted embedded database protected against
-  rollback by a hardware monotonic counter, and
+- stores everything in an embedded database, one file of its own fs
+  shield, protected against rollback by a hardware monotonic counter, and
 - runs the freshness **audit service** that gives the file-system shield
   distributed rollback protection (§3.3.2).
 """
 
-from repro.cas.secrets_db import HardwareCounter, SecretsDatabase, TwoSlotSealedStore
+from repro.cas.secrets_db import HardwareCounter, SecretsDatabase
 from repro.cas.policy import Policy, PolicyEngine
 from repro.cas.audit import AuditCheckpoint, AuditRecord, FreshnessAuditService
 from repro.cas.keys import KeyManager, ProvisionedIdentity
@@ -27,7 +27,6 @@ from repro.cas.failover import CasPairStats, ReplicatedCasPair
 __all__ = [
     "HardwareCounter",
     "SecretsDatabase",
-    "TwoSlotSealedStore",
     "Policy",
     "PolicyEngine",
     "FreshnessAuditService",

@@ -209,8 +209,8 @@ class ReplicatedCasPair:
         orchestrator (which has a channel to each instance), and a bump
         during failover — exactly when the record matters most — must
         not depend on primary→standby reachability.  Double-writing from
-        the control plane keeps the registry durable on whichever
-        replica survives.
+        the control plane keeps the registry on whichever replica
+        survives (in memory, until that instance's next ``persist()``).
         """
         self.primary.db.put(key, value)
         self.backup.db.put(key, value)

@@ -1,36 +1,33 @@
 """The encrypted embedded secrets database (paper: SQLite-in-enclave).
 
 CAS stores keys, certificates, and policies in an embedded database that
-is itself encrypted and runs inside the CAS enclave (§4.3).  Persistence
-goes to untrusted storage, so the database defends itself:
+is itself encrypted and runs inside the CAS enclave (§4.3).  Its file is
+an ordinary protected file of the CAS runtime's file-system shield
+(:mod:`repro.cas.service`): the shield encrypts it under a key only the
+CAS enclave on its own CPU can derive, and its journaled commit leaves
+the file at exactly the old or the new snapshot whatever the host tears
+or kills.  What the shield cannot give is freshness across a disk-image
+restore — its file versions come from the node's own (untrusted)
+storage — so every snapshot carries its version, bound to a **hardware
+monotonic counter**, and replaying an old snapshot is detected at load
+time.
 
-- the whole store is sealed with an AEAD key derived from the enclave's
-  sealing identity (confidentiality + integrity), and
-- the store's version is bound to a **hardware monotonic counter**, so
-  replaying an old (validly sealed) database snapshot — the rollback
-  attack on CAS itself — is detected at load time.
-
-Crash consistency: sealing and bumping the counter are two operations,
-and CAS can die between them (or between sealing and the blob reaching
-disk).  The protocol is therefore *seal first, bump last*: a snapshot is
-sealed under ``counter + 1``, persisted, and only then is the counter
-incremented.  Load accepts versions in ``{counter, counter + 1}`` — the
-latter is the persisted-but-unacknowledged snapshot, which load *rolls
-forward* by bumping the counter itself.  Any older version is a genuine
-rollback and stays rejected.  :class:`TwoSlotSealedStore` supplies the
-disk half: snapshots alternate between two slot files so a torn write
-can never destroy the newest good snapshot.
+Crash consistency: writing a snapshot and bumping the counter are two
+operations, and CAS can die between them.  The protocol is therefore
+*write first, bump last*: a snapshot carries ``counter + 1``, is
+persisted, and only then is the counter incremented.  Load accepts
+versions in ``{counter, counter + 1}`` — the latter is the
+persisted-but-unacknowledged snapshot, which load *rolls forward* by
+bumping the counter itself.  Any older version is a genuine rollback
+and stays rejected.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Optional
 
 from repro.crypto import encoding
-from repro.errors import FreshnessError, IntegrityError, SecurityError, SyscallError
-
-SealFn = Callable[[bytes], bytes]
-UnsealFn = Callable[[bytes], bytes]
+from repro.errors import FreshnessError, IntegrityError
 
 
 class HardwareCounter:
@@ -47,7 +44,7 @@ class HardwareCounter:
     :class:`~repro.cluster.epoch.EpochGuard`, duck-typed here to keep
     this module free of cluster imports), :meth:`increment` demands the
     caller's epoch and rejects a stale one with ``FencedError`` — the
-    commit point of the seal-first/bump-last protocol is exactly where a
+    commit point of the write-first/bump-last protocol is exactly where a
     zombie primary must be stopped from double-issuing a counter value.
     """
 
@@ -68,16 +65,9 @@ class HardwareCounter:
 
 
 class SecretsDatabase:
-    """An in-enclave key-value store with sealed, rollback-proof persistence."""
+    """An in-enclave key-value store with rollback-proof snapshots."""
 
-    def __init__(
-        self,
-        seal: SealFn,
-        unseal: UnsealFn,
-        counter: HardwareCounter,
-    ) -> None:
-        self._seal = seal
-        self._unseal = unseal
+    def __init__(self, counter: HardwareCounter) -> None:
         self._counter = counter
         self._records: Dict[str, bytes] = {}
         self._version = 0
@@ -113,130 +103,65 @@ class SecretsDatabase:
 
     # -- persistence ------------------------------------------------------
 
-    def export_sealed(self) -> bytes:
-        """Seal the store for untrusted persistence.
+    def snapshot(self) -> bytes:
+        """The store as bytes for the caller to persist (in the clear:
+        the file it goes into is what encrypts it).
 
-        Seals under ``counter + 1`` **without** bumping the counter — the
-        caller must persist the blob and then call
-        :meth:`acknowledge_persisted`.  (The old protocol bumped first: a
-        crash between the bump and the blob reaching disk left every
+        Carries ``counter + 1`` **without** bumping the counter — the
+        caller must persist the snapshot and then call
+        :meth:`acknowledge_persisted`.  (Bumping first would let a crash
+        between the bump and the snapshot reaching disk leave every
         on-disk snapshot older than the counter, bricking the store.)
         """
         version = self._counter.value + 1
-        payload = encoding.encode(
-            {"version": version, "records": dict(self._records)}
-        )
-        return self._seal(payload)
+        return encoding.encode({"version": version, "records": dict(self._records)})
 
     def _lease_epoch(self) -> "int | None":
         return self.lease.epoch if self.lease is not None else None
 
     def acknowledge_persisted(self) -> int:
-        """Bump the hardware counter after the sealed blob is durable.
+        """Bump the hardware counter after the snapshot is durable.
 
         The counter is the commit point: once bumped, every older
         snapshot is rejectable as a rollback.  A guarded (shared)
         counter rejects the bump when this instance's epoch is stale —
-        the sealed blob then never becomes authoritative.
+        the snapshot then never becomes authoritative.
         """
         self._version = self._counter.increment(self._lease_epoch())
         return self._version
 
-    def load_sealed(self, blob: bytes) -> int:
-        """Load a sealed snapshot; rejects tampering and rollback.
+    def load(self, snapshot: Optional[bytes]) -> int:
+        """Load a snapshot; rejects a malformed one and rollback.
 
         Accepts versions ``counter`` (the acknowledged snapshot) and
         ``counter + 1`` (persisted, crashed before the acknowledgement
         bump) — the latter is rolled forward by bumping the counter now.
-        Anything older is a rollback attack.
+        Anything older is a rollback attack.  No snapshot at all (None)
+        is the empty database of version 0: a fresh store while the
+        counter is at 0, a rollback to empty past it.
         """
-        try:
-            payload = encoding.decode(self._unseal(blob))
-        except (IntegrityError, SecurityError) as exc:
-            raise IntegrityError("secrets database failed unsealing") from exc
-        if not isinstance(payload, dict) or "version" not in payload:
-            raise IntegrityError("secrets database snapshot malformed")
-        version = payload["version"]
+        version, records = 0, {}
+        if snapshot is not None:
+            try:
+                payload = encoding.decode(snapshot)
+            except IntegrityError as exc:
+                raise IntegrityError("secrets database snapshot malformed") from exc
+            if not isinstance(payload, dict) or "version" not in payload:
+                raise IntegrityError("secrets database snapshot malformed")
+            version, records = payload["version"], payload["records"]
+        self._admit(version)
+        self._records = dict(records)
+        self._version = version
+        return len(self._records)
+
+    def _admit(self, version: int) -> None:
+        """The rollback check: ``version`` must be the counter's value or
+        the one after it, which rolls the counter forward."""
         if version == self._counter.value + 1:
-            # Roll forward: the blob was durable, the ack bump was not.
+            # Roll forward: the snapshot was durable, the ack bump was not.
             self._counter.increment(self._lease_epoch())
         elif version != self._counter.value:
             raise FreshnessError(
                 f"secrets database rollback detected: snapshot version "
                 f"{version}, hardware counter {self._counter.value}"
             )
-        self._records = dict(payload["records"])
-        self._version = version
-        return len(self._records)
-
-
-class TwoSlotSealedStore:
-    """Two-slot crash-consistent persistence for a :class:`SecretsDatabase`.
-
-    Snapshots alternate between ``{prefix}.slot0`` and ``{prefix}.slot1``
-    on untrusted storage, so a write — even one torn mid-crash — only
-    ever lands on the *older* slot; the newest good snapshot is never
-    overwritten.  Combined with the seal-first/bump-last protocol above,
-    a crash at any boundary of :meth:`save` leaves the store loadable:
-
-    - before the slot write, or torn during it: the other slot holds the
-      acknowledged snapshot (version == counter) — clean load;
-    - after the write, before the ack bump: the new slot holds version
-      counter + 1 — :meth:`SecretsDatabase.load_sealed` rolls forward;
-    - after the bump: clean load of the new snapshot.
-
-    Restoring *both* slots from an old disk image leaves every candidate
-    below the hardware counter — :meth:`load` raises FreshnessError, the
-    rollback stays detected.
-    """
-
-    def __init__(self, syscalls, prefix: str) -> None:
-        self._syscalls = syscalls
-        self._prefix = prefix
-        self._next_slot = 0
-
-    def slot_path(self, slot: int) -> str:
-        return f"{self._prefix}.slot{slot}"
-
-    def save(self, db: SecretsDatabase) -> str:
-        """Seal, persist to the older slot, then acknowledge (bump)."""
-        blob = db.export_sealed()
-        path = self.slot_path(self._next_slot)
-        self._syscalls.write_file(path, blob)
-        self._next_slot = 1 - self._next_slot
-        db.acknowledge_persisted()
-        return path
-
-    def _candidates(self, db: SecretsDatabase) -> List[Tuple[int, int, bytes]]:
-        """(version, slot, blob) of every slot that unseals cleanly."""
-        found: List[Tuple[int, int, bytes]] = []
-        for slot in (0, 1):
-            try:
-                blob = self._syscalls.read_file(self.slot_path(slot)).content
-            except SyscallError:
-                continue
-            try:
-                payload = encoding.decode(db._unseal(blob))
-            except (IntegrityError, SecurityError):
-                continue  # torn or tampered slot: ignore, the other wins
-            if isinstance(payload, dict) and "version" in payload:
-                found.append((payload["version"], slot, blob))
-        return found
-
-    def load(self, db: SecretsDatabase) -> int:
-        """Load the newest valid slot into ``db`` (mount-time recovery).
-
-        Raises FreshnessError when the best surviving snapshot is older
-        than the hardware counter (rollback), IntegrityError when no slot
-        unseals at all.
-        """
-        candidates = self._candidates(db)
-        if not candidates:
-            raise IntegrityError(
-                f"no loadable secrets-database slot under {self._prefix!r}"
-            )
-        version, slot, blob = max(candidates)
-        count = db.load_sealed(blob)
-        # Resume alternation so the next save overwrites the older slot.
-        self._next_slot = 1 - slot
-        return count

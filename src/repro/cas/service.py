@@ -13,29 +13,39 @@ Provisioning protocol (real cryptography end to end):
    key and returns the bundle sealed under the derived AEAD key — only
    the attested enclave can open it.
 
-CAS state (policies, session keys, secrets) lives in the encrypted
-embedded database, persisted sealed + rollback-protected.
+CAS state (policies, session keys, secrets) lives in the embedded
+database, which CAS keeps in one protected file of its own runtime's
+file-system shield (``DB_PATH``), under a key derived from the CAS
+enclave's sealing key: the file opens only on the same CPU under the
+same measurement.  Each :meth:`CasService.persist` is the shield's
+journaled commit followed by the database's counter bump, and a CAS
+built on a node whose disk holds its database recovers and loads it.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro._sim.trace import EventTrace
 from repro.cas.audit import FreshnessAuditService
 from repro.cas.keys import KeyManager, ProvisionedIdentity
 from repro.cas.policy import Policy, PolicyEngine
-from repro.cas.secrets_db import HardwareCounter, SecretsDatabase, TwoSlotSealedStore
+from repro.cas.secrets_db import HardwareCounter, SecretsDatabase
 from repro.cluster.node import Node
 from repro.crypto import encoding
 from repro.crypto.aead import AeadKey
 from repro.crypto.kdf import hkdf
 from repro.crypto.x25519 import X25519PrivateKey, X25519PublicKey
 from repro.enclave.attestation import AttestationVerifier, Quote
-from repro.enclave.sgx import SgxMode
-from repro.errors import AttestationError, PolicyError
+from repro.errors import AttestationError
+from repro.runtime.fs_shield import PathRule, ShieldPolicy
 from repro.runtime.scone import RuntimeConfig, SconeRuntime
+
+#: The directory the CAS runtime's fs shield encrypts, and the one file
+#: in it: the secrets database.
+DB_DIR = "/cas/"
+DB_PATH = DB_DIR + "secrets.db"
 
 
 @dataclass(frozen=True)
@@ -80,23 +90,20 @@ class CasService:
         self,
         node: Node,
         provisioning_root,
-        mode: SgxMode = SgxMode.HW,
-        trace: Optional[EventTrace] = None,
         counter: Optional[HardwareCounter] = None,
-        persist_prefix: Optional[str] = None,
     ) -> None:
         self.node = node
-        self._trace = trace
+        #: An ``EventTrace`` of verification and provisioning (Fig 4 bench).
+        self._trace = None
         rng = node.rng.child("cas")
         # CAS has zero behaviour-controlling configuration (§4.3): the
         # enclave image is just the CAS binary.
         self._runtime = SconeRuntime(
             RuntimeConfig(
                 name="cas",
-                mode=mode,
                 binary_size=6 * 1024 * 1024,  # slim Rust service binary
                 heap_size=64 * 1024 * 1024,
-                fs_shield_enabled=False,
+                fs_rules=[PathRule(DB_DIR, ShieldPolicy.ENCRYPT)],
             ),
             node.vfs,
             node.cost_model,
@@ -107,23 +114,23 @@ class CasService:
         enclave = self._runtime.enclave
         assert enclave is not None
         self._enclave = enclave
-        self._counter = counter if counter is not None else HardwareCounter()
-        self.db = SecretsDatabase(
-            seal=enclave.seal, unseal=enclave.unseal, counter=self._counter
+        # The database's file key is bound to this CPU and this
+        # measurement, as an SGX-sealed blob would be.  No freshness
+        # tracker: the shield's versions come from this node's disk,
+        # while the counter the snapshot carries may be shared by a pair.
+        sealing_key = node.cpu.sealing_key(enclave.measurement)
+        self._runtime.install_fs_key(
+            hkdf(salt=b"securetf-cas-database", ikm=sealing_key, info=b"", length=32)
         )
+        self.fs = self._runtime.fs
+        self._counter = counter if counter is not None else HardwareCounter()
+        self.db = SecretsDatabase(self._counter)
         self.policies = PolicyEngine()
         self.audit = FreshnessAuditService()
         self.keys = KeyManager(rng.child("keys"))
         self._verifier = AttestationVerifier(provisioning_root)
         self._rng = rng.child("provision")
         self._member_counters: Dict[str, int] = {}
-        #: Crash-consistent sealed persistence on this node's untrusted
-        #: storage (None = in-memory only, the pre-hardening behaviour).
-        self.store: Optional[TwoSlotSealedStore] = (
-            TwoSlotSealedStore(self._runtime.syscalls, persist_prefix)
-            if persist_prefix is not None
-            else None
-        )
         #: Replication hook: called with ``(op, payload)`` after every
         #: state mutation (installed by :mod:`repro.cas.failover`).
         self.replicator = None
@@ -133,6 +140,7 @@ class CasService:
         #: state — the holder-side half of the fence, modelling the
         #: lease-expiry timer a real CAS runs locally.
         self.lease = None
+        self._boot()
 
     # ------------------------------------------------------------------
 
@@ -224,7 +232,8 @@ class CasService:
         )
 
     def persist(self) -> None:
-        """Seal + persist the database (two-slot, crash-consistent).
+        """Write the database through the shield's journaled commit, then
+        acknowledge it on the counter (write first, bump last).
 
         With a lease installed, a superseded instance is stopped here:
         sealing new state after losing the leadership epoch is exactly
@@ -232,24 +241,23 @@ class CasService:
         """
         if self.lease is not None:
             self.lease.check()
-        if self.store is not None:
-            self.store.save(self.db)
-        else:
-            # No disk: still exercise the seal-then-ack protocol so the
-            # counter binds the latest state.
-            self.db.export_sealed()
-            self.db.acknowledge_persisted()
+        self.fs.write_file(DB_PATH, self.db.snapshot())
+        self.db.acknowledge_persisted()
 
-    def restore(self) -> int:
-        """Mount-time recovery: load the newest valid sealed slot and
-        rebuild the policy engine from the restored records."""
-        if self.store is None:
-            raise PolicyError("CAS has no persistence store configured")
-        count = self.store.load(self.db)
-        self.policies = PolicyEngine()
+    def _boot(self) -> None:
+        """Mount-time recovery: roll an interrupted commit of the
+        database back or keep it, load what survives and rebuild the
+        policy engine from it.  A disk without a database loads as the
+        empty one, which the counter refuses once it is past 0."""
+        snapshot = None
+        # Asked of the disk directly, so a fresh CAS boots in no
+        # simulated time; whatever the host answers, the counter decides.
+        if self.node.vfs.exists(DB_PATH):
+            self.fs.recover(DB_DIR)
+            snapshot = self.fs.read_file(DB_PATH)
+        self.db.load(snapshot)
         for key in self.db.keys("policy/"):
             self.policies.register(self._decode_policy(self.db.get(key)))
-        return count
 
     def owner_fs_key(self, session: str) -> bytes:
         """The session's fs-shield key, released to the *data owner*.
@@ -311,6 +319,4 @@ class CasService:
     def _span(self, name: str):
         if self._trace is not None:
             return self._trace.span(name)
-        import contextlib
-
         return contextlib.nullcontext()

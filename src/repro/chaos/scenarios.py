@@ -212,7 +212,7 @@ def _run_cas_failover(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     def seal_commit(cas: CasService, actor: str) -> None:
         """Seal + acknowledge on the shared counter (the commit point)."""
         claimed = cas.counter.value + 1
-        cas.db.export_sealed()
+        cas.db.snapshot()
         version = cas.db.acknowledge_persisted()
         epoch = cas.lease.epoch if cas.lease is not None else None
         history.record(
@@ -258,7 +258,7 @@ def _run_cas_failover(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     inflight_key = f"op{step}"
     zombie_claimed = shared_counter.value + 1
     primary.db.put(inflight_key, inflight_key.encode())
-    primary.db.export_sealed()
+    primary.db.snapshot()
     history.record("admit", "cas", inflight_key, time=nodes[0].clock.now)
 
     t0 = max(nodes[0].clock.now, nodes[1].clock.now)
@@ -323,7 +323,7 @@ def _run_cas_failover(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
                    time=nodes[1].clock.now)
     backup.db.put(first_post_key, first_post_key.encode())
     backup_claimed = shared_counter.value + 1
-    backup.db.export_sealed()
+    backup.db.snapshot()
     if interleave:
         zombie_acknowledge()
     version = backup.db.acknowledge_persisted()
@@ -345,7 +345,7 @@ def _run_cas_failover(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     for j in range(step + 1, STEPS_PER_FAMILY):
         local_write(backup, "cas-backup", f"op{j}")
     # Keep the new primary's final acknowledged snapshot for recovery.
-    last_blob = backup.db.export_sealed()
+    last_blob = backup.db.snapshot()
     backup.db.acknowledge_persisted()
 
     if zombie_alive:
@@ -377,7 +377,7 @@ def _run_cas_failover(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     for record in backup.audit.log:
         history.record("durable", "readout", record.path)
     try:
-        backup.db.load_sealed(last_blob)
+        backup.db.load(last_blob)
         for key in backup.db.keys():
             history.record("durable", "readout", key)
     except FreshnessError:

@@ -43,8 +43,9 @@ from typing import Callable, Dict, List, Optional
 from repro._sim import probe
 from repro.errors import FencedError, LeaseExpiredError
 
-#: Persists a bump into durable control-plane state (the CAS database):
-#: called with ``(role, epoch)`` after every grant/bump.
+#: Records a bump in control-plane state (the CAS database, in memory
+#: until that CAS's next persist): called with ``(role, epoch)`` after
+#: every grant/bump.
 EpochBacking = Callable[[str, int], None]
 
 

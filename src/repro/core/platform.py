@@ -134,13 +134,16 @@ class SecureTFPlatform:
             )
 
     def _persist_epoch(self, role: str, epoch: int) -> None:
-        """Epoch-service backing: every bump is durable control-plane
-        state in the CAS database (an ``epoch/<role>`` record), so epochs
-        survive CAS failover exactly like policies do.  With an HA pair
-        the record is double-written to both instances through the
-        control plane's administrative channel (the authority must be
-        able to bump *during* a failover, when the primary→standby
-        replication stream is exactly what's broken)."""
+        """Epoch-service backing: every bump is an ``epoch/<role>``
+        record in the CAS database, so epochs survive CAS failover
+        exactly like policies do.  It is a ``db.put``: it reaches disk
+        at that CAS's next ``persist()``, not here — a persist from the
+        control plane would have to bypass the old primary's lease.
+        With an HA pair the record is double-written to both instances
+        through the control plane's administrative channel (the
+        authority must be able to bump *during* a failover, when the
+        primary→standby replication stream is exactly what's
+        broken)."""
         record = str(epoch).encode()
         if self.cas_pair is not None:
             self.cas_pair.put_control_record(f"{EPOCH_KEY_PREFIX}{role}", record)

@@ -1,11 +1,13 @@
-"""Epoch authority durability: bumps persist as ``epoch/<role>`` records
-in the (replicated) CAS secrets database and survive a CAS failover.
+"""Epoch authority state: bumps land as ``epoch/<role>`` records in the
+(replicated) CAS secrets database and survive a CAS failover.
 
 The epoch registry is what stops a zombie after the control plane itself
-restarts — so it must be durable control-plane state, double-written to
-both CAS instances through the administrative channel (a bump *during*
-failover cannot depend on the broken replication stream), and restores
-must be forward-only so a stale replica can never un-fence a zombie.
+restarts — so it is control-plane state, double-written to both CAS
+instances through the administrative channel (a bump *during* failover
+cannot depend on the broken replication stream), and restores must be
+forward-only so a stale replica can never un-fence a zombie.  A record
+is a ``db.put``: it reaches a CAS's disk only at that CAS's next
+``persist()``.
 """
 
 import pytest

@@ -1,8 +1,8 @@
 """CAS failover racing an in-flight seal.
 
-The rollback-protection protocol is seal-first/bump-last: a primary
-exports a snapshot sealed at ``counter + 1`` and only bumps the shared
-monotonic counter once the blob is durably persisted
+The rollback-protection protocol is write-first/bump-last: a primary
+takes a snapshot carrying ``counter + 1`` and only bumps the shared
+monotonic counter once it is durably persisted
 (``acknowledge_persisted`` — the commit point).  A primary that is
 partitioned away *between* those two steps still holds an unacknowledged
 claim on ``counter + 1``; if it completes the bump after a replacement
@@ -59,14 +59,14 @@ def run_seal_race(cluster, provisioning, fencing):
 
     # Healthy primary commits one full seal cycle.
     primary.db.put("k0", b"v0")
-    primary.db.export_sealed()
+    primary.db.snapshot()
     primary.db.acknowledge_persisted()
 
-    # The in-flight seal: export claims counter+1, then the partition
+    # The in-flight seal: the snapshot claims counter+1, then the partition
     # hits BEFORE the acknowledgement.
     primary.db.put("k1", b"v1")
     claimed = counter.value + 1
-    primary.db.export_sealed()
+    primary.db.snapshot()
     t0 = max(n.clock.now for n in cluster)
     partition_primary(network, pair, cluster, t0)
 
@@ -79,7 +79,7 @@ def run_seal_race(cluster, provisioning, fencing):
     # the zombie's unacknowledged export did.
     backup.db.put("k1", b"v1")
     backup_claim = counter.value + 1
-    blob = backup.db.export_sealed()
+    blob = backup.db.snapshot()
     backup_version = backup.db.acknowledge_persisted()
 
     # The zombie wakes up and completes its bump.
@@ -103,7 +103,7 @@ def test_fenced_new_primary_never_double_issues(cluster, provisioning):
     assert version == backup_claim
     assert counter.value == version
     # The acknowledged snapshot still verifies as fresh.
-    pair.backup.db.load_sealed(blob)
+    pair.backup.db.load(blob)
 
 
 def test_unfenced_zombie_bump_orphans_the_acknowledged_snapshot(
@@ -131,6 +131,6 @@ def test_promotion_is_fence_first(cluster, provisioning):
     partition_primary(network, pair, cluster, t0)
     pair.promote()
     pair.primary.db.put("k", b"v")
-    pair.primary.db.export_sealed()
+    pair.primary.db.snapshot()
     with pytest.raises(FencedError):
         pair.primary.db.acknowledge_persisted()

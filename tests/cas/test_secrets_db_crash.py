@@ -1,206 +1,156 @@
-"""Crash consistency of CAS secrets-database persistence.
+"""Crash consistency of the CAS secrets database, across a real CAS reboot.
 
-The save protocol is seal-first / bump-last over a two-slot layout, so a
-crash at ANY boundary of :meth:`TwoSlotSealedStore.save` must leave the
-store loadable: before the slot write, torn mid-write, after the write
-but before the counter acknowledgement, and after the acknowledgement.
-A whole-disk rollback of *both* slots must stay detected — the hardware
-counter outlives the disk.
+CAS keeps its database in one protected file of its own fs shield
+(``DB_PATH``): :meth:`CasService.persist` is the shield's journaled
+commit followed by the counter bump.  A crash at ANY mutating op of one
+persist, at both polarities, or a tear inside either of its writes,
+must leave a CAS rebuilt on the same node holding exactly the
+acknowledged generation or the crashed one — rolling the counter
+forward in the second case — and able to persist again.
 """
 
 import pytest
 
-from repro._sim import SimClock
-from repro.cas import HardwareCounter, SecretsDatabase, TwoSlotSealedStore
-from repro.crypto.aead import AeadKey
+from repro.cas import CasService, HardwareCounter, Policy
+from repro.cas.service import DB_DIR, DB_PATH
+from repro.cluster import make_cluster
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
-from repro.enclave.sgx import SgxMode
-from repro.errors import FreshnessError, IntegrityError, StorageCrash
-from repro.runtime.storage_faults import (
-    CrashPoint,
-    StorageFaultPlan,
-    StorageFaultSpec,
-)
-from repro.runtime.syscall import SyscallInterface
-from repro.runtime.vfs import VirtualFileSystem
+from repro.errors import StorageCrash
+from repro.runtime.storage_faults import CrashPoint, StorageFaultPlan, crash
 
-PREFIX = "/cas/secrets.db"
+#: Mutating ops of one persist over an existing database: the new
+#: generation's extent, the pending manifest, the rename (the commit
+#: point) and the unlink of the old generation.
+PERSIST_OPS = 4
+RENAME_OP = 2
 
-
-def make_env():
-    vfs = VirtualFileSystem()
-    syscalls = SyscallInterface(vfs, CM, SimClock(), mode=SgxMode.NATIVE)
-    return vfs, syscalls
-
-
-def make_db(counter):
-    key = AeadKey("chacha20-poly1305", bytes(range(32)))
-    return SecretsDatabase(seal=key.seal, unseal=key.open, counter=counter)
+#: Where a torn write stops, as a function of the write's size.
+TEARS = {
+    "empty": lambda size: 0,
+    "one-byte": lambda size: 1,
+    "half": lambda size: size // 2,
+    "all-but-one": lambda size: size - 1,
+}
 
 
-def reload(vfs, counter):
-    """Simulate a CAS restart: fresh enclave, surviving disk + counter."""
-    syscalls = SyscallInterface(vfs, CM, SimClock(), mode=SgxMode.NATIVE)
-    store = TwoSlotSealedStore(syscalls, PREFIX)
-    db = make_db(counter)
-    store.load(db)
-    return store, db
+@pytest.fixture
+def node(provisioning):
+    return make_cluster(1, CM, provisioning, seed=29)[0]
 
 
-def test_clean_save_load_roundtrip_alternates_slots():
-    vfs, syscalls = make_env()
+@pytest.fixture
+def boot(node, provisioning):
+    """Build a CAS on ``node`` — a reboot once its disk holds a database."""
     counter = HardwareCounter()
-    db = make_db(counter)
-    store = TwoSlotSealedStore(syscalls, PREFIX)
-
-    db.put("k", b"v1")
-    store.save(db)
-    db.put("k", b"v2")
-    store.save(db)
-    assert vfs.exists(store.slot_path(0)) and vfs.exists(store.slot_path(1))
-    assert counter.value == 2
-
-    _, restored = reload(vfs, counter)
-    assert restored.get("k") == b"v2"
+    return lambda: CasService(node, provisioning.public_key(), counter=counter)
 
 
-def test_alternation_never_overwrites_the_newest_snapshot():
-    vfs, syscalls = make_env()
-    counter = HardwareCounter()
-    db = make_db(counter)
-    store = TwoSlotSealedStore(syscalls, PREFIX)
-    db.put("k", b"v1")
-    store.save(db)  # -> slot0, the newest good snapshot
+class WriteSizes(list):
+    """Stands in for a fault plan: injects nothing, records the size of
+    every write."""
 
-    store2, db2 = reload(vfs, counter)
-    newest_blob = vfs.read(store.slot_path(0)).content
-    db2.put("k", b"v2")
-    store2.save(db2)  # must land on slot1
-    assert vfs.read(store.slot_path(0)).content == newest_blob
+    def before_mutation(self, op, path, content):
+        if content is not None:
+            self.append(len(content))
+
+    def on_read(self, path, content):
+        return None
 
 
-def test_crash_before_slot_write_preserves_acknowledged_snapshot():
-    vfs, syscalls = make_env()
-    counter = HardwareCounter()
-    db = make_db(counter)
-    store = TwoSlotSealedStore(syscalls, PREFIX)
-    db.put("k", b"acked")
-    store.save(db)
+def persist(cas, value):
+    cas.db.put("k", value)
+    cas.persist()
 
-    db.put("k", b"doomed")
-    StorageFaultPlan(0, crash_points=[CrashPoint(at_op=0)]).attach(vfs)
+
+def crash_persist(cas, point):
+    """Persist ``b"new"`` and die at ``point``; the fault plan's log."""
+    cas.db.put("k", b"new")
+    plan = StorageFaultPlan(0, crash_points=[point]).attach(cas.node.vfs)
     with pytest.raises(StorageCrash):
-        store.save(db)
-    vfs.faults = None
-
-    assert counter.value == 1  # the ack never ran
-    _, restored = reload(vfs, counter)
-    assert restored.get("k") == b"acked"
+        cas.persist()
+    cas.node.vfs.faults = None
+    return plan.events
 
 
-def test_torn_slot_write_falls_back_to_the_other_slot():
-    vfs, syscalls = make_env()
-    counter = HardwareCounter()
-    db = make_db(counter)
-    store = TwoSlotSealedStore(syscalls, PREFIX)
-    db.put("k", b"acked")
-    store.save(db)
-
-    db.put("k", b"doomed")
-    plan = StorageFaultPlan(0, StorageFaultSpec(torn_write=1.0)).attach(vfs)
-    with pytest.raises(StorageCrash):
-        store.save(db)
-    vfs.faults = None
-    assert plan.counters.torn_writes == 1
-
-    # The torn slot exists on disk but fails unsealing; load skips it.
-    assert vfs.exists(store.slot_path(1))
-    _, restored = reload(vfs, counter)
-    assert restored.get("k") == b"acked"
+def assert_only_the_live_generation(node):
+    listing = node.vfs.listdir(DB_DIR)
+    assert listing[0] == DB_PATH and len(listing) == 2  # the file, its extent
 
 
-def test_crash_after_write_before_ack_rolls_forward():
-    vfs, syscalls = make_env()
-    counter = HardwareCounter()
-    db = make_db(counter)
-    store = TwoSlotSealedStore(syscalls, PREFIX)
-    db.put("k", b"old")
-    store.save(db)
+def assert_rebooted_to(boot, value, counter_value):
+    """A rebuilt CAS holds ``value`` at ``counter_value``, its boot has
+    collected what the crash left, and it persists again."""
+    cas = boot()
+    assert cas.db.get("k") == value
+    assert cas.counter.value == counter_value
+    assert_only_the_live_generation(cas.node)
+    persist(cas, b"recovered")
+    assert boot().db.get("k") == b"recovered"
+    assert cas.counter.value == counter_value + 1
+    assert_only_the_live_generation(cas.node)
 
-    db.put("k", b"new")
-    StorageFaultPlan(0, crash_points=[CrashPoint(at_op=0, after=True)]).attach(vfs)
-    with pytest.raises(StorageCrash):
-        store.save(db)
-    vfs.faults = None
 
-    # The blob (sealed under counter + 1) is durable; the bump is not.
-    assert counter.value == 1
-    _, restored = reload(vfs, counter)
-    assert restored.get("k") == b"new"
-    assert counter.value == 2  # load_sealed rolled the counter forward
+def test_clean_save_load_roundtrip(boot):
+    cas = boot()
+    cas.register_policy(Policy("s", [b"\x01" * 32]), secrets={"api": b"token-1234"})
+    persist(cas, b"v2")
+    assert cas.counter.value == 2
+
+    rebooted = boot()
+    assert rebooted.counter.value == 2
+    assert rebooted.db.get("k") == b"v2"
+    assert rebooted.db.get("secret/s/api") == b"token-1234"
+    # The policy engine is rebuilt from the loaded records.
+    assert rebooted.policies.get("s") == cas.policies.get("s")
+    assert rebooted.owner_fs_key("s") == cas.owner_fs_key("s")
+
+
+def test_the_sweep_visits_every_op_of_a_persist(boot):
+    cas = boot()
+    persist(cas, b"old")
+    plan = StorageFaultPlan(0).attach(cas.node.vfs)
+    persist(cas, b"new")
+    assert plan.op_index == PERSIST_OPS
 
 
 @pytest.mark.parametrize("after", [False, True])
-@pytest.mark.parametrize("generation", [1, 2, 3])
-def test_exhaustive_save_crash_sweep(generation, after):
-    """Crash the Nth save at both polarities of its single disk write:
-    the reload must see exactly the last-acknowledged or the crashed
-    generation, and the store must keep working afterwards."""
-    vfs, syscalls = make_env()
-    counter = HardwareCounter()
-    db = make_db(counter)
-    store = TwoSlotSealedStore(syscalls, PREFIX)
-    for g in range(generation):
-        db.put("k", b"gen%d" % g)
-        store.save(db)
+@pytest.mark.parametrize("at_op", range(PERSIST_OPS))
+def test_exhaustive_save_crash_sweep(boot, at_op, after):
+    """Crash one persist before and after each of its mutating ops: the
+    reboot sees the acknowledged generation until the rename applied,
+    and the crashed one, rolled forward, from then on."""
+    cas = boot()
+    persist(cas, b"old")
+    crash_persist(cas, CrashPoint(at_op=at_op, after=after))
+    assert cas.counter.value == 1  # the ack never ran
+    if (at_op, after) >= (RENAME_OP, True):
+        assert_rebooted_to(boot, b"new", 2)
+    else:
+        assert_rebooted_to(boot, b"old", 1)
 
-    db.put("k", b"gen%d" % generation)
-    StorageFaultPlan(0, crash_points=[CrashPoint(at_op=0, after=after)]).attach(vfs)
+
+@pytest.mark.parametrize("at_op", [0, 1], ids=["extent", "manifest"])
+@pytest.mark.parametrize("tear", sorted(TEARS))
+def test_torn_write_keeps_the_acknowledged_snapshot(boot, at_op, tear):
+    cas = boot()
+    # The first persist makes the same two writes, of the same sizes:
+    # ``b"old"`` and ``b"new"`` are as long as each other.
+    sizes = cas.node.vfs.faults = WriteSizes()
+    persist(cas, b"old")
+    size = sizes[at_op]
+    kept = TEARS[tear](size)
+    events = crash_persist(cas, CrashPoint(at_op=at_op, keep=kept))
+    assert events[0].endswith(f"kept={kept}/{size}")
+    assert_rebooted_to(boot, b"old", 1)
+
+
+def test_crash_after_write_before_ack_rolls_forward(boot, monkeypatch):
+    cas = boot()
+    persist(cas, b"old")
+    monkeypatch.setattr(cas.db, "acknowledge_persisted", crash)
     with pytest.raises(StorageCrash):
-        store.save(db)
-    vfs.faults = None
+        persist(cas, b"new")
 
-    store2, restored = reload(vfs, counter)
-    expected = b"gen%d" % (generation if after else generation - 1)
-    assert restored.get("k") == expected
-
-    restored.put("k", b"recovered")
-    store2.save(restored)
-    _, again = reload(vfs, counter)
-    assert again.get("k") == b"recovered"
-
-
-def test_disk_rollback_of_both_slots_detected():
-    vfs, syscalls = make_env()
-    counter = HardwareCounter()
-    db = make_db(counter)
-    store = TwoSlotSealedStore(syscalls, PREFIX)
-    db.put("k", b"v1")
-    store.save(db)
-    snapshot = vfs.capture_state()
-    db.put("k", b"v2")
-    store.save(db)
-
-    vfs.restore_state(snapshot)  # validly sealed, but old
-    with pytest.raises(FreshnessError):
-        reload(vfs, counter)
-
-
-def test_no_loadable_slot_raises_integrity_error():
-    vfs, syscalls = make_env()
-    counter = HardwareCounter()
-    store = TwoSlotSealedStore(syscalls, PREFIX)
-    with pytest.raises(IntegrityError):
-        store.load(make_db(counter))
-
-    # Both slots present but tampered is just as dead.
-    db = make_db(counter)
-    db.put("k", b"v")
-    store.save(db)
-    db.put("k", b"w")
-    store.save(db)
-    for slot in (0, 1):
-        blob = vfs.read(store.slot_path(slot)).content
-        vfs.tamper(store.slot_path(slot), blob[:-1] + bytes([blob[-1] ^ 1]))
-    with pytest.raises(IntegrityError):
-        store.load(make_db(counter))
+    # The snapshot (carrying counter + 1) is durable; the bump is not.
+    assert cas.counter.value == 1
+    assert_rebooted_to(boot, b"new", 2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cas import (
+    CasService,
     FreshnessAuditService,
     HardwareCounter,
     Policy,
@@ -10,7 +11,9 @@ from repro.cas import (
     SecretsDatabase,
 )
 from repro.cas.audit import ScopedFreshnessTracker
-from repro.crypto.aead import AeadKey
+from repro.cas.service import DB_DIR, DB_PATH
+from repro.cluster import make_cluster
+from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.attestation import Report
 from repro.errors import FreshnessError, IntegrityError, PolicyError
 
@@ -20,11 +23,12 @@ from repro.errors import FreshnessError, IntegrityError, PolicyError
 
 @pytest.fixture
 def db():
-    key = AeadKey("chacha20-poly1305", bytes(range(32)))
-    sealer = AeadKey("chacha20-poly1305", bytes(range(32)))
-    return SecretsDatabase(
-        seal=key.seal, unseal=sealer.open, counter=HardwareCounter()
-    )
+    return SecretsDatabase(HardwareCounter())
+
+
+@pytest.fixture
+def node(provisioning):
+    return make_cluster(1, CM, provisioning, seed=37)[0]
 
 
 def test_db_crud(db):
@@ -42,35 +46,54 @@ def test_db_crud(db):
         db.delete("other")
 
 
-def test_db_sealed_roundtrip(db):
+def test_db_snapshot_roundtrip(db):
     db.put("k", b"v")
-    blob = db.export_sealed()
-    assert b"v" not in blob  # encrypted at rest
+    snapshot = db.snapshot()
     fresh_counter = HardwareCounter()
     fresh_counter.increment()  # hardware state survives restart
-    key = AeadKey("chacha20-poly1305", bytes(range(32)))
-    restored = SecretsDatabase(seal=key.seal, unseal=key.open, counter=fresh_counter)
-    assert restored.load_sealed(blob) == 1
+    restored = SecretsDatabase(fresh_counter)
+    assert restored.load(snapshot) == 1
     assert restored.get("k") == b"v"
+    with pytest.raises(IntegrityError):
+        restored.load(b"not a snapshot")
+
+
+def test_db_sealed_roundtrip(node, provisioning):
+    """CAS's file of the database is sealed to its enclave on this CPU."""
+    counter = HardwareCounter()
+    cas = CasService(node, provisioning.public_key(), counter=counter)
+    cas.db.put("k", b"secret-value")
+    cas.persist()
+    for path in node.vfs.listdir(DB_DIR):
+        assert b"secret-value" not in node.vfs.read(path).content  # encrypted at rest
+    restored = CasService(node, provisioning.public_key(), counter=counter)
+    assert restored.db.get("k") == b"secret-value"
 
 
 def test_db_rollback_detected(db):
     db.put("k", b"v1")
-    old_blob = db.export_sealed()
+    old_snapshot = db.snapshot()
     db.acknowledge_persisted()
     db.put("k", b"v2")
-    db.export_sealed()
+    db.snapshot()
     db.acknowledge_persisted()  # counter advanced to 2
     with pytest.raises(FreshnessError):
-        db.load_sealed(old_blob)
+        db.load(old_snapshot)
+    with pytest.raises(FreshnessError):
+        db.load(None)  # no database at all is a rollback to empty
 
 
-def test_db_tamper_detected(db):
-    db.put("k", b"v")
-    blob = bytearray(db.export_sealed())
-    blob[-1] ^= 1
+def test_db_tamper_detected(node, provisioning):
+    counter = HardwareCounter()
+    cas = CasService(node, provisioning.public_key(), counter=counter)
+    cas.db.put("k", b"v")
+    cas.persist()
+    (extent,) = node.vfs.listdir(DB_PATH + ".__chunk.")
+    stored = bytearray(node.vfs.read(extent).content)
+    stored[-1] ^= 1
+    node.vfs.tamper(extent, bytes(stored))
     with pytest.raises(IntegrityError):
-        db.load_sealed(bytes(blob))
+        CasService(node, provisioning.public_key(), counter=counter)
 
 
 # --- policy engine ---------------------------------------------------------------

@@ -82,13 +82,13 @@ def test_the_tick_timeline_is_pinned(monkeypatch, request):
     counts = {label: [l for l, _ in fired].count(label) for label in TICK_LABELS}
     assert counts == {"watchdog:probe": 13, "autoscaler:tick": 7, "slo:evaluate": 13}
     assert fired[:3] == [
-        ("watchdog:probe", 0.6886697995555555),
-        ("slo:evaluate", 0.6886697995555555),
-        ("autoscaler:tick", 0.9386697995555555),
+        ("watchdog:probe", 0.6886832423555556),
+        ("slo:evaluate", 0.6886832423555556),
+        ("autoscaler:tick", 0.9386832423555556),
     ]
-    assert fired[-1] == ("autoscaler:tick", 3.9386697995555555)
+    assert fired[-1] == ("autoscaler:tick", 3.9386832423555553)
     assert hashlib.sha256(repr(fired).encode()).hexdigest() == (
-        "2c4e5bc8be0d88fd657eb55072ab3f66897cd4cdca254f229933671471f11084"
+        "925b00c1f8e7b9c727e79f426372e846a8746f34723517111f9b4b2ef7e3636f"
     )
     # The router's deadline and hedge entries share one timer event: the
     # run schedules 2924 events and cancels none; 73 of them are the
@@ -99,5 +99,5 @@ def test_the_tick_timeline_is_pinned(monkeypatch, request):
     assert scheduler.events_scheduled == 2924
     assert scheduler.events_cancelled == 0
     assert hashlib.sha256(plane.trace_bytes()).hexdigest() == (
-        "58c67f24370851e438398c2006cf6ab055bdf79c0fbd4cbc86d6206932e641c2"
+        "48afe74d185075a16fe72a4e70b932556c89e50a9a3718f05bd9543bbfa59fbf"
     )

@@ -3,8 +3,9 @@
 A field that nothing sets is a second code path only its own unit test
 reaches.  This test walks the AST of ``src/``, ``benchmarks/`` and
 ``examples/`` and requires every field of the seven config / policy
-classes, and every parameter of the two runtime-config builders and of
-the two syscall-layer constructors (an owner named ``Class.__init__``),
+classes, and every parameter of the two runtime-config builders, of the
+two syscall-layer constructors and of CAS's (an owner named
+``Class.__init__``),
 to be set by some call there — or to carry an :data:`ALLOWLIST` entry
 with a one-line reason.  The census table with a decision per field is
 DESIGN.md §3.
@@ -44,6 +45,7 @@ KNOBS: Dict[str, str] = {
     "training_runtime_config": "src/repro/core/training.py",
     "SyscallInterface.__init__": "src/repro/runtime/syscall.py",
     "SyscallPlane.__init__": "src/repro/runtime/syscall_plane.py",
+    "CasService.__init__": "src/repro/cas/service.py",
 }
 
 #: Knobs kept although no program, benchmark or example sets them.

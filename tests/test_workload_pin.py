@@ -41,7 +41,7 @@ PINNED = {
     "serve_chaos": (
         [2476, 2450],
         "92882558a601f07531722507511c0130e1e53831b0fc5cc056ef1d0a96222ba7",
-        "8917d8049f57f3ae0c7afc4e91651aebae654aed3319f164aa89a0d67b7246a4",
+        "32e2557fac31297a1b1ece83e4ff2dd5745c34e94898dc596daf6709a37111e9",
     ),
     "shield_write": (
         [8, 8],
