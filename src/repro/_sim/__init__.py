@@ -9,16 +9,14 @@ unit helpers, and an event tracer used by benchmarks to produce
 per-phase breakdowns (e.g. Figure 4's attestation breakdown).
 """
 
-from repro._sim.clock import SimClock, global_clock, reset_global_clock
+from repro._sim.clock import SimClock
 from repro._sim.rng import DeterministicRng
 from repro._sim.scheduler import Completion, Event, Scheduler, SchedulerError
 from repro._sim.trace import EventTrace, TraceEvent
-from repro._sim.units import GiB, KiB, MiB, Mbps, Gbps, microseconds, milliseconds
+from repro._sim.units import GiB, KiB, MiB, Gbps, microseconds, milliseconds
 
 __all__ = [
     "SimClock",
-    "global_clock",
-    "reset_global_clock",
     "Scheduler",
     "SchedulerError",
     "Completion",
@@ -29,7 +27,6 @@ __all__ = [
     "KiB",
     "MiB",
     "GiB",
-    "Mbps",
     "Gbps",
     "microseconds",
     "milliseconds",

@@ -106,18 +106,3 @@ class ClockSpan:
     def __exit__(self, *exc_info: object) -> None:
         assert self._start is not None
         self.elapsed = self._clock.now - self._start
-
-
-_GLOBAL_CLOCK = SimClock()
-
-
-def global_clock() -> SimClock:
-    """The process-global simulated clock."""
-    return _GLOBAL_CLOCK
-
-
-def reset_global_clock() -> SimClock:
-    """Replace the global clock with a fresh one (test isolation)."""
-    global _GLOBAL_CLOCK
-    _GLOBAL_CLOCK = SimClock()
-    return _GLOBAL_CLOCK

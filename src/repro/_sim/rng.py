@@ -34,11 +34,6 @@ class DeterministicRng:
     def seed(self) -> int:
         return self._seed
 
-    @property
-    def numpy(self) -> np.random.Generator:
-        """A numpy Generator derived from the seed (for tensors/datasets)."""
-        return self._numpy
-
     def _derive_int(self, purpose: str) -> int:
         digest = hashlib.sha256(
             f"{self._label}|{self._seed}|{purpose}".encode()
@@ -77,9 +72,3 @@ class DeterministicRng:
 
     def randint(self, low: int, high: Optional[int] = None) -> int:
         return int(self._numpy.integers(low, high))
-
-    def choice(self, seq):  # type: ignore[no-untyped-def]
-        """Pick one element of a non-empty sequence."""
-        if len(seq) == 0:
-            raise ValueError("cannot choose from an empty sequence")
-        return seq[int(self._numpy.integers(0, len(seq)))]

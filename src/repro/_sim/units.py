@@ -16,18 +16,6 @@ microseconds: float = 1e-6
 milliseconds: float = 1e-3
 
 
-def Mbps(n: float) -> float:
-    """Megabits per second expressed as bytes per second."""
-    return n * 1e6 / 8.0
-
-
 def Gbps(n: float) -> float:
     """Gigabits per second expressed as bytes per second."""
     return n * 1e9 / 8.0
-
-
-def bytes_to_pages(n_bytes: int, page_size: int = 4096) -> int:
-    """Number of pages needed to hold ``n_bytes`` (ceiling division)."""
-    if n_bytes < 0:
-        raise ValueError(f"negative byte count: {n_bytes}")
-    return -(-n_bytes // page_size)

@@ -106,14 +106,6 @@ class FreshnessAuditService:
     def commit(self, owner: str, path: str, version: int, digest: bytes) -> AuditRecord:
         """Record a new file version (versions must be strictly monotonic)
         and fan it out to the commit hooks."""
-        record = self.append(owner, path, version, digest)
-        for hook in self._commit_hooks:
-            hook(record)
-        return record
-
-    def append(self, owner: str, path: str, version: int, digest: bytes) -> AuditRecord:
-        """:meth:`commit` without the hooks: for a caller that replicates
-        the record itself."""
         key = (owner, path)
         current = self._latest.get(key)
         if current is not None and version <= current.version:
@@ -132,6 +124,8 @@ class FreshnessAuditService:
         self._log.append(record)
         self._latest[key] = record
         self._head = record.record_digest()
+        for hook in self._commit_hooks:
+            hook(record)
         return record
 
     def verify(self, owner: str, path: str, version: int, digest: bytes) -> None:
@@ -153,10 +147,6 @@ class FreshnessAuditService:
     @property
     def log(self) -> List[AuditRecord]:
         return list(self._log)
-
-    @property
-    def checkpoints(self) -> List[AuditCheckpoint]:
-        return list(self._checkpoints)
 
     @property
     def head(self) -> bytes:

@@ -98,27 +98,13 @@ class RemoteCasClient:
 
 
 def serve_cas(network: Network, service: CasService, address: str = "cas") -> RpcServer:
-    """Expose a CAS service on the network (provision + audit methods)."""
+    """Expose a CAS service on the network (provision + liveness ping)."""
     server = RpcServer(network, address, service.node)
 
     def handle_provision(payload: bytes, peer) -> bytes:
         body = encoding.decode(payload)
         quote = Quote.from_bytes(body["quote"])
         return service.provision(body["session"], quote).to_bytes()
-
-    def handle_audit_commit(payload: bytes, peer) -> bytes:
-        body = encoding.decode(payload)
-        service.audit.commit(
-            body["owner"], body["path"], body["version"], body["digest"]
-        )
-        return b"ok"
-
-    def handle_audit_verify(payload: bytes, peer) -> bytes:
-        body = encoding.decode(payload)
-        service.audit.verify(
-            body["owner"], body["path"], body["version"], body["digest"]
-        )
-        return b"ok"
 
     def handle_ping(payload: bytes, peer) -> bytes:
         # Liveness probe for partition-aware supervision: a reply proves
@@ -128,44 +114,6 @@ def serve_cas(network: Network, service: CasService, address: str = "cas") -> Rp
         return b"ok"
 
     server.register("provision", handle_provision)
-    server.register("audit_commit", handle_audit_commit)
-    server.register("audit_verify", handle_audit_verify)
     server.register("ping", handle_ping)
     server.start()
     return server
-
-
-class RemoteFreshnessTracker:
-    """FreshnessTracker backed by CAS's audit service over the network."""
-
-    def __init__(
-        self,
-        network: Network,
-        node: Node,
-        owner: str,
-        cas_address: str = "cas",
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        self._client = RpcClient(
-            network, f"audit-{owner}@{node.node_id}", node, retry=retry
-        )
-        self._owner = owner
-        self._cas_address = cas_address
-
-    def commit(self, path: str, version: int, digest: bytes) -> None:
-        self._client.call(
-            self._cas_address,
-            "audit_commit",
-            encoding.encode(
-                {"owner": self._owner, "path": path, "version": version, "digest": digest}
-            ),
-        )
-
-    def verify(self, path: str, version: int, digest: bytes) -> None:
-        self._client.call(
-            self._cas_address,
-            "audit_verify",
-            encoding.encode(
-                {"owner": self._owner, "path": path, "version": version, "digest": digest}
-            ),
-        )

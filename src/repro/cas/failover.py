@@ -13,10 +13,9 @@ CAS instances on *different* nodes:
   acknowledged it (quorum 2/2).  The standby applies records through its
   own hash chain, so after any prefix of replication both heads agree.
 - **Promotion.**  Failover re-registers the standby's public CAS server
-  at the primary's well-known address.  Clients built on PR 2's retrying
-  RPC plumbing (``RemoteCasClient``/``RemoteFreshnessTracker`` with a
-  retry policy) see transport errors while the address is vacant, back
-  off, and transparently reach the promoted standby — which serves the
+  at the primary's well-known address.  A ``RemoteCasClient`` with a
+  retry policy sees transport errors while the address is vacant, backs
+  off, and transparently reaches the promoted standby — which serves the
   same policies, the same session fs-keys, and a byte-identical audit
   chain.
 - **Shared trust root.**  The pair shares its CA identity (exchanged at
@@ -33,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro._sim.scheduler import Activity, Completion
+from repro._sim.scheduler import Activity
 from repro.cas.client import serve_cas
 from repro.cas.service import CasService
 from repro.cluster.epoch import EpochLease, EpochService
@@ -127,10 +126,8 @@ class ReplicatedCasPair:
                     CAS_PRIMARY_ROLE, name="hw-counter"
                 )
 
-        # The primary's public CAS API at the well-known address; a
-        # remote audit commit is answered once the standby acked it.
+        # The primary's public CAS API at the well-known address.
         self.primary_server = serve_cas(network, primary, address=address)
-        self.primary_server.register("audit_commit", self._handle_audit_commit)
         self.backup_public_server: Optional[RpcServer] = None
 
     # -- primary-side replication ----------------------------------------
@@ -152,36 +149,18 @@ class ReplicatedCasPair:
         )
         self.stats.ops_replicated += 1
 
-    def _replicating(self, record) -> Activity:
-        yield from self._quorum(
-            "repl_audit",
-            encoding.encode(
-                {
-                    "owner": record.owner,
-                    "path": record.path,
-                    "version": record.version,
-                    "digest": record.digest,
-                }
-            ),
-        )
-        self.stats.records_replicated += 1
-        return b"ok"
-
     def _replicate_record(self, record) -> None:
         """Commit hook (commits made outside the simulation)."""
-        self.network.scheduler.drive(self._replicating(record))
-
-    def _handle_audit_commit(self, payload: bytes, peer) -> Completion:
-        """``audit_commit`` at the primary: append, then reply once the
-        standby acked — a deferred reply, so the quorum call waits on
-        the heap instead of inside this delivery."""
-        body = encoding.decode(payload)
-        record = self.primary.audit.append(
-            body["owner"], body["path"], body["version"], body["digest"]
+        payload = {
+            "owner": record.owner,
+            "path": record.path,
+            "version": record.version,
+            "digest": record.digest,
+        }
+        self.network.scheduler.drive(
+            self._quorum("repl_audit", encoding.encode(payload))
         )
-        return self.network.scheduler.start(
-            self._replicating(record), name=f"repl:{record.path}"
-        )
+        self.stats.records_replicated += 1
 
     # -- standby-side apply ----------------------------------------------
 

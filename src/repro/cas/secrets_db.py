@@ -87,9 +87,6 @@ class SecretsDatabase:
             raise KeyError(f"no secret stored under {key!r}")
         return self._records[key]
 
-    def contains(self, key: str) -> bool:
-        return key in self._records
-
     def delete(self, key: str) -> None:
         if key not in self._records:
             raise KeyError(f"no secret stored under {key!r}")

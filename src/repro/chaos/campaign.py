@@ -79,10 +79,6 @@ class CampaignReport:
     def fenced_ops(self) -> int:
         return sum(o.fenced_ops for o in self.outcomes)
 
-    @property
-    def incident_bundles(self) -> List[object]:
-        return [o.incident for o in self.outcomes if o.incident is not None]
-
     def violations_by_invariant(self) -> Dict[str, int]:
         """Violation counts keyed by invariant name (the ``[name]``
         prefix every checker stamps on its findings)."""

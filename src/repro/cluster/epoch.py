@@ -59,14 +59,6 @@ class FencingStats:
     lease_expiries: int = 0
 
 
-@dataclass(frozen=True)
-class FenceToken:
-    """The wire form of a lease: what gets stamped into envelopes."""
-
-    role: str
-    epoch: int
-
-
 class EpochLease:
     """One leader's claim on a role at a specific epoch.
 
@@ -90,9 +82,6 @@ class EpochLease:
     def stale(self) -> bool:
         """Authority consult: has this lease been superseded?"""
         return self._service.current(self.role) != self.epoch
-
-    def token(self) -> FenceToken:
-        return FenceToken(self.role, self.epoch)
 
     def stamp(self) -> dict:
         """Envelope fields for this lease — no authority consult, by
@@ -300,26 +289,6 @@ class EpochService:
 EPOCH_KEY_PREFIX = "epoch/"
 
 
-def load_epochs(db) -> Dict[str, int]:
-    """Read persisted epoch records out of a CAS secrets database.
-
-    Duck-typed over anything with ``keys()``/``get()`` returning bytes
-    values, so the caller can hand in whichever replica survived.
-    Malformed records are skipped (a half-written value must not brick
-    the authority's restart).
-    """
-    epochs: Dict[str, int] = {}
-    for key in db.keys():
-        if not key.startswith(EPOCH_KEY_PREFIX):
-            continue
-        value = db.get(key)
-        try:
-            epochs[key[len(EPOCH_KEY_PREFIX):]] = int(bytes(value).decode())
-        except (TypeError, ValueError):
-            continue
-    return epochs
-
-
 __all__ = [
     "EPOCH_KEY_PREFIX",
     "EpochBacking",
@@ -327,6 +296,4 @@ __all__ = [
     "EpochLease",
     "EpochService",
     "FencingStats",
-    "FenceToken",
-    "load_epochs",
 ]

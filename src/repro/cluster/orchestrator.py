@@ -164,10 +164,6 @@ class Orchestrator:
 
     # -- supervision ----------------------------------------------------
 
-    def health(self, spec_name: str) -> Dict[str, ContainerState]:
-        """Probe every tracked replica: name -> lifecycle state."""
-        return {c.name: c.state for c in self._replicas.get(spec_name, [])}
-
     def probe(self, spec_name: str) -> bool:
         """True when no tracked replica of the service is failed."""
         return all(

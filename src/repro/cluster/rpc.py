@@ -999,13 +999,3 @@ class SecureRpcClient(RpcClient):
             expected_server=expected_server,
             mutual=mutual,
         )
-
-    def connect(
-        self,
-        dst: str,
-        expected_server: Optional[str] = None,
-        mutual: bool = True,
-    ) -> SecureConnection:
-        """:meth:`open`, driven — for synchronous code outside the
-        simulation."""
-        return self._network.scheduler.drive(self.open(dst, expected_server, mutual))

@@ -138,12 +138,6 @@ class ShardMap:
     def pieces(self) -> List[ShardPiece]:
         return sorted(self._pieces.values(), key=lambda p: p.key)
 
-    def shards_of(self, var: str) -> List[int]:
-        """All shards holding a slice of ``var`` (one unless split)."""
-        if var not in self._by_var:
-            raise ClusterError(f"no shard owns weight {var!r}")
-        return sorted({p.shard for p in self._by_var[var]})
-
     def keys_on(self, shard: int) -> List[str]:
         return sorted(p.key for p in self._pieces.values() if p.shard == shard)
 

@@ -94,10 +94,3 @@ class TrainingWorker:
             for var, g in zip(self._variables, grad_values)
         }
         return gradients, float(loss)
-
-    def evaluate_loss(self, images: np.ndarray, labels: np.ndarray) -> float:
-        return float(
-            self._session.run(
-                self._loss, {self._built.input: images, self._labels: labels}
-            )
-        )

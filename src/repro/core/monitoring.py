@@ -358,18 +358,8 @@ class PlatformMetrics:
     # -- serialization + interval deltas --------------------------------
 
     def to_json(self) -> Dict[str, object]:
-        """The snapshot as a JSON-safe nested dict (round-trips through
-        :meth:`from_json`)."""
+        """The snapshot as a JSON-safe nested dict."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "PlatformMetrics":
-        payload = dict(data)
-        payload["nodes"] = [NodeMetrics(**node) for node in payload["nodes"]]
-        for f in dataclasses.fields(cls):
-            if dataclasses.is_dataclass(f.default_factory):  # a group
-                payload[f.name] = f.default_factory(**payload[f.name])
-        return cls(**payload)
 
     def diff(self, earlier: "PlatformMetrics") -> "PlatformMetrics":
         """The interval delta since ``earlier`` (what the telemetry

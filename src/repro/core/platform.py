@@ -19,7 +19,7 @@ from repro.cas import CasService, Policy
 from repro.cas.client import RemoteCasClient, serve_cas
 from repro.cas.failover import ReplicatedCasPair
 from repro.cluster import Network, Node, Orchestrator, make_cluster
-from repro.cluster.epoch import EPOCH_KEY_PREFIX, EpochService, load_epochs
+from repro.cluster.epoch import EPOCH_KEY_PREFIX, EpochService
 from repro.cluster.retry import RetryPolicy
 from repro.enclave.attestation import AttestationVerifier, ProvisioningAuthority, Report
 from repro.enclave.cost_model import DEFAULT_COST_MODEL, CostModel
@@ -149,12 +149,6 @@ class SecureTFPlatform:
             self.cas_pair.put_control_record(f"{EPOCH_KEY_PREFIX}{role}", record)
         else:
             self.cas.db.put(f"{EPOCH_KEY_PREFIX}{role}", record)
-
-    def persisted_epochs(self) -> Dict[str, int]:
-        """The epoch registry as persisted in the *active* CAS replica —
-        what a restarted control plane would rebuild its
-        :class:`EpochService` from (``EpochService.restore``)."""
-        return load_epochs(self.active_cas.db)
 
     def close_telemetry(self) -> None:
         """Detach the telemetry plane (its tracer leaves the probe sink)."""

@@ -83,20 +83,11 @@ def aead_cache_stats() -> Dict[str, int]:
     }
 
 
-def reset_aead_cache() -> None:
-    """Drop all cached cipher objects and zero the counters (test hook)."""
-    global _aead_cache_hits, _aead_cache_misses
-    _AEAD_CACHE.clear()
-    _aead_cache_hits = 0
-    _aead_cache_misses = 0
-
-
 class AeadKey:
     """An AEAD key bound to a cipher with automatic nonce sequencing.
 
-    Nonces are ``4-byte prefix || 8-byte big-endian counter``.  Callers
-    that need random-access decryption (the file-system shield) pass
-    explicit sequence numbers instead.
+    Nonces are ``4-byte prefix || 8-byte big-endian counter``; the
+    counter travels in the sealed message's header.
     """
 
     def __init__(self, cipher: str, key: bytes, nonce_prefix: bytes = b"\x00" * 4) -> None:
@@ -105,10 +96,6 @@ class AeadKey:
         self._aead = get_aead(cipher, key)
         self._prefix = nonce_prefix
         self._counter = 0
-
-    @property
-    def messages_sealed(self) -> int:
-        return self._counter
 
     def _nonce(self, sequence: int) -> bytes:
         return self._prefix + struct.pack(">Q", sequence)
@@ -126,11 +113,3 @@ class AeadKey:
             raise ConfigurationError("sealed message shorter than its header")
         (sequence,) = struct.unpack(">Q", sealed[:8])
         return self._aead.decrypt(self._nonce(sequence), sealed[8:], aad)
-
-    def seal_at(self, sequence: int, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Encrypt at an explicit sequence number (no header prepended)."""
-        return self._aead.encrypt(self._nonce(sequence), plaintext, aad)
-
-    def open_at(self, sequence: int, data: bytes, aad: bytes = b"") -> bytes:
-        """Decrypt data sealed with :meth:`seal_at` at ``sequence``."""
-        return self._aead.decrypt(self._nonce(sequence), data, aad)

@@ -102,16 +102,6 @@ class CertificateAuthority:
     backdate_seconds: float = 300.0
     _serial: int = field(default=0, init=False)
 
-    def root_certificate(self, now: float = 0.0) -> Certificate:
-        """The self-signed root certificate."""
-        return self.issue(
-            subject=self.name,
-            ed25519_public=self.root_key.public_key().public_bytes(),
-            x25519_public=b"\x00" * 32,
-            now=now,
-            extensions={"ca": "true"},
-        )
-
     def issue(
         self,
         subject: str,

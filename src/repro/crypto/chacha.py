@@ -223,27 +223,6 @@ class _KeystreamReader:
         return np.concatenate(pieces) if pieces else _NO_BYTES
 
 
-def _stream(key: bytes, nonce: bytes, counter: int, n_bytes: int) -> np.ndarray:
-    """``n_bytes`` of keystream from block ``counter`` of one nonce."""
-    passes = _keystream(_head(key), [_run(nonce, counter, -(-n_bytes // 64))])
-    return _KeystreamReader(passes).take(n_bytes)
-
-
-def chacha20_keystream(key: bytes, nonce: bytes, counter: int, n_bytes: int) -> bytes:
-    """Generate ``n_bytes`` of ChaCha20 keystream starting at ``counter``.
-
-    Raises :class:`ValueError` rather than wrap the 32-bit block counter.
-    """
-    return _stream(key, nonce, counter, n_bytes).tobytes()
-
-
-def chacha20_xor(key: bytes, nonce: bytes, counter: int, data: bytes) -> bytes:
-    """XOR ``data`` with the ChaCha20 keystream (encrypts and decrypts)."""
-    stream = _stream(key, nonce, counter, len(data))
-    stream ^= np.frombuffer(data, dtype=np.uint8)
-    return stream.tobytes()
-
-
 _P1305 = (1 << 130) - 5
 _HI_BIT = 1 << 128
 _TAG_MASK = (1 << 128) - 1

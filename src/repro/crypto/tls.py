@@ -131,14 +131,6 @@ class RecordLayer:
         self._recv_seq += 1
         return plaintext
 
-    @property
-    def records_sent(self) -> int:
-        return self._send_seq
-
-    @property
-    def records_received(self) -> int:
-        return self._recv_seq
-
 
 def _encode_message(kind: str, fields: dict) -> bytes:
     return encoding.encode({"kind": kind, **fields})

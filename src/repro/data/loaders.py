@@ -64,7 +64,3 @@ class Dataset:
         return Dataset(
             self.images[:n], self.labels[:n], self.num_classes, name=self.name
         )
-
-    def example_bytes(self, index: int) -> bytes:
-        """One image serialized as raw float32 bytes (for the fs shield)."""
-        return np.ascontiguousarray(self.images[index]).tobytes()

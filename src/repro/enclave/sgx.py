@@ -21,7 +21,6 @@ from typing import Dict, List, Optional
 from repro._sim.clock import SimClock
 from repro._sim.rng import DeterministicRng
 from repro.crypto import encoding
-from repro.crypto.aead import AeadKey
 from repro.crypto.ed25519 import Ed25519PrivateKey
 from repro.crypto.kdf import hkdf
 from repro.enclave.attestation import ProvisioningAuthority, Quote, Report
@@ -37,10 +36,6 @@ class SgxMode(enum.Enum):
     NATIVE = "native"  # no SCONE, no SGX — plain process
     SIM = "sim"        # SCONE runtime in simulation mode (no SGX hardware)
     HW = "hw"          # SCONE runtime inside a hardware enclave
-
-    @property
-    def in_enclave(self) -> bool:
-        return self is SgxMode.HW
 
 
 @dataclass(frozen=True)
@@ -237,10 +232,6 @@ class Enclave:
     def measurement(self) -> bytes:
         return self._measurement
 
-    @property
-    def alive(self) -> bool:
-        return not self._destroyed
-
     def _check_alive(self) -> None:
         if self._destroyed:
             raise EnclaveError(f"enclave {self.image.name!r} has been destroyed")
@@ -261,18 +252,6 @@ class Enclave:
         """Produce a CPU-signed quote over this enclave's report."""
         self._check_alive()
         return self.cpu.sign_quote(self.create_report(report_data))
-
-    def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Seal data to this enclave identity (survives restarts on the
-        same CPU with the same measurement, like SGX sealing)."""
-        self._check_alive()
-        key = AeadKey("chacha20-poly1305", self.cpu.sealing_key(self._measurement))
-        return key.seal(plaintext, aad)
-
-    def unseal(self, sealed: bytes, aad: bytes = b"") -> bytes:
-        self._check_alive()
-        key = AeadKey("chacha20-poly1305", self.cpu.sealing_key(self._measurement))
-        return key.open(sealed, aad)
 
     def destroy(self) -> None:
         if not self._destroyed:

@@ -17,7 +17,7 @@ from repro.models.zoo import (
     get_spec,
     pretrained_lite_model,
 )
-from repro.models.mnist_net import mnist_cnn, mnist_mlp
+from repro.models.mnist_net import mnist_cnn
 from repro.models.densenet import densenet_analogue
 from repro.models.inception import inception_v3_analogue, inception_v4_analogue
 
@@ -29,7 +29,6 @@ __all__ = [
     "get_spec",
     "pretrained_lite_model",
     "mnist_cnn",
-    "mnist_mlp",
     "densenet_analogue",
     "inception_v3_analogue",
     "inception_v4_analogue",

@@ -23,16 +23,3 @@ def mnist_cnn(rng: np.random.Generator, name: str = "mnist_cnn") -> Tuple[Graph,
         net = tf.layers.dense(net, 64, activation="relu", name=f"{name}/fc1", rng=rng)
         logits = tf.layers.dense(net, 10, name=f"{name}/logits", rng=rng)
     return graph, images, logits
-
-
-def mnist_mlp(
-    rng: np.random.Generator, hidden: int = 128, name: str = "mnist_mlp"
-) -> Tuple[Graph, Tensor, Tensor]:
-    """A two-layer MLP (the classic TF-1.x distributed-training example)."""
-    graph = Graph()
-    with graph.as_default():
-        images = tf.placeholder("float32", (None, 28, 28, 1), name="images")
-        net = tf.layers.flatten(images, name=f"{name}/flat")
-        net = tf.layers.dense(net, hidden, activation="relu", name=f"{name}/fc1", rng=rng)
-        logits = tf.layers.dense(net, 10, name=f"{name}/logits", rng=rng)
-    return graph, images, logits

@@ -22,7 +22,6 @@ single slot and do nothing else when it is empty.
 """
 
 from repro.observability.exporters import (
-    dump_json,
     to_chrome_trace,
     to_json,
     to_prometheus,
@@ -48,11 +47,8 @@ from repro.observability.slo import (
     MonitoringStats,
     SloMonitor,
     SloSpec,
-    cas_slos,
     fraction_probe,
-    rate_probe,
     serving_slos,
-    training_slos,
 )
 from repro.observability.plane import Telemetry
 from repro.observability.profiler import (
@@ -92,19 +88,15 @@ __all__ = [
     "active_tracer",
     "build_flame",
     "bundle_from_scenario",
-    "cas_slos",
-    "dump_json",
     "find_root_cause",
     "flame_report",
     "flatten_metrics",
     "format_profile",
     "fraction_probe",
     "profile",
-    "rate_probe",
     "serving_slos",
     "to_chrome_trace",
     "to_json",
     "to_prometheus",
-    "training_slos",
     "validate_chrome_trace",
 ]

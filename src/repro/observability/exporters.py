@@ -20,7 +20,6 @@ integrity.
 from __future__ import annotations
 
 import dataclasses
-import json
 import re
 from typing import Dict, List, Optional
 
@@ -224,7 +223,3 @@ def to_json(tracer: Tracer, metrics=None) -> Dict[str, object]:
         },
         "metrics": metrics.to_json() if metrics is not None else None,
     }
-
-
-def dump_json(payload: Dict[str, object]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

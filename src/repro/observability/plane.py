@@ -21,7 +21,6 @@ from repro.observability import exporters
 from repro.observability.metrics import MetricsSampler
 from repro.observability.profiler import (
     NodeProfile,
-    flame_report,
     format_profile,
     profile,
 )
@@ -49,9 +48,6 @@ class Telemetry:
 
     def profile_report(self) -> str:
         return format_profile(self.profile())
-
-    def flame_report(self) -> str:
-        return flame_report(self.tracer)
 
     # -- exporters -------------------------------------------------------
 

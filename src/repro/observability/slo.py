@@ -251,47 +251,14 @@ class SloMonitor:
 
     # -- introspection ---------------------------------------------------
 
-    def alerts(self) -> List[Alert]:
-        return [state.alert for state in self._states]
-
     def alert(self, name: str) -> Alert:
         for state in self._states:
             if state.spec.name == name:
                 return state.alert
         raise KeyError(f"no SLO named {name!r}")
 
-    def transition_log(self) -> str:
-        """Canonical transition log, merged across alerts in time order
-        (ties break by spec order) — the byte-identity surface."""
-        lines: List[Tuple[float, int, str]] = []
-        for index, state in enumerate(self._states):
-            for t, new_state in state.alert.transitions:
-                lines.append((t, index, f"{t:.6f} {state.spec.name} {new_state}"))
-        return "\n".join(line for _, _, line in sorted(lines, key=lambda x: (x[0], x[1])))
-
 
 # -- probe helpers -------------------------------------------------------
-
-
-def rate_probe(
-    counter_fn: Callable[[], float], interval: float
-) -> Callable[[], Optional[float]]:
-    """A probe turning a cumulative counter into a per-second rate.
-
-    Keeps the previous reading in a closure; the first evaluation
-    returns None (no baseline yet).  Deterministic because the monitor
-    calls probes exactly once per evaluation, on a fixed schedule.
-    """
-    last: List[Optional[float]] = [None]
-
-    def probe_fn() -> Optional[float]:
-        current = float(counter_fn())
-        previous, last[0] = last[0], current
-        if previous is None:
-            return None
-        return (current - previous) / interval
-
-    return probe_fn
 
 
 def fraction_probe(
@@ -358,52 +325,6 @@ def serving_slos(
             objective=breaker_objective,
             description="fraction of per-replica breakers currently open",
         ),
-    ]
-
-
-def training_slos(
-    steps_fn: Callable[[], float],
-    steps_per_s_objective: float,
-    interval: float = 0.25,
-) -> List[SloSpec]:
-    """Training-plane SLO: sustained steps/s above an objective floor."""
-    return [
-        SloSpec(
-            name="training.steps_per_s",
-            value_probe=rate_probe(steps_fn, interval),
-            objective=steps_per_s_objective,
-            comparison=">=",
-            description="training steps per simulated second",
-        )
-    ]
-
-
-def cas_slos(platform, failover_objective: float = 0.0) -> List[SloSpec]:
-    """CAS availability SLO: failovers per interval stays at zero."""
-    pair = platform.cas_pair
-
-    def failovers() -> Optional[float]:
-        return float(pair.stats.failovers) if pair is not None else None
-
-    last: List[Optional[float]] = [None]
-
-    def failover_delta() -> Optional[float]:
-        current = failovers()
-        if current is None:
-            return None
-        previous, last[0] = last[0], current
-        if previous is None:
-            return None
-        return current - previous
-
-    return [
-        SloSpec(
-            name="cas.failovers",
-            value_probe=failover_delta,
-            objective=failover_objective,
-            budget=0.001,
-            description="CAS primary failovers per evaluation interval",
-        )
     ]
 
 
@@ -497,9 +418,6 @@ __all__ = [
     "STATE_PENDING",
     "SloMonitor",
     "SloSpec",
-    "cas_slos",
     "fraction_probe",
-    "rate_probe",
     "serving_slos",
-    "training_slos",
 ]

@@ -36,7 +36,6 @@ which faults fire.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -134,7 +133,6 @@ class StorageFaultPlan:
         self._rolled: Set[SnapshotRollback] = set()
         self._snapshots: Dict[SnapshotRollback, Dict[str, Tuple[bytes, Optional[int], int]]] = {}
         self._vfs = None
-        self._suspended = 0
         #: Index of the next mutating operation (0-based).
         self.op_index = 0
 
@@ -146,15 +144,6 @@ class StorageFaultPlan:
         self._vfs = vfs
         vfs.faults = self
         return self
-
-    @contextlib.contextmanager
-    def suspended(self):
-        """Temporarily stop injecting (recovery tooling runs clean)."""
-        self._suspended += 1
-        try:
-            yield
-        finally:
-            self._suspended -= 1
 
     # -- trace ----------------------------------------------------------
 
@@ -187,8 +176,6 @@ class StorageFaultPlan:
         crash before/after and may replace a write's payload with a torn
         prefix.  Counts the operation either way."""
         action = StorageAction()
-        if self._suspended:
-            return action
         index = self.op_index
         self.op_index += 1
 
@@ -236,7 +223,7 @@ class StorageFaultPlan:
     def on_read(self, path: str, content: bytes) -> Optional[bytes]:
         """Consulted by the VFS on every read; returns corrupted stored
         content (rot/truncation *at rest*) or None to leave it alone."""
-        if self._suspended or not self.spec.applies_to(path):
+        if not self.spec.applies_to(path):
             return None
         # Four draws per read, fixed order, whatever fires.
         u_rot = self._rng.uniform()

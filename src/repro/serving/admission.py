@@ -48,10 +48,6 @@ class TokenBucket:
             return True
         return False
 
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
 
 @dataclass
 class AdmissionStats:

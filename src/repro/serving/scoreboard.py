@@ -96,9 +96,6 @@ class ReplicaScoreboard:
     def entries(self) -> List[ReplicaEntry]:
         return list(self._entries.values())
 
-    def addresses(self) -> List[str]:
-        return list(self._entries)
-
     # -- state -----------------------------------------------------------
 
     def set_state(self, address: str, state: ReplicaState) -> None:

@@ -32,8 +32,8 @@ from repro.tensor.graph import (
     Graph,
     Operation,
     Tensor,
-    default_graph,
     get_default_graph,
+    reset_default_graph,
 )
 from repro.tensor.ops import (
     add,
@@ -81,6 +81,7 @@ from repro.tensor.ops.extra import (
 )
 from repro.tensor.variables import (
     Variable,
+    global_variables,
     global_variables_initializer,
     variable,
 )
@@ -104,12 +105,13 @@ __all__ = [
     "Graph",
     "Operation",
     "Tensor",
-    "default_graph",
     "get_default_graph",
+    "reset_default_graph",
     "constant",
     "placeholder",
     "variable",
     "Variable",
+    "global_variables",
     "global_variables_initializer",
     "add",
     "sub",

@@ -231,11 +231,6 @@ def get_default_graph() -> Graph:
     return _STACK.stack[-1]
 
 
-def default_graph() -> Graph:
-    """Alias kept for API familiarity."""
-    return get_default_graph()
-
-
 def reset_default_graph() -> Graph:
     """Replace the root default graph (test isolation)."""
     _STACK.stack[:] = [Graph()]

@@ -99,10 +99,6 @@ def flatten(x: Tensor, name: str = "flatten") -> Tensor:
     return ops.reshape(x, (None, static), name=name)
 
 
-def dropout(x: Tensor, rate: float, seed: int = 0, name: str = "dropout") -> Tensor:
-    return nn.dropout(x, rate, seed=seed, name=name)
-
-
 def batch_norm(
     x: Tensor,
     epsilon: float = 1e-3,

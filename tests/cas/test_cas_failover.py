@@ -9,7 +9,7 @@ certificates that verify against the unchanged trust root.
 import pytest
 
 from repro.cas import CasService, Policy, ReplicatedCasPair
-from repro.cas.client import RemoteCasClient, RemoteFreshnessTracker
+from repro.cas.client import RemoteCasClient
 from repro.cluster import Network, make_cluster
 from repro.cluster.network import FaultAction
 from repro.cluster.orchestrator import Orchestrator
@@ -76,36 +76,41 @@ def test_policies_and_session_keys_replicate(pair, cluster):
     assert pair.backup.db.get("secret/s/api") == b"token"
 
 
-def test_audit_chain_replicates_byte_identically(pair, cluster):
-    tracker = RemoteFreshnessTracker(pair.network, cluster[2], owner="sess")
+def test_audit_chain_replicates_byte_identically(pair):
     for version in range(5):
-        tracker.commit("/model", version, bytes([version]) * 32)
+        pair.primary.audit.commit("sess", "/model", version, bytes([version]) * 32)
     assert pair.stats.records_replicated == 5
     assert pair.backup.audit.head == pair.primary.audit.head
     assert pair.backup.audit.log == pair.primary.audit.log
 
 
-def test_a_duplicated_audit_commit_appends_once(pair, cluster, monkeypatch):
-    """A duplicate delivery of a remote audit commit still waiting for
-    its quorum waits on that commit's reply: the append is not entered
-    again (where it would raise a spurious FreshnessError)."""
-    appends = []
-    append = pair.primary.audit.append
-    monkeypatch.setattr(
-        pair.primary.audit, "append", lambda *args: appends.append(args) or append(*args)
-    )
-    pair.network.faults.append(
-        lambda src, dst, n_bytes, now: FaultAction(duplicate=True) if dst == "cas" else None
-    )
-    tracker = RemoteFreshnessTracker(
-        pair.network, cluster[2], owner="sess",
+def test_a_duplicated_audit_commit_appends_once(cluster, provisioning, monkeypatch):
+    """With a retry policy every replicated record carries a call ID, so a
+    duplicate delivery is answered from the standby's at-most-once window:
+    the record is not applied again (where the standby's chain would
+    raise a spurious FreshnessError)."""
+    pair = ReplicatedCasPair(
+        Network(CM),
+        CasService(cluster[0], provisioning.public_key()),
+        CasService(cluster[1], provisioning.public_key()),
         retry=RetryPolicy(max_attempts=1, deadline=None),
     )
-    tracker.commit("/model", 0, bytes(32))
+    applied = []
+    commit = pair.backup.audit.commit
+    monkeypatch.setattr(
+        pair.backup.audit, "commit", lambda *args: applied.append(args) or commit(*args)
+    )
+    pair.network.faults.append(
+        lambda src, dst, n_bytes, now: (
+            FaultAction(duplicate=True) if dst == pair.backup_address else None
+        )
+    )
+    pair.primary.audit.commit("sess", "/model", 0, bytes(32))
     pair.network.scheduler.run()
-    assert len(appends) == 1
-    assert pair.primary_server.stats.dedup_hits == 1
+    assert len(applied) == 1
+    assert pair._backup_server.stats.dedup_hits == 1
     assert pair.stats.records_replicated == 1
+    assert pair.backup.audit.head == pair.primary.audit.head
 
 
 def test_unreachable_standby_blocks_the_mutation(pair, cluster):
@@ -155,20 +160,21 @@ def test_promote_is_idempotent(pair):
     assert pair.stats.failovers == 1
 
 
-def test_freshness_protection_survives_failover(pair, cluster):
-    tracker = RemoteFreshnessTracker(pair.network, cluster[2], owner="sess")
-    tracker.commit("/w", 0, b"d0" * 16)
-    tracker.commit("/w", 1, b"d1" * 16)
+def test_freshness_protection_survives_failover(pair):
+    pair.primary.audit.commit("sess", "/w", 0, b"d0" * 16)
+    pair.primary.audit.commit("sess", "/w", 1, b"d1" * 16)
 
     pair.fail_primary()
     pair.promote()
 
-    tracker.verify("/w", 1, b"d1" * 16)  # served by the standby now
+    audit = pair.active.audit  # the standby now
+    audit.verify("sess", "/w", 1, b"d1" * 16)
     with pytest.raises(FreshnessError):
-        tracker.verify("/w", 0, b"d0" * 16)  # rollback still detected
+        audit.verify("sess", "/w", 0, b"d0" * 16)  # rollback still detected
     # New commits land on the standby's chain, continuing the sequence.
-    tracker.commit("/w", 2, b"d2" * 16)
+    audit.commit("sess", "/w", 2, b"d2" * 16)
     assert pair.backup.audit.latest("sess", "/w").version == 2
+    assert audit.log[-1].sequence == 2
 
 
 def test_orchestrator_watchdog_promotes(pair, cluster):

@@ -12,11 +12,20 @@ is a ``db.put``: it reaches a CAS's disk only at that CAS's next
 
 import pytest
 
-from repro.cluster.epoch import EPOCH_KEY_PREFIX, EpochService, load_epochs
+from repro.cluster.epoch import EPOCH_KEY_PREFIX, EpochService
 from repro.cluster.retry import RetryPolicy
 from repro.core import SecureTFPlatform
 from repro.core.platform import PlatformConfig
 from repro.errors import FencedError
+
+
+def load_epochs(db):
+    """The ``epoch/<role>`` records of a CAS secrets database, as the
+    ``{role: epoch}`` map ``EpochService.restore`` takes."""
+    return {
+        key[len(EPOCH_KEY_PREFIX):]: int(db.get(key).decode())
+        for key in db.keys(EPOCH_KEY_PREFIX)
+    }
 
 
 def make_platform(backup=True):
@@ -38,7 +47,7 @@ def test_epoch_bumps_persist_to_the_cas_database():
     platform.epochs.grant("ps-0", holder="b")
     platform.epochs.grant("router", holder="r")
     assert platform.cas.db.get(f"{EPOCH_KEY_PREFIX}ps-0") == b"2"
-    assert platform.persisted_epochs() == {"ps-0": 2, "router": 1}
+    assert load_epochs(platform.active_cas.db) == {"ps-0": 2, "router": 1}
 
 
 def test_epoch_registry_survives_cas_failover():
@@ -62,7 +71,7 @@ def test_epoch_registry_survives_cas_failover():
     platform.epochs.grant("ps-0", holder="a2")
     assert not pair.probe()
     pair.promote()
-    persisted = platform.persisted_epochs()
+    persisted = load_epochs(platform.active_cas.db)
     assert persisted["ps-0"] == 2
     assert persisted["router"] == 1
     assert pair.stats.epochs_replicated >= 3
@@ -72,7 +81,7 @@ def test_epoch_registry_survives_cas_failover():
     # epochs and the zombie's stale stamp is rejected.
     restored = EpochService()
     guard = restored.make_guard("ps-0", name="restored-store")
-    restored.restore(platform.persisted_epochs())
+    restored.restore(load_epochs(platform.active_cas.db))
     assert restored.current("ps-0") == 2
     assert restored.current("router") == 1
     with pytest.raises(FencedError):

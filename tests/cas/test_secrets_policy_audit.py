@@ -36,7 +36,7 @@ def test_db_crud(db):
     db.put("secret/b", b"2")
     db.put("other", b"3")
     assert db.get("secret/a") == b"1"
-    assert db.contains("other")
+    assert db.get("other") == b"3"
     assert db.keys("secret/") == ["secret/a", "secret/b"]
     assert len(db) == 3
     db.delete("other")

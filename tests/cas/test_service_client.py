@@ -4,14 +4,13 @@ import pytest
 
 from repro._sim import DeterministicRng, EventTrace
 from repro.cas import CasService, Policy
-from repro.cas.client import RemoteCasClient, RemoteFreshnessTracker, serve_cas
+from repro.cas.client import RemoteCasClient, serve_cas
 from repro.cluster import Network, make_cluster
 from repro.crypto.aead import AeadKey
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import SgxMode
 from repro.errors import (
     AttestationError,
-    FreshnessError,
     IntegrityError,
     PolicyError,
     RpcError,
@@ -176,15 +175,3 @@ def test_remote_provision_errors_travel_typed(cas, cluster):
     # so callers (and the retry layer) can tell "denied" from "lost".
     with pytest.raises(PolicyError):
         client.provision(runtime, "never-registered")
-
-
-def test_remote_freshness_tracker(cas, cluster):
-    network = Network(CM)
-    serve_cas(network, cas, address="cas")
-    tracker = RemoteFreshnessTracker(network, cluster[1], owner="sess")
-    tracker.commit("/f", 0, b"d0")
-    tracker.verify("/f", 0, b"d0")
-    tracker.commit("/f", 1, b"d1")
-    with pytest.raises(FreshnessError):
-        tracker.verify("/f", 0, b"d0")
-    assert cas.audit.latest("sess", "/f").version == 1

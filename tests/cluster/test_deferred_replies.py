@@ -127,7 +127,7 @@ def secure_pair(cluster, network, rng, error=None):
         network, "client", cluster[1], make_shield(ca, rng, cluster[1], "client"),
         retry=RetryPolicy(max_attempts=2),
     )
-    return server, runs, client, client.connect("srv")
+    return server, runs, client, network.scheduler.drive(client.open("srv"))
 
 
 def test_a_secure_deferred_reply_is_sealed_when_it_settles(cluster, network, rng):

@@ -24,6 +24,11 @@ def network():
     return Network(CM)
 
 
+def connect(client, dst, **kwargs):
+    """The blocking handshake of a test: ``open`` driven to its end."""
+    return client._network.scheduler.drive(client.open(dst, **kwargs))
+
+
 def echo_server(network, node, address="echo"):
     server = RpcServer(network, address, node)
     server.register("echo", lambda payload, peer: payload)
@@ -137,14 +142,14 @@ def secure_setup(cluster, network, rng):
 
 def test_secure_call_roundtrip(secure_setup):
     _, _, client, _, _, _ = secure_setup
-    conn = client.connect("secure", expected_server="server")
+    conn = connect(client, "secure", expected_server="server")
     assert conn.call("echo", b"confidential") == b"confidential"
     assert conn.peer_subject == "server"
 
 
 def test_secure_server_sees_client_identity(secure_setup):
     _, _, client, _, _, _ = secure_setup
-    conn = client.connect("secure")
+    conn = connect(client, "secure")
     assert conn.call("whoami", b"") == b"client"
 
 
@@ -156,7 +161,7 @@ def test_payload_not_visible_on_wire(secure_setup):
         seen.append(data)
         return data
 
-    conn = client.connect("secure")
+    conn = connect(client, "secure")
     network.adversary = sniff
     conn.call("echo", b"super-secret-payload")
     assert all(b"super-secret-payload" not in msg for msg in seen)
@@ -165,7 +170,7 @@ def test_payload_not_visible_on_wire(secure_setup):
 def test_tampered_secure_response_detected(secure_setup):
 
     _, _, client, _, network, _ = secure_setup
-    conn = client.connect("secure")
+    conn = connect(client, "secure")
 
     def tamper(src, dst, data):
         if dst == "client":  # corrupt responses only
@@ -181,7 +186,7 @@ def test_tampered_secure_response_detected(secure_setup):
 
 def test_tampered_secure_request_rejected_by_server(secure_setup):
     _, _, client, _, network, _ = secure_setup
-    conn = client.connect("secure")
+    conn = connect(client, "secure")
 
     def tamper(src, dst, data):
         if dst == "secure":
@@ -214,12 +219,12 @@ def test_untrusted_client_cannot_connect(secure_setup, rng):
     # The server's certificate rejection comes back as a security
     # failure (never retried), not a generic transport error.
     with pytest.raises(SecurityError):
-        rogue.connect("secure")
+        connect(rogue, "secure")
 
 
 def test_unknown_connection_rejected(secure_setup):
     _, _, client, _, _, _ = secure_setup
-    conn = client.connect("secure")
+    conn = connect(client, "secure")
     conn._conn = 9999
     with pytest.raises(RpcError):
         conn.call("echo", b"")
@@ -243,7 +248,7 @@ def test_stale_secure_connection_is_typed(secure_setup):
     from repro.errors import StaleConnectionError
 
     _, _, client, _, _, _ = secure_setup
-    conn = client.connect("secure")
+    conn = connect(client, "secure")
     conn._conn = 9999
     with pytest.raises(StaleConnectionError):
         conn.call("echo", b"")
@@ -311,7 +316,7 @@ def test_secure_reconnect_after_server_restart(secure_setup):
     transparent re-handshake; the call still succeeds."""
     ca, rng, _, server, network, cluster = secure_setup
     client = make_retrying_client(secure_setup)
-    conn = client.connect("secure")
+    conn = connect(client, "secure")
     assert conn.call("echo", b"before") == b"before"
 
     # Simulate a crash + supervised restart: fresh server, no sessions.
@@ -328,7 +333,7 @@ def test_secure_reconnect_after_server_restart(secure_setup):
 
 def test_partition_during_handshake_retries_after_heal(secure_setup):
     """Satellite: a partition between hs1 and hs2 heals while the client
-    backs off; connect() restarts the handshake from scratch."""
+    backs off; open() restarts the handshake from scratch."""
     _, _, _, server, network, cluster = secure_setup
     client = make_retrying_client(secure_setup, max_attempts=8, base_delay=0.5)
 
@@ -344,7 +349,7 @@ def test_partition_during_handshake_retries_after_heal(secure_setup):
     network.partition("secure")
     partitioned["on"] = True
 
-    conn = client.connect("secure")
+    conn = connect(client, "secure")
     assert conn.call("echo", b"through") == b"through"
     assert client.stats.retries >= 1
     # The abandoned first hs1 (if any) stays server-side until swept.
@@ -354,7 +359,7 @@ def test_partition_during_handshake_retries_after_heal(secure_setup):
 def test_secure_call_retries_through_partition_heal(secure_setup):
     _, _, _, server, network, cluster = secure_setup
     client = make_retrying_client(secure_setup, max_attempts=8, base_delay=0.5)
-    conn = client.connect("secure")
+    conn = connect(client, "secure")
 
     heal_at = cluster[1].clock.now + 1.0
     partitioned = {"on": False}
@@ -411,7 +416,7 @@ class _Rig:
                 make_shield(self.ca, self.rng, self.cluster[1], "client"),
                 retry=policy, breakers=breakers,
             )
-            self.conn = self.client.connect("svc")
+            self.conn = connect(self.client, "svc")
 
     def start_server(self, name):
         node = self.cluster[0]

@@ -85,7 +85,7 @@ def test_sharded_gradient_partitioning(cluster, network):
     for name, value in weights.items():
         assert remerged[name].shape == value.shape
     with pytest.raises(ClusterError):
-        service.shard_map.shards_of("nonexistent")
+        service.shard_map.partition({"nonexistent": np.zeros(1)})
 
 
 def test_sharded_service_requires_shards():

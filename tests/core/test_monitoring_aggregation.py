@@ -44,6 +44,7 @@ from repro.runtime.stats_registry import (
     stats_for,
 )
 from repro.runtime.syscall import SyscallStats
+from tests.core._metrics_json import from_json
 
 
 def _node(node_id: str, **overrides) -> NodeMetrics:
@@ -256,7 +257,7 @@ def test_a_counter_is_one_line():
     # JSON round trip rebuilds the group from the dataclass's fields.
     tree = json.loads(json.dumps(later.to_json()))
     assert tree["gadgets"]["g_made"] == 9 and tree["gadgets"]["recalled"] == 0
-    assert Snapshot.from_json(tree) == later
+    assert from_json(Snapshot, tree) == later
 
     # Flattened keys and Prometheus types.
     flat = flatten_metrics(tree)
@@ -310,7 +311,7 @@ def test_json_round_trip():
     )
     tree = snapshot.to_json()
     assert tree["nodes"][0]["node_id"] == "node-0"
-    assert PlatformMetrics.from_json(tree) == snapshot
+    assert from_json(PlatformMetrics, tree) == snapshot
 
 
 def test_diff_subtracts_counters_and_keeps_gauges():

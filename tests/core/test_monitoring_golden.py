@@ -25,6 +25,7 @@ from repro.core.monitoring import (
 )
 from repro.runtime.stats_registry import MonitoringStats
 from repro.runtime.syscall import SyscallStats
+from tests.core._metrics_json import from_json
 
 #: Every ``group.field`` the snapshot published before PR 20 (per-node
 #: fields as ``nodes.<field>``).  Each must still be published: a rename
@@ -340,7 +341,7 @@ def test_format_is_byte_identical():
 
 
 def test_golden_snapshot_round_trips_through_json():
-    assert PlatformMetrics.from_json(SNAPSHOT.to_json()) == SNAPSHOT
+    assert from_json(PlatformMetrics, SNAPSHOT.to_json()) == SNAPSHOT
 
 
 def test_import_repro_core_does_not_load_observability():

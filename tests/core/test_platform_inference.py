@@ -144,7 +144,7 @@ def test_serve_over_secure_rpc(platform, lite_model, images):
         user_node.rng.child("user"),
     )
     client = SecureRpcClient(platform.network, "alice", user_node, shield)
-    conn = client.connect(address)
+    conn = platform.network.scheduler.drive(client.open(address))
     reply = conn.call(
         "classify", encoding.encode(encode_array(images[0]))
     )

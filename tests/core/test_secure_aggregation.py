@@ -204,7 +204,9 @@ def test_hospitals_cannot_read_partial_sums():
         hospital.node,
         shield=hospital.shield,
     )
-    conn = client.connect(fl.job.ps_service.shard(1).address, expected_server=None)
+    conn = platform.network.scheduler.drive(
+        client.open(fl.job.ps_service.shard(1).address, expected_server=None)
+    )
     with pytest.raises((AttestationError, RpcError)):
         conn.call("partial", b"")
     fl.stop()

@@ -103,7 +103,8 @@ def _outsider_connection(platform, node, subject, address):
         node.clock,
         node.rng.child(subject),
     )
-    return SecureRpcClient(platform.network, subject, node, shield).connect(address)
+    client = SecureRpcClient(platform.network, subject, node, shield)
+    return platform.network.scheduler.drive(client.open(address))
 
 
 def test_parameter_server_serves_only_its_own_session():
@@ -129,9 +130,9 @@ def test_parameter_server_serves_only_its_own_session():
     node = platform.node(1)
     stranger = _outsider_connection(platform, node, "user/random-guy", ps.address)
     foreign = jobs[1].workers[0]
-    foreigner = SecureRpcClient(
+    foreigner = platform.network.scheduler.drive(SecureRpcClient(
         platform.network, foreign.address, foreign.node, foreign.shield
-    ).connect(ps.address)
+    ).open(ps.address))
     for conn in (stranger, foreigner):
         for method, payload in (("pull", b""), ("push", push)):
             with pytest.raises(AttestationError):
@@ -139,9 +140,9 @@ def test_parameter_server_serves_only_its_own_session():
     assert ps.version == 1  # nothing was applied
     # The job's own worker is still served.
     own = jobs[0].workers[0]
-    conn = SecureRpcClient(
+    conn = platform.network.scheduler.drive(SecureRpcClient(
         platform.network, own.address, own.node, own.shield
-    ).connect(ps.address)
+    ).open(ps.address))
     assert encoding.decode(conn.call("pull", b""))["version"] == 1
 
 
@@ -271,7 +272,7 @@ def test_unauthorized_party_cannot_submit():
         node.rng.child("rg"),
     )
     outsider = SecureRpcClient(platform.network, "rg", node, shield)
-    conn = outsider.connect(fl.address)
+    conn = platform.network.scheduler.drive(outsider.open(fl.address))
     # The aggregator's authentication rejection arrives typed.
     with pytest.raises(AttestationError):
         conn.call("pull", b"")

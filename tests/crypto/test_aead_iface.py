@@ -1,5 +1,7 @@
 """The one AEAD, its cipher-name check, and the nonce-sequencing key wrapper."""
 
+import struct
+
 import pytest
 
 from repro.crypto.aead import (
@@ -9,7 +11,6 @@ from repro.crypto.aead import (
     AeadKey,
     aead_cache_stats,
     get_aead,
-    reset_aead_cache,
 )
 from repro.errors import ConfigurationError, IntegrityError
 
@@ -40,7 +41,7 @@ def test_aeadkey_sequencing_produces_distinct_nonces():
     sealed_1 = key.seal(b"same plaintext")
     sealed_2 = key.seal(b"same plaintext")
     assert sealed_1 != sealed_2
-    assert key.messages_sealed == 2
+    assert (sealed_1[:8], sealed_2[:8]) == (struct.pack(">Q", 0), struct.pack(">Q", 1))
     assert key.open(sealed_1) == b"same plaintext"
     assert key.open(sealed_2) == b"same plaintext"
 
@@ -53,11 +54,12 @@ def test_aeadkey_aad_binding():
 
 
 def test_aeadkey_explicit_sequence():
+    # The header's sequence number is the nonce: relabelled, it fails.
     key = AeadKey("chacha20-poly1305", bytes(32))
-    sealed = key.seal_at(7, b"chunk", aad=b"file")
-    assert key.open_at(7, sealed, aad=b"file") == b"chunk"
+    sealed = key.seal(b"chunk", aad=b"file")
+    assert key.open(sealed, aad=b"file") == b"chunk"
     with pytest.raises(IntegrityError):
-        key.open_at(8, sealed, aad=b"file")
+        key.open(struct.pack(">Q", 1) + sealed[8:], aad=b"file")
 
 
 def test_aeadkey_short_message_rejected():
@@ -76,29 +78,33 @@ def test_nonce_prefix_must_be_4_bytes():
 # ---------------------------------------------------------------------------
 
 
+def _fresh_key(tag: int) -> bytes:
+    """A key no other test caches."""
+    return b"cache-test" + bytes([tag]) + bytes(21)
+
+
 def test_aead_cache_returns_same_object_for_same_key():
-    reset_aead_cache()
-    key = bytes(range(32))
+    before = aead_cache_stats()
+    key = _fresh_key(1)
     first = get_aead("chacha20-poly1305", key)
     second = get_aead("chacha20-poly1305", key)
     assert first is second
     stats = aead_cache_stats()
-    assert stats["hits"] == 1
-    assert stats["misses"] == 1
+    assert stats["hits"] - before["hits"] == 1
+    assert stats["misses"] - before["misses"] == 1
 
 
 def test_aead_cache_distinguishes_keys():
-    reset_aead_cache()
-    a = get_aead("chacha20-poly1305", bytes(32))
-    b = get_aead("chacha20-poly1305", bytes([1]) + bytes(31))
+    before = aead_cache_stats()["misses"]
+    a = get_aead("chacha20-poly1305", _fresh_key(2))
+    b = get_aead("chacha20-poly1305", _fresh_key(3))
     assert a is not b
-    assert aead_cache_stats()["misses"] == 2
+    assert aead_cache_stats()["misses"] - before == 2
 
 
 def test_aead_cache_evicts_least_recently_used():
     from repro.crypto import aead as aead_mod
 
-    reset_aead_cache()
     capacity = aead_mod._AEAD_CACHE_CAPACITY
     keys = [i.to_bytes(1, "big") + bytes(31) for i in range(capacity + 1)]
     first = get_aead("chacha20-poly1305", keys[0])
@@ -112,13 +118,12 @@ def test_aead_cache_evicts_least_recently_used():
 def test_cached_ciphers_are_nonce_stateless():
     # Two AeadKeys sharing one cached cipher must not interfere: nonce
     # counters live in the wrapper, not the cipher object.
-    reset_aead_cache()
     k1 = AeadKey("chacha20-poly1305", bytes(32))
     k2 = AeadKey("chacha20-poly1305", bytes(32))
     assert k1._aead is k2._aead
     sealed = k1.seal(b"one")
     assert k2.open(sealed) == b"one"
-    assert k2.messages_sealed == 0
+    assert k2.seal(b"two")[:8] == struct.pack(">Q", 0)  # k1's seal moved no k2 counter
 
 
 def test_batch_calls_equal_the_per_message_calls():

@@ -79,9 +79,3 @@ def test_serial_numbers_increment(ca, rng):
 def test_malformed_bytes_rejected():
     with pytest.raises(IntegrityError):
         Certificate.from_bytes(b"garbage")
-
-
-def test_root_certificate_is_self_signed(ca):
-    root = ca.root_certificate()
-    root.verify_signature(ca.public_key())
-    assert root.extensions["ca"] == "true"

@@ -6,13 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import chacha
-from repro.crypto.chacha import (
-    ChaCha20Poly1305,
-    chacha20_keystream,
-    chacha20_xor,
-    poly1305_mac,
-)
+from repro.crypto.chacha import ChaCha20Poly1305, poly1305_mac
 from repro.errors import IntegrityError
+from tests.crypto._chacha_stream import chacha20_keystream, chacha20_xor
 from tests.crypto._reference_chacha import poly1305_mac_reference
 
 RFC_KEY = bytes(range(32))

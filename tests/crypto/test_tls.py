@@ -168,10 +168,10 @@ def test_record_length_mismatch_rejected_before_decrypt(ca, rng, mangle):
     with pytest.raises(IntegrityError, match="header claims"):
         srl.unprotect(mangle(record))
     # The rejection consumed no sequence number: the intact record opens.
-    assert srl.records_received == 0
+    assert srl._recv_seq == 0
     srl._recv_aead = real_aead
     assert srl.unprotect(record) == b"payload"
-    assert srl.records_received == 1
+    assert srl._recv_seq == 1
 
 
 def test_large_payload(ca, rng):

@@ -84,8 +84,8 @@ def test_take_and_example_bytes():
     train, _ = synthetic_mnist(n_train=20, n_test=5, seed=0)
     small = train.take(4)
     assert len(small) == 4
-    raw = small.example_bytes(0)
-    assert len(raw) == 28 * 28 * 4
+    assert small.images[3].tobytes() == train.images[3].tobytes()
+    assert small.images.nbytes == 4 * 28 * 28 * 4
 
 
 def test_mismatched_lengths_rejected():

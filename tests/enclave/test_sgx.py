@@ -3,6 +3,7 @@
 import pytest
 
 from repro._sim import DeterministicRng, SimClock
+from repro.crypto.aead import CIPHER, AeadKey
 from repro.enclave.attestation import ProvisioningAuthority
 from repro.enclave.cost_model import DEFAULT_COST_MODEL as CM
 from repro.enclave.sgx import Enclave, EnclaveImage, Segment, SgxCpu, SgxMode
@@ -69,29 +70,35 @@ def test_report_and_debug_flag(cpu):
         hw.create_report(b"x" * 65)
 
 
+def sealer(cpu, enclave):
+    """An AEAD key under the enclave's sealing key, as CAS seals its database."""
+    return AeadKey(CIPHER, cpu.sealing_key(enclave.measurement))
+
+
 def test_sealing_roundtrip_same_identity(cpu):
     enclave = cpu.create_enclave(make_image(), SgxMode.HW)
-    sealed = enclave.seal(b"secret", aad=b"ctx")
-    assert enclave.unseal(sealed, aad=b"ctx") == b"secret"
+    sealed = sealer(cpu, enclave).seal(b"secret", aad=b"ctx")
+    assert sealer(cpu, enclave).open(sealed, aad=b"ctx") == b"secret"
     # A restarted enclave with the same measurement can unseal.
     reborn = cpu.create_enclave(make_image(), SgxMode.HW)
-    assert reborn.unseal(sealed, aad=b"ctx") == b"secret"
+    assert sealer(cpu, reborn).open(sealed, aad=b"ctx") == b"secret"
 
 
 def test_sealing_bound_to_measurement(cpu):
     enclave = cpu.create_enclave(make_image(), SgxMode.HW)
     other = cpu.create_enclave(make_image(name="different"), SgxMode.HW)
-    sealed = enclave.seal(b"secret")
+    sealed = sealer(cpu, enclave).seal(b"secret")
     with pytest.raises(IntegrityError):
-        other.unseal(sealed)
+        sealer(cpu, other).open(sealed)
 
 
 def test_sealing_bound_to_cpu(cpu, cost_model, provisioning, rng):
     clock2 = SimClock()
     cpu2 = SgxCpu("cpu-2", cost_model, clock2, provisioning, rng.child("cpu2"))
-    sealed = cpu.create_enclave(make_image(), SgxMode.HW).seal(b"secret")
+    enclave = cpu.create_enclave(make_image(), SgxMode.HW)
+    sealed = sealer(cpu, enclave).seal(b"secret")
     with pytest.raises(IntegrityError):
-        cpu2.create_enclave(make_image(), SgxMode.HW).unseal(sealed)
+        sealer(cpu2, cpu2.create_enclave(make_image(), SgxMode.HW)).open(sealed)
 
 
 def test_quote_charges_generation_cost(cpu, clock):
@@ -107,7 +114,7 @@ def test_destroy_evicts_and_blocks_use(cpu):
     enclave.memory.touch_window("binary", 0, binary.size)
     assert cpu.epc.stats.per_enclave_resident.get(enclave.enclave_id, 0) > 0
     enclave.destroy()
-    assert not enclave.alive
+    assert enclave._destroyed
     assert cpu.epc.stats.per_enclave_resident.get(enclave.enclave_id, 0) == 0
     with pytest.raises(EnclaveError):
         enclave.create_report()

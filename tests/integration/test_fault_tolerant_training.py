@@ -53,10 +53,10 @@ def test_crash_and_recover_from_secure_checkpoint(batches):
     # Training continues and keeps improving.
     images, labels = batches[0]
     job2.workers[0].load_weights(job2.weights())
-    loss_before = job2.workers[0].evaluate_loss(images, labels)
+    _, loss_before = job2.workers[0].compute_update((images, labels))
     job2.train(batches, steps=4)
     job2.workers[0].load_weights(job2.weights())
-    loss_after = job2.workers[0].evaluate_loss(images, labels)
+    _, loss_after = job2.workers[0].compute_update((images, labels))
     assert loss_after < loss_before
     job2.stop()
 

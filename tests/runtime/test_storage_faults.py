@@ -68,24 +68,21 @@ def test_crash_point_tears_a_write_at_an_exact_byte(keep):
 
 def test_bit_rot_flips_one_stored_bit():
     vfs = VirtualFileSystem()
-    plan = StorageFaultPlan(3, StorageFaultSpec(bit_rot=1.0)).attach(vfs)
-    with plan.suspended():
-        vfs.write("/f", bytes(100))
+    vfs.write("/f", bytes(100))
+    StorageFaultPlan(3, StorageFaultSpec(bit_rot=1.0)).attach(vfs)
     rotted = vfs.read("/f").content
     assert len(rotted) == 100
     diff = [i for i in range(100) if rotted[i] != 0]
     assert len(diff) == 1
     assert bin(rotted[diff[0]]).count("1") == 1
-    # Rot persists at rest: re-reading under suspension sees the damage.
-    with plan.suspended():
-        assert vfs.read("/f").content == rotted
+    # Rot persists at rest: the stored bytes carry the damage.
+    assert vfs._files["/f"].content == rotted
 
 
 def test_truncation_drops_the_tail():
     vfs = VirtualFileSystem()
+    vfs.write("/f", bytes(range(100)))
     plan = StorageFaultPlan(4, StorageFaultSpec(truncation=1.0)).attach(vfs)
-    with plan.suspended():
-        vfs.write("/f", bytes(range(100)))
     content = vfs.read("/f").content
     assert len(content) < 100
     assert content == bytes(range(100))[: len(content)]
@@ -132,9 +129,8 @@ def test_crash_point_on_delete_and_rename():
 
 def test_rename_is_never_torn():
     vfs = VirtualFileSystem()
+    vfs.write("/src", bytes(100))
     plan = StorageFaultPlan(0, StorageFaultSpec(torn_write=1.0)).attach(vfs)
-    with plan.suspended():
-        vfs.write("/src", bytes(100))
     vfs.rename("/src", "/dst")
     assert vfs._files["/dst"].content == bytes(100)
     assert plan.counters.torn_writes == 0
@@ -166,20 +162,6 @@ def test_rollback_scoped_by_prefix():
     vfs.write("/other/g", b"keep-v1")
     assert vfs.read("/scoped/f").content == b"v0"
     assert vfs.read("/other/g").content == b"keep-v1"  # outside the blast radius
-
-
-def test_suspended_context_injects_nothing():
-    vfs = VirtualFileSystem()
-    plan = StorageFaultPlan(
-        0,
-        StorageFaultSpec(torn_write=1.0, bit_rot=1.0, truncation=1.0),
-        crash_points=[CrashPoint(at_op=0)],
-    ).attach(vfs)
-    with plan.suspended():
-        vfs.write("/f", bytes(100))
-        assert vfs.read("/f").content == bytes(100)
-    assert plan.op_index == 0  # suspended ops are not counted
-    assert plan.counters.crashes == 0
 
 
 def test_spec_prefix_scoping():

@@ -166,7 +166,7 @@ def test_shutdown_destroys_enclave(cpu):
     enclave = runtime.enclave
     runtime.shutdown()
     assert runtime.enclave is None
-    assert not enclave.alive
+    assert enclave._destroyed
 
 
 def test_sim_quote_is_debug(cpu):

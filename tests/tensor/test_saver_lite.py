@@ -160,7 +160,7 @@ def test_lite_model_serialization_roundtrip():
     assert restored.name == "net"
     interp = Interpreter(restored)
     interp.allocate_tensors()
-    assert len(interp.input_names) == 1
+    assert len(interp._imported.inputs) == 1
 
 
 def test_lite_folds_identity_ops():
@@ -204,5 +204,5 @@ def test_interpreter_dict_inputs():
     interp = Interpreter(model)
     interp.allocate_tensors()
     data = RNG.normal(size=(2, 5)).astype(np.float32)
-    out = interp.invoke({interp.input_names[0]: data})[0]
+    out = interp.invoke({x.name: data})[0]
     np.testing.assert_allclose(out, sess.run(logits, {x: data}), rtol=1e-5)

@@ -30,7 +30,7 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-ROOT = Path(__file__).resolve().parents[1]
+from tests._census import ROOT, SEARCH_DIRS, _callee, parsed
 
 #: Knob owner → the module that defines it.
 KNOBS: Dict[str, str] = {
@@ -72,8 +72,6 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
         "zero jitter makes backoff schedules exact in the retry tests",
 }
 
-SEARCH_DIRS = ("src", "benchmarks", "examples")
-
 Knob = Tuple[str, str]
 
 
@@ -110,15 +108,6 @@ def knob_fields(root: Path, knobs: Dict[str, str] = KNOBS) -> Dict[str, List[str
 def _params(func: ast.FunctionDef) -> List[str]:
     names = [a.arg for a in func.args.args + func.args.kwonlyargs]
     return names[1:] if names[:1] in (["self"], ["cls"]) else names
-
-
-def _callee(call: ast.Call) -> str:
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
 
 
 def _root_name(value: ast.expr) -> Optional[str]:
@@ -175,11 +164,7 @@ class _Census(ast.NodeVisitor):
 
 def set_knobs(root: Path, knobs: Dict[str, str] = KNOBS) -> Set[Knob]:
     """Every ``(callee, parameter)`` some call in the search dirs sets."""
-    trees = [
-        ast.parse(path.read_text())
-        for top in SEARCH_DIRS
-        for path in sorted((root / top).rglob("*.py"))
-    ]
+    trees = [tree for _, tree in parsed(root)]
     signatures: Dict[str, List[str]] = {}
     for tree in trees:
         for node in ast.walk(tree):

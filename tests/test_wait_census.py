@@ -41,14 +41,12 @@ ALLOWLIST: Dict[Tuple[str, str], str] = {
         "the blocking RPC of tests, examples and setup code",
     ("cluster/rpc.py", "SecureConnection.call"):
         "the blocking secure RPC of tests and setup code",
-    ("cluster/rpc.py", "SecureRpcClient.connect"):
-        "the blocking handshake of tests and setup code",
     ("cas/client.py", "RemoteCasClient.provision"):
         "provisioning a runtime from setup code (the platform's provision_runtime)",
     ("cas/failover.py", "ReplicatedCasPair._replicate_op"):
         "a policy registration, made by the data owner outside the simulation",
     ("cas/failover.py", "ReplicatedCasPair._replicate_record"):
-        "an audit commit made outside the simulation; remote commits defer",
+        "an audit commit, made by a shield's write outside the simulation",
     ("core/inference.py", "InferenceService.start"):
         "one service's synchronous boot; launch_fleet boots activities",
     ("core/training.py", "TrainingJob.start"):
