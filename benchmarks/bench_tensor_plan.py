@@ -4,7 +4,12 @@ Times, with no execution engine attached (pure tensor cost, real wall
 time), one Lite ``invoke`` of the ``inception_v4`` and ``densenet``
 stand-ins and one ``mnist_cnn`` training step (forward, gradients,
 SGD update; batch 50), and reports what the session's plan holds: its
-step count and what compiling it costs.  ``*_large_allocs`` counts the
+step count and what compiling it costs.  ``mnist_cnn_train_step_op_us``
+splits the training step's host time by op type: the median, over the
+steps, of the microseconds each type's kernels took in one step (timed
+on a second copy of the model, whose kernels are wrapped in a timer
+before its plan is compiled, so the untimed step above pays nothing
+for it).  ``*_large_allocs`` counts the
 allocations of at least 64 KiB one steady-state call makes: under
 ``tracemalloc``, every line of ``repro/tensor`` code after which the
 traced total stands >= 64 KiB higher than before it (a buffer that is
@@ -135,7 +140,8 @@ def _lite_invoke(name):
     )
 
 
-def _train_step():
+def _train_graph():
+    """(graph, fetches, feed) of one ``mnist_cnn`` SGD step at batch 50."""
     built = build_model("mnist_cnn", seed=3)
     with built.graph.as_default():
         labels = tf.placeholder("float32", (None, 10), name="labels")
@@ -146,8 +152,12 @@ def _train_step():
         built.input: rng.normal(size=(BATCH, 28, 28, 1)).astype(np.float32),
         labels: np.eye(10, dtype=np.float32)[rng.integers(0, 10, BATCH)],
     }
-    session = tf.Session(graph=built.graph)
-    fetches = [train, loss]
+    return built.graph, [train, loss], feed
+
+
+def _train_step():
+    graph, fetches, feed = _train_graph()
+    session = tf.Session(graph=graph)
     return _measure(
         lambda: session.run(fetches, feed),
         TRAIN_STEPS,
@@ -156,9 +166,36 @@ def _train_step():
     )
 
 
+def _train_step_by_op_type():
+    """``{op type: median host us its kernels take in one step}``."""
+    graph, fetches, feed = _train_graph()
+    spent = {}
+    for op in graph.operations:
+        def timed(op, *args, _kernel=op._compute, **kwargs):
+            started = time.perf_counter()
+            try:
+                return _kernel(op, *args, **kwargs)
+            finally:
+                spent[op.op_type] = spent.get(op.op_type, 0.0) + time.perf_counter() - started
+
+        op._compute = timed
+    session = tf.Session(graph=graph)
+    for _ in range(WARMUP):
+        session.run(fetches, feed)
+    samples = {}
+    for _ in range(TRAIN_STEPS):
+        spent.clear()
+        session.run(fetches, feed)
+        for op_type, seconds in spent.items():
+            samples.setdefault(op_type, []).append(seconds * 1e6)
+    medians = {op_type: statistics.median(us) for op_type, us in samples.items()}
+    return dict(sorted(medians.items(), key=lambda item: -item[1]))
+
+
 def test_tensor_plan(benchmark=None):
     rows = {f"{name}_invoke": _lite_invoke(name) for name in LITE_MODELS}
     rows["mnist_cnn_train_step"] = _train_step()
+    by_op_type = _train_step_by_op_type()
 
     def cell(value):
         return "-" if value is None else f"{value:.0f}"
@@ -179,10 +216,21 @@ def test_tensor_plan(benchmark=None):
             for label, row in rows.items()
         ],
     )
+    print_table(
+        f"mnist_cnn training step — host us by op type (median of {TRAIN_STEPS} steps)",
+        ("op type", "us", "share of the summed kernels"),
+        [
+            (op_type, f"{us:.0f}", f"{us / sum(by_op_type.values()):.1%}")
+            for op_type, us in by_op_type.items()
+        ],
+    )
     metrics = {
         f"{label}_{key}": round(value, 1) if isinstance(value, float) else value
         for label, row in rows.items()
         for key, value in row.items()
+    }
+    metrics["mnist_cnn_train_step_op_us"] = {
+        op_type: round(us, 1) for op_type, us in by_op_type.items()
     }
     metrics["blas_threads_pinned"] = _BLAS_PINNED
     record(benchmark, **metrics)

@@ -97,11 +97,14 @@ class ReplicatedCasPair:
         self._backup_server.register("repl_audit", self._handle_repl_audit)
         self._backup_server.start()
 
+        # Always under an executor, so every replicated mutation carries a
+        # call ID and a duplicated delivery is answered from the
+        # standby's at-most-once window instead of being applied again.
         self._repl_client = RpcClient(
             network,
             f"cas-repl@{primary.node.node_id}",
             primary.node,
-            retry=retry,
+            retry=retry if retry is not None else RetryPolicy(max_attempts=1, deadline=None),
         )
 
         primary.replicator = self._replicate_op

@@ -260,26 +260,6 @@ class EpochService:
         self.events.append(f"grant {role} epoch={epoch} holder={holder}")
         return lease
 
-    def restore(self, epochs: Dict[str, int]) -> None:
-        """Rebuild authority state from persisted ``epoch/<role>`` records.
-
-        Used when the control plane itself restarts (or fails over to
-        the CAS standby's copy of the registry): epochs only ever move
-        *forward* — a persisted record older than what this service
-        already knows is ignored, so a stale replica of the registry can
-        never un-fence a zombie.  Registered guards are advanced to the
-        restored epochs, and a bump after restore is strictly greater
-        than anything ever granted.
-        """
-        for role in sorted(epochs):
-            epoch = int(epochs[role])
-            if epoch <= self._epochs.get(role, 0):
-                continue
-            self._epochs[role] = epoch
-            for guard in self._guards.get(role, []):
-                guard.advance(epoch)
-            self.events.append(f"restore {role} -> {epoch}")
-
     def trace_bytes(self) -> bytes:
         """Canonical grant/bump log (compared across seeded runs)."""
         return "\n".join(self.events).encode()

@@ -4,6 +4,22 @@ Convolutions run through im2col + matmul (real numpy, real gradients);
 pooling is restricted to non-overlapping windows (stride == window),
 which covers every model in the zoo and keeps the backward kernel
 simple and fast.
+
+``max_pool`` and the col2im of ``conv2d_grad_input`` walk their window
+one tap at a time (:func:`_taps`): for each offset ``(i, j)``, in
+row-major order, one elementwise ufunc over the slab
+``x[:, i : i + ho*s : s, j : j + wo*s : s, :]``, whose element
+``(n, y, x, c)`` is that tap of output position ``(y, x)``.  A slab
+keeps the channel run contiguous and numpy moves it in long strides,
+where a reduction over axes (2, 4) of a 6-D window view runs its inner
+loop once per ``k`` elements, and col2im's columns are first copied
+tap-major so that each tap's are one contiguous block.  Every element
+still sees the same arithmetic in the same order: a max over its taps
+in row-major order, col2im's additions in ``(i, j)`` order.  The pool
+gradients write straight into the 6-D window view of their output (in
+memory order, so one streaming pass), and ``avg_pool`` keeps its
+``mean`` over that view: a sum taken one tap at a time rounds
+differently from numpy's reduction.
 """
 
 from __future__ import annotations
@@ -74,14 +90,21 @@ def _extract_patches(
         np.copyto(interior, x)
     else:
         windows = _windows(x, kh, kw, stride)
-    key = ("columns", x.dtype)
-    buffer = scratch.get(key)
-    if buffer is None or buffer.size < windows.size:
-        buffer = scratch[key] = np.empty(windows.size, dtype=x.dtype)
-    columns = buffer[: windows.size].reshape(windows.shape)
+    columns = _columns(scratch, x.dtype, windows.size).reshape(windows.shape)
     np.copyto(columns, windows)
     n, ho, wo = windows.shape[:3]
     return columns.reshape(n, ho, wo, kh * kw * c)
+
+
+def _columns(scratch: Dict[Any, Any], dtype: Any, size: int) -> np.ndarray:
+    """A flat buffer of ``size`` elements kept in ``scratch``: one per
+    dtype, grown to the largest size asked for, valid until the next
+    call with the same dict (the im2col columns, col2im's slabs)."""
+    key = ("columns", dtype)
+    buffer = scratch.get(key)
+    if buffer is None or buffer.size < size:
+        buffer = scratch[key] = np.empty(size, dtype=dtype)
+    return buffer[:size]
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -89,6 +112,15 @@ def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
     # windows: (N, H', W', C, kh, kw) -> strided and reordered
     return np.transpose(windows[:, ::stride, ::stride], (0, 1, 2, 4, 5, 3))
+
+
+def _taps(x: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int):
+    """The (N, ho, wo, C) slab of ``x`` under each window tap ``(i, j)``,
+    row-major: element ``(n, y, x, c)`` of a slab is ``x[n, i + y*stride,
+    j + x*stride, c]``."""
+    for i in range(kh):
+        for j in range(kw):
+            yield x[:, i : i + ho * stride : stride, j : j + wo * stride : stride, :]
 
 
 def conv2d(
@@ -159,7 +191,9 @@ def _conv2d_grad_filters(grad: Tensor, op: Operation) -> Tensor:
 
 
 def _conv2d_grad_input(grad: Tensor, op: Operation) -> Tensor:
-    def kernel(gop: Operation, g: np.ndarray, xv: np.ndarray, fv: np.ndarray) -> np.ndarray:
+    def kernel(
+        gop: Operation, g: np.ndarray, xv: np.ndarray, fv: np.ndarray, scratch=None
+    ) -> np.ndarray:
         s = gop.attrs["stride"]
         pad_mode = gop.attrs["padding"]
         kh, kw, ci, co = fv.shape
@@ -177,12 +211,17 @@ def _conv2d_grad_input(grad: Tensor, op: Operation) -> Tensor:
             gcols += 0
             return gcols.reshape(n, h, w, ci)
         ho, wo = g.shape[1], g.shape[2]
-        gcols = gcols.reshape(n, ho, wo, kh, kw, ci)
+        # col2im: scatter-add each tap's columns back, in (i, j) order.
+        # Copied tap-major first (into the plan's columns buffer, free
+        # between kernels), a tap's columns are one contiguous slab
+        # rather than N*Ho*Wo runs of ci elements.
+        slabs = _columns({} if scratch is None else scratch, gcols.dtype, gcols.size)
+        slabs = slabs.reshape(kh * kw, n, ho, wo, ci)
+        np.copyto(slabs, gcols.reshape(n, ho, wo, kh * kw, ci).transpose(3, 0, 1, 2, 4))
+        del gcols  # before dx: the copy must not raise the kernel's peak
         dx = np.zeros((n, hp, wp, ci), dtype=xv.dtype)
-        # Scatter-add each kernel offset back (col2im).
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, i: i + ho * s: s, j: j + wo * s: s, :] += gcols[:, :, :, i, j, :]
+        for slab, dst in zip(slabs, _taps(dx, kh, kw, s, ho, wo)):
+            dst += slab
         return dx[:, ph[0]: hp - ph[1], pw[0]: wp - pw[1], :]
 
     return make_op(
@@ -247,6 +286,8 @@ def _pool_shape(x: Tensor, window: int) -> Tuple:
 
 
 def _pool_view(v: np.ndarray, k: int) -> np.ndarray:
+    """The (N, Ho, k, Wo, k, C) view of the positions a pool's windows
+    cover (the rows and columns past ``Ho*k`` and ``Wo*k`` are in none)."""
     n, h, w, c = v.shape
     ho, wo = h // k, w // k
     return v[:, : ho * k, : wo * k, :].reshape(n, ho, k, wo, k, c)
@@ -257,7 +298,12 @@ def max_pool(x: Tensor, window: int = 2, stride: Optional[int] = None, name="max
     _check_pool_args(x, window, stride)
 
     def kernel(op: Operation, v: np.ndarray) -> np.ndarray:
-        return _pool_view(v, op.attrs["window"]).max(axis=(2, 4))
+        k = op.attrs["window"]
+        taps = _taps(v, k, k, k, v.shape[1] // k, v.shape[2] // k)
+        out = next(taps).copy()
+        for tap in taps:
+            np.maximum(out, tap, out=out)
+        return out
 
     return make_op(
         "max_pool", [x], _pool_shape(x, window), x.dtype, kernel, name=name,
@@ -282,12 +328,18 @@ def avg_pool(x: Tensor, window: int = 2, stride: Optional[int] = None, name="avg
 def _grad_max_pool(op: Operation, grad: Tensor) -> List[Optional[Tensor]]:
     def kernel(gop: Operation, g: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
         k = gop.attrs["window"]
-        view = _pool_view(v, k)
-        mask = view == y[:, :, None, :, None, :]
-        spread = mask * g[:, :, None, :, None, :]
-        n, ho, _, wo, _, c = spread.shape
-        out = np.zeros_like(v)
-        out[:, : ho * k, : wo * k, :] = spread.reshape(n, ho * k, wo * k, c)
+        # Every covered position is written once below, so only the rows
+        # and columns no window covers need zeroing.
+        out = np.empty_like(v)
+        out[:, y.shape[1] * k :] = 0
+        out[:, :, y.shape[2] * k :] = 0
+        # mask * g: every tied maximum receives g, every other position
+        # 0 * g (-0.0 under a negative g).
+        np.multiply(
+            _pool_view(v, k) == y[:, :, None, :, None, :],
+            g[:, :, None, :, None, :],
+            out=_pool_view(out, k),
+        )
         return out
 
     result = make_op(
@@ -306,12 +358,8 @@ def _grad_max_pool(op: Operation, grad: Tensor) -> List[Optional[Tensor]]:
 def _grad_avg_pool(op: Operation, grad: Tensor) -> List[Optional[Tensor]]:
     def kernel(gop: Operation, g: np.ndarray, v: np.ndarray) -> np.ndarray:
         k = gop.attrs["window"]
-        n, ho, wo, c = g.shape
-        spread = np.broadcast_to(
-            g[:, :, None, :, None, :] / (k * k), (n, ho, k, wo, k, c)
-        )
         out = np.zeros_like(v)
-        out[:, : ho * k, : wo * k, :] = spread.reshape(n, ho * k, wo * k, c)
+        _pool_view(out, k)[...] = g[:, :, None, :, None, :] / (k * k)
         return out
 
     result = make_op(

@@ -19,9 +19,10 @@ A plan also owns what a run would otherwise re-derive or re-allocate:
   first run of each *(plan, fed shapes and dtypes)* and later runs take
   a copy of their sum (a run that fails part-way is charged the costs of
   the steps that completed);
-- the convolution scratch (padded input and im2col columns), lent to the
-  convolution kernels on every call and never returned from them, so no
-  fetched value aliases it.
+- the convolution scratch (padded input, and one columns buffer that
+  holds im2col's columns and col2im's tap-major slabs in turn), lent to
+  the convolution kernels on every call and never returned from them, so
+  no fetched value aliases it.
 
 When an :class:`ExecutionEngine` is attached, the run's aggregate work
 (scaled by the graph's ``cost_scale``) is charged to the simulated clock
@@ -54,7 +55,7 @@ _LINEAR_OPS = frozenset(
 )
 
 #: Op types whose kernels take the plan's scratch as ``scratch=``.
-_SCRATCH_OPS = frozenset({"conv2d", "conv2d_grad_filters"})
+_SCRATCH_OPS = frozenset({"conv2d", "conv2d_grad_filters", "conv2d_grad_input"})
 
 #: Fed-shape signatures a plan remembers costs (and keeps scratch) for;
 #: one more and it forgets them all, which bounds what a caller with

@@ -21,11 +21,25 @@ from repro.errors import FencedError
 
 def load_epochs(db):
     """The ``epoch/<role>`` records of a CAS secrets database, as the
-    ``{role: epoch}`` map ``EpochService.restore`` takes."""
+    ``{role: epoch}`` map :func:`restore_epochs` takes."""
     return {
         key[len(EPOCH_KEY_PREFIX):]: int(db.get(key).decode())
         for key in db.keys(EPOCH_KEY_PREFIX)
     }
+
+
+def restore_epochs(service, epochs):
+    """Rebuild an authority from persisted ``epoch/<role>`` records, as a
+    restarted control plane would: forward only — a record older than
+    what ``service`` already knows is ignored, so a stale replica of the
+    registry can never un-fence a zombie — and every registered guard
+    advanced to the restored epoch."""
+    for role in sorted(epochs):
+        epoch = int(epochs[role])
+        if epoch > service.current(role):
+            service._epochs[role] = epoch
+            for guard in service._guards.get(role, []):
+                guard.advance(epoch)
 
 
 def make_platform(backup=True):
@@ -81,7 +95,7 @@ def test_epoch_registry_survives_cas_failover():
     # epochs and the zombie's stale stamp is rejected.
     restored = EpochService()
     guard = restored.make_guard("ps-0", name="restored-store")
-    restored.restore(load_epochs(platform.active_cas.db))
+    restore_epochs(restored, load_epochs(platform.active_cas.db))
     assert restored.current("ps-0") == 2
     assert restored.current("router") == 1
     with pytest.raises(FencedError):
@@ -89,7 +103,7 @@ def test_epoch_registry_survives_cas_failover():
     guard.check(2)
 
     # Forward-only: a stale registry copy cannot roll the epoch back.
-    restored.restore({"ps-0": 1})
+    restore_epochs(restored, {"ps-0": 1})
     assert restored.current("ps-0") == 2
     # And the next bump after restore is strictly newer than anything
     # ever granted.

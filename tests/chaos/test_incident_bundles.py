@@ -9,6 +9,7 @@ same identity seeds reproduces byte-identical bundles.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -142,7 +143,7 @@ class TestPlainCampaignsUnchanged:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src"},
+            env={**os.environ, "PYTHONPATH": "src"},
             cwd=Path(__file__).resolve().parents[2],
         )
         assert result.returncode == 0, result.stderr
