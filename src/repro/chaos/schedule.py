@@ -61,6 +61,8 @@ class FaultSchedule:
     duplicate_storm: bool
 
     def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown scenario family {self.family!r}")
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.crash_step < 0:

@@ -40,8 +40,8 @@ SLICE_DIGESTS = {
         "e4450c8e6e38ad8e44a3892e7ddb2ad5"
     ),
     "sharded-ps": (
-        "b2f92b4d003e128899e80ef53a0fc391"
-        "f701b7c09d7fca2ffaa968667436a42a"
+        "6c4ed0c4b4e35962ffdab6ddbff74b97"
+        "0ebcd8de110df95f479e0adb395f579a"
     ),
 }
 
@@ -59,8 +59,8 @@ GRID_DIGESTS = {
         "ca98aedb454d625d2118747d30100f2b"
     ),
     "sharded-ps": (
-        "b8f9bc6505cdd0e29aae09b9ef5be2d1"
-        "d8f827843aaddc3b92b2939ad0503f36"
+        "c871341d85fb1ab517e2b336bc9807d1"
+        "bb4e4fc23611f0fa2f86509949bab332"
     ),
 }
 

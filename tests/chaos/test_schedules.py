@@ -54,3 +54,5 @@ def test_invalid_schedules_rejected():
         FaultSchedule("cas-failover", 0, "meteor-strike", False)
     with pytest.raises(ValueError):
         FaultSchedule("cas-failover", -1, "crash", False)
+    with pytest.raises(ValueError):
+        FaultSchedule("raft-election", 0, "crash", False)
