@@ -38,6 +38,9 @@ The op kinds, by convention:
 ``durable``
     Final readout: ``key`` was recoverable from durable state after
     the schedule finished.
+
+Every op carries the simulated time it happened at: its actor's clock,
+or for a readout the latest clock of the run.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ class History:
         actor: str,
         key: str,
         *,
-        time: float = 0.0,
+        time: float,
         value: str = "",
         epoch: Optional[int] = None,
         role: str = "",

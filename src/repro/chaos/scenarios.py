@@ -37,6 +37,7 @@ schedule's identity-derived seed, so a schedule replays byte-identically
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -99,6 +100,8 @@ class ScenarioRun:
     history: History
     violations: Tuple[str, ...]
     trace: bytes
+    #: History length when the fault struck (ops before it precede it).
+    injected_at: int
 
 
 _PS_INVARIANTS = (
@@ -144,8 +147,10 @@ class _World:
     plan: FaultPlan
     epochs: Optional[EpochService]
     history: History = field(default_factory=History)
-    #: When the fault struck: the latest leader-side clock at injection.
+    #: When the fault struck: the latest leader-side clock, and the
+    #: history length.
     t0: float = 0.0
+    injected_at: int = 0
 
     @classmethod
     def build(
@@ -180,6 +185,7 @@ class _World:
         ``leaders`` (default: every node)."""
         leaders = self.nodes if leaders is None else leaders
         self.t0 = max(node.clock.now for node in leaders)
+        self.injected_at = len(self.history)
         if self.schedule.is_crash:
             crash()
             return
@@ -199,7 +205,7 @@ class _World:
     def settle(
         self, actor: str, key: str, clock: SimClock, ok: bool,
         fenced_by: str = "",
-    ) -> bool:
+    ) -> None:
         """Record how a client op ended: ack + terminal, fenced (by the
         acceptor ``fenced_by``) + terminal, or a terminal give-up."""
         record, now = self.history.record, clock.now
@@ -209,23 +215,23 @@ class _World:
             record("ack", actor, key, time=now)
         value = "" if ok else "fenced" if fenced_by else "gave-up"
         record("terminal", actor, key, value=value, time=now)
-        return ok
 
     def client_op(
         self, actor: str, key: str, clock: SimClock,
         call: Callable[[], object], acceptor: str = "",
-    ) -> bool:
+    ) -> None:
         """Admit one client op, run ``call`` and settle it: a call that
         returns ``False`` or fails in transport gave up, a fenced one
         was fenced by ``acceptor``."""
         self.history.record("admit", actor, key, time=clock.now)
+        fenced_by = ""
         try:
             ok = call() is not False
         except FencedError:
-            return self.settle(actor, key, clock, False, fenced_by=acceptor)
+            ok, fenced_by = False, acceptor
         except RpcError:
             ok = False
-        return self.settle(actor, key, clock, ok)
+        self.settle(actor, key, clock, ok, fenced_by)
 
     def finish(self) -> ScenarioRun:
         """Check the family's invariants and assemble the canonical trace."""
@@ -242,6 +248,7 @@ class _World:
             history=history,
             violations=violations,
             trace=b"\n".join(sections),
+            injected_at=self.injected_at,
         )
 
 
@@ -266,20 +273,18 @@ def _run_cas_failover(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
 
     # Record standby-side applications (after the RPC dedup window, so
     # storm-duplicated deliveries that replay a cached ack don't count).
-    orig_repl_audit = pair._handle_repl_audit
+    repl_audit = pair._handle_repl_audit
 
-    def wrapped_repl_audit(payload: bytes, peer) -> bytes:
-        out = orig_repl_audit(payload, peer)
-        body = encoding.decode(payload)
-        history.record(
-            "execute", "cas-backup", f"repl/{body['path']}",
-            time=nodes[1].clock.now,
-        )
+    def recorded_repl_audit(payload: bytes, peer) -> bytes:
+        out = repl_audit(payload, peer)
+        path = encoding.decode(payload)["path"]
+        history.record("execute", "cas-backup", f"repl/{path}",
+                       time=nodes[1].clock.now)
         return out
 
-    pair._backup_server.register("repl_audit", wrapped_repl_audit)
+    pair._backup_server.register("repl_audit", recorded_repl_audit)
 
-    history.record("promote", "cas", CAS_PRIMARY_ROLE)
+    history.record("promote", "cas", CAS_PRIMARY_ROLE, time=nodes[0].clock.now)
 
     def actor(cas: CasService) -> str:
         return pair.address if cas is primary else pair.backup_address
@@ -328,18 +333,17 @@ def _run_cas_failover(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     # address and its replication client's.
     w.inject(pair.fail_primary, "cas", pair._repl_client.address)
     if not schedule.is_crash:
-        try:
-            # The zombie still tries to replicate the in-flight write.
+        # The zombie still tries to replicate the in-flight write.
+        with suppress(RpcError):
             primary.audit.commit("owner", inflight_key, 1, inflight_key.encode())
-        except RpcError:
-            pass
-    history.record("terminal", "cas", inflight_key, value="gave-up")
+    w.settle("cas", inflight_key, nodes[0].clock, False)
 
     # Control plane: the watchdog's RPC probe fails, promotion follows
     # (fence-first when an epoch authority is attached).
     if not pair.probe():
         pair.promote()
-    history.record("promote", "cas-backup", CAS_PRIMARY_ROLE)
+    history.record("promote", "cas-backup", CAS_PRIMARY_ROLE,
+                   time=nodes[1].clock.now)
 
     def zombie_acknowledge() -> None:
         """The zombie completes its in-flight seal's counter bump."""
@@ -384,14 +388,15 @@ def _run_cas_failover(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     # failover; the new primary's database must reload from its last
     # acknowledged snapshot — a zombie counter bump makes that snapshot
     # read as a rollback.
+    now = max(node.clock.now for node in nodes)
     for record in backup.audit.log:
-        history.record("durable", "readout", record.path)
+        history.record("durable", "readout", record.path, time=now)
     try:
         backup.db.load(last_blob)
         for key in backup.db.keys():
-            history.record("durable", "readout", key)
+            history.record("durable", "readout", key, time=now)
     except FreshnessError:
-        history.record("rollback-detected", "readout", "db")
+        history.record("rollback-detected", "readout", "db", time=now)
 
     return w.finish()
 
@@ -475,9 +480,9 @@ def _run_ps(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
         for ps, (_, role, _) in zip(first, shards):
             ps.lease = epochs.grant(role, holder=ps.address)
     for ps, (_, role, _) in zip(first, shards):
-        history.record("promote", ps.address, role)
-    if n > 1:
-        history.record("promote", pods[0], BARRIER_ROLE)
+        history.record("promote", ps.address, role, time=ps.node.clock.now)
+    if n > 1:  # the barrier coordinator rides shard 0's pod
+        history.record("promote", pods[0], BARRIER_ROLE, time=nodes[0].clock.now)
     # The coordinator's service; after the handoff it is the zombie's.
     zombie = ShardedParameterService(first, barrier_store=store)
     # One weight per shard: the service's map places w0 and w1 on
@@ -537,17 +542,15 @@ def _run_ps(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     # Control plane: the probe of shard 0 fails (the fault always takes
     # it down), so fence, then replace it at a NEW pod address sharing
     # the lost one's checkpoint lineage.
-    try:
+    with suppress(RpcError):
         control.call(pods[0], "pull", b"")
-    except RpcError:
-        pass
     role = shards[0][1]
     replacement = install(nodes[1], pods[1], 0)
     if epochs is not None:
         replacement.lease = epochs.grant(role, holder=pods[1])
-    history.record("promote", pods[1], role)
+    history.record("promote", pods[1], role, time=nodes[1].clock.now)
     if n > 1:
-        history.record("promote", pods[1], BARRIER_ROLE)
+        history.record("promote", pods[1], BARRIER_ROLE, time=nodes[1].clock.now)
     live = ShardedParameterService(
         [replacement] + first[1:], zombie.shard_map, barrier_store=store
     )
@@ -571,6 +574,7 @@ def _run_ps(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     # Final durability readout: recover each shard's lineage from the
     # shared store and decompose its weight into the digit set (shard k
     # owns digits congruent to k; the straggler digit rides shard 0).
+    now = max(node.clock.now for node in nodes)
     for shard, (key, _, weight) in enumerate(shards):
         final = store.load(key)
         if final is None:
@@ -582,7 +586,8 @@ def _run_ps(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
         for digit in digits:
             push_id = "straggler" if digit == STEPS_PER_FAMILY else str(digit)
             if (total // 3 ** digit) % 3 == 1:
-                history.record("durable", "readout", f"push/{push_id}")
+                history.record("durable", "readout", f"push/{push_id}",
+                               time=now)
 
     return w.finish()
 
@@ -611,8 +616,6 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
             server.add_guard(epochs.make_guard(ROUTER_ROLE, name=address))
         server.start()
 
-    # Single-attempt dispatch clients: the call ID every dispatch
-    # carries lets a replica's window absorb a storm-duplicated delivery.
     leaders = nodes[2:]
     router_a, router_b = (
         RpcClient(w.network, name, node, retry=_ONCE)
@@ -621,7 +624,7 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     clock_a, clock_b = (node.clock for node in leaders)
     if epochs is not None:
         router_a.fence = epochs.grant(ROUTER_ROLE, holder="router-a")
-    history.record("promote", "router-a", ROUTER_ROLE)
+    history.record("promote", "router-a", ROUTER_ROLE, time=clock_a.now)
 
     def dispatch(router: RpcClient, clock: SimClock, replica: str,
                  request_id: str) -> bool:
@@ -658,21 +661,20 @@ def _run_router_handoff(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
     target = replicas[step % 2]
     history.record("admit", "client", rid, time=clock_a.now)
     w.inject(lambda: None, "router-a", leaders=leaders)
-    settled_by_a = False
-    if not schedule.is_crash:
-        settled_by_a = dispatch(router_a, clock_a, target, rid)
+    settled_by_a = not schedule.is_crash and dispatch(router_a, clock_a, target, rid)
 
     # Control plane: bump-before-promote, then the replacement router.
     if epochs is not None:
         router_b.fence = epochs.grant(ROUTER_ROLE, holder="router-b")
-    history.record("promote", "router-b", ROUTER_ROLE)
+    history.record("promote", "router-b", ROUTER_ROLE, time=clock_b.now)
 
+    # Unless the reply was lost (inbound), the client saw a typed
+    # transport failure and reissues through the replacement (a fresh
+    # attempt on the *other* replica).
     inbound = schedule.kind == "partition-inbound"
-    reissued = False
-    if not inbound and not settled_by_a:
-        # The client saw a typed transport failure and reissues through
-        # the replacement (a fresh attempt on the *other* replica).
-        reissued = dispatch(router_b, clock_b, replicas[(step + 1) % 2], rid)
+    reissued = not inbound and not settled_by_a and dispatch(
+        router_b, clock_b, replicas[(step + 1) % 2], rid
+    )
     w.settle("client", rid, clock_b, reissued)
 
     for j in range(step + 1, STEPS_PER_FAMILY):

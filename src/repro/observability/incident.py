@@ -273,8 +273,9 @@ def bundle_from_scenario(schedule, run, fencing: bool) -> IncidentBundle:
     fact from the recorded :class:`~repro.chaos.history.History` — which
     is already the run's canonical causal record (total ``(seq, time)``
     order across every actor).  The injected fault is synthesized into
-    the timeline at its schedule position, so the causal timeline names
-    it even though the history only records its *consequences*.
+    the timeline where the run recorded it striking
+    (``run.injected_at``), so the causal timeline names it even though
+    the history only records its *consequences*.
 
     Trigger selection:
 
@@ -300,11 +301,8 @@ def bundle_from_scenario(schedule, run, fencing: bool) -> IncidentBundle:
 
     timeline = [op.line() for op in ops]
     # Synthesize the injection marker at its causal position: before the
-    # first op recorded after crash_step protocol steps (the runner
-    # records in protocol order, so the index is the step count).
-    marker = f"* {injection_line}"
-    insert_at = min(schedule.crash_step, len(timeline))
-    timeline.insert(insert_at, marker)
+    # first op the run recorded after the fault struck.
+    timeline.insert(run.injected_at, f"* {injection_line}")
 
     root_cause = {
         "summary": (

@@ -28,39 +28,39 @@ PIN_STEPS = (0, 4, 8)
 
 SLICE_DIGESTS = {
     "cas-failover": (
-        "8b271c48754433e7fdd46e7e6e3b1a34"
-        "381da8bc6767daf9b09ddcf0a295de83"
+        "f8e31d0b7a063f4aa474efa717243e2b"
+        "de5676c94c389887d3b261a77952e44e"
     ),
     "ps-restart": (
-        "58042c1785bc3c823bc78bfe5d044715"
-        "143512f8c184dcf49a0d1afd21f34689"
+        "0b5b16f9bc639aeac2d5df7485561f2c"
+        "ba5f5f6aadd342bfc1db16233f3b15c3"
     ),
     "router-handoff": (
         "4dced1d7996a4540ab8649ed31acc5c5"
         "e4450c8e6e38ad8e44a3892e7ddb2ad5"
     ),
     "sharded-ps": (
-        "6c4ed0c4b4e35962ffdab6ddbff74b97"
-        "0ebcd8de110df95f479e0adb395f579a"
+        "636a9ad77a86fc8ace8d3892de0d96f6"
+        "a6b44e229fc43b43f6bd69adeba905bc"
     ),
 }
 
 GRID_DIGESTS = {
     "cas-failover": (
-        "2b2f8c54a23b4f0ed6fab21880b11daa"
-        "eb9c4dee607e47c8dae28dae43dc5c8a"
+        "b428e463039efab370c5cbce45deff33"
+        "780820c750368b3d39753ac95d2f3fe8"
     ),
     "ps-restart": (
-        "c5b407848565d814c2b15aaac5f6b62f"
-        "da6b407938ae513dbd63cf76955c099d"
+        "964f02980880505498eabe3f039e7d6c"
+        "b3315a6100bac8f4feeaa261eb567b5f"
     ),
     "router-handoff": (
         "679ba41c73b5a39f84128f0b550c6ac2"
         "ca98aedb454d625d2118747d30100f2b"
     ),
     "sharded-ps": (
-        "c871341d85fb1ab517e2b336bc9807d1"
-        "bb4e4fc23611f0fa2f86509949bab332"
+        "a5a7a8781708beb38c2adf86a57cb604"
+        "03b1ad462cac5293cd4e396c55c98666"
     ),
 }
 

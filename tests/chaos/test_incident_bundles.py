@@ -73,11 +73,39 @@ class TestUnfencedViolationBundles:
             assert schedule.kind in markers[0]
             assert schedule.family in markers[0]
             assert f"step={schedule.crash_step}" in markers[0]
-            assert timeline.index(markers[0]) == min(
-                schedule.crash_step, len(timeline) - 1
-            )
+            # After the ack of every client op before crash_step (op{i},
+            # push/{i} or r{i}), and before the replacement's promote:
+            # the first promote of a role that already had a leader.
+            at = timeline.index(markers[0])
+            kinds = [line.split()[2:5:2] for line in timeline]
+            promoted = set()
+            for handoff, (kind, key) in enumerate(kinds):
+                if handoff != at and kind == "promote":
+                    if key in promoted:
+                        break
+                    promoted.add(key)
+            pre_fault = {
+                f"{prefix}{i}"
+                for prefix in ("op", "push/", "r")
+                for i in range(schedule.crash_step)
+            }
+            pre_fault_acks = [
+                i for i, (kind, key) in enumerate(kinds)
+                if kind == "ack" and key in pre_fault
+            ]
+            assert len(pre_fault_acks) == schedule.crash_step
+            assert max(pre_fault_acks) < at < handoff
             if schedule.duplicate_storm:
                 assert "+duplicate-storm" in markers[0]
+
+    def test_trigger_time_is_the_last_ops_stamp(self):
+        for fencing in (False, True):
+            for outcome in campaign(fencing).outcomes:
+                bundle = outcome.incident
+                last_stamp = bundle.rings["history"][-1].split()[1]
+                assert bundle.trigger_time > 0
+                assert f"{bundle.trigger_time:.6f}" == last_stamp
+                assert bundle.root_cause["time"] == round(bundle.trigger_time, 9)
 
 
 class TestFencedInjectionBundles:
