@@ -10,13 +10,15 @@ and records the acceptance numbers into ``BENCH.json``:
   detection yield: how much split-brain damage the same grid produces
   when the fence is off), broken down by invariant;
 - ``replay_mismatches`` (must be 0 in both configurations).
+
+A rerun keeps the section it replaces under ``previous``.
 """
 
 import time
 
 import pytest
 
-from harness import print_table, record, run_once, save_bench
+from harness import load_bench, print_table, record, run_once, save_bench
 
 from repro.chaos import default_campaign, run_campaign
 
@@ -70,6 +72,8 @@ def test_chaos_campaign(benchmark):
         schedules_per_s=n / fenced_s,
         violations_unfenced=len(unfenced.violations),
     )
+    previous = load_bench("chaos_campaign")
+    previous.pop("previous", None)
     save_bench(
         "chaos_campaign",
         {
@@ -83,5 +87,6 @@ def test_chaos_campaign(benchmark):
             "split_brain_schedules_unfenced": len(unfenced.violating_schedules),
             "fenced_ops": fenced.fenced_ops,
             "replay_mismatches": 0,
+            "previous": previous,
         },
     )

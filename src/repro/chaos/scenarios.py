@@ -147,8 +147,7 @@ class _World:
     plan: FaultPlan
     epochs: Optional[EpochService]
     history: History = field(default_factory=History)
-    #: When the fault struck: the latest leader-side clock, and the
-    #: history length.
+    #: When the fault struck: the latest leader clock, the history length.
     t0: float = 0.0
     injected_at: int = 0
 
@@ -450,7 +449,8 @@ def _run_ps(schedule: FaultSchedule, fencing: bool) -> ScenarioRun:
             # commit point, not in the handler: a fenced save vetoes the
             # whole call — including its dedup entry — so a vetoed push
             # must not count as an execution either.
-            pushes, pushed[:] = pushed[:], []
+            pushes = list(pushed)
+            pushed.clear()
             store.save(store_key, snapshot, epoch=epoch)
             history.record(
                 "commit", address, f"ckpt/{store_key}/{snapshot.version}",

@@ -1,7 +1,8 @@
 """Chaos campaigns over the epoch-fenced control plane.
 
 Tier-1 keeps a fast representative slice (one partition schedule per
-family, both fencing settings, replay identity).  The exhaustive
+family plus every partition kind at the boundary steps 0 and 8, both
+fencing settings, replay identity).  The exhaustive
 ``chaos_campaign``-marked sweeps run the full 288-schedule grid in both
 configurations and assert the acceptance shape end to end:
 
@@ -14,7 +15,9 @@ import pytest
 
 from repro.chaos import (
     FAMILIES,
+    FAULT_KINDS,
     FaultSchedule,
+    STEPS_PER_FAMILY,
     default_campaign,
     run_campaign,
     run_schedule,
@@ -27,12 +30,24 @@ ZOMBIE_SCHEDULES = [
     FaultSchedule("sharded-ps", 5, "partition-outbound", False),
 ]
 
+# The first and last steps, where the rigs branch: at step 0 no op
+# precedes the fault; at step 8 the last op is the one in flight, so
+# the replacement serves none (and commits no barrier) before the
+# zombies retry.
+BOUNDARY_SCHEDULES = [
+    FaultSchedule(family, step, kind, False)
+    for family in FAMILIES
+    for step in (0, STEPS_PER_FAMILY - 1)
+    for kind in FAULT_KINDS
+    if kind != "crash"
+]
+
 
 # -- tier-1 slice ----------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "schedule", ZOMBIE_SCHEDULES, ids=lambda s: s.schedule_id
+    "schedule", ZOMBIE_SCHEDULES + BOUNDARY_SCHEDULES, ids=lambda s: s.schedule_id
 )
 def test_fencing_holds_and_its_absence_is_detected(schedule):
     fenced = run_schedule(schedule, fencing=True)
