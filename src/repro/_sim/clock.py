@@ -23,13 +23,10 @@ class SimClock:
     def __init__(self, start: float = 0.0) -> None:
         if not start >= 0:  # also refuses NaN, which no comparison orders
             raise ValueError(f"clock cannot start in the past: {start}")
-        self._now = float(start)
+        #: Current simulated time in seconds (read often, so a plain
+        #: attribute; only the ``advance`` methods move it).
+        self.now = float(start)
         self._observers: List[Callable[[float, float], None]] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def observed(self) -> bool:
@@ -44,11 +41,11 @@ class SimClock:
         """
         if not seconds >= 0:
             raise ValueError(f"cannot advance clock by negative time: {seconds}")
-        before = self._now
-        self._now += seconds
+        before = self.now
+        self.now += seconds
         for observer in self._observers:
-            observer(before, self._now)
-        return self._now
+            observer(before, self.now)
+        return self.now
 
     def advance_each(self, seconds: float, times: int) -> float:
         """``times`` successive ``advance(seconds)``, validated once: the
@@ -60,17 +57,17 @@ class SimClock:
             for _ in range(times):
                 self.advance(seconds)
         else:
-            now = self._now
+            now = self.now
             for _ in range(times):
                 now += seconds
-            self._now = now
-        return self._now
+            self.now = now
+        return self.now
 
     def advance_to(self, timestamp: float) -> float:
         """Advance the clock to an absolute ``timestamp`` (no-op if past)."""
-        if timestamp > self._now:
-            self.advance(timestamp - self._now)
-        return self._now
+        if timestamp > self.now:
+            self.advance(timestamp - self.now)
+        return self.now
 
     def subscribe(self, observer: Callable[[float, float], None]) -> None:
         """Register ``observer(old, new)`` to be called on every advance."""
@@ -88,7 +85,7 @@ class SimClock:
         return ClockSpan(self)
 
     def __repr__(self) -> str:
-        return f"SimClock(now={self._now:.6f}s)"
+        return f"SimClock(now={self.now:.6f}s)"
 
 
 class ClockSpan:

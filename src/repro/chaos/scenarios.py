@@ -102,6 +102,8 @@ class ScenarioRun:
     trace: bytes
     #: History length when the fault struck (ops before it precede it).
     injected_at: int
+    #: Simulated time the fault struck (the latest leader clock then).
+    struck_at: float
 
 
 _PS_INVARIANTS = (
@@ -248,6 +250,7 @@ class _World:
             violations=violations,
             trace=b"\n".join(sections),
             injected_at=self.injected_at,
+            struck_at=self.t0,
         )
 
 

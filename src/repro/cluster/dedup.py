@@ -34,8 +34,8 @@ class DedupWindow:
     :attr:`held_bytes` is the size of the distinct ``bytes`` values the
     window holds: one reply object recorded under several keys counts
     once.  With ``stats`` set (the endpoint's
-    :class:`~repro.cluster.retry.RecoveryStats`), every operation
-    publishes the live entry count and :attr:`held_bytes` into its
+    :class:`~repro.cluster.retry.RecoveryStats`), every change publishes
+    the live entry count and :attr:`held_bytes` into its
     ``dedup_window_entries`` / ``dedup_window_bytes`` gauges.
     """
 
@@ -72,6 +72,7 @@ class DedupWindow:
             self._stats.dedup_window_bytes = self.held_bytes
 
     def _expire(self, now: float) -> None:
+        """Sweep the expired prefix (called once the oldest entry is due)."""
         entries = self._entries
         while entries:
             oldest, (stamp, value) = next(iter(entries.items()))
@@ -82,9 +83,11 @@ class DedupWindow:
 
     def get(self, key: str, now: float) -> Optional[Any]:
         """The value recorded for ``key``, if it is still live at ``now``."""
-        self._expire(now)
-        self._publish()
-        hit = self._entries.get(key)
+        entries = self._entries
+        if entries and not now - next(iter(entries.values()))[0] < self.ttl:
+            self._expire(now)
+            self._publish()
+        hit = entries.get(key)
         return None if hit is None else hit[1]
 
     def put(self, key: str, now: float, value: Any) -> None:
@@ -92,7 +95,8 @@ class DedupWindow:
         previous = entries.pop(key, None)
         if previous is not None:
             self._track(previous[1], -1)
-        self._expire(now)
+        if entries and not now - next(iter(entries.values()))[0] < self.ttl:
+            self._expire(now)
         entries[key] = (now, value)
         self._track(value, 1)
         while len(entries) > self.capacity:

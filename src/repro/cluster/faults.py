@@ -46,9 +46,6 @@ class FaultSpec:
     #: Addresses the spec applies to (either endpoint); None = all.
     targets: Optional[FrozenSet[str]] = None
 
-    def applies_to(self, src: str, dst: str) -> bool:
-        return self.targets is None or src in self.targets or dst in self.targets
-
 
 @dataclass(frozen=True)
 class TransientPartition:
@@ -87,9 +84,6 @@ class TransientPartition:
                 f"'outbound', got {self.direction!r}"
             )
 
-    def active(self, now: float) -> bool:
-        return self.start <= now < self.end
-
     def drops(self, src: str, dst: str, now: float) -> bool:
         """Does this partition sever the ``src → dst`` leg at ``now``?
 
@@ -98,7 +92,7 @@ class TransientPartition:
         expressible: the A→B request may die while the B→A reply path
         would have been fine.
         """
-        if not self.active(now):
+        if not self.start <= now < self.end:
             return False
         if self.direction == "both":
             return self.address in (src, dst)
@@ -170,31 +164,31 @@ class FaultPlan:
                 self.counters.partition_drops += 1
                 self.record(f"partition {src}->{dst} @{now:.6f}")
                 return FaultAction(drop=True, reason="transient partition")
-        if not self.spec.applies_to(src, dst):
+        spec = self.spec
+        if spec.targets is not None and src not in spec.targets \
+                and dst not in spec.targets:
             return None
         # Always three draws per leg, in a fixed order, so the stream
         # stays aligned whatever fires.
         u_loss = self._rng.uniform()
         u_delay = self._rng.uniform()
         u_dup = self._rng.uniform()
-        action = FaultAction()
-        if u_loss < self.spec.loss:
+        if u_loss < spec.loss:
             self.counters.losses += 1
             self.record(f"loss {src}->{dst} @{now:.6f}")
-            action.drop = True
-            action.reason = "injected loss"
-            return action
-        if u_delay < self.spec.delay:
+            return FaultAction(drop=True, reason="injected loss")
+        delay, duplicate = 0.0, False
+        if u_delay < spec.delay:
             self.counters.delays += 1
             self.record(f"delay {src}->{dst} @{now:.6f}")
-            action.delay = self.spec.delay_seconds
-        if u_dup < self.spec.duplication:
+            delay = spec.delay_seconds
+        if u_dup < spec.duplication:
             self.counters.duplicates += 1
             self.record(f"duplicate {src}->{dst} @{now:.6f}")
-            action.duplicate = True
-        if not (action.delay or action.duplicate):
+            duplicate = True
+        if not (delay or duplicate):
             return None
-        return action
+        return FaultAction(delay=delay, duplicate=duplicate)
 
     # -- container crashes ----------------------------------------------
 

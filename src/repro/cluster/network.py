@@ -65,7 +65,7 @@ Handler = Callable[[bytes], object]
 Adversary = Callable[[str, str, bytes], Optional[bytes]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultAction:
     """What the fault chain decided for one message leg."""
 
@@ -87,6 +87,9 @@ class FaultAction:
             reason="; ".join(r for r in (self.reason, other.reason) if r),
         )
 
+
+#: The fault chain's verdict on a leg it leaves alone, built once.
+_UNTOUCHED = FaultAction()
 
 #: fault injector: (src, dst, n_bytes, now) -> FaultAction or None
 FaultInjector = Callable[[str, str, int, float], Optional[FaultAction]]
@@ -171,9 +174,12 @@ class Network:
     def _apply_faults(
         self, src: str, dst: str, n_bytes: int, now: float
     ) -> FaultAction:
-        action = FaultAction()
+        """Every injector's verdict on one leg, merged onto ``_UNTOUCHED``."""
+        action = _UNTOUCHED
         for injector in self.faults:
-            action = action.merge(injector(src, dst, n_bytes, now))
+            verdict = injector(src, dst, n_bytes, now)
+            if verdict is not None:
+                action = action.merge(verdict)
         return action
 
     # -- transfer --------------------------------------------------------

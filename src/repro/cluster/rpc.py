@@ -469,7 +469,7 @@ class RpcClient:
         resend of this call carries the same bytes), the caller's
         deadline, the open span's trace context and the client's fencing
         epoch."""
-        fields: Dict[str, object] = {"method": method, "payload": payload}
+        fields: Dict[str, object] = {"kind": "call", "method": method, "payload": payload}
         if stamped or self._executor is not None:
             fields["call_id"] = self.next_call_id()
         if deadline is not None:
@@ -482,7 +482,7 @@ class RpcClient:
                 fields["trace"] = context
         if self.fence is not None:
             fields["fence"] = self.fence.stamp()
-        return _envelope("call", **fields)
+        return encoding.encode(fields)
 
     def _begin(
         self,

@@ -11,7 +11,9 @@ messages per request — so both directions are one pass that dispatches
 on the exact ``type()`` (commonest first: ``str``, ``bytes``, ``float``,
 ``dict``, ``int``, ``list``/``tuple``, the three singletons) and only
 then falls back to ``isinstance`` for subclasses (``IntEnum``,
-``np.float64``, ``bytearray``, ``OrderedDict``, named tuples).
+``np.float64``, ``bytearray``, ``OrderedDict``, named tuples).  A
+dict's keys and its ``str`` / ``bytes`` / ``float`` values — every
+field of an envelope — are read and written in the dict's own loop.
 
 The format is strict, so that the bytes of a value are unique:
 ``decode`` accepts exactly what ``encode`` emits.  Dictionary keys must
@@ -48,6 +50,7 @@ _NONE, _FALSE, _TRUE = bytes([_T_NONE]), bytes([_T_FALSE]), bytes([_T_TRUE])
 _pack_tag_u32 = struct.Struct(">BI").pack  # tag + length or count
 _pack_tag_f64 = struct.Struct(">Bd").pack
 _u32_at = struct.Struct(">I").unpack_from
+_head_at = struct.Struct(">BI").unpack_from  # tag + length or count
 _f64_at = struct.Struct(">d").unpack_from
 
 #: Encoded form (tag, length, UTF-8) of dictionary keys seen before.
@@ -111,7 +114,20 @@ def _encode_value(value: Any, append: Callable[[bytes], None], depth: int) -> No
         depth -= 1
         for key in keys:
             append(known(key) or _encode_key(key))
-            _encode_value(value[key], append, depth)
+            # The envelope leaves are written here too, not through a call.
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                raw = item.encode("utf-8")
+                append(_pack_tag_u32(_T_STR, len(raw)))
+                append(raw)
+            elif kind is bytes:
+                append(_pack_tag_u32(_T_BYTES, len(item)))
+                append(item)
+            elif kind is float:
+                append(_pack_tag_f64(_T_FLOAT, item))
+            else:
+                _encode_value(item, append, depth)
     elif kind is int:
         length = (value.bit_length() + 8) // 8 + 1
         append(_pack_tag_u32(_T_INT, length))
@@ -214,10 +230,11 @@ def _decode_value(data: bytes, pos: int, end: int, depth: int) -> Tuple[Any, int
         for _ in range(count):
             # A key is a string: read it here, not through a call.
             start = pos + 5
-            if start > end or data[pos] != _T_STR:
+            kind, size = _head_at(data, pos) if start <= end else (None, 0)
+            if kind != _T_STR:
                 _decode_value(data, pos, end, depth)  # malformed: its error first
                 raise IntegrityError("canonical dict key must be a string")
-            stop = start + _u32_at(data, pos + 1)[0]
+            stop = start + size
             if stop > end:
                 raise IntegrityError(_TRUNCATED)
             try:
@@ -227,6 +244,25 @@ def _decode_value(data: bytes, pos: int, end: int, depth: int) -> Tuple[Any, int
             if previous_key is not None and key <= previous_key:
                 raise IntegrityError("canonical dict keys out of order")
             previous_key = key
+            # So is a whole string, bytes or float value; any other value,
+            # or one cut short, goes through the call (and its error).
+            start = stop + 5
+            kind, size = _head_at(data, stop) if start <= end else (None, 0)
+            if kind == _T_BYTES or kind == _T_STR:
+                pos = start + size
+                if pos <= end:
+                    if kind == _T_BYTES:
+                        result[key] = data[start:pos]
+                        continue
+                    try:
+                        result[key] = data[start:pos].decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise IntegrityError("invalid UTF-8 in canonical string") from exc
+                    continue
+            elif kind == _T_FLOAT and stop + 9 <= end:
+                result[key] = _f64_at(data, stop + 1)[0]
+                pos = stop + 9
+                continue
             result[key], pos = _decode_value(data, stop, end, depth)
         return result, pos
     if tag == _T_NONE:

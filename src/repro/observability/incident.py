@@ -282,6 +282,9 @@ def bundle_from_scenario(schedule, run, fencing: bool) -> IncidentBundle:
     - unfenced runs with violations: the first invariant violation;
     - fenced runs: the fault injection itself (the bundle shows the
       fence absorbing it — ``fenced`` ops in the timeline).
+
+    The trigger time is the last op's stamp; the root cause's time is
+    when the fault struck (``run.struck_at``).
     """
     ops = run.history.ops
     injection_line = (
@@ -314,7 +317,7 @@ def bundle_from_scenario(schedule, run, fencing: bool) -> IncidentBundle:
         "kind": schedule.kind,
         "name": schedule.family,
         "detail": schedule.schedule_id,
-        "time": round(trigger_time, 9),
+        "time": round(run.struck_at, 9),
         "node": schedule.family,
     }
     return IncidentBundle(

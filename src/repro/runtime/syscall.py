@@ -141,18 +141,16 @@ class SyscallInterface:
     # Cost accounting
     # ------------------------------------------------------------------
 
-    def _count(self, name: str) -> None:
-        self.stats.calls += 1
-        self.stats.by_name[name] = self.stats.by_name.get(name, 0) + 1
-
     def _submit(self, name: str, ahead: bool = False) -> float:
         """Charge one result-bearing syscall up to its submission and
         return when it completes: the caller works on until it needs the
         result (:meth:`_wait`; ``ahead``: not at once)."""
-        self._count(name)
-        before = self._clock.now
-        completion = self.plane.submit(name, ahead=ahead)
-        self.stats.time += self._clock.now - before
+        stats, clock = self.stats, self._clock
+        stats.calls += 1
+        stats.by_name[name] = stats.by_name.get(name, 0) + 1
+        before = clock.now
+        completion = self.plane.submit(name, ahead)
+        stats.time += clock.now - before
         return completion
 
     def _wait(self, completion: float) -> None:
@@ -172,15 +170,17 @@ class SyscallInterface:
         """Post ``count`` fire-and-forget calls.  Without ``wake`` they
         are handed off: sent at once to an awake ring handler, or left
         for the next flush while all are parked, never paying a wake-up."""
+        stats, clock, post = self.stats, self._clock, self.plane.post
         for _ in range(count):
-            self._count(name)
-            before = self._clock.now
-            self.plane.post(name, wake=wake)
-            self.stats.time += self._clock.now - before
+            stats.calls += 1
+            stats.by_name[name] = stats.by_name.get(name, 0) + 1
+            before = clock.now
+            post(name, wake)
+            stats.time += clock.now - before
         if count > 0 and not wake:
-            before = self._clock.now
+            before = clock.now
             self.plane.flush(wake=False)
-            self.stats.time += self._clock.now - before
+            stats.time += clock.now - before
 
     def _charge_copy(self, n_bytes: int) -> None:
         """Charge moving a payload across the boundary; in HW mode the

@@ -361,22 +361,26 @@ class TrapPlane:
         self.stats = stats
 
     def submit(self, name: str, ahead: bool = False) -> float:
-        model = self._model
-        before = self._clock.now
+        model, clock = self._model, self._clock
+        before = clock.now
         if self._enclave is None:
-            self._clock.advance(model.syscall_trap_cost + model.syscall_kernel_cost)
+            clock.advance(model.syscall_trap_cost + model.syscall_kernel_cost)
         else:
             self.stats.transitions += 1
             self._enclave.cpu.transition(asynchronous=False)
-            self._clock.advance(model.syscall_kernel_cost)
+            clock.advance(model.syscall_kernel_cost)
         if probe.SINK is not None:
-            probe.SINK.charge(self._clock, "syscall_ring", self._clock.now - before)
-        return self._clock.now
+            probe.SINK.charge(clock, "syscall_ring", clock.now - before)
+        return clock.now
 
-    def post(self, name: str, wake: bool = True) -> None:
-        self.submit(name)
+    #: A post is a submit (its second argument, ``wake``, means nothing
+    #: off the ring), called as one frame.
+    post = submit
+
+    def wait(self, completion: float) -> None:
+        """A completion has passed when :meth:`submit` returns it."""
 
     def _nothing(self, *args: object, **kwargs: object) -> None:
-        """Off the ring nothing is hidden, waited for, flushed or batched."""
+        """Off the ring nothing is hidden, flushed or batched."""
 
-    attach_scheduler = wait = flush = count_batch = _nothing
+    attach_scheduler = flush = count_batch = _nothing

@@ -206,9 +206,9 @@ def _conv2d_grad_input(grad: Tensor, op: Operation) -> Tensor:
         hp, wp = h + sum(ph), w + sum(pw)
         gcols = g.reshape(-1, co) @ fv.reshape(-1, co).T  # (N*Ho*Wo, kh*kw*ci)
         if kh == 1 and kw == 1 and s == 1 and gcols.dtype == xv.dtype:
-            # col2im of a 1×1 window is the identity; the + 0 is what the
-            # scatter-add into zeros below does to a -0.0.
-            gcols += 0
+            # col2im of a 1×1 window is the identity.  The scatter-add into
+            # zeros below turns a -0.0 into +0.0, but a matmul never gives
+            # one: its sums start at +0.0.
             return gcols.reshape(n, h, w, ci)
         ho, wo = g.shape[1], g.shape[2]
         # col2im: scatter-add each tap's columns back, in (i, j) order.

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import FAMILIES, FaultSchedule, run_campaign
+from repro.chaos import FAMILIES, FaultSchedule, run_campaign, run_schedule
 
 pytestmark = pytest.mark.monitoring
 
@@ -105,7 +105,14 @@ class TestUnfencedViolationBundles:
                 last_stamp = bundle.rings["history"][-1].split()[1]
                 assert bundle.trigger_time > 0
                 assert f"{bundle.trigger_time:.6f}" == last_stamp
-                assert bundle.root_cause["time"] == round(bundle.trigger_time, 9)
+                # The root cause is dated when the fault struck: after
+                # every op recorded before it, before the detection.  (Not
+                # before every op recorded after it: a standby's first op
+                # is stamped on its own clock, which may not have moved.)
+                run = run_schedule(outcome.schedule, fencing=fencing)
+                before = [op.time for op in run.history.ops[: run.injected_at]]
+                assert bundle.root_cause["time"] == round(run.struck_at, 9)
+                assert max(before) <= run.struck_at < bundle.trigger_time
 
 
 class TestFencedInjectionBundles:

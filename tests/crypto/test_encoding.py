@@ -282,3 +282,48 @@ def test_decode_of_any_buffer_returns_bytes_leaves(buffer):
     assert _open_envelope(buffer(call), "call")["payload"] == b"payload"
     with pytest.raises(RpcError):
         _open_envelope(buffer(encoding.encode({"method": "infer"})), "call")
+
+
+# --------------------------------------------------------------------------- #
+# A real serving hop's envelopes, cut and flipped
+# --------------------------------------------------------------------------- #
+
+
+def _served_envelopes():
+    """The first fenced ``infer`` call a router sends a replica, and the
+    replica's reply, as they crossed a fenced serving plane's wire."""
+    from repro.serving.service import ServingPlane
+
+    plane = ServingPlane(seed=3, n_nodes=2, initial_replicas=1, fencing=True)
+    wire = {}
+
+    def capture(src, dst, payload):
+        wire.setdefault((src, dst), payload)
+        return payload
+
+    plane.platform.network.adversary = capture
+    plane.run_traffic(2, 1.0)
+    return wire[("router", "replica-0")], wire[("replica-0", "router")]
+
+
+def test_serving_envelopes_cut_or_flipped_decode_like_the_reference():
+    """The dict loop reads an envelope's leaves itself: every proper
+    prefix of a real call and reply, every byte inverted and every bit
+    flipped, decodes to what the reference decodes, or fails as it does
+    (save the two rejections only this codec makes)."""
+    call, reply = _served_envelopes()
+    assert set(encoding.decode(call)) == {
+        "call_id", "deadline", "fence", "kind", "method", "payload"
+    }
+    assert encoding.decode(call)["fence"] == {"epoch": 1, "role": "router"}
+    assert set(encoding.decode(reply)) == {"kind", "payload"}
+    for raw in (call, reply):
+        inverted = (
+            raw[:index] + bytes([raw[index] ^ 0xFF]) + raw[index + 1:]
+            for index in range(len(raw))
+        )
+        for mutated in (*_mutations(raw), *inverted):
+            got = _outcome(encoding.decode, mutated)
+            if got[0] is IntegrityError and got[1] in _NEW_REJECTIONS:
+                continue
+            assert got == _outcome(reference.decode, mutated), mutated

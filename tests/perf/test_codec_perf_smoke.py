@@ -12,9 +12,12 @@ the build box, 113k encodes/s and 92k decodes/s of a fenced request
 precompiled structs measures 300k and 185k (515k and 325k;
 ``BENCH.json#crypto_dataplane`` ``codec_*``).  The fenced ``infer``
 call below has one key more than that request and its reply two fewer:
-best of five runs in one sitting on a 2-core box, the codec read
-~273k / ~156k (call) and ~786k / ~573k (reply), the ladder
-(``tests/crypto/_reference_codec.py``) ~88k / ~67k and ~277k / ~249k.
+best of three alternating runs in one sitting on a 2-core box, with a
+dict's ``str`` / ``bytes`` / ``float`` values read and written in the
+dict's own loop, the codec read ~251k / ~156k (call) and ~748k / ~587k
+(reply) where the codec before that read ~252k / ~146k and
+~709k / ~515k, and the ladder (``tests/crypto/_reference_codec.py``)
+~89k / ~68k and ~255k / ~241k.
 The floors sit between the two, so only a fall back toward the ladder
 trips them — but the call's decode floor sits close to the codec, and
 a run on a loaded box can read below it (as the retired request did).

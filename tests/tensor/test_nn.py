@@ -167,6 +167,42 @@ def test_pointwise_conv2d_kernels_match_the_general_form(contiguous):
     assert grad_f.op.compute(g, x, f).tobytes() == df.tobytes()
 
 
+#: mnist_cnn's conv layers as (batch, height, width, in, out) at the
+#: training batch of 50 and at 1, with in = the layer's channels and its
+#: 3x3 patch width (9 x channels): the matmul shapes its gradients run.
+_MNIST_POINTWISE = [
+    (batch, side, side, ci, co)
+    for batch in (1, 50)
+    for side, channels, co in ((28, 1, 8), (14, 8, 16))
+    for ci in (channels, 9 * channels)
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", _MNIST_POINTWISE)
+def test_pointwise_grad_input_of_negative_zeros_is_positive_zero(shape, dtype):
+    """The 1x1 col2im shortcut returns the matmul as it is; a scatter-add
+    into zeros would turn a -0.0 into +0.0, so the matmul must never
+    give one: its accumulator starts at +0.0.  All-(-0.0) operands, and
+    -0.0 against ordinary values on either side, come out +0.0 bits."""
+    n, h, w, ci, co = shape
+    graph = Graph()
+    with graph.as_default():
+        xin = tf.placeholder(np.dtype(dtype).name, (None, h, w, ci))
+        fin = tf.placeholder(np.dtype(dtype).name, (1, 1, ci, co))
+        gin = tf.placeholder(np.dtype(dtype).name, (None, h, w, co))
+        y = tf.nn.conv2d(xin, fin, stride=1, padding="SAME")
+        (grad_x,) = tf.gradients(y, [xin], grad_ys=[gin])
+    x = np.zeros((n, h, w, ci), dtype)
+    zeros_g, zeros_f = np.full((n, h, w, co), -0.0, dtype), np.full((1, 1, ci, co), -0.0, dtype)
+    some_g = RNG.normal(size=zeros_g.shape).astype(dtype)
+    some_f = RNG.normal(size=zeros_f.shape).astype(dtype)
+    for g, f in ((zeros_g, zeros_f), (zeros_g, some_f), (some_g, zeros_f)):
+        got = grad_x.op.compute(g, x, f)
+        assert got.shape == x.shape
+        assert not np.signbit(got).any() and not got.any()
+
+
 def test_conv2d_gradients_numeric():
     x = RNG.normal(size=(1, 6, 6, 2)).astype(np.float32)
     filters = RNG.normal(size=(3, 3, 2, 3)).astype(np.float32) * 0.3
