@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro._sim import probe
 from repro._sim.scheduler import Activity
-from repro._sim.trace import EventTrace
 from repro.cas.keys import ProvisionedIdentity
 from repro.cas.service import CasService, ProvisionBundle, derive_provision_key
 from repro.cluster.network import Network
@@ -35,13 +34,11 @@ class RemoteCasClient:
         network: Network,
         node: Node,
         cas_address: str,
-        trace: Optional[EventTrace] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         self._network = network
         self._node = node
         self._cas_address = cas_address
-        self._trace = trace
         self._retry = retry
 
     def provisioning(self, runtime: SconeRuntime, session: str) -> Activity:
@@ -53,7 +50,6 @@ class RemoteCasClient:
             self._node,
             retry=self._retry,
         )
-        trace = self._trace
         with probe.span(
             runtime.clock,
             "attestation.provision",
@@ -64,19 +60,12 @@ class RemoteCasClient:
                 runtime.rng.child("cas-exchange").random_bytes(32)
             )
             public = exchange_key.public_key().public_bytes()
-            if trace is not None:
-                with trace.span("quote.generation"):
-                    quote = runtime.attest(report_data=public)
-            else:
+            with probe.span(runtime.clock, "quote.generation", category="attestation"):
                 quote = runtime.attest(report_data=public)
 
             payload = encoding.encode({"session": session, "quote": quote.to_bytes()})
-            request = client.request(self._cas_address, "provision", payload)
-            if trace is not None:
-                with trace.span("key.transfer"):
-                    raw = yield from request
-            else:
-                raw = yield from request
+            with probe.span(runtime.clock, "key.transfer", category="attestation"):
+                raw = yield from client.request(self._cas_address, "provision", payload)
             bundle = ProvisionBundle.from_bytes(raw)
 
             shared = exchange_key.exchange(X25519PublicKey(bundle.ephemeral_public))

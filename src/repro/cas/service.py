@@ -24,10 +24,10 @@ built on a node whose disk holds its database recovers and loads it.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro._sim import probe
 from repro.cas.audit import FreshnessAuditService
 from repro.cas.keys import KeyManager, ProvisionedIdentity
 from repro.cas.policy import Policy, PolicyEngine
@@ -93,8 +93,6 @@ class CasService:
         counter: Optional[HardwareCounter] = None,
     ) -> None:
         self.node = node
-        #: An ``EventTrace`` of verification and provisioning (Fig 4 bench).
-        self._trace = None
         rng = node.rng.child("cas")
         # CAS has zero behaviour-controlling configuration (§4.3): the
         # enclave image is just the CAS binary.
@@ -273,7 +271,7 @@ class CasService:
     def provision(self, session: str, quote: Quote) -> ProvisionBundle:
         """Verify, admit, and provision one enclave into a session."""
         policy = self.policies.get(session)
-        with self._span("cas.verification"):
+        with probe.span(self.node.clock, "cas.verification", category="attestation"):
             self.node.clock.advance(self.node.cost_model.quote_verification_cost)
             report = self._verifier.verify(quote, accept_debug=policy.accept_debug)
         self.policies.evaluate(session, report)
@@ -283,7 +281,7 @@ class CasService:
                 "provisioning requires a 32-byte X25519 key in report data"
             )
 
-        with self._span("cas.provisioning"):
+        with probe.span(self.node.clock, "cas.provisioning", category="attestation"):
             self.node.clock.advance(self.node.cost_model.secret_provisioning_cost)
             member_index = self._member_counters.get(session, 0)
             self._member_counters[session] = member_index + 1
@@ -313,10 +311,3 @@ class CasService:
                 ephemeral_public=ephemeral.public_key().public_bytes(),
                 sealed_identity=sealer.seal(identity.to_bytes()),
             )
-
-    # ------------------------------------------------------------------
-
-    def _span(self, name: str):
-        if self._trace is not None:
-            return self._trace.span(name)
-        return contextlib.nullcontext()

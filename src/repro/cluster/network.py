@@ -100,7 +100,6 @@ class NetworkStats:
     messages: int = 0
     bytes_transferred: int = 0
     dropped: int = 0
-    tampered_detected: int = 0
     duplicated: int = 0
     delayed: int = 0
 

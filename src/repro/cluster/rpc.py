@@ -88,13 +88,7 @@ from repro.errors import (
 )
 from repro.runtime import stats_registry
 from repro.runtime.syscall import SyscallInterface
-from repro.runtime.net_shield import (
-    NetworkShield,
-    ServerHandshake,
-    charge_record_crypto,
-    protect_timed,
-    unprotect_timed,
-)
+from repro.runtime.net_shield import NetworkShield, ServerHandshake
 
 #: method handler: fn(payload_bytes, peer_subject) -> response_bytes, or
 #: a Completion resolving with them (a *deferred* reply: the handler
@@ -700,13 +694,8 @@ class SecureRpcServer(RpcServer):
                 if session is None:
                     raise StaleConnectionError(f"unknown secure connection {conn}")
                 records, peer = session
-                declared = msg.get("declared_request")
-                inner_raw = unprotect_timed(records, self._shield.stats, msg["record"])
-                charge_record_crypto(
-                    self._node.cost_model,
-                    self._node.clock,
-                    self._shield.stats,
-                    declared if declared is not None else len(inner_raw),
+                inner_raw = self._shield.open(
+                    records, msg["record"], msg.get("declared_request")
                 )
                 inner = _open_envelope(inner_raw, "call")
                 response = self._dispatch_call(inner, peer)
@@ -718,18 +707,10 @@ class SecureRpcServer(RpcServer):
             return _error_envelope(exc)
 
     def _seal(self, records: RecordLayer, msg: dict, reply: bytes) -> bytes:
-        """Charge and record-protect an enveloped ``reply`` to the
-        secure call ``msg`` under its session's keys."""
-        declared = msg.get("declared_response")
-        charge_record_crypto(
-            self._node.cost_model,
-            self._node.clock,
-            self._shield.stats,
-            declared if declared is not None else len(reply),
-        )
-        return _envelope(
-            "secure_reply", record=protect_timed(records, self._shield.stats, reply)
-        )
+        """Seal an enveloped ``reply`` to the secure call ``msg`` under
+        its session's keys."""
+        record = self._shield.seal(records, reply, msg.get("declared_response"))
+        return _envelope("secure_reply", record=record)
 
     def _sealing(self, records: RecordLayer, msg: dict, reply: Completion) -> Completion:
         """A deferred call's secure reply: its enveloped ``reply``,
@@ -804,20 +785,13 @@ class SecureConnection:
         declared_request: Optional[int],
         declared_response: Optional[int],
     ) -> Activity:
-        """Send half: charge the record crypto, protect ``inner`` under
-        the session's current keys (consuming a send sequence number),
-        write it to the wire."""
+        """Send half: seal ``inner`` under the session's current keys
+        (consuming a send sequence number), write it to the wire."""
         client = self._client
-        charge_record_crypto(
-            client._node.cost_model,
-            client._node.clock,
-            client._shield.stats,
-            declared_request if declared_request is not None else len(inner),
-        )
         request = _envelope(
             "secure_call",
             conn=self._conn,
-            record=protect_timed(self._records, client._shield.stats, inner),
+            record=client._shield.seal(self._records, inner, declared_request),
             declared_request=declared_request,
             declared_response=declared_response,
         )
@@ -831,17 +805,7 @@ class SecureConnection:
         record = yield from client._receive(
             sent, declared_response, "secure_reply", "record"
         )
-        try:
-            reply_raw = unprotect_timed(self._records, client._shield.stats, record)
-        except IntegrityError:
-            client._network.stats.tampered_detected += 1
-            raise
-        charge_record_crypto(
-            client._node.cost_model,
-            client._node.clock,
-            client._shield.stats,
-            declared_response if declared_response is not None else len(reply_raw),
-        )
+        reply_raw = client._shield.open(self._records, record, declared_response)
         return _open_envelope(reply_raw, "reply")["payload"]
 
     def _healing(self, half: Callable[..., Activity], *args: object) -> Activity:

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional
 
 from repro._sim.rng import DeterministicRng
 from repro._sim.scheduler import Scheduler
-from repro._sim.trace import EventTrace
 from repro.cas import CasService, Policy
 from repro.cas.client import RemoteCasClient, serve_cas
 from repro.cas.failover import ReplicatedCasPair
@@ -200,12 +199,8 @@ class SecureTFPlatform:
         """The CAS instance currently serving the well-known address."""
         return self.cas_pair.active if self.cas_pair is not None else self.cas
 
-    def cas_client(
-        self, node: Node, trace: Optional[EventTrace] = None
-    ) -> RemoteCasClient:
-        return RemoteCasClient(
-            self.network, node, "cas", trace=trace, retry=self.config.cas_retry
-        )
+    def cas_client(self, node: Node) -> RemoteCasClient:
+        return RemoteCasClient(self.network, node, "cas", retry=self.config.cas_retry)
 
     def provision_runtime(self, runtime: SconeRuntime, node: Node, session: str):
         """Attest a running container to CAS and install its secrets."""

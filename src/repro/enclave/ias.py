@@ -13,10 +13,9 @@ the difference — and the entire point — is the two WAN round trips
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
+from repro._sim import probe
 from repro._sim.clock import SimClock
-from repro._sim.trace import EventTrace
 from repro.crypto.ed25519 import Ed25519PublicKey
 from repro.enclave.attestation import AttestationVerifier, Quote, Report
 from repro.enclave.cost_model import CostModel
@@ -37,12 +36,10 @@ class IntelAttestationService:
         provisioning_root: Ed25519PublicKey,
         cost_model: CostModel,
         clock: SimClock,
-        trace: Optional[EventTrace] = None,
     ) -> None:
         self._verifier = AttestationVerifier(provisioning_root)
         self._model = cost_model
         self._clock = clock
-        self._trace = trace
         self.stats = IasStats()
 
     def verify_quote(self, quote: Quote, accept_debug: bool = False) -> Report:
@@ -57,9 +54,8 @@ class IntelAttestationService:
         wan_time = 2 * self._model.wan_rtt + self._quote_transfer_time(quote)
         backend = self._model.ias_backend_cost + self._model.quote_verification_cost
         duration = wan_time + backend
-        self._clock.advance(duration)
-        if self._trace is not None:
-            self._trace.record("ias.verification", duration)
+        with probe.span(self._clock, "ias.verification", category="attestation"):
+            self._clock.advance(duration)
         try:
             return self._verifier.verify(quote, accept_debug=accept_debug)
         except AttestationError:

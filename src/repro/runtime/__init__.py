@@ -17,7 +17,7 @@ from repro.runtime.libc import LibcFlavor, GLIBC, MUSL, SCONE_LIBC
 from repro.runtime.syscall import SyscallInterface, SyscallStats
 from repro.runtime.threading_ul import UserLevelScheduler, ThreadingModel
 from repro.runtime.fs_shield import FileSystemShield, ShieldPolicy, PathRule
-from repro.runtime.net_shield import NetworkShield, ShieldedChannel
+from repro.runtime.net_shield import NetworkShield
 from repro.runtime.scone import SconeRuntime, RuntimeConfig
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ShieldPolicy",
     "PathRule",
     "NetworkShield",
-    "ShieldedChannel",
     "SconeRuntime",
     "RuntimeConfig",
 ]

@@ -1,9 +1,9 @@
 """Process-wide registry of the layers' statistics objects.
 
 The platform object doesn't own its shields — containers construct them
-inside :class:`~repro.runtime.scone.SconeRuntime`, handshakes mint
-:class:`~repro.runtime.net_shield.ShieldedChannel` pairs on the fly, and
-owner-side deploy helpers build throwaway shields — so monitoring has no
+inside :class:`~repro.runtime.scone.SconeRuntime`, training jobs build
+shields for the data owners they admit, and owner-side deploy helpers
+build throwaway shields — so monitoring has no
 object graph to walk to find counters.  Instead every layer registers
 its plain ``*Stats`` dataclass here under its layer name and the
 simulation clock of the node it runs on.  :func:`stats_for` then filters

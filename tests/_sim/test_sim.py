@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro._sim import DeterministicRng, EventTrace, SimClock
+from repro._sim import DeterministicRng, SimClock
 from repro._sim.units import Gbps
 
 
@@ -142,23 +142,6 @@ def test_rng_uniform_refuses_what_generator_uniform_refuses(low, high):
     with pytest.raises(refused.type, match=str(refused.value)):
         rng.uniform(low, high)
     assert rng.uniform() == DeterministicRng(1).uniform()  # no draw was spent
-
-
-def test_trace_spans_and_breakdown():
-    clock = SimClock()
-    trace = EventTrace(clock)
-    with trace.span("phase-a"):
-        clock.advance(1.0)
-    with trace.span("phase-b", detail="x"):
-        clock.advance(2.0)
-    trace.record("phase-a", 0.5)
-    breakdown = trace.breakdown()
-    assert breakdown["phase-a"] == pytest.approx(1.5)
-    assert breakdown["phase-b"] == pytest.approx(2.0)
-    assert trace.total() == pytest.approx(3.5)
-    assert trace.total("phase-b") == pytest.approx(2.0)
-    trace.clear()
-    assert trace.events == []
 
 
 def test_units():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro._sim import DeterministicRng, EventTrace
+from repro._sim import DeterministicRng, probe
 from repro.cas import CasService, Policy
 from repro.cas.client import RemoteCasClient, serve_cas
 from repro.cluster import Network, make_cluster
@@ -15,6 +15,7 @@ from repro.errors import (
     PolicyError,
     RpcError,
 )
+from repro.observability import Tracer
 from repro.runtime.scone import RuntimeConfig, SconeRuntime
 from repro.tensor.engine import LITE_PROFILE
 
@@ -151,18 +152,31 @@ def test_remote_provision_over_network(cas, cluster):
     serve_cas(network, cas, address="cas")
     runtime = make_runtime(cluster[1])
     register(cas, runtime)
-    trace = EventTrace(cluster[1].clock)
-    client = RemoteCasClient(network, cluster[1], "cas", trace=trace)
-    before = cluster[1].clock.now
-    identity = client.provision(runtime, "s")
-    elapsed = cluster[1].clock.now - before
+    client = RemoteCasClient(network, cluster[1], "cas")
+    tracer = Tracer()
+    probe.install(tracer)
+    try:
+        before = cluster[1].clock.now
+        identity = client.provision(runtime, "s")
+        elapsed = cluster[1].clock.now - before
+    finally:
+        probe.remove(tracer)
     assert identity.session == "s"
     # Paper Fig. 4: the whole CAS attestation flow is ~17 ms, dominated
-    # by quote generation; local verification is sub-millisecond.
+    # by quote generation; local verification is sub-millisecond.  Its
+    # phases are the tracer's spans.
     assert elapsed < 0.05
-    breakdown = trace.breakdown()
-    assert breakdown["quote.generation"] == pytest.approx(
+    phases = {span.name: span for span in tracer.spans}
+    assert phases["quote.generation"].duration == pytest.approx(
         CM.quote_generation_cost
+    )
+    assert phases["cas.verification"].duration < 1e-3
+    provision = phases["attestation.provision"]
+    for name in ("quote.generation", "key.transfer"):
+        assert phases[name].parent_id == provision.span_id
+    # The key transfer waits out CAS verifying and provisioning remotely.
+    assert phases["key.transfer"].duration > (
+        phases["cas.verification"].duration + phases["cas.provisioning"].duration
     )
 
 

@@ -167,9 +167,43 @@ def test_payload_not_visible_on_wire(secure_setup):
     assert all(b"super-secret-payload" not in msg for msg in seen)
 
 
-def test_tampered_secure_response_detected(secure_setup):
+def test_records_are_counted_at_both_ends(secure_setup):
+    _, _, client, server, _, _ = secure_setup
+    conn = connect(client, "secure")
+    k = 3
+    for i in range(k):
+        assert conn.call("echo", bytes([i])) == bytes([i])
+    for end in (client, server):
+        assert end._shield.stats.records_protected == k
+        assert end._shield.stats.records_opened == k
+        assert end._shield.stats.records_rejected == 0
 
-    _, _, client, _, network, _ = secure_setup
+
+def test_shielded_training_job_reports_its_records():
+    from repro.core.monitoring import collect_metrics
+    from repro.core.platform import PlatformConfig, SecureTFPlatform
+    from repro.core.training import TrainingJob, TrainingJobConfig
+    from repro.data import synthetic_mnist
+    from repro.enclave.sgx import SgxMode
+
+    train, _ = synthetic_mnist(n_train=100, n_test=10, seed=60)
+    platform = SecureTFPlatform(PlatformConfig(n_nodes=3, seed=62))
+    job = TrainingJob(
+        platform,
+        TrainingJobConfig(
+            session="records", n_workers=2, mode=SgxMode.SIM, network_shield=True
+        ),
+    )
+    job.start()
+    job.train(list(train.batches(50)), steps=2)
+    shields = collect_metrics(platform).shields
+    assert shields.net_records_protected > 0
+    assert shields.net_records_opened == shields.net_records_protected
+    assert shields.net_records_rejected == 0
+
+
+def test_tampered_secure_response_detected(secure_setup):
+    _, _, client, server, network, _ = secure_setup
     conn = connect(client, "secure")
 
     def tamper(src, dst, data):
@@ -182,10 +216,13 @@ def test_tampered_secure_response_detected(secure_setup):
     network.adversary = tamper
     with pytest.raises((IntegrityError, RpcError)):
         conn.call("echo", b"payload")
+    # The client refused the reply record; the server sealed it fine.
+    assert client._shield.stats.records_rejected == 1
+    assert server._shield.stats.records_rejected == 0
 
 
 def test_tampered_secure_request_rejected_by_server(secure_setup):
-    _, _, client, _, network, _ = secure_setup
+    _, _, client, server, network, _ = secure_setup
     conn = connect(client, "secure")
 
     def tamper(src, dst, data):
@@ -199,6 +236,8 @@ def test_tampered_secure_request_rejected_by_server(secure_setup):
     # The server's IntegrityError travels back typed, not as bare RpcError.
     with pytest.raises(IntegrityError):
         conn.call("echo", b"payload")
+    assert server._shield.stats.records_rejected == 1
+    assert client._shield.stats.records_rejected == 0
 
 
 def test_untrusted_client_cannot_connect(secure_setup, rng):

@@ -154,6 +154,7 @@ PUBLISHED_SINCE = [
     "recovery.dedup_window_bytes",
     "nodes.epc_hidden_fault_time",
     "recovery.shed_expired",  # new: a server's deadline sheds
+    "shields.net_records_rejected",  # new: records refused by authentication
 ]
 
 

@@ -7,7 +7,6 @@ test run, not just the (slower) benchmark pass.
 
 import pytest
 
-from repro._sim import EventTrace
 from repro.cas import Policy
 from repro.cas.client import RemoteCasClient
 from repro.core.inference import (

@@ -46,9 +46,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro.crypto.tls.handshake_in_memory":
         "drives a TLS handshake without a network, so the TLS tests can "
         "tamper with each flight",
-    "repro.runtime.net_shield.establish_pair":
-        "joins two network shields over an in-memory transport, so the "
-        "shield tests need no simulated cluster",
 }
 
 #: Call names that dispatch on a string attribute name.
