@@ -42,13 +42,7 @@ from repro._sim import probe
 from repro._sim.scheduler import Activity
 from repro.cluster.network import Network
 from repro.cluster.node import Node
-from repro.cluster.rpc import (
-    RpcClient,
-    RpcServer,
-    SecureConnection,
-    SecureRpcClient,
-    SecureRpcServer,
-)
+from repro.cluster.rpc import RpcClient, RpcServer, SecureRpcClient, SecureRpcServer
 from repro.cluster.retry import RetryPolicy
 from repro.cluster.sharding import (
     GradientQuantizer,
@@ -58,6 +52,7 @@ from repro.cluster.sharding import (
 )
 from repro.cluster.worker import TrainingWorker
 from repro.crypto import encoding
+from repro.crypto.certs import session_scope
 from repro.errors import (
     AttestationError,
     CircuitOpenError,
@@ -263,7 +258,7 @@ class ParameterServer:
         """Refuse a peer outside this shard's session (committee: role)."""
         me = self._subject
         if me is not None:
-            scope = me.rsplit("-", 1)[0] + "-" if committee else me.split("/")[0] + "/"
+            scope = me.rsplit("-", 1)[0] + "-" if committee else session_scope(me)
             if not (peer or "").startswith(scope):
                 raise AttestationError(f"{peer!r} is outside {scope!r}")
 
@@ -587,22 +582,22 @@ class SyncTrainer:
         self._secure = isinstance(codec, SecureAggregation)
         #: Rounds started; tags federated pushes, so a failed round's are dropped.
         self._round = 0
-        # One session per (caller, shard address): secure record layers
-        # are per-connection streams, so concurrent fan-out to distinct
+        # One client per (caller, shard address): secure record layers
+        # are per-session streams, so concurrent fan-out to distinct
         # shards never reorders a single session's records.  A caller
         # is a worker, or a shard pulling its committee's partial sums.
-        self._connections: Dict[tuple, Union[SecureConnection, "_PlainConnection"]] = {}
+        self._clients: Dict[tuple, RpcClient] = {}
 
-    # -- connections -----------------------------------------------------
+    # -- clients ---------------------------------------------------------
 
-    def _connection(self, worker: TrainingWorker, ps: ParameterServer):
-        """The caller's session to ``ps`` (an activity: a new secure one
-        handshakes).  A shielded caller talks only to a shard of its own
-        CAS session; a server certified for another one (its chain
+    def _client(self, worker: TrainingWorker, ps: ParameterServer):
+        """The caller's client for ``ps`` (an activity: a new shielded
+        one handshakes).  A shielded caller talks only to a shard of its
+        own CAS session; a server certified for another one (its chain
         verifies) is refused before a byte of the round is sent."""
         key = (worker.address, ps.address)
-        if key in self._connections:
-            return self._connections[key]
+        if key in self._clients:
+            return self._clients[key]
         if worker.shield is not None:
             client = SecureRpcClient(
                 self._network,
@@ -611,33 +606,27 @@ class SyncTrainer:
                 worker.shield,
                 retry=self._retry,
             )
-            conn: Union[SecureConnection, "_PlainConnection"] = yield from client.open(
-                ps.address, expected_server=None
-            )
-            scope = worker.shield.identity.certificate.subject.split("/")[0] + "/"
-            if not (conn.peer_subject or "").startswith(scope):
+            subject = yield from client.open(ps.address, expected_server=None)
+            scope = session_scope(worker.shield.identity.certificate.subject)
+            if not (subject or "").startswith(scope):
                 raise AttestationError(
-                    f"{ps.address!r} presented {conn.peer_subject!r}, "
-                    f"outside {scope!r}"
+                    f"{ps.address!r} presented {subject!r}, outside {scope!r}"
                 )
         else:
-            conn = _PlainConnection(
-                RpcClient(
-                    self._network, worker.address, worker.node, retry=self._retry
-                ),
-                ps.address,
+            client = RpcClient(
+                self._network, worker.address, worker.node, retry=self._retry
             )
-        self._connections[key] = conn
-        return conn
+        self._clients[key] = client
+        return client
 
-    def _drop_connections(self, worker: Optional[TrainingWorker] = None,
-                          address: Optional[str] = None) -> None:
-        for key in list(self._connections):
+    def _drop_clients(self, worker: Optional[TrainingWorker] = None,
+                      address: Optional[str] = None) -> None:
+        for key in list(self._clients):
             if worker is not None and key[0] != worker.address:
                 continue
             if address is not None and key[1] != address:
                 continue
-            del self._connections[key]
+            del self._clients[key]
 
     # -- recovery hooks --------------------------------------------------
 
@@ -646,7 +635,7 @@ class SyncTrainer:
         if self._recovery is None or self._recovery.worker_ok(worker):
             return worker
         replacement = yield from self._recovery.replace_worker(worker)
-        self._drop_connections(worker=worker)
+        self._drop_clients(worker=worker)
         self._workers[slot] = replacement
         return replacement
 
@@ -660,14 +649,16 @@ class SyncTrainer:
                 raise ClusterError(f"shard {index} could not be recovered")
             self._service.replace_shard(index, replacement)
             self._service.verify_resume(index)
-            for conn in self._connections.values():
-                conn._client.reset_breaker(replacement.address)
-        self._drop_connections(address=old.address)
+            for client in self._clients.values():
+                client.reset_breaker(replacement.address)
+        self._drop_clients(address=old.address)
 
     def _issue(self, worker: TrainingWorker, request: tuple) -> Activity:
         index, method, payload, declared_request, declared_response = request
-        conn = yield from self._connection(worker, self._service.shard(index))
-        return (yield from conn.begin_call(
+        ps = self._service.shard(index)
+        client = yield from self._client(worker, ps)
+        return (yield from client.begin_call(
+            ps.address,
             method,
             payload,
             declared_request=declared_request,
@@ -690,17 +681,17 @@ class SyncTrainer:
         for request in requests:
             pending.append((request, (yield from self._issue(worker, request))))
         results: Dict[int, bytes] = {}
-        for request, handle in pending:
+        for request, settle in pending:
             index = request[0]
             for recoveries_left in range(self.MAX_RECOVERIES_PER_CALL, -1, -1):
                 try:
-                    results[index] = yield from handle.settle()
+                    results[index] = yield from settle
                     break
                 except (RpcTransportError, StaleConnectionError, CircuitOpenError):
                     if self._recovery is None or not recoveries_left:
                         raise
                     yield from self._recover_shard(index)
-                    handle = yield from self._issue(worker, request)
+                    settle = yield from self._issue(worker, request)
         return results
 
     # -- training --------------------------------------------------------
@@ -903,27 +894,4 @@ class SyncTrainer:
             wall_clock=wall,
             per_worker_time={w.name: w.node.clock.now for w in self._workers},
             simulated_events=self._network.scheduler.events_processed - events_before,
-        )
-
-
-class _PlainConnection:
-    """Adapter giving RpcClient the SecureConnection.begin_call signature."""
-
-    def __init__(self, client: RpcClient, dst: str) -> None:
-        self._client = client
-        self._dst = dst
-
-    def begin_call(
-        self,
-        method: str,
-        payload: bytes,
-        declared_request: Optional[int] = None,
-        declared_response: Optional[int] = None,
-    ) -> Activity:
-        return self._client.begin_call(
-            self._dst,
-            method,
-            payload,
-            declared_request=declared_request,
-            declared_response=declared_response,
         )

@@ -11,15 +11,18 @@ shield" is exactly the choice between these two stacks.
 Every client call takes one path, and every wait on it is a ``yield``
 (an *activity*, see :mod:`repro._sim.scheduler`): ``begin_call`` builds
 the call envelope (:meth:`RpcClient._call_envelope`, the only place one
-is built), runs attempt 1's *send half* and returns a
-:class:`PendingRpc`; ``settle()`` runs the *receive half* — and, for a
-retrying client, the rest of the executor's loop, a fresh send +
-receive per retry.  ``request`` is ``begin_call`` then ``settle`` under
-an ``rpc.call`` span, so a single call and a fanned-out one differ only
-in what the caller does between the two halves; ``call`` drives
-``request`` for synchronous code outside the simulation.  Each
-transport is those two halves: plain is socket write + wire / reply +
-socket read; secure wraps them in record crypto.  A caller that runs
+is built), runs attempt 1's *send half* and returns the activity that
+settles the call: the *receive half* — and, for a retrying client, the
+rest of the executor's loop, a fresh send + receive per retry.
+``request`` is ``begin_call`` settled at once under an ``rpc.call``
+span, so a single call and a fanned-out one differ only in what the
+caller does between the two halves; ``call`` drives ``request`` for
+synchronous code outside the simulation.  Each transport is those two
+halves: plain is socket write + wire / reply + socket read; the shielded
+client overrides just them, sealing the envelope under its session to
+the destination and opening the reply record, so a shielded caller
+calls with the same signatures as a plain one — the shield is a
+constructor choice plus one ``open(dst)`` handshake.  A caller that runs
 its attempts itself (the serving router) takes the plain halves without
 an activity: :meth:`RpcClient.send` builds the same envelope and runs
 the same send half, returning the completion the reply lands on, and
@@ -50,17 +53,18 @@ messages) is layered on without changing the wire protocol's shape:
   typed :class:`~repro.errors.FencedError` *before* dispatch, so a
   zombie leader's writes never execute.  Fencing errors are
   authoritative — the retry layer refuses to re-issue them.
-- **Transparent secure-session reconnect**: a :class:`SecureConnection`
-  that hits a transport fault or a restarted server re-runs the full
-  TLS handshake (charged through the shield's cost model) and resends
-  under the same call ID — replay-safe because of the dedup window.
+- **Transparent secure-session reconnect**: a retrying
+  :class:`SecureRpcClient` whose session hits a transport fault or a
+  restarted server re-runs the full TLS handshake (charged through the
+  shield's cost model) and resends under the same call ID — replay-safe
+  because of the dedup window.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Generator, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, NamedTuple, Optional, Tuple
 
 import repro.errors as _errors
 from repro._sim import probe
@@ -77,6 +81,7 @@ from repro.cluster.retry import (
     RetryingExecutor,
 )
 from repro.crypto import encoding
+from repro.crypto.certs import session_scope
 from repro.crypto.tls import RecordLayer
 from repro.errors import (
     AttestationError,
@@ -97,6 +102,9 @@ from repro.runtime.net_shield import NetworkShield, ServerHandshake
 #: of its call than the payload (the caller's deadline, the call ID)
 #: reads :attr:`RpcServer.current_call` while it runs.
 MethodHandler = Callable[[bytes, Optional[str]], object]
+
+#: A secure call's failures that may mean a dead or desynced session.
+_HEALABLE = (RpcTransportError, StaleConnectionError, IntegrityError)
 
 #: Known error types a remote error envelope may name.
 _ERROR_TYPES = {
@@ -128,8 +136,8 @@ def _now(value: Any = None, error: Optional[BaseException] = None) -> Activity:
 def _settled(clock, attrs: dict, begin: Activity) -> Activity:
     """A ``begin_call`` activity, settled at once, under an ``rpc.call`` span."""
     with probe.span(clock, "rpc.call", category="rpc", attrs=attrs):
-        pending = yield from begin
-        return (yield from pending.settle())
+        settle = yield from begin
+        return (yield from settle)
 
 
 def _raise_remote_error(msg: dict) -> None:
@@ -150,25 +158,6 @@ def _open_envelope(data: bytes, expected: Optional[str] = None) -> dict:
     if expected is not None and msg["kind"] != expected:
         raise RpcError(f"expected {expected!r} envelope, got {msg['kind']!r}")
     return msg
-
-
-class PendingRpc:
-    """One call whose first attempt is already on the wire.
-
-    Returned by the ``begin_call`` activities.  :meth:`settle` is the
-    activity that waits for the reply; with a retry policy it is the
-    rest of the executor's loop (see
-    :meth:`~repro.cluster.retry.RetryingExecutor.begin`), resending the
-    **same** envelope under the same call ID.  A send that failed is
-    that attempt's outcome and surfaces here, not from ``begin_call``.
-    Settle it exactly once.
-    """
-
-    def __init__(self, settle: Activity) -> None:
-        self._settle = settle
-
-    def settle(self) -> Activity:
-        return self._settle
 
 
 class RpcServer:
@@ -402,6 +391,9 @@ class RpcClient:
     counters then serve this client).
     """
 
+    #: The network shield this client's calls travel under (None: cleartext).
+    _shield: Optional[NetworkShield] = None
+
     def __init__(
         self,
         network: Network,
@@ -484,17 +476,17 @@ class RpcClient:
         send: Callable[[], Activity],
         receive: Callable[[Completion], Activity],
         deadline: Optional[float],
-    ) -> Generator[Completion, Any, PendingRpc]:
-        """Run attempt 1's ``send`` now; the rest is :class:`PendingRpc`."""
+    ) -> Generator[Completion, Any, Activity]:
+        """Run attempt 1's ``send`` now; the activity settling the call.
+        A send that failed is that attempt's outcome and surfaces when
+        the call settles, not here."""
         if self._executor is not None:
-            return PendingRpc(
-                (yield from self._executor.begin(dst, send, receive, deadline))
-            )
+            return (yield from self._executor.begin(dst, send, receive, deadline))
         try:
             sent = yield from send()
         except (RpcTransportError, StaleConnectionError) as exc:
-            return PendingRpc(_now(error=exc))
-        return PendingRpc(receive(sent))
+            return _now(error=exc)
+        return receive(sent)
 
     def _post(
         self,
@@ -527,7 +519,8 @@ class RpcClient:
         declared_request: Optional[int],
         declared_response: Optional[int],
     ) -> Activity:
-        """:meth:`_post` as an activity that never waits."""
+        """The send half of :meth:`begin_call`: :meth:`_post` as an
+        activity that never waits."""
         return self._post(dst, request, declared_request, declared_response)
         yield  # unreachable: makes this an activity
 
@@ -548,14 +541,11 @@ class RpcClient:
         return _open_envelope(raw, kind)[field]
 
     def _receive(
-        self,
-        sent: Completion,
-        declared_response: Optional[int],
-        kind: str = "reply",
-        field: str = "payload",
+        self, dst: str, sent: Completion, declared_response: Optional[int]
     ) -> Activity:
-        """:meth:`receive` as an activity: wait for the reply first."""
-        return self.receive((yield sent), declared_response, kind, field)
+        """The receive half of :meth:`begin_call`: :meth:`receive` as an
+        activity that waits for the reply first."""
+        return self.receive((yield sent), declared_response)
 
     def send(
         self, dst: str, method: str, payload: bytes, deadline: Optional[float] = None
@@ -583,9 +573,9 @@ class RpcClient:
         declared_request: Optional[int] = None,
         declared_response: Optional[int] = None,
         deadline: Optional[float] = None,
-    ) -> Generator[Completion, Any, PendingRpc]:
+    ) -> Generator[Completion, Any, Activity]:
         """Issue an RPC's send half now (an activity returning the
-        :class:`PendingRpc`); settle the reply later.  ``deadline``
+        activity that settles the call); settle it later.  ``deadline``
         (absolute simulated seconds) is stamped into the call envelope
         so the server can shed the request if it arrives already
         expired, and bounds this client's retry loop to the same budget.
@@ -597,17 +587,18 @@ class RpcClient:
         return (yield from self._begin(
             dst,
             lambda: self._send(dst, request, declared_request, declared_response),
-            lambda sent: self._receive(sent, declared_response),
+            lambda sent: self._receive(dst, sent, declared_response),
             deadline,
         ))
 
     def request(self, dst: str, method: str, payload: bytes, **options) -> Activity:
         """One RPC as an activity: :meth:`begin_call` (same options),
         settled at once."""
+        attrs = {"dst": dst, "method": method}
+        if self._shield is not None:
+            attrs["secure"] = True
         return _settled(
-            self._node.clock,
-            {"dst": dst, "method": method},
-            self.begin_call(dst, method, payload, **options),
+            self._node.clock, attrs, self.begin_call(dst, method, payload, **options)
         )
 
     def call(self, *args, **kwargs) -> bytes:
@@ -730,156 +721,30 @@ class SecureRpcServer(RpcServer):
         return sealed
 
 
-class SecureConnection:
-    """One established TLS session from a client to a secure server.
+class _Session(NamedTuple):
+    """One established TLS session, and what re-establishing it needs."""
 
-    With a retrying client, the session is *self-healing*: a transport
-    fault, a desynced record layer, or a server restart triggers a full
-    re-handshake (re-attested identity, fresh keys — charged via the
-    shield's cost model) and the call is resent under its original call
-    ID, which the server's dedup window makes at-most-once.
-    """
-
-    def __init__(
-        self,
-        client: "SecureRpcClient",
-        dst: str,
-        conn: int,
-        records: RecordLayer,
-        peer_subject: Optional[str],
-        expected_server: Optional[str] = None,
-        mutual: bool = True,
-    ) -> None:
-        self._client = client
-        self._dst = dst
-        self._conn = conn
-        self._records = records
-        self.peer_subject = peer_subject
-        self._expected_server = expected_server
-        self._mutual = mutual
-
-    def _reconnect(self) -> Activity:
-        """A fresh handshake with ``dst``; the peer must be of the CAS
-        session (``{session}/`` subject prefix) the session first reached."""
-        with probe.span(
-            self._client._node.clock,
-            "rpc.reconnect",
-            category="rpc",
-            attrs={"dst": self._dst},
-        ):
-            conn, records, subject = yield from self._client._handshake_once(
-                self._dst, self._expected_server, self._mutual
-            )
-        first = self.peer_subject or ""
-        scope = first.split("/")[0] + "/" if "/" in first else ""
-        if not (subject or "").startswith(scope):
-            raise AttestationError(f"{self._dst!r} is now {subject!r}, outside {scope!r}")
-        self._conn = conn
-        self._records = records
-        self.peer_subject = subject
-        self._client.stats.reconnects += 1
-
-    def _send(
-        self,
-        inner: bytes,
-        declared_request: Optional[int],
-        declared_response: Optional[int],
-    ) -> Activity:
-        """Send half: seal ``inner`` under the session's current keys
-        (consuming a send sequence number), write it to the wire."""
-        client = self._client
-        request = _envelope(
-            "secure_call",
-            conn=self._conn,
-            record=client._shield.seal(self._records, inner, declared_request),
-            declared_request=declared_request,
-            declared_response=declared_response,
-        )
-        return (yield from client._send(
-            self._dst, request, declared_request, declared_response
-        ))
-
-    def _receive(self, sent: Completion, declared_response: Optional[int]) -> Activity:
-        """Receive half: wait for the reply record, verify and open it."""
-        client = self._client
-        record = yield from client._receive(
-            sent, declared_response, "secure_reply", "record"
-        )
-        reply_raw = client._shield.open(self._records, record, declared_response)
-        return _open_envelope(reply_raw, "reply")["payload"]
-
-    def _healing(self, half: Callable[..., Activity], *args: object) -> Activity:
-        """Run one half of an attempt.  If it fails under a retrying
-        client, the session may be dead (server restarted) or desynced (a
-        record was lost or mangled in flight, or a send sequence number
-        was spent on a write that never left): TLS cannot resume a
-        broken stream, so establish a fresh session before the retry
-        loop resends under the same call ID."""
-        try:
-            return (yield from half(*args))
-        except (RpcTransportError, StaleConnectionError, IntegrityError) as exc:
-            if self._client._executor is None:
-                raise  # no retry loop to heal the session for
-            try:
-                yield from self._reconnect()
-            except RpcError:
-                # Transport still down; the retry loop will back off and
-                # the next attempt re-triggers reconnection.  Security
-                # failures (bad certificate, tampered handshake) propagate.
-                pass
-            if isinstance(exc, IntegrityError):
-                raise StaleConnectionError(
-                    f"secure session to {self._dst!r} failed verification; "
-                    "re-established"
-                ) from exc
-            raise exc
-
-    def begin_call(
-        self,
-        method: str,
-        payload: bytes,
-        declared_request: Optional[int] = None,
-        declared_response: Optional[int] = None,
-        deadline: Optional[float] = None,
-    ) -> Generator[Completion, Any, PendingRpc]:
-        """Issue the send half of a secure call; settle the reply later.
-
-        The inner envelope is protected and written to the wire now (on
-        this caller's clock), so back-to-back ``begin_call``s to
-        different shards overlap their transfers.  Each secure session
-        carries at most one record in flight here, which keeps the
-        record layer's sequence numbers aligned however the replies
-        interleave on the heap.  A send that fails under a retrying
-        client waits here while the session re-handshakes.
-        """
-        client = self._client
-        inner = client._call_envelope(method, payload, deadline)
-        return (yield from client._begin(
-            self._dst,
-            lambda: self._healing(
-                self._send, inner, declared_request, declared_response
-            ),
-            lambda sent: self._healing(self._receive, sent, declared_response),
-            deadline,
-        ))
-
-    def request(self, method: str, payload: bytes, **options) -> Activity:
-        """One secure RPC as an activity: :meth:`begin_call` (same
-        options), settled at once."""
-        return _settled(
-            self._client._node.clock,
-            {"dst": self._dst, "method": method, "secure": True},
-            self.begin_call(method, payload, **options),
-        )
-
-    def call(self, *args, **kwargs) -> bytes:
-        """A blocking secure RPC, for synchronous code outside the
-        simulation: :meth:`request` (same arguments), driven to its reply."""
-        return self._client._network.scheduler.drive(self.request(*args, **kwargs))
+    conn: int
+    records: RecordLayer
+    peer_subject: Optional[str]
+    expected_server: Optional[str]
+    mutual: bool
 
 
 class SecureRpcClient(RpcClient):
-    """RPC caller that establishes network-shield TLS sessions."""
+    """RPC caller behind the network shield: one TLS session per
+    destination, established by :meth:`open`.
+
+    Calls take :class:`RpcClient`'s signatures; only the two transport
+    halves differ.  With a retrying client a session is *self-healing*:
+    a transport fault, a desynced record layer, or a server restart
+    triggers a full re-handshake (re-attested identity, fresh keys —
+    charged via the shield's cost model) and the call is resent under
+    its original call ID, which the server's dedup window makes
+    at-most-once.  Each session carries at most one record in flight
+    here, which keeps the record layer's sequence numbers aligned
+    however the replies interleave on the heap.
+    """
 
     def __init__(
         self,
@@ -899,13 +764,14 @@ class SecureRpcClient(RpcClient):
             syscalls=shield.syscalls,
         )
         self._shield = shield
+        self._sessions: Dict[str, _Session] = {}
 
     def _handshake_once(
         self,
         dst: str,
         expected_server: Optional[str],
         mutual: bool,
-    ) -> Generator[Completion, Any, Tuple[int, RecordLayer, Optional[str]]]:
+    ) -> Generator[Completion, Any, _Session]:
         """One full TLS handshake with ``dst`` (fresh state each time)."""
         with probe.span(
             self._node.clock, "tls.handshake", category="crypto", attrs={"dst": dst}
@@ -931,35 +797,117 @@ class SecureRpcClient(RpcClient):
             self._syscalls.socket_recv(len(raw))
             _open_envelope(raw, "hs2_reply")
             self._shield.charge_handshake()
-            return msg["conn"], handshake.record_layer, handshake.peer_subject
+            return _Session(
+                msg["conn"],
+                handshake.record_layer,
+                handshake.peer_subject,
+                expected_server,
+                mutual,
+            )
 
     def open(
         self,
         dst: str,
         expected_server: Optional[str] = None,
         mutual: bool = True,
-    ) -> Generator[Completion, Any, SecureConnection]:
-        """Run the TLS handshake with ``dst``; the session (an activity).
+    ) -> Generator[Completion, Any, Optional[str]]:
+        """Run the TLS handshake with ``dst`` and keep the session for
+        every later call to ``dst``; the peer's certificate subject (an
+        activity).
 
         With a retry policy, a handshake interrupted by loss or a
         transient partition is restarted from ``hs1`` with fresh state
         after backoff (abandoned server-side state expires).
         """
         if self._executor is None:
-            conn, records, subject = yield from self._handshake_once(
-                dst, expected_server, mutual
-            )
+            session = yield from self._handshake_once(dst, expected_server, mutual)
         else:
             settle = yield from self._executor.begin(
                 dst, _now, lambda _: self._handshake_once(dst, expected_server, mutual)
             )
-            conn, records, subject = yield from settle
-        return SecureConnection(
-            self,
-            dst,
-            conn,
-            records,
-            subject,
-            expected_server=expected_server,
-            mutual=mutual,
-        )
+            session = yield from settle
+        self._sessions[dst] = session
+        return session.peer_subject
+
+    def _reconnect(self, dst: str) -> Activity:
+        """A fresh handshake with ``dst``; the peer must be of the CAS
+        session (:func:`~repro.crypto.certs.session_scope`) the session
+        last reached."""
+        old = self._sessions[dst]
+        with probe.span(
+            self._node.clock, "rpc.reconnect", category="rpc", attrs={"dst": dst}
+        ):
+            session = yield from self._handshake_once(
+                dst, old.expected_server, old.mutual
+            )
+        scope = session_scope(old.peer_subject)
+        if not (session.peer_subject or "").startswith(scope):
+            raise AttestationError(
+                f"{dst!r} is now {session.peer_subject!r}, outside {scope!r}"
+            )
+        self._sessions[dst] = session
+        self.stats.reconnects += 1
+
+    def _heal(self, dst: str, exc: Exception) -> Activity:
+        """After one half of an attempt failed with ``exc``: under a
+        retrying client the session may be dead (server restarted) or
+        desynced (a record was lost or mangled in flight, or a send
+        sequence number was spent on a write that never left).  TLS
+        cannot resume a broken stream, so establish a fresh session
+        before the retry loop resends under the same call ID; then raise
+        the attempt's failure."""
+        if self._executor is None:
+            raise exc  # no retry loop to heal the session for
+        try:
+            yield from self._reconnect(dst)
+        except RpcError:
+            # Transport still down; the retry loop will back off and the
+            # next attempt re-triggers reconnection.  Security failures
+            # (bad certificate, tampered handshake) propagate.
+            pass
+        if isinstance(exc, IntegrityError):
+            raise StaleConnectionError(
+                f"secure session to {dst!r} failed verification; re-established"
+            ) from exc
+        raise exc
+
+    def _send(
+        self,
+        dst: str,
+        inner: bytes,
+        declared_request: Optional[int],
+        declared_response: Optional[int],
+    ) -> Activity:
+        """Send half: seal the call envelope ``inner`` under ``dst``'s
+        session keys (consuming a send sequence number), write it to the
+        wire.  A destination without a session fails before any byte is
+        sent."""
+        session = self._sessions.get(dst)
+        if session is None:
+            raise RpcError(f"no secure session to {dst!r}: open() it first")
+        try:
+            request = _envelope(
+                "secure_call",
+                conn=session.conn,
+                record=self._shield.seal(session.records, inner, declared_request),
+                declared_request=declared_request,
+                declared_response=declared_response,
+            )
+            return self._post(dst, request, declared_request, declared_response)
+        except _HEALABLE as exc:
+            yield from self._heal(dst, exc)
+
+    def _receive(
+        self, dst: str, sent: Completion, declared_response: Optional[int]
+    ) -> Activity:
+        """Receive half: wait for the reply record, verify and open it
+        under ``dst``'s session keys."""
+        try:
+            raw = yield sent
+            record = self.receive(raw, declared_response, "secure_reply", "record")
+            reply = self._shield.open(
+                self._sessions[dst].records, record, declared_response
+            )
+            return _open_envelope(reply, "reply")["payload"]
+        except _HEALABLE as exc:
+            yield from self._heal(dst, exc)

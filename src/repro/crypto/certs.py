@@ -150,3 +150,13 @@ def verify_chain(
     raise SecurityError(
         f"certificate for {leaf.subject!r} is not signed by any trusted root"
     )
+
+
+def session_scope(subject: Optional[str]) -> str:
+    """The prefix every subject of ``subject``'s CAS session starts with:
+    up to and including its first ``/`` (CAS mints ``{session}/{name}``).
+    A subject without a ``/`` (or none at all) is of no session, and its
+    scope is empty."""
+    if subject is None or "/" not in subject:
+        return ""
+    return subject.split("/", 1)[0] + "/"

@@ -197,13 +197,13 @@ class TrafficGenerator:
             sent_at = clock.now
             stats.sent += 1
             try:
-                pending = yield from client.begin_call(
+                settle = yield from client.begin_call(
                     self.router_address,
                     "infer",
                     self.payload,
                     deadline=sent_at + self.deadline_budget,
                 )
-                yield from pending.settle()
+                yield from settle
             except OverloadError:
                 stats.overload += 1
                 continue

@@ -117,7 +117,7 @@ def test_synchronous_errors_are_still_not_recorded(cluster, network):
 
 def secure_pair(cluster, network, rng, error=None):
     """A deferred ``work`` server at ``srv`` behind the network shield,
-    and a once-retrying client's session to it."""
+    and a once-retrying client with a session to it."""
     ca = CertificateAuthority("root", Ed25519PrivateKey(rng.random_bytes(32)))
     server, runs = deferred_server(
         network, cluster[0], error,
@@ -127,30 +127,31 @@ def secure_pair(cluster, network, rng, error=None):
         network, "client", cluster[1], make_shield(ca, rng, cluster[1], "client"),
         retry=RetryPolicy(max_attempts=2),
     )
-    return server, runs, client, network.scheduler.drive(client.open("srv"))
+    network.scheduler.drive(client.open("srv"))
+    return server, runs, client
 
 
 def test_a_secure_deferred_reply_is_sealed_when_it_settles(cluster, network, rng):
-    _, runs, _, conn = secure_pair(cluster, network, rng)
+    _, runs, client = secure_pair(cluster, network, rng)
     # The client opened the reply under its session's keys.
-    assert conn.call("work", b"x") == b"x"
+    assert client.call("srv", "work", b"x") == b"x"
     assert runs == [b"x"]
 
 
 def test_a_secure_deferred_typed_error_reaches_the_caller(cluster, network, rng):
-    _, runs, client, conn = secure_pair(
+    _, runs, client = secure_pair(
         cluster, network, rng, error=PolicyError("denied")
     )
     with pytest.raises(PolicyError, match="denied"):
-        conn.call("work", b"x")
+        client.call("srv", "work", b"x")
     assert runs == [b"x"]
     assert client.stats.retries == 0
 
 
 def test_a_secure_resend_after_a_lost_deferred_reply_replays_it(cluster, network, rng):
-    server, runs, client, conn = secure_pair(cluster, network, rng)
+    server, runs, client = secure_pair(cluster, network, rng)
     first_message(network, "client", FaultAction(drop=True, reason="test drop"))
-    assert conn.call("work", b"x") == b"x"
+    assert client.call("srv", "work", b"x") == b"x"
     # A fresh session, the same call ID: the window answers the resend.
     assert client.stats.reconnects == 1
     assert runs == [b"x"]

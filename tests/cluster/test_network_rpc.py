@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro._sim import DeterministicRng
+from repro._sim import DeterministicRng, probe
 from repro.cluster import Network, make_cluster
 from repro.cluster.rpc import RpcClient, RpcServer, SecureRpcClient, SecureRpcServer
 from repro.crypto.certs import CertificateAuthority
@@ -25,8 +25,20 @@ def network():
 
 
 def connect(client, dst, **kwargs):
-    """The blocking handshake of a test: ``open`` driven to its end."""
+    """The blocking handshake of a test: ``open`` driven to its end (the
+    peer's certificate subject)."""
     return client._network.scheduler.drive(client.open(dst, **kwargs))
+
+
+def peer_subject(client, dst):
+    """The subject of the peer ``client``'s session to ``dst`` reaches now."""
+    return client._sessions[dst].peer_subject
+
+
+def break_session(client, dst):
+    """Point ``client``'s session to ``dst`` at a connection the server
+    never established."""
+    client._sessions[dst] = client._sessions[dst]._replace(conn=9999)
 
 
 def echo_server(network, node, address="echo"):
@@ -142,15 +154,14 @@ def secure_setup(cluster, network, rng):
 
 def test_secure_call_roundtrip(secure_setup):
     _, _, client, _, _, _ = secure_setup
-    conn = connect(client, "secure", expected_server="server")
-    assert conn.call("echo", b"confidential") == b"confidential"
-    assert conn.peer_subject == "server"
+    assert connect(client, "secure", expected_server="server") == "server"
+    assert client.call("secure", "echo", b"confidential") == b"confidential"
 
 
 def test_secure_server_sees_client_identity(secure_setup):
     _, _, client, _, _, _ = secure_setup
-    conn = connect(client, "secure")
-    assert conn.call("whoami", b"") == b"client"
+    connect(client, "secure")
+    assert client.call("secure", "whoami", b"") == b"client"
 
 
 def test_payload_not_visible_on_wire(secure_setup):
@@ -161,18 +172,18 @@ def test_payload_not_visible_on_wire(secure_setup):
         seen.append(data)
         return data
 
-    conn = connect(client, "secure")
+    connect(client, "secure")
     network.adversary = sniff
-    conn.call("echo", b"super-secret-payload")
+    client.call("secure", "echo", b"super-secret-payload")
     assert all(b"super-secret-payload" not in msg for msg in seen)
 
 
 def test_records_are_counted_at_both_ends(secure_setup):
     _, _, client, server, _, _ = secure_setup
-    conn = connect(client, "secure")
+    connect(client, "secure")
     k = 3
     for i in range(k):
-        assert conn.call("echo", bytes([i])) == bytes([i])
+        assert client.call("secure", "echo", bytes([i])) == bytes([i])
     for end in (client, server):
         assert end._shield.stats.records_protected == k
         assert end._shield.stats.records_opened == k
@@ -204,7 +215,7 @@ def test_shielded_training_job_reports_its_records():
 
 def test_tampered_secure_response_detected(secure_setup):
     _, _, client, server, network, _ = secure_setup
-    conn = connect(client, "secure")
+    connect(client, "secure")
 
     def tamper(src, dst, data):
         if dst == "client":  # corrupt responses only
@@ -215,7 +226,7 @@ def test_tampered_secure_response_detected(secure_setup):
 
     network.adversary = tamper
     with pytest.raises((IntegrityError, RpcError)):
-        conn.call("echo", b"payload")
+        client.call("secure", "echo", b"payload")
     # The client refused the reply record; the server sealed it fine.
     assert client._shield.stats.records_rejected == 1
     assert server._shield.stats.records_rejected == 0
@@ -223,7 +234,7 @@ def test_tampered_secure_response_detected(secure_setup):
 
 def test_tampered_secure_request_rejected_by_server(secure_setup):
     _, _, client, server, network, _ = secure_setup
-    conn = connect(client, "secure")
+    connect(client, "secure")
 
     def tamper(src, dst, data):
         if dst == "secure":
@@ -235,7 +246,7 @@ def test_tampered_secure_request_rejected_by_server(secure_setup):
     network.adversary = tamper
     # The server's IntegrityError travels back typed, not as bare RpcError.
     with pytest.raises(IntegrityError):
-        conn.call("echo", b"payload")
+        client.call("secure", "echo", b"payload")
     assert server._shield.stats.records_rejected == 1
     assert client._shield.stats.records_rejected == 0
 
@@ -263,10 +274,10 @@ def test_untrusted_client_cannot_connect(secure_setup, rng):
 
 def test_unknown_connection_rejected(secure_setup):
     _, _, client, _, _, _ = secure_setup
-    conn = connect(client, "secure")
-    conn._conn = 9999
+    connect(client, "secure")
+    break_session(client, "secure")
     with pytest.raises(RpcError):
-        conn.call("echo", b"")
+        client.call("secure", "echo", b"")
 
 
 # --- secure-session resilience --------------------------------------------------
@@ -287,10 +298,10 @@ def test_stale_secure_connection_is_typed(secure_setup):
     from repro.errors import StaleConnectionError
 
     _, _, client, _, _, _ = secure_setup
-    conn = connect(client, "secure")
-    conn._conn = 9999
+    connect(client, "secure")
+    break_session(client, "secure")
     with pytest.raises(StaleConnectionError):
-        conn.call("echo", b"")
+        client.call("secure", "echo", b"")
 
 
 def test_pending_handshakes_expire_by_count(secure_setup):
@@ -355,8 +366,8 @@ def test_secure_reconnect_after_server_restart(secure_setup):
     transparent re-handshake; the call still succeeds."""
     ca, rng, _, server, network, cluster = secure_setup
     client = make_retrying_client(secure_setup)
-    conn = connect(client, "secure")
-    assert conn.call("echo", b"before") == b"before"
+    connect(client, "secure")
+    assert client.call("secure", "echo", b"before") == b"before"
 
     # Simulate a crash + supervised restart: fresh server, no sessions.
     server.abort()
@@ -365,9 +376,9 @@ def test_secure_reconnect_after_server_restart(secure_setup):
     replacement.register("echo", lambda payload, peer: payload)
     replacement.start()
 
-    assert conn.call("echo", b"after") == b"after"
+    assert client.call("secure", "echo", b"after") == b"after"
     assert client.stats.reconnects >= 1
-    assert conn.peer_subject == "server2"
+    assert peer_subject(client, "secure") == "server2"
 
 
 def test_partition_during_handshake_retries_after_heal(secure_setup):
@@ -388,8 +399,8 @@ def test_partition_during_handshake_retries_after_heal(secure_setup):
     network.partition("secure")
     partitioned["on"] = True
 
-    conn = connect(client, "secure")
-    assert conn.call("echo", b"through") == b"through"
+    connect(client, "secure")
+    assert client.call("secure", "echo", b"through") == b"through"
     assert client.stats.retries >= 1
     # The abandoned first hs1 (if any) stays server-side until swept.
     assert server.stats.handshakes_expired == 0
@@ -398,7 +409,7 @@ def test_partition_during_handshake_retries_after_heal(secure_setup):
 def test_secure_call_retries_through_partition_heal(secure_setup):
     _, _, _, server, network, cluster = secure_setup
     client = make_retrying_client(secure_setup, max_attempts=8, base_delay=0.5)
-    conn = connect(client, "secure")
+    connect(client, "secure")
 
     heal_at = cluster[1].clock.now + 1.0
     partitioned = {"on": False}
@@ -414,14 +425,15 @@ def test_secure_call_retries_through_partition_heal(secure_setup):
 
     # The in-flight session may or may not survive; the retry layer
     # reconnects as needed and the call completes after the heal.
-    assert conn.call("echo", b"persist") == b"persist"
+    assert client.call("secure", "echo", b"persist") == b"persist"
     assert client.stats.retries >= 1
 
 
 # --- begin_call / settle: the one call path ---------------------------------------
 #
-# ``call`` is ``begin_call`` then ``settle``; these drive the two halves apart,
-# over the plain and the shielded transport alike.
+# ``call`` is ``begin_call`` then the activity it returns; these drive the two
+# halves apart, over the plain and the shielded transport alike, through the
+# same client methods.
 
 
 class _Rig:
@@ -448,14 +460,13 @@ class _Rig:
                 self.network, "client", self.cluster[1], retry=policy,
                 breakers=breakers,
             )
-            self.conn = None
         else:
             self.client = SecureRpcClient(
                 self.network, "client", self.cluster[1],
                 make_shield(self.ca, self.rng, self.cluster[1], "client"),
                 retry=policy, breakers=breakers,
             )
-            self.conn = connect(self.client, "svc")
+            connect(self.client, "svc")
 
     def start_server(self, name):
         node = self.cluster[0]
@@ -480,19 +491,15 @@ class _Rig:
         return server
 
     def begin(self, method, payload):
-        if self.conn is None:
-            begin = self.client.begin_call("svc", method, payload)
-        else:
-            begin = self.conn.begin_call(method, payload)
-        return self.network.scheduler.drive(begin)
+        return self.network.scheduler.drive(
+            self.client.begin_call("svc", method, payload)
+        )
 
-    def settle(self, pending):
-        return self.network.scheduler.drive(pending.settle())
+    def settle(self, activity):
+        return self.network.scheduler.drive(activity)
 
     def call(self, method, payload):
-        if self.conn is None:
-            return self.client.call("svc", method, payload)
-        return self.conn.call(method, payload)
+        return self.client.call("svc", method, payload)
 
     def drop_next(self, src):
         """Lose the next message ``src`` puts on the wire."""
@@ -512,6 +519,50 @@ class _Rig:
 @pytest.fixture(params=["plain", "secure"])
 def kind(request):
     return request.param
+
+
+def test_a_shielded_client_calls_like_a_plain_one():
+    """``call`` and ``begin_call`` take the same arguments on a plain and
+    on a shielded client and get the same replies; only the ``rpc.call``
+    span says which transport carried them."""
+    from repro.observability import Tracer
+
+    def calls(rig):
+        drive = rig.network.scheduler.drive
+        tracer = Tracer()
+        probe.install(tracer)
+        try:
+            replies = [
+                rig.client.call("svc", "apply", b"a"),
+                drive(drive(rig.client.begin_call("svc", "apply", b"b"))),
+            ]
+        finally:
+            probe.remove(tracer)
+        spans = [span.attrs for span in tracer.spans if span.name == "rpc.call"]
+        return replies, spans
+
+    (plain, plain_spans), (secure, secure_spans) = calls(_Rig("plain")), calls(_Rig("secure"))
+    assert plain == secure == [b"ok:a", b"ok:b"]
+    assert plain_spans == [{"dst": "svc", "method": "apply"}]
+    assert secure_spans == [{"dst": "svc", "method": "apply", "secure": True}]
+
+
+@pytest.mark.parametrize("retrying", [False, True], ids=["once", "retrying"])
+def test_a_call_without_a_session_sends_nothing(secure_setup, retrying):
+    """A shielded client that never opened a session to the destination
+    refuses the call, typed, before a byte reaches the wire."""
+    _, _, client, _, network, _ = secure_setup
+    if retrying:
+        client = make_retrying_client(secure_setup)
+    messages = network.stats.messages
+    with pytest.raises(RpcError, match="no secure session"):
+        client.call("secure", "echo", b"x")
+    with pytest.raises(RpcError, match="no secure session"):
+        network.scheduler.drive(network.scheduler.drive(
+            client.begin_call("secure", "echo", b"y")
+        ))
+    assert network.stats.messages == messages
+    assert client._shield.stats.records_protected == 0
 
 
 def test_begin_call_request_leg_loss_is_retried_once(kind):
@@ -552,7 +603,7 @@ def test_begin_call_survives_server_restart_before_settle(kind):
     if kind == "secure":
         # The replacement knows no sessions: re-handshake, then resend.
         assert rig.client.stats.reconnects == 1
-        assert rig.conn.peer_subject == "server2"
+        assert peer_subject(rig.client, "svc") == "server2"
 
 
 def test_begin_call_open_breaker_sends_nothing(kind):

@@ -144,9 +144,9 @@ def test_serve_over_secure_rpc(platform, lite_model, images):
         user_node.rng.child("user"),
     )
     client = SecureRpcClient(platform.network, "alice", user_node, shield)
-    conn = platform.network.scheduler.drive(client.open(address))
-    reply = conn.call(
-        "classify", encoding.encode(encode_array(images[0]))
+    platform.network.scheduler.drive(client.open(address))
+    reply = client.call(
+        address, "classify", encoding.encode(encode_array(images[0]))
     )
     label = encoding.decode(reply)["label"]
     reference = Interpreter(lite_model)
@@ -154,7 +154,7 @@ def test_serve_over_secure_rpc(platform, lite_model, images):
     assert label == reference.classify(images[0][None])
     service.stop()
     with pytest.raises(RpcError):
-        conn.call("classify", encoding.encode(encode_array(images[0])))
+        client.call(address, "classify", encoding.encode(encode_array(images[0])))
 
 
 def test_stats_track_requests(platform, lite_model, images):

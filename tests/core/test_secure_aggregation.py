@@ -204,11 +204,10 @@ def test_hospitals_cannot_read_partial_sums():
         hospital.node,
         shield=hospital.shield,
     )
-    conn = platform.network.scheduler.drive(
-        client.open(fl.job.ps_service.shard(1).address, expected_server=None)
-    )
+    address = fl.job.ps_service.shard(1).address
+    platform.network.scheduler.drive(client.open(address, expected_server=None))
     with pytest.raises((AttestationError, RpcError)):
-        conn.call("partial", b"")
+        client.call(address, "partial", b"")
     fl.stop()
 
 

@@ -85,8 +85,9 @@ def test_native_cannot_enable_network_shield():
         )
 
 
-def _outsider_connection(platform, node, subject, address):
-    """A secure session to ``address`` under a CAS-certified ``subject``."""
+def _outsider_client(platform, node, subject, address):
+    """A client with a secure session to ``address`` under a
+    CAS-certified ``subject``."""
     from repro.cluster.rpc import SecureRpcClient
     from repro.crypto.certs import Certificate
     from repro.crypto.ed25519 import Ed25519PrivateKey
@@ -104,7 +105,8 @@ def _outsider_connection(platform, node, subject, address):
         node.rng.child(subject),
     )
     client = SecureRpcClient(platform.network, subject, node, shield)
-    return platform.network.scheduler.drive(client.open(address))
+    platform.network.scheduler.drive(client.open(address))
+    return client
 
 
 def test_parameter_server_serves_only_its_own_session():
@@ -128,22 +130,22 @@ def test_parameter_server_serves_only_its_own_session():
     ps = jobs[0].ps_service.shard(0)
     push = encoding.encode({"gradients": encode_array_dict({}), "declared_flops": 0})
     node = platform.node(1)
-    stranger = _outsider_connection(platform, node, "user/random-guy", ps.address)
+    stranger = _outsider_client(platform, node, "user/random-guy", ps.address)
     foreign = jobs[1].workers[0]
-    foreigner = platform.network.scheduler.drive(SecureRpcClient(
+    foreigner = SecureRpcClient(
         platform.network, foreign.address, foreign.node, foreign.shield
-    ).open(ps.address))
-    for conn in (stranger, foreigner):
+    )
+    platform.network.scheduler.drive(foreigner.open(ps.address))
+    for client in (stranger, foreigner):
         for method, payload in (("pull", b""), ("push", push)):
             with pytest.raises(AttestationError):
-                conn.call(method, payload)
+                client.call(ps.address, method, payload)
     assert ps.version == 1  # nothing was applied
     # The job's own worker is still served.
     own = jobs[0].workers[0]
-    conn = platform.network.scheduler.drive(SecureRpcClient(
-        platform.network, own.address, own.node, own.shield
-    ).open(ps.address))
-    assert encoding.decode(conn.call("pull", b""))["version"] == 1
+    client = SecureRpcClient(platform.network, own.address, own.node, own.shield)
+    platform.network.scheduler.drive(client.open(ps.address))
+    assert encoding.decode(client.call(ps.address, "pull", b""))["version"] == 1
 
 
 @pytest.mark.parametrize("when", ["connect", "reconnect"])
@@ -272,8 +274,8 @@ def test_unauthorized_party_cannot_submit():
         node.rng.child("rg"),
     )
     outsider = SecureRpcClient(platform.network, "rg", node, shield)
-    conn = platform.network.scheduler.drive(outsider.open(fl.address))
+    platform.network.scheduler.drive(outsider.open(fl.address))
     # The aggregator's authentication rejection arrives typed.
     with pytest.raises(AttestationError):
-        conn.call("pull", b"")
+        outsider.call(fl.address, "pull", b"")
     fl.stop()

@@ -47,19 +47,18 @@ def connect(client, dst, **kwargs):
 
 def test_establish_and_exchange(pair):
     alice, bob, client, _, _ = pair
-    conn = connect(client, "bob", expected_server="bob")
-    assert conn.call("echo", b"gradients") == b"gradients"
-    assert conn.call("whoami", b"") == b"alice"
-    assert conn.peer_subject == "bob"
+    assert connect(client, "bob", expected_server="bob") == "bob"
+    assert client.call("bob", "echo", b"gradients") == b"gradients"
+    assert client.call("bob", "whoami", b"") == b"alice"
     assert alice.stats.handshakes == 1
     assert bob.stats.handshakes == 1
 
 
 def test_crypto_time_charged(pair):
     alice, bob, client, _, cluster = pair
-    conn = connect(client, "bob")
+    connect(client, "bob")
     before = cluster[1].clock.now
-    conn.call("echo", b"x", declared_request=10_000_000, declared_response=10_000_000)
+    client.call("bob", "echo", b"x", declared_request=10_000_000, declared_response=10_000_000)
     elapsed = cluster[1].clock.now - before
     assert elapsed >= 2 * 10_000_000 / CM.net_shield_crypto_bandwidth
     # Each end seals one 10 MB record and opens one, each charged as
@@ -75,7 +74,7 @@ def test_crypto_time_charged(pair):
 
 def test_wire_bytes_are_ciphertext(pair):
     _, _, client, network, _ = pair
-    conn = connect(client, "bob")
+    connect(client, "bob")
     wire = []
 
     def sniff(src, dst, data):
@@ -83,14 +82,14 @@ def test_wire_bytes_are_ciphertext(pair):
         return data
 
     network.adversary = sniff
-    assert conn.call("echo", b"plaintext-secret") == b"plaintext-secret"
+    assert client.call("bob", "echo", b"plaintext-secret") == b"plaintext-secret"
     assert len(wire) == 2  # the request and its echoed reply
     assert all(b"plaintext-secret" not in data for data in wire)
 
 
 def test_tampered_record_detected(pair):
     alice, bob, client, network, _ = pair
-    conn = connect(client, "bob")
+    connect(client, "bob")
 
     def flip_record_bit(src, dst, data):
         # Dolev-Yao: keep the envelope well-formed, flip a bit inside
@@ -106,7 +105,7 @@ def test_tampered_record_detected(pair):
     network.adversary = flip_record_bit
     charged = bob.stats.crypto_bytes
     with pytest.raises(IntegrityError):
-        conn.call("echo", b"data")
+        client.call("bob", "echo", b"data")
     assert bob.stats.records_rejected == 1
     assert bob.stats.records_opened == 0
     assert bob.stats.crypto_bytes == charged  # a refused record is not charged
@@ -115,12 +114,12 @@ def test_tampered_record_detected(pair):
 
 def test_record_counters(pair):
     alice, bob, client, _, _ = pair
-    conn = connect(client, "bob")
+    connect(client, "bob")
     # Handshake flights travel as plain RPCs: they are not records.
     for shield in (alice, bob):
         assert shield.stats.records_protected == shield.stats.records_opened == 0
     for i in range(5):
-        assert conn.call("echo", bytes([i])) == bytes([i])
+        assert client.call("bob", "echo", bytes([i])) == bytes([i])
     for shield in (alice, bob):
         assert shield.stats.records_protected == shield.stats.records_opened == 5
         # Nothing declared a size: the charged bytes are the real ones.

@@ -41,11 +41,13 @@ CLIENTS = 16
 DURATION = 6.0
 REPLICAS = 3
 
-#: Python calls per admitted request: 254.84 on CPython 3.11 (390.72
+#: Python calls per admitted request: 252.84 on CPython 3.11 (390.72
 #: before the serving hop's cuts: the clock's ``now`` property, the
 #: codec's leaf frames, the trap plane's post frame, the fault chain's
-#: empty actions and the dedup windows' idle sweeps).
-BUDGET = 255
+#: empty actions and the dedup windows' idle sweeps; 254.84 before the
+#: client's ``begin_call`` returned its settling activity directly
+#: instead of a pending-call wrapper).
+BUDGET = 253
 
 
 def _plane() -> ServingPlane:

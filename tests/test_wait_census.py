@@ -39,8 +39,6 @@ WAITS = {"run_until", "drive"}
 ALLOWLIST: Dict[Tuple[str, str], str] = {
     ("cluster/rpc.py", "RpcClient.call"):
         "the blocking RPC of tests, examples and setup code",
-    ("cluster/rpc.py", "SecureConnection.call"):
-        "the blocking secure RPC of tests and setup code",
     ("cas/client.py", "RemoteCasClient.provision"):
         "provisioning a runtime from setup code (the platform's provision_runtime)",
     ("cas/failover.py", "ReplicatedCasPair._replicate_op"):
