@@ -1,41 +1,20 @@
-"""Event-heap simulation core: throughput vs the pre-PR synchronous walk.
+"""Event-heap simulation core: throughput as the replica fleet grows.
 
-The PR 6 tentpole replaced per-node clock walking with one global event
-heap.  This bench quantifies the win on the workload the refactor
-exists for: a fleet of replicas with irregular (jittered) heartbeat
-timers, each heartbeat an RPC to a ring peer.
-
-Two simulators run the *same seeded scenario*:
-
-- **event core** — replicas as stackless activities on the global heap
-  (:class:`repro.cluster.fleet.ReplicaFleet` through the real
-  ``Network``): cost is O(events · log events), independent of how much
-  simulated time passes between events.
-- **synchronous walk** — the pre-PR pattern faithfully extrapolated to
-  a fleet: per-node clocks advanced in **lockstep** at a fixed cadence
-  (every pre-PR drive loop was lockstep — SyncTrainer's barrier rounds,
-  fig7's phases, clock-subscription samplers), each tick scanning every
-  replica for due work and executing due heartbeats as the old nested
-  inline call.  Cost is O(sim-time / cadence · nodes) *regardless of
-  event density*.  The baseline is deliberately favored: its wake
-  times are precomputed, its call path skips the fault chain and
-  stats, and its 1 ms cadence is far *coarser* than the event core
-  (which resolves jittered timers exactly) — and it still loses.
-
-The equivalence check keeps the comparison honest: both simulators
-complete the identical number of heartbeats and agree on final
-simulated time to within the walk's tick quantization.
+A fleet of replicas with irregular (jittered) heartbeat timers, each
+heartbeat an RPC to a ring peer, runs as stackless activities on the
+global event heap (:class:`repro.cluster.fleet.ReplicaFleet` through the
+real ``Network``).  Cost is O(events · log events), independent of how
+much simulated time passes between events, so the simulated-events/s
+rate should hold roughly flat from 8 to 256 replicas.
 
 Records to ``BENCH.json`` under ``sim_core``: the fleet-size sweep
-(8 → 256 replicas) of simulated-events/s for both cores, the speedup
-at each size, and the 256-replica wall time.
+(8 → 256 replicas) of simulated-events/s and wall time, keeping the
+section it replaces under ``previous``.
 """
 
 import time
 
-import pytest
-
-from harness import print_table, record, run_once, save_bench
+from harness import load_bench, print_table, record, run_once, save_bench
 
 from repro._sim import DeterministicRng, Scheduler
 from repro.cluster import ReplicaFleet
@@ -48,11 +27,10 @@ FLEET_SIZES = (8, 16, 32, 64, 128, 256)
 ROUNDS = 10
 PAYLOAD = 128
 SPACING = 1.0       # mean heartbeat period (sim-seconds), ±50% jitter
-WALK_TICK = 0.001   # the walk's lockstep cadence (coarser than exact)
 SEED = 9
 
 
-def _nodes(n, scheduler=None):
+def _nodes(n, scheduler):
     rng = DeterministicRng(SEED, label="sim-core-bench")
     return make_cluster(
         n,
@@ -78,156 +56,58 @@ def _run_event_core(n_replicas):
         "wall_s": wall,
         "events_per_s": scheduler.events_processed / wall,
         "heartbeats": stats.responses,
-        "sim_time": fleet.fleet_time(),
-    }
-
-
-class _WalkReplica:
-    __slots__ = ("index", "node", "rng", "wake", "remaining")
-
-
-def _run_synchronous_walk(n_replicas):
-    """The pre-PR walk on the identical seeded scenario.
-
-    Matches ReplicaFleet's per-replica RNG streams (same child labels,
-    same draw order) so both simulators play out the same timers.
-    """
-    nodes = _nodes(n_replicas)
-
-    def transfer(n_bytes):
-        return CM.lan_rtt / 2 + n_bytes / CM.lan_bandwidth
-
-    replicas = []
-    for index in range(n_replicas):
-        replica = _WalkReplica()
-        replica.index = index
-        replica.node = nodes[index % len(nodes)]
-        replica.rng = replica.node.rng.child(f"fleet-replica-{index}")
-        replica.remaining = ROUNDS
-        replica.wake = replica.node.clock.now + SPACING * (
-            1.0 + 0.5 * replica.rng.uniform(-1.0, 1.0)
-        )
-        replicas.append(replica)
-
-    heartbeats = 0
-    started = time.perf_counter()
-    now = 0.0
-    while any(r.remaining for r in replicas):
-        now += WALK_TICK
-        # The walk itself: every per-node clock advances in lockstep,
-        # whether or not anything is due — O(nodes) per tick.
-        for node in nodes:
-            node.clock.advance_to(now)
-        for replica in replicas:
-            if replica.remaining and replica.wake <= now:
-                peer = replicas[(replica.index + 1) % n_replicas]
-                # The old nested inline call: walk the callee's clock
-                # forward inside the caller's stack frame.
-                arrival = replica.node.clock.now + transfer(PAYLOAD)
-                peer.node.clock.advance_to(arrival)
-                response = bytes(PAYLOAD)  # echo handler
-                reply_at = peer.node.clock.now + transfer(len(response))
-                replica.node.clock.advance_to(reply_at)
-                heartbeats += 1
-                replica.remaining -= 1
-                if replica.remaining:
-                    replica.wake = replica.node.clock.now + SPACING * (
-                        1.0 + 0.5 * replica.rng.uniform(-1.0, 1.0)
-                    )
-    wall = time.perf_counter() - started
-    # 3 logical events per heartbeat (timer, delivery, reply) — the same
-    # work units the event core counts in events_processed.
-    events = heartbeats * 3
-    return {
-        "events": events,
-        "wall_s": wall,
-        "events_per_s": events / wall,
-        "heartbeats": heartbeats,
-        "sim_time": max(node.clock.now for node in nodes),
     }
 
 
 def _collect():
-    sweep = {}
-    for n in FLEET_SIZES:
-        sweep[n] = {
-            "core": _run_event_core(n),
-            "walk": _run_synchronous_walk(n),
-        }
-    return sweep
+    return {n: _run_event_core(n) for n in FLEET_SIZES}
 
 
 def test_sim_core_throughput(benchmark):
     sweep = run_once(benchmark, _collect)
 
-    rows = []
-    for n in FLEET_SIZES:
-        core, walk = sweep[n]["core"], sweep[n]["walk"]
-        rows.append(
+    print_table(
+        "Event-heap core, simulated events/s by fleet size "
+        f"({ROUNDS} heartbeat rounds, {SPACING:.1f}s mean spacing)",
+        ("replicas", "events", "ev/s", "wall"),
+        [
             [
                 n,
-                f"{core['events_per_s']:,.0f}",
-                f"{walk['events_per_s']:,.0f}",
-                f"{core['events_per_s'] / walk['events_per_s']:.1f}x",
-                f"{core['wall_s'] * 1e3:.0f}ms",
+                sweep[n]["events"],
+                f"{sweep[n]['events_per_s']:,.0f}",
+                f"{sweep[n]['wall_s'] * 1e3:.0f}ms",
             ]
-        )
-    print_table(
-        "Event-heap core vs pre-PR synchronous walk "
-        f"({ROUNDS} heartbeat rounds, {SPACING:.1f}s mean spacing)",
-        ("replicas", "core ev/s", "walk ev/s", "speedup", "core wall"),
-        rows,
-        notes=[
-            f"walk cadence {WALK_TICK * 1e3:.0f}ms (coarser than the core's "
-            "exact event times) and lighter per-call path — still loses",
+            for n in FLEET_SIZES
         ],
     )
 
-    # -- equivalence: same scenario, same outcome ----------------------
     for n in FLEET_SIZES:
-        core, walk = sweep[n]["core"], sweep[n]["walk"]
-        assert core["heartbeats"] == walk["heartbeats"] == n * ROUNDS
-        # The walk quantizes wakes to its tick; drift is bounded by one
-        # tick per round.
-        assert abs(core["sim_time"] - walk["sim_time"]) < (ROUNDS + 1) * WALK_TICK
-
-    # -- acceptance: >= 5x simulated-events/s at 64 replicas -----------
-    speedup_64 = (
-        sweep[64]["core"]["events_per_s"] / sweep[64]["walk"]["events_per_s"]
-    )
-    assert speedup_64 >= 5.0, f"only {speedup_64:.1f}x at 64 replicas"
-
-    # The event core's rate holds flat as the fleet grows (O(log N));
-    # the walk's rate cannot (O(N) per tick).
-    assert (
-        sweep[256]["core"]["events_per_s"]
-        > sweep[8]["core"]["events_per_s"] * 0.3
-    )
-    # 256-replica fleet comfortably inside the ISSUE's 2-minute budget.
-    assert sweep[256]["core"]["wall_s"] < 120.0
+        assert sweep[n]["heartbeats"] == n * ROUNDS
+    # The event core's rate holds flat as the fleet grows (O(log N)).
+    assert sweep[256]["events_per_s"] > sweep[8]["events_per_s"] * 0.3
+    # The 256-replica fleet stays well inside a 2-minute budget.
+    assert sweep[256]["wall_s"] < 120.0
 
     record(
         benchmark,
-        core_ev_s_64=sweep[64]["core"]["events_per_s"],
-        walk_ev_s_64=sweep[64]["walk"]["events_per_s"],
-        speedup_64=speedup_64,
-        core_wall_256=sweep[256]["core"]["wall_s"],
+        core_ev_s_64=sweep[64]["events_per_s"],
+        core_wall_256=sweep[256]["wall_s"],
     )
+    previous = load_bench("sim_core")
+    previous.pop("previous", None)
     save_bench(
         "sim_core",
         {
             "rounds": ROUNDS,
             "spacing_s": SPACING,
-            "walk_tick_s": WALK_TICK,
-            "speedup_at_64": round(speedup_64, 1),
             "fleet_sweep": {
                 str(n): {
-                    "core_events_per_s": round(sweep[n]["core"]["events_per_s"]),
-                    "walk_events_per_s": round(sweep[n]["walk"]["events_per_s"]),
-                    "core_wall_s": round(sweep[n]["core"]["wall_s"], 4),
-                    "events": sweep[n]["core"]["events"],
+                    "core_events_per_s": round(sweep[n]["events_per_s"]),
+                    "core_wall_s": round(sweep[n]["wall_s"], 4),
+                    "events": sweep[n]["events"],
                 }
                 for n in FLEET_SIZES
             },
+            "previous": previous,
         },
     )

@@ -7,13 +7,10 @@
 
 from repro.baselines.native import make_native_runner, NativeRunner
 from repro.baselines.graphene import GRAPHENE_LIBOS, make_graphene_runner
-from repro.baselines.slalom import SlalomRunner, make_slalom_runner
 
 __all__ = [
     "NativeRunner",
     "make_native_runner",
     "GRAPHENE_LIBOS",
     "make_graphene_runner",
-    "SlalomRunner",
-    "make_slalom_runner",
 ]

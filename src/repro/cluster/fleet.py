@@ -2,14 +2,12 @@
 
 This is the load pattern the event core exists for: *hundreds* of
 replicas, each alternating think-time with RPC to a peer, all live at
-once.  Under the old synchronous walk each replica's RPC nested the
-callee's execution inside the caller's Python stack and something had
-to min-scan every clock to decide who acts next; here every replica is
-a generator **activity** on the global event heap
-(:meth:`~repro._sim.scheduler.Scheduler.spawn`), parking stacklessly on
-timers and :meth:`~repro.cluster.network.Network.call_async`
-completions, so a 256-replica fleet costs O(events · log events) and
-zero stacked frames.
+once.  Every replica is a generator **activity** on the global event
+heap (:meth:`~repro._sim.scheduler.Scheduler.spawn`), parking
+stacklessly on timers and
+:meth:`~repro.cluster.network.Network.call_async` completions, so a
+256-replica fleet costs O(events · log events) and zero stacked
+frames.
 
 :class:`ReplicaFleet` models the serving-style gossip/heartbeat
 workload used by ``benchmarks/bench_sim_core.py`` and the tier-2 perf
@@ -149,10 +147,6 @@ class ReplicaFleet:
         """Unregister every replica endpoint."""
         for index in range(self._n):
             self._network.unregister(self._address(index))
-
-    def fleet_time(self) -> float:
-        """Max simulated time across the replicas' home clocks."""
-        return max(node.clock.now for node in self._homes)
 
 
 __all__ = ["FleetStats", "ReplicaFleet"]

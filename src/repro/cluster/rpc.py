@@ -736,7 +736,7 @@ class SecureRpcClient(RpcClient):
     destination, established by :meth:`open`.
 
     Calls take :class:`RpcClient`'s signatures; only the two transport
-    halves differ.  With a retrying client a session is *self-healing*:
+    halves differ, and the unsealed :meth:`send` is refused.  With a retrying client a session is *self-healing*:
     a transport fault, a desynced record layer, or a server restart
     triggers a full re-handshake (re-attested identity, fresh keys —
     charged via the shield's cost model) and the call is resent under
@@ -870,6 +870,19 @@ class SecureRpcClient(RpcClient):
                 f"secure session to {dst!r} failed verification; re-established"
             ) from exc
         raise exc
+
+    def send(
+        self, dst: str, method: str, payload: bytes, deadline: Optional[float] = None
+    ) -> Completion:
+        """Refused: :meth:`RpcClient.send` writes a cleartext call
+        envelope, so a shielded caller gets a failed completion before
+        any byte is written."""
+        failed = Completion(f"send:{dst}")
+        failed.fail(RpcError(
+            f"no sealed send() to {dst!r}: a shielded call goes through "
+            f"begin_call / request / call"
+        ))
+        return failed
 
     def _send(
         self,

@@ -98,29 +98,6 @@ LITE_PROFILE = EngineProfile(
 )
 
 
-@dataclass(frozen=True)
-class GpuProfile:
-    """An untrusted GPU accelerator for Slalom-style outsourcing (§7.4).
-
-    The paper discusses offloading *linear* operations (matmul, conv) to
-    a GPU outside the enclave, Slalom-style: the enclave keeps the
-    non-linear ops, streams layer inputs/outputs over PCIe, and verifies
-    the GPU's linear algebra with Freivalds-type checks — preserving
-    integrity while weakening confidentiality for the offloaded layers.
-    """
-
-    name: str = "untrusted-gpu"
-    flops_per_second: float = 1.2e12  # effective fp32 throughput
-    pcie_bandwidth: float = 12.0e9
-    per_offload_overhead: float = 25e-6  # kernel launch + sync
-    #: In-enclave verification cost as a fraction of the offloaded FLOPs
-    #: (Freivalds checks are asymptotically cheaper than the multiply).
-    verification_fraction: float = 0.02
-
-
-DEFAULT_GPU_PROFILE = GpuProfile()
-
-
 @dataclass
 class RunStats:
     """Work performed by one ``Session.run`` / ``Interpreter.invoke``."""
@@ -130,8 +107,6 @@ class RunStats:
     weight_bytes: int = 0
     activation_bytes: int = 0
     max_op_bytes: int = 0
-    #: FLOPs spent in linear ops (matmul/conv) — offloadable to a GPU.
-    linear_flops: int = 0
 
 
 @dataclass
@@ -171,9 +146,6 @@ class ExecutionEngine:
         stats_registry.register("tensor", self.totals, runtime.clock)
         self._region_sizes: Dict[str, int] = {}
         self._cursors: Dict[str, int] = {}
-        #: When set, linear FLOPs are outsourced to this untrusted GPU
-        #: (Slalom-style, §7.4) instead of running in the enclave.
-        self.gpu_profile: Optional[GpuProfile] = None
         #: Planned activation-arena size per thread.  The Lite interpreter
         #: sets this from the converter's arena plan (Lite reuses buffers
         #: aggressively); when unset, the engine falls back to a
@@ -205,25 +177,10 @@ class ExecutionEngine:
         self.totals.runs += 1
 
         # Compute + dispatch.  HW mode pays the MEE compute penalty even
-        # when fully EPC-resident.  With a GPU attached, linear FLOPs run
-        # on the accelerator while the enclave verifies and handles the
-        # non-linear remainder (Slalom-style outsourcing, §7.4).
+        # when fully EPC-resident.
         before = clock.now
-        gpu = self.gpu_profile
-        enclave_flops = stats.flops
-        if gpu is not None and stats.linear_flops > 0:
-            offloaded = min(stats.linear_flops, stats.flops)
-            enclave_flops = stats.flops - offloaded
-            enclave_flops += int(offloaded * gpu.verification_fraction)
-            transfers = 2 * stats.activation_bytes  # layer I/O over PCIe
-            gpu_time = (
-                offloaded / gpu.flops_per_second
-                + transfers / gpu.pcie_bandwidth
-                + max(stats.ops // 2, 1) * gpu.per_offload_overhead
-            )
-            clock.advance(gpu_time)
         single_thread = (
-            enclave_flops / self.profile.flops_per_second
+            stats.flops / self.profile.flops_per_second
             + stats.ops * self.profile.dispatch_overhead
         ) * runtime.compute_factor
         if runtime.memory.encrypted:
@@ -246,13 +203,8 @@ class ExecutionEngine:
         # and the growing Graphene gap in Fig. 5.
         before = clock.now
         faults = 0
-        weight_bytes = stats.weight_bytes
-        if self.gpu_profile is not None and stats.linear_flops > 0:
-            # Linear-layer weights are resident on the GPU; only the
-            # (small) non-linear parameters stay inside the enclave.
-            weight_bytes = max(weight_bytes // 10, 1)
-        if weight_bytes > 0:
-            self._ensure_region("weights", weight_bytes, "data")
+        if stats.weight_bytes > 0:
+            self._ensure_region("weights", stats.weight_bytes, "data")
         if stats.activation_bytes > 0:
             if self.arena_hint is not None:
                 # Planned arena (Lite): each intra-op worker thread gets
@@ -272,8 +224,8 @@ class ExecutionEngine:
             runtime.libc.hot_bytes_per_op, runtime.libc.binary_size
         )
         streams = []
-        if weight_bytes > 0:
-            streams.append(["weights", weight_bytes, True])
+        if stats.weight_bytes > 0:
+            streams.append(["weights", stats.weight_bytes, True])
         if stats.activation_bytes > 0:
             streams.append(["workspace", stats.activation_bytes, True])
         if code_traffic > 0:

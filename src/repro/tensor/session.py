@@ -48,12 +48,6 @@ Fetch = Union[Tensor, Operation, str]
 #: Op types whose outputs are persistent state, not per-run activations.
 _STATE_OPS = frozenset({"variable", "const", "placeholder"})
 
-#: Linear-algebra ops whose FLOPs a Slalom-style deployment can offload
-#: to an untrusted GPU (§7.4).
-_LINEAR_OPS = frozenset(
-    {"matmul", "conv2d", "conv2d_grad_input", "conv2d_grad_filters"}
-)
-
 #: Op types whose kernels take the plan's scratch as ``scratch=``.
 _SCRATCH_OPS = frozenset({"conv2d", "conv2d_grad_filters", "conv2d_grad_input"})
 
@@ -63,38 +57,30 @@ _SCRATCH_OPS = frozenset({"conv2d", "conv2d_grad_filters", "conv2d_grad_input"})
 _MAX_SIGNATURES = 8
 
 #: One step's contribution to a RunStats:
-#: (flops, weight_bytes, activation_bytes, op_bytes, linear_flops).
-_Cost = Tuple[int, int, int, int, int]
+#: (flops, weight_bytes, activation_bytes, op_bytes).
+_Cost = Tuple[int, int, int, int]
 
 
 def _step_cost(op: Operation, input_values: List[Any], outputs: Sequence[Any]) -> _Cost:
     out0 = outputs[0]
-    op_type = op.op_type
-    if op_type in _STATE_OPS:
+    if op.op_type in _STATE_OPS:
         # Variables, and the constants frozen models carry their weights
         # as, are persistent read-only data, not activations.
-        return (0, out0.nbytes if isinstance(out0, np.ndarray) else 0, 0, 0, 0)
+        return (0, out0.nbytes if isinstance(out0, np.ndarray) else 0, 0, 0)
     flops = flops_of(op, input_values, out0)
     out_bytes = sum(v.nbytes for v in outputs if isinstance(v, np.ndarray))
     in_bytes = sum(v.nbytes for v in input_values if isinstance(v, np.ndarray))
-    return (
-        flops,
-        0,
-        out_bytes,
-        in_bytes + out_bytes,
-        flops if op_type in _LINEAR_OPS else 0,
-    )
+    return (flops, 0, out_bytes, in_bytes + out_bytes)
 
 
 def _sum_costs(costs: Sequence[_Cost]) -> RunStats:
     stats = RunStats(ops=len(costs))
-    for flops, weight_bytes, activation_bytes, op_bytes, linear_flops in costs:
+    for flops, weight_bytes, activation_bytes, op_bytes in costs:
         stats.flops += flops
         stats.weight_bytes += weight_bytes
         stats.activation_bytes += activation_bytes
         if op_bytes > stats.max_op_bytes:
             stats.max_op_bytes = op_bytes
-        stats.linear_flops += linear_flops
     return stats
 
 
@@ -278,7 +264,6 @@ class Session:
                         stats.activation_bytes * graph.activation_scale
                     ),
                     max_op_bytes=int(stats.max_op_bytes * graph.activation_scale),
-                    linear_flops=int(stats.linear_flops * graph.cost_scale),
                 )
                 self.engine.charge_run(charged, threads=self.threads)
 

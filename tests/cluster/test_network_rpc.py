@@ -565,6 +565,23 @@ def test_a_call_without_a_session_sends_nothing(secure_setup, retrying):
     assert client._shield.stats.records_protected == 0
 
 
+def test_a_shielded_send_puts_nothing_on_the_wire():
+    """``send`` writes a cleartext call envelope on a plain client; a
+    shielded one refuses it, typed, before anything is written, so no
+    payload reaches the wire in the clear."""
+    rig = _Rig("secure")
+    messages = rig.network.stats.messages
+    protected = rig.client._shield.stats.records_protected
+    sent = rig.client.send("svc", "apply", b"secret")
+    assert sent.done
+    with pytest.raises(RpcError, match="no sealed send"):
+        sent.result()
+    rig.network.scheduler.run()
+    assert rig.network.stats.messages == messages
+    assert rig.client._shield.stats.records_protected == protected
+    assert rig.handled == []
+
+
 def test_begin_call_request_leg_loss_is_retried_once(kind):
     rig = _Rig(kind)
     rig.drop_next("client")

@@ -22,12 +22,6 @@ Fetch = Union[Tensor, Operation, str]
 #: Op types whose outputs are persistent state, not per-run activations.
 _STATE_OPS = frozenset({"variable", "const", "placeholder"})
 
-#: Linear-algebra ops whose FLOPs a Slalom-style deployment can offload
-#: to an untrusted GPU (§7.4).
-_LINEAR_OPS = frozenset(
-    {"matmul", "conv2d", "conv2d_grad_input", "conv2d_grad_filters"}
-)
-
 
 class ReferenceSession:
     """Executes subgraphs, optionally charging an execution engine."""
@@ -102,7 +96,6 @@ class ReferenceSession:
                         stats.activation_bytes * graph.activation_scale
                     ),
                     max_op_bytes=int(stats.max_op_bytes * graph.activation_scale),
-                    linear_flops=int(stats.linear_flops * graph.cost_scale),
                 )
                 self.engine.charge_run(charged, threads=self.threads)
         return result
@@ -140,8 +133,6 @@ class ReferenceSession:
             stats.ops += 1
             stats.activation_bytes += out_bytes
             stats.max_op_bytes = max(stats.max_op_bytes, in_bytes + out_bytes)
-            if op.op_type in _LINEAR_OPS:
-                stats.linear_flops += flops
 
     def _normalize_feed(
         self, feed_dict: Dict[Union[Tensor, str], Any]

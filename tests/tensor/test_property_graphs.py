@@ -271,7 +271,7 @@ def test_plan_matches_reference_on_a_training_step():
         differential.run(
             lambda m: [m.logits, m.loss], lambda m: {m.images: np.zeros((4, 28, 28, 1))}
         )
-    assert differential.plan.session.last_stats.linear_flops > 0
+    assert differential.plan.session.last_stats.flops > 0
 
     for ours, theirs in zip(*(m.variables + [m.step] for m in differential.models)):
         assert_bitwise_equal(ours.value, theirs.value)
